@@ -2,7 +2,7 @@
 
 The causal-tracing layer is designed so that with tracing off the
 per-message cost is "one integer increment and two ``is None`` checks"
-(see :mod:`repro.sim.node`).  This benchmark pins that promise down: a
+(see :mod:`repro.runtime.node`).  This benchmark pins that promise down: a
 two-node ping-pong message loop runs once on the current transport stack
 with *no* observability hooks injected (the tracing-disabled no-op path)
 and once on a seed-equivalent stack whose ``send``/``receive`` bodies
@@ -19,10 +19,12 @@ import time
 
 import pytest
 
+from repro.runtime.latency import FixedLatency
+from repro.runtime.messages import Message
+from repro.runtime.metrics import Mechanism
+from repro.runtime.node import Node
+from repro.runtime.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Mechanism
-from repro.sim.network import FixedLatency, Message, Network
-from repro.sim.node import Node
 
 MESSAGES = 4000          # physical messages per loop run
 REPEATS = 7              # min-of-N samples per variant

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.model import distributed_model
 from repro.analysis.report import render_architecture_table
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 from harness import BENCH_PARAMS, run_architecture
 

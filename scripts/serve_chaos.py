@@ -21,7 +21,12 @@ For each of the three architectures this script:
    - the live ``/debug/trace`` export passes
      ``repro analyze --check-invariants``,
 
-5. shuts the recovered daemon down gracefully (SIGTERM drain).
+5. shuts the recovered daemon down gracefully (SIGTERM drain),
+6. runs a graceful-stop cycle on a fresh state directory: submit, follow
+   every instance's event stream to its ``instance.finished``, SIGTERM the
+   instant the last one arrives, restart, and assert that nothing is
+   re-driven and every id is served ``committed`` from the durable log —
+   an outcome a client has seen is already on disk.
 
 State directories are left under ``serve-chaos-state/`` so CI can
 upload them as a forensic artifact when an assertion fails.
@@ -36,6 +41,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -44,6 +50,7 @@ HOST = "127.0.0.1"
 BOOT_BUDGET = 30.0      # each daemon must answer /healthz within this
 DRAIN_BUDGET = 120.0    # recovery + re-driven instances must finish in this
 INSTANCES = 24          # acknowledged instances per architecture (>= 20)
+GRACEFUL_INSTANCES = 6  # instances of the graceful-stop cycle
 WORK_TIME_SCALE = 0.1   # slow enough that the kill lands mid-flight
 REPO = pathlib.Path(__file__).resolve().parent.parent
 STATE_ROOT = REPO / "serve-chaos-state"
@@ -151,6 +158,65 @@ def audit_wal(state_dir, acknowledged):
             f"durable outcome"
         )
     return len(state.redrives)
+
+
+def follow_to_finished(base, instance_id, failures):
+    """Read one instance's NDJSON stream up to its ``instance.finished``."""
+    try:
+        with urllib.request.urlopen(f"{base}/instances/{instance_id}/events",
+                                    timeout=DRAIN_BUDGET) as stream:
+            for line in stream:
+                if json.loads(line).get("kind") == "instance.finished":
+                    return
+        failures.append(f"{instance_id}: stream ended without a final event")
+    except (OSError, ValueError) as exc:
+        failures.append(f"{instance_id}: {exc!r}")
+
+
+def run_graceful_stop(architecture, port):
+    """SIGTERM right behind the last ``instance.finished``: nothing a
+    client saw may be missing from the log the next daemon replays."""
+    state_dir = STATE_ROOT / f"{architecture}-graceful"
+    if state_dir.exists():
+        shutil.rmtree(state_dir)
+    laws = (REPO / "examples" / "order_fulfilment.laws").read_text()
+    daemon, base, __ = boot_daemon(architecture, port, state_dir)
+    try:
+        acknowledged = req(base, "POST", "/workflows", {
+            "laws": laws, "inputs": {"part": "gasket", "qty": 2},
+            "instances": GRACEFUL_INSTANCES,
+        })["instances"]
+        failures = []
+        followers = [
+            threading.Thread(target=follow_to_finished,
+                             args=(base, iid, failures))
+            for iid in acknowledged
+        ]
+        for follower in followers:
+            follower.start()
+        for follower in followers:
+            follower.join(DRAIN_BUDGET)
+        daemon.send_signal(signal.SIGTERM)  # at once: no settling sleep
+        assert not failures, failures
+        assert not any(f.is_alive() for f in followers), "stream still open"
+        daemon.wait(timeout=30)
+    except BaseException:
+        reap(daemon)
+        dump_output(daemon, f"{architecture} graceful-stop daemon")
+        raise
+
+    daemon, base, health = boot_daemon(architecture, port, state_dir)
+    try:
+        assert health["instances_redriven"] == 0, health
+        assert health["instances_recovered"] == len(acknowledged), health
+        for iid in acknowledged:
+            record = req(base, "GET", f"/instances/{iid}")
+            assert record["status"] == "committed", record
+            assert record.get("recovered") is True, record
+    finally:
+        reap(daemon)
+    print(f"  {architecture}: SIGTERM behind the last of "
+          f"{len(acknowledged)} final events, 0 re-driven after restart")
 
 
 def run_architecture(architecture, port):
@@ -267,6 +333,7 @@ def main() -> int:
               flush=True)
         try:
             run_architecture(architecture, port)
+            run_graceful_stop(architecture, port)
         except Exception as exc:
             failures += 1
             print(f"serve chaos FAILED ({architecture}): {exc!r}",
@@ -275,8 +342,8 @@ def main() -> int:
         print(f"serve chaos: {failures} architecture(s) failed; state dirs "
               f"kept under {STATE_ROOT}", file=sys.stderr)
         return 1
-    print("serve chaos OK: kill -9 mid-flight lost nothing on any "
-          "architecture")
+    print("serve chaos OK: neither kill -9 mid-flight nor SIGTERM behind "
+          "the last outcome lost anything on any architecture")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Each :class:`ChaosTask` is one fully deterministic experiment: a
 ``(config, seed, fault plan)`` triple that builds a control system, arms a
-:class:`~repro.sim.faults.FaultInjector`, drives the Table-3 workload and
+:class:`~repro.runtime.faults.FaultInjector`, drives the Table-3 workload and
 then interrogates the finished run with the PR-3 protocol invariants plus
 chaos-specific *liveness* and *durability* checks:
 
@@ -40,7 +40,7 @@ from repro.analysis.causal import CausalTrace
 from repro.analysis.invariants import Violation, check_invariants
 from repro.errors import CrewError
 from repro.obs.profile import peak_rss_kb
-from repro.sim.faults import FaultPlan, random_plan
+from repro.runtime.faults import FaultPlan, random_plan
 from repro.workloads.params import WorkloadParameters
 
 __all__ = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.programs import ProgramRegistry, StepProgram
 from repro.errors import FrontEndError, SchemaError, WorkloadError
@@ -348,6 +348,10 @@ class ControlSystem:
         self.specs: list[CoordinationSpec] = []
         self.assignment = AgentAssignment()
         self.outcomes: dict[str, InstanceOutcome] = {}
+        #: Completion callback: ``on_outcome(outcome)`` runs for every
+        #: instance (nested ones too) inside the engine handler that
+        #: finished it, before that handler's closing trace record.
+        self.on_outcome: Callable[[InstanceOutcome], None] | None = None
         self._instance_ids = itertools.count(1)
 
     # -- registration -----------------------------------------------------------
@@ -732,7 +736,7 @@ class ControlSystem:
         outputs: Mapping[str, Any],
         now: float,
     ) -> None:
-        self.outcomes[instance_id] = InstanceOutcome(
+        outcome = self.outcomes[instance_id] = InstanceOutcome(
             instance_id=instance_id,
             schema_name=schema_name,
             status=status,
@@ -743,6 +747,8 @@ class ControlSystem:
             self.metrics.instances_committed += 1
         elif status is InstanceStatus.ABORTED:
             self.metrics.instances_aborted += 1
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
         if not self.tracer.enabled:
             return
         self._obs_end_recovery(instance_id, now, resolved=status.name.lower())

@@ -1,6 +1,6 @@
 """Seeded retry/timeout/backoff policy shared by the engines.
 
-Under fault injection (see :mod:`repro.sim.faults`) the transport can
+Under fault injection (see :mod:`repro.runtime.faults`) the transport can
 drop messages; :class:`RetryPolicy` decides when a dropped message is
 retransmitted and when its per-message budget is exhausted.  The same
 policy paces the central engine's step-retry watchdog, which re-dispatches

@@ -78,7 +78,7 @@ class Network:
         #: (``schedule_causal``) through it; when ``None`` they fall back
         #: to scheduling directly on the clock.
         self.executor = None
-        #: Optional fault injector (see :mod:`repro.sim.faults`), installed
+        #: Optional fault injector (see :mod:`repro.runtime.faults`), installed
         #: by ``FaultInjector.install``.  When set, every send routes
         #: through its fault pipeline and every delivery through its
         #: duplicate-suppression guard; when ``None`` (the default) the

@@ -12,8 +12,11 @@ Submissions are idempotent at the document level: the same LAWS text (or
 the same schema JSON) installs its workflow classes once and then only
 starts new instances.  Event subscribers get per-instance
 :class:`asyncio.Queue` feeds terminated by ``None`` once the instance
-reaches an outcome; a background watcher closes streams for instances
-that finish without a final trace record mentioning them.
+reaches an outcome.  The engine pushes each outcome to
+:meth:`WorkflowService._on_outcome` (via :attr:`repro.engines.base.
+ControlSystem.on_outcome`), the one place a finished instance is
+handled; it becomes visible — status record, ``/instances``, final
+stream event — only after its log record is flushed.
 
 The service is also the daemon's *observability plane*: it owns the
 engine's :class:`~repro.obs.registry.MetricsRegistry` (extended with
@@ -29,9 +32,9 @@ snapshot) and :meth:`profile_collapsed` (flamegraph stacks).  With
 into an explicit 503 rather than an empty scrape.
 
 Resilience plane (PR 9): with ``state_dir`` set the service journals
-installed documents, acknowledged submissions, outcomes and engine-store
-fragments to a crash-durable :class:`~repro.service.durability.
-ServiceLog` (group-flushed before each submission is acknowledged), and
+installed documents, acknowledged submissions and outcomes to a
+crash-durable :class:`~repro.service.durability.ServiceLog`
+(group-flushed before each submission is acknowledged), and
 :meth:`start` replays it — re-installing workflows, restoring finished
 outcomes, and re-driving in-flight instances under fresh ids recorded as
 ``redrive`` aliases.  Submissions pass an :class:`~repro.service.
@@ -87,9 +90,6 @@ _ARCHITECTURES = {
     "parallel": ParallelControlSystem,
     "distributed": DistributedControlSystem,
 }
-
-#: How often the background watcher sweeps for finished instances (s).
-_WATCH_INTERVAL = 0.05
 
 
 def schema_from_dict(payload: dict[str, Any]):
@@ -218,6 +218,7 @@ class WorkflowService:
         self.system = system_cls(config, num_agents=num_agents,
                                  runtime=self.runtime)
         self.system.trace.listener = self._on_trace
+        self.system.on_outcome = self._on_outcome
         self.logger = (logger if logger is not None
                        else StructuredLogger(stream=None))
         self.logger = self.logger.bind(architecture=architecture)
@@ -231,19 +232,21 @@ class WorkflowService:
         executor.on_retry = self._on_executor_retry
         executor.on_give_up = self._on_executor_give_up
         self.started_at: float | None = None
-        self._installed_documents: set[str] = set()
+        #: Installed document digest -> its default workflow name.
+        self._installed_documents: dict[str, str] = {}
         #: instance id -> wall-clock submit time (insertion ordered; the
         #: key set doubles as "known instances").
         self._submit_times: dict[str, float] = {}
-        #: Instances whose end-to-end latency has not been recorded yet.
-        self._latency_pending: set[str] = set()
-        self._submitted = 0
+        #: Known instances the engine has not finished yet.
+        self._running = 0
+        #: Finished instances whose ``outcome`` record is appended but not
+        #: flushed; hidden until :meth:`_publish_outcomes`.
+        self._unpublished: set[str] = set()
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         #: Firehose subscribers: queues receiving every instance-tagged
         #: event (the ``GET /events`` stream and ``repro top``).
         self._event_taps: list[asyncio.Queue] = []
-        self._closed_streams: set[str] = set()
-        self._watcher: asyncio.Task[None] | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = False
         self._draining = False
         #: Admission gate for every submission (always present: even with
@@ -252,9 +255,9 @@ class WorkflowService:
             max_inflight=max_inflight, rate=rate_limit, burst=rate_burst,
         )
         self.enable_fault_endpoint = enable_fault_endpoint
-        #: instance id -> absolute wall-clock deadline (submissions that
-        #: carried ``deadline_s``).
-        self._deadlines: dict[str, float] = {}
+        #: instance id -> the loop timer that aborts it (submissions that
+        #: carried ``deadline_s`` and are still running).
+        self._deadlines: dict[str, asyncio.TimerHandle] = {}
         #: Instances whose deadline expired before an engine outcome;
         #: value is the expiry time.  Reported as ``deadline-exceeded``.
         self._expired: dict[str, float] = {}
@@ -281,17 +284,15 @@ class WorkflowService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
-        """Bind the runtime clock, replay durable state, start the watcher."""
-        self.runtime.start(loop)
+        """Bind the runtime clock and replay durable state."""
+        self._loop = loop if loop is not None else asyncio.get_running_loop()
+        self.runtime.start(self._loop)
         self.started_at = self.runtime.clock.now
         if self._recovered_state is not None:
             # Recovery needs the bound clock (re-driving schedules frontend
             # work), so it runs here rather than in __init__.
             state, self._recovered_state = self._recovered_state, None
             self._recover(state)
-        if self._watcher is None:
-            owner = loop if loop is not None else asyncio.get_running_loop()
-            self._watcher = owner.create_task(self._watch_outcomes())
         self._ready = True
         self.logger.info(
             "service.ready", runtime=self.runtime.name,
@@ -338,15 +339,10 @@ class WorkflowService:
             replacement = self.system.start_workflow(workflow, inputs)
             self._aliases[original] = replacement
             self._origins[replacement] = original
-            self._submit_times[replacement] = now
-            self._latency_pending.add(replacement)
-            self._submitted += 1
             deadline = payload.get("deadline")
-            if deadline is not None:
-                # Absolute deadlines from the previous incarnation are in
-                # its clock domain; grant the re-driven instance its full
-                # original budget instead of an already-burned window.
-                self._deadlines[replacement] = now + float(deadline)
+            # Deadlines are journaled as budgets, not clock readings: the
+            # re-driven instance gets its full original budget again.
+            self._track(replacement, now, deadline)
             self._log.append("submit", {
                 "instance": replacement, "workflow": workflow,
                 "inputs": inputs, "deadline": deadline,
@@ -367,14 +363,14 @@ class WorkflowService:
     def readiness(self) -> tuple[bool, str]:
         """Readiness (distinct from liveness): ``(ready, reason)``.
 
-        Not ready until :meth:`start` has bound the runtime and launched
-        the queue watcher, and never ready again once a graceful drain
+        Not ready until :meth:`start` has bound the runtime and replayed
+        the durable log, and never ready again once a graceful drain
         has begun — load balancers should stop routing new submissions
         while in-flight instances finish.
         """
         if self._draining:
             return False, "draining"
-        if not self._ready or self._watcher is None:
+        if not self._ready:
             return False, "starting"
         return True, "ok"
 
@@ -397,13 +393,13 @@ class WorkflowService:
 
     async def close(self) -> None:
         self.begin_drain()
-        if self._watcher is not None:
-            self._watcher.cancel()
-            try:
-                await self._watcher
-            except asyncio.CancelledError:
-                pass
-            self._watcher = None
+        # The engine's timers outlive the service; an outcome landing
+        # after the log is closed would have nowhere to go.
+        self.system.on_outcome = None
+        for timer in self._deadlines.values():
+            timer.cancel()
+        self._deadlines.clear()
+        self._publish_outcomes()
         for queue in self._event_taps:
             queue.put_nowait(None)
         self._event_taps.clear()
@@ -418,7 +414,7 @@ class WorkflowService:
         if self._log is not None:
             self._log.close()
         self.logger.info(
-            "service.closed", instances_submitted=self._submitted,
+            "service.closed", instances_submitted=len(self._submit_times),
             instances_finished=len(self.system.outcomes),
         )
 
@@ -426,8 +422,7 @@ class WorkflowService:
 
     def running_count(self) -> int:
         """Acknowledged instances that have not reached an outcome yet."""
-        outcomes = self.system.outcomes
-        return sum(1 for i in self._submit_times if i not in outcomes)
+        return self._running
 
     def submit(
         self,
@@ -487,10 +482,7 @@ class WorkflowService:
             for __ in range(instances)
         ]
         for iid in started:
-            self._submit_times[iid] = now
-            self._latency_pending.add(iid)
-            if deadline_s is not None:
-                self._deadlines[iid] = now + deadline_s
+            self._track(iid, now, deadline_s)
             if self._log is not None:
                 self._log.append("submit", {
                     "instance": iid, "workflow": schema_name,
@@ -502,33 +494,45 @@ class WorkflowService:
             # Group commit: one fsync makes the whole batch durable before
             # the caller sees an acknowledgement.
             self._log.flush()
-        self._submitted += len(started)
         return {"workflow": schema_name, "instances": started}
+
+    def _track(self, instance_id: str, now: float,
+               deadline_s: float | None) -> None:
+        """Start accounting for an instance the engine was just handed."""
+        self._submit_times[instance_id] = now
+        self._running += 1
+        if deadline_s is not None:
+            # A bare loop timer, not a clock event: a pending deadline is
+            # not engine work `RealtimeClock.join()` should wait for.
+            self._deadlines[instance_id] = self._loop.call_later(
+                deadline_s, self._expire, instance_id)
 
     def _install_laws(self, text: str) -> str:
         """Install a LAWS document once; return its first schema name."""
         digest = "laws:" + hashlib.sha256(text.encode()).hexdigest()
-        document = load_laws(text)
-        if digest not in self._installed_documents:
+        name = self._installed_documents.get(digest)
+        if name is None:
+            document = load_laws(text)
             self._check_fresh(s.name for s in document.schemas)
             document.install(self.system)
-            self._installed_documents.add(digest)
+            name = self._installed_documents[digest] = document.schemas[0].name
             if self._log is not None and not self._replaying:
                 self._log.append("document", {"laws": text})
-        return document.schemas[0].name
+        return name
 
     def _install_schema(self, payload: dict[str, Any]) -> str:
         digest = "schema:" + hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
-        schema = schema_from_dict(payload)
-        if digest not in self._installed_documents:
+        name = self._installed_documents.get(digest)
+        if name is None:
+            schema = schema_from_dict(payload)
             self._check_fresh([schema.name])
             self.system.register_schema(schema)
-            self._installed_documents.add(digest)
+            name = self._installed_documents[digest] = schema.name
             if self._log is not None and not self._replaying:
                 self._log.append("document", {"schema": payload})
-        return schema.name
+        return name
 
     def _check_fresh(self, names) -> None:
         clashes = [n for n in names if n in self.system.schemas]
@@ -586,7 +590,7 @@ class WorkflowService:
             "uptime": (0.0 if self.started_at is None
                        else clock.now - self.started_at),
             "workflows": sorted(self.system.schemas),
-            "instances_submitted": self._submitted,
+            "instances_submitted": len(self._submit_times),
             "instances_finished": len(self.system.outcomes),
             "events_processed": clock.events_processed,
             "messages_sent": self.system.metrics.total_messages(),
@@ -633,9 +637,15 @@ class WorkflowService:
             record["resolved"] = resolved
         return record
 
+    def _outcome(self, iid: str):
+        """The engine outcome of ``iid``, once it may be shown."""
+        if iid in self._unpublished:
+            return None
+        return self.system.outcomes.get(iid)
+
     def _instance_record(self, iid: str) -> dict[str, Any] | None:
         expired = iid in self._expired
-        outcome = self.system.outcomes.get(iid)
+        outcome = self._outcome(iid)
         if outcome is not None:
             record = {
                 "instance": iid,
@@ -669,7 +679,7 @@ class WorkflowService:
         now = self.runtime.clock.now
         rows = []
         for iid, submitted in self._submit_times.items():
-            outcome = self.system.outcomes.get(iid)
+            outcome = self._outcome(iid)
             if outcome is not None:
                 rows.append({
                     "instance": iid,
@@ -693,13 +703,12 @@ class WorkflowService:
         final status event and then the terminator.
         """
         instance_id = self.resolve_instance(instance_id)
-        if (instance_id not in self._submit_times
-                and instance_id not in self.system.outcomes
-                and instance_id not in self._durable_outcomes):
+        finished = (self._outcome(instance_id) is not None
+                    or instance_id in self._durable_outcomes)
+        if not finished and instance_id not in self._submit_times:
             raise FrontEndError(f"unknown instance {instance_id!r}")
         queue: asyncio.Queue = asyncio.Queue()
-        if (instance_id in self.system.outcomes
-                or instance_id in self._durable_outcomes):
+        if finished:
             queue.put_nowait(self._final_event(instance_id))
             queue.put_nowait(None)
             return queue
@@ -711,7 +720,7 @@ class WorkflowService:
 
         Without this, a disconnecting NDJSON client would leave its
         queue accumulating events until the instance finishes.  Unknown
-        queues (already closed by the watcher) are ignored.
+        queues (already closed at the instance's outcome) are ignored.
         """
         instance_id = self.resolve_instance(instance_id)
         queues = self._subscribers.get(instance_id)
@@ -762,115 +771,26 @@ class WorkflowService:
         record["kind"] = "instance.finished"
         return record
 
-    async def _watch_outcomes(self) -> None:
-        """Sweep for finished instances: record end-to-end latency into
-        the commit/abort histograms, log and journal the outcome (plus
-        engine-store fragments), enforce submission deadlines, and close
-        subscriber streams with a final event + ``None`` terminator."""
-        while True:
-            await asyncio.sleep(_WATCH_INTERVAL)
-            outcomes = self.system.outcomes
-            finished = [i for i in self._latency_pending if i in outcomes]
-            for iid in finished:
-                self._latency_pending.discard(iid)
-                self._record_latency(iid, outcomes[iid])
-                if self._log is not None:
-                    self._journal_outcome(iid, outcomes[iid])
-            if self._log is not None and finished:
-                # Group commit: one fsync covers every outcome (and its
-                # fragments) that landed in this sweep.
-                self._log.flush()
-            self._sweep_deadlines()
-            for iid in [i for i in self._subscribers if i in outcomes]:
-                for queue in self._subscribers.pop(iid, ()):
-                    queue.put_nowait(self._final_event(iid))
-                    queue.put_nowait(None)
+    def _on_outcome(self, outcome) -> None:
+        """Completion handler: the engine just finished an instance.
 
-    def _sweep_deadlines(self) -> None:
-        """Abort instances that outlived their submission deadline."""
-        if not self._deadlines:
-            return
-        now = self.runtime.clock.now
-        outcomes = self.system.outcomes
-        for iid, deadline in list(self._deadlines.items()):
-            if iid in outcomes:
-                del self._deadlines[iid]
-                continue
-            if now < deadline:
-                continue
-            del self._deadlines[iid]
-            self._expired[iid] = now
-            self.admission.stats.deadline_exceeded += 1
-            self.logger.warning("instance.deadline_exceeded", instance=iid,
-                                overrun=round(now - deadline, 6))
-            event = {"t": round(now, 6), "kind": "instance.deadline_exceeded",
-                     "instance": iid}
-            for queue in self._subscribers.get(iid, ()):
-                queue.put_nowait(event)
-            for queue in self._event_taps:
-                queue.put_nowait(event)
-            # The 504-style outcome: the service aborts the instance; the
-            # engine's abort/compensation path drives it to a terminal
-            # outcome, which keeps the at-most-once commit story intact.
-            self.system.abort_workflow(iid)
-
-    def _journal_outcome(self, instance_id: str, outcome) -> None:
-        """Buffer one outcome (+ engine-store fragments) into the log."""
-        self._log.append("outcome", {
-            "instance": instance_id,
-            "workflow": outcome.schema_name,
-            "status": outcome.status.value,
-            "outputs": dict(outcome.outputs),
-            "finished_at": outcome.finished_at,
-            "original": self._origins.get(instance_id),
-        })
-        for node_name, snapshot in self._instance_fragments(instance_id):
-            self._log.append("fragment", {
-                "instance": instance_id, "node": node_name,
-                "state": snapshot,
-            })
-
-    def _instance_fragments(self, instance_id: str):
-        """Engine-store snapshots for one instance, across architectures.
-
-        Duck-typed over the transport's nodes: centralized/parallel
-        engines expose a ``wfdb`` (workflow database), distributed agents
-        an ``agdb`` (agent database with per-instance fragments).  Yields
-        ``(node_name, snapshot_dict)`` pairs.
+        All the bookkeeping happens here, once.  Showing the outcome waits
+        for one :meth:`_publish_outcomes` per loop turn: the engine handler
+        calling us has its closing trace record still to write, and the
+        outcomes of one turn share one fsync.
         """
-        for name in self.runtime.transport.node_names():
-            node = self.runtime.transport.node(name)
-            wfdb = getattr(node, "wfdb", None)
-            if wfdb is not None:
-                if wfdb.has_instance(instance_id):
-                    yield name, wfdb.instance(instance_id).snapshot()
-                else:
-                    # Finished instances are archived down to the paper's
-                    # summary row; that row *is* the durable post-commit
-                    # engine state.
-                    try:
-                        status = wfdb.status(instance_id)
-                    except StorageError:
-                        pass
-                    else:
-                        yield name, {"instance_id": instance_id,
-                                     "summary": status.value}
-            agdb = getattr(node, "agdb", None)
-            if agdb is not None:
-                if agdb.has_fragment(instance_id):
-                    yield name, agdb.fragment(instance_id).snapshot()
-                elif agdb.has_summary(instance_id):
-                    yield name, {"instance_id": instance_id,
-                                 "summary": agdb.summary(instance_id).value}
-
-    def _record_latency(self, instance_id: str, outcome) -> None:
-        submitted = self._submit_times.get(instance_id)
-        latency = (None if submitted is None
-                   else self.runtime.clock.now - submitted)
+        iid = outcome.instance_id
+        submitted = self._submit_times.get(iid)
+        if submitted is None:
+            return  # a nested child: its parent is the submitted instance
+        self._running -= 1
+        timer = self._deadlines.pop(iid, None)
+        if timer is not None:
+            timer.cancel()
+        latency = self.runtime.clock.now - submitted
         status = outcome.status.value
-        if latency is not None:
-            self.admission.note_latency(latency)
-        if latency is not None and self.observability:
+        self.admission.note_latency(latency)
+        if self.observability:
             self.system.registry.histogram(
                 "crew_service_instance_latency_seconds",
                 "Wall-clock submission-to-outcome latency per instance.",
@@ -878,10 +798,51 @@ class WorkflowService:
                 architecture=self.architecture, status=status,
             ).observe(latency)
         self.logger.info(
-            "instance.finished", instance=instance_id,
-            workflow=outcome.schema_name, status=status,
-            latency=None if latency is None else round(latency, 6),
+            "instance.finished", instance=iid, workflow=outcome.schema_name,
+            status=status, latency=round(latency, 6),
         )
+        if self._log is not None:
+            self._log.append("outcome", {
+                "instance": iid,
+                "workflow": outcome.schema_name,
+                "status": status,
+                "outputs": dict(outcome.outputs),
+                "finished_at": outcome.finished_at,
+                "original": self._origins.get(iid),
+            })
+        if not self._unpublished:
+            self._loop.call_soon(self._publish_outcomes)
+        self._unpublished.add(iid)
+
+    def _publish_outcomes(self) -> None:
+        """Make this turn's outcomes durable (one fsync), then visible."""
+        if self._log is not None:
+            self._log.flush()
+        finished, self._unpublished = self._unpublished, set()
+        for iid in finished:
+            for queue in self._subscribers.pop(iid, ()):
+                queue.put_nowait(self._final_event(iid))
+                queue.put_nowait(None)
+
+    def _expire(self, iid: str) -> None:
+        """Deadline timer: abort an instance that outlived its budget."""
+        timer = self._deadlines.pop(iid)
+        now = self.runtime.clock.now
+        self._expired[iid] = now
+        self.admission.stats.deadline_exceeded += 1
+        self.logger.warning(
+            "instance.deadline_exceeded", instance=iid,
+            overrun=round(self._loop.time() - timer.when(), 6))
+        event = {"t": round(now, 6), "kind": "instance.deadline_exceeded",
+                 "instance": iid}
+        for queue in self._subscribers.get(iid, ()):
+            queue.put_nowait(event)
+        for queue in self._event_taps:
+            queue.put_nowait(event)
+        # The 504-style outcome: the service aborts the instance; the
+        # engine's abort/compensation path drives it to a terminal
+        # outcome, which keeps the at-most-once commit story intact.
+        self.system.abort_workflow(iid)
 
     # -- observability plane -----------------------------------------------
 
@@ -938,8 +899,7 @@ class WorkflowService:
         registry.gauge(
             "crew_service_instances_running",
             "Submitted instances that have not reached an outcome.",
-        ).set(len(self._submit_times) - sum(
-            1 for i in self._submit_times if i in self.system.outcomes))
+        ).set(self._running)
         registry.gauge(
             "crew_service_uptime_seconds",
             "Wall-clock seconds since the service runtime started.",

@@ -21,11 +21,9 @@ Record kinds written by :class:`~repro.service.core.WorkflowService`:
     acknowledged submission is always durable.
 ``outcome``
     One terminal instance outcome (``instance``, ``status``,
-    ``outputs``, ``finished_at``).
-``fragment``
-    A per-instance engine-store snapshot (``instance``, ``node``,
-    ``state``) captured at outcome time — the AGDB/WFDB fragment the
-    paper's agents persist, for post-crash forensics.
+    ``outputs``, ``finished_at``), appended the moment the engine
+    reports it and flushed before anything shows it: no status record
+    or stream event ever reports an outcome that is not on disk.
 ``redrive``
     Recovery re-drove an in-flight instance under a fresh id
     (``original``, ``replacement``).  The original id is permanently
@@ -199,8 +197,6 @@ class ServiceState:
     outcomes: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: original id -> replacement id (one hop; chains span incarnations).
     redrives: dict[str, str] = field(default_factory=dict)
-    #: (instance, node) -> latest persisted engine-store snapshot.
-    fragments: dict[tuple[str, str], dict[str, Any]] = field(default_factory=dict)
 
     @classmethod
     def from_records(cls, records: Iterable[WalRecord]) -> "ServiceState":
@@ -216,7 +212,7 @@ class ServiceState:
             elif record.kind == "redrive":
                 state.redrives[payload["original"]] = payload["replacement"]
             elif record.kind == "fragment":
-                state.fragments[(payload["instance"], payload["node"])] = payload
+                pass  # written by older daemons, read by nothing
             else:
                 raise StorageError(
                     f"unknown service log record kind {record.kind!r}"

@@ -9,7 +9,7 @@ from repro.analysis.experiment import (
     render_evaluation,
     run_architecture_experiment,
 )
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.workloads.params import WorkloadParameters
 
 

@@ -8,7 +8,7 @@ from repro.analysis.model import (
     distributed_model,
     parallel_model,
 )
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.workloads.params import PAPER_DEFAULTS
 
 

@@ -1,7 +1,7 @@
 """Unit tests for workflow packets."""
 
 from repro.core.packets import WorkflowPacket
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 
 def make_packet():

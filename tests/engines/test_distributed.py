@@ -4,7 +4,7 @@ from repro.core.programs import FailEveryNth, FunctionProgram, NoopProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.engines.distributed import elect_executor
 from repro.model import AlwaysReexecute, SchemaBuilder
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.storage.tables import InstanceStatus
 from tests.conftest import (
     branching_schema,

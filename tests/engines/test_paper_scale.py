@@ -9,7 +9,7 @@ deployment that fits in a unit-test budget.  Asserts global liveness
 import pytest
 
 from repro.engines import DistributedControlSystem, SystemConfig
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.storage.tables import InstanceStatus
 from repro.workloads import WorkloadGenerator, WorkloadParameters
 

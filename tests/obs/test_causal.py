@@ -5,10 +5,10 @@ import pytest
 from repro.engines import SystemConfig
 from repro.obs.causal import MessageTracer
 from repro.obs.spans import Tracer
+from repro.runtime.metrics import Mechanism
+from repro.runtime.node import Node
+from repro.runtime.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Mechanism
-from repro.sim.network import Network
-from repro.sim.node import Node
 from repro.workloads import figure3_workflow
 from tests.conftest import ALL_ARCHITECTURES, make_system
 

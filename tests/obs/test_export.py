@@ -11,7 +11,7 @@ from repro.obs.export import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Tracer
-from repro.sim.tracing import Trace
+from repro.runtime.trace import Trace
 
 
 def make_tracer():

@@ -188,7 +188,7 @@ def test_transport_rejects_self_send_and_unknown_destination(runtime):
 
 
 def test_fault_support_is_declared_honestly(runtime):
-    from repro.sim.faults import FaultPlan
+    from repro.runtime.faults import FaultPlan
 
     from repro.runtime.retry import RetryPolicy
     from repro.runtime.rng import SimRandom

@@ -19,8 +19,8 @@ from repro.engines import (
 )
 from repro.errors import WorkloadError
 from repro.model import SchemaBuilder
+from repro.runtime.faults import FaultPlan
 from repro.runtime.realtime import RealtimeRuntime
-from repro.sim.faults import FaultPlan
 
 SYSTEMS = {
     "centralized": CentralizedControlSystem,

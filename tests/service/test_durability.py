@@ -149,6 +149,42 @@ def test_service_state_replay_and_resolution():
     assert state.max_instance_index() == 5
 
 
+def test_service_state_skips_fragment_records_of_old_logs(tmp_path):
+    # Daemons before PR 14 journaled a per-node engine snapshot after each
+    # outcome; nothing ever read it.  Their logs must still replay.
+    log = ServiceLog(tmp_path)
+    log.append("document", {"schema": MINI_SCHEMA})
+    log.append("submit", {"instance": "Mini-1", "workflow": "Mini",
+                          "inputs": {"x": 1}, "deadline": None})
+    log.append("outcome", {"instance": "Mini-1", "workflow": "Mini",
+                           "status": "committed", "outputs": {"z": 3},
+                           "finished_at": 0.5, "original": None})
+    log.append("fragment", {"instance": "Mini-1", "node": "engine",
+                            "state": {"instance_id": "Mini-1",
+                                      "summary": "committed"}})
+    log.close()
+
+    reopened = ServiceLog(tmp_path)
+    state = ServiceState.from_records(reopened.records())
+    reopened.close()
+    assert list(state.outcomes) == ["Mini-1"]
+    assert state.inflight() == []
+    assert not hasattr(state, "fragments")
+
+    async def main():
+        service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)
+        service.start()
+        try:
+            assert service.status()["instances_redriven"] == 0
+            record = service.instance("Mini-1")
+            assert record["status"] == "committed"
+            assert record["recovered"] is True
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
 def test_service_state_rejects_unknown_kind():
     class FakeRecord:
         kind = "mystery"
@@ -214,12 +250,11 @@ def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):
         service.start()
         [iid] = service.submit(schema=MINI_SCHEMA,
                                inputs={"x": 1})["instances"]
-        # Wait until the outcome watcher journals the terminal outcome
-        # (its sweep also captures the engine-store fragments), then
-        # abandon the service without closing it.
+        # Once the service shows the outcome it is on disk; abandon the
+        # service without closing it.
         await wait_for(
-            lambda: any(r.kind == "outcome" for r in service._log.records()),
-            what="outcome journaling",
+            lambda: service.instance(iid)["status"] == "committed",
+            what="outcome publication",
         )
         return iid
 
@@ -247,21 +282,121 @@ def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):
     asyncio.run(recover_phase())
 
 
-def test_outcome_journals_engine_fragments(tmp_path):
+def test_close_right_after_an_outcome_loses_nothing(tmp_path):
+    # The outcome is appended inside the engine's own handler, so a close
+    # in the same loop turn (SIGTERM racing a commit) still journals it.
+    async def commit_and_close():
+        service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)
+        service.start()
+        [iid] = service.submit(schema=MINI_SCHEMA,
+                               inputs={"x": 1})["instances"]
+        recorded = asyncio.Event()
+        handler = service.system.on_outcome
+
+        def tap(outcome):
+            handler(outcome)
+            recorded.set()
+
+        service.system.on_outcome = tap
+        stream = service.subscribe(iid)
+        await asyncio.wait_for(recorded.wait(), 10.0)
+        await service.close()  # no sleep: the publish turn has not run yet
+        events = []
+        while not stream.empty():
+            events.append(stream.get_nowait())
+        assert events[-1] is None
+        assert events[-2]["kind"] == "instance.finished"
+        return iid
+
+    iid = asyncio.run(commit_and_close())
+
+    log = ServiceLog(tmp_path)
+    state = ServiceState.from_records(log.records())
+    log.close()
+    assert state.outcomes[iid]["status"] == "committed"
+    assert state.inflight() == []
+
+    async def recover():
+        service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)
+        service.start()
+        try:
+            assert service.status()["instances_redriven"] == 0
+            assert service.instance(iid)["recovered"] is True
+        finally:
+            await service.close()
+
+    asyncio.run(recover())
+
+
+def test_outcome_is_invisible_until_its_record_is_flushed(tmp_path):
     async def main():
         service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)
         service.start()
         try:
-            service.submit(schema=MINI_SCHEMA, inputs={"x": 1})
+            [iid] = service.submit(schema=MINI_SCHEMA,
+                                   inputs={"x": 1})["instances"]
+            stream = service.subscribe(iid)
+            log = service._log
+            seen = {}
+            handler = service.system.on_outcome
+
+            def tap(outcome):
+                handler(outcome)
+                # Recorded by the engine, appended, not yet fsynced.
+                seen["flushes"] = log.flushes
+                seen["kind"] = log.records()[-1].kind
+                seen["status"] = service.instance(iid)["status"]
+                seen["listed"] = service.instances()[0]["status"]
+                seen["late_subscriber"] = service.subscribe(iid)
+
+            service.system.on_outcome = tap
+            while True:
+                event = await asyncio.wait_for(stream.get(), 10.0)
+                assert event is not None
+                if event["kind"] == "instance.finished":
+                    break
+                assert "flushes" not in seen or log.flushes > seen["flushes"]
+            assert seen["kind"] == "outcome"
+            assert seen["status"] == seen["listed"] == "running"
+            assert log.flushes > seen["flushes"]
+            assert event["status"] == "committed"
+            assert service.instance(iid)["status"] == "committed"
+            # A subscriber arriving in the gap waits for the flush too.
+            late = seen["late_subscriber"]
+            kinds = [(await late.get())["kind"] for __ in range(2)]
+            assert kinds == ["workflow.commit", "instance.finished"]
+            assert await late.get() is None
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
+def test_outcomes_of_one_loop_turn_share_one_flush(tmp_path):
+    async def main():
+        service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)
+        service.start()
+        try:
+            ids = service.submit(schema=MINI_SCHEMA, inputs={"x": 1},
+                                 instances=2)["instances"]
             await wait_for(
-                lambda: any(r.kind == "fragment"
-                            for r in service._log.records()),
-                what="fragment journaling",
-            )
-            fragment = next(r for r in service._log.records()
-                            if r.kind == "fragment")
-            assert fragment.payload["node"]
-            assert fragment.payload["state"]
+                lambda: all(service.instance(i)["status"] == "committed"
+                            for i in ids), what="both commits")
+            # Two more outcomes recorded back to back, as two engine
+            # handlers of one loop turn would: one fsync covers both.
+            more = ["Mini-90", "Mini-91"]
+            for iid in more:
+                service._track(iid, service.runtime.clock.now, None)
+            flushes = service._log.flushes
+            for iid in more:
+                service.system._record_outcome(
+                    iid, "Mini", service.system.outcomes[ids[0]].status,
+                    {"z": 1}, service.runtime.clock.now)
+            assert service._log.flushes == flushes
+            await wait_for(
+                lambda: service.instance(more[1])["status"] == "committed",
+                what="publication")
+            assert service._log.flushes == flushes + 1
         finally:
             await service.close()
 

@@ -85,12 +85,8 @@ def test_metrics_scrape_after_commit():
         try:
             result = service.submit(schema=MINI_SCHEMA, inputs={"x": 1})
             [iid] = result["instances"]
+            # latency is recorded in the same engine call as the outcome
             await wait_outcome(service, iid)
-            # the watcher records latency on its next sweep
-            for __ in range(100):
-                if iid not in service._latency_pending:
-                    break
-                await asyncio.sleep(0.05)
             status, ctype, body = await raw_request(8470, "GET", "/metrics")
             text = body.decode()
             assert status == 200
@@ -339,10 +335,6 @@ def test_lifecycle_events_are_logged_with_correlation():
             [iid] = service.submit(
                 schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
             await wait_outcome(service, iid)
-            for __ in range(100):
-                if iid not in service._latency_pending:
-                    break
-                await asyncio.sleep(0.05)
         finally:
             await shutdown(service, server)
 

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import FrontEndError, SchemaError
+from repro.errors import FrontEndError, LawsSyntaxError, SchemaError
 from repro.service import WorkflowService, schema_from_dict
 
 MINI_SCHEMA = {
@@ -150,6 +150,111 @@ def test_event_stream_ends_with_final_status():
             late = service.subscribe(iid)
             assert (await late.get())["kind"] == "instance.finished"
             assert await late.get() is None
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
+def test_finished_event_follows_the_outcome_within_two_loop_turns():
+    async def main():
+        service = WorkflowService()
+        service.start()
+        try:
+            [iid] = service.submit(
+                schema=MINI_SCHEMA, inputs={"x": 1}
+            )["instances"]
+            queue = service.subscribe(iid)
+            loop = asyncio.get_running_loop()
+            turns_taken = loop.create_future()
+            handler = service.system.on_outcome
+
+            def tap(outcome):
+                handler(outcome)
+                assert iid in service.system.outcomes
+                turns = 0
+
+                def turn():
+                    nonlocal turns
+                    turns += 1
+                    if iid not in service._subscribers or turns > 2:
+                        turns_taken.set_result(turns)
+                    else:
+                        loop.call_soon(turn)
+
+                loop.call_soon(turn)
+
+            service.system.on_outcome = tap
+            assert await asyncio.wait_for(turns_taken, 5.0) <= 2
+            events = []
+            while not queue.empty():
+                events.append(queue.get_nowait())
+            assert events[-1] is None
+            assert events[-2]["kind"] == "instance.finished"
+            # Every trace record of the instance — the engine's closing
+            # `workflow.commit` included — precedes the final event.
+            traced = [r.kind for r in service.system.trace
+                      if r.detail.get("instance") == iid]
+            assert traced[-1] == "workflow.commit"
+            assert [e["kind"] for e in events[:-2]] == traced
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
+def test_deadline_runs_on_its_own_timer():
+    async def main():
+        service = WorkflowService(work_time_scale=0.01)
+        service.start()
+        try:
+            slow = {"name": "Slow", "steps": [{"name": "Grind", "cost": 200}]}
+            [late] = service.submit(schema=slow,
+                                    deadline_s=0.05)["instances"]
+            [quick] = service.submit(schema=MINI_SCHEMA, inputs={"x": 1},
+                                     deadline_s=30.0)["instances"]
+            timer = service._deadlines[quick]
+            # Nothing polls: the service owns no task, and a pending
+            # deadline is not engine work the clock would wait for.
+            owned = [t for t in asyncio.all_tasks()
+                     if "WorkflowService" in repr(t.get_coro())]
+            assert owned == []
+            record = await wait_outcome(service, late)
+            assert record["deadline_exceeded"] is True
+            assert service.admission.stats.deadline_exceeded == 1
+            assert (await wait_outcome(service, quick))["status"] == "committed"
+            assert service._deadlines == {}
+            assert timer.cancelled()
+            assert service.running_count() == 0
+            assert await service.runtime.clock.join(timeout=5.0)
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
+def test_same_laws_text_is_parsed_once(monkeypatch):
+    from repro.service import core
+
+    calls = []
+    real = core.load_laws
+    monkeypatch.setattr(
+        core, "load_laws", lambda text: calls.append(text) or real(text))
+
+    async def main():
+        service = WorkflowService()
+        service.start()
+        try:
+            first = service.submit(laws=LAWS_TEXT)
+            second = service.submit(laws=LAWS_TEXT)
+            assert first["workflow"] == second["workflow"] == "Pair"
+            assert len(calls) == 1
+            # A different or malformed document still parses, and raises.
+            with pytest.raises(FrontEndError):
+                service.submit(laws=LAWS_TEXT + "\n")
+            with pytest.raises(LawsSyntaxError):
+                service.submit(laws="workflow {")
+            assert len(calls) == 3
         finally:
             await service.close()
 

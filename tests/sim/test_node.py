@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime.latency import FixedLatency
+from repro.runtime.metrics import Mechanism, MetricsCollector
+from repro.runtime.node import Node
+from repro.runtime.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Mechanism, MetricsCollector
-from repro.sim.network import FixedLatency, Network
-from repro.sim.node import Node
 
 
 class Stub(Node):

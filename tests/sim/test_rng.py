@@ -1,6 +1,6 @@
 """Unit tests for named deterministic random streams."""
 
-from repro.sim.rng import SimRandom
+from repro.runtime.rng import SimRandom
 
 
 def test_same_seed_same_stream_sequence():

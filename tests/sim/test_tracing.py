@@ -1,6 +1,6 @@
 """Unit tests for the structured trace log."""
 
-from repro.sim.tracing import Trace
+from repro.runtime.trace import Trace
 
 
 def make_trace():

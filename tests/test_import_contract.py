@@ -148,6 +148,16 @@ def test_engines_never_import_sim():
     assert not violations, "\n".join(violations)
 
 
+def test_sim_reexport_shims_stay_deleted():
+    """The ``repro.sim.{network,node,metrics,rng,tracing,faults}``
+    re-export shims are gone: runtime-neutral code is imported from
+    :mod:`repro.runtime`, and nothing may bring the old paths back."""
+    sim = SRC / "repro" / "sim"
+    for shim in ("network", "node", "metrics", "rng", "tracing", "faults"):
+        assert not (sim / f"{shim}.py").exists(), f"repro.sim.{shim} is back"
+        assert not (sim / shim).exists(), f"repro.sim.{shim} is back"
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
