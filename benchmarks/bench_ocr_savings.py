@@ -13,62 +13,18 @@ baseline the paper calls "an overkill in several practical scenarios".
 
 import pytest
 
+from repro.analysis.experiment import ocr_ablation
 from repro.analysis.report import format_table
-from repro.core.programs import ConstantProgram, FailEveryNth
-from repro.model.policies import AlwaysReexecute
-from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.params import PAPER_DEFAULTS
-
-from harness import build_system
 
 INSTANCES = 8
 SCHEMAS = 2
 
 
-def run_variant(pr: float, saga: bool = False, seed: int = 11):
-    """Run the forced-failure workload; returns (exec work, comp work, commits)."""
-    params = PAPER_DEFAULTS.evolve(c=SCHEMAS, i=INSTANCES, pf=0.2, pr=pr,
-                                   pi=0.0, pa=0.0)
-    generator = WorkloadGenerator(params, seed=seed, coordination=False)
-    workload = generator.build()
-    if saga:
-        # Saga baseline: every rolled-back step fully compensates and
-        # re-executes, no reuse ever.
-        for schema in workload.schemas:
-            for step in schema.cr_policies:
-                schema.cr_policies[step] = AlwaysReexecute()  # type: ignore[index]
-    system = build_system("distributed", params, seed=seed)
-    generator.install(system, workload)
-    # Deterministic failure: the designated step fails on its first attempt
-    # in every instance (instead of with probability pf).
-    for schema in workload.schemas:
-        failing = workload.failure_steps[schema.name]
-        program_name = schema.steps[failing].program
-        outputs = {
-            out: f"{schema.name}.{failing}.{out}"
-            for out in schema.steps[failing].outputs
-        }
-        system.register_program(
-            program_name, FailEveryNth(ConstantProgram(outputs), {1})
-        )
-    generator.drive(system, workload, instances_per_schema=INSTANCES)
-    system.run()
-    metrics = system.metrics
-    return (
-        metrics.total_work("execute"),
-        metrics.total_work("compensate"),
-        metrics.instances_committed,
-    )
-
-
 @pytest.mark.benchmark(group="ocr")
 def test_ocr_savings_vs_saga_baseline(benchmark):
     def sweep():
-        rows = [("OCR pr=0.00", *run_variant(0.0))]
-        rows.append(("OCR pr=0.25", *run_variant(0.25)))
-        rows.append(("OCR pr=0.50", *run_variant(0.5)))
-        rows.append(("Saga baseline", *run_variant(0.0, saga=True)))
-        return rows
+        return ocr_ablation(seed=11, instances=INSTANCES, schemas=SCHEMAS)
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     saga_total = rows[-1][1] + rows[-1][2]

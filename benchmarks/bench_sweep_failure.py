@@ -11,13 +11,10 @@ steps to be invalidated".
 
 import pytest
 
+from repro.analysis.experiment import PreparedRun
 from repro.analysis.report import format_table
-from repro.core.programs import ConstantProgram, FailEveryNth
 from repro.runtime.metrics import Mechanism
-from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.params import PAPER_DEFAULTS
-
-from harness import build_system
 
 INSTANCES = 6
 
@@ -28,20 +25,11 @@ def run_point(r: int, v: int, seed: int = 13) -> float:
     s_steps = max(PAPER_DEFAULTS.s, r + v + PAPER_DEFAULTS.f + 3)
     params = PAPER_DEFAULTS.evolve(c=1, i=INSTANCES, r=r, v=v, s=s_steps,
                                    pf=0.2, pi=0.0, pa=0.0, pr=0.0)
-    generator = WorkloadGenerator(params, seed=seed, coordination=False)
-    workload = generator.build()
-    system = build_system("distributed", params, seed=seed)
-    generator.install(system, workload)
-    schema = workload.schemas[0]
-    failing = workload.failure_steps[schema.name]
-    outputs = {out: f"{schema.name}.{failing}.{out}"
-               for out in schema.steps[failing].outputs}
-    system.register_program(schema.steps[failing].program,
-                            FailEveryNth(ConstantProgram(outputs), {1}))
-    generator.drive(system, workload, instances_per_schema=INSTANCES)
-    system.run()
-    assert system.metrics.instances_committed == INSTANCES
-    return system.metrics.total_messages(Mechanism.FAILURE) / INSTANCES
+    prepared = PreparedRun("distributed", params, fail_first_attempt=True,
+                           seed=seed)
+    assert prepared.execute(INSTANCES).committed == INSTANCES
+    metrics = prepared.system.metrics
+    return metrics.total_messages(Mechanism.FAILURE) / INSTANCES
 
 
 @pytest.mark.benchmark(group="sweeps")

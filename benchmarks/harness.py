@@ -20,14 +20,12 @@ from typing import Any
 from repro.analysis.experiment import (
     EVAL_PARAMS as BENCH_PARAMS,
     ArchitectureResult as BenchResult,
-    build_control_system as build_system,
     run_architecture_experiment,
 )
 from repro.analysis.sweep import SweepTask, run_sweep
 
 __all__ = ["BENCH_PARAMS", "BenchResult", "RUN_LOG", "SweepTask",
-           "build_system", "environment_metadata", "run_architecture",
-           "run_architectures"]
+           "environment_metadata", "run_architecture", "run_architectures"]
 
 #: Metadata of every experiment run in this process, in call order.
 RUN_LOG: list[dict[str, Any]] = []

@@ -9,46 +9,23 @@ in benchmarks/ does this at scale).
 Run:  python examples/architecture_comparison.py
 """
 
-from repro import (
-    CentralizedControlSystem,
-    DistributedControlSystem,
-    Mechanism,
-    ParallelControlSystem,
-    SystemConfig,
-    WorkloadParameters,
+from repro import Mechanism, WorkloadParameters
+from repro.analysis import (
+    architecture_model,
+    format_table,
+    run_architecture_experiment,
 )
-from repro.analysis import architecture_model, format_table, measure_costs
-from repro.workloads import WorkloadGenerator
 
 PARAMS = WorkloadParameters(c=2, i=10)
-
-
-def run(architecture):
-    config = SystemConfig(seed=17, trace=False)
-    if architecture == "centralized":
-        system = CentralizedControlSystem(config, num_agents=4,
-                                          agents_per_step=PARAMS.a)
-        nodes = lambda: system.engine_nodes()
-    elif architecture == "parallel":
-        system = ParallelControlSystem(config, num_engines=PARAMS.e,
-                                       num_agents=4, agents_per_step=PARAMS.a)
-        nodes = lambda: system.engine_nodes()
-    else:
-        system = DistributedControlSystem(config, num_agents=PARAMS.z,
-                                          agents_per_step=PARAMS.a)
-        nodes = lambda: system.agent_names()
-    generator = WorkloadGenerator(PARAMS, seed=17, coordination=False)
-    workload = generator.build()
-    generator.install(system, workload)
-    generator.drive(system, workload)
-    system.run()
-    return measure_costs(architecture, system.metrics, nodes())
 
 
 def main():
     rows = []
     for architecture in ("centralized", "parallel", "distributed"):
-        measured = run(architecture)
+        # The library's one recipe: build the Table-3 workload and a system
+        # sized for it, install, drive, run, normalize per instance.
+        measured = run_architecture_experiment(
+            architecture, PARAMS, seed=17).measured
         model = architecture_model(architecture, PARAMS)
         rows.append([
             architecture,

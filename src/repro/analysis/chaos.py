@@ -1,10 +1,13 @@
 """Chaos-exploration harness: random fault schedules vs the CREW protocols.
 
 Each :class:`ChaosTask` is one fully deterministic experiment: a
-``(config, seed, fault plan)`` triple that builds a control system, arms a
-:class:`~repro.runtime.faults.FaultInjector`, drives the Table-3 workload and
-then interrogates the finished run with the PR-3 protocol invariants plus
-chaos-specific *liveness* and *durability* checks:
+``(config, seed, fault plan)`` triple that runs the shared recipe of
+:mod:`repro.analysis.experiment` with a
+:class:`~repro.runtime.faults.FaultInjector` armed between its prepare and
+execute steps (``config`` is a label in the shared grammar, ``failure``
+mode refused; task lists fan out through :func:`repro.analysis.sweep.
+run_tasks`) and then interrogates the finished run with the PR-3 protocol
+invariants plus chaos-specific *liveness* and *durability* checks:
 
 ``liveness``
     Every started instance reaches a terminal outcome (committed or
@@ -30,16 +33,27 @@ developer laptop.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.causal import CausalTrace
+from repro.analysis.experiment import (
+    EVAL_PARAMS,
+    PreparedRun,
+    RunCounters,
+    build_control_system,
+    config_label,
+    parse_config,
+)
 from repro.analysis.invariants import Violation, check_invariants
+from repro.analysis.sweep import ProgressFn, run_tasks
+from repro.engines import CONTROL_SYSTEMS, SystemConfig, control_system_class
 from repro.errors import CrewError
-from repro.obs.profile import peak_rss_kb
+from repro.model import SchemaBuilder
+from repro.obs.export import trace_to_jsonl
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.workloads.params import WorkloadParameters
 
@@ -49,54 +63,23 @@ __all__ = [
     "ChaosTask",
     "RealtimeChaosReport",
     "chaos_tasks",
-    "config_nodes",
     "run_chaos",
     "run_realtime_chaos",
 ]
 
+#: The modes chaos runs: the sweep grid's two (``failure`` is refused).
+CHAOS_MODES = ("normal", "coordinated")
+
 #: The six architecture × coordination configs the harness explores.
 CHAOS_CONFIGS: tuple[str, ...] = tuple(
-    f"{architecture}/{mode}"
-    for architecture in ("centralized", "parallel", "distributed")
-    for mode in ("normal", "coordinated")
+    config_label(architecture, mode)
+    for architecture in CONTROL_SYSTEMS
+    for mode in CHAOS_MODES
 )
 
 #: Chaos-scale workload default: small enough that one schedule runs in
 #: ~a second, large enough that instances overlap in time.
 CHAOS_INSTANCES_PER_SCHEMA = 2
-
-
-def _chaos_params() -> WorkloadParameters:
-    from repro.analysis.experiment import EVAL_PARAMS
-
-    return EVAL_PARAMS.evolve(c=2, i=CHAOS_INSTANCES_PER_SCHEMA)
-
-
-def config_nodes(architecture: str, params: WorkloadParameters) -> list[str]:
-    """Node names of a built config, mirroring ``build_control_system``."""
-    agents = max(4, params.a * 2)
-    if architecture == "centralized":
-        return ["engine"] + [f"agent-{i:03d}" for i in range(agents)]
-    if architecture == "parallel":
-        return [f"engine-{i:02d}" for i in range(params.e)] + [
-            f"agent-{i:03d}" for i in range(agents)
-        ]
-    if architecture == "distributed":
-        return [f"agent-{i:03d}" for i in range(params.z)]
-    raise CrewError(f"unknown architecture {architecture!r}")
-
-
-def split_config(label: str) -> tuple[str, bool]:
-    """``"parallel/coordinated"`` -> ``("parallel", True)``."""
-    try:
-        architecture, mode = label.split("/")
-        if mode not in ("normal", "coordinated"):
-            raise ValueError(mode)
-    except ValueError:
-        raise CrewError(
-            f"bad chaos config {label!r}; expected one of {list(CHAOS_CONFIGS)}"
-        ) from None
-    return architecture, mode == "coordinated"
 
 
 @dataclass(frozen=True)
@@ -115,49 +98,47 @@ class ChaosTask:
     instances_per_schema: int = CHAOS_INSTANCES_PER_SCHEMA
     strict: bool = False
 
+    @property
+    def label(self) -> str:
+        """What a ``--progress`` line calls this task."""
+        return f"{self.config} seed {self.seed}"
+
     def resolved_params(self) -> WorkloadParameters:
-        return self.params if self.params is not None else _chaos_params()
+        if self.params is not None:
+            return self.params
+        return EVAL_PARAMS.evolve(c=2, i=CHAOS_INSTANCES_PER_SCHEMA)
 
     def plan(self) -> FaultPlan:
         if self.plan_spec:
             return FaultPlan.parse(self.plan_spec)
-        architecture, __ = split_config(self.config)
-        nodes = config_nodes(architecture, self.resolved_params())
+        # Crash and stall candidates are the nodes of the system the run
+        # will build, engines first — the order feeds the seeded choice.
+        architecture, __ = parse_config(self.config, CHAOS_MODES)
+        system = build_control_system(architecture, self.resolved_params())
+        nodes = system.engine_nodes() + system.agent_names()
         return random_plan(self.seed, crash_nodes=nodes, stall_nodes=nodes)
 
     def run(self) -> "ChaosOutcome":
         return _execute(self, self.plan())
 
 
-@dataclass
-class ChaosOutcome:
+@dataclass(kw_only=True)
+class ChaosOutcome(RunCounters):
     """Verdict of one chaos experiment (picklable, JSON-safe)."""
 
     config: str
     seed: int
     plan_spec: str
     started: int = 0
-    committed: int = 0
-    aborted: int = 0
-    messages: int = 0
     lost_messages: int = 0
-    sim_time: float = 0.0
     fault_stats: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     minimized_spec: str | None = None
     trace_jsonl: str | None = None
-    wall_time_s: float = 0.0
-    events: int = 0
-    peak_rss_kb: int | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def events_per_sec(self) -> float:
-        """Kernel events processed per wall-clock second."""
-        return self.events / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     @property
     def repro_line(self) -> str:
@@ -171,15 +152,9 @@ class ChaosOutcome:
             "seed": self.seed,
             "plan": self.plan_spec,
             "started": self.started,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "messages": self.messages,
+            **self.counter_dict(),
             "lost_messages": self.lost_messages,
             "sim_time": self.sim_time,
-            "wall_time_s": round(self.wall_time_s, 6),
-            "events": self.events,
-            "events_per_sec": round(self.events_per_sec, 1),
-            "peak_rss_kb": self.peak_rss_kb,
             "fault_stats": dict(self.fault_stats),
             "violations": list(self.violations),
             "minimized_plan": self.minimized_spec,
@@ -288,28 +263,19 @@ def _check_wal_convergence(system) -> list[Violation]:
 
 def _execute(task: ChaosTask, plan: FaultPlan,
              collect_trace: bool = True) -> ChaosOutcome:
-    from repro.analysis.experiment import build_control_system
-    from repro.obs.export import trace_to_jsonl
-    from repro.workloads.generator import WorkloadGenerator
-
-    started_wall = time.perf_counter()
-    architecture, coordination = split_config(task.config)
-    params = task.resolved_params()
-    generator = WorkloadGenerator(params, seed=task.seed, key_pool=2,
-                                  coordination=coordination)
-    workload = generator.build()
-    system = build_control_system(architecture, params, seed=task.seed,
-                                  trace=True)
-    generator.install(system, workload)
+    architecture, mode = parse_config(task.config, CHAOS_MODES)
+    prepared = PreparedRun(architecture, task.resolved_params(),
+                           coordination=(mode == "coordinated"),
+                           seed=task.seed, trace=True)
+    system = prepared.system
     injector = system.inject_faults(plan)
-    run = generator.drive(system, workload,
-                          instances_per_schema=task.instances_per_schema)
-    system.run()
+    counters = prepared.execute(task.instances_per_schema)
+    started = prepared.started
 
     violations: list[Violation] = []
     violations.extend(check_invariants(CausalTrace.from_run(system.trace,
                                                             system.tracer)))
-    violations.extend(_check_liveness(system, run.instances))
+    violations.extend(_check_liveness(system, started))
     violations.extend(_check_orphaned_inflight(system))
     violations.extend(_check_wal_convergence(system))
     if task.strict and injector.lost:
@@ -323,17 +289,11 @@ def _execute(task: ChaosTask, plan: FaultPlan,
         config=task.config,
         seed=task.seed,
         plan_spec=plan.to_spec(),
-        started=len(run.instances),
-        committed=system.metrics.instances_committed,
-        aborted=system.metrics.instances_aborted,
-        messages=system.metrics.total_messages(),
+        started=len(started),
         lost_messages=len(injector.lost),
-        sim_time=system.simulator.now,
         fault_stats=injector.stats.as_dict(),
         violations=[v.render() for v in violations],
-        wall_time_s=time.perf_counter() - started_wall,
-        events=system.simulator.events_processed,
-        peak_rss_kb=peak_rss_kb(),
+        **vars(counters),
     )
     if violations and collect_trace:
         outcome.trace_jsonl = trace_to_jsonl(system.trace, system.tracer)
@@ -380,7 +340,7 @@ def chaos_tasks(
 ) -> list[ChaosTask]:
     """The chaos grid, config-major then seed order (canonical)."""
     for label in configs:
-        split_config(label)  # validate eagerly
+        parse_config(label, CHAOS_MODES)  # validate eagerly
     return [
         ChaosTask(config=label, seed=seed, plan_spec=plan_spec, params=params,
                   instances_per_schema=instances_per_schema, strict=strict)
@@ -389,25 +349,14 @@ def chaos_tasks(
     ]
 
 
-def _run_chaos_task(task: ChaosTask) -> ChaosOutcome:
-    """Module-level worker entry point (must be picklable)."""
-    return task.run()
-
-
-#: Progress callback signature: ``progress(done, total, task, outcome)``,
-#: invoked once per *completed* task, in completion (not canonical) order.
-ChaosProgressFn = Callable[[int, int, ChaosTask, ChaosOutcome], None]
-
-
-def _run_chaos_serial(task_list: list[ChaosTask],
-                      progress: ChaosProgressFn | None) -> list[ChaosOutcome]:
-    outcomes = []
-    for index, task in enumerate(task_list):
-        outcome = task.run()
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(index + 1, len(task_list), task, outcome)
-    return outcomes
+def run_chaos(
+    tasks: Iterable[ChaosTask],
+    workers: int | None = None,
+    progress: ProgressFn | None = None,
+) -> list[ChaosOutcome]:
+    """:func:`~repro.analysis.sweep.run_tasks` over chaos tasks: outcomes
+    in canonical task order, the same verdicts at any worker count."""
+    return run_tasks(tasks, workers=workers, progress=progress)[0]
 
 
 # ------------------------------------------------------------ wall clock
@@ -456,8 +405,6 @@ class RealtimeChaosReport:
 
 
 def _realtime_chaos_schema():
-    from repro.model import SchemaBuilder
-
     builder = SchemaBuilder("ChaosPair", inputs=["x"])
     builder.step("A", program="p.a", inputs=["WF.x"], outputs=["y"], cost=1)
     builder.step("B", program="p.b", inputs=["A.y"], outputs=["z"], cost=1)
@@ -470,37 +417,32 @@ async def _realtime_replay(
     architecture: str, seed: int, plan: FaultPlan,
     instances: int, timeout_s: float,
 ) -> tuple[dict[str, str], list[str]]:
-    import asyncio
-
-    from repro.engines import (
-        CentralizedControlSystem,
-        DistributedControlSystem,
-        ParallelControlSystem,
-        SystemConfig,
-    )
-
-    systems = {
-        "centralized": CentralizedControlSystem,
-        "parallel": ParallelControlSystem,
-        "distributed": DistributedControlSystem,
-    }
-    if architecture not in systems:
-        raise CrewError(f"unknown architecture {architecture!r}")
     config = SystemConfig(
         runtime="asyncio", seed=seed, latency=0.0, work_time_scale=0.001,
         step_status_timeout=1.0, step_status_poll_interval=0.5,
     )
-    system = systems[architecture](config)
+    system = control_system_class(architecture)(config)
     system.runtime.start()
     system.inject_faults(plan)
     system.register_schema(_realtime_chaos_schema())
     ids = [system.start_workflow("ChaosPair", {"x": i})
            for i in range(instances)]
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout_s
-    while (loop.time() < deadline
-           and not all(iid in system.outcomes for iid in ids)):
-        await asyncio.sleep(0.02)
+    # Nothing runs before the first await, so no outcome can land ahead
+    # of the callback that counts them.
+    pending = set(ids)
+    all_landed = asyncio.Event()
+
+    def landed(outcome) -> None:
+        pending.discard(outcome.instance_id)
+        if not pending:
+            all_landed.set()
+
+    system.on_outcome = landed
+    if pending:
+        try:
+            await asyncio.wait_for(all_landed.wait(), timeout_s)
+        except asyncio.TimeoutError:
+            pass  # whatever is still pending is reported as unfinished
     digest: dict[str, str] = {}
     unfinished: list[str] = []
     for iid in ids:
@@ -532,9 +474,7 @@ def run_realtime_chaos(
     terminal outcome.  Replays must produce identical outcome digests;
     any divergence or unfinished instance makes the report inconsistent.
     """
-    import asyncio
-
-    architecture, __ = split_config(config)
+    architecture, __ = parse_config(config, CHAOS_MODES)
     plan = FaultPlan.parse(plan_spec) if plan_spec else FaultPlan()
     started = time.perf_counter()
     report = RealtimeChaosReport(
@@ -549,41 +489,3 @@ def run_realtime_chaos(
         report.unfinished.extend(unfinished)
     report.wall_time_s = time.perf_counter() - started
     return report
-
-
-def run_chaos(
-    tasks: Iterable[ChaosTask],
-    workers: int | None = None,
-    progress: ChaosProgressFn | None = None,
-) -> list[ChaosOutcome]:
-    """Run every chaos task; outcomes come back in canonical task order.
-
-    Mirrors :func:`repro.analysis.sweep.run_sweep`: each task is
-    deterministic given its ``(config, seed, plan)``, so worker count and
-    scheduling never change a verdict — only the wall time.  ``progress``
-    is called after each task completes (in completion order — outcomes
-    still merge in canonical order).
-    """
-    from repro.analysis.sweep import default_workers
-
-    task_list = list(tasks)
-    count = default_workers() if workers is None else max(1, int(workers))
-    count = min(count, len(task_list)) or 1
-    if count <= 1 or len(task_list) <= 1:
-        return _run_chaos_serial(task_list, progress)
-    try:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            if progress is None:
-                return list(pool.map(_run_chaos_task, task_list))
-            futures = {pool.submit(_run_chaos_task, task): index
-                       for index, task in enumerate(task_list)}
-            slots: list[ChaosOutcome | None] = [None] * len(task_list)
-            done = 0
-            for future in as_completed(futures):
-                index = futures[future]
-                slots[index] = future.result()
-                done += 1
-                progress(done, len(task_list), task_list[index], slots[index])
-            return slots  # type: ignore[return-value]
-    except (OSError, PermissionError):  # pragma: no cover - sandboxed hosts
-        return _run_chaos_serial(task_list, progress)

@@ -1,13 +1,13 @@
 """Profiled experiment runs: any config or a full sweep under the profiler.
 
-Glue between the evaluation harness and :class:`repro.obs.profile.
-Profiler`: build a control system for an ``<architecture>-<mode>``
-config, install the profiler across its duck-typed hook points, drive
-the Table-3 workload, and hand back both the per-run counters and the
-accumulated profile.  Modes extend the sweep grid with ``failure`` —
-every schema's designated failure step fails on its first attempt (the
-:func:`~repro.analysis.experiment.ocr_ablation` pattern), so the OCR
-recovery and rollback frames actually appear in the profile.
+Glue between the experiment harness and :class:`repro.obs.profile.
+Profiler`: the shared recipe of :mod:`repro.analysis.experiment` with the
+profiler installed across the system's duck-typed hook points between
+its prepare and execute steps, handing back both the per-run counters and
+the accumulated profile.  Configs are ``<architecture>-<mode>`` labels in
+the shared grammar; the ``failure`` mode (every schema's designated
+failure step fails its first attempt) makes the OCR recovery and rollback
+frames actually appear in the profile.
 
 One :class:`~repro.obs.profile.Profiler` may be threaded through several
 runs (``repro profile --sweep``); runs execute sequentially in-process —
@@ -16,88 +16,51 @@ frame attribution cannot cross a process pool.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.experiment import EVAL_PARAMS, build_control_system
-from repro.core.programs import ConstantProgram, FailEveryNth
-from repro.errors import CrewError
-from repro.obs.profile import Profiler, peak_rss_kb
-from repro.workloads.generator import WorkloadGenerator
+from repro.analysis.experiment import (
+    EVAL_PARAMS,
+    MODES,
+    PreparedRun,
+    RunCounters,
+    config_label,
+    parse_config,
+)
+from repro.engines import CONTROL_SYSTEMS
+from repro.obs.profile import Profiler
 from repro.workloads.params import WorkloadParameters
 
 __all__ = [
-    "PROFILE_ARCHITECTURES",
     "PROFILE_MODES",
     "ProfileRun",
     "profile_configs",
     "run_profiled",
     "run_profiled_sweep",
-    "split_profile_config",
 ]
 
-PROFILE_ARCHITECTURES = ("centralized", "parallel", "distributed")
-PROFILE_MODES = ("normal", "coordinated", "failure")
+PROFILE_MODES = MODES
 
 
 def profile_configs(modes: tuple[str, ...] = ("normal", "coordinated")) -> list[str]:
     """The profileable config grid (sweep order: architecture-major)."""
-    return [f"{architecture}-{mode}"
-            for architecture in PROFILE_ARCHITECTURES for mode in modes]
+    return [config_label(architecture, mode, sep="-")
+            for architecture in CONTROL_SYSTEMS for mode in modes]
 
 
-def split_profile_config(label: str) -> tuple[str, str]:
-    """``"distributed-failure"`` -> ``("distributed", "failure")``.
-
-    Accepts both the profile CLI's ``-`` separator and the sweep/chaos
-    ``/`` separator, so sweep labels paste straight into ``repro
-    profile --config``.
-    """
-    for sep in ("/", "-"):
-        architecture, found, mode = label.partition(sep)
-        if found:
-            break
-    if (architecture not in PROFILE_ARCHITECTURES
-            or mode not in PROFILE_MODES):
-        expected = [f"{a}-{m}" for a in PROFILE_ARCHITECTURES
-                    for m in PROFILE_MODES]
-        raise CrewError(
-            f"bad profile config {label!r}; expected one of {expected}"
-        )
-    return architecture, mode
-
-
-@dataclass
-class ProfileRun:
+@dataclass(kw_only=True)
+class ProfileRun(RunCounters):
     """Counters of one profiled run (the profiler itself accumulates)."""
 
     config: str
     seed: int
-    committed: int
-    aborted: int
-    messages: int
-    events: int
-    sim_time: float
-    wall_time_s: float
-    peak_rss_kb: int | None
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_time_s if self.wall_time_s > 0 else 0.0
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "config": self.config,
             "seed": self.seed,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "messages": self.messages,
-            "events": self.events,
+            **self.counter_dict(),
             "sim_time": round(self.sim_time, 3),
-            "wall_time_s": round(self.wall_time_s, 6),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "peak_rss_kb": self.peak_rss_kb,
         }
 
 
@@ -117,44 +80,17 @@ def run_profiled(
     :func:`~repro.analysis.experiment.run_architecture_experiment` —
     profiling never changes counters, only observes them.
     """
-    architecture, mode = split_profile_config(config)
-    point = params if params is not None else EVAL_PARAMS
-    generator = WorkloadGenerator(point, seed=seed, key_pool=2,
-                                  coordination=(mode == "coordinated"))
-    workload = generator.build()
-    system = build_control_system(architecture, point, seed=seed)
-    generator.install(system, workload)
-    if mode == "failure":
-        # Every schema's designated failure step fails its first attempt,
-        # exercising the OCR recovery path (the ocr_ablation pattern).
-        for schema in workload.schemas:
-            failing = workload.failure_steps[schema.name]
-            outputs = {out: f"{schema.name}.{failing}.{out}"
-                       for out in schema.steps[failing].outputs}
-            system.register_program(
-                schema.steps[failing].program,
-                FailEveryNth(ConstantProgram(outputs), {1}),
-            )
-    prof = profiler if profiler is not None else Profiler(sample_interval)
-    prof.install(system)
-    started = time.perf_counter()
-    generator.drive(system, workload,
-                    instances_per_schema=instances_per_schema)
-    system.run()
-    wall = time.perf_counter() - started
-    prof.publish(system.registry)
-    run = ProfileRun(
-        config=config,
-        seed=seed,
-        committed=system.metrics.instances_committed,
-        aborted=system.metrics.instances_aborted,
-        messages=system.metrics.total_messages(),
-        events=system.simulator.events_processed,
-        sim_time=system.simulator.now,
-        wall_time_s=wall,
-        peak_rss_kb=peak_rss_kb(),
+    architecture, mode = parse_config(config, PROFILE_MODES)
+    prepared = PreparedRun(
+        architecture, params if params is not None else EVAL_PARAMS,
+        coordination=(mode == "coordinated"),
+        fail_first_attempt=(mode == "failure"), seed=seed,
     )
-    return run, prof
+    prof = profiler if profiler is not None else Profiler(sample_interval)
+    prof.install(prepared.system)
+    counters = prepared.execute(instances_per_schema)
+    prof.publish(prepared.system.registry)
+    return ProfileRun(config=config, seed=seed, **vars(counters)), prof
 
 
 def run_profiled_sweep(

@@ -5,10 +5,11 @@ configs: each ``(architecture, parameter point, coordination flag, seed)``
 task builds its own control system, drives its own workload and reports
 its own :class:`~repro.analysis.experiment.ArchitectureResult`.  Nothing
 couples two tasks at runtime — determinism is *per task* because every
-task carries its own seed — so the sweep fans out over a
+task carries its own seed — so :func:`run_tasks` fans any list of tasks
+with a ``.run()`` (these, or the chaos harness's) out over a
 ``concurrent.futures.ProcessPoolExecutor`` and merges results back in
-**canonical order** (the order the tasks were submitted), which keeps the
-merged result list, the run-metadata log and any report rendered from
+**canonical order** (the order the tasks were submitted), which keeps
+the merged result list, the run-metadata log and any report rendered from
 them byte-identical whether the sweep ran on 1 worker or 40.
 
 ``workers <= 1`` (or a single task) short-circuits to a plain in-process
@@ -24,10 +25,17 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.analysis.experiment import ArchitectureResult, run_architecture_experiment
+from repro.analysis.experiment import (
+    EVAL_PARAMS,
+    ArchitectureResult,
+    config_label,
+    run_architecture_experiment,
+)
+from repro.engines import CONTROL_SYSTEMS
 from repro.workloads.params import WorkloadParameters
 
-__all__ = ["SweepResult", "SweepTask", "default_workers", "run_sweep", "sweep_tasks"]
+__all__ = ["SweepResult", "SweepTask", "default_workers", "run_sweep",
+           "run_tasks", "sweep_tasks"]
 
 
 @dataclass(frozen=True)
@@ -81,25 +89,51 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _run_task(task: SweepTask) -> ArchitectureResult:
-    """Module-level worker entry point (must be picklable)."""
-    return task.run()
-
-
 #: Progress callback signature: ``progress(done, total, task, result)``,
 #: invoked once per *completed* task, in completion (not canonical) order.
-ProgressFn = Callable[[int, int, SweepTask, ArchitectureResult], None]
+ProgressFn = Callable[[int, int, Any, Any], None]
 
 
-def _run_serial(task_list: list[SweepTask],
-                progress: ProgressFn | None) -> list[ArchitectureResult]:
+def run_tasks(
+    tasks: Iterable[Any],
+    workers: int | None = None,
+    progress: ProgressFn | None = None,
+) -> tuple[list[Any], int]:
+    """Call ``.run()`` on every task; ``(results, workers used)``, results
+    in canonical (submission) order.
+
+    ``workers`` defaults to :func:`default_workers`; ``workers <= 1`` runs
+    serially in-process.  Each task is deterministic given its own fields,
+    so worker count and scheduling order never change a result — only the
+    wall time.  ``progress`` is called after each task completes, in
+    completion order.
+    """
+    task_list = list(tasks)
+    total = len(task_list)
+    count = default_workers() if workers is None else max(1, int(workers))
+    count = min(count, total)
+    if count > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=count) as pool:
+                # Slots keyed by submission index keep canonical order
+                # whichever worker finishes first.
+                futures = {pool.submit(task.run): index
+                           for index, task in enumerate(task_list)}
+                slots: list[Any] = [None] * total
+                for done, future in enumerate(as_completed(futures), 1):
+                    index = futures[future]
+                    slots[index] = future.result()
+                    if progress is not None:
+                        progress(done, total, task_list[index], slots[index])
+            return slots, count
+        except OSError:  # pragma: no cover - sandboxed hosts
+            pass
     results = []
-    for index, task in enumerate(task_list):
-        result = task.run()
-        results.append(result)
+    for done, task in enumerate(task_list, 1):
+        results.append(task.run())
         if progress is not None:
-            progress(index + 1, len(task_list), task, result)
-    return results
+            progress(done, total, task, results[-1])
+    return results, 1
 
 
 def run_sweep(
@@ -107,49 +141,15 @@ def run_sweep(
     workers: int | None = None,
     progress: ProgressFn | None = None,
 ) -> SweepResult:
-    """Run every task and return results in canonical (submission) order.
-
-    ``workers`` defaults to :func:`default_workers`; ``workers <= 1`` runs
-    serially in-process.  Each task is deterministic given its own seed,
-    so worker count and scheduling order never change any result — only
-    the wall time.  ``progress`` is called after each task completes (in
-    completion order — results still merge in canonical order).
-    """
+    """:func:`run_tasks` over sweep tasks, with the tasks and the worker
+    count kept beside the results."""
     task_list = list(tasks)
-    count = default_workers() if workers is None else max(1, int(workers))
-    count = min(count, len(task_list)) or 1
-    if count <= 1 or len(task_list) <= 1:
-        return SweepResult(tasks=task_list,
-                           results=_run_serial(task_list, progress), workers=1)
-    try:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            if progress is None:
-                # Executor.map preserves submission order, so the merge is
-                # the identity: results land in canonical config order
-                # regardless of which worker finished first.
-                results = list(pool.map(_run_task, task_list))
-            else:
-                # submit + as_completed so progress fires as tasks finish;
-                # slots keyed by submission index keep canonical order.
-                futures = {pool.submit(_run_task, task): index
-                           for index, task in enumerate(task_list)}
-                slots: list[ArchitectureResult | None] = [None] * len(task_list)
-                done = 0
-                for future in as_completed(futures):
-                    index = futures[future]
-                    slots[index] = future.result()
-                    done += 1
-                    progress(done, len(task_list), task_list[index],
-                             slots[index])
-                results = slots  # type: ignore[assignment]
-    except (OSError, PermissionError):  # pragma: no cover - sandboxed hosts
-        return SweepResult(tasks=task_list,
-                           results=_run_serial(task_list, progress), workers=1)
+    results, count = run_tasks(task_list, workers=workers, progress=progress)
     return SweepResult(tasks=task_list, results=results, workers=count)
 
 
 def sweep_tasks(
-    architectures: Sequence[str] = ("centralized", "parallel", "distributed"),
+    architectures: Sequence[str] = tuple(CONTROL_SYSTEMS),
     params: WorkloadParameters | None = None,
     coordination_modes: Sequence[bool] = (False, True),
     seed: int = 7,
@@ -158,17 +158,15 @@ def sweep_tasks(
     """The canonical Table 4–6 task grid: architecture-major, then
     normal-before-coordinated — the exact order ``full_evaluation`` has
     always used, so merged reports stay byte-identical to serial runs."""
-    from repro.analysis.experiment import EVAL_PARAMS
-
-    point = params if params is not None else EVAL_PARAMS
     return [
         SweepTask(
             architecture=architecture,
-            params=point,
+            params=params if params is not None else EVAL_PARAMS,
             coordination=coordination,
             instances_per_schema=instances_per_schema,
             seed=seed,
-            label=f"{architecture}/{'coordinated' if coordination else 'normal'}",
+            label=config_label(architecture,
+                               "coordinated" if coordination else "normal"),
         )
         for architecture in architectures
         for coordination in coordination_modes

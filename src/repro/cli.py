@@ -66,29 +66,23 @@ import sys
 
 from repro.analysis.causal import CausalTrace
 from repro.analysis.experiment import (
-    EvaluationResults,
+    build_control_system,
+    evaluation_from_sweep,
     full_evaluation,
-    ocr_ablation,
     render_evaluation,
+    run_architecture_experiment,
 )
 from repro.analysis.profiling import profile_configs, run_profiled_sweep
-from repro.analysis.sweep import default_workers, run_sweep, sweep_tasks
+from repro.analysis.sweep import run_sweep, sweep_tasks
 from repro.analysis.invariants import INVARIANTS, check_invariants
 from repro.analysis.model import architecture_model
 from repro.analysis.recommend import recommendation_matrix
 from repro.analysis.report import (
     format_table,
-    measure_costs,
     render_architecture_table,
-    render_comparison,
     render_recommendation,
 )
-from repro.engines import (
-    CentralizedControlSystem,
-    DistributedControlSystem,
-    ParallelControlSystem,
-    SystemConfig,
-)
+from repro.engines import CONTROL_SYSTEMS
 from repro.errors import CrewError
 from repro.laws import load_laws
 from repro.model import compile_schema
@@ -99,7 +93,6 @@ from repro.obs import (
     trace_to_jsonl,
 )
 from repro.workloads import (
-    WorkloadGenerator,
     WorkloadParameters,
     figure3_workflow,
     order_processing,
@@ -107,20 +100,6 @@ from repro.workloads import (
 )
 
 __all__ = ["main"]
-
-
-def _make_system(architecture: str, params: WorkloadParameters, seed: int,
-                 trace: bool = False):
-    config = SystemConfig(seed=seed, trace=trace)
-    if architecture == "centralized":
-        return CentralizedControlSystem(config, num_agents=max(4, params.a * 2),
-                                        agents_per_step=params.a)
-    if architecture == "parallel":
-        return ParallelControlSystem(config, num_engines=params.e,
-                                     num_agents=max(4, params.a * 2),
-                                     agents_per_step=params.a)
-    return DistributedControlSystem(config, num_agents=params.z,
-                                    agents_per_step=params.a)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,7 +138,8 @@ def _run_scenario(args) -> tuple:
     """Run one canonical scenario with tracing on; returns (system, ids)."""
     factory, schema_name, inputs = SCENARIOS[args.name]
     params = WorkloadParameters()
-    system = _make_system(args.architecture, params, args.seed, trace=True)
+    system = build_control_system(args.architecture, params, seed=args.seed,
+                                  trace=True)
     factory().install(system)
     instances = [
         system.start_workflow(schema_name, inputs, delay=i * 0.5)
@@ -180,7 +160,7 @@ def _params_from(args) -> WorkloadParameters:
 
 def cmd_tables(args) -> int:
     params = _params_from(args)
-    for architecture in ("centralized", "parallel", "distributed"):
+    for architecture in CONTROL_SYSTEMS:
         print(render_architecture_table(architecture_model(architecture, params)))
         print()
     print(render_recommendation(recommendation_matrix(params)))
@@ -189,17 +169,10 @@ def cmd_tables(args) -> int:
 
 def cmd_compare(args) -> int:
     params = _params_from(args).evolve(c=2, i=args.instances)
-    for architecture in ("centralized", "parallel", "distributed"):
-        generator = WorkloadGenerator(params, seed=args.seed)
-        workload = generator.build()
-        system = _make_system(architecture, params, args.seed)
-        generator.install(system, workload)
-        generator.drive(system, workload)
-        system.run()
-        nodes = (system.engine_nodes() if architecture != "distributed"
-                 else system.agent_names())
-        measured = measure_costs(architecture, system.metrics, nodes)
-        print(render_comparison(architecture_model(architecture, params), measured))
+    for architecture in CONTROL_SYSTEMS:
+        result = run_architecture_experiment(architecture, params,
+                                             seed=args.seed)
+        print(result.report())
         print()
     return 0
 
@@ -241,7 +214,8 @@ def cmd_run(args) -> int:
         document = load_laws(handle.read())
     params = WorkloadParameters()
     instrument = args.trace or bool(args.trace_out) or bool(args.metrics_out)
-    system = _make_system(args.architecture, params, args.seed, trace=instrument)
+    system = build_control_system(args.architecture, params, seed=args.seed,
+                                  trace=instrument)
     document.install(system)
     schema_name = args.workflow or document.schemas[0].name
     inputs = {}
@@ -273,23 +247,29 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    results = full_evaluation(seed=args.seed, workers=args.workers)
-    report = render_evaluation(results)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+def _print_report(report: str, output: str | None) -> None:
+    """The markdown report on stdout, or in ``--output`` with a note."""
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
-        print(f"wrote {args.output}")
+        print(f"wrote {output}")
     else:
         print(report)
+
+
+def cmd_evaluate(args) -> int:
+    results = full_evaluation(seed=args.seed, workers=args.workers)
+    _print_report(render_evaluation(results), args.output)
     return 0
 
 
-def _sweep_progress(done: int, total: int, task, result) -> None:
-    """Per-task status line on stderr (``--progress``)."""
-    print(f"  [{done}/{total}] {task.label or task.architecture}: "
+def _print_progress(done: int, total: int, task, result) -> None:
+    """Per-task status line on stderr (``--progress``): sweep or chaos."""
+    verdict = {True: ", ok", False: ", VIOLATION"}.get(
+        getattr(result, "ok", None), "")
+    print(f"  [{done}/{total}] {task.label}: "
           f"{result.wall_time_s:.2f}s wall, "
-          f"{result.events_per_sec:,.0f} events/s",
+          f"{result.events_per_sec:,.0f} events/s{verdict}",
           file=sys.stderr, flush=True)
 
 
@@ -297,10 +277,9 @@ def cmd_sweep(args) -> int:
     import time as _time
 
     tasks = sweep_tasks(seed=args.seed)
-    workers = args.workers if args.workers is not None else default_workers()
     started = _time.perf_counter()
-    sweep = run_sweep(tasks, workers=workers,
-                      progress=_sweep_progress if args.progress else None)
+    sweep = run_sweep(tasks, workers=args.workers,
+                      progress=_print_progress if args.progress else None)
     wall = _time.perf_counter() - started
     print(f"# sweep: {len(tasks)} configs on {sweep.workers} worker(s), "
           f"{wall:.2f}s wall")
@@ -314,20 +293,9 @@ def cmd_sweep(args) -> int:
          for row in sweep.run_log],
     ))
     if args.report:
-        results = EvaluationResults(params=tasks[0].params)
-        for task, result in zip(sweep.tasks, sweep.results):
-            bucket = (results.coordinated if task.coordination
-                      else results.normal)
-            bucket[task.architecture] = result
-        results.ocr = ocr_ablation(seed=args.seed + 4)
-        report = render_evaluation(results)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(report + "\n")
-            print(f"\nwrote {args.output}")
-        else:
-            print()
-            print(report)
+        print()
+        _print_report(render_evaluation(evaluation_from_sweep(sweep, args.seed)),
+                      args.output)
     return 0
 
 
@@ -485,17 +453,8 @@ def cmd_chaos(args) -> int:
     )
     tasks = chaos_tasks(seeds, configs=configs, plan_spec=args.plan or "",
                         strict=args.strict)
-    workers = args.workers if args.workers is not None else default_workers()
-
-    def chaos_progress(done, total, task, outcome):
-        status = "ok" if outcome.ok else "VIOLATION"
-        print(f"  [{done}/{total}] {task.config} seed {task.seed}: "
-              f"{outcome.wall_time_s:.2f}s wall, "
-              f"{outcome.events_per_sec:,.0f} events/s, {status}",
-              file=sys.stderr, flush=True)
-
-    outcomes = run_chaos(tasks, workers=workers,
-                         progress=chaos_progress if args.progress else None)
+    outcomes = run_chaos(tasks, workers=args.workers,
+                         progress=_print_progress if args.progress else None)
 
     rows = []
     for outcome in outcomes:
@@ -864,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workflow", default=None,
                      help="workflow name (default: first in the file)")
     run.add_argument("--architecture", default="distributed",
-                     choices=("centralized", "parallel", "distributed"))
+                     choices=tuple(CONTROL_SYSTEMS))
     run.add_argument("--instances", type=int, default=1)
     run.add_argument("--gap", type=float, default=0.5,
                      help="arrival gap between instances")
@@ -908,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     def scenario_args(p, trace_outs: bool = True) -> None:
         p.add_argument("name", choices=tuple(SCENARIOS))
         p.add_argument("--architecture", default="distributed",
-                       choices=("centralized", "parallel", "distributed"))
+                       choices=tuple(CONTROL_SYSTEMS))
         p.add_argument("--instances", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         if trace_outs:
@@ -1040,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8450)
     serve.add_argument("--architecture", default="centralized",
-                       choices=("centralized", "parallel", "distributed"))
+                       choices=tuple(CONTROL_SYSTEMS))
     serve.add_argument("--agents", type=int, default=4,
                        help="application agent count")
     serve.add_argument("--latency", type=float, default=0.0,

@@ -9,7 +9,8 @@
   interfaces of Table 1.
 
 All three expose the same facade (:class:`~repro.engines.base.ControlSystem`),
-so examples, tests and benchmarks swap architectures freely.
+so examples, tests and benchmarks swap architectures freely, by name
+through :data:`CONTROL_SYSTEMS` / :func:`control_system_class`.
 """
 
 from repro.engines.base import (
@@ -38,12 +39,33 @@ from repro.engines.parallel import (
     TimestampMutex,
 )
 from repro.engines.runtime import AgentRuntime, EngineRuntime, InstanceRuntime
+from repro.errors import ParameterError
+
+#: Architecture name -> control-system class, in the paper's order.
+CONTROL_SYSTEMS: dict[str, type[ControlSystem]] = {
+    "centralized": CentralizedControlSystem,
+    "parallel": ParallelControlSystem,
+    "distributed": DistributedControlSystem,
+}
+
+
+def control_system_class(architecture: str) -> type[ControlSystem]:
+    """The class for an architecture name; unknown names are refused."""
+    try:
+        return CONTROL_SYSTEMS[architecture]
+    except KeyError:
+        raise ParameterError(
+            f"unknown architecture {architecture!r}; choose one of "
+            f"{list(CONTROL_SYSTEMS)}"
+        ) from None
+
 
 __all__ = [
     "AgentAssignment",
     "AgentRuntime",
     "ApplicationAgentNode",
     "AuthorityBundle",
+    "CONTROL_SYSTEMS",
     "CentralEngineNode",
     "CentralizedControlSystem",
     "CommitTracker",
@@ -59,6 +81,7 @@ __all__ = [
     "SystemConfig",
     "TimestampMutex",
     "WorkflowAgentNode",
+    "control_system_class",
     "elect_executor",
     "governed_step_count",
 ]

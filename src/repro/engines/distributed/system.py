@@ -42,6 +42,10 @@ class DistributedControlSystem(ControlSystem):
     def agent_names(self) -> list[str]:
         return [agent.name for agent in self.agents]
 
+    def engine_nodes(self) -> list[str]:
+        """No engine: the agents navigate (same facade as the other two)."""
+        return []
+
     def agent(self, name: str) -> WorkflowAgentNode:
         return next(a for a in self.agents if a.name == name)
 

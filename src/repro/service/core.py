@@ -52,12 +52,7 @@ import hashlib
 import json
 from typing import Any
 
-from repro.engines import (
-    CentralizedControlSystem,
-    DistributedControlSystem,
-    ParallelControlSystem,
-    SystemConfig,
-)
+from repro.engines import SystemConfig, control_system_class
 from repro.errors import (
     AdmissionError,
     FrontEndError,
@@ -84,12 +79,6 @@ __all__ = ["WorkflowService", "schema_from_dict"]
 INSTANCE_LATENCY_BUCKETS = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-_ARCHITECTURES = {
-    "centralized": CentralizedControlSystem,
-    "parallel": ParallelControlSystem,
-    "distributed": DistributedControlSystem,
-}
 
 
 def schema_from_dict(payload: dict[str, Any]):
@@ -179,13 +168,7 @@ class WorkflowService:
         rate_burst: int | None = None,
         enable_fault_endpoint: bool = False,
     ):
-        try:
-            system_cls = _ARCHITECTURES[architecture]
-        except KeyError:
-            raise WorkloadError(
-                f"unknown architecture {architecture!r}; choose one of "
-                f"{sorted(_ARCHITECTURES)}"
-            ) from None
+        system_cls = control_system_class(architecture)
         self.architecture = architecture
         # Seed the runtime's jitter streams from the service seed so a
         # chaos replay of the wall-clock path draws the same retry-backoff

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.programs import ConstantProgram, FailWithProbability
+from repro.core.programs import ConstantProgram, FailEveryNth, FailWithProbability
 from repro.engines.base import ControlSystem
 from repro.errors import WorkloadError
 from repro.model.builder import SchemaBuilder
@@ -225,8 +225,14 @@ class WorkloadGenerator:
 
     # -- installation ------------------------------------------------------------
 
-    def install(self, system: ControlSystem, workload: GeneratedWorkload) -> None:
-        """Register schemas, coordination specs and (failing) programs."""
+    def install(self, system: ControlSystem, workload: GeneratedWorkload,
+                fail_first_attempt: bool = False) -> None:
+        """Register schemas, coordination specs and (failing) programs.
+
+        Each schema's failure step fails with probability ``pf`` (at most
+        once per instance), or with ``fail_first_attempt`` on the first
+        attempt of *every* instance, so each rolls back once and recovers.
+        """
         p = self.params
         for schema in workload.schemas:
             system.register_schema(schema)
@@ -238,13 +244,13 @@ class WorkloadGenerator:
                 program = ConstantProgram(
                     {out: f"{schema.name}.{step.name}.{out}" for out in step.outputs}
                 )
-                if step.name == failing and p.pf > 0:
-                    system.register_program(
-                        step.program,
-                        FailWithProbability(program, p.pf, max_failures=1),
-                    )
-                else:
-                    system.register_program(step.program, program)
+                if step.name == failing:
+                    if fail_first_attempt:
+                        program = FailEveryNth(program, {1})
+                    elif p.pf > 0:
+                        program = FailWithProbability(program, p.pf,
+                                                      max_failures=1)
+                system.register_program(step.program, program)
         for spec in workload.specs:
             system.add_coordination(spec)
 

@@ -1,43 +1,55 @@
-"""Tests for the chaos-exploration harness."""
+"""Tests for the chaos-exploration harness.
+
+The label grammar is tested with the parser (``test_experiment.py``) and
+the fan-out contract with the runner (``test_sweep.py``).
+"""
 
 import pytest
 
-from repro.analysis.chaos import (
-    CHAOS_CONFIGS,
-    ChaosTask,
-    chaos_tasks,
-    config_nodes,
-    run_chaos,
-    split_config,
-)
+from repro.analysis.chaos import CHAOS_CONFIGS, ChaosTask, chaos_tasks, run_chaos
+from repro.analysis.experiment import build_control_system, parse_config
 from repro.errors import CrewError
 from repro.runtime.faults import FaultPlan
+
+#: ``ChaosTask(config, seed).plan().to_spec()`` per architecture for seeds
+#: 1-3, pinned when the crash/stall candidates came from a hand-kept list
+#: of node names: taking them from the built system must change no plan.
+PINNED_PLANS = {
+    "centralized": [
+        "crash=agent-000@38.46+10.06,stall=agent-000@67.4+2.52",
+        "crash=agent-000@33.38+13.84,stall=agent-002@36.29+8.65",
+        "crash=agent-001@18.31+17.52,stall=agent-003@78.78+3.16",
+    ],
+    "parallel": [
+        "crash=agent-001@38.46+10.06,stall=agent-001@67.4+2.52",
+        "crash=agent-000@33.38+13.84,stall=engine-01@36.29+8.65",
+        "crash=agent-002@18.31+17.52,stall=engine-02@78.78+3.16",
+    ],
+    "distributed": [
+        "crash=agent-006@38.46+10.06,stall=agent-004@67.4+2.52",
+        "crash=agent-045@20.23+11.95,stall=agent-030@37.85+8.42",
+        "crash=agent-040@26.89+13.94,stall=agent-049@41.97+2.49",
+    ],
+}
 
 
 def test_chaos_configs_cover_all_six():
     assert len(CHAOS_CONFIGS) == 6
-    for label in CHAOS_CONFIGS:
-        architecture, coordinated = split_config(label)
-        assert architecture in ("centralized", "parallel", "distributed")
-        assert isinstance(coordinated, bool)
+    assert len(set(CHAOS_CONFIGS)) == 6
 
 
-def test_split_config_rejects_garbage():
-    for label in ("centralized", "parallel/chaotic", "a/b/c"):
+@pytest.mark.parametrize("config", CHAOS_CONFIGS)
+def test_seed_derived_plans_are_pinned(config):
+    architecture, __ = parse_config(config)
+    specs = [ChaosTask(config, seed).plan().to_spec() for seed in (1, 2, 3)]
+    assert specs == [f"drop=0.05,dup=0.03,delay=0.05,reorder=0.05,{tail}"
+                     for tail in PINNED_PLANS[architecture]]
+
+
+def test_chaos_refuses_the_failure_mode_and_garbage():
+    for label in ("distributed/failure", "parallel/chaotic", "quantum/normal"):
         with pytest.raises(CrewError):
-            split_config(label)
-
-
-def test_config_nodes_match_built_systems():
-    from repro.analysis.experiment import build_control_system
-
-    task = ChaosTask("distributed/normal", seed=1)
-    params = task.resolved_params()
-    for architecture in ("centralized", "parallel", "distributed"):
-        system = build_control_system(architecture, params, seed=1)
-        assert sorted(config_nodes(architecture, params)) == sorted(
-            system.network.node_names()
-        )
+            chaos_tasks([1], configs=(label,))
 
 
 def test_task_plan_derived_from_seed_is_stable():
@@ -100,25 +112,17 @@ def test_chaos_tasks_enumerates_config_major():
     ]
 
 
-def test_run_chaos_serial_matches_task_order():
-    tasks = chaos_tasks([1], configs=("centralized/normal",
-                                      "parallel/normal"))
-    outcomes = run_chaos(tasks, workers=1)
-    assert [(o.config, o.seed) for o in outcomes] == [
-        ("centralized/normal", 1), ("parallel/normal", 1),
-    ]
-
-
 @pytest.mark.parametrize("config", CHAOS_CONFIGS)
 def test_single_node_crash_and_restart_converges(config):
     """Acceptance: crash + restart of a single node mid-run must leave
     every instance terminal with all invariants intact, in all six
     configs."""
-    architecture, __ = split_config(config)
+    architecture, __ = parse_config(config)
     task = ChaosTask(config, seed=1)
     # Crash a load-bearing node mid-instance: the engine where there is
     # one, otherwise the coordination-heavy first agent.
-    node = config_nodes(architecture, task.resolved_params())[0]
+    system = build_control_system(architecture, task.resolved_params())
+    node = (system.engine_nodes() or system.agent_names())[0]
     outcome = ChaosTask(config, seed=1,
                         plan_spec=f"crash={node}@8+10").run()
     assert outcome.ok, outcome.violations
@@ -147,17 +151,10 @@ def test_regression_stale_launch_races_epoch_bump():
     assert outcome.ok, outcome.violations
 
 
-def test_chaos_progress_callback_and_resource_accounting():
+def test_chaos_outcomes_carry_resource_accounting():
     tasks = chaos_tasks([1, 2], configs=("centralized/normal",))
-    seen = []
-
-    def progress(done, total, task, outcome):
-        seen.append((done, total, task.seed, outcome.ok))
-
-    outcomes = run_chaos(tasks, workers=1, progress=progress)
-    assert [s[0] for s in sorted(seen)] == [1, 2]
-    assert all(s[1] == 2 for s in seen)
-    assert [o.seed for o in outcomes] == [1, 2]  # canonical order kept
+    outcomes = run_chaos(tasks, workers=1)
+    assert [o.seed for o in outcomes] == [1, 2]
     for outcome in outcomes:
         assert outcome.wall_time_s > 0
         assert outcome.events > 0

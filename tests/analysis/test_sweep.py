@@ -5,13 +5,25 @@ counts for all six architecture×failure configs are **byte-identical**
 whether the sweep runs serially (``workers=1``) or fanned out over a
 process pool (``workers=4``) — determinism is per task because every task
 carries its own seed, so scheduling order must never leak into results.
+
+The same runner (:func:`run_tasks`) fans out the chaos harness, so its
+contract is tested once here over both task types; and one full sweep
+pass is held to the committed fixed-seed counters of
+``benchmarks/e2e_baseline.json`` — the determinism gate.
 """
 
 import json
+import pathlib
 
+import pytest
+
+from repro.analysis.chaos import chaos_tasks
 from repro.analysis.experiment import run_architecture_experiment
-from repro.analysis.sweep import SweepTask, run_sweep, sweep_tasks
+from repro.analysis.sweep import SweepTask, run_sweep, run_tasks, sweep_tasks
 from repro.workloads.params import PAPER_DEFAULTS
+
+BASELINE = (pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks" / "e2e_baseline.json")
 
 ARCHITECTURES = ("centralized", "parallel", "distributed")
 
@@ -93,26 +105,52 @@ def test_sweep_tasks_grid_is_architecture_major():
 
 
 def test_empty_task_list():
+    assert run_tasks([], workers=4) == ([], 1)
     sweep = run_sweep([], workers=4)
     assert sweep.results == [] and sweep.run_log == []
 
 
-def test_progress_callback_fires_per_task_serial_and_pooled():
-    tasks = six_config_tasks()[:3]
+def counters(result):
+    """The seed-determined part of any result the runner hands back."""
+    return (result.committed, result.aborted, result.messages,
+            result.events, result.sim_time)
+
+
+@pytest.mark.parametrize("tasks", [
+    six_config_tasks()[1:4],
+    chaos_tasks([1, 2], configs=("centralized/normal", "parallel/normal")),
+], ids=["sweep", "chaos"])
+def test_run_tasks_contract_serial_and_pooled(tasks):
+    """Serial = pooled, canonical order, progress once per task — for any
+    list of tasks with a ``.run()``."""
+    direct = [counters(task.run()) for task in tasks]
     for workers in (1, 2):
         seen = []
 
         def progress(done, total, task, result):
-            seen.append((done, total, task.label, result.committed))
+            seen.append((done, total, task, result))
 
-        sweep = run_sweep(tasks, workers=workers, progress=progress)
-        assert [s[0] for s in sorted(seen)] == [1, 2, 3]
-        assert all(s[1] == 3 for s in seen)
-        assert {s[2] for s in seen} == {t.label for t in tasks}
-        # progress never perturbs the canonical-order result merge
-        assert [r.architecture for r in sweep.results] == [
-            t.architecture for t in tasks
-        ]
+        results, used = run_tasks(tasks, workers=workers, progress=progress)
+        assert used in (1, workers)  # 1: a host that cannot spawn a pool
+        # results merge in submission order whichever task finished first
+        assert [counters(r) for r in results] == direct
+        assert sorted(s[0] for s in seen) == list(range(1, len(tasks) + 1))
+        assert all(s[1] == len(tasks) for s in seen)
+        # every call carried one task and that task's own result
+        assert sorted(tasks.index(s[2]) for s in seen) == list(range(len(tasks)))
+        assert all(s[3] is results[tasks.index(s[2])] for s in seen)
+
+
+def test_sweep_reproduces_committed_baseline_counters():
+    """Determinism gate: the simulator is a function of the seed, so one
+    sweep pass must give the committed counters exactly.  If a change is
+    meant to move them, regenerate ``benchmarks/e2e_baseline.json``."""
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+    sweep = run_sweep(sweep_tasks(seed=baseline["seed"]), workers=1)
+    measured = [{key: row[key] for key in
+                 ("label", "committed", "aborted", "messages")}
+                for row in sweep.run_log]
+    assert measured == baseline["configs"]
 
 
 def test_run_log_carries_resource_accounting():

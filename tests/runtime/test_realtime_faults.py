@@ -156,3 +156,17 @@ def test_realtime_replays_are_outcome_consistent():
     assert len(report.digests) == 2
     assert report.digests[0] == report.digests[1]
     assert not report.unfinished
+
+
+def test_realtime_replay_reports_what_missed_the_timeout():
+    """The wait for the last outcome is bounded by ``timeout_s``; whatever
+    has not landed by then is a liveness finding, not a hang."""
+    from repro.analysis.chaos import run_realtime_chaos
+
+    report = run_realtime_chaos(
+        "centralized/normal", seed=3, plan_spec="",
+        instances=3, replays=1, timeout_s=0.001,
+    )
+    assert len(report.unfinished) == 3
+    assert report.digests == [{}]
+    assert not report.consistent

@@ -276,7 +276,7 @@ def test_profile_single_config_prints_table_and_collapsed(capsys):
 
 def test_profile_rejects_bad_config(capsys):
     assert main(["profile", "--config", "bogus-nonsense"]) == 1
-    assert "bad profile config" in capsys.readouterr().err
+    assert "bad config 'bogus-nonsense'" in capsys.readouterr().err
 
 
 def test_profile_writes_artifacts(tmp_path, capsys):
