@@ -24,8 +24,10 @@ instances conflict when their ``conflict_key`` data item values are equal
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Hashable
 
 from repro.errors import CoordinationError
@@ -84,6 +86,34 @@ class ClearanceGrant:
     token: str
 
 
+_seq_of = attrgetter("seq")
+
+
+def _remove(regs: list[_Registration], reg: _Registration) -> None:
+    """Drop ``reg`` from a ``seq``-sorted list, if it is there."""
+    at = bisect_left(regs, reg.seq, key=_seq_of)
+    while at < len(regs) and regs[at].seq == reg.seq:
+        if regs[at] is reg:
+            del regs[at]
+            return
+        at += 1
+
+
+class _Group:
+    """The registrations sharing one conflict-key value."""
+
+    __slots__ = ("members", "blockers", "pending")
+
+    def __init__(self, n_pairs: int):
+        #: Every registration of the key, ``seq``-sorted.
+        self.members: list[_Registration] = []
+        #: ``blockers[k - 1]``: the members that have not completed pair
+        #: ``k`` (``1 <= k < n_pairs``), ``seq``-sorted.
+        self.blockers: list[list[_Registration]] = [[] for __ in range(n_pairs - 1)]
+        #: ``(ticket, grant)`` requests of members still waiting, oldest first.
+        self.pending: list[tuple[int, ClearanceGrant]] = []
+
+
 class RelativeOrderAuthority:
     """Serialization point for one :class:`RelativeOrderSpec`.
 
@@ -98,14 +128,24 @@ class RelativeOrderAuthority:
        completed its own pair-``k`` step.
     3. Completions of pair ``k`` steps are reported; the authority returns
        the clearances that become grantable.
+
+    Only equal conflict keys order instances, so the state is indexed by
+    key (:class:`_Group`) and every protocol call costs what the in-flight
+    instances of the affected keys cost, whatever the authority has seen
+    before (DESIGN section 6, "Coordination-authority internals").
     """
 
     def __init__(self, spec: RelativeOrderSpec):
         self.spec = spec
+        self._same_schema = spec.schema_a == spec.schema_b
+        self._n_pairs = len(spec.steps_a)
         self._seq = 0
+        self._ticket = 0
         self._registrations: dict[str, _Registration] = {}
-        self._completions: set[tuple[str, int]] = set()
-        self._pending: list[ClearanceGrant] = []
+        #: instance -> completed pair indexes; a later-pair report may
+        #: arrive before the pair-0 report registers the instance.
+        self._completions: dict[str, set[int]] = {}
+        self._groups: dict[Hashable | None, _Group] = {}
 
     # -- spec geometry ------------------------------------------------------------
 
@@ -134,27 +174,18 @@ class RelativeOrderAuthority:
         if order_key is None:
             self._seq += 1
             order_key = self._seq
-        self._registrations[instance] = _Registration(schema, instance, key, order_key)
-
-    def leaders_of(self, schema: str, instance: str) -> list[_Registration]:
-        """Conflicting instances registered before ``instance``."""
-        mine = self._registrations.get(instance)
-        if mine is None:
-            raise CoordinationError(
-                f"instance {instance!r} requested ordering before registering "
-                f"its first governed step under spec {self.spec.name!r}"
-            )
-        leaders = []
-        for other in self._registrations.values():
-            if other.instance == instance:
-                continue
-            if other.seq >= mine.seq:
-                continue
-            if self.spec.schema_a != self.spec.schema_b and other.schema == schema:
-                continue  # ordering binds instances across the two schemas
-            if _conflicts(other.key, mine.key):
-                leaders.append(other)
-        return sorted(leaders, key=lambda r: r.seq)
+        mine = _Registration(schema, instance, key, order_key)
+        self._registrations[instance] = mine
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = _Group(self._n_pairs)
+        # By seq, not by arrival: a replicated order key that arrives late
+        # can sort before members already registered, and then leads them.
+        insort(group.members, mine, key=_seq_of)
+        done = self._completions.get(instance, ())
+        for pair_index, blockers in enumerate(group.blockers, start=1):
+            if pair_index not in done:
+                insort(blockers, mine, key=_seq_of)
 
     def report_completion(
         self,
@@ -168,56 +199,155 @@ class RelativeOrderAuthority:
         clearances (including, possibly, ones for other instances)."""
         if pair_index == 0:
             self._register(schema, instance, key, order_key)
-        self._completions.add((instance, pair_index))
-        return self._drain_grantable()
+        done = self._completions.setdefault(instance, set())
+        if pair_index in done:
+            return []
+        done.add(pair_index)
+        mine = self._registrations.get(instance)
+        if mine is None or pair_index == 0:
+            return []  # a straggler or a registration unblocks nobody
+        if 1 <= pair_index < self._n_pairs:
+            _remove(self._groups[mine.key].blockers[pair_index - 1], mine)
+        return self._drain(self._conflicting(mine.key), pair_index)
 
     def request_clearance(
         self, schema: str, instance: str, pair_index: int, key: Hashable | None
     ) -> ClearanceGrant | None:
         """Ask to execute pair step ``pair_index``; returns the grant if it
         can proceed now, otherwise records it as pending."""
-        if pair_index == 0:
-            # First pair executes freely; order is established by its completion.
-            return ClearanceGrant(
-                schema, instance, pair_index, ro_clearance_token(self.spec.name, 0, instance)
-            )
         grant = ClearanceGrant(
             schema,
             instance,
             pair_index,
             ro_clearance_token(self.spec.name, pair_index, instance),
         )
-        if self._cleared(schema, instance, pair_index):
+        if pair_index == 0:
+            # First pair executes freely; order is established by its completion.
             return grant
-        self._pending.append(grant)
+        mine = self._registration(instance)
+        if self._cleared(schema, mine, pair_index):
+            return grant
+        self._ticket += 1
+        self._groups[mine.key].pending.append((self._ticket, grant))
         return None
 
     def withdraw(self, instance: str) -> list[ClearanceGrant]:
         """Remove an aborted instance; may unblock lagging instances."""
-        self._registrations.pop(instance, None)
-        self._completions = {c for c in self._completions if c[0] != instance}
-        self._pending = [g for g in self._pending if g.instance != instance]
-        return self._drain_grantable()
+        mine = self._forget(instance)
+        if mine is None:
+            return []
+        return self._drain(self._conflicting(mine.key))
+
+    def retire(self, instance: str) -> None:
+        """Forget a committed instance, if it has completed every pair of
+        the spec: it can then block nobody, so no answer changes and there
+        is nothing to grant.  An instance that skipped a governed step (an
+        XOR path around it) stays, as DESIGN section 7 documents."""
+        done = self._completions.get(instance)
+        if done is not None and done.issuperset(range(self._n_pairs)):
+            self._forget(instance)
+
+    def is_registered(self, instance: str) -> bool:
+        """False before the pair-0 report and after withdrawal or retirement."""
+        return instance in self._registrations
 
     # -- internals ------------------------------------------------------------------------
 
-    def _cleared(self, schema: str, instance: str, pair_index: int) -> bool:
-        return all(
-            (leader.instance, pair_index) in self._completions
-            for leader in self.leaders_of(schema, instance)
-        )
+    def _registration(self, instance: str) -> _Registration:
+        mine = self._registrations.get(instance)
+        if mine is None:
+            raise CoordinationError(
+                f"instance {instance!r} requested ordering before registering "
+                f"its first governed step under spec {self.spec.name!r}"
+            )
+        return mine
 
-    def _drain_grantable(self) -> list[ClearanceGrant]:
-        granted, still_pending = [], []
-        for grant in self._pending:
-            if self._cleared(grant.schema, grant.instance, grant.pair_index):
-                granted.append(grant)
+    def _forget(self, instance: str) -> _Registration | None:
+        """Drop everything held for ``instance``; returns its registration."""
+        self._completions.pop(instance, None)
+        mine = self._registrations.pop(instance, None)
+        if mine is None:
+            return None
+        group = self._groups[mine.key]
+        _remove(group.members, mine)
+        for blockers in group.blockers:
+            _remove(blockers, mine)
+        group.pending = [entry for entry in group.pending if entry[1].instance != instance]
+        if not group.members:
+            del self._groups[mine.key]
+        return mine
+
+    def _conflicting(self, key: Hashable | None) -> list[_Group]:
+        """The groups whose members conflict with ``key``: its own and the
+        ``None`` group — or all of them, since a ``None`` key binds every
+        instance."""
+        if key is None:
+            return list(self._groups.values())
+        groups = (self._groups.get(key), self._groups.get(None))
+        return [group for group in groups if group is not None]
+
+    def _conflicting_members(self, key: Hashable | None) -> list[_Registration]:
+        """Every registration that conflicts with ``key``, ``seq``-sorted."""
+        groups = self._conflicting(key)
+        if len(groups) == 1:
+            return groups[0].members
+        return sorted((m for group in groups for m in group.members), key=_seq_of)
+
+    def _orders(self, schema: str, other: _Registration) -> bool:
+        """Ordering binds across the two schemas of the spec (any two
+        instances when they are one schema)."""
+        return self._same_schema or other.schema != schema
+
+    def _cleared(self, schema: str, mine: _Registration, pair_index: int) -> bool:
+        """True when no conflicting leader still owes pair ``pair_index``:
+        in each conflicting group, the first blocker the spec orders
+        against ``mine`` does not sort before it."""
+        for group in self._conflicting(mine.key):
+            if 1 <= pair_index < self._n_pairs:
+                blockers = group.blockers[pair_index - 1]
             else:
-                still_pending.append(grant)
-        self._pending = still_pending
-        return granted
+                # Beyond the spec: no engine asks, so nothing is indexed.
+                blockers = [
+                    member for member in group.members
+                    if pair_index not in self._completions.get(member.instance, ())
+                ]
+            for other in blockers:
+                if other.seq >= mine.seq:
+                    break
+                if self._orders(schema, other):
+                    return False
+        return True
+
+    def _drain(
+        self, groups: list[_Group], pair_index: int | None = None
+    ) -> list[ClearanceGrant]:
+        """Take the pending requests of ``groups`` (of one pair, or of any)
+        that are now cleared, oldest request first."""
+        granted = []
+        for group in groups:
+            still_pending = []
+            for entry in group.pending:
+                grant = entry[1]
+                if (pair_index is None or grant.pair_index == pair_index) and self._cleared(
+                    grant.schema, self._registrations[grant.instance], grant.pair_index
+                ):
+                    granted.append(entry)
+                else:
+                    still_pending.append(entry)
+            group.pending = still_pending
+        if len(groups) > 1:
+            granted.sort()  # tickets are unique: pending-insertion order
+        return [grant for __, grant in granted]
 
     # -- introspection ----------------------------------------------------------------------
+
+    def leaders_of(self, schema: str, instance: str) -> list[_Registration]:
+        """Conflicting instances registered before ``instance``."""
+        mine = self._registration(instance)
+        return [
+            other for other in self._conflicting_members(mine.key)
+            if other.seq < mine.seq and self._orders(schema, other)
+        ]
 
     def is_leading(self, instance: str, other: str) -> bool | None:
         """True if ``instance`` leads ``other`` (None when undetermined)."""
@@ -229,13 +359,27 @@ class RelativeOrderAuthority:
 
     def established_pairs(self) -> list[tuple[str, str]]:
         """All (leading, lagging) conflicting instance pairs so far."""
-        regs = sorted(self._registrations.values(), key=lambda r: r.seq)
+        regs = sorted(self._registrations.values(), key=_seq_of)
         pairs = []
         for i, lead in enumerate(regs):
             for lag in regs[i + 1 :]:
-                cross = self.spec.schema_a == self.spec.schema_b or lead.schema != lag.schema
-                if cross and _conflicts(lead.key, lag.key):
+                if self._orders(lead.schema, lag) and _conflicts(lead.key, lag.key):
                     pairs.append((lead.instance, lag.instance))
+        return pairs
+
+    def pairs_of(self, instance: str) -> list[tuple[str, str]]:
+        """The rows of :meth:`established_pairs` that mention ``instance``,
+        in the same order, read from the groups it conflicts with."""
+        mine = self._registrations.get(instance)
+        if mine is None:
+            return []
+        pairs = []
+        leading = True  # members met before ``mine`` lead it
+        for other in self._conflicting_members(mine.key):
+            if other is mine:
+                leading = False
+            elif self._orders(mine.schema, other):
+                pairs.append((other.instance, instance) if leading else (instance, other.instance))
         return pairs
 
 

@@ -138,17 +138,20 @@ class EngineCoordinationMixin:
                 )
 
     def _release_coordination(self, runtime: EngineRuntime, aborted: bool) -> None:
-        """On commit/abort: free MX locks, withdraw RD (and RO if aborted)."""
+        """On commit/abort: free MX locks, withdraw RD; RO is withdrawn on
+        abort and retired (forgotten once fully complete) on commit."""
         schema_name = runtime.state.schema_name
         instance_id = runtime.state.instance_id
         for spec in self.spec_index.mx_specs(schema_name):
             self._mx_release(runtime, spec)
         for authority in self.authorities.rd.values():
             authority.withdraw(instance_id)
-        if aborted:
-            for authority in self.authorities.ro.values():
+        for authority in self.authorities.ro.values():
+            if aborted:
                 for grant in authority.withdraw(instance_id):
                     self._deliver_grant(grant.instance, grant.token)
+            else:
+                authority.retire(instance_id)
 
     def _coord_on_rollback(self, runtime: EngineRuntime, inval_steps) -> None:
         """Rollback-dependency propagation (local in centralized control)."""

@@ -127,12 +127,3 @@ class AuthorityBundle:
 
     def hosts(self, spec_name: str) -> bool:
         return spec_name in self.ro or spec_name in self.mx or spec_name in self.rd
-
-    def withdraw_instance(self, instance_id: str) -> list:
-        """Remove an aborted instance everywhere; returns freed RO grants."""
-        grants = []
-        for authority in self.ro.values():
-            grants.extend(authority.withdraw(instance_id))
-        for authority in self.rd.values():
-            authority.withdraw(instance_id)
-        return grants

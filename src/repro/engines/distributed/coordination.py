@@ -141,6 +141,8 @@ class AgentCoordinationMixin:
         self, spec_name: str, schema_name: str, instance_id: str, key
     ) -> None:
         authority = self.authorities.ro[spec_name]
+        if not authority.is_registered(instance_id):
+            return  # withdrawn (abort) since the report
         grants = []
         for later in range(1, len(authority.spec.steps_a)):
             grant = authority.request_clearance(schema_name, instance_id, later, key)
@@ -149,14 +151,12 @@ class AgentCoordinationMixin:
         self._deliver_ro_grants(authority, grants)
 
     def _deliver_ro_grants(self, authority, grants) -> None:
-        pairs = authority.established_pairs()
+        spec = authority.spec
         for grant in grants:
-            spec = authority.spec
             step = spec.ordered_steps(grant.schema)[grant.pair_index]
             orders = [
                 [spec.name, leading, lagging]
-                for leading, lagging in pairs
-                if grant.instance in (leading, lagging)
+                for leading, lagging in authority.pairs_of(grant.instance)
             ]
             self._send_grant(grant.schema, grant.instance, step, grant.token,
                              orders=orders)

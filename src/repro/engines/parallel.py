@@ -263,11 +263,13 @@ class ParallelEngineNode(CentralEngineNode):
             instance = payload["instance"]
             for replica in self.replica.rd.values():
                 replica.withdraw(instance)
-            if payload.get("aborted"):
-                for authority in self.replica.ro.values():
+            for authority in self.replica.ro.values():
+                if payload.get("aborted"):
                     for grant in authority.withdraw(instance):
                         if self._owns(grant.instance):
                             self._deliver_grant(grant.instance, grant.token)
+                else:
+                    authority.retire(instance)
         else:  # pragma: no cover - defensive
             raise FrontEndError(f"unknown coordination op {op!r}")
 
@@ -313,6 +315,8 @@ class ParallelEngineNode(CentralEngineNode):
 
     def _ro_request_clearances(self, spec_name, schema_name, instance, key) -> None:
         authority = self._ro_replica(spec_name)
+        if not authority.is_registered(instance):
+            return  # withdrawn (abort) or retired (commit) since the report
         for later in range(1, len(authority.spec.steps_a)):
             grant = authority.request_clearance(schema_name, instance, later, key)
             if grant is not None and self._owns(grant.instance):

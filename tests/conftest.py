@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.programs import NoopProgram
@@ -96,6 +98,9 @@ def make_system(architecture, seed=0, **kwargs):
 
 
 ALL_ARCHITECTURES = ("centralized", "parallel", "distributed")
+
+#: The shipped LAWS example: ``Orders`` plus the ``part_fifo`` ordering spec.
+ORDERS_LAWS = Path(__file__).resolve().parent.parent / "examples" / "order_fulfilment.laws"
 
 
 @pytest.fixture(params=ALL_ARCHITECTURES)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.programs import FailEveryNth, NoopProgram
+from repro.engines import DistributedControlSystem, SystemConfig
+from repro.laws import load_laws
 from repro.model import (
     MutualExclusionSpec,
     RelativeOrderSpec,
@@ -10,7 +12,13 @@ from repro.model import (
     SchemaBuilder,
 )
 from repro.storage.tables import InstanceStatus
-from tests.conftest import ALL_ARCHITECTURES, linear_schema, make_system, register_programs
+from tests.conftest import (
+    ALL_ARCHITECTURES,
+    ORDERS_LAWS,
+    linear_schema,
+    make_system,
+    register_programs,
+)
 
 
 def done_times(system):
@@ -134,3 +142,41 @@ def test_abort_releases_relative_order_block(architecture):
     system.run()
     assert system.outcome(i1).status is InstanceStatus.ABORTED
     assert system.outcome(i2).committed
+
+
+def test_distributed_abort_before_the_deferred_clearance_request():
+    """The authority asks for a registrant's later clearances two latencies
+    after its pair-0 report; an instance aborted inside that window has
+    been withdrawn by then, and the request used to raise
+    ``CoordinationError`` inside the scheduler and kill the run."""
+    system = DistributedControlSystem(SystemConfig(seed=1, latency=1.0))
+    load_laws(ORDERS_LAWS.read_text()).install(system)
+    instance = system.start_workflow("Orders", {"part": "p", "qty": 1})
+    system.abort_workflow(instance, delay=0.45)
+    system.run()
+    assert system.outcome(instance).status is InstanceStatus.ABORTED
+
+
+@pytest.mark.parametrize("aborted", [True, False])
+def test_parallel_withdraw_before_the_deferred_clearance_request(aborted):
+    """Same window on a parallel replica: the owner's deferred request
+    finds the instance withdrawn (abort) or retired (it committed on
+    clearances from before a rollback re-reported pair 0)."""
+    system = make_system("parallel", seed=3)
+    schema = linear_schema(steps=3)
+    system.register_schema(schema)
+    system.add_coordination(RelativeOrderSpec(
+        name="fifo", schema_a="Linear", schema_b="Linear",
+        steps_a=("S1", "S3"), steps_b=("S1", "S3"), conflict_key="WF.x",
+    ))
+    engine = system.engines[0]
+    system._note_owner("Linear-1", engine.name)
+    report = {"op": "ro_report", "spec": "fifo", "schema": "Linear",
+              "instance": "Linear-1", "key": "k", "time": 0.0}
+    engine._apply_coord_op({**report, "pair_index": 0})  # schedules the request
+    engine._apply_coord_op({**report, "pair_index": 1})
+    engine._apply_coord_op({"op": "withdraw", "instance": "Linear-1", "aborted": aborted})
+    authority = engine.replica.ro["fifo"]
+    assert not authority.is_registered("Linear-1")
+    system.run()  # the deferred request fires here
+    assert not authority.is_registered("Linear-1")

@@ -158,6 +158,32 @@ def test_sim_reexport_shims_stay_deleted():
         assert not (sim / shim).exists(), f"repro.sim.{shim} is back"
 
 
+def test_relative_order_scan_stays_a_test_oracle():
+    """``RelativeOrderAuthority`` answers from its conflict-key index.  The
+    scan implementation lives under ``tests/`` only (nothing in ``src/``
+    defines it or imports from ``tests``), and the two views that walk
+    every registration — ``leaders_of`` and ``established_pairs`` — are
+    introspection: no engine path calls them."""
+    violations = []
+    for module_path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(module_path.read_text(), filename=str(module_path))
+        where = module_path.relative_to(SRC)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "ScanRelativeOrderAuthority":
+                violations.append(f"{where}:{node.lineno} defines the scan oracle")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("leaders_of", "established_pairs")
+                and top_package(module_path) == "engines"
+            ):
+                violations.append(f"{where}:{node.lineno} calls {node.func.attr}()")
+        for lineno, imported in runtime_imports(tree):
+            if imported.split(".")[0] == "tests":
+                violations.append(f"{where}:{lineno} imports {imported}")
+    assert not violations, "\n".join(violations)
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
