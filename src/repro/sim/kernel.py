@@ -16,21 +16,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 
 __all__ = ["EventHandle", "Simulator"]
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry.  Ordered by (time, seq) for determinism."""
-
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -88,7 +78,10 @@ class Simulator:
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._queue: list[_QueueEntry] = []
+        #: Heap of ``(time, seq, handle)``, ordered by ``(time, seq)`` for
+        #: determinism: ``seq`` is unique, so two entries never compare
+        #: their handles and the heap orders them in C.
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -123,7 +116,7 @@ class Simulator:
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
         handle = EventHandle(time, action, args, self)
-        heapq.heappush(self._queue, _QueueEntry(time, next(self._seq), handle))
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
         return handle
 
     # -- heap hygiene ------------------------------------------------------
@@ -142,7 +135,7 @@ class Simulator:
         if profile is not None:
             profile.push("kernel.heap_compact")
         try:
-            self._queue = [e for e in self._queue if not e.handle.cancelled]
+            self._queue = [e for e in self._queue if not e[2].cancelled]
             heapq.heapify(self._queue)
             self._cancelled = 0
         finally:
@@ -153,7 +146,7 @@ class Simulator:
         """The single lazy-deletion point: discard cancelled entries at the
         head of the queue (with accounting) so ``self._queue[0]``, if any,
         is live."""
-        while self._queue and self._queue[0].handle.cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
             self._cancelled -= 1
 
@@ -166,17 +159,16 @@ class Simulator:
         self._prune_cancelled_head()
         if not self._queue:
             return False
-        entry = heapq.heappop(self._queue)
-        handle = entry.handle
+        time, _, handle = heapq.heappop(self._queue)
         handle._sim = None  # detached: a late cancel no longer counts
         profile = self.profile
         if profile is not None:
-            profile.begin_event(handle.action, entry.time,
-                                entry.time - self._now, len(self._queue))
-        self._now = entry.time
+            profile.begin_event(handle.action, time,
+                                time - self._now, len(self._queue))
+        self._now = time
         self.events_processed += 1
         if self.event_hook is not None:
-            self.event_hook(entry.time, len(self._queue))
+            self.event_hook(time, len(self._queue))
         if profile is None:
             handle.action(*handle.args)
             return True
@@ -215,7 +207,7 @@ class Simulator:
         self._prune_cancelled_head()
         if not self._queue:
             return float("inf")
-        return self._queue[0].time
+        return self._queue[0][0]
 
     @property
     def pending(self) -> int:
