@@ -19,7 +19,10 @@ The AGDB therefore holds:
 
 Everything is WAL-backed; a crashed agent replays the log in
 ``on_recover`` and resumes (volatile rule engines are rebuilt by the agent
-node from the recovered fragments).
+node from the recovered fragments).  A fragment is logged as a chain — a
+full snapshot, then what changed (:class:`~repro.storage.wal.
+InstanceChains`) — and a purge takes the purged instances' chains and
+tracker records out of the log; ``purge`` and ``summary`` rows stay.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
 from repro.storage.tables import InstanceState, InstanceStatus
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import InstanceChains, WalRecord, WriteAheadLog
 
 __all__ = ["AgentDatabase"]
 
@@ -39,11 +42,18 @@ class AgentDatabase:
     def __init__(self, agent_name: str):
         self.agent_name = agent_name
         self.wal = WriteAheadLog()
+        self._chains = InstanceChains(self.wal, "fragment_snapshot", "fragment_delta")
         self._fragments: dict[str, InstanceState] = {}
         self._directory: dict[tuple[str, str], tuple[str, ...]] = {}
         self._summary: dict[str, InstanceStatus] = {}
         self._purged: set[str] = set()
+        #: Purged ids no ``purge`` record names yet (a purge that dropped
+        #: nothing is not logged); the next record carries them.
+        self._purged_unlogged: set[str] = set()
         self._trackers: dict[str, Mapping[str, Any]] = {}
+        #: instance id -> lsn of its latest ``tracker`` record (the only
+        #: one recovery reads; an older one leaves the log when superseded).
+        self._tracker_lsns: dict[str, int] = {}
 
     # -- instance fragments ------------------------------------------------------
 
@@ -75,7 +85,7 @@ class AgentDatabase:
         return tuple(self._fragments.values())
 
     def persist_fragment(self, state: InstanceState) -> None:
-        self.wal.append("fragment_snapshot", state.snapshot())
+        self._chains.persist(state)
 
     def purge_instances(self, instance_ids: Iterable[str]) -> int:
         """Drop fragments of committed instances (purge broadcast handler)."""
@@ -84,13 +94,19 @@ class AgentDatabase:
         for instance_id in instance_ids:
             if self._fragments.pop(instance_id, None) is not None:
                 purged += 1
-            self._purged.add(instance_id)
+            if instance_id not in self._purged:
+                self._purged.add(instance_id)
+                self._purged_unlogged.add(instance_id)
             if self._trackers.pop(instance_id, None) is not None:
                 dropped = True
+            self._chains.retire(instance_id)
+            self._retire_tracker_record(instance_id)
         if purged or dropped:
             # The purge must be durable whenever it dropped *any* state —
             # fragments or tracker snapshots — or recovery resurrects it.
-            self.wal.append("purge", {"instance_ids": sorted(self._purged)})
+            # Recovery unions the records, so each names only new ids.
+            self.wal.append("purge", {"instance_ids": sorted(self._purged_unlogged)})
+            self._purged_unlogged.clear()
         return purged
 
     def was_purged(self, instance_id: str) -> bool:
@@ -152,7 +168,16 @@ class AgentDatabase:
         the AGDB stores.
         """
         self._trackers[instance_id] = snapshot
-        self.wal.append("tracker", {"instance_id": instance_id, "tracker": snapshot})
+        self._retire_tracker_record(instance_id)
+        record = self.wal.append(
+            "tracker", {"instance_id": instance_id, "tracker": snapshot}
+        )
+        self._tracker_lsns[instance_id] = record.lsn
+
+    def _retire_tracker_record(self, instance_id: str) -> None:
+        lsn = self._tracker_lsns.pop(instance_id, None)
+        if lsn is not None:
+            self.wal.retire((lsn,))
 
     def recovered_tracker(self, instance_id: str) -> Mapping[str, Any] | None:
         """Latest persisted tracker snapshot (None when never persisted)."""
@@ -166,34 +191,32 @@ class AgentDatabase:
         Record checksums are verified — a corrupt log fails loudly."""
         self._fragments.clear()
         self._summary.clear()
-        self._purged.clear()
+        self._purged_unlogged.clear()
         self._trackers.clear()
-        latest: dict[str, Mapping[str, Any]] = {}
-        summaries: dict[str, InstanceStatus] = {}
+        self._tracker_lsns.clear()
         trackers: dict[str, Mapping[str, Any]] = {}
         purged: set[str] = set()
 
-        def on_fragment(payload: Mapping[str, Any]) -> None:
-            latest[payload["instance_id"]] = payload
+        def on_summary(record: WalRecord) -> None:
+            payload = record.payload
+            self._summary[payload["instance_id"]] = InstanceStatus(payload["status"])
 
-        def on_summary(payload: Mapping[str, Any]) -> None:
-            summaries[payload["instance_id"]] = InstanceStatus(payload["status"])
-
-        def on_tracker(payload: Mapping[str, Any]) -> None:
+        def on_tracker(record: WalRecord) -> None:
+            payload = record.payload
             trackers[payload["instance_id"]] = payload["tracker"]
+            self._tracker_lsns[payload["instance_id"]] = record.lsn
 
-        def on_purge(payload: Mapping[str, Any]) -> None:
-            purged.update(payload["instance_ids"])
+        def on_purge(record: WalRecord) -> None:
+            purged.update(record.payload["instance_ids"])
 
         self.wal.replay(
-            {"fragment_snapshot": on_fragment, "summary": on_summary,
+            {**self._chains.replay_handlers(), "summary": on_summary,
              "tracker": on_tracker, "purge": on_purge},
-            verify=True,
+            verify=True, records=True,
         )
-        for instance_id, payload in latest.items():
+        for instance_id, snapshot in self._chains.snapshots():
             if instance_id not in purged:
-                self._fragments[instance_id] = InstanceState.from_snapshot(payload)
-        self._summary.update(summaries)
+                self._fragments[instance_id] = InstanceState.from_snapshot(snapshot)
         self._trackers = {
             iid: snap for iid, snap in trackers.items() if iid not in purged
         }
@@ -209,7 +232,6 @@ class AgentDatabase:
         """
         clone = AgentDatabase(self.agent_name)
         clone._directory = dict(self._directory)
-        clone.wal._records = list(self.wal._records)
-        clone.wal._next_lsn = self.wal._next_lsn
+        clone.wal.load(self.wal)
         clone.recover()
         return clone

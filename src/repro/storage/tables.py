@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
 from repro.model.schema import workflow_input_ref
 
-__all__ = ["InstanceStatus", "InstanceState", "StepRecord", "StepStatus"]
+__all__ = [
+    "InstanceStatus",
+    "InstanceState",
+    "StepRecord",
+    "StepStatus",
+    "apply_delta",
+    "copy_snapshot",
+    "snapshot_delta",
+]
 
 
 class StepStatus(enum.Enum):
@@ -244,3 +253,80 @@ class InstanceState:
                 agent=rec["agent"],
             )
         return state
+
+
+# -- snapshot deltas (the engine log's record grammar) ---------------------------
+
+#: The keyed tables of a snapshot, diffed entry by entry (a step row is
+#: one entry: it is logged whole when any of its fields changed).
+_SECTIONS = ("inputs", "data", "steps", "events_snapshot", "known_invalidations")
+_SCALARS = ("status", "recovery_epoch", "invalidation_round", "exec_counter")
+
+
+def snapshot_delta(base: Mapping[str, Any], snap: Mapping[str, Any]) -> dict[str, Any]:
+    """What :func:`apply_delta` needs to turn ``base`` into ``snap``.
+
+    Both are :meth:`InstanceState.snapshot` dicts of one instance.  The
+    result holds the scalars that differ and, for each table that differs,
+    ``{"put": added or changed entries, "del": removed keys}`` (either
+    omitted when empty) plus ``"order"`` — the table's full key list —
+    when ``put``/``del`` alone would leave the keys in another order than
+    the live table's (a key removed and re-added between two persists).
+    Values are compared with ``==``, so the diff cannot miss a mutation
+    whoever made it; the unchanged case is one C-level dict comparison.
+    """
+    delta: dict[str, Any] = {}
+    for name in _SCALARS:
+        if base[name] != snap[name]:
+            delta[name] = snap[name]
+    for name in _SECTIONS:
+        old, new = base[name], snap[name]
+        if old == new:
+            if not all(map(eq, old, new)):  # same entries, keys re-inserted
+                delta[name] = {"order": list(new)}
+            continue
+        section: dict[str, Any] = {}
+        put = {k: v for k, v in new.items() if k not in old or old[k] != v}
+        if put:
+            section["put"] = put
+        removed = [k for k in old if k not in new]
+        if removed:
+            section["del"] = removed
+        # Folding leaves the surviving keys in their old order and appends
+        # the new ones; anything else the live table did needs spelling out.
+        if removed or not all(map(eq, old, new)):
+            keys = list(new)
+            folded = [k for k in old if k in new]
+            folded += [k for k in put if k not in old]
+            if folded != keys:
+                section["order"] = keys
+        delta[name] = section
+    return delta
+
+
+def copy_snapshot(snap: Mapping[str, Any]) -> dict[str, Any]:
+    """A snapshot whose tables :func:`apply_delta` may write to (a logged
+    payload never is)."""
+    copy = dict(snap)
+    for name in _SECTIONS:
+        copy[name] = dict(snap[name])
+    return copy
+
+
+def apply_delta(snap: dict[str, Any], delta: Mapping[str, Any]) -> None:
+    """Fold one :func:`snapshot_delta` into ``snap`` (a
+    :func:`copy_snapshot`) in place."""
+    for name in _SCALARS:
+        if name in delta:
+            snap[name] = delta[name]
+    for name in _SECTIONS:
+        section = delta.get(name)
+        if section is None:
+            continue
+        table = snap[name]
+        for key in section.get("del", ()):
+            del table[key]
+        table.update(section.get("put", ()))
+        if "order" in section:
+            snap[name] = {key: table[key] for key in section["order"]}
+

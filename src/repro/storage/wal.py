@@ -9,6 +9,10 @@ crash*: a crashed node loses its in-memory tables but keeps its WAL, and
 
 Records are ``(lsn, kind, payload)``; payloads must be plain dict/list/
 scalar structures (the stores only write snapshots, never live objects).
+
+The log holds what is live, not what ever happened: an instance's records
+form a chain (:class:`InstanceChains` — one full snapshot, then one delta
+per persist) that leaves the log when the instance is archived or purged.
 """
 
 from __future__ import annotations
@@ -16,11 +20,22 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import StorageError
+from repro.storage.tables import (
+    InstanceState,
+    InstanceStatus,
+    apply_delta,
+    copy_snapshot,
+    snapshot_delta,
+)
 
-__all__ = ["WalRecord", "WriteAheadLog", "record_checksum"]
+__all__ = ["InstanceChains", "WalRecord", "WriteAheadLog", "record_checksum"]
+
+#: The canonical form's encoder, built once: ``json.dumps`` with these
+#: arguments constructs an identical encoder on every call.
+_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
@@ -30,11 +45,10 @@ def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
     snapshots (never live objects), so the canonical form is stable for
     the record's lifetime.
     """
-    blob = json.dumps([lsn, kind, payload], sort_keys=True, default=str)
-    return zlib.crc32(blob.encode("utf-8"))
+    return zlib.crc32(_canonical([lsn, kind, payload]).encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     lsn: int
     kind: str
@@ -47,7 +61,8 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """A durable, append-only sequence of records with checkpoint truncation."""
+    """A durable, append-only sequence of records; records leave it by
+    checkpoint truncation or by lsn when their chain is retired."""
 
     #: Optional duck-typed profiler (see :class:`repro.obs.profile.
     #: Profiler`), set per-instance by ``Profiler.install``.  A class
@@ -55,7 +70,7 @@ class WriteAheadLog:
     profile = None
 
     def __init__(self) -> None:
-        self._records: list[WalRecord] = []
+        self._records: dict[int, WalRecord] = {}  # by lsn, in lsn order
         self._next_lsn = 1
         self.appends = 0
 
@@ -72,7 +87,7 @@ class WriteAheadLog:
             record = WalRecord(lsn=lsn, kind=kind, payload=payload,
                                checksum=record_checksum(lsn, kind, payload))
             self._next_lsn += 1
-            self._records.append(record)
+            self._records[lsn] = record
             self.appends += 1
             return record
         finally:
@@ -86,7 +101,7 @@ class WriteAheadLog:
         loud failure instead of the silent truncation / partial state a
         recovery from a damaged log would otherwise produce.
         """
-        for record in self._records:
+        for record in self._records.values():
             if not record.verify():
                 raise StorageError(
                     f"WAL corruption detected at lsn {record.lsn} "
@@ -96,9 +111,10 @@ class WriteAheadLog:
 
     def replay(
         self,
-        handlers: Mapping[str, Callable[[Mapping[str, Any]], None]],
+        handlers: Mapping[str, Callable[[Any], None]],
         strict: bool = True,
         verify: bool = False,
+        records: bool = False,
     ) -> int:
         """Replay all records through ``handlers`` (keyed by record kind).
 
@@ -106,13 +122,15 @@ class WriteAheadLog:
         ``strict`` (a recovery that silently skips records is a corruption
         vector), otherwise they are ignored.  ``verify=True`` additionally
         checks each record's checksum before handing it to its handler.
+        A handler is given the record's payload, or with ``records=True``
+        the :class:`WalRecord` itself (chain links are checked by lsn).
         """
         profile = self.profile
         if profile is not None:
             profile.push("wal.replay")
         try:
             replayed = 0
-            for record in self._records:
+            for record in self._records.values():
                 if verify and not record.verify():
                     raise StorageError(
                         f"WAL corruption detected at lsn {record.lsn} "
@@ -125,7 +143,7 @@ class WriteAheadLog:
                             f"no WAL replay handler for kind {record.kind!r}"
                         )
                     continue
-                handler(record.payload)
+                handler(record if records else record.payload)
                 replayed += 1
             return replayed
         finally:
@@ -134,15 +152,139 @@ class WriteAheadLog:
 
     def checkpoint(self, keep_from_lsn: int) -> int:
         """Drop records with ``lsn < keep_from_lsn``; returns dropped count."""
-        before = len(self._records)
-        self._records = [r for r in self._records if r.lsn >= keep_from_lsn]
-        return before - len(self._records)
+        return self.retire([lsn for lsn in self._records if lsn < keep_from_lsn])
+
+    def retire(self, lsns: Iterable[int]) -> int:
+        """Drop the records with these lsns; returns the number dropped."""
+        dropped = 0
+        for lsn in lsns:
+            if self._records.pop(lsn, None) is not None:
+                dropped += 1
+        return dropped
+
+    def load(self, other: "WriteAheadLog") -> None:
+        """Hold the records ``other`` holds and append where it would — a
+        fresh process reading the node's disk; a store then ``recover()``s."""
+        self._records = dict(other._records)
+        self._next_lsn = other._next_lsn
 
     def last_lsn(self) -> int:
-        return self._records[-1].lsn if self._records else 0
+        return next(reversed(self._records), 0)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[WalRecord]:
-        return iter(self._records)
+        return iter(self._records.values())
+
+
+class InstanceChains:
+    """The per-instance record chains of one log.
+
+    The first persist of an instance appends its full snapshot (the chain's
+    head, kind ``head_kind``); every later persist appends one ``delta_kind``
+    record holding ``instance_id``, ``base_lsn`` — the lsn of the chain
+    record it extends — and the :func:`~repro.storage.tables.
+    snapshot_delta` against the snapshot last logged.  That snapshot (the
+    *base*) is kept beside the chain's lsns and goes when the chain is
+    retired.  Recovery folds head + deltas in lsn order and re-seeds the
+    bases from the folded state, never from the crashed node's memory.
+    """
+
+    def __init__(self, wal: WriteAheadLog, head_kind: str, delta_kind: str):
+        self._wal = wal
+        self._head_kind = head_kind
+        self._delta_kind = delta_kind
+        #: instance id -> [base snapshot, lsns of the chain's records]
+        self._chains: dict[str, list] = {}
+
+    def persist(self, state: InstanceState) -> None:
+        """One append: the head snapshot, or what changed since the last."""
+        snap = state.snapshot()
+        chain = self._chains.get(state.instance_id)
+        if chain is None:
+            record = self._wal.append(self._head_kind, snap)
+            self._chains[state.instance_id] = [snap, [record.lsn]]
+            return
+        base, lsns = chain
+        profile = self._wal.profile
+        if profile is not None:
+            profile.push("wal.delta")
+        try:
+            delta = snapshot_delta(base, snap)
+        finally:
+            if profile is not None:
+                profile.pop()
+        delta["instance_id"] = state.instance_id
+        delta["base_lsn"] = lsns[-1]
+        record = self._wal.append(self._delta_kind, delta)
+        chain[0] = snap
+        lsns.append(record.lsn)
+
+    def retire(self, instance_id: str, keep_status_row: bool = False) -> None:
+        """Take an instance's chain (and base) out of the log.
+
+        ``keep_status_row`` leaves the chain's last record that carries a
+        status — the terminal record an archived instance's summary row
+        is read back from (see :meth:`replay_handlers`).
+        """
+        chain = self._chains.pop(instance_id, None)
+        if chain is None:
+            return
+        lsns = chain[1]
+        if keep_status_row:
+            for index in reversed(range(len(lsns))):
+                if "status" in self._wal._records[lsns[index]].payload:
+                    del lsns[index]
+                    break
+        self._wal.retire(lsns)
+
+    def replay_handlers(
+        self, archived: dict[str, InstanceStatus] | None = None
+    ) -> dict[str, Callable[[WalRecord], None]]:
+        """Handlers (for ``replay(records=True)``) that rebuild the chains.
+
+        A delta must extend the record its chain currently ends with; one
+        that does not — a record is missing — raises :class:`StorageError`
+        rather than folding onto the wrong base.  The one legal base-less
+        delta is the terminal-status row :meth:`retire` kept: with
+        ``archived`` given, its status is recorded there and no chain (no
+        instance table) is restored.
+        """
+        self._chains.clear()
+
+        def on_head(record: WalRecord) -> None:
+            payload = record.payload
+            self._chains[payload["instance_id"]] = [
+                copy_snapshot(payload), [record.lsn]
+            ]
+
+        def on_delta(record: WalRecord) -> None:
+            payload = record.payload
+            instance_id = payload["instance_id"]
+            chain = self._chains.get(instance_id)
+            if chain is None:
+                status = InstanceStatus(payload.get("status", "running"))
+                if archived is None or status is InstanceStatus.RUNNING:
+                    raise StorageError(
+                        f"WAL chain broken at lsn {record.lsn}: delta of "
+                        f"instance {instance_id!r} extends lsn "
+                        f"{payload['base_lsn']}, which is not in the log"
+                    )
+                archived[instance_id] = status
+                return
+            base, lsns = chain
+            if payload["base_lsn"] != lsns[-1]:
+                raise StorageError(
+                    f"WAL chain broken at lsn {record.lsn}: delta of instance "
+                    f"{instance_id!r} extends lsn {payload['base_lsn']} but "
+                    f"the chain ends at lsn {lsns[-1]}"
+                )
+            apply_delta(base, payload)
+            lsns.append(record.lsn)
+
+        return {self._head_kind: on_head, self._delta_kind: on_delta}
+
+    def snapshots(self) -> Iterator[tuple[str, Mapping[str, Any]]]:
+        """``(instance id, snapshot last logged)`` per chain, oldest first."""
+        return ((iid, chain[0]) for iid, chain in self._chains.items())

@@ -9,10 +9,13 @@ The WFDB owns:
 
 * the **class table**: registered compiled schemas;
 * the **instance tables**: one :class:`~repro.storage.tables.InstanceState`
-  per live instance, snapshot-logged to the WAL on every transition so a
-  crashed engine recovers forward;
+  per live instance, logged to the WAL on every transition — a full
+  snapshot first, then what changed (:class:`~repro.storage.wal.
+  InstanceChains`) — so a crashed engine recovers forward;
 * the **instance summary**: id -> status, for WorkflowStatus queries and
-  for rejecting aborts of committed workflows.
+  for rejecting aborts of committed workflows.  Archiving an instance
+  retires its records from the log except the terminal one, which is the
+  summary row a recovered engine reads the status back from.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Iterator, Mapping
 from repro.errors import StorageError
 from repro.model.compiler import CompiledSchema
 from repro.storage.tables import InstanceState, InstanceStatus
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import InstanceChains, WriteAheadLog
 
 __all__ = ["WorkflowDatabase"]
 
@@ -32,6 +35,7 @@ class WorkflowDatabase:
 
     def __init__(self) -> None:
         self.wal = WriteAheadLog()
+        self._chains = InstanceChains(self.wal, "instance_snapshot", "instance_delta")
         self._classes: dict[str, CompiledSchema] = {}
         self._instances: dict[str, InstanceState] = {}
         self._summary: dict[str, InstanceStatus] = {}
@@ -93,8 +97,8 @@ class WorkflowDatabase:
         self.persist(state)
 
     def persist(self, state: InstanceState) -> None:
-        """Snapshot an instance to the WAL (the durability point)."""
-        self.wal.append("instance_snapshot", state.snapshot())
+        """Log an instance's state to the WAL (the durability point)."""
+        self._chains.persist(state)
 
     def archive(self, instance_id: str) -> None:
         """Drop a finished instance's table, keeping only the summary row.
@@ -106,6 +110,7 @@ class WorkflowDatabase:
         if status is InstanceStatus.RUNNING:
             raise StorageError(f"cannot archive running instance {instance_id!r}")
         self._instances.pop(instance_id, None)
+        self._chains.retire(instance_id, keep_status_row=True)
 
     # -- crash recovery -------------------------------------------------------------
 
@@ -114,18 +119,17 @@ class WorkflowDatabase:
 
         Returns the number of live instances restored.  Class definitions
         are code, not data — the engine re-registers them on restart, so
-        recovery only replays instance snapshots (latest snapshot wins).
+        recovery only folds each instance's chain (snapshot, then deltas in
+        lsn order); an archived instance comes back as its summary row.
+        Record checksums are verified — a corrupt log fails loudly.
         """
         self._instances.clear()
         self._summary.clear()
-        latest: dict[str, Mapping[str, Any]] = {}
-
-        def on_snapshot(payload: Mapping[str, Any]) -> None:
-            latest[payload["instance_id"]] = payload
-
-        self.wal.replay({"instance_snapshot": on_snapshot})
-        for instance_id, payload in latest.items():
-            state = InstanceState.from_snapshot(payload)
+        self.wal.replay(
+            self._chains.replay_handlers(self._summary), verify=True, records=True
+        )
+        for instance_id, snapshot in self._chains.snapshots():
+            state = InstanceState.from_snapshot(snapshot)
             self._instances[instance_id] = state
             self._summary[instance_id] = state.status
         return len(self._instances)

@@ -134,7 +134,92 @@ def test_replay_clone_is_equal_and_independent():
 def test_recover_detects_wal_corruption():
     db = make_db()
     db.set_summary("i1", InstanceStatus.RUNNING)
-    record = db.wal._records[-1]
+    record = list(db.wal)[-1]
     object.__setattr__(record, "payload", {"tampered": True})
     with pytest.raises(StorageError, match="checksum mismatch"):
         db.recover()
+
+
+def test_fragment_persists_append_deltas_and_recover_folds_them():
+    db = make_db()
+    fragment = db.ensure_fragment("W", "i1", {"x": 1})
+    db.persist_fragment(fragment)
+    fragment.events_snapshot = {"S1.D": [1.0, 0]}
+    fragment.known_invalidations["S2.D"] = 1
+    db.persist_fragment(fragment)
+    fragment.events_snapshot = {"S2.D": [2.0, 1], "S1.D": [1.0, 0]}  # replaced, reordered
+    db.persist_fragment(fragment)
+    assert [r.kind for r in db.wal] == [
+        "fragment_snapshot", "fragment_delta", "fragment_delta"]
+    assert list(db.wal)[-1].payload == {
+        "instance_id": "i1", "base_lsn": 2,
+        "events_snapshot": {"put": {"S2.D": [2.0, 1]}, "order": ["S2.D", "S1.D"]},
+    }
+    db.recover()
+    assert db.fragment("i1").snapshot() == fragment.snapshot()
+    assert list(db.fragment("i1").events_snapshot) == ["S2.D", "S1.D"]
+
+
+def test_recover_detects_a_corrupt_delta_and_a_broken_chain():
+    db = make_db()
+    fragment = db.ensure_fragment("W", "i1")
+    for value in range(3):
+        fragment.bind("S1.out", value)
+        db.persist_fragment(fragment)
+    clone = db.replay_clone()
+    object.__setattr__(list(db.wal)[1], "payload",
+                       {**list(db.wal)[1].payload, "data": {"put": {"S1.out": 7}}})
+    with pytest.raises(StorageError, match="lsn 2.*checksum mismatch"):
+        db.recover()
+    clone.wal.retire([2])
+    with pytest.raises(StorageError, match="chain broken at lsn 3"):
+        clone.recover()
+    clone.wal.retire([1])  # an agent log has no archived instances
+    with pytest.raises(StorageError, match="chain broken at lsn 3.*not in the log"):
+        clone.recover()
+
+
+def test_purge_record_names_only_new_ids_and_retires_what_it_purged():
+    """The record used to list every id ever purged, and nothing left the log."""
+    db = make_db()
+    for n in range(200):
+        instance_id = f"i{n}"
+        fragment = db.ensure_fragment("W", instance_id, {"x": n})
+        db.persist_fragment(fragment)
+        fragment.bind("S1.out", n)
+        db.persist_fragment(fragment)
+        db.set_summary(instance_id, InstanceStatus.COMMITTED)
+        db.set_tracker(instance_id, {"reported": {"S1": 1}, "finished": False})
+        db.set_tracker(instance_id, {"reported": {"S1": 1}, "finished": True})
+        db.purge_instances([instance_id])
+    purges = [r.payload for r in db.wal if r.kind == "purge"]
+    assert len(purges) == 200
+    assert purges[0] == {"instance_ids": ["i0"]}
+    assert purges[199] == {"instance_ids": ["i199"]}
+    assert {r.kind for r in db.wal} == {"purge", "summary"}
+    assert len(db.wal) == 400 and db.wal.appends == 1200
+    db.recover()
+    assert db.fragments() == () and db.recovered_tracker("i7") is None
+    assert all(db.was_purged(f"i{n}") for n in range(200))
+    assert db.summary("i7") is InstanceStatus.COMMITTED
+
+
+def test_unlogged_purge_ids_ride_on_the_next_purge_record():
+    db = make_db()
+    db.purge_instances(["ghost"])  # drops nothing: not logged
+    assert len(db.wal) == 0
+    db.persist_fragment(db.ensure_fragment("W", "i1"))
+    db.purge_instances(["i1", "ghost"])
+    assert list(db.wal)[-1].payload == {"instance_ids": ["ghost", "i1"]}
+    db.recover()
+    assert db.was_purged("ghost") and db.was_purged("i1")
+
+
+def test_only_the_latest_tracker_record_stays_in_the_log():
+    db = make_db()
+    for reported in range(5):
+        db.set_tracker("i1", {"reported": reported})
+    assert [r.payload["tracker"] for r in db.wal] == [{"reported": 4}]
+    db.recover()
+    db.set_tracker("i1", {"reported": 5})
+    assert [r.payload["tracker"] for r in db.wal] == [{"reported": 5}]

@@ -113,7 +113,7 @@ def test_corrupted_record_detected_by_verify_and_replay():
     wal.append("k", {"i": 0})
     wal.append("k", {"i": 1})
     # Corrupt the payload behind the checksum's back (bit rot).
-    object.__setattr__(wal._records[1], "payload", {"i": 999})
+    object.__setattr__(list(wal)[1], "payload", {"i": 999})
     with pytest.raises(StorageError, match="lsn 2.*checksum mismatch"):
         wal.verify()
     with pytest.raises(StorageError, match="checksum mismatch"):
@@ -129,3 +129,51 @@ def test_checksum_binds_lsn_and_kind_not_just_payload():
     assert not WalRecord(2, "a", {"v": 1}, checksum).verify()
     assert not WalRecord(1, "b", {"v": 1}, checksum).verify()
     assert WalRecord(1, "a", {"v": 1}, checksum).verify()
+
+
+def test_canonical_form_is_pinned():
+    """``service.wal`` files on disk carry these checksums: the canonical
+    form (sorted keys, ``str()`` for what JSON cannot hold) must not move.
+    Values computed before the encoder was hoisted to module level."""
+    from repro.storage.tables import InstanceStatus, StepStatus
+    from repro.storage.wal import record_checksum
+
+    assert record_checksum(
+        1, "summary", {"instance_id": "i1", "status": "running"}) == 3120731542
+    assert record_checksum(7, "tracker", {"instance_id": "wf-3", "tracker": {
+        "reported": {"S2": 1, "S1": 2}, "finished": False, "at": 12.5,
+        "note": "caf\u00e9", "none": None}}) == 1004099412
+    assert record_checksum(42, "instance_snapshot", {
+        "status": InstanceStatus.COMMITTED, "step": StepStatus.DONE,
+        "z": [1, 2.0, True], "a": {"k": (1, 2)}}) == 3463795946
+
+
+def test_retire_drops_records_by_lsn_and_keeps_the_order_of_the_rest():
+    wal = WriteAheadLog()
+    for i in range(5):
+        wal.append("k", {"i": i})
+    assert wal.retire([2, 4, 99]) == 2
+    assert [r.lsn for r in wal] == [1, 3, 5]
+    assert wal.last_lsn() == 5 and wal.verify() == 3
+    assert wal.append("k", {"i": 5}).lsn == 6
+    assert wal.appends == 6
+
+
+def test_load_copies_records_and_next_lsn():
+    wal = WriteAheadLog()
+    wal.append("k", {"i": 0})
+    wal.append("k", {"i": 1})
+    wal.retire([2])
+    other = WriteAheadLog()
+    other.load(wal)
+    assert [r.payload for r in other] == [{"i": 0}]
+    assert other.append("k", {}).lsn == 3
+    assert len(wal) == 1  # independent afterwards
+
+
+def test_replay_can_hand_over_whole_records():
+    wal = WriteAheadLog()
+    wal.append("k", {"i": 0})
+    seen = []
+    assert wal.replay({"k": seen.append}, records=True) == 1
+    assert [(r.lsn, r.kind, r.payload) for r in seen] == [(1, "k", {"i": 0})]

@@ -184,6 +184,35 @@ def test_relative_order_scan_stays_a_test_oracle():
     assert not violations, "\n".join(violations)
 
 
+def test_whole_snapshot_log_stays_a_test_oracle():
+    """The engine log appends what changed.  The one place in ``src/`` that
+    snapshots an instance for the log is ``InstanceChains.persist``; the
+    snapshot-per-persist log lives under ``tests/`` only, and the stores'
+    record checksum is computed inside ``WriteAheadLog.append``, always."""
+    violations = []
+    for module_path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(module_path.read_text(), filename=str(module_path))
+        where = module_path.relative_to(SRC)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SnapshotLog":
+                violations.append(f"{where}:{node.lineno} defines the snapshot oracle")
+    storage = SRC / "repro" / "storage"
+    for name in ("wfdb.py", "agdb.py"):
+        for node in ast.walk(ast.parse((storage / name).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "snapshot"):
+                violations.append(f"storage/{name}:{node.lineno} snapshots an instance")
+    wal = ast.parse((storage / "wal.py").read_text())
+    [log] = [n for n in wal.body if isinstance(n, ast.ClassDef) and n.name == "WriteAheadLog"]
+    [append] = [n for n in log.body if isinstance(n, ast.FunctionDef) and n.name == "append"]
+    checksummed = [
+        n for n in ast.walk(append)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "record_checksum"
+    ]
+    assert checksummed, "WriteAheadLog.append no longer checksums at append"
+    assert not violations, "\n".join(violations)
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
