@@ -12,7 +12,9 @@ than merely *wrong* (protocol-order violations live in
 :mod:`repro.analysis.invariants`):
 
 * **orphan links / parents** — a span referencing a span id that is not
-  in the trace (lost export, capacity drop, or a propagation bug);
+  in the trace (lost export or a propagation bug) — except an id older
+  than the oldest span of a trace whose ``meta`` line says its ring
+  evicted spans: that span was recorded and has since left the window;
 * **unlinked receives** — a recv message span with no link at all, i.e.
   a packet whose sender-side span was never stamped;
 * **lost packets** — a send message span whose ``msg_id`` never shows up
@@ -106,10 +108,18 @@ class PhaseLatency:
 class CausalTrace:
     """A reconstructed run: spans, records, and the causal link mesh."""
 
-    def __init__(self, spans: Iterable[SpanRow], records: Iterable[RecordRow]):
+    def __init__(
+        self,
+        spans: Iterable[SpanRow],
+        records: Iterable[RecordRow],
+        evicted_spans: int = 0,
+    ):
         self.spans = sorted(spans, key=lambda s: (s.start, s.span_id))
         self.records = sorted(records, key=lambda r: r.time)
         self.by_id: dict[int, SpanRow] = {s.span_id: s for s in self.spans}
+        #: How many spans the exporting tracer's ring had evicted (oldest
+        #: first, so exactly the ids below the oldest one present).
+        self.evicted_spans = evicted_spans
 
     # -- construction --------------------------------------------------------
 
@@ -118,6 +128,7 @@ class CausalTrace:
         """Parse the output of :func:`repro.obs.export.trace_to_jsonl`."""
         spans: list[SpanRow] = []
         records: list[RecordRow] = []
+        evicted_spans = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -150,13 +161,14 @@ class CausalTrace:
                 ))
             elif kind == "meta":
                 # Trailing provenance line (dropped-record accounting);
-                # carries no events, so the analyzer skips it.
-                continue
+                # carries no events.
+                if row.get("drop_policy") == "oldest":
+                    evicted_spans = row.get("dropped_spans", 0)
             else:
                 raise CrewError(
                     f"trace line {lineno} has unknown type {kind!r}"
                 )
-        return cls(spans, records)
+        return cls(spans, records, evicted_spans)
 
     @classmethod
     def from_run(
@@ -294,15 +306,22 @@ class CausalTrace:
     def anomalies(self) -> list[Anomaly]:
         """Broken-causality findings across the whole trace."""
         out: list[Anomaly] = []
+        # Ids below the oldest span present were evicted, not lost.
+        oldest = min(self.by_id, default=0) if self.evicted_spans else 0
+
+        def missing(span_id: int | None) -> bool:
+            return (span_id is not None and span_id >= oldest
+                    and span_id not in self.by_id)
+
         for span in self.spans:
-            if span.link_id is not None and span.link_id not in self.by_id:
+            if missing(span.link_id):
                 out.append(Anomaly(
                     "orphan-link",
                     f"span #{span.span_id} ({span.name} @{span.node}) links "
                     f"to missing span #{span.link_id}",
                     span.span_id,
                 ))
-            if span.parent_id is not None and span.parent_id not in self.by_id:
+            if missing(span.parent_id):
                 out.append(Anomaly(
                     "orphan-parent",
                     f"span #{span.span_id} ({span.name} @{span.node}) has "

@@ -313,7 +313,7 @@ def cmd_scenario(args) -> int:
 def cmd_trace(args) -> int:
     system, __ = _run_scenario(args)
     system.tracer.finish(system.simulator.now)
-    drops = system.trace.drop_summary() if system.trace is not None else None
+    drops = system.trace.drop_summary(system.tracer.dropped)
     if drops is not None:
         print(f"warning: {drops}", file=sys.stderr)
     nodes = set(args.node) if args.node else None
@@ -621,7 +621,7 @@ def cmd_serve(args) -> int:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
-    drops = service.system.trace.drop_summary()
+    drops = service.system.trace.drop_summary(service.system.tracer.dropped)
     if drops is not None:
         print(f"warning: {drops} during serve", file=sys.stderr)
     return 0
@@ -1011,8 +1011,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable /metrics, /debug/trace and "
                             "/debug/profile (bare throughput mode)")
     serve.add_argument("--trace-capacity", type=int, default=200_000,
-                       help="trace ring-buffer size in records (oldest "
-                            "evicted; drops reported at shutdown)")
+                       help="trace ring-buffer size, in records and in "
+                            "spans (oldest evicted; drops reported at "
+                            "shutdown)")
     serve.add_argument("--log-out", default="-", metavar="FILE",
                        help="structured NDJSON log destination: '-' = "
                             "stderr (default), 'off' = disabled, else "

@@ -318,7 +318,10 @@ class ControlSystem:
         )
         # Observability: the span tracer and metrics registry follow the
         # single `trace` switch so benchmark runs stay un-instrumented.
-        self.tracer = Tracer(trace=self.trace, enabled=self.config.trace)
+        self.tracer = Tracer(
+            trace=self.trace, enabled=self.config.trace,
+            capacity=self.config.trace_capacity, ring=self.config.trace_ring,
+        )
         self.registry = MetricsRegistry()
         if self.config.trace:
             self.network.registry = self.registry
@@ -480,11 +483,11 @@ class ControlSystem:
         if not self.tracer.enabled:
             return NULL_SPAN
         parent = self._recovery_spans.get(instance_id)
-        if parent is None or not parent.open:
-            parent = self.workflow_span(instance_id)
-        return self.tracer.start(
-            f"{instance_id}/{step}", "step", node, now, parent=parent,
-            instance=instance_id, step=step, **attrs,
+        if parent is None or parent.end is not None:
+            parent = self._workflow_spans.get(instance_id)
+        return self.tracer.add(
+            f"{instance_id}/{step}", "step", node, now, None, parent, None,
+            {"instance": instance_id, "step": step, **attrs},
         )
 
     def obs_step_finished(self, span: Span, now: float, **attrs: Any) -> None:
@@ -497,7 +500,7 @@ class ControlSystem:
             "Step dispatch-to-result latency in simulated time units.",
             buckets=STEP_LATENCY_BUCKETS,
             architecture=self.architecture,
-        ).observe(span.duration)
+        ).observe(now - span.start)
 
     def obs_step_done(self, instance_id: str, step: str, now: float) -> None:
         """A step completed successfully; closes a recovery episode whose
@@ -573,11 +576,11 @@ class ControlSystem:
         """Instant coordination-round span plus the per-op counter."""
         if not self.tracer.enabled:
             return
-        parent = (self.workflow_span(instance_id)
+        parent = (self._workflow_spans.get(instance_id)
                   if instance_id is not None else None)
-        self.tracer.instant(
-            f"coord:{op}", "coordination", node, now, parent=parent,
-            spec=spec_name or "-", **attrs,
+        self.tracer.add(
+            f"coord:{op}", "coordination", node, now, now, parent, None,
+            {"spec": spec_name or "-", **attrs},
         )
         self.registry.counter(
             "crew_coordination_ops_total", "Coordination operations performed.",
@@ -604,10 +607,12 @@ class ControlSystem:
         def hook(rule: Any, engine: Any) -> None:
             fired.inc()
             depth.observe(engine.pending_count())
-            self.tracer.instant(
-                f"rule:{rule.rule_id}", "rule", node, self.simulator.now,
-                parent=self.workflow_span(instance_id),
-                instance=instance_id, step=rule.step, kind=rule.kind,
+            now = self.simulator.now
+            self.tracer.add(
+                f"rule:{rule.rule_id}", "rule", node, now, now,
+                self._workflow_spans.get(instance_id), None,
+                {"instance": instance_id, "step": rule.step,
+                 "kind": rule.kind},
             )
 
         return hook
@@ -685,6 +690,12 @@ class ControlSystem:
             self.registry.gauge(
                 "crew_trace_dropped_records", "Trace records lost to capacity.",
             ).set(self.trace.dropped)
+            if self.tracer.dropped:
+                # Beside the record gauge, but only once there is a loss:
+                # a run that fits exports the families it always did.
+                self.registry.gauge(
+                    "crew_trace_dropped_spans", "Spans lost to capacity.",
+                ).set(self.tracer.dropped)
         return fired
 
     def new_instance_id(self, schema_name: str) -> str:
@@ -749,6 +760,12 @@ class ControlSystem:
             self.metrics.instances_aborted += 1
         if self.on_outcome is not None:
             self.on_outcome(outcome)
+        # A terminal instance runs no more programs.  Not earlier: a step
+        # re-executed after a rollback continues the stream it drew from.
+        self.rng.retire(
+            f"prog:{instance_id}:{step}"
+            for step in self.schemas[schema_name].schema.steps
+        )
         if not self.tracer.enabled:
             return
         self._obs_end_recovery(instance_id, now, resolved=status.name.lower())

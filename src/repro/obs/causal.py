@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.spans import Span, Tracer
+from repro.obs.spans import Tracer
 from repro.runtime.metrics import Mechanism
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,6 +38,16 @@ class MessageTracer:
 
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
+        #: interface -> its ("send:<interface>", "recv:<interface>") span
+        #: names, so the spans of one interface share two strings.
+        self._names: dict[str, tuple[str, str]] = {}
+
+    def _span_names(self, interface: str) -> tuple[str, str]:
+        names = self._names.get(interface)
+        if names is None:
+            names = self._names[interface] = (f"send:{interface}",
+                                              f"recv:{interface}")
+        return names
 
     def on_send(
         self,
@@ -51,46 +61,31 @@ class MessageTracer:
         now: float,
     ) -> int | None:
         """Record the sender-side message span; returns its id (or None)."""
-        if not self.tracer.enabled:
+        tracer = self.tracer
+        if not tracer.enabled:
             return None
-        link = src_node.current_span
-        if link is not None and link.is_null:
-            link = None
-        attrs: dict[str, Any] = {
-            "msg_id": msg_id,
-            "src": src_node.name,
-            "dst": dst,
-            "mechanism": mechanism.value,
-            "lamport": lamport,
-            "direction": "send",
-        }
-        instance = payload.get("instance_id")
-        if instance is not None:
-            attrs["instance"] = instance
-        span = self.tracer.instant(
-            f"send:{interface}", "message", src_node.name, now,
-            link=link, **attrs,
+        src = src_node.name
+        return tracer.message(
+            self._span_names(interface)[0], src, now, src_node.current_span,
+            msg_id, src, dst, mechanism.value, lamport, "send",
+            payload.get("instance_id"),
         )
-        return None if span.is_null else span.span_id
 
-    def on_receive(self, node: "Node", message: "Message") -> Span:
+    def on_receive(self, node: "Node", message: "Message") -> int | None:
         """Record the receiver-side message span, linked to the send span.
 
+        Returns its id — what the node keeps as ``current_span`` while it
+        handles the message, the link of whatever it sends meanwhile.
         Called *after* the node merged its Lamport clock, so the recorded
         ``lamport`` is the post-merge value (always > the send side's).
         """
-        attrs: dict[str, Any] = {
-            "msg_id": message.msg_id,
-            "src": message.src,
-            "dst": node.name,
-            "mechanism": message.mechanism.value,
-            "lamport": node.lamport_clock,
-            "direction": "recv",
-        }
-        instance = message.payload.get("instance_id")
-        if instance is not None:
-            attrs["instance"] = instance
-        return self.tracer.instant(
-            f"recv:{message.interface}", "message", node.name,
-            node.simulator.now, link=message.send_span, **attrs,
+        tracer = self.tracer
+        if not tracer.enabled:
+            return None
+        dst = node.name
+        return tracer.message(
+            self._span_names(message.interface)[1], dst, node.simulator.now,
+            message.send_span, message.msg_id, message.src, dst,
+            message.mechanism.value, node.lamport_clock, "recv",
+            message.payload.get("instance_id"),
         )

@@ -106,16 +106,35 @@ def trace_to_jsonl(
             order += 1
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [json.dumps(row, sort_keys=True) for __, ___, row in rows]
-    if trace is not None and trace.dropped:
+    meta = _drop_metadata(trace, tracer)
+    if meta is not None:
         # A truncated trace must say so in-band: one trailing meta line
         # so downstream consumers can detect the loss.
-        lines.append(json.dumps({
-            "type": "meta",
-            "dropped_records": trace.dropped,
-            "drop_policy": "oldest" if trace.ring else "newest",
-            "capacity": trace.capacity,
-        }, sort_keys=True))
+        lines.append(json.dumps({"type": "meta", **meta}, sort_keys=True))
     return "\n".join(lines)
+
+
+def _drop_metadata(
+    trace: Trace | None, tracer: Tracer | None
+) -> dict[str, Any] | None:
+    """What capacity cost the export, or ``None`` when it is complete.
+
+    A system's tracer shares its trace's capacity and policy, so one pair
+    describes both; ``dropped_spans`` appears only when spans were lost.
+    """
+    records = trace.dropped if trace is not None else 0
+    spans = tracer.dropped if tracer is not None else 0
+    if not records and not spans:
+        return None
+    ring = trace if records else tracer
+    meta = {
+        "dropped_records": records,
+        "drop_policy": "oldest" if ring.ring else "newest",
+        "capacity": ring.capacity,
+    }
+    if spans:
+        meta["dropped_spans"] = spans
+    return meta
 
 
 # -- Chrome trace-event format --------------------------------------------
@@ -168,8 +187,9 @@ def chrome_trace(
     exported: dict[int, Any] = {}
     by_id: dict[int, Any] = {}
     if tracer is not None:
-        by_id = {s.span_id: s for s in tracer}
-        for span in tracer:
+        spans = tracer.spans
+        by_id = {s.span_id: s for s in spans}
+        for span in spans:
             if span.end is None and open_span_end is None:
                 continue
             if nodes is not None and span.node not in nodes:
@@ -236,12 +256,9 @@ def chrome_trace(
                 "args": _safe_attrs(dict(rec.detail)),
             })
     document: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if trace is not None and trace.dropped:
-        document["metadata"] = {
-            "dropped_records": trace.dropped,
-            "drop_policy": "oldest" if trace.ring else "newest",
-            "capacity": trace.capacity,
-        }
+    meta = _drop_metadata(trace, tracer)
+    if meta is not None:
+        document["metadata"] = meta
     return document
 
 

@@ -40,6 +40,10 @@ __all__ = ["LEVELS", "StructuredLogger", "correlation_fields", "open_log_stream"
 #: Severity order; records below the logger's threshold are discarded.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
+#: One line's encoder, built once: ``json.dumps`` with these arguments
+#: constructs an identical encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
 
 def correlation_fields(detail: Any) -> dict[str, Any]:
     """Extract the correlation trio from a mapping (trace-record detail).
@@ -120,9 +124,7 @@ class StructuredLogger:
             self._sink(record)
         if self.stream is not None:
             try:
-                self.stream.write(
-                    json.dumps(record, sort_keys=True, default=str) + "\n"
-                )
+                self.stream.write(_encode(record) + "\n")
                 self.stream.flush()
             except (ValueError, OSError):  # pragma: no cover - closed stream
                 pass

@@ -16,9 +16,13 @@ Each frame accumulates call count, cumulative and self wall time
 (``perf_counter_ns``), and *simulated* time — kernel event frames are
 credited with the simulation-clock advance they caused, so the profile
 answers both "where does wall time go" and "where does simulated time
-go".  The profiler also keeps collapsed call paths (flamegraph format),
-periodic samples for Chrome counter tracks, and transport/queue-depth
-counters, and can publish everything into a
+go".  The frames live in a call tree: ``push`` steps to the child of the
+current frame with that name and ``pop`` adds the elapsed time to it, so
+the per-name table (:class:`FrameStat`) and the collapsed call paths
+(flamegraph format) are both folded from the tree when they are read,
+not maintained per call.  The profiler also keeps a window of periodic
+samples for Chrome counter tracks and transport/queue-depth counters,
+and can publish everything into a
 :class:`~repro.obs.registry.MetricsRegistry` for the Prometheus exporter.
 
 One profiler may be installed across several systems in sequence (a full
@@ -28,8 +32,9 @@ sweep); frames simply accumulate.
 from __future__ import annotations
 
 import functools
-import time
-from typing import Any, Callable
+from collections import deque
+from time import perf_counter_ns
+from typing import Any, Callable, Iterator
 
 from repro.obs.export import US_PER_TIME_UNIT
 from repro.obs.registry import MetricsRegistry
@@ -40,6 +45,10 @@ except ImportError:  # pragma: no cover
     _resource = None
 
 __all__ = ["EVENT_FRAMES", "FrameStat", "Profiler", "peak_rss_kb", "profiled"]
+
+#: Counter-track samples kept (the newest); one is taken every
+#: ``sample_interval`` kernel events.
+SAMPLE_WINDOW = 16_384
 
 
 def profiled(frame_name: str) -> Callable:
@@ -126,6 +135,29 @@ class FrameStat:
                 f"self={self.self_ms:.1f}ms>")
 
 
+class _Frame:
+    """One call-tree node: a frame name under one particular caller path.
+
+    A node is live at most once at a time (the live stack is one root-to-
+    node path), so the running activation's ``start_ns`` / ``child_ns``
+    sit on the node itself.
+    """
+
+    __slots__ = ("name", "parent", "children", "calls", "cum_ns", "self_ns",
+                 "sim_units", "start_ns", "child_ns")
+
+    def __init__(self, name: str, parent: "_Frame | None"):
+        self.name = name
+        self.parent = parent
+        self.children: dict[str, _Frame] = {}
+        self.calls = 0
+        self.cum_ns = 0
+        self.self_ns = 0
+        self.sim_units = 0.0
+        self.start_ns = 0
+        self.child_ns = 0
+
+
 class Profiler:
     """Low-overhead push/pop frame profiler for the simulation stack.
 
@@ -140,55 +172,62 @@ class Profiler:
     def __init__(self, sample_interval: int = 256):
         if sample_interval < 1:
             raise ValueError("sample_interval must be >= 1")
-        self._stats: dict[str, FrameStat] = {}
-        #: Live stack entries: ``[stat, start_ns, child_ns, path]``.
-        self._stack: list[list[Any]] = []
-        self._path_cache: dict[tuple[str, str], str] = {}
-        self._collapsed: dict[str, int] = {}
+        #: Call-tree root (never a frame itself) and the innermost live
+        #: frame — the root again whenever the stack is balanced.
+        self._root = _Frame("", None)
+        self._top = self._root
+        #: Frame names in first-push order (the rank of equal self times).
+        self._order: list[str] = []
         #: Action -> frame-name cache keyed by code object (shared across
         #: closure instances, so the cache stays bounded).
         self._names: dict[Any, str] = {}
         self._sample_interval = sample_interval
-        self._born_ns = time.perf_counter_ns()
+        self._born_ns = perf_counter_ns()
         self.events = 0
         self.messages = 0
         self.max_queue_depth = 0
         #: ``(wall_ns, sim_time, events, messages, queue_depth)`` every
-        #: ``sample_interval`` events — the Chrome counter-track source.
-        self.samples: list[tuple[int, float, int, int, int]] = []
+        #: ``sample_interval`` events, newest :data:`SAMPLE_WINDOW` kept —
+        #: the Chrome counter-track source.
+        self.samples: deque[tuple[int, float, int, int, int]] = deque(
+            maxlen=SAMPLE_WINDOW)
 
     # -- frame stack -------------------------------------------------------
 
     def push(self, name: str, sim_units: float = 0.0) -> None:
         """Enter a named frame (must be balanced by :meth:`pop`)."""
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = self._stats[name] = FrameStat(name)
-        stat.calls += 1
-        stat.sim_units += sim_units
-        if self._stack:
-            key = (self._stack[-1][3], name)
-            path = self._path_cache.get(key)
-            if path is None:
-                path = self._path_cache[key] = key[0] + ";" + name
-        else:
-            path = name
-        self._stack.append([stat, time.perf_counter_ns(), 0, path])
+        top = self._top
+        frame = top.children.get(name)
+        if frame is None:
+            frame = top.children[name] = _Frame(name, top)
+            if name not in self._order:
+                self._order.append(name)
+        frame.calls += 1
+        frame.sim_units += sim_units
+        frame.child_ns = 0
+        self._top = frame
+        frame.start_ns = perf_counter_ns()
 
     def pop(self) -> None:
         """Leave the innermost frame, attributing self/cumulative time."""
-        stat, start_ns, child_ns, path = self._stack.pop()
-        elapsed = time.perf_counter_ns() - start_ns
-        own = elapsed - child_ns
-        stat.cum_ns += elapsed
-        stat.self_ns += own
-        self._collapsed[path] = self._collapsed.get(path, 0) + own
-        if self._stack:
-            self._stack[-1][2] += elapsed
+        frame = self._top
+        elapsed = perf_counter_ns() - frame.start_ns
+        parent = frame.parent
+        if parent is None:
+            raise IndexError("pop from an empty frame stack")
+        frame.cum_ns += elapsed
+        frame.self_ns += elapsed - frame.child_ns
+        parent.child_ns += elapsed
+        self._top = parent
 
     def depth(self) -> int:
         """Current live frame depth (0 when balanced — test hook)."""
-        return len(self._stack)
+        depth = 0
+        frame = self._top
+        while frame.parent is not None:
+            depth += 1
+            frame = frame.parent
+        return depth
 
     # -- kernel hooks ------------------------------------------------------
 
@@ -206,7 +245,7 @@ class Profiler:
             self.max_queue_depth = queue_depth
         if self.events % self._sample_interval == 0:
             self.samples.append((
-                time.perf_counter_ns() - self._born_ns, now,
+                perf_counter_ns() - self._born_ns, now,
                 self.events, self.messages, queue_depth,
             ))
         func = getattr(action, "__func__", action)
@@ -222,9 +261,8 @@ class Profiler:
             self._names[key] = name
         self.push(name, sim_dt)
 
-    def end_event(self) -> None:
-        """Kernel hook: the event that :meth:`begin_event` opened is done."""
-        self.pop()
+    #: Kernel hook: the event that :meth:`begin_event` opened is done.
+    end_event = pop
 
     # -- installation ------------------------------------------------------
 
@@ -251,19 +289,39 @@ class Profiler:
 
     # -- reporting ---------------------------------------------------------
 
+    def _walk(self) -> Iterator[tuple[str, _Frame]]:
+        """Every call-tree node with its ``;``-joined path from the root."""
+        pending = list(self._root.children.items())
+        while pending:
+            path, frame = pending.pop()
+            yield path, frame
+            pending.extend((f"{path};{name}", child)
+                           for name, child in frame.children.items())
+
+    def _fold(self) -> dict[str, FrameStat]:
+        """The per-name frame table: each name summed over its tree nodes."""
+        stats = {name: FrameStat(name) for name in self._order}
+        for __, frame in self._walk():
+            stat = stats[frame.name]
+            stat.calls += frame.calls
+            stat.cum_ns += frame.cum_ns
+            stat.self_ns += frame.self_ns
+            stat.sim_units += frame.sim_units
+        return stats
+
     def top_frames(self, limit: int | None = None) -> list[FrameStat]:
         """Frames ranked by self wall time, hottest first."""
-        ranked = sorted(self._stats.values(),
+        ranked = sorted(self._fold().values(),
                         key=lambda s: s.self_ns, reverse=True)
         return ranked if limit is None else ranked[:limit]
 
     def total_wall_ns(self) -> int:
         """Total attributed wall time (sum of all frames' self time)."""
-        return sum(s.self_ns for s in self._stats.values())
+        return sum(frame.self_ns for __, frame in self._walk())
 
     def render_top(self, limit: int = 15) -> str:
         """Ranked top-frames table (plain text)."""
-        total_self = sum(s.self_ns for s in self._stats.values()) or 1
+        total_self = self.total_wall_ns() or 1
         header = (f"{'frame':<28} {'calls':>9} {'self ms':>10} "
                   f"{'cum ms':>10} {'self %':>7} {'sim units':>11}")
         lines = [header, "-" * len(header)]
@@ -273,7 +331,7 @@ class Profiler:
                 f"{stat.cum_ms:>10.2f} {100 * stat.self_ns / total_self:>6.1f}% "
                 f"{stat.sim_units:>11.1f}"
             )
-        remaining = len(self._stats) - limit
+        remaining = len(self._order) - limit
         if remaining > 0:
             lines.append(f"... ({remaining} more frames)")
         return "\n".join(lines)
@@ -285,9 +343,9 @@ class Profiler:
         microseconds of self time — feed directly to ``flamegraph.pl``
         or speedscope.
         """
-        lines = [f"{path} {max(ns // 1000, 1)}"
-                 for path, ns in sorted(self._collapsed.items())
-                 if ns > 0]
+        lines = [f"{path} {max(frame.self_ns // 1000, 1)}"
+                 for path, frame in sorted(self._walk(), key=lambda row: row[0])
+                 if frame.self_ns > 0]
         return "\n".join(lines)
 
     def chrome_counter_events(self) -> list[dict[str, Any]]:
@@ -378,5 +436,5 @@ class Profiler:
             ).set(self.messages / self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Profiler frames={len(self._stats)} events={self.events} "
-                f"depth={len(self._stack)}>")
+        return (f"<Profiler frames={len(self._order)} events={self.events} "
+                f"depth={self.depth()}>")

@@ -158,14 +158,18 @@ class MetricsRegistry:
         self._families: dict[str, tuple[str, str, tuple[float, ...] | None]] = {}
         #: (family name, label key) -> instrument
         self._children: dict[tuple[str, LabelKey], Any] = {}
+        #: (kind, name, help, buckets, *labels as passed) -> instrument: a
+        #: repeated look-up is answered here, ahead of validation and
+        #: label normalisation.
+        self._memo: dict[tuple, Any] = {}
 
     # -- instrument accessors ------------------------------------------------
 
     def counter(self, name: str, help: str = "", **labels: Any) -> CounterMetric:
-        return self._child(name, "counter", help, None, labels)
+        return self._instrument("counter", name, help, None, labels)
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> GaugeMetric:
-        return self._child(name, "gauge", help, None, labels)
+        return self._instrument("gauge", name, help, None, labels)
 
     def histogram(
         self,
@@ -174,10 +178,35 @@ class MetricsRegistry:
         buckets: Iterable[float] | None = None,
         **labels: Any,
     ) -> HistogramMetric:
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if any(later <= earlier for later, earlier in zip(bounds[1:], bounds)):
-            raise ValueError(f"histogram buckets must be strictly increasing: {bounds}")
-        return self._child(name, "histogram", help, bounds, labels)
+        return self._instrument("histogram", name, help, buckets, labels)
+
+    def _instrument(
+        self,
+        kind: str,
+        name: str,
+        help: str,
+        buckets: Iterable[float] | None,
+        labels: dict[str, Any],
+    ) -> Any:
+        try:
+            key: tuple | None = (kind, name, help, buckets, *labels.items())
+            child = self._memo.get(key)
+        except TypeError:  # unhashable buckets or label value
+            key = child = None
+        if child is not None:
+            return child
+        bounds = None
+        if kind == "histogram":
+            bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
+            if any(later <= earlier for later, earlier in zip(bounds[1:], bounds)):
+                raise ValueError(
+                    f"histogram buckets must be strictly increasing: {bounds}")
+        child = self._child(name, kind, help, bounds, labels)
+        # Only labels already in exposition form are memoised: 1, 1.0 and
+        # True are one dict key but three label values.
+        if key is not None and all(type(v) is str for v in labels.values()):
+            self._memo[key] = child
+        return child
 
     def _child(
         self,

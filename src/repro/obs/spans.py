@@ -30,11 +30,25 @@ the span *tree* stays per-node while the link mesh spans the deployment.
 
 The tracer is deliberately cheap when disabled: :meth:`Tracer.start`
 returns the shared :data:`NULL_SPAN` and every other operation is a no-op,
-so hot paths can call it unconditionally.
+so hot paths can call it unconditionally.  Enabled, a span costs one
+:class:`Span` and the attrs dict its caller built: :meth:`Tracer.add` is
+the one construction path, and ``start`` / ``instant`` hand it their
+attrs without a copy.  A message span — two per physical message, most of
+what a run records — costs less still: :meth:`Tracer.message` keeps it as
+one flat tuple of its fields, and it becomes a :class:`Span` only when
+somebody reads ``tracer.spans``.
+
+The tracer keeps what fits: under a ``capacity`` it obeys the same policy
+as the flat :class:`~repro.runtime.trace.Trace` — newest spans dropped
+when full, or with ``ring=True`` the oldest evicted — and counts the loss
+in ``dropped``.  Span ids are allocated in creation order and a ring
+evicts in that order, so a ``parent_id`` / ``link_id`` older than the
+oldest retained span names an evicted span, not a broken chain.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -69,6 +83,7 @@ class Span:
         parent_id: int | None = None,
         attrs: dict[str, Any] | None = None,
         link_id: int | None = None,
+        end: float | None = None,
     ):
         self.span_id = span_id
         self.parent_id = parent_id
@@ -77,7 +92,7 @@ class Span:
         self.category = category
         self.node = node
         self.start = start
-        self.end: float | None = None
+        self.end = end
         self.attrs: dict[str, Any] = attrs if attrs is not None else {}
 
     @property
@@ -119,6 +134,21 @@ class _NullSpan(Span):
 
 NULL_SPAN = _NullSpan()
 
+#: Attr keys of a message span, in export order, behind the five span
+#: fields ``(span_id, name, node, time, link_id)`` of a message row.
+_MESSAGE_ATTRS = ("msg_id", "src", "dst", "mechanism", "lamport", "direction",
+                  "instance")
+
+
+def _message_span(row: tuple) -> Span:
+    """The :class:`Span` a :meth:`Tracer.message` row stands for."""
+    span_id, name, node, time, link_id = row[:5]
+    attrs = dict(zip(_MESSAGE_ATTRS, row[5:]))
+    if attrs["instance"] is None:
+        del attrs["instance"]
+    return Span(span_id, name, "message", node, time, None, attrs, link_id,
+                time)
+
 
 class Tracer:
     """Factory and registry for spans, layered over the flat trace.
@@ -129,15 +159,68 @@ class Tracer:
     both views.  ``tracer.trace`` keeps the association explicit.
     """
 
-    def __init__(self, trace: Trace | None = None, enabled: bool = True):
+    def __init__(
+        self,
+        trace: Trace | None = None,
+        enabled: bool = True,
+        capacity: int | None = None,
+        ring: bool = False,
+    ):
         self.enabled = enabled
         self.trace = trace
-        self.spans: list[Span] = []
+        self.capacity = capacity
+        self.ring = ring
+        #: Retained spans in id order: a :class:`Span`, or the flat row
+        #: of a message span (see :func:`_message_span`).
+        self._rows: deque[Span | tuple] | list[Span | tuple]
+        if ring and capacity is not None:
+            self._rows = deque(maxlen=capacity)
+        else:
+            self._rows = []
+        #: Spans lost to ``capacity`` (evicted oldest-first in ring mode,
+        #: otherwise never retained).
+        self.dropped = 0
         self._next_id = 1
-        #: open children per parent span id, for end-time clamping.
+        #: Still-open children per open parent span id, for end-time
+        #: clamping.  Spans born closed never enter it.
         self._open_children: dict[int, list[Span]] = {}
 
     # -- span lifecycle ------------------------------------------------------
+
+    def add(
+        self,
+        name: str,
+        category: str,
+        node: str,
+        start: float,
+        end: float | None,
+        parent: Span | None,
+        link: "Span | int | None",
+        attrs: dict[str, Any],
+    ) -> Span:
+        """Record one span; ``attrs`` becomes the span's own dict.
+
+        The single construction path behind :meth:`start` (``end=None``)
+        and :meth:`instant` (``end=start``: born closed).  The tracer
+        must be enabled — the callers above gate on it.
+        """
+        parent_id = None
+        if parent is not None and not parent.is_null:
+            parent_id = parent.span_id
+        if isinstance(link, Span):
+            link = None if link.is_null else link.span_id
+        span = Span(self._next_id, name, category, node, start, parent_id,
+                    attrs, link, end)
+        self._next_id += 1
+        if end is None and parent_id is not None and parent.end is None:
+            self._open_children.setdefault(parent_id, []).append(span)
+        if self.capacity is not None and len(self._rows) >= self.capacity:
+            self.dropped += 1
+            if not self.ring:
+                return span
+            # deque(maxlen=...) evicts the oldest span on append.
+        self._rows.append(span)
+        return span
 
     def start(
         self,
@@ -156,22 +239,7 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        parent_id = None
-        if parent is not None and not parent.is_null:
-            parent_id = parent.span_id
-        link_id: int | None
-        if isinstance(link, Span):
-            link_id = None if link.is_null else link.span_id
-        else:
-            link_id = link
-        span = Span(self._next_id, name, category, node, time,
-                    parent_id=parent_id, attrs=dict(attrs) if attrs else None,
-                    link_id=link_id)
-        self._next_id += 1
-        self.spans.append(span)
-        if parent_id is not None:
-            self._open_children.setdefault(parent_id, []).append(span)
-        return span
+        return self.add(name, category, node, time, None, parent, link, attrs)
 
     def end(self, span: Span, time: float, **attrs: Any) -> None:
         """Close ``span`` at ``time``; auto-closes open descendants first.
@@ -200,16 +268,47 @@ class Tracer:
         **attrs: Any,
     ) -> Span:
         """A zero-duration span (rendered as an instant event)."""
-        span = self.start(name, category, node, time, parent=parent,
-                          link=link, **attrs)
-        self.end(span, time)
-        return span
+        if not self.enabled:
+            return NULL_SPAN
+        return self.add(name, category, node, time, time, parent, link, attrs)
+
+    def message(
+        self,
+        name: str,
+        node: str,
+        time: float,
+        link: "Span | int | None",
+        msg_id: int,
+        src: str,
+        dst: str,
+        mechanism: str,
+        lamport: int,
+        direction: str,
+        instance: str | None,
+    ) -> int:
+        """Record one message instant; returns its span id.
+
+        Reads as ``instant(name, "message", node, time, link=link,
+        msg_id=..., ..., direction=...[, instance=...])`` would; the
+        tracer must be enabled.
+        """
+        if link is not None and link.__class__ is not int:
+            link = None if link.is_null else link.span_id
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        if self.capacity is not None and len(self._rows) >= self.capacity:
+            self.dropped += 1
+            if not self.ring:
+                return span_id
+        self._rows.append((span_id, name, node, time, link, msg_id, src, dst,
+                           mechanism, lamport, direction, instance))
+        return span_id
 
     def finish(self, time: float) -> int:
         """Close every still-open span at ``time``; returns how many."""
         closed = 0
-        for span in self.spans:
-            if span.end is None:
+        for span in self._rows:
+            if span.__class__ is Span and span.end is None:
                 self.end(span, time, auto_closed=True)
                 closed += 1
         self._open_children.clear()
@@ -217,11 +316,17 @@ class Tracer:
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def spans(self) -> list[Span]:
+        """The retained spans, oldest first (a fresh list per read)."""
+        return [row if row.__class__ is Span else _message_span(row)
+                for row in self._rows]
+
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._rows)
 
     def by_category(self, category: str) -> list[Span]:
         return [s for s in self.spans if s.category == category]
@@ -240,15 +345,17 @@ class Tracer:
 
     def check_nesting(self) -> list[str]:
         """Violations of the parent/child interval invariant (for tests)."""
-        by_id = {s.span_id: s for s in self.spans}
+        spans = self.spans
+        by_id = {s.span_id: s for s in spans}
         problems = []
-        for span in self.spans:
+        for span in spans:
             if span.parent_id is None:
                 continue
             parent = by_id.get(span.parent_id)
             if parent is None:
-                problems.append(f"span #{span.span_id} has unknown parent")
-                continue
+                if span.parent_id > spans[0].span_id:
+                    problems.append(f"span #{span.span_id} has unknown parent")
+                continue  # older than the oldest retained span: evicted
             if span.start < parent.start:
                 problems.append(
                     f"span #{span.span_id} starts before parent #{parent.span_id}"
@@ -262,4 +369,4 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
-        return f"<Tracer {state} spans={len(self.spans)}>"
+        return f"<Tracer {state} spans={len(self._rows)}>"

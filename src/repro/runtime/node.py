@@ -60,9 +60,11 @@ class Node:
         #: receive.  Always maintained (two int ops per message) so traces
         #: captured later can still be causally ordered.
         self.lamport_clock = 0
-        #: The span currently "active" on this node, used as the causal
-        #: link source for outgoing messages.  Managed by ``receive`` /
-        #: ``schedule_causal``; ``None`` whenever causal tracing is off.
+        #: The span currently "active" on this node (whatever the causal
+        #: tracer's ``on_receive`` returned — its recv span's id), used as
+        #: the causal link source for outgoing messages.  Managed by
+        #: ``receive`` / ``schedule_causal``; ``None`` whenever causal
+        #: tracing is off.
         self.current_span = None
         self.causal = getattr(network, "causal", None)
         flight_factory = getattr(network, "flight_factory", None)

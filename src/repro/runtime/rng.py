@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from typing import Iterable
 
 __all__ = ["SimRandom"]
 
@@ -39,6 +40,14 @@ class SimRandom:
         stream = random.Random(derived)
         self._streams[name] = stream
         return stream
+
+    def retire(self, names: Iterable[str]) -> None:
+        """Forget the named streams; their consumer has drawn its last.
+
+        A stream asked for again after this restarts from its seed.
+        """
+        for name in names:
+            self._streams.pop(name, None)
 
     def spawn(self, name: str) -> "SimRandom":
         """Derive a child :class:`SimRandom` with an independent seed space."""

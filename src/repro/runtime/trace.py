@@ -11,14 +11,12 @@ HaltThread probes precede the first re-execution packet").
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 __all__ = ["Trace", "TraceRecord"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """A single trace entry."""
 
     time: float
@@ -105,16 +103,19 @@ class Trace:
         """Which end the capacity policy sacrifices: oldest or newest."""
         return "oldest" if self.ring else "newest"
 
-    def drop_summary(self) -> str | None:
+    def drop_summary(self, spans_dropped: int = 0) -> str | None:
         """One-line loss report, or ``None`` when nothing was dropped.
 
         Every consumer that owes its operator honesty about a truncated
         trace (``repro trace``, ``repro serve`` shutdown, the service
-        close log) formats the same sentence from here.
+        close log) formats the same sentence from here.  ``spans_dropped``
+        is the loss of the span tracer layered over this trace, which
+        obeys the same capacity and policy.
         """
-        if not self.dropped:
+        if not self.dropped and not spans_dropped:
             return None
-        return (f"trace ring buffer dropped {self.dropped} record(s) "
+        spans = f" and {spans_dropped} span(s)" if spans_dropped else ""
+        return (f"trace ring buffer dropped {self.dropped} record(s){spans} "
                 f"({self.drop_policy} first; capacity {self.capacity})")
 
     # -- queries -------------------------------------------------------------

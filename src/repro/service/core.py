@@ -387,11 +387,13 @@ class WorkflowService:
             queue.put_nowait(None)
         self._event_taps.clear()
         trace = self.system.trace
-        if trace.dropped:
+        spans_dropped = self.system.tracer.dropped
+        if trace.dropped or spans_dropped:
             # PR 6 taught `repro trace` to warn about ring-buffer losses;
             # the daemon owes its operator the same honesty at shutdown.
             self.logger.warning(
                 "trace.dropped", dropped=trace.dropped,
+                spans_dropped=spans_dropped,
                 capacity=trace.capacity, policy=trace.drop_policy,
             )
         if self._log is not None:
@@ -904,6 +906,10 @@ class WorkflowService:
             "crew_trace_dropped_records_total",
             "Trace records evicted from the ring buffer.",
         ), self.system.trace.dropped)
+        _set_counter(registry.counter(
+            "crew_trace_dropped_spans_total",
+            "Spans evicted from the ring buffer.",
+        ), self.system.tracer.dropped)
         admission = self.admission.stats
         _set_counter(registry.counter(
             "crew_admission_accepted_total",

@@ -301,3 +301,24 @@ def test_chrome_trace_carries_drop_metadata():
     assert doc["metadata"] == {"dropped_records": 1,
                                "drop_policy": "oldest", "capacity": 1}
     assert "metadata" not in chrome_trace(None, Trace())
+
+
+def test_evicted_spans_are_reported_beside_dropped_records():
+    trace = Trace(capacity=2, ring=True)
+    tracer = Tracer(trace=trace, capacity=2, ring=True)
+    for tick in range(3):
+        tracer.instant("rule:r", "rule", "n", float(tick))
+    trace.record(1.0, "n", "k")
+    expected = {"dropped_records": 0, "dropped_spans": 1,
+                "drop_policy": "oldest", "capacity": 2}
+    meta = json.loads(trace_to_jsonl(trace, tracer).splitlines()[-1])
+    assert meta == {"type": "meta", **expected}
+    assert chrome_trace(tracer, trace)["metadata"] == expected
+    # an eviction is not an anomaly to the analyzer; a hole in the window is
+    from repro.analysis.causal import CausalTrace
+    late = tracer.instant("recv:X", "message", "n", 5.0, link=1, msg_id=1,
+                          direction="recv")
+    assert CausalTrace.from_run(trace, tracer).anomalies() == []
+    late.link_id = 99
+    assert [a.kind for a in CausalTrace.from_run(trace, tracer).anomalies()] == [
+        "orphan-link"]

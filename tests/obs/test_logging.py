@@ -95,6 +95,20 @@ def test_non_json_values_fall_back_to_str():
     assert records(stream)[0]["error"] == "boom"
 
 
+def test_line_is_what_json_dumps_writes():
+    """The logger's shared encoder writes ``json.dumps(record,
+    sort_keys=True, default=str)`` byte for byte, ``default=str`` values
+    and non-ASCII text included."""
+    seen = []
+    logger, stream = make_logger(service="svc")
+    logger._sink = seen.append
+    logger.warning("e", status=LEVELS, where=sys.stderr.__class__,
+                   error=ValueError("boöm"), nested={"b": (1, 2.5), "a": None})
+    [record] = seen
+    assert stream.getvalue() == json.dumps(
+        record, sort_keys=True, default=str) + "\n"
+
+
 def test_sink_tap_sees_records_and_survives_bind():
     seen = []
     logger, stream = make_logger()

@@ -88,6 +88,18 @@ def test_sampling_every_interval():
     assert prof.samples[-1][2] == 4
 
 
+def test_samples_are_a_window_of_the_newest():
+    from repro.obs.profile import SAMPLE_WINDOW
+
+    prof = Profiler(sample_interval=1)
+    action = Unmapped().tick
+    for i in range(SAMPLE_WINDOW + 10):
+        prof.begin_event(action, now=float(i), sim_dt=0.0, queue_depth=0)
+        prof.end_event()
+    assert len(prof.samples) == SAMPLE_WINDOW == prof.summary()["samples"]
+    assert prof.samples[0][2] == 11 and prof.samples[-1][2] == SAMPLE_WINDOW + 10
+
+
 def test_sample_interval_must_be_positive():
     with pytest.raises(ValueError):
         Profiler(sample_interval=0)

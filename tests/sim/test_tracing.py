@@ -131,6 +131,15 @@ def test_drop_summary_none_until_records_are_lost():
     )
 
 
+def test_drop_summary_counts_the_span_tracers_losses_too():
+    trace = Trace(capacity=2, ring=True)
+    assert trace.drop_summary(spans_dropped=3) == (
+        "trace ring buffer dropped 0 record(s) and 3 span(s) "
+        "(oldest first; capacity 2)"
+    )
+    assert trace.drop_summary(spans_dropped=0) is None
+
+
 def test_drop_summary_reports_newest_policy():
     trace = Trace(capacity=1)
     trace.record(1.0, "n", "k")

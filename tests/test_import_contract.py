@@ -213,6 +213,29 @@ def test_whole_snapshot_log_stays_a_test_oracle():
     assert not violations, "\n".join(violations)
 
 
+def test_previous_observability_plane_stays_a_test_oracle():
+    """A span has one construction path (``Tracer.add``; a message row
+    becomes a ``Span`` in ``_message_span`` when read), and the profiler
+    keeps a call tree, no per-pop tables.  The tracer, profiler and
+    registry that did otherwise live under ``tests/`` only (the loop in
+    ``test_relative_order_scan_stays_a_test_oracle`` keeps ``src/`` from
+    importing them)."""
+    obs = SRC / "repro" / "obs"
+    builders = []
+    spans = ast.parse((obs / "spans.py").read_text())
+    for scope in ast.walk(spans):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Span":
+                builders.append(scope.name)
+    assert sorted(builders) == ["_message_span", "add"]
+    profiler = ast.parse((obs / "profile.py").read_text())
+    stale = {node.attr for node in ast.walk(profiler)
+             if isinstance(node, ast.Attribute)} & {"_path_cache", "_collapsed", "_stats"}
+    assert not stale, f"per-pop profiler tables are back: {sorted(stale)}"
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
