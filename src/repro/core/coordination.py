@@ -420,18 +420,31 @@ class MutualExclusionAuthority:
         never acquired it) silently drops any queued request instead.
         """
         lock = self._lock_key(key)
+        queue = self._queues.get(lock)
+        grantee = None
         if self._holders.get(lock) != (schema, instance):
-            queue = self._queues.get(lock)
             if queue and (schema, instance) in queue:
                 queue.remove((schema, instance))
-            return None
-        queue = self._queues.get(lock)
-        if queue:
-            grantee = queue.popleft()
-            self._holders[lock] = grantee
-            return grantee
-        del self._holders[lock]
-        return None
+        elif queue:
+            grantee = self._holders[lock] = queue.popleft()
+        else:
+            del self._holders[lock]
+        if queue is not None and not queue:
+            del self._queues[lock]  # only contended keys have an entry
+        return grantee
+
+    def withdraw(self, instance: str) -> list[tuple[str, str]]:
+        """Forget a terminal instance under whatever key it asked: its
+        queued requests go and the locks it holds pass on.  Returns the
+        ``(schema, instance)`` grantees that now hold one."""
+        asked = [(lock, schema) for lock, queue in self._queues.items()
+                 for schema, waiting in queue if waiting == instance]
+        asked += [(lock, schema) for lock, (schema, holder) in self._holders.items()
+                  if holder == instance]
+        # A lock key is its own ``_lock_key``; ``release`` dequeues a
+        # waiter and passes a holder's lock on.
+        passed_on = [self.release(schema, instance, lock) for lock, schema in asked]
+        return [grantee for grantee in passed_on if grantee is not None]
 
     def holder(self, key: Hashable | None) -> tuple[str, str] | None:
         return self._holders.get(self._lock_key(key))

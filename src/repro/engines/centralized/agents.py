@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.programs import ExecutionContext
-from repro.errors import SimulationError
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.runtime.node import Node
@@ -33,24 +32,17 @@ class ApplicationAgentNode(Node):
         super().__init__(name, system.simulator, system.network)
         self.system = system
         self.executing = 0
+        self.handlers.update({
+            "StepExecute": self._on_step_execute,
+            "StepCompensate": self._on_step_compensate,
+            "StateInformation": self._on_state_information,
+        })
 
     def on_crash(self) -> None:
         # In-progress executions die with the node; their completion
         # continuations are crash-epoch-gated in schedule_causal, so the
         # load counter must restart from zero too.
         self.executing = 0
-
-    def handle_message(self, message: Message) -> None:
-        handler = {
-            "StepExecute": self._on_step_execute,
-            "StepCompensate": self._on_step_compensate,
-            "StateInformation": self._on_state_information,
-        }.get(message.interface)
-        if handler is None:
-            raise SimulationError(
-                f"agent {self.name} cannot handle {message.interface!r}"
-            )
-        handler(message)
 
     # -- execution -------------------------------------------------------------
 

@@ -53,6 +53,11 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         self._chains: dict[int, Any] = {}
         self._ids = itertools.count(1)
         self._agent_load_view: Counter = Counter()
+        self.handlers.update({
+            VERB_STEP_RESULT: self._on_step_result,
+            VERB_COMPENSATE_ACK: self._on_compensate_ack,
+            VERB_STATE_INFO_REPLY: self._on_state_info_reply,
+        })
 
     # ------------------------------------------------------------------ helpers
 
@@ -533,20 +538,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             parent_id, parent_step = runtime.parent_link
             self._on_nested_done(parent_id, parent_step, outputs)
         self.wfdb.archive(instance_id)
-
-    # ------------------------------------------------------------ messaging
-
-    def handle_message(self, message: Message) -> None:
-        handler = {
-            VERB_STEP_RESULT: self._on_step_result,
-            VERB_COMPENSATE_ACK: self._on_compensate_ack,
-            VERB_STATE_INFO_REPLY: self._on_state_info_reply,
-        }.get(message.interface)
-        if handler is None:
-            raise SimulationError(
-                f"engine {self.name} cannot handle {message.interface!r}"
-            )
-        handler(message)
 
     # ------------------------------------------------------------ crash/recovery
 

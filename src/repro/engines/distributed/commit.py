@@ -194,10 +194,4 @@ class AgentCommitMixin:
                 self._apply_nested_done(payload)
             else:
                 self.send(target, VERB_NESTED_DONE, payload, Mechanism.NORMAL)
-        if self.config.purge_interval is not None:
-            self._purge_pending.append(instance_id)
-            if not self._purge_scheduled:
-                self._purge_scheduled = True
-                self.simulator.schedule(
-                    self.config.purge_interval, self._broadcast_purge
-                )
+        self._queue_purge(instance_id)

@@ -204,12 +204,7 @@ class AgentCoordinationMixin:
             payload["schema"], payload["instance_id"], payload["key"]
         )
         if granted:
-            spec = authority.spec
-            first, __ = spec.region_of(payload["schema"])
-            self._send_grant(
-                payload["schema"], payload["instance_id"], first,
-                mx_clearance_token(spec.name, payload["instance_id"]),
-            )
+            self._grant_region(authority.spec, payload["schema"], payload["instance_id"])
 
     def _apply_mx_release(self, payload: dict[str, Any]) -> None:
         authority = self.authorities.mx[payload["spec"]]
@@ -217,13 +212,14 @@ class AgentCoordinationMixin:
             payload["schema"], payload["instance_id"], payload["key"]
         )
         if grantee is not None:
-            schema_name, instance_id = grantee
-            spec = authority.spec
-            first, __ = spec.region_of(schema_name)
-            self._send_grant(
-                schema_name, instance_id, first,
-                mx_clearance_token(spec.name, instance_id),
-            )
+            self._grant_region(authority.spec, *grantee)
+
+    def _grant_region(self, spec, schema_name: str, instance_id: str) -> None:
+        first, __ = spec.region_of(schema_name)
+        self._send_grant(
+            schema_name, instance_id, first,
+            mx_clearance_token(spec.name, instance_id),
+        )
 
     def _apply_rd_trigger(self, payload: dict[str, Any]) -> None:
         authority = self.authorities.rd[payload["spec"]]
@@ -289,6 +285,24 @@ class AgentCoordinationMixin:
             return
         authority_ro = self.authorities.ro.get(spec_name)
         if authority_ro is not None:
-            for grant in authority_ro.withdraw(instance_id):
-                step = authority_ro.spec.ordered_steps(grant.schema)[grant.pair_index]
-                self._send_grant(grant.schema, grant.instance, step, grant.token)
+            self._ro_withdraw(authority_ro, instance_id)
+
+    def _ro_withdraw(self, authority, instance_id: str) -> None:
+        for grant in authority.withdraw(instance_id):
+            step = authority.spec.ordered_steps(grant.schema)[grant.pair_index]
+            self._send_grant(grant.schema, grant.instance, step, grant.token)
+
+    def _withdraw_from_authorities(self, instance_id: str) -> None:
+        """Authority side of a purge.  A terminal instance runs no more
+        steps, so whatever it still has here — an ordering registration
+        (it committed around a governed step, or its last report is the
+        message the purge overtook), a region lock, a rollback-dependency
+        target — binds nobody: withdrawn, not merely retired.  The purge
+        is the message that tells the authority so."""
+        for authority in self.authorities.ro.values():
+            self._ro_withdraw(authority, instance_id)
+        for authority in self.authorities.mx.values():
+            for schema_name, grantee in authority.withdraw(instance_id):
+                self._grant_region(authority.spec, schema_name, grantee)
+        for authority in self.authorities.rd.values():
+            authority.withdraw(instance_id)

@@ -4,7 +4,7 @@ Step failures route a WorkflowRollback() to the rollback origin's agent
 (or an UnhandledFailure abort to the coordination agent).  Crashed-peer
 handling uses StepStatus polling, eligible-peer watchdogs (query steps
 relocate via :func:`elect_executor`; update steps wait for recovery) and
-the paper's chain-of-probe status location.  Committed instances are
+the paper's chain-of-probe status location.  Terminal instances are
 garbage-collected with a batched purge broadcast.
 """
 
@@ -24,6 +24,7 @@ from repro.storage.tables import InstanceStatus, StepStatus
 
 __all__ = [
     "AgentFailureMixin",
+    "PURGE_BATCH",
     "VERB_PURGE",
     "VERB_STATUS_PROBE",
     "VERB_STATUS_PROBE_REPORT",
@@ -36,6 +37,13 @@ VERB_STATUS_PROBE = "WorkflowStatusProbe"
 VERB_STATUS_PROBE_REPORT = "WorkflowStatusProbeReport"
 VERB_PURGE = "PurgeNotice"
 VERB_UNHANDLED_FAILURE = "UnhandledFailure"
+
+#: A coordination agent broadcasts its terminal ids as soon as it holds
+#: this many, whatever the purge timer says: what every agent keeps for
+#: finished instances is bounded by a count at any arrival rate, and a
+#: saturated coordinator pays (agents - 1) / PURGE_BATCH messages per
+#: instance for it.
+PURGE_BATCH = 32
 
 
 class AgentFailureMixin:
@@ -144,6 +152,7 @@ class AgentFailureMixin:
         self.system._record_outcome(
             instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
         )
+        self._queue_purge(instance_id, aborted=True)
 
     # ------------------------------------------------------------------ step-status polling
 
@@ -205,6 +214,8 @@ class AgentFailureMixin:
         Returns the probe id; reports accumulate in ``probe_reports``.
         """
         probe_id = next(self._probe_ids)
+        if self._purged_late(instance_id, VERB_STATUS_PROBE):
+            return probe_id
         self._probe_reports.setdefault(instance_id, [])
         self._apply_status_probe({
             "instance_id": instance_id,
@@ -222,10 +233,10 @@ class AgentFailureMixin:
 
     def _apply_status_probe(self, payload: dict[str, Any]) -> None:
         instance_id = payload["instance_id"]
-        probe_key = (instance_id, payload["probe_id"])
-        if probe_key in self._seen_status_probes:
+        seen = self._seen_status_probes.setdefault(instance_id, set())
+        if payload["probe_id"] in seen:
             return
-        self._seen_status_probes.add(probe_key)
+        seen.add(payload["probe_id"])
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
             return
@@ -326,24 +337,62 @@ class AgentFailureMixin:
 
     # ------------------------------------------------------------------ purge
 
+    def _queue_purge(self, instance_id: str, aborted: bool = False) -> None:
+        """Coordination agent: a terminal instance enters the next purge
+        broadcast — sent when :data:`PURGE_BATCH` ids wait or the purge
+        timer fires, whichever is first."""
+        interval = self.config.purge_interval
+        if interval is None:
+            return
+        if aborted:
+            # The compensation and halt chains of the abort are still
+            # hopping from agent to agent, and a purge that overtook one
+            # would drop the fragment saying what to compensate: the id
+            # joins the batch an interval from now.
+            self.simulator.schedule(interval, self._queue_purge, instance_id)
+            return
+        self._purge_pending.append(instance_id)
+        if len(self._purge_pending) == PURGE_BATCH:
+            # Its own event, not a call: the stack above still holds the
+            # runtime of the instance that filled the batch.
+            if self._purge_timer is not None:
+                self._purge_timer.cancel()
+            self._purge_timer = self.simulator.schedule(0.0, self._broadcast_purge)
+        elif self._purge_timer is None:
+            self._purge_timer = self.simulator.schedule(interval, self._broadcast_purge)
+
     def _broadcast_purge(self) -> None:
-        self._purge_scheduled = False
+        self._purge_timer = None
         batch, self._purge_pending = self._purge_pending, []
         if not batch:
             return
         payload = {"instance_ids": batch}
         for agent in self.system.agent_names():
             if agent == self.name:
-                self.agdb.purge_instances(batch)
-                for instance_id in batch:
-                    self.runtimes.pop(instance_id, None)
+                self._retire(batch)
             else:
                 self.send(agent, VERB_PURGE, payload, Mechanism.NORMAL)
         self.trace.record(self.simulator.now, self.name, "purge.broadcast",
                           count=len(batch))
 
     def _on_purge(self, message: Message) -> None:
-        ids = list(message.payload["instance_ids"])
-        self.agdb.purge_instances(ids)
-        for instance_id in ids:
-            self.runtimes.pop(instance_id, None)
+        self._retire(list(message.payload["instance_ids"]))
+
+    def _retire(self, instance_ids: list[str]) -> None:
+        """Forget everything this agent holds for terminal instances: the
+        fragment with its log chain, the rule engine, the commit tracker,
+        probe bookkeeping, what its hosted authorities registered, and a
+        ``prog:`` stream a step that outran the outcome re-created.  What
+        stays per instance is its id among the purged and, where this
+        agent coordinated it, the summary row."""
+        self.agdb.purge_instances(instance_ids)
+        for instance_id in instance_ids:
+            runtime = self.runtimes.pop(instance_id, None)
+            if runtime is not None:
+                self.system.rng.retire(
+                    f"prog:{instance_id}:{step}" for step in runtime.hosted
+                )
+            self.trackers.pop(instance_id, None)
+            self._probe_reports.pop(instance_id, None)
+            self._seen_status_probes.pop(instance_id, None)
+            self._withdraw_from_authorities(instance_id)

@@ -134,8 +134,6 @@ class AgentHaltingMixin:
     def _on_halt_thread(self, message: Message) -> None:
         payload = message.payload
         instance_id = payload["instance_id"]
-        if self.agdb.was_purged(instance_id):
-            return
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
             if not self.agdb.has_fragment(instance_id):

@@ -83,8 +83,6 @@ class AgentNavigationMixin:
 
     def _ingest_packet(self, packet: WorkflowPacket) -> None:
         instance_id = packet.instance_id
-        if self.agdb.was_purged(instance_id):
-            return
         runtime = self._runtime(packet.schema_name, instance_id,
                                 parent_link=packet.parent_link)
         fragment = runtime.fragment

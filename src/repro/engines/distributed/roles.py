@@ -34,7 +34,7 @@ from repro.engines.distributed.navigation import (
     elect_executor,
 )
 from repro.engines.runtime import AgentRuntime
-from repro.errors import FrontEndError, SimulationError
+from repro.errors import FrontEndError
 from repro.model.compiler import CompiledSchema
 from repro.obs.profile import profiled
 from repro.rules.engine import RuleEngine
@@ -42,6 +42,7 @@ from repro.rules.events import WF_START
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.runtime.node import Node
+from repro.runtime.protocols import Cancellable
 from repro.storage.agdb import AgentDatabase
 from repro.storage.tables import InstanceStatus, StepStatus
 
@@ -67,12 +68,38 @@ class WorkflowAgentNode(
         self.authorities = AuthorityBundle()
         self.runtimes: dict[str, AgentRuntime] = {}
         self.trackers: dict[str, CommitTracker] = {}
+        #: Terminal instances this (coordination) agent has yet to name
+        #: in a purge broadcast, and the timer that will flush them.
         self._purge_pending: list[str] = []
-        self._purge_scheduled = False
+        self._purge_timer: Cancellable | None = None
         self._load_probes: dict[int, dict] = {}
         self._probe_ids = itertools.count(1)
-        self._seen_status_probes: set[tuple[str, int]] = set()
+        #: instance id -> ids of the status probes already seen for it.
+        self._seen_status_probes: dict[str, set[int]] = {}
         self._probe_reports: dict[str, list[dict]] = {}
+        self.handlers.update({
+            WI.WORKFLOW_START.value: self._on_workflow_start_msg,
+            WI.STEP_EXECUTE.value: self._on_step_execute,
+            WI.STEP_COMPLETED.value: self._on_step_completed,
+            WI.WORKFLOW_ROLLBACK.value: self._on_workflow_rollback,
+            WI.HALT_THREAD.value: self._on_halt_thread,
+            WI.COMPENSATE_SET.value: self._on_compensate_set,
+            WI.COMPENSATE_THREAD.value: self._on_compensate_thread,
+            WI.STEP_COMPENSATE.value: self._on_step_compensate,
+            WI.STEP_STATUS.value: self._on_step_status,
+            WI.INPUTS_CHANGED.value: self._on_inputs_changed,
+            WI.ADD_RULE.value: self._on_add_rule,
+            WI.ADD_EVENT.value: self._on_add_event,
+            WI.ADD_PRECONDITION.value: self._on_add_precondition,
+            WI.STATE_INFORMATION.value: self._on_state_information,
+            VERB_STEP_STATUS_REPLY: self._on_step_status_reply,
+            "StateInformationReply": self._on_state_information_reply,
+            VERB_STATUS_PROBE: self._on_status_probe,
+            VERB_STATUS_PROBE_REPORT: self._on_status_probe_report,
+            VERB_PURGE: self._on_purge,
+            VERB_UNHANDLED_FAILURE: self._on_unhandled_failure,
+            VERB_NESTED_DONE: self._on_nested_done,
+        })
 
     # ------------------------------------------------------------------ wiring
 
@@ -171,6 +198,8 @@ class WorkflowAgentNode(
             raise FrontEndError(
                 f"{self.name} is not the coordination agent for {schema_name!r}"
             )
+        if self._purged_late(instance_id, WI.WORKFLOW_START.value):
+            return  # a nested child re-launched under the id of an aborted one
         self.agdb.set_summary(instance_id, InstanceStatus.RUNNING)
         tracker = CommitTracker(parent_link=parent_link)
         self.trackers[instance_id] = tracker
@@ -250,6 +279,7 @@ class WorkflowAgentNode(
         )
         self.trace.record(self.simulator.now, self.name, "workflow.aborted",
                           instance=instance_id)
+        self._queue_purge(instance_id, aborted=True)
 
     def workflow_change_inputs(
         self, instance_id: str, changes: Mapping[str, Any]
@@ -300,35 +330,21 @@ class WorkflowAgentNode(
 
     def handle_message(self, message: Message) -> None:
         self.charge(1.0, message.mechanism)
-        handlers = {
-            WI.WORKFLOW_START.value: self._on_workflow_start_msg,
-            WI.STEP_EXECUTE.value: self._on_step_execute,
-            WI.STEP_COMPLETED.value: self._on_step_completed,
-            WI.WORKFLOW_ROLLBACK.value: self._on_workflow_rollback,
-            WI.HALT_THREAD.value: self._on_halt_thread,
-            WI.COMPENSATE_SET.value: self._on_compensate_set,
-            WI.COMPENSATE_THREAD.value: self._on_compensate_thread,
-            WI.STEP_COMPENSATE.value: self._on_step_compensate,
-            WI.STEP_STATUS.value: self._on_step_status,
-            WI.INPUTS_CHANGED.value: self._on_inputs_changed,
-            WI.ADD_RULE.value: self._on_add_rule,
-            WI.ADD_EVENT.value: self._on_add_event,
-            WI.ADD_PRECONDITION.value: self._on_add_precondition,
-            WI.STATE_INFORMATION.value: self._on_state_information,
-            VERB_STEP_STATUS_REPLY: self._on_step_status_reply,
-            "StateInformationReply": self._on_state_information_reply,
-            VERB_STATUS_PROBE: self._on_status_probe,
-            VERB_STATUS_PROBE_REPORT: self._on_status_probe_report,
-            VERB_PURGE: self._on_purge,
-            VERB_UNHANDLED_FAILURE: self._on_unhandled_failure,
-            VERB_NESTED_DONE: self._on_nested_done,
-        }
-        handler = handlers.get(message.interface)
-        if handler is None:
-            raise SimulationError(
-                f"agent {self.name} cannot handle {message.interface!r}"
-            )
-        handler(message)
+        payload = message.payload
+        instance_id = payload.get("instance_id") or payload.get("parent_id")
+        if instance_id is not None and self._purged_late(instance_id, message.interface):
+            return
+        super().handle_message(message)
+
+    def _purged_late(self, instance_id: str, verb: str) -> bool:
+        """A purged instance stays purged: whatever still arrives for it —
+        a message the broadcast overtook, a front-end call — is traced and
+        dropped before it can build a runtime or append to the log."""
+        if not self.agdb.was_purged(instance_id):
+            return False
+        self.trace.record(self.simulator.now, self.name, "purge.late",
+                          instance=instance_id, verb=verb)
+        return True
 
     def _on_workflow_start_msg(self, message: Message) -> None:
         payload = message.payload

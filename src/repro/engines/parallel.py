@@ -108,6 +108,7 @@ class ParallelEngineNode(CentralEngineNode):
         super().__init__(name, system)
         self.replica = _CoordReplica()
         self._mx_granted: set[tuple[str, str]] = set()  # (spec, instance)
+        self.handlers[VERB_COORD_OP] = self._on_coord_op
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -129,12 +130,9 @@ class ParallelEngineNode(CentralEngineNode):
         )
         self._apply_coord_op(payload)
 
-    def handle_message(self, message: Message) -> None:
-        if message.interface == VERB_COORD_OP:
-            self._charge(Mechanism.COORDINATION)
-            self._apply_coord_op(dict(message.payload))
-            return
-        super().handle_message(message)
+    def _on_coord_op(self, message: Message) -> None:
+        self._charge(Mechanism.COORDINATION)
+        self._apply_coord_op(dict(message.payload))
 
     # -- overridden coordination hooks ---------------------------------------------
 

@@ -189,28 +189,30 @@ class EventTable:
         invalid or belongs to an older round (the carried one is the
         re-established version).
         """
+        events = self._events
+        normalize = self._normalize
+        # Only an occurrence that replaces the local one takes a ``seq``, so
+        # only those are ordered: by (time, round), then token.
+        replacing = []
+        for token, value in tokens.items():
+            stamp = normalize(value)
+            existing = events.get(token)
+            if existing is None or (
+                stamp[1] > existing.round if existing.valid else stamp[1] >= existing.round
+            ):
+                replacing.append((stamp, token, existing is None or not existing.valid))
+        replacing.sort()
         added = []
-        normalized = {t: self._normalize(v) for t, v in tokens.items()}
-        for token, (original_time, round) in sorted(
-            normalized.items(), key=lambda kv: (kv[1], kv[0])
-        ):
-            existing = self._events.get(token)
-            replace = (
-                existing is None
-                or (not existing.valid and round >= existing.round)
-                or (existing.valid and round > existing.round)
+        for (original_time, round), token, newly_valid in replacing:
+            self._seq += 1
+            events[token] = EventOccurrence(
+                token=token, time=original_time, seq=self._seq, valid=True,
+                round=round,
             )
-            if replace:
-                newly_valid = existing is None or not existing.valid
-                self._seq += 1
-                self._events[token] = EventOccurrence(
-                    token=token, time=original_time, seq=self._seq, valid=True,
-                    round=round,
-                )
-                if newly_valid:
-                    added.append(token)
-                    if self._listeners:
-                        self._notify(token, True)
+            if newly_valid:
+                added.append(token)
+                if self._listeners:
+                    self._notify(token, True)
         return added
 
     def export(self) -> dict[str, float]:

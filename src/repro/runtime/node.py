@@ -3,7 +3,8 @@
 A :class:`Node` is a named endpoint on a
 :class:`~repro.runtime.protocols.Transport` with:
 
-* a message handler (`handle_message`) implemented by subclasses,
+* a message handler (`handle_message`) dispatching by verb through the
+  `handlers` table a subclass fills at construction,
 * per-mechanism *load* accounting in units of ``l`` — the "navigation and
   other load per step" parameter of the paper's Table 3,
 * a per-node Lamport clock (ticked on send, merged on receive) stamped
@@ -54,6 +55,10 @@ class Node:
         #: deferred work then schedules directly on the clock).
         self.executor = getattr(network, "executor", None)
         self.is_up = True
+        #: interface verb -> handler, filled once by the subclass's
+        #: ``__init__`` (bound methods, so a subclass's override is the
+        #: one dispatched to).
+        self.handlers: dict[str, Callable[[Message], None]] = {}
         self.messages_received = 0
         self.crash_count = 0
         #: Lamport clock — ticked by the network on send, merged on
@@ -144,8 +149,14 @@ class Node:
         finally:
             self.current_span = previous
 
-    def handle_message(self, message: Message) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    def handle_message(self, message: Message) -> None:
+        """Dispatch by interface verb through :attr:`handlers`."""
+        handler = self.handlers.get(message.interface)
+        if handler is None:
+            raise SimulationError(
+                f"node {self.name} cannot handle {message.interface!r}"
+            )
+        handler(message)
 
     def schedule_causal(
         self, delay: float, fn: Callable[..., None], *args: Any

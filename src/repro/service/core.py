@@ -191,6 +191,9 @@ class WorkflowService:
                 work_time_scale=work_time_scale,
                 step_status_timeout=2.0,
                 step_status_poll_interval=1.0,
+                # Distributed agents forget what they finished: terminal
+                # ids are broadcast after PURGE_BATCH of them or this long.
+                purge_interval=0.25,
                 trace=observability,
                 trace_capacity=trace_capacity,
                 trace_ring=True,

@@ -73,6 +73,11 @@ class AgentDatabase:
     ) -> InstanceState:
         state = self._fragments.get(instance_id)
         if state is None:
+            if instance_id in self._purged:
+                raise StorageError(
+                    f"agent {self.agent_name!r}: instance {instance_id!r} was "
+                    f"purged and stays purged"
+                )
             state = InstanceState(
                 schema_name=schema_name,
                 instance_id=instance_id,
@@ -88,7 +93,7 @@ class AgentDatabase:
         self._chains.persist(state)
 
     def purge_instances(self, instance_ids: Iterable[str]) -> int:
-        """Drop fragments of committed instances (purge broadcast handler)."""
+        """Drop fragments of terminal instances (purge broadcast handler)."""
         purged = 0
         dropped = False
         for instance_id in instance_ids:

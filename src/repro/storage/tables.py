@@ -194,13 +194,17 @@ class InstanceState:
         self.data.update(data)
 
     def snapshot(self) -> dict[str, Any]:
-        """A deep-enough copy for WAL persistence and packet payloads."""
+        """A deep-enough copy for WAL persistence and packet payloads.
+
+        ``_value_`` is the member's plain attribute behind the ``.value``
+        descriptor: one call saved per step per persist.
+        """
         return {
             "schema_name": self.schema_name,
             "instance_id": self.instance_id,
             "inputs": dict(self.inputs),
             "data": dict(self.data),
-            "status": self.status.value,
+            "status": self.status._value_,
             "recovery_epoch": self.recovery_epoch,
             "invalidation_round": self.invalidation_round,
             "events_snapshot": dict(self.events_snapshot),
@@ -208,7 +212,7 @@ class InstanceState:
             "exec_counter": self._exec_counter,
             "steps": {
                 name: {
-                    "status": rec.status.value,
+                    "status": rec.status._value_,
                     "executions": rec.executions,
                     "compensations": rec.compensations,
                     "reuses": rec.reuses,

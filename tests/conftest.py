@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.programs import NoopProgram
+from repro.core.programs import FunctionProgram, NoopProgram
 from repro.engines import (
     CentralizedControlSystem,
     DistributedControlSystem,
@@ -101,6 +101,50 @@ ALL_ARCHITECTURES = ("centralized", "parallel", "distributed")
 
 #: The shipped LAWS example: ``Orders`` plus the ``part_fifo`` ordering spec.
 ORDERS_LAWS = Path(__file__).resolve().parent.parent / "examples" / "order_fulfilment.laws"
+
+
+#: ``install_orders`` makes ``ord.reserve`` refuse this quantity: ``Reserve``
+#: has no rollback point, so the instance aborts as an unhandled failure.
+REFUSED_QTY = 13
+
+
+def _reserve(inputs, ctx):
+    if inputs["Check.ok"] == REFUSED_QTY:
+        raise ValueError("out of stock")
+    return {"rsv": ctx.instance_id}
+
+
+def install_orders(system):
+    """The shipped ``Orders`` document, with programs that abort an
+    instance submitted with ``qty=REFUSED_QTY``; returns the document."""
+    from repro.laws import load_laws
+
+    document = load_laws(ORDERS_LAWS.read_text())
+    document.install(system)
+    system.register_program(
+        "ord.check", FunctionProgram(lambda inputs, ctx: {"ok": inputs["WF.qty"]}))
+    system.register_program("ord.reserve", FunctionProgram(_reserve))
+    return document
+
+
+def agent_holdings(agent) -> dict[str, set[str]]:
+    """Every per-instance map of a distributed agent: name -> instance ids."""
+    held = {
+        "runtimes": set(agent.runtimes),
+        "trackers": set(agent.trackers),
+        "fragments": set(agent.agdb._fragments),
+        "log chains": set(agent.agdb._chains._chains),
+        "tracker records": set(agent.agdb._trackers) | set(agent.agdb._tracker_lsns),
+        "probe reports": set(agent._probe_reports),
+        "seen probes": set(agent._seen_status_probes),
+    }
+    for name, authority in agent.authorities.ro.items():
+        held[f"ro {name}"] = set(authority._registrations) | set(authority._completions)
+    for name, authority in agent.authorities.mx.items():
+        held[f"mx {name}"] = {holder for __, holder in authority._holders.values()}
+    for name, authority in agent.authorities.rd.items():
+        held[f"rd {name}"] = set(authority._targets)
+    return held
 
 
 @pytest.fixture(params=ALL_ARCHITECTURES)

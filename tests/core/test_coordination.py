@@ -168,6 +168,24 @@ def test_mx_none_key_single_lock():
     assert not authority.acquire("B", "j1", None)
 
 
+def test_mx_withdraw_forgets_an_instance_under_every_key():
+    authority = mx_auth()
+    authority.acquire("A", "i1", "k1")
+    authority.acquire("A", "i1", None)
+    authority.acquire("B", "j1", "k1")
+    authority.acquire("A", "i1", "k2")   # held, nobody behind it
+    authority.acquire("B", "j2", "k3")
+    authority.acquire("A", "i1", "k3")   # i1 only waits here
+    assert authority.withdraw("i1") == [("B", "j1")]
+    assert authority.holder("k1") == ("B", "j1")
+    assert authority.holder(None) is None and authority.holder("k2") is None
+    assert authority.holder("k3") == ("B", "j2") and authority.queue_length("k3") == 0
+    assert authority.withdraw("i1") == []
+    # only contended keys have a queue, and only while they are
+    assert authority._queues == {}
+    assert authority.release("B", "j2", "k3") is None and authority._holders.keys() == {"k1"}
+
+
 def test_mx_clearance_token_shape():
     assert mx_clearance_token("mx", "i1") == "EXT.MX.mx.i1"
 

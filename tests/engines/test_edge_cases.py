@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.interfaces import WI
 from repro.core.programs import FailEveryNth, FunctionProgram, NoopProgram
 from repro.core.packets import WorkflowPacket
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.model import SchemaBuilder
+from repro.runtime.metrics import Mechanism
 from tests.conftest import linear_schema, make_system, register_programs
 
 
@@ -46,9 +48,12 @@ def test_purged_instance_ignores_late_packet():
     stale = WorkflowPacket(schema_name="Linear", instance_id=instance,
                            action="execute", target_step="S2",
                            events={"WF.S": 0.0, "S1.D": 1.0})
-    agent._ingest_packet(stale)  # must be a no-op, not a resurrection
+    # must be a no-op, not a resurrection
+    system.network.send("agent-000", agent.name, WI.STEP_EXECUTE.value,
+                        stale.to_payload(), Mechanism.NORMAL)
     system.run()
     assert not agent.agdb.has_fragment(instance)
+    assert instance not in agent.runtimes
 
 
 def test_nested_step_reused_by_ocr_on_parent_rollback():

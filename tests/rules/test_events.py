@@ -1,12 +1,14 @@
 """Unit tests for event tokens and the event table."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import RuleError
 from repro.rules.events import (
     WF_ABORT,
     WF_DONE,
     WF_START,
+    EventOccurrence,
     EventTable,
     external_event,
     is_step_done,
@@ -137,3 +139,45 @@ def test_merge_is_deterministic_in_time_order():
     table.merge({"B.D": 2.0, "A.D": 1.0}, time=3.0)
     occurrences = [table.occurrence(t) for t in ("A.D", "B.D")]
     assert occurrences[0].seq < occurrences[1].seq  # earlier time first
+
+
+def merge_sorting_everything(table, tokens):
+    """``EventTable.merge`` as it was: normalise and sort every carried
+    token, then decide which of them replace the local occurrence."""
+    added = []
+    normalized = {t: table._normalize(v) for t, v in tokens.items()}
+    for token, (time, round) in sorted(normalized.items(), key=lambda kv: (kv[1], kv[0])):
+        existing = table._events.get(token)
+        if (existing is None or (not existing.valid and round >= existing.round)
+                or (existing.valid and round > existing.round)):
+            table._seq += 1
+            table._events[token] = EventOccurrence(
+                token=token, time=time, seq=table._seq, valid=True, round=round)
+            if existing is None or not existing.valid:
+                added.append(token)
+                table._notify(token, True)
+    return added
+
+
+@given(st.lists(
+    st.one_of(
+        st.tuples(st.just("merge"), st.dictionaries(
+            st.sampled_from([f"S{n}.D" for n in range(6)]),
+            st.one_of(st.integers(0, 5), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+            max_size=6)),
+        st.tuples(st.just("invalidate"),
+                  st.lists(st.sampled_from([f"S{n}.D" for n in range(6)]), max_size=3)),
+    ), max_size=8))
+def test_merge_numbers_the_occurrences_it_replaces_as_a_full_sort_would(operations):
+    fast, slow = EventTable(), EventTable()
+    heard = {id(fast): [], id(slow): []}
+    for table in (fast, slow):
+        table.subscribe(lambda token, valid, log=heard[id(table)]: log.append((token, valid)))
+    for op, argument in operations:
+        if op == "invalidate":
+            assert fast.invalidate(argument) == slow.invalidate(argument)
+        else:
+            assert fast.merge(argument, 9.0) == merge_sorting_everything(slow, argument)
+        assert fast._events == slow._events and list(fast._events) == list(slow._events)
+        assert fast._seq == slow._seq
+    assert heard[id(fast)] == heard[id(slow)]

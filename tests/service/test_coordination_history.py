@@ -72,22 +72,21 @@ def test_committed_batches_leave_no_relative_order_state(architecture, monkeypat
                         while service.instance(instance)["status"] == "running":
                             await asyncio.sleep(0.01)
                     assert service.instance(instance)["status"] == "committed"
+            # distributed: the purge broadcast of the last ids is a timer
+            await service.runtime.join(timeout=10.0)
         finally:
             await service.close()
 
     asyncio.run(main())
 
     if architecture == "distributed":
-        # No commit-time message reaches the authority, so it keeps every
-        # registration (DESIGN section 7); a batch shares its part, so the
-        # last instance of a batch is ordered against the 15 before it.
-        [shadow] = shadows
-        assert len(shadow.keyed._registrations) == BATCHES * BATCH
+        # The purge broadcast is the commit-time message that reaches the
+        # authority.  A batch shares its part, so an instance is ordered
+        # against at most the 15 before it, fewer once those are purged.
         assert len(piggybacked) == BATCHES * BATCH
-        assert max(map(len, piggybacked)) == BATCH - 1
-    else:
-        for shadow in shadows:
-            authority = shadow.keyed
-            assert authority._registrations == {}
-            assert authority._completions == {}
-            assert authority._groups == {}
+        assert 0 < max(map(len, piggybacked)) <= BATCH - 1
+    for shadow in shadows:
+        authority = shadow.keyed
+        assert authority._registrations == {}
+        assert authority._completions == {}
+        assert authority._groups == {}

@@ -57,6 +57,20 @@ def test_purge_drops_fragments_and_remembers():
     assert db.was_purged("ghost")  # remembered even without a fragment
 
 
+def test_a_purged_instance_stays_purged():
+    db = make_db()
+    db.ensure_fragment("W", "i1")
+    db.purge_instances(["i1", "ghost"])
+    appends = db.wal.appends
+    for instance in ("i1", "ghost"):
+        with pytest.raises(StorageError, match="stays purged"):
+            db.ensure_fragment("W", instance)
+    assert not db.has_fragment("i1") and db.wal.appends == appends
+    db.recover()
+    with pytest.raises(StorageError, match="stays purged"):
+        db.ensure_fragment("W", "i1")
+
+
 def test_recover_restores_fragments_and_summaries():
     db = make_db()
     fragment = db.ensure_fragment("W", "i1", {"x": 1})

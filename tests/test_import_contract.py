@@ -236,6 +236,33 @@ def test_previous_observability_plane_stays_a_test_oracle():
     assert not stale, f"per-pop profiler tables are back: {sorted(stale)}"
 
 
+def test_purge_forgets_through_one_retire_routine():
+    """The agent that broadcasts a purge and the agents that receive it
+    forget the same things: both go through ``_retire``, neither names a
+    per-instance map itself, and nothing else in distributed control
+    purges the AGDB."""
+    distributed = SRC / "repro" / "engines" / "distributed"
+    failure = ast.parse((distributed / "failure.py").read_text())
+    methods = {
+        node.name: node for node in ast.walk(failure) if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_on_purge", "_broadcast_purge"):
+        attributes = {n.attr for n in ast.walk(methods[name]) if isinstance(n, ast.Attribute)}
+        assert "_retire" in attributes, f"{name} does not retire through _retire"
+        maps = attributes & {"runtimes", "trackers", "agdb", "authorities", "rng",
+                             "_probe_reports", "_seen_status_probes"}
+        assert not maps, f"{name} forgets {sorted(maps)} on its own"
+    purgers = []
+    for module_path in sorted(distributed.glob("*.py")):
+        for scope in ast.walk(ast.parse(module_path.read_text())):
+            if isinstance(scope, ast.FunctionDef) and any(
+                isinstance(n, ast.Attribute) and n.attr == "purge_instances"
+                for n in ast.walk(scope)
+            ):
+                purgers.append(f"{module_path.name}:{scope.name}")
+    assert purgers == ["failure.py:_retire"]
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
