@@ -15,7 +15,6 @@ from typing import Any, Mapping
 
 from repro.core.coordination import mx_clearance_token, ro_clearance_token
 from repro.core.interfaces import WI
-from repro.engines.base import governed_step_count
 from repro.engines.coord import AuthorityBundle
 from repro.engines.distributed.commit import AgentCommitMixin, CommitTracker
 from repro.engines.distributed.coordination import AgentCoordinationMixin
@@ -108,11 +107,7 @@ class WorkflowAgentNode(
         return self.system.trace
 
     def hosted_steps(self, compiled: CompiledSchema) -> frozenset[str]:
-        hosted = set()
-        for step in compiled.schema.steps:
-            if self.name in self.agdb.eligible_agents(compiled.name, step):
-                hosted.add(step)
-        return frozenset(hosted)
+        return self.agdb.hosted_steps(compiled.name, compiled.schema.steps)
 
     def _coordination_agent_of(self, compiled: CompiledSchema) -> str:
         return self.agdb.eligible_agents(compiled.name, compiled.start_step)[0]
@@ -142,28 +137,35 @@ class WorkflowAgentNode(
             return runtime
         compiled = self.system.compiled(schema_name)
         fragment = self.agdb.ensure_fragment(schema_name, instance_id, inputs)
+        runtime = self._build_runtime(compiled, fragment, parent_link)
+        self.runtimes[instance_id] = runtime
+        self._install_preconditions(runtime, instance_id)
+        return runtime
+
+    def _build_runtime(
+        self, compiled: CompiledSchema, fragment,
+        parent_link: tuple[str, str] | None = None,
+    ) -> AgentRuntime:
+        """Rule engine and runtime record over ``fragment``.  What the agent
+        hosts and how many steps are governed depend on the schema alone."""
+        instance_id = fragment.instance_id
         hosted = self.hosted_steps(compiled)
         engine = RuleEngine(
             compiled,
-            action=lambda rule, iid=instance_id: self._on_rule(iid, rule),
+            action=lambda rule: self._on_rule(instance_id, rule),
             env_provider=fragment.env,
             steps=hosted,
             fire_hook=self.system.rule_fire_hook(self.name, instance_id),
             profile=self.network.profile,
         )
-        runtime = AgentRuntime(
+        return AgentRuntime(
             state=fragment,
             compiled=compiled,
             engine=engine,
             hosted=hosted,
             parent_link=parent_link,
-            governed=governed_step_count(
-                compiled, self.spec_index.specs_for(schema_name)
-            ),
+            governed=self.system.governed_steps(compiled),
         )
-        self.runtimes[instance_id] = runtime
-        self._install_preconditions(runtime, instance_id)
-        return runtime
 
     def _install_preconditions(self, runtime: AgentRuntime, instance_id: str) -> None:
         schema_name = runtime.fragment.schema_name
@@ -377,24 +379,7 @@ class WorkflowAgentNode(
                 continue
             instance_id = fragment.instance_id
             compiled = self.system.compiled(fragment.schema_name)
-            hosted = self.hosted_steps(compiled)
-            engine = RuleEngine(
-                compiled,
-                action=lambda rule, iid=instance_id: self._on_rule(iid, rule),
-                env_provider=fragment.env,
-                steps=hosted,
-                fire_hook=self.system.rule_fire_hook(self.name, instance_id),
-                profile=self.network.profile,
-            )
-            runtime = AgentRuntime(
-                state=fragment,
-                compiled=compiled,
-                engine=engine,
-                hosted=hosted,
-                governed=governed_step_count(
-                    compiled, self.spec_index.specs_for(fragment.schema_name)
-                ),
-            )
+            runtime = self._build_runtime(compiled, fragment)
             for record in fragment.steps.values():
                 if record.status is StepStatus.RUNNING and record.agent == self.name:
                     record.status = StepStatus.NOT_STARTED
@@ -412,10 +397,10 @@ class WorkflowAgentNode(
                     self.trackers[instance_id] = CommitTracker.from_snapshot(snapshot)
                 else:
                     self.trackers.setdefault(instance_id, CommitTracker())
-            engine.merge_events(fragment.events_snapshot, self.simulator.now)
+            runtime.engine.merge_events(fragment.events_snapshot, self.simulator.now)
             # The fragment's invalidation cutoffs survived the crash; re-apply
             # them so a stale packet arriving now cannot revive an event that
             # a rollback already invalidated.
-            engine.apply_invalidations(fragment.known_invalidations)
+            runtime.engine.apply_invalidations(fragment.known_invalidations)
         self.trace.record(self.simulator.now, self.name, "agent.recovered",
                           fragments=len(self.runtimes))

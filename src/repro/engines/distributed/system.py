@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.engines.base import ControlSystem, SystemConfig
+from repro.engines.base import ControlSystem, SystemConfig, governed_step_count
 from repro.engines.coord import SpecIndex
 from repro.engines.distributed.roles import WorkflowAgentNode
 from repro.errors import FrontEndError, SchemaError
@@ -36,6 +36,8 @@ class DistributedControlSystem(ControlSystem):
             WorkflowAgentNode(f"agent-{i:03d}", self) for i in range(num_agents)
         ]
         self._owners: dict[str, str] = {}
+        #: schema name -> :func:`governed_step_count` under the specs so far.
+        self._governed: dict[str, int] = {}
 
     # -- wiring ---------------------------------------------------------------------
 
@@ -49,7 +51,18 @@ class DistributedControlSystem(ControlSystem):
     def agent(self, name: str) -> WorkflowAgentNode:
         return next(a for a in self.agents if a.name == name)
 
+    def governed_steps(self, compiled: CompiledSchema) -> int:
+        """The schema's ``me + ro + rd`` factor: the same for every agent
+        and instance, counted once until a spec or the schema changes."""
+        count = self._governed.get(compiled.name)
+        if count is None:
+            count = self._governed[compiled.name] = governed_step_count(
+                compiled, self.spec_index.specs_for(compiled.name)
+            )
+        return count
+
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:
+        self._governed.pop(compiled.name, None)
         self.assignment.assign_round_robin(
             compiled, self.agent_names(), self.agents_per_step
         )
@@ -62,6 +75,7 @@ class DistributedControlSystem(ControlSystem):
 
     def _on_spec_added(self, spec: CoordinationSpec) -> None:
         self.spec_index.add(spec)
+        self._governed.clear()
         authority = self.authority_agent_for(spec)
         self.agent(authority).authorities.host(spec)
 

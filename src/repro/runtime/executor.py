@@ -5,7 +5,7 @@ by scheduling the callback directly on the runtime's clock — exactly what
 nodes did before the runtime layer existed, so fixed-seed simulated
 schedules stay byte-identical.  The asyncio backend replaces it with
 :class:`repro.runtime.realtime.TaskExecutor`, which runs the same
-callbacks inside real tasks with retry handling.
+callbacks off loop timers with retry handling.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ seams between an engine and the substrate it runs on:
     Step-program execution: ``submit(delay, fn, *args)`` runs ``fn`` after
     ``delay`` units of service time.  Under simulation this is exactly a
     clock callback (keeping fixed-seed schedules byte-identical); under
-    asyncio it is a real task with :class:`repro.runtime.retry.RetryPolicy`
+    asyncio it is a loop timer with :class:`repro.runtime.retry.RetryPolicy`
     wrapping transient failures.
 
 A :class:`Runtime` bundles one of each plus lifecycle extras (fault

@@ -3,13 +3,15 @@
 Everything the engines schedule — frontend WIs, delivery latencies, step
 service times, watchdogs — lands on :class:`RealtimeClock`, a monotonic
 wall clock that maps ``schedule(delay, fn, *args)`` onto
-``loop.call_later``.  The transport is the shared clock-agnostic
+``loop.call_later`` — except ``delay == 0``, which costs no timer and no
+loop turn: it runs, FIFO, in the turn that caused it, as the simulated
+kernel runs ``now + 0``.  The transport is the shared clock-agnostic
 :class:`repro.runtime.transport.Network` (persistent-queue semantics,
 per-mechanism accounting, Lamport stamping — identical to simulation),
 with the configured :class:`~repro.runtime.latency.LatencyModel` applied
 as *real* delay: ``FixedLatency(0.0)`` for an undelayed in-process
-service, positive values to rehearse WAN pacing.  Step programs run in
-real asyncio tasks through :class:`TaskExecutor`, which wraps transient
+service, positive values to rehearse WAN pacing.  Step programs run as
+loop timers through :class:`TaskExecutor`, which wraps transient
 program exceptions in the engines' :class:`~repro.runtime.retry.
 RetryPolicy` backoff instead of letting one flaky callback kill the
 daemon.
@@ -32,6 +34,8 @@ bit-replay remains the business of the simulated backend.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+from collections import deque
 from typing import Any, Callable
 
 from repro.errors import InjectedFault, SimulationError, WorkloadError
@@ -43,18 +47,34 @@ from repro.runtime.transport import Network
 
 __all__ = ["RealtimeClock", "RealtimeHandle", "RealtimeRuntime", "TaskExecutor"]
 
+#: Zero-delay callbacks one loop turn fires before the clock yields to the
+#: loop's other work (socket reads, HTTP handlers); a longer cascade
+#: continues, in order, on the next turn.
+TURN_LIMIT = 256
+
+
+async def _wait(idle: asyncio.Event, timeout: float | None) -> bool:
+    try:
+        await asyncio.wait_for(idle.wait(), timeout)
+    except asyncio.TimeoutError:
+        return False
+    return True
+
 
 class RealtimeHandle:
     """A cancellable reference to a scheduled wall-clock callback."""
 
-    __slots__ = ("_clock", "_timer", "action", "cancelled", "time")
+    __slots__ = ("_clock", "_context", "_timer", "action", "args", "cancelled",
+                 "time")
 
-    def __init__(self, clock: "RealtimeClock", timer: asyncio.TimerHandle,
-                 time: float, action: Callable[..., Any]):
+    def __init__(self, clock: "RealtimeClock", time: float,
+                 action: Callable[..., Any], args: tuple):
         self._clock = clock
-        self._timer = timer
+        #: The loop timer; ``None`` for a zero-delay entry on the turn queue.
+        self._timer: asyncio.TimerHandle | None = None
         self.time = time
         self.action = action
+        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -62,7 +82,8 @@ class RealtimeHandle:
         if self.cancelled:
             return
         self.cancelled = True
-        self._timer.cancel()
+        if self._timer is not None:
+            self._timer.cancel()
         clock = self._clock
         if clock is not None:
             self._clock = None
@@ -78,10 +99,11 @@ class RealtimeClock:
     """Monotonic wall clock over the asyncio event loop.
 
     Satisfies :class:`repro.runtime.protocols.Clock`.  ``now`` is seconds
-    since :meth:`start`; callbacks are real ``call_later`` timers.  The
-    clock keeps the same observability surface as the simulated kernel
-    (``events_processed``, ``event_hook``, ``profile``, ``pending``) so
-    the engines' obs wiring works unchanged under both substrates.
+    since :meth:`start`; callbacks are real ``call_later`` timers, or
+    turn-queue entries when the delay is zero.  The clock keeps the same
+    observability surface as the simulated kernel (``events_processed``,
+    ``event_hook``, ``profile``, ``pending``) so the engines' obs wiring
+    works unchanged under both substrates.
 
     There is deliberately no synchronous ``run()``: the asyncio loop is
     the driver.  Use :meth:`join` to await quiescence.
@@ -91,7 +113,11 @@ class RealtimeClock:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch = 0.0
         self._pending = 0
-        self._idle: asyncio.Event | None = None
+        self._idle = asyncio.Event()
+        self._idle.set()
+        #: Zero-delay entries in scheduling order, fired by :meth:`_drain`.
+        self._turn: deque[RealtimeHandle] = deque()
+        self._drain_armed = False
         self.events_processed = 0
         self._last_fire = 0.0
         #: Observability hook called as ``hook(time, pending)`` before each
@@ -112,8 +138,6 @@ class RealtimeClock:
             return
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._epoch = self._loop.time()
-        self._idle = asyncio.Event()
-        self._idle.set()
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -139,45 +163,71 @@ class RealtimeClock:
     def schedule(
         self, delay: float, action: Callable[..., Any], *args: Any
     ) -> RealtimeHandle:
-        """Run ``action(*args)`` ``delay`` real seconds from now."""
+        """Run ``action(*args)`` ``delay`` real seconds from now.
+
+        ``delay == 0`` arms no timer: the entry joins the FIFO turn queue
+        and fires in the loop turn a clock callback is already running in
+        (else in the next one) — the simulated kernel's ``now + 0``.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         loop = self._require_loop()
-        handle: RealtimeHandle
-        fire_at = self.now + delay
-
-        def fire() -> None:
-            if handle.cancelled:
-                # A cancel raced the loop's ready queue: asyncio skips
-                # cancelled TimerHandles before calling them, so this
-                # branch is belt-and-braces — cancel() already released
-                # the pending slot, firing now would double-count.
-                return  # pragma: no cover - asyncio guards this upstream
-            handle._clock = None  # a late cancel is a pure no-op
-            self._pending -= 1
-            self.events_processed += 1
-            now = self.now
-            if self.event_hook is not None:
-                self.event_hook(now, self._pending)
-            profile = self.profile
-            if profile is not None:
-                profile.begin_event(action, now, now - self._last_fire,
-                                    self._pending)
-                self._last_fire = now
-            try:
-                action(*args)
-            finally:
-                if profile is not None:
-                    profile.end_event()
-                if self._pending == 0 and self._idle is not None:
-                    self._idle.set()
-
-        timer = loop.call_later(delay, fire)
-        handle = RealtimeHandle(self, timer, fire_at, action)
+        handle = RealtimeHandle(self, self.now + delay, action, args)
+        if delay == 0:
+            # As ``call_later`` would: the callback runs in the context
+            # of whoever scheduled it, not of whoever armed the drain.
+            handle._context = contextvars.copy_context()
+            self._turn.append(handle)
+            if not self._drain_armed:
+                self._drain_armed = True
+                loop.call_soon(self._drain)
+        else:
+            handle._timer = loop.call_later(delay, self._fire, handle)
         self._pending += 1
-        if self._idle is not None:
-            self._idle.clear()
+        self._idle.clear()
         return handle
+
+    def _drain(self) -> None:
+        """Fire the turn queue, including what its callbacks enqueue.
+
+        At most :data:`TURN_LIMIT` callbacks per loop turn; the rest keep
+        their order and run after the loop has polled its sockets.
+        """
+        turn = self._turn
+        budget = TURN_LIMIT
+        try:
+            while turn and budget:
+                handle = turn.popleft()
+                if not handle.cancelled:
+                    budget -= 1
+                    handle._context.run(self._fire, handle)
+        finally:
+            # A raising callback goes to the loop's exception handler;
+            # what it left queued still runs.
+            if turn:
+                self._loop.call_soon(self._drain)
+            else:
+                self._drain_armed = False
+
+    def _fire(self, handle: RealtimeHandle) -> None:
+        handle._clock = None  # a late cancel is a pure no-op
+        self._pending -= 1
+        self.events_processed += 1
+        now = self.now
+        if self.event_hook is not None:
+            self.event_hook(now, self._pending)
+        profile = self.profile
+        if profile is not None:
+            profile.begin_event(handle.action, now, now - self._last_fire,
+                                self._pending)
+            self._last_fire = now
+        try:
+            handle.action(*handle.args)
+        finally:
+            if profile is not None:
+                profile.end_event()
+            if self._pending == 0:
+                self._idle.set()
 
     def schedule_at(
         self, time: float, action: Callable[..., Any], *args: Any
@@ -192,7 +242,7 @@ class RealtimeClock:
 
     def _on_cancel(self) -> None:
         self._pending -= 1
-        if self._pending == 0 and self._idle is not None:
+        if self._pending == 0:
             self._idle.set()
 
     @property
@@ -204,43 +254,45 @@ class RealtimeClock:
 
     async def join(self, timeout: float | None = None) -> bool:
         """Wait until no callbacks are pending; ``False`` on timeout."""
-        if self._idle is None:
-            return self._pending == 0
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            return False
-        return True
+        return await _wait(self._idle, timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RealtimeClock now={self.now:.3f} pending={self._pending}>"
 
 
 class _TaskHandle:
-    """Cancellable wrapper over one executor task."""
+    """Cancellable reference to one submission: its currently armed timer."""
 
-    __slots__ = ("_task", "cancelled")
+    __slots__ = ("_executor", "_timer", "cancelled")
 
-    def __init__(self, task: "asyncio.Task[Any]"):
-        self._task = task
+    def __init__(self, executor: "TaskExecutor"):
+        self._executor = executor
+        #: Service time, injected stall or backoff; ``None`` while an
+        #: attempt runs and once the submission is settled.
+        self._timer: asyncio.TimerHandle | None = None
         self.cancelled = False
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
-        self._task.cancel()
+        timer = self._timer
+        if timer is not None:  # armed: neither running nor settled
+            self._timer = None
+            timer.cancel()
+            self._executor._settle(self)
 
 
 class TaskExecutor:
-    """Task-based step execution with retry-on-transient-failure.
+    """Timer-driven step execution with retry-on-transient-failure.
 
-    ``submit(delay, fn, *args)`` spawns a real asyncio task that sleeps
-    the service time, then calls ``fn``.  A raising ``fn`` is retried on
-    the runtime's :class:`~repro.runtime.retry.RetryPolicy` backoff (with
-    the jitter drawn from a seeded stream so retry pacing is at least
-    *replayable* in logs); once the budget is exhausted the failure is
-    recorded in :attr:`failures` instead of killing the event loop.
+    ``submit(delay, fn, *args)`` arms one loop timer for the service
+    time; when it fires, ``fn`` runs as a plain callback.  A raising
+    ``fn`` is retried on the runtime's :class:`~repro.runtime.retry.
+    RetryPolicy` backoff — the backoff is the submission's next timer —
+    (with the jitter drawn from a seeded stream so retry pacing is at
+    least *replayable* in logs); once the budget is exhausted the failure
+    is recorded in :attr:`failures` instead of killing the event loop.
     """
 
     def __init__(self, clock: RealtimeClock, retry: RetryPolicy | None = None,
@@ -255,7 +307,9 @@ class TaskExecutor:
         #: When present, each submission consults it for an injected
         #: pre-run stall and each attempt for an injected failure.
         self.faults = None
-        self._tasks: set[asyncio.Task[Any]] = set()
+        self._inflight = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.submitted = 0
         self.retries = 0
         #: ``(callable qualname, repr(exception))`` of budget-exhausted work.
@@ -266,53 +320,61 @@ class TaskExecutor:
         #: ``on_retry(fn, name, exc, attempt, backoff)`` after each failed
         #: attempt that will be retried, ``on_give_up(fn, name, exc,
         #: attempts)`` once the budget is exhausted.  Hook exceptions are
-        #: swallowed — observability must never kill the worker task.
+        #: swallowed — observability must never kill the worker.
         self.on_retry: Callable[..., None] | None = None
         self.on_give_up: Callable[..., None] | None = None
 
     def submit(
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> _TaskHandle:
-        """Run ``fn(*args)`` after ``delay`` seconds in a real task."""
+        """Run ``fn(*args)`` after ``delay`` seconds of service time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         loop = self.clock._require_loop()
         self.submitted += 1
-        task = loop.create_task(self._run(delay, fn, args))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return _TaskHandle(task)
+        self._inflight += 1
+        self._idle.clear()
+        handle = _TaskHandle(self)
+        handle._timer = loop.call_later(delay, self._begin, handle, fn, args)
+        return handle
 
-    async def _run(self, delay: float, fn: Callable[..., Any], args: tuple) -> None:
-        if delay > 0:
-            await asyncio.sleep(delay)
-        faults = self.faults
+    def _begin(self, handle: _TaskHandle, fn: Callable[..., Any],
+               args: tuple) -> None:
+        """The service time is over: an injected stall, then attempt 1."""
+        handle._timer = None
         name = getattr(fn, "__qualname__", repr(fn))
-        if faults is not None:
-            stall = faults.executor_stall(name)
-            if stall > 0:
-                await asyncio.sleep(stall)
-        attempt = 0
-        while True:
-            try:
-                if faults is not None and faults.executor_should_fail(
-                    name, attempt + 1
-                ):
-                    raise InjectedFault(f"injected executor failure in {name}")
-                fn(*args)
-                return
-            except asyncio.CancelledError:  # pragma: no cover - defensive
-                raise
-            except Exception as exc:
-                attempt += 1
-                backoff = self.retry.backoff(attempt, self._jitter)
-                if backoff is None:
-                    self.failures.append((name, repr(exc)))
-                    self._notify(self.on_give_up, fn, name, exc, attempt)
-                    return
+        stall = 0.0 if self.faults is None else self.faults.executor_stall(name)
+        if stall > 0:
+            handle._timer = self.clock._loop.call_later(
+                stall, self._attempt, handle, fn, args, name, 1)
+        else:
+            self._attempt(handle, fn, args, name, 1)
+
+    def _attempt(self, handle: _TaskHandle, fn: Callable[..., Any],
+                 args: tuple, name: str, attempt: int) -> None:
+        handle._timer = None
+        faults = self.faults
+        try:
+            if faults is not None and faults.executor_should_fail(name, attempt):
+                raise InjectedFault(f"injected executor failure in {name}")
+            fn(*args)
+        except Exception as exc:
+            backoff = self.retry.backoff(attempt, self._jitter)
+            if backoff is not None:
                 self.retries += 1
                 self._notify(self.on_retry, fn, name, exc, attempt, backoff)
-                await asyncio.sleep(backoff)
+                handle._timer = self.clock._loop.call_later(
+                    backoff, self._attempt, handle, fn, args, name, attempt + 1)
+                return
+            self.failures.append((name, repr(exc)))
+            self._notify(self.on_give_up, fn, name, exc, attempt)
+        self._settle(handle)
+
+    def _settle(self, handle: _TaskHandle) -> None:
+        """The submission ran, gave up or was cancelled: no timer is armed."""
+        self._inflight -= 1
+        if self._inflight == 0:
+            self._idle.set()
 
     @staticmethod
     def _notify(hook: Callable[..., None] | None, *args: Any) -> None:
@@ -325,15 +387,12 @@ class TaskExecutor:
 
     @property
     def inflight(self) -> int:
-        """Tasks submitted but not yet finished."""
-        return len(self._tasks)
+        """Submissions whose work has not run, given up or been cancelled."""
+        return self._inflight
 
     async def join(self, timeout: float | None = None) -> bool:
-        """Wait for all in-flight tasks; ``False`` on timeout."""
-        if not self._tasks:
-            return True
-        __, pending = await asyncio.wait(set(self._tasks), timeout=timeout)
-        return not pending
+        """Wait for all in-flight submissions; ``False`` on timeout."""
+        return await _wait(self._idle, timeout)
 
 
 class RealtimeRuntime:
@@ -400,9 +459,10 @@ class RealtimeRuntime:
     async def join(self, timeout: float | None = None) -> bool:
         """Wait until the clock and the executor are both idle.
 
-        Work can ping-pong between the two (a timer spawns a task which
-        schedules a timer), so the join loops until a pass observes both
-        idle, or the timeout budget runs out.
+        Work can ping-pong between the two (a clock callback submits a
+        step whose completion schedules a clock callback), so the join
+        loops until a pass observes both idle, or the timeout budget runs
+        out.
         """
         loop = self.clock._require_loop()
         deadline = None if timeout is None else loop.time() + timeout

@@ -11,7 +11,7 @@ live event stream (tapped off the engine trace via
 Submissions are idempotent at the document level: the same LAWS text (or
 the same schema JSON) installs its workflow classes once and then only
 starts new instances.  Event subscribers get per-instance
-:class:`asyncio.Queue` feeds terminated by ``None`` once the instance
+:class:`EventFeed` objects terminated by ``None`` once the instance
 reaches an outcome.  The engine pushes each outcome to
 :meth:`WorkflowService._on_outcome` (via :attr:`repro.engines.base.
 ControlSystem.on_outcome`), the one place a finished instance is
@@ -148,6 +148,56 @@ def schema_from_dict(payload: dict[str, Any]):
     return builder.build()
 
 
+class EventFeed:
+    """One subscriber's unread events: a list plus one wake-up future.
+
+    The service calls :meth:`put`; the single reader either awaits
+    :meth:`get` event by event or — the HTTP pump — awaits :meth:`wait`
+    once and calls :meth:`take` for everything the loop turn produced.
+    ``None`` is the terminator and the last thing a feed ever receives.
+    """
+
+    __slots__ = ("_events", "_waiter")
+
+    def __init__(self) -> None:
+        self._events: list[dict[str, Any] | None] = []
+        self._waiter: asyncio.Future | None = None
+
+    def put(self, event: dict[str, Any] | None) -> None:
+        self._events.append(event)
+        self.wake()
+
+    def wake(self) -> None:
+        """Resolve the reader's pending :meth:`wait`, if there is one."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def wait(self) -> asyncio.Future:
+        """The future the next :meth:`put` (or :meth:`wake`) resolves."""
+        if self._waiter is None or self._waiter.done():
+            self._waiter = asyncio.get_running_loop().create_future()
+        return self._waiter
+
+    def take(self) -> list[dict[str, Any] | None]:
+        """Everything unread, in order; the feed is empty afterwards."""
+        events, self._events = self._events, []
+        return events
+
+    def empty(self) -> bool:
+        return not self._events
+
+    def get_nowait(self) -> dict[str, Any] | None:
+        if not self._events:
+            raise asyncio.QueueEmpty
+        return self._events.pop(0)
+
+    async def get(self) -> dict[str, Any] | None:
+        while not self._events:
+            await self.wait()
+        return self._events.pop(0)
+
+
 class WorkflowService:
     """One wall-clock control system behind a submission/query surface."""
 
@@ -228,10 +278,10 @@ class WorkflowService:
         #: Finished instances whose ``outcome`` record is appended but not
         #: flushed; hidden until :meth:`_publish_outcomes`.
         self._unpublished: set[str] = set()
-        self._subscribers: dict[str, list[asyncio.Queue]] = {}
-        #: Firehose subscribers: queues receiving every instance-tagged
+        self._subscribers: dict[str, list[EventFeed]] = {}
+        #: Firehose subscribers: feeds receiving every instance-tagged
         #: event (the ``GET /events`` stream and ``repro top``).
-        self._event_taps: list[asyncio.Queue] = []
+        self._event_taps: list[EventFeed] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = False
         self._draining = False
@@ -374,8 +424,8 @@ class WorkflowService:
             self.logger.info("service.draining",
                              running=self.running_count())
             taps, self._event_taps = self._event_taps, []
-            for queue in taps:
-                queue.put_nowait(None)
+            for feed in taps:
+                feed.put(None)
 
     async def close(self) -> None:
         self.begin_drain()
@@ -386,8 +436,8 @@ class WorkflowService:
             timer.cancel()
         self._deadlines.clear()
         self._publish_outcomes()
-        for queue in self._event_taps:
-            queue.put_nowait(None)
+        for feed in self._event_taps:
+            feed.put(None)
         self._event_taps.clear()
         trace = self.system.trace
         spans_dropped = self.system.tracer.dropped
@@ -684,8 +734,8 @@ class WorkflowService:
 
     # -- event streaming ---------------------------------------------------
 
-    def subscribe(self, instance_id: str) -> asyncio.Queue:
-        """Queue of event dicts for one instance, ``None``-terminated.
+    def subscribe(self, instance_id: str) -> EventFeed:
+        """Feed of event dicts for one instance, ``None``-terminated.
 
         Subscribing to an already-finished instance yields a single
         final status event and then the terminator.
@@ -695,45 +745,45 @@ class WorkflowService:
                     or instance_id in self._durable_outcomes)
         if not finished and instance_id not in self._submit_times:
             raise FrontEndError(f"unknown instance {instance_id!r}")
-        queue: asyncio.Queue = asyncio.Queue()
+        feed = EventFeed()
         if finished:
-            queue.put_nowait(self._final_event(instance_id))
-            queue.put_nowait(None)
-            return queue
-        self._subscribers.setdefault(instance_id, []).append(queue)
-        return queue
+            feed.put(self._final_event(instance_id))
+            feed.put(None)
+            return feed
+        self._subscribers.setdefault(instance_id, []).append(feed)
+        return feed
 
-    def unsubscribe(self, instance_id: str, queue: asyncio.Queue) -> None:
-        """Detach a subscriber queue (client went away mid-stream).
+    def unsubscribe(self, instance_id: str, feed: EventFeed) -> None:
+        """Detach a subscriber feed (client went away mid-stream).
 
         Without this, a disconnecting NDJSON client would leave its
-        queue accumulating events until the instance finishes.  Unknown
-        queues (already closed at the instance's outcome) are ignored.
+        feed accumulating events until the instance finishes.  Unknown
+        feeds (already closed at the instance's outcome) are ignored.
         """
         instance_id = self.resolve_instance(instance_id)
-        queues = self._subscribers.get(instance_id)
-        if not queues:
+        feeds = self._subscribers.get(instance_id)
+        if not feeds:
             return
         try:
-            queues.remove(queue)
+            feeds.remove(feed)
         except ValueError:
             return
-        if not queues:
+        if not feeds:
             del self._subscribers[instance_id]
 
-    def subscribe_events(self) -> asyncio.Queue:
-        """Firehose queue of every instance-tagged event (all instances).
+    def subscribe_events(self) -> EventFeed:
+        """Firehose feed of every instance-tagged event (all instances).
 
         Terminated with ``None`` at service close; callers detach early
         via :meth:`unsubscribe_events`.
         """
-        queue: asyncio.Queue = asyncio.Queue()
-        self._event_taps.append(queue)
-        return queue
+        feed = EventFeed()
+        self._event_taps.append(feed)
+        return feed
 
-    def unsubscribe_events(self, queue: asyncio.Queue) -> None:
+    def unsubscribe_events(self, feed: EventFeed) -> None:
         try:
-            self._event_taps.remove(queue)
+            self._event_taps.remove(feed)
         except ValueError:
             pass
 
@@ -742,17 +792,19 @@ class WorkflowService:
         instance_id = rec.detail.get("instance")
         if not instance_id:
             return
-        queues = self._subscribers.get(instance_id)
-        if not queues and not self._event_taps:
+        if instance_id not in self._subscribers and not self._event_taps:
             return
         event = {"t": round(rec.time, 6), "node": rec.node, "kind": rec.kind}
         event.update(
             (k, v) for k, v in rec.detail.items() if _jsonable(v)
         )
-        for queue in queues or ():
-            queue.put_nowait(event)
-        for queue in self._event_taps:
-            queue.put_nowait(event)
+        self._emit(instance_id, event)
+
+    def _emit(self, instance_id: str, event: dict[str, Any]) -> None:
+        for feed in self._subscribers.get(instance_id, ()):
+            feed.put(event)
+        for feed in self._event_taps:
+            feed.put(event)
 
     def _final_event(self, instance_id: str) -> dict[str, Any]:
         record = self.instance(instance_id)
@@ -808,9 +860,9 @@ class WorkflowService:
             self._log.flush()
         finished, self._unpublished = self._unpublished, set()
         for iid in finished:
-            for queue in self._subscribers.pop(iid, ()):
-                queue.put_nowait(self._final_event(iid))
-                queue.put_nowait(None)
+            for feed in self._subscribers.pop(iid, ()):
+                feed.put(self._final_event(iid))
+                feed.put(None)
 
     def _expire(self, iid: str) -> None:
         """Deadline timer: abort an instance that outlived its budget."""
@@ -821,12 +873,8 @@ class WorkflowService:
         self.logger.warning(
             "instance.deadline_exceeded", instance=iid,
             overrun=round(self._loop.time() - timer.when(), 6))
-        event = {"t": round(now, 6), "kind": "instance.deadline_exceeded",
-                 "instance": iid}
-        for queue in self._subscribers.get(iid, ()):
-            queue.put_nowait(event)
-        for queue in self._event_taps:
-            queue.put_nowait(event)
+        self._emit(iid, {"t": round(now, 6), "instance": iid,
+                         "kind": "instance.deadline_exceeded"})
         # The 504-style outcome: the service aborts the instance; the
         # engine's abort/compensation path drives it to a terminal
         # outcome, which keeps the at-most-once commit story intact.

@@ -28,7 +28,7 @@ source text) or ``schema`` (a schema-JSON document, see
 (count).  Event streams respond with ``Content-Type:
 application/x-ndjson`` and close when the instance finishes (or at
 service shutdown for the firehose); a client hanging up mid-stream is
-detected via connection EOF and its queue detached immediately.
+detected via connection EOF and its feed detached immediately.
 
 ``/healthz`` answers *liveness* (the process and loop are up) and always
 returns 200; ``/readyz`` answers *readiness* (accepting traffic) — 503
@@ -96,6 +96,10 @@ _DEFAULT_CODES = {
 #: strict scrapers).
 _PROM_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _NDJSON_TYPE = "application/x-ndjson"
+_STREAM_HEAD = (
+    f"HTTP/1.1 200 OK\r\nContent-Type: {_NDJSON_TYPE}\r\n"
+    "Connection: close\r\n\r\n"
+).encode()
 
 
 def _version() -> str:
@@ -188,6 +192,22 @@ async def _read_request(
     return method, path.split("?", 1)[0], body
 
 
+def _watch_hangup(reader: asyncio.StreamReader, on_hangup) -> asyncio.Future:
+    """The one read of a streaming connection, and a call when it ends.
+
+    The connection is one-request-per-connection, so a further read
+    resolving — EOF, a stray byte or a reset — means the client went away.
+    """
+    def done(read: asyncio.Future) -> None:
+        if not read.cancelled():
+            read.exception()  # retrieved: a reset is a hang-up too
+        on_hangup()
+
+    read = asyncio.ensure_future(reader.read(1))
+    read.add_done_callback(done)
+    return read
+
+
 async def _stream_events(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -197,43 +217,41 @@ async def _stream_events(
     """Pump one NDJSON event stream until it ends or the client hangs up.
 
     ``instance_id=None`` selects the firehose (every instance's events).
-    The connection is one-request-per-connection, so any further read
-    resolving (EOF, or a stray byte) means the client went away; the
-    subscriber queue is detached in ``finally`` either way — a
-    disconnected client must not leave its queue accumulating events
+    Each pass writes, in one ``write``, everything the feed collected
+    since the last one — the response head rides with the first.  The
+    feed is detached in ``finally`` however the stream ends: a
+    disconnected client must not leave its feed accumulating events
     until the instance finishes.
     """
     if instance_id is None:
-        queue = service.subscribe_events()
+        feed = service.subscribe_events()
     else:
-        queue = service.subscribe(instance_id)
-    eof_task = asyncio.ensure_future(reader.read(1))
+        feed = service.subscribe(instance_id)
+    hung_up = _watch_hangup(reader, feed.wake)
     try:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
+        chunk = _STREAM_HEAD
         while True:
-            get_task = asyncio.ensure_future(queue.get())
-            done, __ = await asyncio.wait(
-                {get_task, eof_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if eof_task in done:
-                get_task.cancel()
+            events = feed.take()
+            ended = bool(events) and events[-1] is None
+            if ended:
+                events.pop()
+            chunk += "".join(
+                json.dumps(event, sort_keys=True) + "\n" for event in events
+            ).encode()
+            if chunk:
+                writer.write(chunk)
+                await writer.drain()
+                chunk = b""
+            if ended or hung_up.done():
                 return
-            event = get_task.result()
-            if event is None:
-                return
-            writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-            await writer.drain()
+            if feed.empty():
+                await feed.wait()
     finally:
-        eof_task.cancel()
+        hung_up.cancel()
         if instance_id is None:
-            service.unsubscribe_events(queue)
+            service.unsubscribe_events(feed)
         else:
-            service.unsubscribe(instance_id, queue)
+            service.unsubscribe(instance_id, feed)
 
 
 async def _dispatch(

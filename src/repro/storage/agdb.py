@@ -45,6 +45,8 @@ class AgentDatabase:
         self._chains = InstanceChains(self.wal, "fragment_snapshot", "fragment_delta")
         self._fragments: dict[str, InstanceState] = {}
         self._directory: dict[tuple[str, str], tuple[str, ...]] = {}
+        #: schema name -> :meth:`hosted_steps`, derived from the directory.
+        self._hosted: dict[str, frozenset[str]] = {}
         self._summary: dict[str, InstanceStatus] = {}
         self._purged: set[str] = set()
         #: Purged ids no ``purge`` record names yet (a purge that dropped
@@ -126,6 +128,7 @@ class AgentDatabase:
         if not names:
             raise StorageError(f"step {schema_name}.{step} needs at least one agent")
         self._directory[(schema_name, step)] = names
+        self._hosted.pop(schema_name, None)
 
     def eligible_agents(self, schema_name: str, step: str) -> tuple[str, ...]:
         try:
@@ -135,6 +138,17 @@ class AgentDatabase:
                 f"agent {self.agent_name!r}: no eligible agents recorded for "
                 f"{schema_name}.{step}"
             ) from None
+
+    def hosted_steps(self, schema_name: str, steps: Iterable[str]) -> frozenset[str]:
+        """The ``steps`` of a schema this agent is eligible for; scanned
+        once per schema until :meth:`set_eligible_agents` changes it."""
+        hosted = self._hosted.get(schema_name)
+        if hosted is None:
+            hosted = self._hosted[schema_name] = frozenset(
+                step for step in steps
+                if self.agent_name in self.eligible_agents(schema_name, step)
+            )
+        return hosted
 
     def directory_items(self) -> tuple[tuple[tuple[str, str], tuple[str, ...]], ...]:
         return tuple(sorted(self._directory.items()))

@@ -22,6 +22,33 @@ def make(seed=2, num_agents=6, agents_per_step=2, **config_kwargs):
     )
 
 
+def test_governed_steps_are_counted_per_schema_and_recounted_on_a_new_spec():
+    from repro.model.coordination_spec import RelativeOrderSpec
+
+    system = make()
+    schema = linear_schema(steps=4)
+    system.register_schema(schema)
+    register_programs(system, schema)
+    compiled = system.compiled("Linear")
+    assert system.governed_steps(compiled) == 0
+    first = system.start_workflow("Linear", {"x": 1})
+    system.run()
+    system.add_coordination(RelativeOrderSpec(
+        name="fifo", schema_a="Linear", schema_b="Linear",
+        steps_a=("S2", "S3"), steps_b=("S2", "S3"), conflict_key="WF.x",
+    ))
+    assert system.governed_steps(compiled) == 2
+    second = system.start_workflow("Linear", {"x": 1})
+    system.run()
+    assert system.outcome(first).committed and system.outcome(second).committed
+    governed = {agent.runtimes[second].governed
+                for agent in system.agents if second in agent.runtimes}
+    assert governed == {2}
+    # every agent of an instance hosts what the directory says, per schema
+    for agent in system.agents:
+        assert agent.hosted_steps(compiled) is agent.hosted_steps(compiled)
+
+
 def test_linear_workflow_commits_and_navigates_by_packets():
     system = make()
     schema = linear_schema(steps=4)

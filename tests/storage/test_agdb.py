@@ -22,6 +22,21 @@ def test_directory_roundtrip():
         db.set_eligible_agents("W", "S2", [])
 
 
+def test_hosted_steps_are_scanned_once_until_the_directory_changes():
+    db = make_db()
+    db.set_eligible_agents("W", "S2", ["agent-2"])
+    db.set_eligible_agents("V", "S1", ["agent-1"])
+    hosted = db.hosted_steps("W", ["S1", "S2"])
+    assert hosted == frozenset({"S1"})
+    assert db.hosted_steps("W", iter(())) is hosted  # not scanned again
+    db.set_eligible_agents("V", "S1", ["agent-2"])  # another schema's entry
+    assert db.hosted_steps("W", iter(())) is hosted
+    db.set_eligible_agents("W", "S2", ["agent-2", "agent-1"])
+    assert db.hosted_steps("W", ["S1", "S2"]) == frozenset({"S1", "S2"})
+    with pytest.raises(StorageError):
+        db.hosted_steps("V", ["S1", "ghost"])  # a step without an entry still raises
+
+
 def test_ensure_fragment_idempotent():
     db = make_db()
     fragment = db.ensure_fragment("W", "i1", {"x": 1})

@@ -263,6 +263,38 @@ def test_purge_forgets_through_one_retire_routine():
     assert purgers == ["failure.py:_retire"]
 
 
+def test_daemon_hot_paths_spawn_no_task_per_step_or_event():
+    """A step is a loop timer and a streamed batch of events one future:
+    the executor and the stream pump create no Task, race no
+    ``asyncio.wait`` and sleep in no coroutine, and no ``asyncio.Queue``
+    feed is back beside :class:`repro.service.core.EventFeed`."""
+    realtime = ast.parse((SRC / "repro" / "runtime" / "realtime.py").read_text())
+    http = ast.parse((SRC / "repro" / "service" / "http.py").read_text())
+    [executor] = [n for n in ast.walk(realtime)
+                  if isinstance(n, ast.ClassDef) and n.name == "TaskExecutor"]
+    [pump] = [n for n in ast.walk(http)
+              if isinstance(n, ast.AsyncFunctionDef) and n.name == "_stream_events"]
+    assert not [n for n in ast.walk(executor) if isinstance(n, ast.AsyncFunctionDef)
+                and n.name != "join"], "a coroutine-per-step path is back"
+    for scope in (executor, pump):
+        spawned = sorted(
+            f"{scope.name}:{n.lineno} {n.attr}" for n in ast.walk(scope)
+            if isinstance(n, ast.Attribute)
+            and (n.attr in ("ensure_future", "create_task", "sleep", "gather")
+                 or (n.attr == "wait" and isinstance(n.value, ast.Name)
+                     and n.value.id == "asyncio"))
+        )
+        assert not spawned, spawned
+    queues = []
+    for module_path in sorted((SRC / "repro" / "service").glob("*.py")):
+        queues += [
+            f"{module_path.name}:{n.lineno}"
+            for n in ast.walk(ast.parse(module_path.read_text()))
+            if isinstance(n, ast.Attribute) and n.attr == "Queue"
+        ]
+    assert not queues, f"asyncio.Queue feeds are back: {queues}"
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
