@@ -25,6 +25,7 @@ exclusion).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
@@ -53,35 +54,32 @@ class TimestampMutex:
     """Replicated timestamp-ordered lock (Lamport mutual exclusion).
 
     Every engine applies the same request/release broadcasts; the holder is
-    the earliest-stamped unreleased requester, so all replicas agree
-    without a central lock manager.
+    the earliest-stamped outstanding requester, so all replicas agree
+    without a central lock manager.  Only outstanding requests are kept:
+    a release forgets its instance, so a later request (a region
+    re-executed after rollback) takes effect with its new stamp, and a
+    repeated request keeps the first stamp.
     """
 
     def __init__(self) -> None:
-        self._requests: list[tuple[Any, str, str]] = []  # (stamp, schema, inst)
-        self._released: set[str] = set()
+        #: Outstanding requests as ``(stamp, instance, schema)``, sorted.
+        self._queue: list[tuple[Any, str, str]] = []
 
     def request(self, stamp: Any, schema: str, instance: str) -> None:
-        if instance in self._released:
-            # Re-acquisition (e.g. a region re-executed after rollback):
-            # retire the old request so the new stamp takes effect.
-            self._requests = [e for e in self._requests if e[2] != instance]
-            self._released.discard(instance)
-        if not any(inst == instance for __, __s, inst in self._requests):
-            self._requests.append((stamp, schema, instance))
-            self._requests.sort(key=lambda e: (e[0], e[2]))
+        if all(entry[1] != instance for entry in self._queue):
+            bisect.insort(self._queue, (stamp, instance, schema))
 
     def release(self, instance: str) -> None:
-        self._released.add(instance)
+        self._queue = [entry for entry in self._queue if entry[1] != instance]
 
     def holder(self) -> tuple[str, str] | None:
-        for __, schema, instance in self._requests:
-            if instance not in self._released:
-                return (schema, instance)
-        return None
+        if not self._queue:
+            return None
+        __, instance, schema = self._queue[0]
+        return (schema, instance)
 
     def waiting(self) -> int:
-        return sum(1 for __, __s, i in self._requests if i not in self._released)
+        return len(self._queue)
 
 
 @dataclass
@@ -89,16 +87,17 @@ class _CoordReplica:
     """Per-engine replica of the global coordination state."""
 
     ro: dict[str, RelativeOrderAuthority] = field(default_factory=dict)
+    #: ``(spec name, conflict key value)`` -> a mutex somebody waits on.
     mx: dict[tuple[str, Hashable], TimestampMutex] = field(default_factory=dict)
     rd: dict[str, RollbackDependencyAuthority] = field(default_factory=dict)
 
-    def mutex(self, spec_name: str, key: Hashable | None) -> TimestampMutex:
-        lock_key = (spec_name, key if key is not None else "__ANY__")
-        mutex = self.mx.get(lock_key)
-        if mutex is None:
-            mutex = TimestampMutex()
-            self.mx[lock_key] = mutex
-        return mutex
+    def mx_release(self, lock: tuple[str, Hashable], instance: str) -> None:
+        """Release, and forget the mutex once nobody waits on it."""
+        mutex = self.mx.get(lock)
+        if mutex is not None:
+            mutex.release(instance)
+            if not mutex.waiting():
+                del self.mx[lock]
 
 
 class ParallelEngineNode(CentralEngineNode):
@@ -230,16 +229,18 @@ class ParallelEngineNode(CentralEngineNode):
         if op == "ro_report":
             self._apply_ro_report(payload)
         elif op == "mx_request":
-            authority = self.replica.mutex(payload["spec"], payload["key"])
-            authority.request(
+            lock = (payload["spec"], payload["key"])
+            if lock not in self.replica.mx:
+                self.replica.mx[lock] = TimestampMutex()
+            self.replica.mx[lock].request(
                 (payload["time"], payload["instance"]),
                 payload["schema"],
                 payload["instance"],
             )
             self._schedule_mx_check(payload["spec"], payload["key"])
         elif op == "mx_release":
-            authority = self.replica.mutex(payload["spec"], payload["key"])
-            authority.release(payload["instance"])
+            self.replica.mx_release((payload["spec"], payload["key"]),
+                                    payload["instance"])
             self._mx_granted.discard((payload["spec"], payload["instance"]))
             self._schedule_mx_check(payload["spec"], payload["key"])
         elif op == "rd_report":
@@ -333,8 +334,8 @@ class ParallelEngineNode(CentralEngineNode):
         )
 
     def _mx_check(self, spec_name: str, key: Hashable | None) -> None:
-        mutex = self.replica.mutex(spec_name, key)
-        holder = mutex.holder()
+        mutex = self.replica.mx.get((spec_name, key))
+        holder = None if mutex is None else mutex.holder()
         if holder is None:
             return
         __, instance = holder
@@ -343,7 +344,7 @@ class ParallelEngineNode(CentralEngineNode):
         runtime = self.runtimes.get(instance)
         if runtime is None:
             # Owner engine no longer runs the instance (finished): release.
-            mutex.release(instance)
+            self.replica.mx_release((spec_name, key), instance)
             return
         self._mx_granted.add((spec_name, instance))
         runtime.mx_state[spec_name] = "held"

@@ -98,6 +98,10 @@ EVENT_FRAMES = {
     "ApplicationAgentNode._complete_step": "program.complete",
     "ApplicationAgentNode._complete_compensation": "program.compensate",
     "AgentFailureMixin._watchdog": "recovery.watchdog",
+    # Wall-clock runtime: a step's service time is over and its work runs
+    # (``_begin``), or it runs after an injected stall or a retry backoff.
+    "TaskExecutor._begin": "executor.step",
+    "TaskExecutor._attempt": "executor.attempt",
 }
 
 

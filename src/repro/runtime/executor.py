@@ -4,8 +4,8 @@
 by scheduling the callback directly on the runtime's clock — exactly what
 nodes did before the runtime layer existed, so fixed-seed simulated
 schedules stay byte-identical.  The asyncio backend replaces it with
-:class:`repro.runtime.realtime.TaskExecutor`, which runs the same
-callbacks off loop timers with retry handling.
+:class:`repro.runtime.realtime.TaskExecutor`, which queues the same
+callbacks on the wall clock with retry handling.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Built-ins:
     deterministic, fault-injectable, the default everywhere.
 ``"asyncio"`` (alias ``"realtime"``)
     :class:`repro.runtime.realtime.RealtimeRuntime` — monotonic wall
-    clock over the running asyncio loop, task-based step execution.
+    clock over the running asyncio loop, retried step execution.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The same strategy objects drive both substrates: under simulation the
 delay advances virtual time deterministically; under the asyncio runtime
-it becomes a real ``call_later`` interval (``FixedLatency(0.0)`` for an
-undelayed in-process service, a positive value to rehearse WAN pacing).
+it becomes a real interval (``FixedLatency(0.0)`` for an undelayed
+in-process service, a positive value to rehearse WAN pacing).
 
 Constructor parameters are validated eagerly with :class:`ParameterError`
 (a ``ValueError``): a negative or inverted latency window would otherwise

@@ -10,8 +10,8 @@ seams between an engine and the substrate it runs on:
     returning a :class:`Cancellable` handle.  The simulated clock
     (:class:`repro.sim.kernel.Simulator`) advances virtual time through a
     deterministic event heap; the realtime clock
-    (:class:`repro.runtime.realtime.RealtimeClock`) maps the same calls
-    onto a monotonic wall clock and the asyncio event loop.
+    (:class:`repro.runtime.realtime.RealtimeClock`) fires the same heap
+    against a monotonic wall clock from the asyncio event loop.
 
 ``Transport``
     Named-node messaging with latency and fault hooks: ``register`` /
@@ -25,8 +25,8 @@ seams between an engine and the substrate it runs on:
     Step-program execution: ``submit(delay, fn, *args)`` runs ``fn`` after
     ``delay`` units of service time.  Under simulation this is exactly a
     clock callback (keeping fixed-seed schedules byte-identical); under
-    asyncio it is a loop timer with :class:`repro.runtime.retry.RetryPolicy`
-    wrapping transient failures.
+    asyncio it is a clock entry too, with :class:`repro.runtime.retry.
+    RetryPolicy` wrapping transient failures.
 
 A :class:`Runtime` bundles one of each plus lifecycle extras (fault
 injection, quiescence).  Engines receive a ``Runtime`` and never name a

@@ -1,20 +1,22 @@
 """Wall-clock asyncio runtime: the same engine stack on real time.
 
 Everything the engines schedule — frontend WIs, delivery latencies, step
-service times, watchdogs — lands on :class:`RealtimeClock`, a monotonic
-wall clock that maps ``schedule(delay, fn, *args)`` onto
-``loop.call_later`` — except ``delay == 0``, which costs no timer and no
-loop turn: it runs, FIFO, in the turn that caused it, as the simulated
-kernel runs ``now + 0``.  The transport is the shared clock-agnostic
-:class:`repro.runtime.transport.Network` (persistent-queue semantics,
-per-mechanism accounting, Lamport stamping — identical to simulation),
-with the configured :class:`~repro.runtime.latency.LatencyModel` applied
-as *real* delay: ``FixedLatency(0.0)`` for an undelayed in-process
-service, positive values to rehearse WAN pacing.  Step programs run as
-loop timers through :class:`TaskExecutor`, which wraps transient
-program exceptions in the engines' :class:`~repro.runtime.retry.
-RetryPolicy` backoff instead of letting one flaky callback kill the
-daemon.
+service times, watchdogs — lands on :class:`RealtimeClock`: the
+simulator's :class:`~repro.runtime.eventqueue.EventQueue`, fired by
+**one** loop callback armed for its head (``call_soon`` when due,
+``call_at`` otherwise).  The callback fires everything due in ``(time,
+seq)`` order, including what the fired callbacks schedule with no delay:
+a zero-latency message runs in the loop turn that sent it, as the
+simulated kernel runs ``now + 0``.  The transport is the shared
+clock-agnostic :class:`repro.runtime.transport.Network` (persistent-queue
+semantics, per-mechanism accounting, Lamport stamping — identical to
+simulation), with the configured :class:`~repro.runtime.latency.
+LatencyModel` applied as *real* delay: ``FixedLatency(0.0)`` for an
+undelayed in-process service, positive values to rehearse WAN pacing.
+Step programs run as clock entries through :class:`TaskExecutor`, which
+wraps transient program exceptions in the engines' :class:`~repro.
+runtime.retry.RetryPolicy` backoff instead of letting one flaky callback
+kill the daemon.
 
 Times reported by ``RealtimeClock.now`` are seconds since
 :meth:`RealtimeClock.start` (captured lazily from the first running
@@ -35,100 +37,52 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-from collections import deque
+import heapq
 from typing import Any, Callable
 
 from repro.errors import InjectedFault, SimulationError, WorkloadError
+from repro.runtime.eventqueue import EventHandle, EventQueue
 from repro.runtime.latency import FixedLatency, LatencyModel
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
 from repro.runtime.transport import Network
 
-__all__ = ["RealtimeClock", "RealtimeHandle", "RealtimeRuntime", "TaskExecutor"]
+__all__ = ["RealtimeClock", "RealtimeRuntime", "TaskExecutor"]
 
-#: Zero-delay callbacks one loop turn fires before the clock yields to the
-#: loop's other work (socket reads, HTTP handlers); a longer cascade
-#: continues, in order, on the next turn.
+#: Callbacks one loop turn fires before the clock yields to the loop's
+#: other work (socket reads, HTTP handlers); a longer cascade continues,
+#: in order, on the next turn.
 TURN_LIMIT = 256
 
 
-async def _wait(idle: asyncio.Event, timeout: float | None) -> bool:
-    try:
-        await asyncio.wait_for(idle.wait(), timeout)
-    except asyncio.TimeoutError:
-        return False
-    return True
-
-
-class RealtimeHandle:
-    """A cancellable reference to a scheduled wall-clock callback."""
-
-    __slots__ = ("_clock", "_context", "_timer", "action", "args", "cancelled",
-                 "time")
-
-    def __init__(self, clock: "RealtimeClock", time: float,
-                 action: Callable[..., Any], args: tuple):
-        self._clock = clock
-        #: The loop timer; ``None`` for a zero-delay entry on the turn queue.
-        self._timer: asyncio.TimerHandle | None = None
-        self.time = time
-        self.action = action
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-        clock = self._clock
-        if clock is not None:
-            self._clock = None
-            clock._on_cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.action, "__name__", repr(self.action))
-        return f"<RealtimeHandle t={self.time:.3f} {name} {state}>"
-
-
-class RealtimeClock:
+class RealtimeClock(EventQueue):
     """Monotonic wall clock over the asyncio event loop.
 
-    Satisfies :class:`repro.runtime.protocols.Clock`.  ``now`` is seconds
-    since :meth:`start`; callbacks are real ``call_later`` timers, or
-    turn-queue entries when the delay is zero.  The clock keeps the same
-    observability surface as the simulated kernel (``events_processed``,
-    ``event_hook``, ``profile``, ``pending``) so the engines' obs wiring
-    works unchanged under both substrates.
+    Satisfies :class:`repro.runtime.protocols.Clock`.  The queue, its
+    handles, ``pending``, ``events_processed``, ``event_hook`` and
+    ``profile`` are the simulated kernel's; what differs is how ``now``
+    advances.  Here it is seconds since :meth:`start`, read live, so a
+    positive delay counts from the instant it was scheduled, and an entry
+    fires once the wall clock has reached its time.
 
     There is deliberately no synchronous ``run()``: the asyncio loop is
     the driver.  Use :meth:`join` to await quiescence.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch = 0.0
-        self._pending = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        #: Zero-delay entries in scheduling order, fired by :meth:`_drain`.
-        self._turn: deque[RealtimeHandle] = deque()
-        self._drain_armed = False
-        self.events_processed = 0
+        #: The one loop callback armed for the head of the queue and the
+        #: clock time it was armed for; ``None`` while a turn runs.
+        self._armed: asyncio.Handle | None = None
+        self._armed_at = 0.0
+        #: The turn's last reading of ``now`` while a turn runs, else ``None``.
+        self._horizon: float | None = None
         self._last_fire = 0.0
-        #: Observability hook called as ``hook(time, pending)`` before each
-        #: callback fires — same shape as the simulated kernel's.
-        self.event_hook: Callable[[float, int], None] | None = None
-        #: Duck-typed profiler (see :class:`repro.obs.profile.Profiler`),
-        #: same slot the simulated kernel exposes.  When installed, every
-        #: fired callback runs inside a named subsystem frame credited
-        #: with the wall-clock advance since the previous event (the
-        #: realtime analogue of the kernel's sim-dt credit).
-        self.profile = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -162,76 +116,21 @@ class RealtimeClock:
 
     def schedule(
         self, delay: float, action: Callable[..., Any], *args: Any
-    ) -> RealtimeHandle:
+    ) -> EventHandle:
         """Run ``action(*args)`` ``delay`` real seconds from now.
 
-        ``delay == 0`` arms no timer: the entry joins the FIFO turn queue
-        and fires in the loop turn a clock callback is already running in
-        (else in the next one) — the simulated kernel's ``now + 0``.
+        ``delay == 0`` inside a turn fires in that turn; from outside a
+        turn, in the next one.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        loop = self._require_loop()
-        handle = RealtimeHandle(self, self.now + delay, action, args)
-        if delay == 0:
-            # As ``call_later`` would: the callback runs in the context
-            # of whoever scheduled it, not of whoever armed the drain.
-            handle._context = contextvars.copy_context()
-            self._turn.append(handle)
-            if not self._drain_armed:
-                self._drain_armed = True
-                loop.call_soon(self._drain)
-        else:
-            handle._timer = loop.call_later(delay, self._fire, handle)
-        self._pending += 1
-        self._idle.clear()
+        handle = EventHandle(0.0, action, args, self)
+        self.enqueue(handle, delay)
         return handle
-
-    def _drain(self) -> None:
-        """Fire the turn queue, including what its callbacks enqueue.
-
-        At most :data:`TURN_LIMIT` callbacks per loop turn; the rest keep
-        their order and run after the loop has polled its sockets.
-        """
-        turn = self._turn
-        budget = TURN_LIMIT
-        try:
-            while turn and budget:
-                handle = turn.popleft()
-                if not handle.cancelled:
-                    budget -= 1
-                    handle._context.run(self._fire, handle)
-        finally:
-            # A raising callback goes to the loop's exception handler;
-            # what it left queued still runs.
-            if turn:
-                self._loop.call_soon(self._drain)
-            else:
-                self._drain_armed = False
-
-    def _fire(self, handle: RealtimeHandle) -> None:
-        handle._clock = None  # a late cancel is a pure no-op
-        self._pending -= 1
-        self.events_processed += 1
-        now = self.now
-        if self.event_hook is not None:
-            self.event_hook(now, self._pending)
-        profile = self.profile
-        if profile is not None:
-            profile.begin_event(handle.action, now, now - self._last_fire,
-                                self._pending)
-            self._last_fire = now
-        try:
-            handle.action(*handle.args)
-        finally:
-            if profile is not None:
-                profile.end_event()
-            if self._pending == 0:
-                self._idle.set()
 
     def schedule_at(
         self, time: float, action: Callable[..., Any], *args: Any
-    ) -> RealtimeHandle:
+    ) -> EventHandle:
         """Run ``action(*args)`` at absolute clock time ``time``."""
         now = self.now
         if time < now:
@@ -240,59 +139,120 @@ class RealtimeClock:
             )
         return self.schedule(time - now, action, *args)
 
-    def _on_cancel(self) -> None:
-        self._pending -= 1
-        if self._pending == 0:
-            self._idle.set()
+    def enqueue(self, handle: EventHandle, delay: float) -> None:
+        """Queue ``handle`` to fire ``delay`` seconds from now.
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled-but-unfired callbacks."""
-        return self._pending
+        Inside a turn, a zero delay is the turn's reading of ``now`` —
+        the simulator's ``now + 0``.  The entry runs in a copy of the
+        caller's ``contextvars`` context, as ``call_later`` would run it.
+        Its owner (``handle._owner``) answers a cancel: the clock, or an
+        executor that forwards to it.
+        """
+        loop = self._require_loop()
+        turn = self._horizon
+        if turn is None or delay:
+            time = loop.time() - self._epoch + delay
+        else:
+            time = turn
+        handle.time = time
+        handle._context = contextvars.copy_context()
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
+        self._idle.clear()
+        if turn is None:
+            self._arm(time)
+
+    def _arm(self, time: float) -> None:
+        """Arm the loop callback for an entry due at ``time``, unless it is
+        already armed for no later."""
+        armed = self._armed
+        if armed is not None:
+            if self._armed_at <= time:
+                return
+            armed.cancel()
+        loop = self._loop
+        self._armed_at = time
+        if time <= loop.time() - self._epoch:
+            self._armed = loop.call_soon(self._turn)
+        else:
+            self._armed = loop.call_at(self._epoch + time, self._turn)
+
+    def _turn(self) -> None:
+        """The loop callback: fire what is due in ``(time, seq)`` order,
+        at most :data:`TURN_LIMIT`, then arm for the new head.
+
+        A raising callback goes to the loop's exception handler; what it
+        left queued still runs.
+        """
+        self._armed = None
+        now = self._horizon = self.now
+        budget = TURN_LIMIT
+        try:
+            while budget:
+                self._prune_cancelled_head()
+                if not self._queue:
+                    break
+                time, __, handle = self._queue[0]
+                if time > now:
+                    now = self._horizon = self.now
+                    if time > now:
+                        break
+                heapq.heappop(self._queue)
+                handle._owner = None  # a late cancel is a pure no-op
+                budget -= 1
+                self.events_processed += 1
+                if self.event_hook is not None:
+                    self.event_hook(now, self.pending)
+                profile = self.profile
+                if profile is None:
+                    handle._context.run(handle.action, *handle.args)
+                    continue
+                profile.begin_event(handle.action, now, now - self._last_fire,
+                                    self.pending)
+                self._last_fire = now
+                try:
+                    handle._context.run(handle.action, *handle.args)
+                finally:
+                    profile.end_event()
+        finally:
+            self._horizon = None
+            self._prune_cancelled_head()
+            if self._queue:
+                self._arm(self._queue[0][0])
+            else:
+                self._idle.set()
+
+    def _on_cancel(self) -> None:
+        super()._on_cancel()
+        if not self.pending:
+            self._idle.set()
 
     # -- quiescence --------------------------------------------------------
 
     async def join(self, timeout: float | None = None) -> bool:
         """Wait until no callbacks are pending; ``False`` on timeout."""
-        return await _wait(self._idle, timeout)
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RealtimeClock now={self.now:.3f} pending={self._pending}>"
-
-
-class _TaskHandle:
-    """Cancellable reference to one submission: its currently armed timer."""
-
-    __slots__ = ("_executor", "_timer", "cancelled")
-
-    def __init__(self, executor: "TaskExecutor"):
-        self._executor = executor
-        #: Service time, injected stall or backoff; ``None`` while an
-        #: attempt runs and once the submission is settled.
-        self._timer: asyncio.TimerHandle | None = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        timer = self._timer
-        if timer is not None:  # armed: neither running nor settled
-            self._timer = None
-            timer.cancel()
-            self._executor._settle(self)
+        return f"<RealtimeClock now={self.now:.3f} pending={self.pending}>"
 
 
 class TaskExecutor:
-    """Timer-driven step execution with retry-on-transient-failure.
+    """Step execution as clock entries, with retry-on-transient-failure.
 
-    ``submit(delay, fn, *args)`` arms one loop timer for the service
-    time; when it fires, ``fn`` runs as a plain callback.  A raising
-    ``fn`` is retried on the runtime's :class:`~repro.runtime.retry.
-    RetryPolicy` backoff — the backoff is the submission's next timer —
-    (with the jitter drawn from a seeded stream so retry pacing is at
-    least *replayable* in logs); once the budget is exhausted the failure
-    is recorded in :attr:`failures` instead of killing the event loop.
+    ``submit(delay, fn, *args)`` queues one clock entry for the service
+    time; when it fires, ``fn`` runs as a plain callback, so what it
+    schedules with no delay runs in the same loop turn.  A raising ``fn``
+    is retried on the runtime's :class:`~repro.runtime.retry.RetryPolicy`
+    backoff — the same handle queued again — (with the jitter drawn from
+    a seeded stream so retry pacing is at least *replayable* in logs);
+    once the budget is exhausted the failure is recorded in
+    :attr:`failures` instead of killing the event loop.  Cancelling the
+    returned handle withdraws whichever wait is queued: service time,
+    injected stall or backoff.
     """
 
     def __init__(self, clock: RealtimeClock, retry: RetryPolicy | None = None,
@@ -308,8 +268,6 @@ class TaskExecutor:
         #: pre-run stall and each attempt for an injected failure.
         self.faults = None
         self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self.submitted = 0
         self.retries = 0
         #: ``(callable qualname, repr(exception))`` of budget-exhausted work.
@@ -326,33 +284,29 @@ class TaskExecutor:
 
     def submit(
         self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> _TaskHandle:
+    ) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` seconds of service time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        loop = self.clock._require_loop()
         self.submitted += 1
         self._inflight += 1
-        self._idle.clear()
-        handle = _TaskHandle(self)
-        handle._timer = loop.call_later(delay, self._begin, handle, fn, args)
+        handle = EventHandle(0.0, self._begin, (), self)
+        handle.args = (handle, fn, args)
+        self.clock.enqueue(handle, delay)
         return handle
 
-    def _begin(self, handle: _TaskHandle, fn: Callable[..., Any],
+    def _begin(self, handle: EventHandle, fn: Callable[..., Any],
                args: tuple) -> None:
         """The service time is over: an injected stall, then attempt 1."""
-        handle._timer = None
         name = getattr(fn, "__qualname__", repr(fn))
         stall = 0.0 if self.faults is None else self.faults.executor_stall(name)
         if stall > 0:
-            handle._timer = self.clock._loop.call_later(
-                stall, self._attempt, handle, fn, args, name, 1)
+            self._requeue(handle, stall, fn, args, name, 1)
         else:
             self._attempt(handle, fn, args, name, 1)
 
-    def _attempt(self, handle: _TaskHandle, fn: Callable[..., Any],
+    def _attempt(self, handle: EventHandle, fn: Callable[..., Any],
                  args: tuple, name: str, attempt: int) -> None:
-        handle._timer = None
         faults = self.faults
         try:
             if faults is not None and faults.executor_should_fail(name, attempt):
@@ -360,21 +314,28 @@ class TaskExecutor:
             fn(*args)
         except Exception as exc:
             backoff = self.retry.backoff(attempt, self._jitter)
-            if backoff is not None:
+            if backoff is None:
+                self.failures.append((name, repr(exc)))
+                self._notify(self.on_give_up, fn, name, exc, attempt)
+            elif not handle.cancelled:
                 self.retries += 1
                 self._notify(self.on_retry, fn, name, exc, attempt, backoff)
-                handle._timer = self.clock._loop.call_later(
-                    backoff, self._attempt, handle, fn, args, name, attempt + 1)
+                self._requeue(handle, backoff, fn, args, name, attempt + 1)
                 return
-            self.failures.append((name, repr(exc)))
-            self._notify(self.on_give_up, fn, name, exc, attempt)
-        self._settle(handle)
-
-    def _settle(self, handle: _TaskHandle) -> None:
-        """The submission ran, gave up or was cancelled: no timer is armed."""
+        # Ran, gave up, or was cancelled while it ran: settled.
         self._inflight -= 1
-        if self._inflight == 0:
-            self._idle.set()
+        handle.args = ()  # break the handle -> args -> handle cycle
+
+    def _requeue(self, handle: EventHandle, delay: float, *args: Any) -> None:
+        handle.action = self._attempt
+        handle.args = (handle, *args)
+        handle._owner = self
+        self.clock.enqueue(handle, delay)
+
+    def _on_cancel(self) -> None:
+        """A queued submission was cancelled: settled; the clock accounts it."""
+        self._inflight -= 1
+        self.clock._on_cancel()
 
     @staticmethod
     def _notify(hook: Callable[..., None] | None, *args: Any) -> None:
@@ -391,8 +352,8 @@ class TaskExecutor:
         return self._inflight
 
     async def join(self, timeout: float | None = None) -> bool:
-        """Wait for all in-flight submissions; ``False`` on timeout."""
-        return await _wait(self._idle, timeout)
+        """Wait until the clock, whose entries the submissions are, is idle."""
+        return await self.clock.join(timeout)
 
 
 class RealtimeRuntime:
@@ -457,23 +418,5 @@ class RealtimeRuntime:
     # -- quiescence --------------------------------------------------------
 
     async def join(self, timeout: float | None = None) -> bool:
-        """Wait until the clock and the executor are both idle.
-
-        Work can ping-pong between the two (a clock callback submits a
-        step whose completion schedules a clock callback), so the join
-        loops until a pass observes both idle, or the timeout budget runs
-        out.
-        """
-        loop = self.clock._require_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while True:
-            remaining = None if deadline is None else deadline - loop.time()
-            if remaining is not None and remaining <= 0:
-                return False
-            if not await self.clock.join(remaining):
-                return False
-            remaining = None if deadline is None else deadline - loop.time()
-            if not await self.executor.join(remaining):
-                return False
-            if self.clock.pending == 0 and self.executor.inflight == 0:
-                return True
+        """Wait until the clock, step timers included, is idle."""
+        return await self.clock.join(timeout)

@@ -10,9 +10,9 @@ delivered when the node recovers.
 protocol over *any* :class:`~repro.runtime.protocols.Clock`: under the
 discrete-event :class:`repro.sim.kernel.Simulator` a delivery is a
 virtual-time event, under :class:`repro.runtime.realtime.RealtimeClock`
-it is an asyncio ``call_later`` (a turn-queue entry at zero latency) —
-the protocol logic, per-mechanism accounting and fault hooks are
-identical either way.
+an entry in the same event queue read against the wall clock — the
+protocol logic, per-mechanism accounting and fault hooks are identical
+either way.
 
 Every message carries the :class:`~repro.runtime.metrics.Mechanism` that
 caused it, so the benchmark harness can regenerate the per-mechanism

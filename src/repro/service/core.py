@@ -921,7 +921,8 @@ class WorkflowService:
         executor = self.runtime.executor
         registry.gauge(
             "crew_realtime_pending_timers",
-            "Scheduled-but-unfired wall-clock callbacks.",
+            "Scheduled-but-unfired wall-clock events, armed step timers "
+            "(service time, stall, backoff) included.",
         ).set(clock.pending)
         registry.gauge(
             "crew_executor_inflight_tasks",

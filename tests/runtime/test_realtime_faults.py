@@ -160,11 +160,13 @@ def test_realtime_replays_are_outcome_consistent():
 
 def test_realtime_replay_reports_what_missed_the_timeout():
     """The wait for the last outcome is bounded by ``timeout_s``; whatever
-    has not landed by then is a liveness finding, not a hang."""
+    has not landed by then is a liveness finding, not a hang.  Every step
+    attempt fails (``execfail=1``), so no instance can land, however fast
+    or slow the box runs."""
     from repro.analysis.chaos import run_realtime_chaos
 
     report = run_realtime_chaos(
-        "centralized/normal", seed=3, plan_spec="",
+        "centralized/normal", seed=3, plan_spec="execfail=1",
         instances=3, replays=1, timeout_s=0.001,
     )
     assert len(report.unfinished) == 3

@@ -1,11 +1,12 @@
 """The realtime turn: what has no delay runs in the loop turn that caused it.
 
-Counts, no clocks.  ``RealtimeClock.schedule(0, ...)`` joins a FIFO turn
-queue one ``call_soon`` callback drains — including what the callbacks
-themselves enqueue, up to ``TURN_LIMIT`` per turn — and ``TaskExecutor``
-runs a step as loop timers: the service time, then a backoff per failed
-attempt.  Loop turns are counted with a self-rescheduling ``call_soon``
-ticker: asyncio runs a callback scheduled during a turn in the next one.
+Counts, no clocks.  ``RealtimeClock`` is the simulator's event queue
+with one loop callback armed for its head; the callback fires what is
+due — including what the callbacks themselves schedule with no delay, up
+to ``TURN_LIMIT`` per turn.  ``TaskExecutor`` runs a step as clock
+entries: the service time, then a backoff per failed attempt.  Loop
+turns are counted with a self-rescheduling ``call_soon`` ticker: asyncio
+runs a callback scheduled during a turn in the next one.
 """
 
 import asyncio
@@ -253,27 +254,28 @@ def test_first_attempt_exception_arms_the_backoff_timer_and_numbering_continues(
                 raise ValueError("transient")
 
         handle = executor.submit(0.0, flaky)
-        assert executor.inflight == 1 and handle._timer is not None
+        assert executor.inflight == 1 and runtime.clock.pending == 1
         while not attempts:
             await asyncio.sleep(0)
-        # Attempt 1 raised in the timer callback: the backoff is armed as
-        # the submission's next timer and it still counts as in flight.
+        # Attempt 1 raised in its clock entry: the backoff queues the same
+        # handle again and the submission still counts as in flight.
         assert retried == [(1, 0.001)]
-        assert executor.inflight == 1 and handle._timer is not None
+        assert executor.inflight == 1 and runtime.clock.pending == 1
+        assert not handle.cancelled
         assert not await executor.join(timeout=0)
         assert await runtime.join(timeout=5.0)
         assert retried == [(1, 0.001), (2, 0.001)]
         assert attempts == [1, 1, 1]  # in flight during every attempt
         assert executor.retries == 2 and executor.failures == []
-        assert executor.inflight == 0 and handle._timer is None
+        assert executor.inflight == 0 and runtime.clock.pending == 0
 
     asyncio.run(main())
 
 
 def test_runtime_join_waits_for_an_armed_step_timer():
-    """No clock callback is pending while a step's service time runs; the
-    executor's armed timer alone must keep ``RealtimeRuntime.join`` waiting,
-    and the clock work the step then schedules too."""
+    """A step's service time is a pending clock entry: it keeps
+    ``RealtimeRuntime.join`` waiting, and the clock work the step then
+    schedules too."""
 
     async def main():
         runtime = RealtimeRuntime()
@@ -283,8 +285,10 @@ def test_runtime_join_waits_for_an_armed_step_timer():
         def step():
             runtime.clock.schedule(0.01, done.append, "follow-up")
 
-        runtime.executor.submit(0.02, step)
-        assert runtime.clock.pending == 0 and runtime.executor.inflight == 1
+        handle = runtime.executor.submit(0.02, step)
+        assert runtime.clock.pending == 1 and runtime.executor.inflight == 1
+        [(__, __, entry)] = runtime.clock._queue
+        assert entry is handle
         assert not await runtime.join(timeout=0.001)
         assert await runtime.join(timeout=5.0)
         assert done == ["follow-up"]

@@ -178,6 +178,29 @@ def test_debug_profile_returns_collapsed_stacks():
     asyncio.run(main())
 
 
+def test_step_work_profiles_under_the_executor_frame():
+    """A step's service time is an executor entry on the clock: its work
+    profiles as ``executor.step`` (the sends it makes nested under it),
+    not as an ``event:TaskExecutor`` catch-all row nor at the root."""
+
+    async def main():
+        service = WorkflowService()
+        service.start()
+        try:
+            [iid] = service.submit(schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
+            await wait_outcome(service, iid)
+            return service.profile_collapsed()
+        finally:
+            await service.close()
+
+    stacks = [line.rsplit(" ", 1)[0].split(";")
+              for line in asyncio.run(main()).splitlines()]
+    roots = {stack[0] for stack in stacks}
+    assert ["executor.step", "transport.send"] in stacks
+    assert not [root for root in roots if root.startswith("event:")], roots
+    assert "transport.send" not in roots
+
+
 def test_observability_off_returns_503_with_hint():
     async def main():
         service, server = await booted(8474, observability=False)

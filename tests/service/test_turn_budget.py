@@ -3,14 +3,15 @@
 One 32-instance ``Orders`` batch at a time (one ``part``, so ``part_fifo``
 chains the batch) through an in-process :class:`WorkflowService` on a loop
 whose ``call_later`` and ``create_task`` are counted.  On the no-failure
-path nothing spawns a Task and the only timers are the steps' service
-times, at most one more per instance (a relative-order report the
-authority defers) and the purge flush: the seven to ten zero-latency
-messages of an instance are clock events without a timer.  That they also
-share a loop turn is ``tests/runtime/test_realtime_turn.py``.
+path nothing spawns a Task, and the clock arms one loop timer for the
+head of its queue, not one per entry: the seven to ten zero-latency
+messages of an instance and its four step service times are all clock
+events, and steps that come due together share a timer.  That
+zero-delay work shares a loop turn is ``tests/runtime/test_realtime_turn.py``.
 
-At the commit before the turn queue the same batch took 14.3 timers and
-4 tasks per instance on centralized control.
+Before the turn queue the same batch took 14.3 timers and 4 tasks per
+instance on centralized control; with a loop timer per step service
+time, 4.0 to 5.1 timers per instance.
 """
 
 import asyncio
@@ -38,6 +39,10 @@ class CountingLoop(asyncio.SelectorEventLoop):
     def create_task(self, coro, **kwargs):
         self.tasks += self.counting
         return super().create_task(coro, **kwargs)
+
+
+#: Loop timers per instance the batch may arm, beside per-batch slack.
+TIMERS_PER_INSTANCE = 1.25
 
 
 @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
@@ -83,7 +88,7 @@ def test_a_batch_costs_its_step_timers_and_no_task(architecture):
     instances = BATCH * BATCHES
     assert loop.tasks == 0
     # `wait_for` arms one timer per batch; the purge flush may arm another.
-    assert loop.timers <= instances * (STEPS + 1) + 2 * BATCHES
-    assert loop.timers >= instances * STEPS  # the service times are real timers
-    # Every message is a clock event and none of them is a timer.
-    assert clock_events >= messages >= 7 * instances
+    assert loop.timers <= TIMERS_PER_INSTANCE * instances + 2 * BATCHES
+    # Every message and every step service time is a clock event.
+    assert clock_events >= messages + STEPS * instances
+    assert messages >= 7 * instances

@@ -295,6 +295,44 @@ def test_daemon_hot_paths_spawn_no_task_per_step_or_event():
     assert not queues, f"asyncio.Queue feeds are back: {queues}"
 
 
+def test_both_clocks_fire_one_event_queue():
+    """The simulator and the wall clock are two clocks over the one
+    :class:`repro.runtime.eventqueue.EventQueue`: ``EventHandle`` is the
+    only handle class under ``runtime/`` and ``sim/``; neither
+    ``RealtimeClock`` nor ``TaskExecutor`` arms a ``call_later`` timer
+    (the clock arms one callback for the head of its queue, and a step
+    waits as a clock entry); the clock keeps no turn ``deque`` beside the
+    heap; and neither the executor nor the runtime keeps an idle event or
+    a join loop of its own."""
+    handles = []
+    for package in ("runtime", "sim"):
+        for module_path in sorted((SRC / "repro" / package).rglob("*.py")):
+            handles += [
+                f"{module_path.relative_to(SRC / 'repro')}:{node.name}"
+                for node in ast.walk(ast.parse(module_path.read_text()))
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Handle")
+            ]
+    assert handles == ["runtime/eventqueue.py:EventHandle"]
+    realtime = ast.parse((SRC / "repro" / "runtime" / "realtime.py").read_text())
+    kernel = ast.parse((SRC / "repro" / "sim" / "kernel.py").read_text())
+    classes = {n.name: n for tree in (realtime, kernel) for n in tree.body
+               if isinstance(n, ast.ClassDef)}
+    for name in ("Simulator", "RealtimeClock"):
+        assert [ast.unparse(b) for b in classes[name].bases] == ["EventQueue"], name
+
+    def names(scope: ast.AST) -> set[str]:
+        return ({n.attr for n in ast.walk(scope) if isinstance(n, ast.Attribute)}
+                | {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)})
+
+    for name in ("RealtimeClock", "TaskExecutor"):
+        assert "call_later" not in names(classes[name]), f"{name} arms call_later"
+    assert "deque" not in names(classes["RealtimeClock"]), "a turn deque is back"
+    for name in ("TaskExecutor", "RealtimeRuntime"):
+        assert not names(classes[name]) & {"Event", "_idle"}, f"{name} keeps an idle event"
+        assert not [n for n in ast.walk(classes[name]) if isinstance(n, ast.While)], (
+            f"{name} polls in a loop")
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime must not statically import repro.sim: backends
     register with the factory as lazy ``module:attr`` strings, so the
