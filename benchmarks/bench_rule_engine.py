@@ -2,7 +2,7 @@
 
 The hottest loop in the system is ``RuleEngine._pump``: every workflow
 instance pumps once per posted event.  The naive engine (retained as
-:class:`repro.rules.reference.NaiveRuleEngine`) re-sorts and rescans the
+:class:`tests.rules.reference_engine.NaiveRuleEngine`) re-sorts and rescans the
 whole rule table on every pump — O(R log R) per event, O(R²) to drive an
 R-rule instance — while the indexed engine touches only the rules whose
 required-event sets just changed.
@@ -26,11 +26,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import sys
 import time
 
-from repro.rules.engine import RuleEngine, RuleInstance
-from repro.rules.events import step_done
-from repro.rules.reference import NaiveRuleEngine
+# The naive engine is a test oracle: it lives under the repo's ``tests/``.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+
+from repro.rules.engine import RuleEngine, RuleInstance  # noqa: E402
+from repro.rules.events import step_done  # noqa: E402
+from tests.rules.reference_engine import NaiveRuleEngine  # noqa: E402
 
 RULES = 200              # schema size named by the acceptance bar
 REPEATS = 5              # min-of-N samples per engine

@@ -29,8 +29,9 @@ table (delivered through :meth:`EventTable.subscribe`) decrement/increment
 those counters.  A rule whose counter reaches zero enters a rule-id-keyed
 ready-heap; :meth:`_pump` pops only those candidates instead of rescanning
 the whole rule table.  The firing order is bit-identical to the original
-scan-based loop (kept as :class:`repro.rules.reference.NaiveRuleEngine`):
-see ``_pump`` for the pass/cursor discipline that preserves it.
+scan-based loop (kept as the test oracle ``NaiveRuleEngine`` in
+``tests/rules/reference_engine.py``): see ``_pump`` for the pass/cursor
+discipline that preserves it.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ nodes durability across injected crashes; this module gives the real
 daemon durability across ``kill -9``.  :class:`ServiceLog` is a
 file-backed append-only log of checksummed JSON-line records — the same
 ``(lsn, kind, payload, crc32)`` shape as :class:`repro.storage.wal.
-WalRecord`, reusing :func:`repro.storage.wal.record_checksum` — with
-group commit: ``append`` buffers, ``flush`` writes every buffered record
-and fsyncs once, so one submission of N instances costs one disk sync.
+WalRecord`, checksummed by :func:`record_checksum`, this file's pinned
+canonical-JSON convention — with group commit: ``append`` encodes and
+buffers, ``flush`` writes every buffered line and fsyncs once, so one
+submission of N instances costs one disk sync.
 
 Record kinds written by :class:`~repro.service.core.WorkflowService`:
 
@@ -48,16 +49,45 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
-from repro.storage.wal import WalRecord, record_checksum
+from repro.storage.wal import WalRecord
 
-__all__ = ["ServiceLog", "ServiceState"]
+__all__ = ["ServiceLog", "ServiceState", "record_checksum"]
 
 _LOG_NAME = "service.wal"
+
+#: The canonical form's encoder, built once: ``json.dumps`` with these
+#: arguments constructs an identical encoder on every call.
+_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _encode(lsn: int, kind: str, payload: Mapping[str, Any]) -> tuple[int, str]:
+    """A record's checksum and its log line, from one encoding of the payload.
+
+    The crc covers ``[lsn, kind, payload]`` and the line is ``{"crc", "kind",
+    "lsn", "payload"}``, both exactly as ``json.dumps(..., sort_keys=True,
+    default=str)`` would write them; the payload's text is spliced into each.
+    """
+    kind_json, payload_json = _canonical(kind), _canonical(payload)
+    crc = zlib.crc32(
+        ("[%d, %s, %s]" % (lsn, kind_json, payload_json)).encode("utf-8"))
+    return crc, '{"crc": %d, "kind": %s, "lsn": %d, "payload": %s}\n' % (
+        crc, kind_json, lsn, payload_json)
+
+
+def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
+    """Content checksum of one ``service.wal`` record (crc32 over the
+    canonical JSON form of ``[lsn, kind, payload]``).
+
+    Files on disk carry these values, so the form is pinned: sorted keys,
+    and ``default=str`` for what JSON cannot hold (enum members).
+    """
+    return _encode(lsn, kind, payload)[0]
 
 
 class ServiceLog:
@@ -68,7 +98,7 @@ class ServiceLog:
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / _LOG_NAME
         self._records: list[WalRecord] = []
-        self._buffer: list[WalRecord] = []
+        self._buffer: list[str] = []  # encoded lines awaiting flush
         self._next_lsn = 1
         #: True when load dropped a truncated final record (torn write).
         self.torn_tail = False
@@ -128,22 +158,27 @@ class ServiceLog:
             )
         except (ValueError, KeyError, TypeError):
             return None
-        return record if record.verify() else None
+        if record.checksum != record_checksum(record.lsn, record.kind,
+                                              record.payload):
+            return None
+        return record
 
     # -- appending ---------------------------------------------------------
 
     def append(self, kind: str, payload: Mapping[str, Any]) -> WalRecord:
-        """Buffer one record (assigning its LSN); durable after :meth:`flush`."""
+        """Encode and buffer one record (assigning its LSN); durable after
+        :meth:`flush`."""
         if not isinstance(payload, dict):
             raise StorageError(
                 f"service log payload must be a dict, got {type(payload).__name__}"
             )
         lsn = self._next_lsn
+        checksum, line = _encode(lsn, kind, payload)
         record = WalRecord(lsn=lsn, kind=kind, payload=dict(payload),
-                           checksum=record_checksum(lsn, kind, payload))
+                           checksum=checksum)
         self._next_lsn += 1
         self._records.append(record)
-        self._buffer.append(record)
+        self._buffer.append(line)
         self.appends += 1
         return record
 
@@ -152,15 +187,7 @@ class ServiceLog:
         the number of records made durable."""
         if not self._buffer:
             return 0
-        blob = b"".join(
-            (json.dumps(
-                {"lsn": r.lsn, "kind": r.kind, "payload": r.payload,
-                 "crc": r.checksum},
-                sort_keys=True, default=str,
-            ) + "\n").encode("utf-8")
-            for r in self._buffer
-        )
-        self._fh.write(blob)
+        self._fh.write("".join(self._buffer).encode("utf-8"))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         flushed = len(self._buffer)

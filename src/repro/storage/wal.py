@@ -18,6 +18,7 @@ per persist) that leaves the log when the instance is archived or purged.
 from __future__ import annotations
 
 import json
+import marshal
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -31,21 +32,29 @@ from repro.storage.tables import (
     snapshot_delta,
 )
 
-__all__ = ["InstanceChains", "WalRecord", "WriteAheadLog", "record_checksum"]
+__all__ = ["InstanceChains", "WalRecord", "WriteAheadLog", "memory_checksum"]
 
-#: The canonical form's encoder, built once: ``json.dumps`` with these
+#: The fallback form's encoder, built once: ``json.dumps`` with these
 #: arguments constructs an identical encoder on every call.
 _canonical = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
-def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
-    """Content checksum of one record (crc32 over a canonical JSON form).
+def memory_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
+    """Content checksum of one in-memory record: crc32 over its marshal form.
 
-    ``default=str`` keeps enum-like payload values hashable; payloads are
-    snapshots (never live objects), so the canonical form is stable for
-    the record's lifetime.
+    Format version 0 encodes content and order only — later versions flag
+    interned strings and write refcount-dependent back-references, so
+    ``sys.intern`` or one more holder of a sub-list could change a record's
+    bytes without changing the record.  A payload marshal refuses (an enum
+    member, a ``Decimal``) is checksummed over its canonical JSON form
+    instead (``default=str``), which also depends only on content.  These bytes never leave the process; the on-disk service
+    log has its own pinned convention (``repro.service.durability``).
     """
-    return zlib.crc32(_canonical([lsn, kind, payload]).encode("utf-8"))
+    try:
+        form = marshal.dumps((lsn, kind, payload), 0)
+    except ValueError:
+        form = _canonical([lsn, kind, payload]).encode("utf-8")
+    return zlib.crc32(form)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +64,13 @@ class WalRecord:
     payload: Mapping[str, Any]
     checksum: int = 0
 
-    def verify(self) -> bool:
-        """Whether the stored checksum matches the record's content."""
-        return self.checksum == record_checksum(self.lsn, self.kind, self.payload)
+
+def _check(record: WalRecord) -> None:
+    if record.checksum != memory_checksum(record.lsn, record.kind, record.payload):
+        raise StorageError(
+            f"WAL corruption detected at lsn {record.lsn} "
+            f"(kind {record.kind!r}): checksum mismatch"
+        )
 
 
 class WriteAheadLog:
@@ -85,7 +98,7 @@ class WriteAheadLog:
                 )
             lsn = self._next_lsn
             record = WalRecord(lsn=lsn, kind=kind, payload=payload,
-                               checksum=record_checksum(lsn, kind, payload))
+                               checksum=memory_checksum(lsn, kind, payload))
             self._next_lsn += 1
             self._records[lsn] = record
             self.appends += 1
@@ -102,11 +115,7 @@ class WriteAheadLog:
         recovery from a damaged log would otherwise produce.
         """
         for record in self._records.values():
-            if not record.verify():
-                raise StorageError(
-                    f"WAL corruption detected at lsn {record.lsn} "
-                    f"(kind {record.kind!r}): checksum mismatch"
-                )
+            _check(record)
         return len(self._records)
 
     def replay(
@@ -131,11 +140,8 @@ class WriteAheadLog:
         try:
             replayed = 0
             for record in self._records.values():
-                if verify and not record.verify():
-                    raise StorageError(
-                        f"WAL corruption detected at lsn {record.lsn} "
-                        f"(kind {record.kind!r}): checksum mismatch"
-                    )
+                if verify:
+                    _check(record)
                 handler = handlers.get(record.kind)
                 if handler is None:
                     if strict:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import RuleError
 from repro.rules.engine import RuleEngine, RuleInstance
 from repro.rules.events import step_done
-from repro.rules.reference import NaiveRuleEngine
+from tests.rules.reference_engine import NaiveRuleEngine
 
 STEPS = [f"S{i}" for i in range(1, 7)]
 TOKENS = ["WF.S", "EXT.GO", "EXT.E1"] + [step_done(s) for s in STEPS]

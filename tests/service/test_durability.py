@@ -9,12 +9,14 @@ at-most-once outcome guarantee.
 
 import asyncio
 import json
+import zlib
 
 import pytest
 
 from repro.errors import StorageError
 from repro.service import WorkflowService
-from repro.service.durability import ServiceLog, ServiceState
+from repro.service.durability import ServiceLog, ServiceState, record_checksum
+from repro.storage.tables import InstanceStatus, StepStatus
 
 MINI_SCHEMA = {
     "name": "Mini",
@@ -58,8 +60,68 @@ def test_service_log_roundtrip(tmp_path):
     ]
     assert reopened.last_lsn() == 3
     for record in reopened.records():
-        assert record.verify()
+        assert record.checksum == record_checksum(
+            record.lsn, record.kind, record.payload)
     reopened.close()
+
+
+def test_canonical_form_is_pinned():
+    """``service.wal`` files on disk carry these checksums: the canonical
+    form (sorted keys, ``str()`` for what JSON cannot hold) must not move.
+    Values computed before the encoder was hoisted to module level."""
+    assert record_checksum(
+        1, "summary", {"instance_id": "i1", "status": "running"}) == 3120731542
+    assert record_checksum(7, "tracker", {"instance_id": "wf-3", "tracker": {
+        "reported": {"S2": 1, "S1": 2}, "finished": False, "at": 12.5,
+        "note": "caf\u00e9", "none": None}}) == 1004099412
+    assert record_checksum(42, "instance_snapshot", {
+        "status": InstanceStatus.COMMITTED, "step": StepStatus.DONE,
+        "z": [1, 2.0, True], "a": {"k": (1, 2)}}) == 3463795946
+
+
+#: One record of each kind the service writes, with what the encoder has to
+#: get right: non-ASCII text, tuples, enum members, floats, None.
+PAYLOADS = [
+    ("document", {"schema": {"name": "Caf\u00e9", "steps": [{"name": "A"}]}}),
+    ("submit", {"instance": "Mini-1", "workflow": "Mini",
+                "inputs": {"x": (1, 2), "note": "\u2713 na\u00efve"},
+                "deadline": 2.5}),
+    ("outcome", {"instance": "Mini-1", "status": InstanceStatus.COMMITTED,
+                 "outputs": {"z": None, "w": [1.0, -0.0]},
+                 "finished_at": 3.25}),
+    ("redrive", {"original": "Mini-1", "replacement": "Mini-2"}),
+]
+
+
+def reference_line(lsn, kind, payload):
+    """A record as the service log wrote it when it encoded each payload
+    twice: once for the crc, once for the line."""
+    crc = zlib.crc32(json.dumps([lsn, kind, payload], sort_keys=True,
+                                default=str).encode("utf-8"))
+    return (json.dumps({"lsn": lsn, "kind": kind, "payload": payload,
+                        "crc": crc}, sort_keys=True, default=str)
+            + "\n").encode("utf-8")
+
+
+def test_each_line_is_the_canonical_json_of_its_record(tmp_path):
+    log = ServiceLog(tmp_path)
+    for kind, payload in PAYLOADS:
+        log.append(kind, payload)
+    log.close()
+    assert log.path.read_bytes() == b"".join(
+        reference_line(lsn, kind, payload)
+        for lsn, (kind, payload) in enumerate(PAYLOADS, start=1))
+
+
+def test_log_written_by_the_two_encode_writer_reloads_cleanly(tmp_path):
+    (tmp_path / "service.wal").write_bytes(b"".join(
+        reference_line(lsn, kind, payload)
+        for lsn, (kind, payload) in enumerate(PAYLOADS, start=1)))
+    log = ServiceLog(tmp_path)
+    assert not log.torn_tail
+    assert [r.kind for r in log.records()] == [kind for kind, __ in PAYLOADS]
+    assert log.records()[2].payload["status"] == "InstanceStatus.COMMITTED"
+    log.close()
 
 
 def test_service_log_truncates_torn_tail(tmp_path):

@@ -1,8 +1,13 @@
 """Unit tests for the write-ahead log."""
 
+import marshal
+import sys
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import StorageError
+from repro.storage.tables import InstanceStatus
 from repro.storage.wal import WriteAheadLog
 
 
@@ -123,29 +128,66 @@ def test_corrupted_record_detected_by_verify_and_replay():
 
 
 def test_checksum_binds_lsn_and_kind_not_just_payload():
-    from repro.storage.wal import WalRecord, record_checksum
+    wal = WriteAheadLog()
+    record = wal.append("a", {"v": 1})
+    assert wal.verify() == 1
+    for lsn, kind in ((2, "a"), (1, "b")):
+        object.__setattr__(record, "lsn", lsn)
+        object.__setattr__(record, "kind", kind)
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            wal.verify()
+    object.__setattr__(record, "lsn", 1)
+    object.__setattr__(record, "kind", "a")
+    assert wal.verify() == 1
 
-    checksum = record_checksum(1, "a", {"v": 1})
-    assert not WalRecord(2, "a", {"v": 1}, checksum).verify()
-    assert not WalRecord(1, "b", {"v": 1}, checksum).verify()
-    assert WalRecord(1, "a", {"v": 1}, checksum).verify()
+
+# The in-memory checksum is crc32 over ``marshal.dumps(..., 0)``.  These pin
+# what that form must ignore (interning, refcounts) and what it must not.
 
 
-def test_canonical_form_is_pinned():
-    """``service.wal`` files on disk carry these checksums: the canonical
-    form (sorted keys, ``str()`` for what JSON cannot hold) must not move.
-    Values computed before the encoder was hoisted to module level."""
-    from repro.storage.tables import InstanceStatus, StepStatus
-    from repro.storage.wal import record_checksum
+def test_interning_a_payload_string_after_the_append_does_not_move_the_crc():
+    wal = WriteAheadLog()
+    text = "".join(["late", "-interned-", str(id(wal))])  # unique, not interned
+    payload = {"text": text}
+    wal.append("k", payload)
+    payload["text"] = sys.intern(text)
+    assert wal.verify() == 1
 
-    assert record_checksum(
-        1, "summary", {"instance_id": "i1", "status": "running"}) == 3120731542
-    assert record_checksum(7, "tracker", {"instance_id": "wf-3", "tracker": {
-        "reported": {"S2": 1, "S1": 2}, "finished": False, "at": 12.5,
-        "note": "caf\u00e9", "none": None}}) == 1004099412
-    assert record_checksum(42, "instance_snapshot", {
-        "status": InstanceStatus.COMMITTED, "step": StepStatus.DONE,
-        "z": [1, 2.0, True], "a": {"k": (1, 2)}}) == 3463795946
+
+def test_shared_sub_dict_with_changed_refcounts_still_verifies():
+    wal = WriteAheadLog()
+    shared = {"x": [1, 2], "y": "z"}
+    wal.append("k", {"a": shared, "b": shared})
+    holders = [shared["x"]] * 50  # [1, 2] was held once; content is unchanged
+    assert wal.replay({"k": lambda p: None}, verify=True) == 1
+    del holders
+
+
+@pytest.mark.parametrize("before, after", [
+    ({"v": 1}, {"v": True}),
+    ({"v": 0.0}, {"v": -0.0}),
+    ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+], ids=["bool-vs-int", "signed-zero", "key-order"])
+def test_content_the_json_form_conflated_counts_as_a_change(before, after):
+    wal = WriteAheadLog()
+    record = wal.append("k", before)
+    object.__setattr__(record, "payload", after)
+    with pytest.raises(StorageError, match="lsn 1.*checksum mismatch"):
+        wal.verify()
+
+
+@pytest.mark.parametrize("value", [InstanceStatus.COMMITTED, Decimal("1.50")],
+                         ids=["enum", "decimal"])
+def test_values_marshal_refuses_take_the_json_fallback(value):
+    payload = {"value": value, "n": [1]}
+    with pytest.raises(ValueError):
+        marshal.dumps(payload, 0)
+    wal = WriteAheadLog()
+    wal.append("k", payload)
+    assert wal.verify() == 1
+    payload["n"].append(2)
+    with pytest.raises(StorageError, match="lsn 1.*checksum mismatch"):
+        wal.verify()
 
 
 def test_retire_drops_records_by_lsn_and_keeps_the_order_of_the_rest():

@@ -187,29 +187,47 @@ def test_relative_order_scan_stays_a_test_oracle():
 def test_whole_snapshot_log_stays_a_test_oracle():
     """The engine log appends what changed.  The one place in ``src/`` that
     snapshots an instance for the log is ``InstanceChains.persist``; the
-    snapshot-per-persist log lives under ``tests/`` only, and the stores'
-    record checksum is computed inside ``WriteAheadLog.append``, always."""
+    snapshot-per-persist log lives under ``tests/`` only.  Each log
+    checksums eagerly with its own encoder: ``WriteAheadLog.append`` calls
+    ``memory_checksum`` (marshal, in memory only), ``ServiceLog`` calls
+    ``record_checksum`` (the pinned JSON of ``service.wal``), and nothing
+    under ``service/`` touches marshal, so the memory form never reaches
+    disk.  The naive rule engine is a test oracle too."""
     violations = []
     for module_path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(module_path.read_text(), filename=str(module_path))
         where = module_path.relative_to(SRC)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "SnapshotLog":
-                violations.append(f"{where}:{node.lineno} defines the snapshot oracle")
+            if isinstance(node, ast.ClassDef) and node.name in (
+                    "SnapshotLog", "NaiveRuleEngine"):
+                violations.append(f"{where}:{node.lineno} defines the {node.name} oracle")
     storage = SRC / "repro" / "storage"
     for name in ("wfdb.py", "agdb.py"):
         for node in ast.walk(ast.parse((storage / name).read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "snapshot"):
                 violations.append(f"storage/{name}:{node.lineno} snapshots an instance")
-    wal = ast.parse((storage / "wal.py").read_text())
-    [log] = [n for n in wal.body if isinstance(n, ast.ClassDef) and n.name == "WriteAheadLog"]
-    [append] = [n for n in log.body if isinstance(n, ast.FunctionDef) and n.name == "append"]
-    checksummed = [
-        n for n in ast.walk(append)
-        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "record_checksum"
-    ]
-    assert checksummed, "WriteAheadLog.append no longer checksums at append"
+
+    def calls(scope, name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+                   for n in ast.walk(scope))
+
+    def member(path, class_name, name=None):
+        [cls] = [n for n in ast.parse(path.read_text()).body
+                 if isinstance(n, ast.ClassDef) and n.name == class_name]
+        if name is None:
+            return cls
+        [method] = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        return method
+
+    assert calls(member(storage / "wal.py", "WriteAheadLog", "append"), "memory_checksum"), \
+        "WriteAheadLog.append no longer checksums at append"
+    service = SRC / "repro" / "service"
+    assert calls(member(service / "durability.py", "ServiceLog"), "record_checksum"), \
+        "ServiceLog no longer checks records with the service.wal convention"
+    for module_path in sorted(service.rglob("*.py")):
+        if "marshal" in module_path.read_text():
+            violations.append(f"{module_path.relative_to(SRC)} mentions marshal")
     assert not violations, "\n".join(violations)
 
 
