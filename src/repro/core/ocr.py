@@ -84,6 +84,34 @@ class OCRPlan:
         }
 
 
+def _forward_plans(step_def: StepDef) -> tuple[OCRPlan, OCRPlan]:
+    """The plans of a step executed without OCR, indexed by
+    ``first_execution``.
+
+    They depend on the step definition alone, so the first call builds
+    them and leaves them on the (frozen) definition for every later one.
+    """
+    plans = step_def.__dict__.get("_forward_plans")
+    if plans is None:
+        plans = tuple(
+            OCRPlan(
+                step=step_def.name,
+                first_execution=first,
+                decision=None,
+                compensate=False,
+                compensation_kind=None,
+                compensation_cost=0.0,
+                reexecute=True,
+                execution_kind="complete",
+                execution_cost=step_def.cost,
+                reuse_outputs=False,
+            )
+            for first in (False, True)
+        )
+        object.__setattr__(step_def, "_forward_plans", plans)
+    return plans
+
+
 def plan_step_action(
     step_def: StepDef,
     record: StepRecord,
@@ -97,33 +125,11 @@ def plan_step_action(
     ``new_inputs`` are the input values the step would see now.
     """
     if record.status in (StepStatus.NOT_STARTED, StepStatus.COMPENSATED):
-        return OCRPlan(
-            step=step_def.name,
-            first_execution=record.executions == 0,
-            decision=None,
-            compensate=False,
-            compensation_kind=None,
-            compensation_cost=0.0,
-            reexecute=True,
-            execution_kind="complete",
-            execution_cost=step_def.cost,
-            reuse_outputs=False,
-        )
+        return _forward_plans(step_def)[record.executions == 0]
 
     if record.status is StepStatus.FAILED:
         # A failed step left no effects to undo; simply execute again.
-        return OCRPlan(
-            step=step_def.name,
-            first_execution=False,
-            decision=None,
-            compensate=False,
-            compensation_kind=None,
-            compensation_cost=0.0,
-            reexecute=True,
-            execution_kind="complete",
-            execution_cost=step_def.cost,
-            reuse_outputs=False,
-        )
+        return _forward_plans(step_def)[False]
 
     if record.status is StepStatus.RUNNING:
         raise RecoveryError(

@@ -29,6 +29,7 @@ __all__ = [
     "ProgramRegistry",
     "StepProgram",
     "StepResult",
+    "program_stream_name",
 ]
 
 
@@ -41,23 +42,54 @@ class StepResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+def program_stream_name(instance_id: str, step: str) -> str:
+    """The :class:`~repro.runtime.rng.SimRandom` stream a step's program
+    draws from, for every execution of that step in that instance."""
+    return f"prog:{instance_id}:{step}"
+
+
 class ExecutionContext:
     """What a program may observe about its invocation.
 
     ``attempt`` counts executions of this step within this instance
     (1-based), letting synthetic programs fail the first attempt and
     succeed on re-execution — the canonical rollback test scenario.
-    ``rng`` is a dedicated deterministic random stream.
+    ``rng`` is a dedicated deterministic random stream: given directly,
+    or — when an engine passes its ``streams`` instead — the stream
+    :func:`program_stream_name` names, resolved on the first read of
+    ``rng``, so a program that never draws costs no stream.
     """
 
-    schema_name: str
-    instance_id: str
-    step: str
-    attempt: int
-    now: float
-    node: str
-    rng: Any = None
+    __slots__ = ("_rng", "_streams", "attempt", "instance_id", "node", "now",
+                 "schema_name", "step")
+
+    def __init__(
+        self,
+        schema_name: str,
+        instance_id: str,
+        step: str,
+        attempt: int,
+        now: float,
+        node: str,
+        rng: Any = None,
+        streams: Any = None,
+    ):
+        self.schema_name = schema_name
+        self.instance_id = instance_id
+        self.step = step
+        self.attempt = attempt
+        self.now = now
+        self.node = node
+        self._rng = rng
+        self._streams = streams
+
+    @property
+    def rng(self) -> Any:
+        rng = self._rng
+        if rng is None and self._streams is not None:
+            rng = self._rng = self._streams.stream(
+                program_stream_name(self.instance_id, self.step))
+        return rng
 
 
 class StepProgram:

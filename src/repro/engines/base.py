@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.programs import ProgramRegistry, StepProgram
+from repro.core.programs import ProgramRegistry, StepProgram, program_stream_name
 from repro.errors import FrontEndError, SchemaError, WorkloadError
 from repro.model.compiler import CompiledSchema, compile_schema
 from repro.model.coordination_spec import (
@@ -32,7 +32,7 @@ from repro.model.coordination_spec import (
 from repro.model.schema import StepDef, WorkflowSchema
 from repro.obs.causal import MessageTracer
 from repro.obs.flight import FlightRecorder
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Span, Tracer
 from repro.rules.events import step_compensated, step_done, step_fail
 from repro.runtime.factory import build_runtime
@@ -346,6 +346,14 @@ class ControlSystem:
         self.faults = None
         self._workflow_spans: dict[str, Span] = {}
         self._recovery_spans: dict[str, Span] = {}
+        # The hooks' hot metric children, each bound on its first
+        # observation: bound any earlier, a family nobody fed would
+        # appear in the exposition.
+        self._started_counter: CounterMetric | None = None
+        self._step_latency: HistogramMetric | None = None
+        self._makespan: HistogramMetric | None = None
+        self._finished_counters: dict[InstanceStatus, CounterMetric] = {}
+        self._coordination_counters: dict[str, CounterMetric] = {}
         self.programs = ProgramRegistry()
         self.schemas: dict[str, CompiledSchema] = {}
         self.specs: list[CoordinationSpec] = []
@@ -464,10 +472,13 @@ class ControlSystem:
             schema=schema_name, architecture=self.architecture,
         )
         self._workflow_spans[instance_id] = span
-        self.registry.counter(
-            "crew_instances_started_total", "Workflow instances started.",
-            architecture=self.architecture,
-        ).inc()
+        started = self._started_counter
+        if started is None:
+            started = self._started_counter = self.registry.counter(
+                "crew_instances_started_total", "Workflow instances started.",
+                architecture=self.architecture,
+            )
+        started.inc()
         return span
 
     def workflow_span(self, instance_id: str) -> Span:
@@ -495,12 +506,15 @@ class ControlSystem:
         if not self.tracer.enabled or span.is_null or not span.open:
             return
         self.tracer.end(span, now, **attrs)
-        self.registry.histogram(
-            "crew_step_latency",
-            "Step dispatch-to-result latency in simulated time units.",
-            buckets=STEP_LATENCY_BUCKETS,
-            architecture=self.architecture,
-        ).observe(now - span.start)
+        latency = self._step_latency
+        if latency is None:
+            latency = self._step_latency = self.registry.histogram(
+                "crew_step_latency",
+                "Step dispatch-to-result latency in simulated time units.",
+                buckets=STEP_LATENCY_BUCKETS,
+                architecture=self.architecture,
+            )
+        latency.observe(now - span.start)
 
     def obs_step_done(self, instance_id: str, step: str, now: float) -> None:
         """A step completed successfully; closes a recovery episode whose
@@ -564,9 +578,9 @@ class ControlSystem:
         parent = self._recovery_spans.get(instance_id)
         if parent is None or not parent.open:
             parent = self.workflow_span(instance_id)
-        self.tracer.instant(
-            f"ocr:{plan.step}", "recovery", node, now, parent=parent,
-            instance=instance_id, **plan.span_attrs(),
+        self.tracer.mark(
+            f"ocr:{plan.step}", "recovery", node, now, parent,
+            {"instance": instance_id, **plan.span_attrs()},
         )
 
     def obs_coordination(
@@ -578,14 +592,17 @@ class ControlSystem:
             return
         parent = (self._workflow_spans.get(instance_id)
                   if instance_id is not None else None)
-        self.tracer.add(
-            f"coord:{op}", "coordination", node, now, now, parent, None,
+        self.tracer.mark(
+            f"coord:{op}", "coordination", node, now, parent,
             {"spec": spec_name or "-", **attrs},
         )
-        self.registry.counter(
-            "crew_coordination_ops_total", "Coordination operations performed.",
-            op=op,
-        ).inc()
+        ops = self._coordination_counters.get(op)
+        if ops is None:
+            ops = self._coordination_counters[op] = self.registry.counter(
+                "crew_coordination_ops_total",
+                "Coordination operations performed.", op=op,
+            )
+        ops.inc()
 
     def rule_fire_hook(self, node: str, instance_id: str):
         """A RuleEngine ``fire_hook`` for one instance, or None when off.
@@ -608,9 +625,9 @@ class ControlSystem:
             fired.inc()
             depth.observe(engine.pending_count())
             now = self.simulator.now
-            self.tracer.add(
-                f"rule:{rule.rule_id}", "rule", node, now, now,
-                self._workflow_spans.get(instance_id), None,
+            self.tracer.mark(
+                f"rule:{rule.rule_id}", "rule", node, now,
+                self._workflow_spans.get(instance_id),
                 {"instance": instance_id, "step": rule.step,
                  "kind": rule.kind},
             )
@@ -763,7 +780,7 @@ class ControlSystem:
         # A terminal instance runs no more programs.  Not earlier: a step
         # re-executed after a rollback continues the stream it drew from.
         self.rng.retire(
-            f"prog:{instance_id}:{step}"
+            program_stream_name(instance_id, step)
             for step in self.schemas[schema_name].schema.steps
         )
         if not self.tracer.enabled:
@@ -772,16 +789,22 @@ class ControlSystem:
         span = self._workflow_spans.pop(instance_id, None)
         if span is not None and span.open:
             self.tracer.end(span, now, status=status.name)
-            self.registry.histogram(
-                "crew_instance_makespan",
-                "Workflow start-to-finish time in simulated time units.",
-                buckets=MAKESPAN_BUCKETS,
-                architecture=self.architecture,
-            ).observe(span.duration)
-        self.registry.counter(
-            "crew_instances_finished_total", "Workflow instances finished.",
-            architecture=self.architecture, status=status.name,
-        ).inc()
+            makespan = self._makespan
+            if makespan is None:
+                makespan = self._makespan = self.registry.histogram(
+                    "crew_instance_makespan",
+                    "Workflow start-to-finish time in simulated time units.",
+                    buckets=MAKESPAN_BUCKETS,
+                    architecture=self.architecture,
+                )
+            makespan.observe(span.duration)
+        finished = self._finished_counters.get(status)
+        if finished is None:
+            finished = self._finished_counters[status] = self.registry.counter(
+                "crew_instances_finished_total", "Workflow instances finished.",
+                architecture=self.architecture, status=status.name,
+            )
+        finished.inc()
 
     @staticmethod
     def workflow_outputs(

@@ -68,7 +68,7 @@ class ApplicationAgentNode(Node):
             attempt=payload["attempt"],
             now=self.simulator.now,
             node=self.name,
-            rng=self.system.rng.stream(f"prog:{payload['instance_id']}:{step}"),
+            streams=self.system.rng,
         )
         result = program.execute(payload["inputs"], ctx)
         self.network.metrics.record_work(self.name, "execute", payload["cost"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.interfaces import WI
+from repro.core.programs import program_stream_name
 from repro.engines.distributed.navigation import elect_executor
 from repro.engines.runtime import member_done_times
 from repro.model.schema import StepType
@@ -390,7 +391,7 @@ class AgentFailureMixin:
             runtime = self.runtimes.pop(instance_id, None)
             if runtime is not None:
                 self.system.rng.retire(
-                    f"prog:{instance_id}:{step}" for step in runtime.hosted
+                    program_stream_name(instance_id, step) for step in runtime.hosted
                 )
             self.trackers.pop(instance_id, None)
             self._probe_reports.pop(instance_id, None)

@@ -326,7 +326,7 @@ class AgentNavigationMixin:
             attempt=attempt,
             now=self.simulator.now,
             node=self.name,
-            rng=self.system.rng.stream(f"prog:{instance_id}:{step}"),
+            streams=self.system.rng,
         )
         result = program.execute(inputs, ctx)
         self.network.metrics.record_work(self.name, "execute", cost)

@@ -3,9 +3,10 @@
 Full tracing is often disabled in benchmark runs, which is exactly when a
 crash is hardest to diagnose.  The flight recorder keeps the last
 ``capacity`` send/receive events per node in a fixed-size ring (O(1) per
-message, no allocation beyond the event dict) and is snapshotted into the
-trace — via :meth:`repro.runtime.trace.Trace.snapshot`, which bypasses the
-``enabled`` flag — when the node crashes or a step fails.
+message: one 6-tuple, which becomes the event dict only in a snapshot)
+and is snapshotted into the trace — via
+:meth:`repro.runtime.trace.Trace.snapshot`, which bypasses the ``enabled``
+flag — when the node crashes or a step fails.
 
 The recorder is injected into the sim layer duck-typed (see
 :mod:`repro.obs.causal` for the pattern): the control system sets
@@ -19,13 +20,17 @@ from collections import deque
 
 __all__ = ["FlightRecorder"]
 
+#: Keys of a snapshot event, in the order :meth:`FlightRecorder.note`
+#: takes (and the ring keeps) their values.
+_EVENT_KEYS = ("time", "dir", "interface", "peer", "msg_id", "lamport")
+
 
 class FlightRecorder:
     """Fixed-capacity ring of a node's recent transport events."""
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self._events: deque[dict] = deque(maxlen=capacity)
+        self._events: deque[tuple] = deque(maxlen=capacity)
         self.recorded = 0
 
     def note(
@@ -39,18 +44,11 @@ class FlightRecorder:
     ) -> None:
         """Append one transport event (evicting the oldest when full)."""
         self.recorded += 1
-        self._events.append({
-            "time": time,
-            "dir": direction,
-            "interface": interface,
-            "peer": peer,
-            "msg_id": msg_id,
-            "lamport": lamport,
-        })
+        self._events.append((time, direction, interface, peer, msg_id, lamport))
 
     def snapshot(self) -> list[dict]:
-        """The retained window, oldest first (copies, safe to serialize)."""
-        return [dict(event) for event in self._events]
+        """The retained window, oldest first (fresh dicts, safe to serialize)."""
+        return [dict(zip(_EVENT_KEYS, event)) for event in self._events]
 
     def __len__(self) -> int:
         return len(self._events)

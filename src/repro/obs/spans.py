@@ -36,7 +36,9 @@ the one construction path, and ``start`` / ``instant`` hand it their
 attrs without a copy.  A message span — two per physical message, most of
 what a run records — costs less still: :meth:`Tracer.message` keeps it as
 one flat tuple of its fields, and it becomes a :class:`Span` only when
-somebody reads ``tracer.spans``.
+somebody reads ``tracer.spans``.  An instant its caller never touches
+again (a rule firing, a coordination round, an OCR decision) is a row
+too: :meth:`Tracer.mark` keeps its fields and attrs dict in one tuple.
 
 The tracer keeps what fits: under a ``capacity`` it obeys the same policy
 as the flat :class:`~repro.runtime.trace.Trace` — newest spans dropped
@@ -138,6 +140,9 @@ NULL_SPAN = _NullSpan()
 #: fields ``(span_id, name, node, time, link_id)`` of a message row.
 _MESSAGE_ATTRS = ("msg_id", "src", "dst", "mechanism", "lamport", "direction",
                   "instance")
+#: Length of a :meth:`Tracer.mark` row ``(span_id, name, category, node,
+#: time, parent_id, attrs)``; a message row is 12 long.
+_MARK_ROW_LEN = 7
 
 
 def _message_span(row: tuple) -> Span:
@@ -148,6 +153,22 @@ def _message_span(row: tuple) -> Span:
         del attrs["instance"]
     return Span(span_id, name, "message", node, time, None, attrs, link_id,
                 time)
+
+
+def _mark_span(row: tuple) -> Span:
+    """The :class:`Span` a :meth:`Tracer.mark` row stands for."""
+    span_id, name, category, node, time, parent_id, attrs = row
+    return Span(span_id, name, category, node, time, parent_id, attrs, None,
+                time)
+
+
+def _row_span(row: Span | tuple) -> Span:
+    """What one retained row reads as."""
+    if row.__class__ is Span:
+        return row
+    if len(row) == _MARK_ROW_LEN:
+        return _mark_span(row)
+    return _message_span(row)
 
 
 class Tracer:
@@ -171,7 +192,7 @@ class Tracer:
         self.capacity = capacity
         self.ring = ring
         #: Retained spans in id order: a :class:`Span`, or the flat row
-        #: of a message span (see :func:`_message_span`).
+        #: of a message or mark span (see :func:`_row_span`).
         self._rows: deque[Span | tuple] | list[Span | tuple]
         if ring and capacity is not None:
             self._rows = deque(maxlen=capacity)
@@ -304,6 +325,34 @@ class Tracer:
                            mechanism, lamport, direction, instance))
         return span_id
 
+    def mark(
+        self,
+        name: str,
+        category: str,
+        node: str,
+        time: float,
+        parent: Span | None,
+        attrs: dict[str, Any],
+    ) -> None:
+        """Record one instant nobody holds a handle to, as a row.
+
+        Reads as ``instant(name, category, node, time, parent=parent,
+        **attrs)`` would, with ``attrs`` kept as the span's own dict; the
+        tracer must be enabled.  Rule, coordination and OCR instants come
+        this way: their callers never touch the span again.
+        """
+        parent_id = None
+        if parent is not None and not parent.is_null:
+            parent_id = parent.span_id
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        if self.capacity is not None and len(self._rows) >= self.capacity:
+            self.dropped += 1
+            if not self.ring:
+                return
+        self._rows.append((span_id, name, category, node, time, parent_id,
+                           attrs))
+
     def finish(self, time: float) -> int:
         """Close every still-open span at ``time``; returns how many."""
         closed = 0
@@ -319,8 +368,7 @@ class Tracer:
     @property
     def spans(self) -> list[Span]:
         """The retained spans, oldest first (a fresh list per read)."""
-        return [row if row.__class__ is Span else _message_span(row)
-                for row in self._rows]
+        return [_row_span(row) for row in self._rows]
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)

@@ -1,21 +1,23 @@
-"""The observability plane's three engines as they were before PR 22,
-kept as the test oracle.
+"""The observability plane's engines as they were before they were
+rebuilt, kept as the test oracle.
 
 ``Tracer``, ``Profiler`` and ``MetricsRegistry`` exactly as
 ``repro.obs.{spans,profile,registry}`` defined them at ``dc23613``: a
 ``dict(attrs)`` copy and an ``_open_children`` entry per span (instants
 and message spans included), a ``FrameStat`` and a collapsed-path update
-per pop, bucket validation and a sorted label key per look-up.  The class
-bodies are verbatim; what they build — ``Span``, ``FrameStat``, the
-instruments — did not change and is imported from ``src``.
-``tests/obs/test_obs_differential.py`` drives each beside the class that
-replaced it with the same operations and requires the same spans, frames
-and exposition text.
+per pop, bucket validation and a sorted label key per look-up.
+``FlightRecorder`` exactly as ``repro.obs.flight`` defined it at
+``901dff7``: a 6-key dict per note.  The class bodies are verbatim; what
+they build — ``Span``, ``FrameStat``, the instruments — did not change
+and is imported from ``src``.  ``tests/obs/test_obs_differential.py``
+drives each beside the class that replaced it with the same operations
+and requires the same spans, frames, exposition text and snapshots.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.obs.export import US_PER_TIME_UNIT
@@ -29,7 +31,7 @@ from repro.obs.registry import (
 from repro.obs.spans import NULL_SPAN, Span
 from repro.runtime.trace import Trace
 
-__all__ = ["MetricsRegistry", "Profiler", "Tracer"]
+__all__ = ["FlightRecorder", "MetricsRegistry", "Profiler", "Tracer"]
 
 
 # -- repro/obs/spans.py -----------------------------------------------------
@@ -562,3 +564,45 @@ class MetricsRegistry:
                     mine.min = min(mine.min, child.min)
                     mine.max = max(mine.max, child.max)
         return self
+
+
+# -- repro/obs/flight.py ----------------------------------------------------
+
+class FlightRecorder:
+    """Fixed-capacity ring of a node's recent transport events."""
+
+    def __init__(self, capacity: int = 64):
+        self.capacity = capacity
+        self._events: deque[dict] = deque(maxlen=capacity)
+        self.recorded = 0
+
+    def note(
+        self,
+        time: float,
+        direction: str,
+        interface: str,
+        peer: str,
+        msg_id: int,
+        lamport: int,
+    ) -> None:
+        """Append one transport event (evicting the oldest when full)."""
+        self.recorded += 1
+        self._events.append({
+            "time": time,
+            "dir": direction,
+            "interface": interface,
+            "peer": peer,
+            "msg_id": msg_id,
+            "lamport": lamport,
+        })
+
+    def snapshot(self) -> list[dict]:
+        """The retained window, oldest first (copies, safe to serialize)."""
+        return [dict(event) for event in self._events]
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<FlightRecorder {len(self._events)}/{self.capacity} "
+                f"recorded={self.recorded}>")

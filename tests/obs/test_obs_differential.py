@@ -3,7 +3,8 @@
 Three Hypothesis state machines drive ``repro.obs``'s ``Tracer``,
 ``Profiler`` and ``MetricsRegistry`` beside their predecessors in
 :mod:`tests.obs.reference_obs` with the same operations and compare
-everything a reader can see after every step.  The golden digests at the
+everything a reader can see after every step; a Hypothesis differential
+does the same for ``FlightRecorder`` snapshots.  The golden digests at the
 bottom were computed at the parent commit (``dc23613``): what the CLI
 exports for a fixed seed did not change by a byte.
 """
@@ -11,13 +12,14 @@ exports for a fixed seed did not change by a byte.
 import hashlib
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cli import main
 from repro.obs import profile as profile_module
 from repro.obs.export import prometheus_text
+from repro.obs.flight import FlightRecorder
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Tracer
@@ -83,6 +85,16 @@ class TracerMachine(RuleBasedStateMachine):
                                     link=old_link, **attrs),
         )
 
+    @rule(name=names, category=categories, node=nodes, time=times, attrs=attrs,
+          parent=refs, i=which)
+    def mark(self, name, category, node, time, attrs, parent, i):
+        """An instant kept as a row reads back as what ``instant()`` returns."""
+        new_parent, old_parent = self.resolve(parent, i)
+        self.new.mark(name, category, node, time, new_parent, dict(attrs))
+        old = self.old.instant(name, category, node, time, parent=old_parent, **attrs)
+        assert span_fields(self.new.spans[-1]) == span_fields(old)
+        self.ids.append(old.span_id)
+
     @rule(interface=st.sampled_from(["StepExecute", "StepResult"]), node=nodes,
           time=times, link=refs, j=which, msg_id=st.integers(1, 99),
           lamport=st.integers(1, 9), direction=st.sampled_from(["send", "recv"]),
@@ -145,6 +157,33 @@ def test_disabled_tracers_agree():
         assert tracer.instant("a", "rule", "n", 0.0, x=1) is NULL_SPAN
         tracer.end(NULL_SPAN, 1.0)
         assert tracer.finish(2.0) == 0 and len(tracer) == 0
+
+
+# -- flight recorder ------------------------------------------------------
+
+notes = st.tuples(times, st.sampled_from(["send", "recv"]),
+                  st.sampled_from(["StepExecute", "StepResult", "WorkflowPacket"]),
+                  nodes, st.integers(0, 99), st.integers(0, 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.integers(1, 6), script=st.lists(notes, max_size=20),
+       reads=st.lists(st.integers(0, 20), max_size=3))
+def test_flight_snapshots_agree(capacity, script, reads):
+    """Tuple notes snapshot to the dicts the dict ring kept, at any point."""
+    new, old = FlightRecorder(capacity), reference_obs.FlightRecorder(capacity)
+    for index, note in enumerate(script):
+        new.note(*note)
+        old.note(*note)
+        if index in reads:
+            assert new.snapshot() == old.snapshot()
+    snapshot = new.snapshot()
+    assert snapshot == old.snapshot()
+    assert [list(event) for event in snapshot] == [list(event) for event in old.snapshot()]
+    assert (len(new), new.recorded) == (len(old), old.recorded)
+    if snapshot:  # a snapshot is the caller's to keep
+        snapshot[0]["msg_id"] = -1
+        assert new.snapshot()[0]["msg_id"] == old.snapshot()[0]["msg_id"]
 
 
 # -- profiler -------------------------------------------------------------

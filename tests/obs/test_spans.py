@@ -191,6 +191,18 @@ def test_capacity_without_ring_keeps_the_oldest_spans():
     assert late.end == 5.0
 
 
+def test_mark_rows_follow_the_capacity_policy():
+    ring, capped = Tracer(capacity=2, ring=True), Tracer(capacity=2)
+    for tracer in (ring, capped):
+        workflow = tracer.start("wf", "workflow", "engine", 0.0)
+        for tick in range(3):
+            tracer.mark("rule:r", "rule", "engine", 1.0 + tick, workflow, {"tick": tick})
+        assert tracer.dropped == 2 and tracer._open_children == {}
+    assert [(s.span_id, s.parent_id, s.attrs) for s in ring] == [
+        (3, 1, {"tick": 1}), (4, 1, {"tick": 2})]
+    assert [s.span_id for s in capped] == [1, 2]
+
+
 def test_check_nesting_still_reports_a_parent_that_was_never_recorded():
     tracer = Tracer(capacity=4, ring=True)
     tracer.instant("i", "rule", "n", 0.0)

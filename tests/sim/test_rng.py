@@ -44,3 +44,10 @@ def test_spawn_derives_independent_space():
     child = parent.spawn("child")
     assert child.seed != parent.seed
     assert child.stream("s").random() == SimRandom(5).spawn("child").stream("s").random()
+
+
+def test_retiring_a_stream_never_created_is_a_no_op():
+    rng = SimRandom(3)
+    kept = rng.stream("kept")
+    rng.retire(["prog:never:S1", "prog:never:S2"])
+    assert list(rng._streams) == ["kept"] and rng.stream("kept") is kept

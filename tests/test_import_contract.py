@@ -232,26 +232,54 @@ def test_whole_snapshot_log_stays_a_test_oracle():
 
 
 def test_previous_observability_plane_stays_a_test_oracle():
-    """A span has one construction path (``Tracer.add``; a message row
-    becomes a ``Span`` in ``_message_span`` when read), and the profiler
-    keeps a call tree, no per-pop tables.  The tracer, profiler and
-    registry that did otherwise live under ``tests/`` only (the loop in
+    """A span has one construction path (``Tracer.add``; a message or mark
+    row becomes a ``Span`` in ``_message_span`` / ``_mark_span`` when read,
+    born closed), and the profiler keeps a call tree, no per-pop tables.
+    The tracer, profiler, registry and flight recorder that did otherwise
+    live under ``tests/`` only (the loop in
     ``test_relative_order_scan_stays_a_test_oracle`` keeps ``src/`` from
     importing them)."""
     obs = SRC / "repro" / "obs"
-    builders = []
+    builders = {}
     spans = ast.parse((obs / "spans.py").read_text())
     for scope in ast.walk(spans):
         if not isinstance(scope, ast.FunctionDef):
             continue
         for node in ast.walk(scope):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Span":
-                builders.append(scope.name)
-    assert sorted(builders) == ["_message_span", "add"]
+                builders[scope.name] = node
+    assert sorted(builders) == ["_mark_span", "_message_span", "add"]
+    for name in ("_mark_span", "_message_span"):
+        # Span(span_id, name, category, node, start, parent_id, attrs,
+        #      link_id, end): a row reads back with ``end`` == ``start``, so
+        # ``Tracer.add`` stays the one path for an open span.
+        args = builders[name].args
+        assert len(args) == 9 and ast.dump(args[8]) == ast.dump(args[4]), name
     profiler = ast.parse((obs / "profile.py").read_text())
     stale = {node.attr for node in ast.walk(profiler)
              if isinstance(node, ast.Attribute)} & {"_path_cache", "_collapsed", "_stats"}
     assert not stale, f"per-pop profiler tables are back: {sorted(stale)}"
+
+
+def test_engines_leave_the_program_stream_to_the_context():
+    """A step's ``prog:`` stream is resolved when its program first reads
+    ``ExecutionContext.rng``: no engine module builds an
+    ``ExecutionContext`` with ``rng=`` or draws up a ``prog:`` stream
+    itself."""
+    violations = []
+    for module_path in sorted((SRC / "repro" / "engines").rglob("*.py")):
+        where = module_path.relative_to(SRC)
+        for node in ast.walk(ast.parse(module_path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "ExecutionContext":
+                if any(k.arg == "rng" for k in node.keywords):
+                    violations.append(f"{where}:{node.lineno} passes rng=")
+            elif (isinstance(node.func, ast.Attribute) and node.func.attr == "stream"
+                  and node.args and isinstance(node.args[0], ast.JoinedStr)
+                  and str(getattr(node.args[0].values[0], "value", "")).startswith("prog:")):
+                violations.append(f"{where}:{node.lineno} opens a prog: stream")
+    assert not violations, "\n".join(violations)
 
 
 def test_purge_forgets_through_one_retire_routine():
