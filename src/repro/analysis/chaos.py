@@ -24,6 +24,13 @@ invariants plus chaos-specific *liveness* and *durability* checks:
     agent's log into a fresh AGDB reproduces the durable state (replay is
     deterministic; recovered summaries match the live summary table).
 
+A plan may use every dimension of the fault model, the step executor's
+``execfail=`` / ``execstall=`` included: the simulator runs the same
+retrying executor as the daemon, so a step failure and its retries replay
+bit for bit like a dropped message.  The seeded :func:`random_plan` draws
+message faults, a crash and a stall; executor faults come in through an
+explicit ``--plan``.
+
 A violating run is *minimized* — fault-plan dimensions are greedily
 removed while the violation persists — and reported as a one-line repro
 (``repro chaos --config <label> --seed <s> --plan <spec>``) alongside the
@@ -366,12 +373,12 @@ def run_chaos(
 class RealtimeChaosReport:
     """Outcome-level consistency verdict for wall-clock chaos replays.
 
-    The asyncio backend is not bit-deterministic (real timers race), so
-    the check is at the level the protocols guarantee: every replay of
+    What the fault model does is checked bit for bit on the simulator,
+    executor faults included; what is left for the wall clock is that
+    real timers racing do not change an outcome.  So every replay of
     ``(config, seed, plan)`` must end with the *same terminal outcome per
-    instance* — drop/dup/delay faults are masked identically because the
-    injector's decision streams and the executor's retry jitter are both
-    seeded from the system's master seed.
+    instance* — the injector's decision streams and the executor's retry
+    jitter are seeded from the system's master seed, as on the simulator.
     """
 
     config: str

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.programs import ProgramRegistry, StepProgram, program_stream_name
-from repro.errors import FrontEndError, SchemaError, WorkloadError
+from repro.errors import FrontEndError, SchemaError, SimulationError, WorkloadError
 from repro.model.compiler import CompiledSchema, compile_schema
 from repro.model.coordination_spec import (
     CoordinationSpec,
@@ -689,6 +689,8 @@ class ControlSystem:
         Only meaningful on clocks that own their event loop (the DES
         kernel).  The asyncio runtime is driven by awaiting
         :meth:`repro.runtime.realtime.RealtimeRuntime.join` instead.
+        Raises :class:`~repro.errors.SimulationError` once the step
+        executor has recorded an exception the fault plan did not inject.
         """
         runner = getattr(self.simulator, "run", None)
         if runner is None:
@@ -697,6 +699,15 @@ class ControlSystem:
                 "await the runtime's join() from the owning event loop"
             )
         fired = runner(until=until, max_events=self.config.max_events)
+        errors = getattr(self.runtime.executor, "errors", None)
+        if errors:
+            # The executor retried it like a transient fault, but a program
+            # fails its step instead of raising: this is an engine defect.
+            name, error = errors[0]
+            raise SimulationError(
+                f"{len(errors)} step-executor attempt(s) raised; the first, "
+                f"in {name}:\n{error}"
+            )
         if self.config.trace:
             self.registry.gauge(
                 "crew_sim_events_processed", "Simulation events processed.",

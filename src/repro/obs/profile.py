@@ -92,14 +92,12 @@ def peak_rss_kb() -> int | None:
 #: event types degrade to legible names instead of vanishing.
 EVENT_FRAMES = {
     "Network._arrive": "transport.arrive",
-    "Node.schedule_causal.<locals>.run": "kernel.deferred",
     "ControlSystem.schedule_frontend.<locals>.attempt": "frontend.submit",
-    "AgentNavigationMixin._complete_program": "program.complete",
-    "ApplicationAgentNode._complete_step": "program.complete",
-    "ApplicationAgentNode._complete_compensation": "program.compensate",
     "AgentFailureMixin._watchdog": "recovery.watchdog",
-    # Wall-clock runtime: a step's service time is over and its work runs
-    # (``_begin``), or it runs after an injected stall or a retry backoff.
+    # Work a node defers through the step executor (program completion,
+    # compensation, any ``schedule_causal``): its service time is over and
+    # it runs (``_begin``), or it runs after an injected stall or a retry
+    # backoff.
     "TaskExecutor._begin": "executor.step",
     "TaskExecutor._attempt": "executor.attempt",
 }

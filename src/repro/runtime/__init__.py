@@ -11,18 +11,21 @@ the clock-agnostic :class:`~repro.runtime.transport.Network` transport,
 the :class:`~repro.runtime.node.Node` base class, per-mechanism
 :class:`~repro.runtime.metrics.MetricsCollector` accounting, seeded
 :class:`~repro.runtime.rng.SimRandom` streams, the structured
-:class:`~repro.runtime.trace.Trace` log and the
-:class:`~repro.runtime.retry.RetryPolicy` backoff.
+:class:`~repro.runtime.trace.Trace` log, the
+:class:`~repro.runtime.retry.RetryPolicy` backoff, and the one step
+executor and runtime class of every backend
+(:mod:`repro.runtime.executor`).
 
 Backends resolve by name through :func:`~repro.runtime.factory.
 build_runtime`: ``"sim"`` is the deterministic discrete-event kernel
 (:mod:`repro.sim`), ``"asyncio"`` the wall-clock backend
-(:mod:`repro.runtime.realtime`) behind ``repro serve``.  The AST
+(:mod:`repro.runtime.realtime`) behind ``repro serve``; each is a
+:class:`~repro.runtime.executor.ClockRuntime` over its clock.  The AST
 import-layering contract keeps the seam honest: ``repro.engines.*`` may
 import this package but never ``repro.sim``.
 """
 
-from repro.runtime.executor import ClockExecutor
+from repro.runtime.executor import ClockRuntime, TaskExecutor
 from repro.runtime.factory import (
     available_runtimes,
     build_runtime,
@@ -47,7 +50,7 @@ from repro.runtime.transport import Network
 __all__ = [
     "Cancellable",
     "Clock",
-    "ClockExecutor",
+    "ClockRuntime",
     "Executor",
     "FixedLatency",
     "LatencyModel",
@@ -60,6 +63,7 @@ __all__ = [
     "RetryPolicy",
     "Runtime",
     "SimRandom",
+    "TaskExecutor",
     "Trace",
     "TraceRecord",
     "Transport",

@@ -10,7 +10,9 @@ Two clocks build on it and differ only in how ``now`` advances.  The
 discrete-event :class:`repro.sim.kernel.Simulator` jumps ``now`` to each
 entry's time as it pops it; :class:`repro.runtime.realtime.RealtimeClock`
 reads ``now`` off the asyncio loop's monotonic clock and arms one loop
-callback for the head of the queue.
+callback for the head of the queue.  The one step executor,
+:class:`repro.runtime.executor.TaskExecutor`, queues its entries through
+:meth:`EventQueue.enqueue` on either.
 """
 
 from __future__ import annotations
@@ -97,7 +99,16 @@ class EventQueue:
         """Schedule ``action(*args)`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, action, *args)
+        handle = EventHandle(0.0, action, args, self)
+        self.enqueue(handle, delay)
+        return handle
+
+    def enqueue(self, handle: EventHandle, delay: float) -> None:
+        """Queue ``handle`` to fire ``delay`` time units from now: the one
+        push of :meth:`schedule` and of the step executor, which queues a
+        handle again here for a stall or a backoff."""
+        time = handle.time = self.now + delay
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
 
     def schedule_at(self, time: float, action: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``action(*args)`` to fire at absolute clock time."""

@@ -12,11 +12,15 @@ plug in with :func:`register_runtime`.
 Built-ins:
 
 ``"sim"``
-    :class:`repro.sim.runtime.SimRuntime` — the discrete-event kernel;
+    :class:`repro.sim.kernel.SimRuntime` — the discrete-event kernel;
     deterministic, fault-injectable, the default everywhere.
 ``"asyncio"`` (alias ``"realtime"``)
     :class:`repro.runtime.realtime.RealtimeRuntime` — monotonic wall
-    clock over the running asyncio loop, retried step execution.
+    clock over the running asyncio loop.
+
+Both are :class:`repro.runtime.executor.ClockRuntime` over their clock:
+the same transport, the same retrying step executor, the same fault
+injection.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = ["available_runtimes", "build_runtime", "register_runtime"]
 
 #: name -> "module:attr" of a Runtime class (or factory callable).
 _REGISTRY: dict[str, str] = {
-    "sim": "repro.sim.runtime:SimRuntime",
+    "sim": "repro.sim.kernel:SimRuntime",
     "asyncio": "repro.runtime.realtime:RealtimeRuntime",
     "realtime": "repro.runtime.realtime:RealtimeRuntime",
 }
@@ -61,8 +65,7 @@ def build_runtime(name: str = "sim", **kwargs: Any) -> Runtime:
     """Instantiate the backend registered under ``name``.
 
     Keyword arguments are forwarded to the backend constructor (the
-    built-ins accept ``metrics=`` and ``latency=``; the asyncio backend
-    additionally ``retry=``).
+    built-ins accept ``metrics=``, ``latency=``, ``retry=`` and ``rng=``).
     """
     try:
         target = _REGISTRY[name]

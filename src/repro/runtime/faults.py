@@ -43,14 +43,12 @@ Injected semantics:
   (recovery replays its WAL-backed stores and drains parked messages).
 * **stall** — deliveries *to* the node landing inside the window are
   deferred to the window's end (a paused step agent).
-* **exec-fail / exec-stall** — a retrying executor (the asyncio
-  :class:`~repro.runtime.realtime.TaskExecutor`) consults the injector
+* **exec-fail / exec-stall** — the step executor of both runtimes
+  (:class:`~repro.runtime.executor.TaskExecutor`) consults the injector
   before each submitted callback: ``exec_fail_p`` raises an
   :class:`~repro.errors.InjectedFault` (exercising the retry/backoff
-  path), ``exec_stall_p`` sleeps ``exec_stall_s`` extra seconds first (a
-  slow worker).  Executors without a retry loop (the simulated
-  :class:`~repro.runtime.executor.ClockExecutor`) ignore these
-  dimensions.
+  path), ``exec_stall_p`` waits ``exec_stall_s`` extra clock time first
+  (a slow worker).  On the simulator these replay bit for bit too.
 
 Crashes also kill a node's deferred continuations: when a fault injector
 is installed, :meth:`repro.runtime.node.Node.schedule_causal` guards every
@@ -145,10 +143,8 @@ class FaultPlan:
     caps the *total* number of drops across the run (``None`` = unlimited),
     which makes "lose exactly the first such message" tests deterministic.
 
-    ``exec_fail_p`` / ``exec_stall_p`` apply per executor submission and
-    only bite on runtimes whose executor retries transient failures (the
-    asyncio backend); the simulated ``ClockExecutor`` has no retry loop
-    and ignores them.
+    ``exec_fail_p`` applies per executor attempt and ``exec_stall_p`` per
+    submission, on either runtime: both run the one retrying executor.
     """
 
     drop_p: float = 0.0
@@ -492,7 +488,7 @@ class FaultInjector:
     # -- executor hooks ------------------------------------------------------
 
     def executor_stall(self, name: str) -> float:
-        """Extra pre-run sleep for one executor submission (0.0 = none)."""
+        """Extra pre-run wait for one executor submission (0.0 = none)."""
         plan = self.plan
         if not plan.exec_stall_p or self._exec_rng.random() >= plan.exec_stall_p:
             return 0.0

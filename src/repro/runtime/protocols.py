@@ -153,8 +153,10 @@ class Runtime(Protocol):
 
     ``name`` identifies the backend (``"sim"``, ``"asyncio"``) in logs and
     benchmark metadata.  ``install_faults`` wires a deterministic fault
-    injector under the transport where the backend supports it (the
-    simulated runtime does; wall-clock backends may raise).
+    injector under the transport, on the clock and into the executor
+    where the backend supports it (both built-ins do, through
+    :class:`repro.runtime.executor.ClockRuntime`; other backends may
+    raise).
     """
 
     name: str

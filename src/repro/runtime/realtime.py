@@ -13,10 +13,10 @@ semantics, per-mechanism accounting, Lamport stamping — identical to
 simulation), with the configured :class:`~repro.runtime.latency.
 LatencyModel` applied as *real* delay: ``FixedLatency(0.0)`` for an
 undelayed in-process service, positive values to rehearse WAN pacing.
-Step programs run as clock entries through :class:`TaskExecutor`, which
-wraps transient program exceptions in the engines' :class:`~repro.
-runtime.retry.RetryPolicy` backoff instead of letting one flaky callback
-kill the daemon.
+Step programs run as clock entries through the one
+:class:`~repro.runtime.executor.TaskExecutor`, whose
+:class:`~repro.runtime.retry.RetryPolicy` backoff keeps one flaky
+callback from killing the daemon.
 
 Times reported by ``RealtimeClock.now`` are seconds since
 :meth:`RealtimeClock.start` (captured lazily from the first running
@@ -24,13 +24,13 @@ loop), so traces and span durations read like the simulated ones: small
 numbers starting near zero.
 
 Determinism note: this backend is for *serving* and wall-clock
-benchmarks.  :meth:`RealtimeRuntime.install_faults` accepts the same
-seeded :class:`~repro.runtime.faults.FaultPlan` the simulated backend
-runs — the *decision sequence* (which messages drop, duplicate, delay;
-which executor submissions fail) replays deterministically from
-``(seed, plan)``, but event interleaving rides the wall clock, so
-reproducibility is at the outcome level, not byte-level.  Fixed-seed
-bit-replay remains the business of the simulated backend.
+benchmarks.  It installs the same seeded :class:`~repro.runtime.faults.
+FaultPlan` the simulated backend runs, through the same
+:meth:`~repro.runtime.executor.ClockRuntime.install_faults` — the
+*decision sequence* replays from ``(seed, plan)``, but event
+interleaving rides the wall clock, so reproducibility is at the outcome
+level, not byte-level.  Fixed-seed bit-replay, executor faults included,
+is the business of the simulated backend.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ import contextvars
 import heapq
 from typing import Any, Callable
 
-from repro.errors import InjectedFault, SimulationError, WorkloadError
+from repro.errors import SimulationError
 from repro.runtime.eventqueue import EventHandle, EventQueue
+from repro.runtime.executor import ClockRuntime, TaskExecutor
 from repro.runtime.latency import FixedLatency, LatencyModel
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
-from repro.runtime.transport import Network
 
+# ``TaskExecutor`` is re-exported: callers that patch it by this module
+# path (``bench/layers.py``) find the one executor here.
 __all__ = ["RealtimeClock", "RealtimeRuntime", "TaskExecutor"]
 
 #: Callbacks one loop turn fires before the clock yields to the loop's
@@ -114,20 +116,6 @@ class RealtimeClock(EventQueue):
             return 0.0
         return self._loop.time() - self._epoch
 
-    def schedule(
-        self, delay: float, action: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Run ``action(*args)`` ``delay`` real seconds from now.
-
-        ``delay == 0`` inside a turn fires in that turn; from outside a
-        turn, in the next one.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(0.0, action, args, self)
-        self.enqueue(handle, delay)
-        return handle
-
     def schedule_at(
         self, time: float, action: Callable[..., Any], *args: Any
     ) -> EventHandle:
@@ -143,7 +131,8 @@ class RealtimeClock(EventQueue):
         """Queue ``handle`` to fire ``delay`` seconds from now.
 
         Inside a turn, a zero delay is the turn's reading of ``now`` —
-        the simulator's ``now + 0``.  The entry runs in a copy of the
+        the simulator's ``now + 0`` — so ``schedule(0, ...)`` fires in
+        that turn, and from outside a turn in the next one.  The entry runs in a copy of the
         caller's ``contextvars`` context, as ``call_later`` would run it.
         Its owner (``handle._owner``) answers a cancel: the clock, or an
         executor that forwards to it.
@@ -240,130 +229,14 @@ class RealtimeClock(EventQueue):
         return f"<RealtimeClock now={self.now:.3f} pending={self.pending}>"
 
 
-class TaskExecutor:
-    """Step execution as clock entries, with retry-on-transient-failure.
+class RealtimeRuntime(ClockRuntime):
+    """The wall-clock backend: :class:`ClockRuntime` over a
+    :class:`RealtimeClock`.
 
-    ``submit(delay, fn, *args)`` queues one clock entry for the service
-    time; when it fires, ``fn`` runs as a plain callback, so what it
-    schedules with no delay runs in the same loop turn.  A raising ``fn``
-    is retried on the runtime's :class:`~repro.runtime.retry.RetryPolicy`
-    backoff — the same handle queued again — (with the jitter drawn from
-    a seeded stream so retry pacing is at least *replayable* in logs);
-    once the budget is exhausted the failure is recorded in
-    :attr:`failures` instead of killing the event loop.  Cancelling the
-    returned handle withdraws whichever wait is queued: service time,
-    injected stall or backoff.
-    """
-
-    def __init__(self, clock: RealtimeClock, retry: RetryPolicy | None = None,
-                 rng: SimRandom | None = None):
-        self.clock = clock
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._jitter = (rng if rng is not None else SimRandom(0)).stream(
-            "executor:retry"
-        )
-        #: Optional fault injector (see :class:`repro.runtime.faults.
-        #: FaultInjector`), set by :meth:`RealtimeRuntime.install_faults`.
-        #: When present, each submission consults it for an injected
-        #: pre-run stall and each attempt for an injected failure.
-        self.faults = None
-        self._inflight = 0
-        self.submitted = 0
-        self.retries = 0
-        #: ``(callable qualname, repr(exception))`` of budget-exhausted work.
-        self.failures: list[tuple[str, str]] = []
-        #: Duck-typed observability hooks (``obs`` sits above ``runtime``
-        #: in the layering contract, so the owning service injects these
-        #: rather than the executor importing a logger/registry):
-        #: ``on_retry(fn, name, exc, attempt, backoff)`` after each failed
-        #: attempt that will be retried, ``on_give_up(fn, name, exc,
-        #: attempts)`` once the budget is exhausted.  Hook exceptions are
-        #: swallowed — observability must never kill the worker.
-        self.on_retry: Callable[..., None] | None = None
-        self.on_give_up: Callable[..., None] | None = None
-
-    def submit(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Run ``fn(*args)`` after ``delay`` seconds of service time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self.submitted += 1
-        self._inflight += 1
-        handle = EventHandle(0.0, self._begin, (), self)
-        handle.args = (handle, fn, args)
-        self.clock.enqueue(handle, delay)
-        return handle
-
-    def _begin(self, handle: EventHandle, fn: Callable[..., Any],
-               args: tuple) -> None:
-        """The service time is over: an injected stall, then attempt 1."""
-        name = getattr(fn, "__qualname__", repr(fn))
-        stall = 0.0 if self.faults is None else self.faults.executor_stall(name)
-        if stall > 0:
-            self._requeue(handle, stall, fn, args, name, 1)
-        else:
-            self._attempt(handle, fn, args, name, 1)
-
-    def _attempt(self, handle: EventHandle, fn: Callable[..., Any],
-                 args: tuple, name: str, attempt: int) -> None:
-        faults = self.faults
-        try:
-            if faults is not None and faults.executor_should_fail(name, attempt):
-                raise InjectedFault(f"injected executor failure in {name}")
-            fn(*args)
-        except Exception as exc:
-            backoff = self.retry.backoff(attempt, self._jitter)
-            if backoff is None:
-                self.failures.append((name, repr(exc)))
-                self._notify(self.on_give_up, fn, name, exc, attempt)
-            elif not handle.cancelled:
-                self.retries += 1
-                self._notify(self.on_retry, fn, name, exc, attempt, backoff)
-                self._requeue(handle, backoff, fn, args, name, attempt + 1)
-                return
-        # Ran, gave up, or was cancelled while it ran: settled.
-        self._inflight -= 1
-        handle.args = ()  # break the handle -> args -> handle cycle
-
-    def _requeue(self, handle: EventHandle, delay: float, *args: Any) -> None:
-        handle.action = self._attempt
-        handle.args = (handle, *args)
-        handle._owner = self
-        self.clock.enqueue(handle, delay)
-
-    def _on_cancel(self) -> None:
-        """A queued submission was cancelled: settled; the clock accounts it."""
-        self._inflight -= 1
-        self.clock._on_cancel()
-
-    @staticmethod
-    def _notify(hook: Callable[..., None] | None, *args: Any) -> None:
-        if hook is None:
-            return
-        try:
-            hook(*args)
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-    @property
-    def inflight(self) -> int:
-        """Submissions whose work has not run, given up or been cancelled."""
-        return self._inflight
-
-    async def join(self, timeout: float | None = None) -> bool:
-        """Wait until the clock, whose entries the submissions are, is idle."""
-        return await self.clock.join(timeout)
-
-
-class RealtimeRuntime:
-    """Asyncio substrate bundle: wall clock + shared transport + tasks.
-
-    Satisfies :class:`repro.runtime.protocols.Runtime`.  The transport is
-    the same :class:`~repro.runtime.transport.Network` the simulation
-    uses, constructed over the wall clock; the default latency model is
-    ``FixedLatency(0.0)`` (undelayed in-process delivery — pass a model
-    to rehearse network pacing).
+    The default latency model is ``FixedLatency(0.0)`` (undelayed
+    in-process delivery — pass a model to rehearse network pacing).
+    Crash, stall and outage times of an installed plan are wall-clock
+    seconds since the runtime started.
     """
 
     name = "asyncio"
@@ -375,47 +248,14 @@ class RealtimeRuntime:
         retry: RetryPolicy | None = None,
         rng: SimRandom | None = None,
     ):
-        self.clock = RealtimeClock()
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.transport = Network(
-            self.clock, self.metrics,
-            latency if latency is not None else FixedLatency(0.0),
+        super().__init__(
+            RealtimeClock(), metrics,
+            latency if latency is not None else FixedLatency(0.0), retry, rng,
         )
-        self.executor = TaskExecutor(self.clock, retry=retry, rng=rng)
-        self.transport.executor = self.executor
-        #: The installed fault injector, if any.
-        self.faults = None
 
     def start(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
         """Bind the clock to a running loop (lazy on first schedule)."""
         self.clock.start(loop)
-
-    # -- fault injection ---------------------------------------------------
-
-    def supports_faults(self) -> bool:
-        return True
-
-    def install_faults(self, plan: Any, rng: Any, retry: Any) -> Any:
-        """Install a seeded :class:`~repro.runtime.faults.FaultInjector`.
-
-        Same contract as the simulated backend: ``rng`` is a dedicated
-        child seed space (callers spawn ``rng.spawn("faults")``) so the
-        injector's decision streams replay from ``(seed, plan)``; crash /
-        stall / outage times in the plan are wall-clock seconds since the
-        runtime started.  Returns the installed injector.
-        """
-        from repro.runtime.faults import FaultInjector
-
-        if self.faults is not None:
-            raise WorkloadError("fault injector already installed")
-        injector = FaultInjector(plan, rng, retry=retry)
-        injector.install(self.transport)
-        injector.arm(self.clock)
-        self.executor.faults = injector
-        self.faults = injector
-        return injector
-
-    # -- quiescence --------------------------------------------------------
 
     async def join(self, timeout: float | None = None) -> bool:
         """Wait until the clock, step timers included, is idle."""

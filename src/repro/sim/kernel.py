@@ -11,7 +11,10 @@ The kernel is intentionally small: it drives the shared
 :class:`~repro.runtime.eventqueue.EventQueue` — the one the wall clock
 fires too — by popping its head and jumping ``now`` to the entry's time.
 All higher layers (network, nodes, engines) are built on
-:meth:`Simulator.schedule`.
+:meth:`Simulator.schedule`.  :class:`SimRuntime` is the ``"sim"`` backend
+of :mod:`repro.runtime.factory`: the one
+:class:`~repro.runtime.executor.ClockRuntime` over a fresh simulator, and
+the default of every control system.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import heapq
 
 from repro.errors import SimulationError
 from repro.runtime.eventqueue import EventHandle, EventQueue
+from repro.runtime.executor import ClockRuntime
 
-__all__ = ["EventHandle", "Simulator"]
+__all__ = ["EventHandle", "SimRuntime", "Simulator"]
 
 
 class Simulator(EventQueue):
@@ -101,3 +105,17 @@ class Simulator(EventQueue):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.3f} pending={self.pending}>"
+
+
+class SimRuntime(ClockRuntime):
+    """The deterministic backend: :class:`ClockRuntime` over a
+    :class:`Simulator`.
+
+    The only backend on which a whole run, fault plan included, replays
+    bit for bit from ``(seed, plan)``.
+    """
+
+    name = "sim"
+
+    def __init__(self, metrics=None, latency=None, retry=None, rng=None):
+        super().__init__(Simulator(), metrics, latency, retry, rng)

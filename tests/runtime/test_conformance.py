@@ -26,6 +26,8 @@ from repro.runtime.protocols import (
     Runtime,
     Transport,
 )
+from repro.runtime.retry import RetryPolicy
+from repro.runtime.rng import SimRandom
 
 RUNTIMES = ("sim", "asyncio")
 
@@ -190,9 +192,6 @@ def test_transport_rejects_self_send_and_unknown_destination(runtime):
 def test_fault_support_is_declared_honestly(runtime):
     from repro.runtime.faults import FaultPlan
 
-    from repro.runtime.retry import RetryPolicy
-    from repro.runtime.rng import SimRandom
-
     plan = FaultPlan()
     if runtime.supports_faults():
         injector = runtime.install_faults(plan, SimRandom(1), RetryPolicy())
@@ -200,3 +199,67 @@ def test_fault_support_is_declared_honestly(runtime):
     else:
         with pytest.raises(WorkloadError):
             runtime.install_faults(plan, SimRandom(1), RetryPolicy())
+
+
+def fast_retry(name):
+    """Two retries, one tick apart, no jitter."""
+    tick = TICK[name]
+    return RetryPolicy(base_delay=tick, factor=1.0, max_delay=tick,
+                       jitter=0.0, budget=2)
+
+
+@pytest.mark.parametrize("name", RUNTIMES)
+def test_a_raising_step_is_retried_on_both_clocks(name):
+    """The one executor decides a raising step the same way on either
+    clock: it is retried on the backoff, and once the budget is spent it
+    is recorded in ``failures``.  It escapes neither ``Simulator.run`` nor
+    the event loop; every raising attempt is in ``errors``, which a
+    simulated ``ControlSystem.run`` fails on."""
+    runtime = build_runtime(name, retry=fast_retry(name), rng=SimRandom(7))
+    calls = []
+
+    def flaky(tag):
+        calls.append(tag)
+        if len(calls) == 1:
+            raise ValueError("transient")
+
+    def broken():
+        raise ValueError("always")
+
+    def body(rt):
+        rt.executor.submit(0.0, flaky, "x")
+        rt.executor.submit(0.0, broken)
+
+    drive(runtime, body)
+    executor = runtime.executor
+    assert calls == ["x", "x"]
+    assert executor.retries == 1 + 2
+    [(fn_name, error)] = executor.failures
+    assert fn_name.endswith("broken") and error == "ValueError('always')"
+    assert executor.inflight == 0
+    names = [name.rsplit(".", 1)[-1] for name, __ in executor.errors]
+    assert names == ["flaky", "broken", "broken", "broken"]
+    assert all(trace.startswith("Traceback") for __, trace in executor.errors)
+
+
+@pytest.mark.parametrize("name", RUNTIMES)
+def test_injected_executor_faults_bite_on_both_clocks(name):
+    """``execfail=`` and ``execstall=`` reach the executor of either
+    runtime through the same ``install_faults``."""
+    from repro.runtime.faults import FaultPlan
+
+    tick = TICK[name]
+    runtime = build_runtime(name, retry=fast_retry(name), rng=SimRandom(7))
+    injector = runtime.install_faults(
+        FaultPlan(exec_fail_p=1.0, exec_stall_p=1.0, exec_stall_s=2 * tick),
+        SimRandom(7).spawn("faults"), RetryPolicy(),
+    )
+    ran = []
+    drive(runtime, lambda rt: rt.executor.submit(0.0, ran.append, "x"))
+    assert ran == []
+    assert injector.stats.exec_stalls == 1
+    assert injector.stats.exec_failures == 3  # attempt 1 and two retries
+    [(__, error)] = runtime.executor.failures
+    assert "InjectedFault" in error
+    assert runtime.executor.errors == []  # injected: not a defect
+    assert runtime.clock.now >= 4 * tick - 1e-9  # the stall, then 2 backoffs

@@ -45,7 +45,7 @@ def test_register_runtime_validates_target_shape():
 
 
 def test_register_and_build_custom_runtime():
-    register_runtime("sim2", "repro.sim.runtime:SimRuntime")
+    register_runtime("sim2", "repro.sim.kernel:SimRuntime")
     try:
         assert build_runtime("sim2").name == "sim"
     finally:
@@ -55,7 +55,7 @@ def test_register_and_build_custom_runtime():
 
 
 def test_bad_attribute_target_raises():
-    register_runtime("ghost", "repro.sim.runtime:NoSuchRuntime")
+    register_runtime("ghost", "repro.sim.kernel:NoSuchRuntime")
     try:
         with pytest.raises(ParameterError):
             build_runtime("ghost")

@@ -1,9 +1,11 @@
 """Wall-clock fault injection: the lifted injector on the asyncio runtime.
 
-The fault core now lives in :mod:`repro.runtime.faults` (the sim module
-re-exports it), so the same :class:`FaultPlan` drives both backends.
-These tests cover the realtime-only surface: executor crash/stall
-faults, seeded retry jitter, and outcome-level replay consistency.
+The fault core lives in :mod:`repro.runtime.faults`, so the same
+:class:`FaultPlan` drives both backends, and both run the one step
+executor (its fault decisions on the simulator are pinned in
+``tests/sim/test_executor.py``).  These tests drive the executor faults
+and the seeded retry jitter on real timers, and check what only the wall
+clock can: outcome-level replay consistency.
 """
 
 import asyncio

@@ -314,9 +314,9 @@ def test_daemon_hot_paths_spawn_no_task_per_step_or_event():
     the executor and the stream pump create no Task, race no
     ``asyncio.wait`` and sleep in no coroutine, and no ``asyncio.Queue``
     feed is back beside :class:`repro.service.core.EventFeed`."""
-    realtime = ast.parse((SRC / "repro" / "runtime" / "realtime.py").read_text())
+    executors = ast.parse((SRC / "repro" / "runtime" / "executor.py").read_text())
     http = ast.parse((SRC / "repro" / "service" / "http.py").read_text())
-    [executor] = [n for n in ast.walk(realtime)
+    [executor] = [n for n in ast.walk(executors)
                   if isinstance(n, ast.ClassDef) and n.name == "TaskExecutor"]
     [pump] = [n for n in ast.walk(http)
               if isinstance(n, ast.AsyncFunctionDef) and n.name == "_stream_events"]
@@ -359,9 +359,10 @@ def test_both_clocks_fire_one_event_queue():
                 if isinstance(node, ast.ClassDef) and node.name.endswith("Handle")
             ]
     assert handles == ["runtime/eventqueue.py:EventHandle"]
-    realtime = ast.parse((SRC / "repro" / "runtime" / "realtime.py").read_text())
-    kernel = ast.parse((SRC / "repro" / "sim" / "kernel.py").read_text())
-    classes = {n.name: n for tree in (realtime, kernel) for n in tree.body
+    classes = {n.name: n
+               for path in ("runtime/realtime.py", "sim/kernel.py",
+                            "runtime/executor.py")
+               for n in ast.parse((SRC / "repro" / path).read_text()).body
                if isinstance(n, ast.ClassDef)}
     for name in ("Simulator", "RealtimeClock"):
         assert [ast.unparse(b) for b in classes[name].bases] == ["EventQueue"], name
@@ -377,6 +378,31 @@ def test_both_clocks_fire_one_event_queue():
         assert not names(classes[name]) & {"Event", "_idle"}, f"{name} keeps an idle event"
         assert not [n for n in ast.walk(classes[name]) if isinstance(n, ast.While)], (
             f"{name} polls in a loop")
+
+
+def test_one_executor_and_one_runtime_serve_both_clocks():
+    """``TaskExecutor`` is the executor of both runtimes and
+    ``ClockRuntime`` the runtime: under ``runtime/`` and ``sim/`` no other
+    class defines ``submit`` or ``install_faults`` (the ``Executor`` and
+    ``Runtime`` protocols declare them), both backends are a
+    ``ClockRuntime`` over their clock and ``sim/runtime.py`` stays folded
+    into the kernel module."""
+    assert not (SRC / "repro" / "sim" / "runtime.py").exists()
+    defined: dict[str, list[str]] = {"submit": [], "install_faults": []}
+    classes = {}
+    for package in ("runtime", "sim"):
+        for module_path in sorted((SRC / "repro" / package).rglob("*.py")):
+            for node in ast.parse(module_path.read_text()).body:
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                classes[node.name] = node
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in defined:
+                        defined[item.name].append(node.name)
+    assert defined == {"submit": ["TaskExecutor", "Executor"],
+                       "install_faults": ["ClockRuntime", "Runtime"]}
+    for name in ("SimRuntime", "RealtimeRuntime"):
+        assert [ast.unparse(b) for b in classes[name].bases] == ["ClockRuntime"], name
 
 
 def test_runtime_layer_has_no_static_backend_imports():
