@@ -62,6 +62,8 @@ from repro.errors import CrewError
 from repro.model import SchemaBuilder
 from repro.obs.export import trace_to_jsonl
 from repro.runtime.faults import FaultPlan, random_plan
+from repro.runtime.realtime import RealtimeRuntime
+from repro.runtime.rng import SimRandom
 from repro.workloads.params import WorkloadParameters
 
 __all__ = [
@@ -425,10 +427,11 @@ async def _realtime_replay(
     instances: int, timeout_s: float,
 ) -> tuple[dict[str, str], list[str]]:
     config = SystemConfig(
-        runtime="asyncio", seed=seed, latency=0.0, work_time_scale=0.001,
+        seed=seed, latency=0.0, work_time_scale=0.001,
         step_status_timeout=1.0, step_status_poll_interval=0.5,
     )
-    system = control_system_class(architecture)(config)
+    runtime = RealtimeRuntime(rng=SimRandom(seed).spawn("runtime"))
+    system = control_system_class(architecture)(config, runtime=runtime)
     system.runtime.start()
     system.inject_faults(plan)
     system.register_schema(_realtime_chaos_schema())

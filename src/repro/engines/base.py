@@ -35,13 +35,13 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Span, Tracer
 from repro.rules.events import step_compensated, step_done, step_fail
-from repro.runtime.factory import build_runtime
+from repro.runtime.executor import ClockRuntime
 from repro.runtime.latency import FixedLatency
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.protocols import Runtime
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
 from repro.runtime.trace import Trace
+from repro.sim.kernel import SimRuntime
 from repro.storage.tables import InstanceState, InstanceStatus, StepStatus
 
 __all__ = [
@@ -68,6 +68,12 @@ RECOVERY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 PENDING_RULE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 QUEUE_DEPTH_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
 
+#: Loop-back re-entries one rule may make in one instance before the
+#: engine calls the loop runaway.
+MAX_LOOP_ITERATIONS = 100
+#: Events one :meth:`ControlSystem.run` fires at most.
+MAX_EVENTS = 5_000_000
+
 
 @dataclass
 class SystemConfig:
@@ -84,7 +90,6 @@ class SystemConfig:
     """
 
     seed: int = 0
-    runtime: str = "sim"
     latency: float = 1.0
     trace: bool = True
     trace_capacity: int | None = 500_000
@@ -92,13 +97,9 @@ class SystemConfig:
     flight_capacity: int = 64
     work_time_scale: float = 0.1
     successor_selection: str = "hash"
-    dispatch_probes: bool = True
-    agent_failure_recovery: bool = True
     step_status_timeout: float = 50.0
     step_status_poll_interval: float = 25.0
     purge_interval: float | None = None
-    max_loop_iterations: int = 100
-    max_events: int = 5_000_000
 
     def __post_init__(self) -> None:
         if self.successor_selection not in ("hash", "load"):
@@ -282,22 +283,18 @@ class ControlSystem:
     def __init__(
         self,
         config: SystemConfig | None = None,
-        runtime: Runtime | None = None,
+        runtime: ClockRuntime | None = None,
     ):
         self.config = config if config is not None else SystemConfig()
         self.metrics = MetricsCollector()
         self.rng = SimRandom(self.config.seed)
-        # The execution substrate.  Engines construct against the
-        # repro.runtime protocols only (the AST layering contract bans
-        # repro.sim imports here); with no runtime given, the factory
-        # resolves the deterministic simulated backend by name.
+        # With no runtime given the system runs on the simulator.  Its rng
+        # is a child seed space, so the executor's retry jitter derives
+        # from the system seed; a wall-clock caller passes a
+        # RealtimeRuntime seeded the same way, and a chaos replay then
+        # draws identical decision sequences from (seed, plan).
         if runtime is None:
-            # rng is a child seed space so backends that jitter (the
-            # asyncio executor's retry backoff) derive it from the system
-            # seed instead of a fixed default — wall-clock chaos replays
-            # then draw identical decision sequences from (seed, plan).
-            runtime = build_runtime(
-                self.config.runtime,
+            runtime = SimRuntime(
                 metrics=self.metrics,
                 latency=FixedLatency(self.config.latency),
                 rng=self.rng.spawn("runtime"),
@@ -659,16 +656,9 @@ class ControlSystem:
         backend (the asyncio backend replays the same seeded decision
         sequence on wall-clock time — outcome-level reproducibility).
         Call before :meth:`run`; returns the installed injector.
-
-        Only runtimes advertising :meth:`supports_faults` accept a plan.
         """
         if self.faults is not None:
             raise WorkloadError("fault injector already installed")
-        if not self.runtime.supports_faults():
-            raise WorkloadError(
-                f"runtime {self.runtime.name!r} does not support "
-                "deterministic fault injection"
-            )
         injector = self.runtime.install_faults(
             plan, self.rng.spawn("faults"),
             retry=retry if retry is not None else RetryPolicy(),
@@ -698,8 +688,8 @@ class ControlSystem:
                 f"runtime {self.runtime.name!r} has no synchronous run(); "
                 "await the runtime's join() from the owning event loop"
             )
-        fired = runner(until=until, max_events=self.config.max_events)
-        errors = getattr(self.runtime.executor, "errors", None)
+        fired = runner(until=until, max_events=MAX_EVENTS)
+        errors = self.runtime.executor.errors
         if errors:
             # The executor retried it like a transient fault, but a program
             # fails its step instead of raising: this is an engine defect.

@@ -245,7 +245,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         record.status = StepStatus.RUNNING
         attempt = record.executions + 1
         eligible = self.system.assignment.eligible(runtime.state.schema_name, step)
-        if len(eligible) > 1 and self.config.dispatch_probes:
+        if len(eligible) > 1:
             probe_id = next(self._ids)
             wait = ProbeWait(
                 instance_id=instance_id,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.recovery import RecoveryTokens
-from repro.engines.base import record_compensation
+from repro.engines.base import MAX_LOOP_ITERATIONS, record_compensation
 from repro.engines.runtime import CompensationChain, EngineRuntime
 from repro.errors import SimulationError
 from repro.obs.profile import profiled
@@ -207,9 +207,9 @@ class EngineRecoveryMixin:
         if runtime is None or runtime.state.status is not InstanceStatus.RUNNING:
             return
         runtime.loop_fires[rule.rule_id] += 1
-        if runtime.loop_fires[rule.rule_id] > self.config.max_loop_iterations:
+        if runtime.loop_fires[rule.rule_id] > MAX_LOOP_ITERATIONS:
             raise SimulationError(
-                f"loop {rule.rule_id} exceeded {self.config.max_loop_iterations} "
+                f"loop {rule.rule_id} exceeded {MAX_LOOP_ITERATIONS} "
                 f"iterations in instance {instance_id}"
             )
         body = rule.loop_body

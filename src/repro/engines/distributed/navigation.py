@@ -20,6 +20,7 @@ from repro.core.packets import WorkflowPacket
 from repro.core.programs import ExecutionContext
 from repro.core.recovery import invalidation_tokens
 from repro.engines.base import (
+    MAX_LOOP_ITERATIONS,
     record_execution_failure,
     record_execution_success,
     record_reuse,
@@ -111,8 +112,7 @@ class AgentNavigationMixin:
         if packet.assigned_agent is not None:
             runtime.assigned[packet.target_step] = packet.assigned_agent
         if (
-            self.config.agent_failure_recovery
-            and packet.assigned_agent not in (None, self.name)
+            packet.assigned_agent not in (None, self.name)
             and packet.target_step not in runtime.watchdogs
         ):
             runtime.watchdogs.add(packet.target_step)
@@ -527,9 +527,9 @@ class AgentNavigationMixin:
         if runtime.executors.get(rule.step) != self.name:
             return
         runtime.loop_fires[rule.rule_id] += 1
-        if runtime.loop_fires[rule.rule_id] > self.config.max_loop_iterations:
+        if runtime.loop_fires[rule.rule_id] > MAX_LOOP_ITERATIONS:
             raise SimulationError(
-                f"loop {rule.rule_id} exceeded {self.config.max_loop_iterations} "
+                f"loop {rule.rule_id} exceeded {MAX_LOOP_ITERATIONS} "
                 f"iterations in {instance_id}"
             )
         body = rule.loop_body

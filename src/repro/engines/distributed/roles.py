@@ -40,8 +40,8 @@ from repro.rules.engine import RuleEngine
 from repro.rules.events import WF_START
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
+from repro.runtime.eventqueue import EventHandle
 from repro.runtime.node import Node
-from repro.runtime.protocols import Cancellable
 from repro.storage.agdb import AgentDatabase
 from repro.storage.tables import InstanceStatus, StepStatus
 
@@ -70,7 +70,7 @@ class WorkflowAgentNode(
         #: Terminal instances this (coordination) agent has yet to name
         #: in a purge broadcast, and the timer that will flush them.
         self._purge_pending: list[str] = []
-        self._purge_timer: Cancellable | None = None
+        self._purge_timer: EventHandle | None = None
         self._load_probes: dict[int, dict] = {}
         self._probe_ids = itertools.count(1)
         #: instance id -> ids of the status probes already seen for it.

@@ -15,9 +15,8 @@ This layer holds the per-instance bookkeeping every placement needs:
 * :mod:`~repro.engines.runtime.invalidation` — rollback-round
   bookkeeping (token -> round high-water marks).
 
-(:class:`RetryPolicy` moved to :mod:`repro.runtime.retry` with the
-pluggable runtime layer — the asyncio executor shares it — and is
-re-exported here for compatibility.)
+(:class:`RetryPolicy` lives in :mod:`repro.runtime.retry` — the step
+executor shares it — and is re-exported here for compatibility.)
 """
 
 from repro.engines.runtime.compensation import (

@@ -176,9 +176,10 @@ class ClockRuntime:
     """One execution substrate: a clock, the shared transport and the
     one executor.
 
-    Satisfies :class:`repro.runtime.protocols.Runtime` once a subclass
-    names the backend and picks the clock.  Fault injection is the same
-    on both clocks: the seeded :class:`~repro.runtime.faults.
+    A subclass names the backend and picks the clock:
+    :class:`repro.sim.kernel.SimRuntime` or
+    :class:`repro.runtime.realtime.RealtimeRuntime`.  Fault injection is
+    the same on both clocks: the seeded :class:`~repro.runtime.faults.
     FaultInjector` goes under the transport (message faults), on the
     clock (crashes) and into the executor (``execfail`` / ``execstall``).
     """
@@ -200,9 +201,6 @@ class ClockRuntime:
         self.transport.executor = self.executor
         #: The installed fault injector, if any.
         self.faults = None
-
-    def supports_faults(self) -> bool:
-        return True
 
     def install_faults(self, plan: Any, rng: Any, retry: Any) -> Any:
         """Install a seeded :class:`~repro.runtime.faults.FaultInjector`.

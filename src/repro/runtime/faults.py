@@ -10,15 +10,15 @@ failures) and a :class:`FaultInjector` makes it happen deterministically,
 drawing every decision from dedicated :class:`~repro.runtime.rng.SimRandom`
 streams so any simulated run is bit-reproducible from ``(seed, plan)``.
 
-The injector keys off the runtime protocols only — any
-:class:`~repro.runtime.protocols.Clock` for scheduling (``arm`` and the
-retransmission backoff use ``schedule`` / ``schedule_at``), any
-:class:`~repro.runtime.protocols.Transport` with the duck-typed ``faults``
-hook, and any :class:`~repro.runtime.protocols.Executor` exposing a
-``faults`` attribute for the executor-failure dimension.  Under the
-discrete-event kernel that makes runs bit-replayable; under the
-wall-clock asyncio runtime the same plan replays the *decision sequence*
-deterministically (outcome-level reproducibility modulo scheduling).
+:meth:`repro.runtime.executor.ClockRuntime.install_faults` puts the
+injector in three places: on the clock (``arm`` and the retransmission
+backoff use ``schedule`` / ``schedule_at``), under the
+:class:`~repro.runtime.transport.Network` through its ``faults`` hook,
+and into the :class:`~repro.runtime.executor.TaskExecutor` for the
+executor-failure dimension.  Under the discrete-event kernel that makes
+runs bit-replayable; under the wall-clock asyncio runtime the same plan
+replays the *decision sequence* deterministically (outcome-level
+reproducibility modulo scheduling).
 
 Layering: ``runtime`` cannot import ``engines``, so the retransmission
 backoff policy is duck-typed — any object with ``backoff(attempt, rng) ->
@@ -67,7 +67,7 @@ from repro.errors import SimulationError
 from repro.runtime.rng import SimRandom
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.protocols import Clock
+    from repro.runtime.eventqueue import EventQueue
     from repro.runtime.transport import Message, Network
 
 __all__ = [
@@ -383,7 +383,7 @@ class FaultInjector:
         self.network = network
         return self
 
-    def arm(self, simulator: "Clock") -> None:
+    def arm(self, simulator: "EventQueue") -> None:
         """Schedule the plan's crash and recovery events."""
         for crash in self.plan.crashes:
             simulator.schedule_at(crash.at, self._crash_node, crash)

@@ -1,7 +1,7 @@
 """Processing nodes (engines and agents live on these) — runtime-agnostic.
 
 A :class:`Node` is a named endpoint on a
-:class:`~repro.runtime.protocols.Transport` with:
+:class:`~repro.runtime.transport.Network` with:
 
 * a message handler (`handle_message`) dispatching by verb through the
   `handlers` table a subclass fills at construction,
@@ -13,14 +13,13 @@ A :class:`Node` is a named endpoint on a
   hook) but keeps its durable stores; the network parks messages addressed
   to it until recovery, matching the persistent-queue assumption.
 
-Nodes never name a concrete substrate: ``simulator`` is any
-:class:`~repro.runtime.protocols.Clock` and ``network`` any transport, so
-the same engine/agent classes run under discrete-event simulation or the
+Nodes never name a concrete clock: ``simulator`` is either
+:class:`~repro.runtime.eventqueue.EventQueue` clock, so the same
+engine/agent classes run under discrete-event simulation or the
 wall-clock asyncio runtime unchanged.  Deferred service-time work
-(``schedule_causal``) routes through the transport's injected
-:class:`~repro.runtime.protocols.Executor` when one is present, falling
-back to a plain clock callback (the simulated path, byte-identical to the
-pre-runtime-layer behaviour).
+(``schedule_causal``) goes through the
+:class:`~repro.runtime.executor.TaskExecutor` the owning
+:class:`~repro.runtime.executor.ClockRuntime` sets on the transport.
 
 Observability stays duck-typed (``runtime`` cannot import ``obs``): the
 owning control system injects ``causal`` / ``flight_factory`` /
@@ -36,9 +35,9 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from repro.errors import SimulationError
+from repro.runtime.eventqueue import EventQueue
 from repro.runtime.messages import Message
 from repro.runtime.metrics import Mechanism
-from repro.runtime.protocols import Clock
 from repro.runtime.transport import Network
 
 __all__ = ["Node"]
@@ -47,13 +46,12 @@ __all__ = ["Node"]
 class Node:
     """Base class for every simulated processing node."""
 
-    def __init__(self, name: str, simulator: Clock, network: Network):
+    def __init__(self, name: str, simulator: EventQueue, network: Network):
         self.name = name
         self.simulator = simulator
         self.network = network
-        #: Step executor injected by the owning runtime (may be ``None``:
-        #: deferred work then schedules directly on the clock).
-        self.executor = getattr(network, "executor", None)
+        #: The step executor of the runtime that owns the transport.
+        self.executor = network.executor
         self.is_up = True
         #: interface verb -> handler, filled once by the subclass's
         #: ``__init__`` (bound methods, so a subclass's override is the
@@ -71,15 +69,15 @@ class Node:
         #: ``receive`` / ``schedule_causal``; ``None`` whenever causal
         #: tracing is off.
         self.current_span = None
-        self.causal = getattr(network, "causal", None)
-        flight_factory = getattr(network, "flight_factory", None)
+        self.causal = network.causal
+        flight_factory = network.flight_factory
         self.flight = flight_factory(name) if flight_factory is not None else None
-        self._flight_sink = getattr(network, "flight_sink", None)
+        self._flight_sink = network.flight_sink
         # Observability: the owning control system injects a
         # MetricsRegistry on the network when tracing is enabled; nodes
         # cache their per-node instruments so the hot path is one `is
         # None` check plus an attribute increment.
-        self.registry = getattr(network, "registry", None)
+        self.registry = network.registry
         if self.registry is not None:
             self._msg_counter = self.registry.counter(
                 "crew_node_messages_received_total",
@@ -167,7 +165,7 @@ class Node:
         timer-driven retries) still belongs to the message that triggered
         it; this captures ``current_span`` and restores it around the
         callback so sends from inside ``fn`` link correctly.  Degenerates
-        to a plain ``schedule`` when no span is active.
+        to a plain ``executor.submit`` when no span is active.
 
         With a fault injector installed, the callback is additionally
         guarded by this node's crash epoch: deferred work is volatile
@@ -178,10 +176,7 @@ class Node:
         span = self.current_span
         faults = self.network.faults
         if span is None and faults is None:
-            if self.executor is None:
-                self.simulator.schedule(delay, fn, *args)
-            else:
-                self.executor.submit(delay, fn, *args)
+            self.executor.submit(delay, fn, *args)
             return
         epoch = self.crash_count
 
@@ -196,10 +191,7 @@ class Node:
             finally:
                 self.current_span = previous
 
-        if self.executor is None:
-            self.simulator.schedule(delay, run, *args)
-        else:
-            self.executor.submit(delay, run, *args)
+        self.executor.submit(delay, run, *args)
 
     # -- flight recorder -------------------------------------------------------
 

@@ -61,12 +61,12 @@ TURN_LIMIT = 256
 class RealtimeClock(EventQueue):
     """Monotonic wall clock over the asyncio event loop.
 
-    Satisfies :class:`repro.runtime.protocols.Clock`.  The queue, its
-    handles, ``pending``, ``events_processed``, ``event_hook`` and
-    ``profile`` are the simulated kernel's; what differs is how ``now``
-    advances.  Here it is seconds since :meth:`start`, read live, so a
-    positive delay counts from the instant it was scheduled, and an entry
-    fires once the wall clock has reached its time.
+    The queue, its handles, ``pending``, ``events_processed``,
+    ``event_hook`` and ``profile`` are the simulated kernel's; what
+    differs is how ``now`` advances.  Here it is seconds since
+    :meth:`start`, read live, so a positive delay counts from the instant
+    it was scheduled, and an entry fires once the wall clock has reached
+    its time.
 
     There is deliberately no synchronous ``run()``: the asyncio loop is
     the driver.  Use :meth:`join` to await quiescence.
@@ -107,7 +107,7 @@ class RealtimeClock(EventQueue):
                 ) from None
         return self._loop
 
-    # -- Clock protocol ----------------------------------------------------
+    # -- clock -------------------------------------------------------------
 
     @property
     def now(self) -> float:

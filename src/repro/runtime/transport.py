@@ -6,8 +6,8 @@ in Exotica/FMQM).  The transport therefore never drops a message: if the
 destination node is down, the message is parked in a persistent queue and
 delivered when the node recovers.
 
-:class:`Network` implements the :class:`repro.runtime.protocols.Transport`
-protocol over *any* :class:`~repro.runtime.protocols.Clock`: under the
+:class:`Network` delivers over either
+:class:`~repro.runtime.eventqueue.EventQueue` clock: under the
 discrete-event :class:`repro.sim.kernel.Simulator` a delivery is a
 virtual-time event, under :class:`repro.runtime.realtime.RealtimeClock`
 an entry in the same event queue read against the wall clock — the
@@ -25,10 +25,10 @@ import itertools
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import SimulationError
+from repro.runtime.eventqueue import EventQueue
 from repro.runtime.latency import FixedLatency, LatencyModel, UniformLatency
 from repro.runtime.messages import Message
 from repro.runtime.metrics import Mechanism, MetricsCollector
-from repro.runtime.protocols import Clock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.node import Node
@@ -47,13 +47,12 @@ class Network:
 
     def __init__(
         self,
-        simulator: Clock,
+        simulator: EventQueue,
         metrics: MetricsCollector | None = None,
         latency: LatencyModel | None = None,
     ):
         #: The clock deliveries are scheduled on.  Named ``simulator`` for
-        #: historical reasons; any :class:`~repro.runtime.protocols.Clock`
-        #: works (the realtime runtime passes its wall clock here).
+        #: historical reasons; the realtime runtime passes its wall clock.
         self.simulator = simulator
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.latency = latency if latency is not None else FixedLatency(1.0)
@@ -73,11 +72,11 @@ class Network:
         #: are injected by the owning control system, like ``registry``.
         self.flight_factory = None
         self.flight_sink = None
-        #: Optional step executor (see :class:`repro.runtime.protocols.
-        #: Executor`), injected by the owning :class:`Runtime` before nodes
-        #: are constructed.  Nodes route deferred service-time work
-        #: (``schedule_causal``) through it; when ``None`` they fall back
-        #: to scheduling directly on the clock.
+        #: The step executor (:class:`repro.runtime.executor.
+        #: TaskExecutor`), set by the owning :class:`~repro.runtime.
+        #: executor.ClockRuntime` before nodes are constructed.  Nodes
+        #: route deferred service-time work (``schedule_causal``) through
+        #: it, so a node needs a transport that belongs to a runtime.
         self.executor = None
         #: Optional fault injector (see :mod:`repro.runtime.faults`), installed
         #: by ``FaultInjector.install``.  When set, every send routes

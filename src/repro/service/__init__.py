@@ -1,9 +1,8 @@
 """The ``repro serve`` daemon: workflows over HTTP on the wall clock.
 
-This package is the real-time front door promised by the pluggable
-runtime layer: the same engine stack that powers the paper's simulations
-(:mod:`repro.engines`), mounted on the asyncio runtime
-(:mod:`repro.runtime.realtime`) and driven by workflow submissions over
+This package is the real-time front door: the same engine stack that
+powers the paper's simulations (:mod:`repro.engines`), mounted on the
+wall-clock runtime (:mod:`repro.runtime.realtime`) and driven by workflow submissions over
 local HTTP/JSON instead of a workload generator.
 
 * :mod:`repro.service.core` — :class:`WorkflowService`: owns the control

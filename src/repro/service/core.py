@@ -209,7 +209,6 @@ class WorkflowService:
         latency: float = 0.0,
         work_time_scale: float = 0.01,
         num_agents: int = 4,
-        config: SystemConfig | None = None,
         observability: bool = True,
         trace_capacity: int | None = 200_000,
         logger: StructuredLogger | None = None,
@@ -224,34 +223,30 @@ class WorkflowService:
         # Seed the runtime's jitter streams from the service seed so a
         # chaos replay of the wall-clock path draws the same retry-backoff
         # and fault-decision sequences (satellite of the sim determinism).
-        effective_seed = seed if config is None else config.seed
         self.runtime = RealtimeRuntime(
             latency=FixedLatency(latency),
-            rng=SimRandom(effective_seed).spawn("runtime"),
+            rng=SimRandom(seed).spawn("runtime"),
         )
-        if config is None:
-            # Wall-clock timeouts: the simulated defaults (tens of time
-            # units) would mean tens of real seconds of watchdog wait.
-            # The trace runs in ring mode — a long-lived daemon wants the
-            # most recent window, not the boot minutes (drops are counted
-            # and reported at shutdown either way).
-            config = SystemConfig(
-                seed=seed,
-                runtime="asyncio",
-                latency=latency,
-                work_time_scale=work_time_scale,
-                step_status_timeout=2.0,
-                step_status_poll_interval=1.0,
-                # Distributed agents forget what they finished: terminal
-                # ids are broadcast after PURGE_BATCH of them or this long.
-                purge_interval=0.25,
-                trace=observability,
-                trace_capacity=trace_capacity,
-                trace_ring=True,
-            )
-        #: Whether the metrics/trace/profile surfaces are live.  A config
-        #: passed explicitly decides via its own ``trace`` switch.
-        self.observability = config.trace
+        # Wall-clock timeouts: the simulated defaults (tens of time units)
+        # would mean tens of real seconds of watchdog wait.  The trace runs
+        # in ring mode — a long-lived daemon wants the most recent window,
+        # not the boot minutes (drops are counted and reported at shutdown
+        # either way).
+        config = SystemConfig(
+            seed=seed,
+            latency=latency,
+            work_time_scale=work_time_scale,
+            step_status_timeout=2.0,
+            step_status_poll_interval=1.0,
+            # Distributed agents forget what they finished: terminal ids
+            # are broadcast after PURGE_BATCH of them or this long.
+            purge_interval=0.25,
+            trace=observability,
+            trace_capacity=trace_capacity,
+            trace_ring=True,
+        )
+        #: Whether the metrics/trace/profile surfaces are live.
+        self.observability = observability
         self.system = system_cls(config, num_agents=num_agents,
                                  runtime=self.runtime)
         self.system.trace.listener = self._on_trace

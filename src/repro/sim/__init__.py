@@ -1,11 +1,11 @@
 """Discrete-event simulation substrate for the CREW reproduction.
 
 The paper's prototype ran on real networked nodes; this package provides
-the deterministic stand-in, as the ``"sim"`` backend of the pluggable
-runtime layer (:mod:`repro.runtime`): the DES kernel
-(:mod:`repro.sim.kernel`) implements the ``Clock`` protocol and
-:class:`~repro.sim.kernel.SimRuntime` bundles it with the shared
-clock-agnostic transport and the one step executor.  Everything
+the deterministic stand-in: the DES kernel (:mod:`repro.sim.kernel`)
+fires the shared :class:`~repro.runtime.eventqueue.EventQueue` on
+virtual time, and :class:`~repro.sim.kernel.SimRuntime` bundles it with
+the clock-agnostic transport and the one step executor.  It is the
+runtime every control system builds when it is given none.  Everything
 runtime-neutral — transport, executor, nodes, metrics, seeded streams,
 trace log, fault injection — lives in :mod:`repro.runtime`.
 """

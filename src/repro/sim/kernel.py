@@ -11,8 +11,7 @@ The kernel is intentionally small: it drives the shared
 :class:`~repro.runtime.eventqueue.EventQueue` — the one the wall clock
 fires too — by popping its head and jumping ``now`` to the entry's time.
 All higher layers (network, nodes, engines) are built on
-:meth:`Simulator.schedule`.  :class:`SimRuntime` is the ``"sim"`` backend
-of :mod:`repro.runtime.factory`: the one
+:meth:`Simulator.schedule`.  :class:`SimRuntime` is the one
 :class:`~repro.runtime.executor.ClockRuntime` over a fresh simulator, and
 the default of every control system.
 """

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engines.base import (
     AgentAssignment,
+    ControlSystem,
     SystemConfig,
     governed_step_count,
     record_compensation,
@@ -20,6 +21,8 @@ from repro.model import (
     compile_schema,
 )
 from repro.model.schema import StepDef
+from repro.runtime.rng import SimRandom
+from repro.sim.kernel import SimRuntime
 from repro.storage.tables import InstanceState, StepStatus
 from tests.conftest import linear_schema
 
@@ -30,6 +33,23 @@ from tests.conftest import linear_schema
 def test_config_rejects_bad_selection():
     with pytest.raises(WorkloadError):
         SystemConfig(successor_selection="psychic")
+
+
+def test_default_runtime_is_the_seeded_simulator():
+    """With no runtime given, a control system runs on a ``SimRuntime``
+    over its own collector and latency, whose retry jitter is the
+    ``runtime`` child of the system seed."""
+    system = ControlSystem(SystemConfig(seed=23, latency=2.5))
+    runtime = system.runtime
+    assert type(runtime) is SimRuntime
+    assert system.simulator is runtime.clock
+    assert system.network is runtime.transport
+    assert runtime.metrics is system.metrics
+    assert runtime.transport.latency.delay("a", "b") == 2.5
+    expected = SimRandom(23).spawn("runtime").stream("executor:retry")
+    jitter = runtime.executor._jitter
+    assert [jitter.random() for __ in range(4)] == [
+        expected.random() for __ in range(4)]
 
 
 # ----------------------------------------------------------- agent assignment

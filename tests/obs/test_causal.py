@@ -8,7 +8,7 @@ from repro.obs.spans import Tracer
 from repro.runtime.metrics import Mechanism
 from repro.runtime.node import Node
 from repro.runtime.transport import Network
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimRuntime, Simulator
 from repro.workloads import figure3_workflow
 from tests.conftest import ALL_ARCHITECTURES, make_system
 
@@ -86,8 +86,8 @@ def test_reply_send_links_to_recv_span():
 
 
 def test_schedule_causal_preserves_span_across_delay():
-    simulator = Simulator()
-    network = Network(simulator)
+    runtime = SimRuntime()
+    simulator, network = runtime.clock, runtime.transport
     tracer = Tracer()
     network.causal = MessageTracer(tracer)
 
@@ -111,8 +111,8 @@ def test_schedule_causal_preserves_span_across_delay():
 
 
 def test_schedule_causal_without_span_is_plain_schedule():
-    simulator = Simulator()
-    network = Network(simulator)
+    runtime = SimRuntime()
+    simulator, network = runtime.clock, runtime.transport
     node = SilentNode("a", simulator, network)
     hits = []
     node.schedule_causal(1.0, hits.append, "x")

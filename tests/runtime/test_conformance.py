@@ -1,11 +1,11 @@
-"""Runtime conformance: both backends honour the same protocol contract.
+"""Runtime conformance: both clocks honour the same contract.
 
 Every test here runs twice — once against the deterministic simulated
-runtime (``"sim"``) and once against the wall-clock asyncio runtime
-(``"asyncio"``) — driving the *same* assertions through
-:class:`repro.runtime.protocols.Clock`, ``Transport`` and ``Executor``.
-That is the point of the pluggable runtime layer: the engines cannot
-tell the substrates apart, so neither should these tests.
+runtime (``SimRuntime``) and once against the wall-clock asyncio runtime
+(``RealtimeRuntime``) — driving the *same* assertions through the
+runtime's clock, transport and executor.  Both are one
+:class:`~repro.runtime.executor.ClockRuntime` over their clock: the
+engines cannot tell them apart, so neither should these tests.
 
 The asyncio variants run real (tiny) wall-clock delays under
 ``asyncio.run``; tolerances are deliberately loose — ordering and
@@ -17,19 +17,15 @@ import asyncio
 import pytest
 
 from repro.errors import SimulationError, WorkloadError
-from repro.runtime import build_runtime
+from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import Mechanism
 from repro.runtime.node import Node
-from repro.runtime.protocols import (
-    Clock,
-    Executor,
-    Runtime,
-    Transport,
-)
+from repro.runtime.realtime import RealtimeRuntime
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
+from repro.sim.kernel import SimRuntime
 
-RUNTIMES = ("sim", "asyncio")
+RUNTIMES = {"sim": SimRuntime, "asyncio": RealtimeRuntime}
 
 #: Wall-clock scale for the asyncio variants: long enough to order
 #: events reliably, short enough to keep the suite fast.
@@ -68,16 +64,9 @@ class Recorder(Node):
         self.received.append((message.interface, dict(message.payload)))
 
 
-@pytest.fixture(params=RUNTIMES)
+@pytest.fixture(params=sorted(RUNTIMES))
 def runtime(request):
-    return build_runtime(request.param)
-
-
-def test_satisfies_runtime_protocols(runtime):
-    assert isinstance(runtime, Runtime)
-    assert isinstance(runtime.clock, Clock)
-    assert isinstance(runtime.transport, Transport)
-    assert isinstance(runtime.executor, Executor)
+    return RUNTIMES[request.param]()
 
 
 def test_clock_runs_callbacks_in_delay_order(runtime):
@@ -190,15 +179,13 @@ def test_transport_rejects_self_send_and_unknown_destination(runtime):
 
 
 def test_fault_support_is_declared_honestly(runtime):
-    from repro.runtime.faults import FaultPlan
-
-    plan = FaultPlan()
-    if runtime.supports_faults():
-        injector = runtime.install_faults(plan, SimRandom(1), RetryPolicy())
-        assert injector is not None
-    else:
-        with pytest.raises(WorkloadError):
-            runtime.install_faults(plan, SimRandom(1), RetryPolicy())
+    """Faults install on either clock, once."""
+    injector = runtime.install_faults(FaultPlan(), SimRandom(1), RetryPolicy())
+    assert runtime.faults is injector
+    assert runtime.executor.faults is injector
+    assert runtime.transport.faults is injector
+    with pytest.raises(WorkloadError):
+        runtime.install_faults(FaultPlan(), SimRandom(2), RetryPolicy())
 
 
 def fast_retry(name):
@@ -208,14 +195,14 @@ def fast_retry(name):
                        jitter=0.0, budget=2)
 
 
-@pytest.mark.parametrize("name", RUNTIMES)
+@pytest.mark.parametrize("name", sorted(RUNTIMES))
 def test_a_raising_step_is_retried_on_both_clocks(name):
     """The one executor decides a raising step the same way on either
     clock: it is retried on the backoff, and once the budget is spent it
     is recorded in ``failures``.  It escapes neither ``Simulator.run`` nor
     the event loop; every raising attempt is in ``errors``, which a
     simulated ``ControlSystem.run`` fails on."""
-    runtime = build_runtime(name, retry=fast_retry(name), rng=SimRandom(7))
+    runtime = RUNTIMES[name](retry=fast_retry(name), rng=SimRandom(7))
     calls = []
 
     def flaky(tag):
@@ -242,14 +229,12 @@ def test_a_raising_step_is_retried_on_both_clocks(name):
     assert all(trace.startswith("Traceback") for __, trace in executor.errors)
 
 
-@pytest.mark.parametrize("name", RUNTIMES)
+@pytest.mark.parametrize("name", sorted(RUNTIMES))
 def test_injected_executor_faults_bite_on_both_clocks(name):
     """``execfail=`` and ``execstall=`` reach the executor of either
     runtime through the same ``install_faults``."""
-    from repro.runtime.faults import FaultPlan
-
     tick = TICK[name]
-    runtime = build_runtime(name, retry=fast_retry(name), rng=SimRandom(7))
+    runtime = RUNTIMES[name](retry=fast_retry(name), rng=SimRandom(7))
     injector = runtime.install_faults(
         FaultPlan(exec_fail_p=1.0, exec_stall_p=1.0, exec_stall_s=2 * tick),
         SimRandom(7).spawn("faults"), RetryPolicy(),

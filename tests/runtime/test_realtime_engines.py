@@ -40,7 +40,6 @@ def pair_schema():
 
 def wallclock_config():
     return SystemConfig(
-        runtime="asyncio",
         latency=0.0,
         work_time_scale=0.001,
         step_status_timeout=1.0,
@@ -74,31 +73,17 @@ def test_workflow_commits_on_wall_clock(architecture):
     asyncio.run(main())
 
 
-def test_config_runtime_name_builds_realtime_backend():
-    """SystemConfig(runtime="asyncio") resolves through the factory —
-    no explicit runtime object needed."""
-
-    async def main():
-        system = CentralizedControlSystem(wallclock_config())
-        assert system.runtime.name == "asyncio"
-        system.runtime.start()
-        system.register_schema(pair_schema())
-        instance_id = system.start_workflow("Pair", {"x": 1})
-        outcome = await run_to_outcome(system, instance_id)
-        assert outcome.committed
-
-    asyncio.run(main())
-
-
 def test_synchronous_run_is_refused_on_asyncio_runtime():
-    system = CentralizedControlSystem(wallclock_config())
+    system = CentralizedControlSystem(wallclock_config(),
+                                      runtime=RealtimeRuntime())
     with pytest.raises(WorkloadError) as excinfo:
         system.run()
     assert "join()" in str(excinfo.value)
 
 
 def test_fault_injection_installs_on_asyncio_runtime():
-    system = CentralizedControlSystem(wallclock_config())
+    system = CentralizedControlSystem(wallclock_config(),
+                                      runtime=RealtimeRuntime())
     injector = system.inject_faults(FaultPlan(drop_p=0.1))
     assert system.runtime.faults is injector
     assert system.runtime.executor.faults is injector

@@ -12,11 +12,10 @@ from repro.runtime.faults import (
     random_plan,
 )
 from repro.runtime.latency import FixedLatency
-from repro.runtime.metrics import Mechanism, MetricsCollector
+from repro.runtime.metrics import Mechanism
 from repro.runtime.node import Node
 from repro.runtime.rng import SimRandom
-from repro.runtime.transport import Network
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimRuntime
 
 
 class Recorder(Node):
@@ -42,8 +41,8 @@ class FixedBackoff:
 
 
 def make_faulty(plan, seed=1, latency=1.0, retry=None):
-    sim = Simulator()
-    net = Network(sim, MetricsCollector(), FixedLatency(latency))
+    runtime = SimRuntime(latency=FixedLatency(latency))
+    sim, net = runtime.clock, runtime.transport
     injector = FaultInjector(plan, SimRandom(seed), retry=retry)
     injector.install(net)
     a = Recorder("a", sim, net)

@@ -7,11 +7,10 @@ every module's AST, so violations are caught even in rarely-executed
 code paths.  Imports guarded by ``if TYPE_CHECKING:`` are exempt — they
 break cycles for annotations only and vanish at runtime.
 
-Two extra contracts guard the pluggable-runtime boundary: engines may
-construct against :mod:`repro.runtime` protocols only (no
-``repro.sim`` imports anywhere under ``repro/engines/``), and the
-runtime layer itself may not statically import any backend (the
-``"sim"`` backend is resolved lazily by name in the factory).
+Two extra contracts pin the runtime boundary: the one engine module
+that names the simulator is ``engines/base.py``, which builds the
+default ``SimRuntime``, and the runtime layer itself never imports
+``repro.sim``.
 """
 
 from __future__ import annotations
@@ -122,30 +121,27 @@ def test_no_upward_imports():
     assert not violations, "\n".join(violations)
 
 
-def test_engines_never_import_sim():
-    """Engines construct against the repro.runtime protocols only: the
-    simulated backend is one implementation among several, resolved by
-    name through the runtime factory.  No module under repro/engines/
-    may import repro.sim (TYPE_CHECKING-only imports included — the
-    annotation surface must stay backend-neutral too)."""
+def test_only_the_default_runtime_comes_from_sim():
+    """``ControlSystem`` runs on a ``SimRuntime`` unless it is given a
+    runtime, so ``engines/base.py`` imports it — and nothing else from
+    ``repro.sim``.  No other module under ``repro/engines/`` imports
+    ``repro.sim`` (``TYPE_CHECKING``-only imports included): engines run
+    on whatever clock the runtime carries."""
     engines = SRC / "repro" / "engines"
-    violations = []
+    found = []
     for module_path in sorted(engines.rglob("*.py")):
         tree = ast.parse(module_path.read_text(), filename=str(module_path))
         for node in ast.walk(tree):
-            names = []
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            for name in names:
-                if name == "repro.sim" or name.startswith("repro.sim."):
-                    violations.append(
-                        f"{module_path.relative_to(SRC)}:{node.lineno} "
-                        f"imports {name}: engines must depend on "
-                        f"repro.runtime protocols only"
-                    )
-    assert not violations, "\n".join(violations)
+                found += [(module_path, alias.name, None) for alias in node.names
+                          if alias.name.split(".")[:2] == ["repro", "sim"]]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[:2] == ["repro", "sim"]):
+                found.append((module_path, node.module,
+                              sorted(alias.name for alias in node.names)))
+    assert [(path.relative_to(engines).as_posix(), module, names)
+            for path, module, names in found] == [
+        ("base.py", "repro.sim.kernel", ["SimRuntime"])]
 
 
 def test_sim_reexport_shims_stay_deleted():
@@ -156,6 +152,24 @@ def test_sim_reexport_shims_stay_deleted():
     for shim in ("network", "node", "metrics", "rng", "tracing", "faults"):
         assert not (sim / f"{shim}.py").exists(), f"repro.sim.{shim} is back"
         assert not (sim / shim).exists(), f"repro.sim.{shim} is back"
+
+
+def test_runtime_plugin_layer_stays_deleted():
+    """Each runtime seam has one implementation, so there is no
+    ``typing.Protocol`` for it and no registry that builds a backend by
+    name: ``runtime/protocols.py`` and ``runtime/factory.py`` stay gone
+    and nothing under ``runtime/`` subclasses ``Protocol``."""
+    runtime = SRC / "repro" / "runtime"
+    for name in ("protocols", "factory"):
+        assert not (runtime / f"{name}.py").exists(), f"repro.runtime.{name} is back"
+    protocols = [
+        f"{module_path.name}:{node.name}"
+        for module_path in sorted(runtime.rglob("*.py"))
+        for node in ast.walk(ast.parse(module_path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("Protocol") for base in node.bases)
+    ]
+    assert not protocols, protocols
 
 
 def test_relative_order_scan_stays_a_test_oracle():
@@ -383,8 +397,7 @@ def test_both_clocks_fire_one_event_queue():
 def test_one_executor_and_one_runtime_serve_both_clocks():
     """``TaskExecutor`` is the executor of both runtimes and
     ``ClockRuntime`` the runtime: under ``runtime/`` and ``sim/`` no other
-    class defines ``submit`` or ``install_faults`` (the ``Executor`` and
-    ``Runtime`` protocols declare them), both backends are a
+    class defines ``submit`` or ``install_faults``, both backends are a
     ``ClockRuntime`` over their clock and ``sim/runtime.py`` stays folded
     into the kernel module."""
     assert not (SRC / "repro" / "sim" / "runtime.py").exists()
@@ -399,16 +412,16 @@ def test_one_executor_and_one_runtime_serve_both_clocks():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and item.name in defined:
                         defined[item.name].append(node.name)
-    assert defined == {"submit": ["TaskExecutor", "Executor"],
-                       "install_faults": ["ClockRuntime", "Runtime"]}
+    assert defined == {"submit": ["TaskExecutor"],
+                       "install_faults": ["ClockRuntime"]}
     for name in ("SimRuntime", "RealtimeRuntime"):
         assert [ast.unparse(b) for b in classes[name].bases] == ["ClockRuntime"], name
 
 
 def test_runtime_layer_has_no_static_backend_imports():
-    """repro.runtime must not statically import repro.sim: backends
-    register with the factory as lazy ``module:attr`` strings, so the
-    protocol layer stays below every implementation."""
+    """repro.runtime never imports repro.sim: the shared pieces (queue,
+    transport, executor, ``ClockRuntime``) sit below the simulator that
+    builds on them, and ``SimRuntime`` lives with its clock."""
     runtime_pkg = SRC / "repro" / "runtime"
     violations = []
     for module_path in sorted(runtime_pkg.rglob("*.py")):
