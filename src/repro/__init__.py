@@ -105,9 +105,9 @@ __all__ = [
     "StepStatus",
     "StepType",
     "SystemConfig",
-    "WorkflowGenerator",
-    "WorkflowParameters",
     "WorkflowSchema",
+    "WorkloadGenerator",
+    "WorkloadParameters",
     "compile_schema",
     "figure3_workflow",
     "load_laws",

@@ -24,12 +24,12 @@ invariants plus chaos-specific *liveness* and *durability* checks:
     agent's log into a fresh AGDB reproduces the durable state (replay is
     deterministic; recovered summaries match the live summary table).
 
-A plan may use every dimension of the fault model, the step executor's
-``execfail=`` / ``execstall=`` included: the simulator runs the same
-retrying executor as the daemon, so a step failure and its retries replay
-bit for bit like a dropped message.  The seeded :func:`random_plan` draws
-message faults, a crash and a stall; executor faults come in through an
-explicit ``--plan``.
+A plan may use every dimension of the fault model, ``execfail=`` /
+``execstall=`` included.  An injected ``execfail`` is a failed step: the
+engine rolls back, compensates and re-executes as the paper does, and
+the run replays bit for bit like a dropped message.  The seeded
+:func:`random_plan` draws message faults, a crash and a stall; step
+failures and stalls come in through an explicit ``--plan``.
 
 A violating run is *minimized* — fault-plan dimensions are greedily
 removed while the violation persists — and reported as a one-line repro
@@ -63,7 +63,6 @@ from repro.model import SchemaBuilder
 from repro.obs.export import trace_to_jsonl
 from repro.runtime.faults import FaultPlan, random_plan
 from repro.runtime.realtime import RealtimeRuntime
-from repro.runtime.rng import SimRandom
 from repro.workloads.params import WorkloadParameters
 
 __all__ = [
@@ -376,11 +375,11 @@ class RealtimeChaosReport:
     """Outcome-level consistency verdict for wall-clock chaos replays.
 
     What the fault model does is checked bit for bit on the simulator,
-    executor faults included; what is left for the wall clock is that
+    step failures included; what is left for the wall clock is that
     real timers racing do not change an outcome.  So every replay of
     ``(config, seed, plan)`` must end with the *same terminal outcome per
-    instance* — the injector's decision streams and the executor's retry
-    jitter are seeded from the system's master seed, as on the simulator.
+    instance* — the injector's decision streams are seeded from the
+    system's master seed, as on the simulator.
     """
 
     config: str
@@ -430,8 +429,8 @@ async def _realtime_replay(
         seed=seed, latency=0.0, work_time_scale=0.001,
         step_status_timeout=1.0, step_status_poll_interval=0.5,
     )
-    runtime = RealtimeRuntime(rng=SimRandom(seed).spawn("runtime"))
-    system = control_system_class(architecture)(config, runtime=runtime)
+    system = control_system_class(architecture)(
+        config, runtime=RealtimeRuntime())
     system.runtime.start()
     system.inject_faults(plan)
     system.register_schema(_realtime_chaos_schema())
@@ -479,7 +478,7 @@ def run_realtime_chaos(
     """Run one fault plan on the live asyncio backend ``replays`` times.
 
     Each replay builds a fresh control system (same seed → same instance
-    ids, same injector decision streams, same retry jitter), submits
+    ids, same injector decision streams), submits
     ``instances`` workflows with the plan armed, and waits for every
     terminal outcome.  Replays must produce identical outcome digests;
     any divergence or unfinished instance makes the report inconsistent.

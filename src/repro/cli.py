@@ -677,8 +677,7 @@ def _render_top(status, instances, metrics, events) -> str:
         f"instances {finished}/{submitted} finished · "
         f"events {status.get('events_processed', 0)} · "
         f"messages {status.get('messages_sent', 0)} · "
-        f"retries {status.get('executor_retries', 0)} · "
-        f"failures {status.get('executor_failures', 0)} · "
+        f"errors {status.get('executor_errors', 0)} · "
         f"trace drops {status.get('trace_dropped', 0)}",
     ]
     if metrics:

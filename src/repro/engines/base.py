@@ -20,7 +20,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.programs import ProgramRegistry, StepProgram, program_stream_name
+from repro.core.programs import (
+    ExecutionContext,
+    ProgramRegistry,
+    StepProgram,
+    StepResult,
+    program_stream_name,
+)
 from repro.errors import FrontEndError, SchemaError, SimulationError, WorkloadError
 from repro.model.compiler import CompiledSchema, compile_schema
 from repro.model.coordination_spec import (
@@ -288,16 +294,12 @@ class ControlSystem:
         self.config = config if config is not None else SystemConfig()
         self.metrics = MetricsCollector()
         self.rng = SimRandom(self.config.seed)
-        # With no runtime given the system runs on the simulator.  Its rng
-        # is a child seed space, so the executor's retry jitter derives
-        # from the system seed; a wall-clock caller passes a
-        # RealtimeRuntime seeded the same way, and a chaos replay then
-        # draws identical decision sequences from (seed, plan).
+        # With no runtime given the system runs on the simulator; a
+        # wall-clock caller passes a RealtimeRuntime.
         if runtime is None:
             runtime = SimRuntime(
                 metrics=self.metrics,
                 latency=FixedLatency(self.config.latency),
-                rng=self.rng.spawn("runtime"),
             )
         self.runtime = runtime
         #: The runtime's clock.  Named ``simulator`` since the simulated
@@ -641,6 +643,32 @@ class ControlSystem:
             **detail,
         )
 
+    # -- step programs -----------------------------------------------------------------
+
+    def execute_program(
+        self, node: str, schema_name: str, step_def: StepDef, instance_id: str,
+        attempt: int, inputs: Mapping[str, Any], cost: float,
+    ) -> StepResult:
+        """Run one step's program on agent ``node`` and account its work.
+
+        With a fault plan installed, each execution first draws an
+        injected ``execfail``; a hit fails the step without running its
+        program, and the engine's own step-failure path (rollback point,
+        halt, compensation, re-execution) takes it from there.
+        """
+        faults = self.faults
+        if faults is not None and faults.executor_should_fail(
+                node, instance_id, step_def.name):
+            result = StepResult(success=False, error="injected execfail")
+        else:
+            program = self.programs.get(step_def.program, step_def.outputs)
+            result = program.execute(inputs, ExecutionContext(
+                schema_name, instance_id, step_def.name, attempt,
+                self.simulator.now, node, streams=self.rng,
+            ))
+        self.metrics.record_work(node, "execute", cost)
+        return result
+
     # -- fault injection ---------------------------------------------------------------
 
     def inject_faults(self, plan, retry=None):
@@ -648,11 +676,12 @@ class ControlSystem:
 
         ``plan`` is a :class:`repro.runtime.faults.FaultPlan`; ``retry`` an
         optional :class:`repro.runtime.retry.RetryPolicy` (defaulted)
-        driving transport retransmissions and the engines' step-retry
-        watchdogs.  The injector draws from a child seed space of the
-        system's master seed (``rng.spawn("faults")``), so installing it
-        never perturbs the workload's own random streams, and the whole
-        run replays bit-for-bit from ``(seed, plan)`` on the simulated
+        driving transport retransmissions.  ``execfail`` is drawn in
+        :meth:`execute_program`, ``execstall`` by the step executor.  The
+        injector draws from a child seed space of the system's master seed
+        (``rng.spawn("faults")``), so installing it never perturbs the
+        workload's own random streams, and the whole run replays
+        bit-for-bit from ``(seed, plan)`` on the simulated
         backend (the asyncio backend replays the same seeded decision
         sequence on wall-clock time — outcome-level reproducibility).
         Call before :meth:`run`; returns the installed injector.
@@ -679,8 +708,8 @@ class ControlSystem:
         Only meaningful on clocks that own their event loop (the DES
         kernel).  The asyncio runtime is driven by awaiting
         :meth:`repro.runtime.realtime.RealtimeRuntime.join` instead.
-        Raises :class:`~repro.errors.SimulationError` once the step
-        executor has recorded an exception the fault plan did not inject.
+        Raises :class:`~repro.errors.SimulationError` once the clock
+        drains if a step-executor callback raised.
         """
         runner = getattr(self.simulator, "run", None)
         if runner is None:
@@ -689,14 +718,14 @@ class ControlSystem:
                 "await the runtime's join() from the owning event loop"
             )
         fired = runner(until=until, max_events=MAX_EVENTS)
-        errors = self.runtime.executor.errors
-        if errors:
-            # The executor retried it like a transient fault, but a program
-            # fails its step instead of raising: this is an engine defect.
-            name, error = errors[0]
+        executor = self.runtime.executor
+        if executor.errors:
+            # A program fails its step instead of raising, and so does an
+            # injected execfail: whatever raised is an engine defect.
+            name, error = executor.first_error
             raise SimulationError(
-                f"{len(errors)} step-executor attempt(s) raised; the first, "
-                f"in {name}:\n{error}"
+                f"{executor.errors} step-executor callback(s) raised; the "
+                f"first, in {name}:\n{error}"
             )
         if self.config.trace:
             self.registry.gauge(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.programs import ExecutionContext
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.runtime.node import Node
@@ -58,20 +57,12 @@ class ApplicationAgentNode(Node):
         self.executing -= 1
         schema_name = payload["schema_name"]
         step = payload["step"]
-        compiled = self.system.compiled(schema_name)
-        step_def = compiled.schema.steps[step]
-        program = self.system.programs.get(step_def.program, step_def.outputs)
-        ctx = ExecutionContext(
-            schema_name=schema_name,
-            instance_id=payload["instance_id"],
-            step=step,
-            attempt=payload["attempt"],
-            now=self.simulator.now,
-            node=self.name,
-            streams=self.system.rng,
+        result = self.system.execute_program(
+            self.name, schema_name,
+            self.system.compiled(schema_name).schema.steps[step],
+            payload["instance_id"], payload["attempt"], payload["inputs"],
+            payload["cost"],
         )
-        result = program.execute(payload["inputs"], ctx)
-        self.network.metrics.record_work(self.name, "execute", payload["cost"])
         self.send(
             message.src,
             VERB_STEP_RESULT,

@@ -17,7 +17,6 @@ from typing import Any, Mapping
 from repro.core.interfaces import WI
 from repro.core.ocr import plan_step_action
 from repro.core.packets import WorkflowPacket
-from repro.core.programs import ExecutionContext
 from repro.core.recovery import invalidation_tokens
 from repro.engines.base import (
     MAX_LOOP_ITERATIONS,
@@ -318,18 +317,10 @@ class AgentNavigationMixin:
         runtime.running_exec.pop(step, None)
         compiled = runtime.compiled
         step_def = compiled.schema.steps[step]
-        program = self.system.programs.get(step_def.program, step_def.outputs)
-        ctx = ExecutionContext(
-            schema_name=compiled.name,
-            instance_id=instance_id,
-            step=step,
-            attempt=attempt,
-            now=self.simulator.now,
-            node=self.name,
-            streams=self.system.rng,
+        result = self.system.execute_program(
+            self.name, compiled.name, step_def, instance_id, attempt, inputs,
+            cost,
         )
-        result = program.execute(inputs, ctx)
-        self.network.metrics.record_work(self.name, "execute", cost)
         runtime.executors[step] = self.name
         exec_span = runtime.exec_spans.pop(step, None)
         if result.success:

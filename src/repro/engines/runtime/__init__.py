@@ -14,9 +14,6 @@ This layer holds the per-instance bookkeeping every placement needs:
   branches);
 * :mod:`~repro.engines.runtime.invalidation` — rollback-round
   bookkeeping (token -> round high-water marks).
-
-(:class:`RetryPolicy` lives in :mod:`repro.runtime.retry` — the step
-executor shares it — and is re-exported here for compatibility.)
 """
 
 from repro.engines.runtime.compensation import (
@@ -37,7 +34,6 @@ from repro.engines.runtime.invalidation import (
     merge_invalidations,
     open_invalidation_round,
 )
-from repro.runtime.retry import RetryPolicy
 
 __all__ = [
     "AgentRuntime",
@@ -47,7 +43,6 @@ __all__ = [
     "InstanceRuntime",
     "LoadProbe",
     "ProbeWait",
-    "RetryPolicy",
     "absorb_invalidations",
     "compensate_set_chain",
     "member_done_times",

@@ -100,12 +100,3 @@ class AdmissionError(FrontEndError):
         self.code = code
         self.status = status
         self.retry_after = retry_after
-
-
-class InjectedFault(SimulationError):
-    """A deliberately injected failure (chaos plans), always transient.
-
-    Raised by a retrying executor when the installed fault plan's
-    ``exec_fail_p`` dimension fires; the executor's normal retry/backoff
-    path handles it exactly like a real transient step failure.
-    """

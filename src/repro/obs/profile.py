@@ -95,11 +95,9 @@ EVENT_FRAMES = {
     "ControlSystem.schedule_frontend.<locals>.attempt": "frontend.submit",
     "AgentFailureMixin._watchdog": "recovery.watchdog",
     # Work a node defers through the step executor (program completion,
-    # compensation, any ``schedule_causal``): its service time is over and
-    # it runs (``_begin``), or it runs after an injected stall or a retry
-    # backoff.
-    "TaskExecutor._begin": "executor.step",
-    "TaskExecutor._attempt": "executor.attempt",
+    # compensation, any ``schedule_causal``): its service time, an
+    # injected stall included, is over and it runs.
+    "TaskExecutor._run": "executor.step",
 }
 
 

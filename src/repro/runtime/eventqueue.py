@@ -105,8 +105,7 @@ class EventQueue:
 
     def enqueue(self, handle: EventHandle, delay: float) -> None:
         """Queue ``handle`` to fire ``delay`` time units from now: the one
-        push of :meth:`schedule` and of the step executor, which queues a
-        handle again here for a stall or a backoff."""
+        push of :meth:`schedule` and of the step executor."""
         time = handle.time = self.now + delay
         heapq.heappush(self._queue, (time, next(self._seq), handle))
 

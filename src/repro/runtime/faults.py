@@ -15,8 +15,9 @@ injector in three places: on the clock (``arm`` and the retransmission
 backoff use ``schedule`` / ``schedule_at``), under the
 :class:`~repro.runtime.transport.Network` through its ``faults`` hook,
 and into the :class:`~repro.runtime.executor.TaskExecutor` for the
-executor-failure dimension.  Under the discrete-event kernel that makes
-runs bit-replayable; under the wall-clock asyncio runtime the same plan
+executor stall.  The control system that installs it also asks it
+before each program execution (``execfail``).  Under the discrete-event
+kernel that makes runs bit-replayable; under the wall-clock asyncio runtime the same plan
 replays the *decision sequence* deterministically (outcome-level
 reproducibility modulo scheduling).
 
@@ -43,12 +44,16 @@ Injected semantics:
   (recovery replays its WAL-backed stores and drains parked messages).
 * **stall** — deliveries *to* the node landing inside the window are
   deferred to the window's end (a paused step agent).
-* **exec-fail / exec-stall** — the step executor of both runtimes
-  (:class:`~repro.runtime.executor.TaskExecutor`) consults the injector
-  before each submitted callback: ``exec_fail_p`` raises an
-  :class:`~repro.errors.InjectedFault` (exercising the retry/backoff
-  path), ``exec_stall_p`` waits ``exec_stall_s`` extra clock time first
-  (a slow worker).  On the simulator these replay bit for bit too.
+* **exec-fail** — ``exec_fail_p`` fails one program execution: the
+  step's program does not run and the step fails, so the engine's
+  ``step.fail`` → rollback point → compensation → re-execution path
+  handles it, as the paper handles any failed step
+  (:meth:`repro.engines.base.ControlSystem.execute_program`).
+  Compensation is never failed.
+* **exec-stall** — the step executor of both runtimes
+  (:class:`~repro.runtime.executor.TaskExecutor`) adds ``exec_stall_s``
+  to a submission's service time with probability ``exec_stall_p`` (a
+  slow worker).  On the simulator both replay bit for bit too.
 
 Crashes also kill a node's deferred continuations: when a fault injector
 is installed, :meth:`repro.runtime.node.Node.schedule_causal` guards every
@@ -143,8 +148,8 @@ class FaultPlan:
     caps the *total* number of drops across the run (``None`` = unlimited),
     which makes "lose exactly the first such message" tests deterministic.
 
-    ``exec_fail_p`` applies per executor attempt and ``exec_stall_p`` per
-    submission, on either runtime: both run the one retrying executor.
+    ``exec_fail_p`` applies per program execution and ``exec_stall_p``
+    per executor submission, on either runtime.
     """
 
     drop_p: float = 0.0
@@ -488,7 +493,7 @@ class FaultInjector:
     # -- executor hooks ------------------------------------------------------
 
     def executor_stall(self, name: str) -> float:
-        """Extra pre-run wait for one executor submission (0.0 = none)."""
+        """Extra service time for one executor submission (0.0 = none)."""
         plan = self.plan
         if not plan.exec_stall_p or self._exec_rng.random() >= plan.exec_stall_p:
             return 0.0
@@ -496,17 +501,17 @@ class FaultInjector:
         self._note("exec.stall", target=name, duration=plan.exec_stall_s)
         return plan.exec_stall_s
 
-    def executor_should_fail(self, name: str, attempt: int) -> bool:
-        """Whether this executor attempt must raise an injected failure.
+    def executor_should_fail(self, node: str, instance: str, step: str) -> bool:
+        """Whether this program execution fails instead of running.
 
-        Drawn per *attempt* (like drops per retransmission), so a retried
-        callback can fail again — the retry budget is what bounds it.
+        Drawn per execution, so a step re-executed after its rollback can
+        fail again; the engine's recovery decides what happens next.
         """
         plan = self.plan
         if not plan.exec_fail_p or self._exec_rng.random() >= plan.exec_fail_p:
             return False
         self.stats.exec_failures += 1
-        self._note("exec.fail", target=name, attempt=attempt)
+        self._note("exec.fail", target=node, instance=instance, step=step)
         return True
 
     # -- delivery-side hooks -------------------------------------------------

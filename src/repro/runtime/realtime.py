@@ -14,9 +14,9 @@ simulation), with the configured :class:`~repro.runtime.latency.
 LatencyModel` applied as *real* delay: ``FixedLatency(0.0)`` for an
 undelayed in-process service, positive values to rehearse WAN pacing.
 Step programs run as clock entries through the one
-:class:`~repro.runtime.executor.TaskExecutor`, whose
-:class:`~repro.runtime.retry.RetryPolicy` backoff keeps one flaky
-callback from killing the daemon.
+:class:`~repro.runtime.executor.TaskExecutor`, which runs each callback
+once and counts one that raises as a defect, so it cannot kill the
+daemon.
 
 Times reported by ``RealtimeClock.now`` are seconds since
 :meth:`RealtimeClock.start` (captured lazily from the first running
@@ -45,8 +45,6 @@ from repro.runtime.eventqueue import EventHandle, EventQueue
 from repro.runtime.executor import ClockRuntime, TaskExecutor
 from repro.runtime.latency import FixedLatency, LatencyModel
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.retry import RetryPolicy
-from repro.runtime.rng import SimRandom
 
 # ``TaskExecutor`` is re-exported: callers that patch it by this module
 # path (``bench/layers.py``) find the one executor here.
@@ -245,12 +243,10 @@ class RealtimeRuntime(ClockRuntime):
         self,
         metrics: MetricsCollector | None = None,
         latency: LatencyModel | None = None,
-        retry: RetryPolicy | None = None,
-        rng: SimRandom | None = None,
     ):
         super().__init__(
             RealtimeClock(), metrics,
-            latency if latency is not None else FixedLatency(0.0), retry, rng,
+            latency if latency is not None else FixedLatency(0.0),
         )
 
     def start(self, loop: asyncio.AbstractEventLoop | None = None) -> None:

@@ -1,11 +1,10 @@
-"""Seeded retry/timeout/backoff policy shared by the engines.
+"""Seeded retransmission backoff for dropped messages.
 
 Under fault injection (see :mod:`repro.runtime.faults`) the transport can
 drop messages; :class:`RetryPolicy` decides when a dropped message is
-retransmitted and when its per-message budget is exhausted.  The same
-policy paces the central engine's step-retry watchdog, which re-dispatches
-an in-flight step whose executor lost the work (agent crash) rather than
-letting the instance wedge.
+retransmitted and when its per-message budget is exhausted.  Messages are
+safe to resend — delivery is deduplicated — so they are the one thing
+retried on a backoff; a failed step goes through the engines' recovery.
 
 The jitter draw comes from the caller's seeded stream (the injector's
 ``"faults:retry"`` stream), so retry timing is as deterministic as every

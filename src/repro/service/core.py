@@ -21,7 +21,7 @@ stream event — only after its log record is flushed.
 The service is also the daemon's *observability plane*: it owns the
 engine's :class:`~repro.obs.registry.MetricsRegistry` (extended with
 service-level commit/abort latency histograms and runtime queue-depth /
-retry instruments), an always-on :class:`~repro.obs.profile.Profiler`
+defect instruments), an always-on :class:`~repro.obs.profile.Profiler`
 over the realtime clock and transport, and a structured NDJSON logger
 (:mod:`repro.obs.logging`) correlating every operational event with the
 ``instance``/``node``/``lamport`` keys of the causal trace.  The HTTP
@@ -69,7 +69,6 @@ from repro.obs.registry import HistogramMetric
 from repro.runtime.faults import FaultPlan
 from repro.runtime.latency import FixedLatency
 from repro.runtime.realtime import RealtimeRuntime
-from repro.runtime.rng import SimRandom
 from repro.service.admission import AdmissionController
 from repro.service.durability import ServiceLog, ServiceState
 
@@ -220,13 +219,7 @@ class WorkflowService:
     ):
         system_cls = control_system_class(architecture)
         self.architecture = architecture
-        # Seed the runtime's jitter streams from the service seed so a
-        # chaos replay of the wall-clock path draws the same retry-backoff
-        # and fault-decision sequences (satellite of the sim determinism).
-        self.runtime = RealtimeRuntime(
-            latency=FixedLatency(latency),
-            rng=SimRandom(seed).spawn("runtime"),
-        )
+        self.runtime = RealtimeRuntime(latency=FixedLatency(latency))
         # Wall-clock timeouts: the simulated defaults (tens of time units)
         # would mean tens of real seconds of watchdog wait.  The trace runs
         # in ring mode — a long-lived daemon wants the most recent window,
@@ -262,9 +255,6 @@ class WorkflowService:
             # OCR instants were still Span objects, and by 2-5 % since
             # (EXPERIMENTS.md, "Build it when it is read", knock-out table).
             self.profiler = Profiler(sample_interval=64).install(self.system)
-        executor = self.runtime.executor
-        executor.on_retry = self._on_executor_retry
-        executor.on_give_up = self._on_executor_give_up
         self.started_at: float | None = None
         #: Installed document digest -> its default workflow name.
         self._installed_documents: dict[str, str] = {}
@@ -636,8 +626,10 @@ class WorkflowService:
             "draining": self._draining,
             "observability": self.observability,
             "trace_dropped": self.system.trace.dropped,
-            "executor_retries": self.runtime.executor.retries,
-            "executor_failures": len(self.runtime.executor.failures),
+            # Always 0: nothing retries a step callback.  Kept while the
+            # benchmark's load generator (bench/loadgen.py:delta) reads it.
+            "executor_retries": 0,
+            "executor_errors": self.runtime.executor.errors,
             "durable": self._log is not None,
             "instances_recovered": len(self._durable_outcomes),
             "instances_redriven": len(self._origins),
@@ -886,33 +878,6 @@ class WorkflowService:
 
     # -- observability plane -----------------------------------------------
 
-    def _on_executor_retry(self, fn, name, exc, attempt, backoff) -> None:
-        """Executor hook: a transient step failure about to be retried."""
-        self.logger.warning(
-            "executor.retry", task=name, error=repr(exc),
-            attempt=attempt, backoff=round(backoff, 6),
-            **_node_fields(fn),
-        )
-
-    def _on_executor_give_up(self, fn, name, exc, attempts) -> None:
-        """Executor hook: retry budget exhausted — the step is lost.
-
-        Alongside the error log, snapshot the owning node's flight
-        recorder into the trace (when ``fn`` is a node-bound method):
-        the post-mortem sees the node's last transport events next to
-        the failure instead of just a one-line repr.
-        """
-        fields = _node_fields(fn)
-        self.logger.error(
-            "executor.give_up", task=name, error=repr(exc),
-            attempts=attempts, **fields,
-        )
-        owner = getattr(fn, "__self__", None)
-        dump = getattr(owner, "dump_flight", None)
-        if dump is not None:
-            dump("task.failure", task=name, error=repr(exc),
-                 attempts=attempts)
-
     def _refresh_runtime_metrics(self) -> None:
         """Sync scrape-time instruments from runtime/service state.
 
@@ -926,7 +891,7 @@ class WorkflowService:
         registry.gauge(
             "crew_realtime_pending_timers",
             "Scheduled-but-unfired wall-clock events, armed step timers "
-            "(service time, stall, backoff) included.",
+            "(service time and stall) included.",
         ).set(clock.pending)
         registry.gauge(
             "crew_executor_inflight_tasks",
@@ -951,13 +916,9 @@ class WorkflowService:
             "Tasks handed to the realtime executor.",
         ), executor.submitted)
         _set_counter(registry.counter(
-            "crew_executor_retries_total",
-            "Transient task failures retried on the backoff policy.",
-        ), executor.retries)
-        _set_counter(registry.counter(
-            "crew_executor_failures_total",
-            "Tasks abandoned after exhausting the retry budget.",
-        ), len(executor.failures))
+            "crew_executor_errors_total",
+            "Task callbacks that raised (engine defects; never retried).",
+        ), executor.errors)
         _set_counter(registry.counter(
             "crew_trace_dropped_records_total",
             "Trace records evicted from the ring buffer.",
@@ -1032,19 +993,6 @@ class WorkflowService:
         self._require_observability()
         assert self.profiler is not None
         return self.profiler.collapsed() + "\n"
-
-
-def _node_fields(fn: Any) -> dict[str, Any]:
-    """Correlation fields for a task callable bound to an engine node."""
-    owner = getattr(fn, "__self__", None)
-    fields: dict[str, Any] = {}
-    name = getattr(owner, "name", None)
-    if isinstance(name, str):
-        fields["node"] = name
-    lamport = getattr(owner, "lamport_clock", None)
-    if isinstance(lamport, int):
-        fields["lamport"] = lamport
-    return fields
 
 
 def _set_counter(counter, value: float) -> None:

@@ -116,5 +116,5 @@ class SimRuntime(ClockRuntime):
 
     name = "sim"
 
-    def __init__(self, metrics=None, latency=None, retry=None, rng=None):
-        super().__init__(Simulator(), metrics, latency, retry, rng)
+    def __init__(self, metrics=None, latency=None):
+        super().__init__(Simulator(), metrics, latency)

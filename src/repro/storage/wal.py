@@ -47,8 +47,9 @@ def memory_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
     ``sys.intern`` or one more holder of a sub-list could change a record's
     bytes without changing the record.  A payload marshal refuses (an enum
     member, a ``Decimal``) is checksummed over its canonical JSON form
-    instead (``default=str``), which also depends only on content.  These bytes never leave the process; the on-disk service
-    log has its own pinned convention (``repro.service.durability``).
+    instead (``default=str``), which also depends only on content.  These
+    bytes never leave the process; the on-disk service log has its own
+    pinned convention (``repro.service.durability``).
     """
     try:
         form = marshal.dumps((lsn, kind, payload), 0)

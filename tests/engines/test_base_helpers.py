@@ -21,7 +21,6 @@ from repro.model import (
     compile_schema,
 )
 from repro.model.schema import StepDef
-from repro.runtime.rng import SimRandom
 from repro.sim.kernel import SimRuntime
 from repro.storage.tables import InstanceState, StepStatus
 from tests.conftest import linear_schema
@@ -37,8 +36,7 @@ def test_config_rejects_bad_selection():
 
 def test_default_runtime_is_the_seeded_simulator():
     """With no runtime given, a control system runs on a ``SimRuntime``
-    over its own collector and latency, whose retry jitter is the
-    ``runtime`` child of the system seed."""
+    over its own collector and latency."""
     system = ControlSystem(SystemConfig(seed=23, latency=2.5))
     runtime = system.runtime
     assert type(runtime) is SimRuntime
@@ -46,10 +44,6 @@ def test_default_runtime_is_the_seeded_simulator():
     assert system.network is runtime.transport
     assert runtime.metrics is system.metrics
     assert runtime.transport.latency.delay("a", "b") == 2.5
-    expected = SimRandom(23).spawn("runtime").stream("executor:retry")
-    jitter = runtime.executor._jitter
-    assert [jitter.random() for __ in range(4)] == [
-        expected.random() for __ in range(4)]
 
 
 # ----------------------------------------------------------- agent assignment

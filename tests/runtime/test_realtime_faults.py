@@ -3,18 +3,23 @@
 The fault core lives in :mod:`repro.runtime.faults`, so the same
 :class:`FaultPlan` drives both backends, and both run the one step
 executor (its fault decisions on the simulator are pinned in
-``tests/sim/test_executor.py``).  These tests drive the executor faults
-and the seeded retry jitter on real timers, and check what only the wall
-clock can: outcome-level replay consistency.
+``tests/sim/test_executor.py``).  These tests drive injected step
+failures and stalls on real timers, and check what only the wall clock
+can: outcome-level replay consistency.
 """
 
 import asyncio
 
-from repro.errors import InjectedFault
-from repro.runtime.faults import FaultPlan, FaultStats
+from repro.core.programs import FunctionProgram
+from repro.engines import CentralizedControlSystem, SystemConfig
+from repro.runtime.faults import FaultInjector, FaultPlan, FaultStats
+from repro.runtime.metrics import Mechanism
+from repro.runtime.node import Node
 from repro.runtime.realtime import RealtimeRuntime, TaskExecutor
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
+from repro.storage.tables import InstanceStatus
+from tests.conftest import linear_schema, register_programs
 
 FAST_RETRY = RetryPolicy(base_delay=0.01, factor=1.0, max_delay=0.01,
                          jitter=0.0, budget=2)
@@ -39,30 +44,40 @@ def test_exec_fault_dimensions_are_minimizable():
     assert without.drop_p == 0.1
 
 
-def test_injected_executor_failures_exhaust_retry_budget():
+def test_injected_executor_failures_fail_the_step():
+    """On the wall clock too, ``execfail=1`` fails the first program
+    execution: the program never runs, the step fails, and with no
+    rollback point the instance aborts.  Nothing raises and nothing is
+    retried."""
+
     async def main():
-        runtime = RealtimeRuntime(retry=FAST_RETRY, rng=SimRandom(7))
+        runtime = RealtimeRuntime()
         runtime.start()
-        injector = runtime.install_faults(
-            FaultPlan(exec_fail_p=1.0), SimRandom(7).spawn("faults"),
-            retry=FAST_RETRY,
+        system = CentralizedControlSystem(
+            SystemConfig(seed=7, latency=0.0, work_time_scale=0.001),
+            runtime=runtime,
         )
+        injector = system.inject_faults(FaultPlan(exec_fail_p=1.0))
+        schema = linear_schema()
+        system.register_schema(schema)
         ran = []
-        runtime.executor.submit(0.0, ran.append, "x")
-        assert await runtime.join(timeout=5.0)
-        # Every attempt (initial + 2 retries) drew an injected failure;
-        # the work never ran and the give-up is recorded, not raised.
+        register_programs(system, schema, behaviors={"S1": FunctionProgram(
+            lambda inputs, ctx: ran.append(inputs) or {"out": 1})})
+        finished = asyncio.Event()
+        system.on_outcome = lambda outcome: finished.set()
+        instance = system.start_workflow("Linear", {"x": 1})
+        await asyncio.wait_for(finished.wait(), 5.0)
         assert ran == []
-        assert injector.stats.exec_failures == 3
-        [(name, err)] = runtime.executor.failures
-        assert "InjectedFault" in err
+        assert injector.stats.exec_failures == 1
+        assert system.outcomes[instance].status is InstanceStatus.ABORTED
+        assert runtime.executor.errors == 0
 
     asyncio.run(main())
 
 
 def test_injected_executor_stall_delays_but_completes():
     async def main():
-        runtime = RealtimeRuntime(retry=FAST_RETRY, rng=SimRandom(7))
+        runtime = RealtimeRuntime()
         runtime.start()
         injector = runtime.install_faults(
             FaultPlan(exec_stall_p=1.0, exec_stall_s=0.05),
@@ -88,42 +103,57 @@ def test_fault_stats_counts_exec_dimensions():
 
 
 def test_retry_jitter_is_seeded_and_replayable():
-    """Two executors with the same rng seed draw identical backoffs."""
+    """On the wall clock, a dropped message's retransmission backoffs come
+    from the injector's seeded stream: the same seed draws the same
+    jittered delays.  Messages are what is retried, not steps."""
 
     def backoff_sequence(seed):
         async def main():
-            runtime = RealtimeRuntime(
-                retry=RetryPolicy(base_delay=0.01, factor=1.0,
-                                  max_delay=0.01, jitter=0.5, budget=3),
-                rng=SimRandom(seed),
-            )
+            runtime = RealtimeRuntime()
             runtime.start()
-            backoffs = []
-            runtime.executor.on_retry = (
-                lambda fn, name, exc, attempt, backoff:
-                backoffs.append(backoff)
+            injector = runtime.install_faults(
+                FaultPlan(drop_p=1.0, drop_limit=3), SimRandom(seed),
+                retry=RetryPolicy(base_delay=0.01, factor=1.0,
+                                  max_delay=0.01, jitter=0.5, budget=5),
             )
-
-            def flaky():
-                raise ValueError("transient")
-
-            runtime.executor.submit(0.0, flaky)
+            backoffs = []
+            injector.on_fault = (
+                lambda time, kind, **detail:
+                kind == "drop" and backoffs.append(detail["backoff"]))
+            sender = Node("a", runtime.clock, runtime.transport)
+            receiver = Node("b", runtime.clock, runtime.transport)
+            got = []
+            receiver.handle_message = got.append
+            sender.send("b", "wi", {}, Mechanism.NORMAL)
             assert await runtime.join(timeout=5.0)
+            assert len(got) == 1
             return backoffs
 
         return asyncio.run(main())
 
     first = backoff_sequence(21)
-    second = backoff_sequence(21)
-    different = backoff_sequence(22)
     assert len(first) == 3
-    assert first == second
-    assert first != different
+    assert first == backoff_sequence(21)
+    assert first != backoff_sequence(22)
+
+
+def test_execfail_draws_are_seeded_and_replayable():
+    """Two injectors with the same seed fail the same program executions."""
+
+    def failures(seed):
+        injector = FaultInjector(FaultPlan(exec_fail_p=0.5), SimRandom(seed))
+        return [injector.executor_should_fail("agent-1", "W-1", f"S{i}")
+                for i in range(32)]
+
+    first = failures(21)
+    assert any(first) and not all(first)
+    assert first == failures(21)
+    assert first != failures(22)
 
 
 def test_executor_without_injector_never_consults_faults():
     async def main():
-        runtime = RealtimeRuntime(retry=FAST_RETRY, rng=SimRandom(0))
+        runtime = RealtimeRuntime()
         runtime.start()
         assert isinstance(runtime.executor, TaskExecutor)
         assert runtime.executor.faults is None
@@ -133,15 +163,6 @@ def test_executor_without_injector_never_consults_faults():
         assert ran == [1]
 
     asyncio.run(main())
-
-
-def test_injected_fault_is_transient():
-    assert issubclass(InjectedFault, Exception)
-    # The retry loop treats any non-cancellation exception as transient;
-    # InjectedFault must not be a special-cased terminal error.
-    from repro.errors import SimulationError
-
-    assert issubclass(InjectedFault, SimulationError)
 
 
 def test_realtime_replays_are_outcome_consistent():
@@ -162,13 +183,13 @@ def test_realtime_replays_are_outcome_consistent():
 
 def test_realtime_replay_reports_what_missed_the_timeout():
     """The wait for the last outcome is bounded by ``timeout_s``; whatever
-    has not landed by then is a liveness finding, not a hang.  Every step
-    attempt fails (``execfail=1``), so no instance can land, however fast
-    or slow the box runs."""
+    has not landed by then is a liveness finding, not a hang.  The engine
+    is cut off from every other node for an hour from the start, so no
+    instance can land, however fast or slow the box runs."""
     from repro.analysis.chaos import run_realtime_chaos
 
     report = run_realtime_chaos(
-        "centralized/normal", seed=3, plan_spec="execfail=1",
+        "centralized/normal", seed=3, plan_spec="outage=engine~*@0+3600",
         instances=3, replays=1, timeout_s=0.001,
     )
     assert len(report.unfinished) == 3

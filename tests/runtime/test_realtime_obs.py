@@ -2,8 +2,7 @@
 
 The realtime layer cannot import ``obs`` (layering contract), so these
 hooks are duck-typed slots the service injects: the clock's ``profile``
-and ``event_hook``, and the executor's ``on_retry``/``on_give_up``
-callbacks.  Also covered: the cancel-vs-fire race on
+and ``event_hook``.  Also covered: the cancel-vs-fire race on
 :class:`~repro.runtime.realtime.RealtimeClock` — a handle cancelled by
 an earlier callback in the same loop tick must neither fire nor corrupt
 the pending-count accounting.
@@ -12,7 +11,6 @@ the pending-count accounting.
 import asyncio
 
 from repro.runtime.realtime import RealtimeClock, RealtimeRuntime
-from repro.runtime.retry import RetryPolicy
 
 
 def test_cancel_racing_inflight_fire():
@@ -121,73 +119,10 @@ def test_profile_end_event_runs_even_when_action_raises():
     asyncio.run(main())
 
 
-def test_executor_retry_and_give_up_hooks():
-    async def main():
-        runtime = RealtimeRuntime(
-            retry=RetryPolicy(budget=2, base_delay=0.001, max_delay=0.002)
-        )
-        runtime.start()
-        executor = runtime.executor
-        retries, give_ups = [], []
-        executor.on_retry = (
-            lambda fn, name, exc, attempt, backoff:
-            retries.append((name, attempt, backoff))
-        )
-        executor.on_give_up = (
-            lambda fn, name, exc, attempts: give_ups.append((name, attempts))
-        )
-
-        def always_fails():
-            raise ValueError("transient")
-
-        executor.submit(0.0, always_fails)
-        assert await executor.join(timeout=5.0)
-        assert executor.retries == 2
-        assert [a for __, a, __ in retries] == [1, 2]
-        assert all(b > 0 for __, __, b in retries)
-        [(gave_name, gave_attempts)] = give_ups
-        assert gave_name.endswith("always_fails") and gave_attempts == 3
-        assert len(executor.failures) == 1
-
-    asyncio.run(main())
-
-
-def test_executor_hook_exceptions_are_swallowed():
-    """A broken observability hook must not kill the worker task."""
-
-    async def main():
-        runtime = RealtimeRuntime(
-            retry=RetryPolicy(budget=1, base_delay=0.001, max_delay=0.002)
-        )
-        runtime.start()
-        executor = runtime.executor
-
-        def bad_hook(*args):
-            raise RuntimeError("observer crashed")
-
-        executor.on_retry = bad_hook
-        executor.on_give_up = bad_hook
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise ValueError("transient")
-
-        executor.submit(0.0, flaky)
-        assert await executor.join(timeout=5.0)
-        assert len(calls) == 2  # retried despite the broken hook
-        assert executor.failures == []
-
-    asyncio.run(main())
-
-
 def test_hooks_default_off_and_cost_nothing():
     async def main():
         runtime = RealtimeRuntime()
         runtime.start()
-        assert runtime.executor.on_retry is None
-        assert runtime.executor.on_give_up is None
         assert runtime.clock.profile is None
         done = []
         runtime.executor.submit(0.0, done.append, 1)

@@ -3,8 +3,8 @@
 Counts, no clocks.  ``RealtimeClock`` is the simulator's event queue
 with one loop callback armed for its head; the callback fires what is
 due — including what the callbacks themselves schedule with no delay, up
-to ``TURN_LIMIT`` per turn.  ``TaskExecutor`` runs a step as clock
-entries: the service time, then a backoff per failed attempt.  Loop
+to ``TURN_LIMIT`` per turn.  ``TaskExecutor`` runs a step as one clock
+entry for its service time, and runs it once.  Loop
 turns are counted with a self-rescheduling ``call_soon`` ticker: asyncio
 runs a callback scheduled during a turn in the next one.
 """
@@ -14,7 +14,6 @@ import contextvars
 
 from repro.runtime import realtime
 from repro.runtime.realtime import RealtimeClock, RealtimeRuntime
-from repro.runtime.retry import RetryPolicy
 
 
 class Turns:
@@ -237,41 +236,6 @@ def test_a_queued_callback_runs_in_the_context_of_its_scheduler():
 # -- executor ---------------------------------------------------------------
 
 
-def test_first_attempt_exception_arms_the_backoff_timer_and_numbering_continues():
-    async def main():
-        runtime = RealtimeRuntime(
-            retry=RetryPolicy(budget=3, base_delay=0.001, factor=1.0,
-                              max_delay=0.001, jitter=0.0))
-        runtime.start()
-        executor = runtime.executor
-        attempts, retried = [], []
-        executor.on_retry = (
-            lambda fn, name, exc, attempt, backoff: retried.append((attempt, backoff)))
-
-        def flaky():
-            attempts.append(executor.inflight)
-            if len(attempts) < 3:
-                raise ValueError("transient")
-
-        handle = executor.submit(0.0, flaky)
-        assert executor.inflight == 1 and runtime.clock.pending == 1
-        while not attempts:
-            await asyncio.sleep(0)
-        # Attempt 1 raised in its clock entry: the backoff queues the same
-        # handle again and the submission still counts as in flight.
-        assert retried == [(1, 0.001)]
-        assert executor.inflight == 1 and runtime.clock.pending == 1
-        assert not handle.cancelled
-        assert not await executor.join(timeout=0)
-        assert await runtime.join(timeout=5.0)
-        assert retried == [(1, 0.001), (2, 0.001)]
-        assert attempts == [1, 1, 1]  # in flight during every attempt
-        assert executor.retries == 2 and executor.failures == []
-        assert executor.inflight == 0 and runtime.clock.pending == 0
-
-    asyncio.run(main())
-
-
 def test_runtime_join_waits_for_an_armed_step_timer():
     """A step's service time is a pending clock entry: it keeps
     ``RealtimeRuntime.join`` waiting, and the clock work the step then
@@ -297,10 +261,11 @@ def test_runtime_join_waits_for_an_armed_step_timer():
 
 
 def test_cancel_disarms_whichever_timer_is_armed():
+    """A submission is one clock entry; cancelling it disarms the loop
+    timer armed for it, and a cancel after it fired is a no-op."""
+
     async def main():
-        runtime = RealtimeRuntime(
-            retry=RetryPolicy(budget=5, base_delay=0.05, factor=1.0,
-                              max_delay=0.05, jitter=0.0))
+        runtime = RealtimeRuntime()
         runtime.start()
         executor = runtime.executor
         ran = []
@@ -309,42 +274,16 @@ def test_cancel_disarms_whichever_timer_is_armed():
         waiting.cancel()
         assert executor.inflight == 0
 
-        def always_fails():
+        def broken():
             ran.append("attempt")
-            raise ValueError("transient")
+            raise ValueError("defect")
 
-        backing_off = executor.submit(0.0, always_fails)
-        while not ran:
-            await asyncio.sleep(0)
-        assert executor.inflight == 1
-        backing_off.cancel()  # the armed timer is now the backoff
-        assert executor.inflight == 0
+        fired = executor.submit(0.0, broken)
         assert await runtime.join(timeout=0.5)
-        await asyncio.sleep(0.12)
-        assert ran == ["attempt"]
-        assert executor.retries == 1 and executor.failures == []
-
-    asyncio.run(main())
-
-
-def test_a_raising_hook_is_swallowed_on_both_timer_paths():
-    async def main():
-        runtime = RealtimeRuntime(
-            retry=RetryPolicy(budget=1, base_delay=0.001, max_delay=0.002))
-        runtime.start()
-        executor = runtime.executor
-
-        def bad_hook(*args):
-            raise RuntimeError("observer crashed")
-
-        executor.on_retry = executor.on_give_up = bad_hook
-
-        def always_fails():
-            raise ValueError("transient")
-
-        executor.submit(0.0, always_fails)
-        assert await runtime.join(timeout=5.0)
-        assert executor.retries == 1 and len(executor.failures) == 1
+        fired.cancel()  # settled: nothing is armed for it any more
         assert executor.inflight == 0
+        await asyncio.sleep(0.07)
+        assert ran == ["attempt"]
+        assert executor.errors == 1 and runtime.clock.pending == 0
 
     asyncio.run(main())

@@ -400,40 +400,46 @@ def test_trace_drops_are_reported_at_close():
     assert warning["policy"] == "oldest"
 
 
-def test_executor_give_up_snapshots_flight_recorder():
-    service = WorkflowService()
-    network = service.system.network
-    node = network.node(sorted(network.node_names())[0])
-    before = len(service.system.trace.records)
-    service._on_executor_give_up(
-        node.receive, "Node.receive", ValueError("boom"), attempts=3
-    )
-    snapshots = [
-        rec for rec in list(service.system.trace.records)[before:]
-        if rec.kind == "flight.snapshot"
-    ]
-    [snap] = snapshots
-    assert snap.node == node.name
-    assert snap.detail["reason"] == "task.failure"
-    assert snap.detail["error"] == "ValueError('boom')"
-    assert snap.detail["attempts"] == 3
+def test_a_raising_engine_callback_runs_once_and_is_counted(monkeypatch):
+    """An engine callback that raises is a defect: it runs once, is not
+    retried, is counted on ``/healthz`` and ``/metrics``, and the daemon
+    keeps serving: the next submission still commits."""
+    from repro.engines.centralized.agents import ApplicationAgentNode
 
+    complete_step = ApplicationAgentNode._complete_step
+    calls = []
 
-def test_executor_retry_hook_logs_warning():
-    stream = io.StringIO()
-    logger = StructuredLogger(stream=stream, clock=lambda: 1.0)
-    service = WorkflowService(logger=logger)
-    network = service.system.network
-    node = network.node(sorted(network.node_names())[0])
-    service._on_executor_retry(
-        node.receive, "Node.receive", ValueError("flaky"), 1, 0.125
-    )
-    [rec] = [json.loads(line) for line in stream.getvalue().splitlines()]
-    assert rec["event"] == "executor.retry"
-    assert rec["level"] == "warning"
-    assert rec["node"] == node.name
-    assert rec["attempt"] == 1
-    assert rec["backoff"] == 0.125
+    def defective(self, message):
+        calls.append(message.payload["instance_id"])
+        if len(calls) == 1:
+            raise KeyError("defect in the engine")
+        complete_step(self, message)
+
+    monkeypatch.setattr(ApplicationAgentNode, "_complete_step", defective)
+
+    async def main():
+        service, server = await booted(8486)
+        try:
+            [broken] = service.submit(
+                schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
+            while not calls:
+                await asyncio.sleep(0.01)
+            [healthy] = service.submit(
+                schema=MINI_SCHEMA, inputs={"x": 2})["instances"]
+            outcome = await wait_outcome(service, healthy)
+            assert outcome.committed
+            assert calls.count(broken) == 1
+            __, __, body = await raw_request(8486, "GET", "/healthz")
+            status = json.loads(body)
+            assert status["executor_errors"] == 1
+            assert status["executor_retries"] == 0
+            __, __, text = await raw_request(8486, "GET", "/metrics")
+            assert "crew_executor_errors_total 1" in text.decode()
+            assert "crew_executor_retries_total" not in text.decode()
+        finally:
+            await shutdown(service, server)
+
+    asyncio.run(main())
 
 
 # -- instance listing ------------------------------------------------------

@@ -1,30 +1,32 @@
-"""The step executor on the simulated clock.
+"""The step executor on the simulated clock, and injected step failures.
 
 Both runtimes run the one :class:`repro.runtime.executor.TaskExecutor`.
 On the simulator it must cost a fixed-seed schedule nothing: with no plan
-installed and no step raising, a submission is one queue push and no
-draw.  What it adds — retries, injected failures and stalls — replays bit
-for bit from the seed.  A step callback that raises on its own is an
-engine defect, and the simulated run fails on it.
+installed, a submission is one queue push and no draw.  It retries
+nothing.  An injected ``execfail`` is a failed step that the engine's
+recovery handles, and it replays bit for bit from the seed.  A step
+callback that raises on its own is an engine defect: it runs once, and
+the simulated run fails on it.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis.chaos import CHAOS_CONFIGS, ChaosTask
+from repro.analysis.chaos import CHAOS_CONFIGS, CHAOS_MODES, ChaosTask
+from repro.analysis.experiment import PreparedRun, parse_config
 from repro.core.programs import NoopProgram
 from repro.engines.centralized.agents import ApplicationAgentNode
 from repro.errors import SimulationError
-from repro.runtime.retry import RetryPolicy
+from repro.runtime.faults import FaultPlan
+from repro.runtime.metrics import Mechanism
 from repro.runtime.rng import SimRandom
 from repro.sim.kernel import SimRuntime
 from tests.conftest import ALL_ARCHITECTURES, linear_schema, make_system, register_programs
 
 
 def test_a_submission_without_plan_is_one_push_and_no_draw():
-    runtime = SimRuntime(rng=SimRandom(3))
-    jitter = runtime.executor._jitter.getstate()
+    runtime = SimRuntime()
     fired = []
     runtime.clock.schedule(1.0, fired.append, "scheduled")
     runtime.executor.submit(1.0, fired.append, "submitted")
@@ -34,39 +36,37 @@ def test_a_submission_without_plan_is_one_push_and_no_draw():
     # FIFO at one instant, exactly as three plain ``schedule`` calls.
     assert fired == ["scheduled", "submitted", "after"]
     assert runtime.clock.events_processed == 3
-    assert runtime.executor._jitter.getstate() == jitter
 
 
-def test_a_retry_lands_at_the_seeded_backoff():
-    retry = RetryPolicy()
-    runtime = SimRuntime(retry=retry, rng=SimRandom(3))
+def test_a_raise_runs_once_at_its_service_time():
+    """No backoff, no second attempt: a raising callback is settled by
+    the one clock entry of its service time."""
+    runtime = SimRuntime()
     times = []
 
-    def flaky():
+    def broken():
         times.append(runtime.clock.now)
-        if len(times) == 1:
-            raise ValueError("transient")
+        raise ValueError("defect")
 
-    runtime.executor.submit(2.0, flaky)
-    runtime.clock.run()
-    backoff = retry.backoff(1, SimRandom(3).stream("executor:retry"))
-    assert times == [2.0, 2.0 + backoff]
-
-
-def test_cancel_withdraws_a_submission_waiting_out_its_backoff():
-    runtime = SimRuntime(rng=SimRandom(3))
-    calls = []
-
-    def flaky():
-        calls.append(runtime.clock.now)
-        raise ValueError("transient")
-
-    handle = runtime.executor.submit(1.0, flaky)
-    runtime.clock.schedule(1.5, handle.cancel)
-    runtime.clock.run()
-    assert calls == [1.0]
+    runtime.executor.submit(2.0, broken)
+    assert runtime.clock.run() == 1
+    assert times == [2.0]
+    assert runtime.executor.errors == 1
     assert runtime.executor.inflight == 0
-    assert runtime.executor.failures == []
+    assert runtime.clock.pending == 0
+
+
+def test_cancel_withdraws_a_submission_waiting_out_its_stall():
+    runtime = SimRuntime()
+    runtime.install_faults(FaultPlan(exec_stall_p=1.0, exec_stall_s=5.0),
+                           SimRandom(3).spawn("faults"), retry=None)
+    calls = []
+    handle = runtime.executor.submit(1.0, calls.append, "x")
+    assert handle.time == 6.0  # the stall is service time: one entry
+    runtime.clock.schedule(3.0, handle.cancel)
+    runtime.clock.run()
+    assert calls == []
+    assert runtime.executor.inflight == 0
     assert runtime.clock.pending == 0
 
 
@@ -77,10 +77,24 @@ def _without_host_accounting(outcome):
     return report
 
 
+def _failure_messages(task):
+    """Failure-handling messages of one run of ``task``: the paper's
+    rollback, halt and compensation traffic."""
+    architecture, mode = parse_config(task.config, CHAOS_MODES)
+    prepared = PreparedRun(architecture, task.resolved_params(),
+                           coordination=(mode == "coordinated"),
+                           seed=task.seed, trace=True)
+    prepared.system.inject_faults(task.plan())
+    prepared.execute(task.instances_per_schema)
+    return prepared.system.metrics.total_messages(Mechanism.FAILURE)
+
+
 @pytest.mark.parametrize("config", CHAOS_CONFIGS)
 def test_strict_chaos_replays_executor_faults(config):
     """The seed's random schedule plus step failures and stalls holds every
-    invariant under ``--strict``, and replays bit for bit."""
+    invariant under ``--strict``, and replays bit for bit.  An injected
+    ``execfail`` is a failed step, so the run carries failure-handling
+    traffic and every instance still ends committed or aborted."""
     plan = replace(ChaosTask(config, seed=6).plan(), exec_fail_p=0.1,
                    exec_stall_p=0.1, exec_stall_s=2.0)
     task = ChaosTask(config, seed=6, plan_spec=plan.to_spec(), strict=True)
@@ -89,6 +103,7 @@ def test_strict_chaos_replays_executor_faults(config):
     assert first.started == first.committed + first.aborted
     assert first.fault_stats["exec_failures"] > 0
     assert first.fault_stats["exec_stalls"] > 0
+    assert _failure_messages(task) > 0
     assert _without_host_accounting(first) == _without_host_accounting(task.run())
 
 
@@ -108,9 +123,9 @@ class RaisesOnce(NoopProgram):
 
 @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
 def test_a_step_callback_that_raises_fails_the_simulated_run(architecture):
-    """The executor retries the raise as it would a transient fault, but a
-    program fails its step instead of raising, so what was not injected
-    is a defect: ``ControlSystem.run`` reports it with its traceback."""
+    """A program fails its step instead of raising, so a raise is a
+    defect: it is not retried, and ``ControlSystem.run`` reports it with
+    its traceback."""
     system = make_system(architecture)
     schema = linear_schema()
     system.register_schema(schema)
@@ -119,9 +134,10 @@ def test_a_step_callback_that_raises_fails_the_simulated_run(architecture):
     with pytest.raises(SimulationError) as raised:
         system.run()
     message = str(raised.value)
-    assert message.startswith("1 step-executor attempt(s) raised")
+    assert message.startswith("1 step-executor callback(s) raised")
     assert "RuntimeError: defect in the program" in message
-    [(__, trace)] = system.runtime.executor.errors
+    assert system.runtime.executor.errors == 1
+    __, trace = system.runtime.executor.first_error
     assert 'raise RuntimeError("defect in the program")' in trace
 
 

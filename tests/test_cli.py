@@ -334,7 +334,7 @@ def test_top_render_frame():
         "architecture": "centralized", "runtime": "asyncio", "uptime": 12.5,
         "ready": True, "draining": False, "instances_finished": 1,
         "instances_submitted": 2, "events_processed": 9, "messages_sent": 8,
-        "executor_retries": 0, "executor_failures": 0, "trace_dropped": 0,
+        "executor_errors": 2, "trace_dropped": 0,
     }
     instances = [
         {"instance": "Orders-1", "workflow": "Orders",
@@ -351,6 +351,7 @@ def test_top_render_frame():
     events = {"Orders-1": {"count": 12, "last": "workflow.committed"}}
     frame = _render_top(status, instances, metrics, events)
     assert "1/2 finished" in frame
+    assert "errors 2" in frame and "retries" not in frame
     assert "mean latency 0.250s" in frame
     assert "Orders-1" in frame and "workflow.committed" in frame
     assert "Orders-2" in frame and "running" in frame

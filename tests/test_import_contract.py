@@ -418,6 +418,31 @@ def test_one_executor_and_one_runtime_serve_both_clocks():
         assert [ast.unparse(b) for b in classes[name].bases] == ["ClockRuntime"], name
 
 
+def test_the_step_executor_retries_nothing():
+    """A raising step callback is a defect and an injected ``execfail`` is
+    a failed step, so the executor has nothing to retry:
+    ``runtime/executor.py`` imports neither ``RetryPolicy`` nor
+    ``SimRandom``, ``TaskExecutor`` has no requeue, retry hooks or retry
+    counters, and ``repro.errors`` has no ``InjectedFault``."""
+    tree = ast.parse((SRC / "repro" / "runtime" / "executor.py").read_text())
+    imported = {alias.name.rpartition(".")[2]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"RetryPolicy", "SimRandom", "retry", "rng"}, imported
+    [executor] = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "TaskExecutor"]
+    members = {node.name for node in ast.walk(executor)
+               if isinstance(node, ast.FunctionDef)}
+    members |= {node.attr for node in ast.walk(executor)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    retry_machinery = {"_requeue", "on_retry", "on_give_up", "retries", "failures"}
+    assert not members & retry_machinery, sorted(members & retry_machinery)
+    errors = ast.parse((SRC / "repro" / "errors.py").read_text())
+    assert "InjectedFault" not in {node.name for node in errors.body
+                                   if isinstance(node, ast.ClassDef)}
+
+
 def test_runtime_layer_has_no_static_backend_imports():
     """repro.runtime never imports repro.sim: the shared pieces (queue,
     transport, executor, ``ClockRuntime``) sit below the simulator that
