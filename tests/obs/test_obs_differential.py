@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.analysis.experiment import control_system_class
 from repro.cli import main
+from repro.engines import SystemConfig
 from repro.obs import profile as profile_module
-from repro.obs.export import prometheus_text
+from repro.obs.export import prometheus_text, trace_to_jsonl
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Tracer
+from repro.runtime.faults import FaultPlan
+from repro.workloads import travel_booking
 from tests.conftest import ALL_ARCHITECTURES
 from tests.obs import reference_obs
 
@@ -417,3 +421,69 @@ def test_fixed_seed_exports_are_the_parents_bytes(architecture, export, tmp_path
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[architecture, export]
+
+
+#: ``repro trace orders --instances 4 --seed 7``: relative-order clearance
+#: and its coordination marks on every architecture.
+ORDERS_GOLDEN = {
+    ("centralized", "jsonl"): "9642d811d9d9e19727922cb7f9af2db930f99c4160025764b279f0f6e103b6cc",
+    ("centralized", "chrome"): "ad835b32577565403edc95b2032293915c1a9d06b730132a1dbe1faa183349d0",
+    ("parallel", "jsonl"): "089a249a8c74955c3834b7faff926a453b7d436593546076d923b8c76fd4b1d3",
+    ("parallel", "chrome"): "2a8b160f714de45c4d22ef4a97246cf7284414ccbc16f21a343d7df3b0dd4fd0",
+    ("distributed", "jsonl"): "52723e8cdfc79b5d38e7e63f6ec4975b8a7215c9589b9285b62194e403e1ff36",
+    ("distributed", "chrome"): "602564146796198a9383457633b126c63573f341f20043da9e68db6ecbc436cb",
+}
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+@pytest.mark.parametrize("export", ["jsonl", "chrome"])
+def test_orders_exports_are_the_parents_bytes(architecture, export, tmp_path, capsys):
+    out = tmp_path / f"{architecture}.{export}"
+    assert main(["trace", "orders", "--instances", "4", "--seed", "7",
+                 "--architecture", architecture, "--format", export,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ORDERS_GOLDEN[architecture, export]
+
+
+def faulted_run(architecture):
+    """Three ``TravelBooking`` instances 0.5 apart, the second aborted at
+    t=1.2, while agent-001 is down from t=1 to t=7 and StepStatus times
+    out after 2.0: step spans close as done, failed, timeout and
+    cancelled, and a recovery episode ends in an abort."""
+    system = control_system_class(architecture)(SystemConfig(
+        seed=11, step_status_timeout=2.0, step_status_poll_interval=1.0,
+    ))
+    travel_booking().install(system)
+    system.inject_faults(FaultPlan.parse("crash=agent-001@1+6"))
+    instances = [
+        system.start_workflow("TravelBooking", {"traveller": "t", "dates": "d"},
+                              delay=i * 0.5)
+        for i in range(3)
+    ]
+    system.abort_workflow(instances[1], delay=1.2)
+    system.run()
+    system.tracer.finish(system.simulator.now)
+    return system, instances
+
+
+FAULTED_GOLDEN = {
+    "centralized": "ecb41fcf8fcf4ab64593aa2aee060f8d1f1582105a0511c94f3615c6c27c0c32",
+    "parallel": "d5565bfe5e7b10192c48258132b43cfcc13e864de4e1bdf0f70cc47428cd849e",
+    "distributed": "7f7b11a93cf57e6e916c171e47879ce5e85e336ccff3dea9df99f830cb8aaac7",
+}
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_faulted_run_export_is_the_parents_bytes(architecture):
+    system, instances = faulted_run(architecture)
+    assert [system.outcome(i).status.name for i in instances] == [
+        "COMMITTED", "ABORTED", "COMMITTED"]
+    statuses = {s.attrs.get("status") for s in system.tracer.by_category("step")}
+    assert {"done", "failed"} <= statuses
+    if architecture != "distributed":
+        # engine-side watchdogs and the abort retire in-flight dispatches
+        assert {"timeout", "cancelled"} <= statuses
+    text = trace_to_jsonl(system.trace, system.tracer)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULTED_GOLDEN[architecture]
