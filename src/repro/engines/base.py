@@ -39,7 +39,7 @@ from repro.model.schema import StepDef, WorkflowSchema
 from repro.obs.causal import MessageTracer
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
-from repro.obs.spans import NULL_SPAN, Span, Tracer
+from repro.obs.spans import Span, Tracer
 from repro.rules.events import step_compensated, step_done, step_fail
 from repro.runtime.executor import ClockRuntime
 from repro.runtime.latency import FixedLatency
@@ -339,12 +339,20 @@ class ControlSystem:
         if self.config.flight_capacity > 0:
             capacity = self.config.flight_capacity
             self.network.flight_factory = lambda name: FlightRecorder(capacity)
-            self.network.flight_sink = self._flight_sink
+        # Every node emits its protocol events here; the trace switch
+        # picks which views they feed.
+        self.network.events = self.emit
+        if self.config.trace:
+            self._views, self._default_views = EVENT_VIEWS, (_record,)
+        else:
+            self._views, self._default_views = UNTRACED_EVENT_VIEWS, ()
         #: Fault injector installed by :meth:`inject_faults` (None = the
         #: transport keeps its reliable persistent-queue semantics).
         self.faults = None
         self._workflow_spans: dict[str, Span] = {}
         self._recovery_spans: dict[str, Span] = {}
+        #: instance -> (node, step) -> the step span open there.
+        self._step_spans: dict[str, dict[tuple[str, str], Span]] = {}
         # The hooks' hot metric children, each bound on its first
         # observation: bound any earlier, a family nobody fed would
         # appear in the exposition.
@@ -445,85 +453,22 @@ class ControlSystem:
     def workflow_status(self, instance_id: str) -> InstanceStatus:
         raise NotImplementedError  # pragma: no cover - interface
 
-    # -- observability hooks (shared by every architecture) ---------------------------
+    # -- protocol events -------------------------------------------------------------
 
-    def obs_instance_started(
-        self,
-        instance_id: str,
-        schema_name: str,
-        node: str,
-        now: float,
-        parent_instance: str | None = None,
-    ) -> Span:
-        """Count the start and open the workflow-instance span.
+    def emit(self, node: Any, kind: str, detail: dict[str, Any]) -> None:
+        """One protocol event at ``node``, now: run the views its kind feeds.
 
-        Nested workflows pass ``parent_instance`` so their span nests
-        under the parent's step that launched them.
+        Every engine node reaches this through ``Node.emit(kind,
+        **detail)``.  :data:`EVENT_VIEWS` decides what a kind feeds — the
+        flat trace record, the step, workflow and recovery spans, the
+        OCR and coordination marks, their histograms and the flight
+        dump — and with tracing off only the views marked untraced run.
         """
-        self.metrics.instances_started += 1
-        if not self.tracer.enabled:
-            return NULL_SPAN
-        parent = None
-        if parent_instance is not None:
-            parent = self._workflow_spans.get(parent_instance)
-        span = self.tracer.start(
-            instance_id, "workflow", node, now, parent=parent,
-            schema=schema_name, architecture=self.architecture,
-        )
-        self._workflow_spans[instance_id] = span
-        started = self._started_counter
-        if started is None:
-            started = self._started_counter = self.registry.counter(
-                "crew_instances_started_total", "Workflow instances started.",
-                architecture=self.architecture,
-            )
-        started.inc()
-        return span
-
-    def workflow_span(self, instance_id: str) -> Span:
-        """The open workflow span of an instance (NULL_SPAN if unknown)."""
-        if not self.tracer.enabled:
-            return NULL_SPAN
-        return self._workflow_spans.get(instance_id, NULL_SPAN)
-
-    def obs_step_dispatched(
-        self, instance_id: str, step: str, node: str, now: float, **attrs: Any
-    ) -> Span:
-        """Open a step span (engine dispatch or local program launch)."""
-        if not self.tracer.enabled:
-            return NULL_SPAN
-        parent = self._recovery_spans.get(instance_id)
-        if parent is None or parent.end is not None:
-            parent = self._workflow_spans.get(instance_id)
-        return self.tracer.add(
-            f"{instance_id}/{step}", "step", node, now, None, parent, None,
-            {"instance": instance_id, "step": step, **attrs},
-        )
-
-    def obs_step_finished(self, span: Span, now: float, **attrs: Any) -> None:
-        """Close a step span and feed the step-latency histogram."""
-        if not self.tracer.enabled or span.is_null or not span.open:
-            return
-        self.tracer.end(span, now, **attrs)
-        latency = self._step_latency
-        if latency is None:
-            latency = self._step_latency = self.registry.histogram(
-                "crew_step_latency",
-                "Step dispatch-to-result latency in simulated time units.",
-                buckets=STEP_LATENCY_BUCKETS,
-                architecture=self.architecture,
-            )
-        latency.observe(now - span.start)
-
-    def obs_step_done(self, instance_id: str, step: str, now: float) -> None:
-        """A step completed successfully; closes a recovery episode whose
-        rollback origin just re-established itself."""
-        if not self.tracer.enabled:
-            return
-        episode = self._recovery_spans.get(instance_id)
-        if (episode is not None and episode.open
-                and episode.attrs.get("origin") == step):
-            self._obs_end_recovery(instance_id, now, resolved="origin-reexecuted")
+        views = self._views.get(kind, self._default_views)
+        if views:
+            now = self.simulator.now
+            for view in views:
+                view(self, now, node, kind, detail)
 
     def obs_recovery_started(
         self,
@@ -533,19 +478,20 @@ class ControlSystem:
         origin: str | None,
         epoch: int,
         mechanism: str,
-    ) -> Span:
-        """Open a recovery-episode span (rollback / unhandled failure).
+    ) -> None:
+        """Open a recovery-episode span (rollback, unhandled failure, abort).
 
         A newer rollback supersedes a still-open episode: the old span is
-        closed here so episodes never overlap for one instance.
+        closed here so episodes never overlap for one instance.  Called
+        once per episode whether tracing is on or not.
         """
         if not self.tracer.enabled:
-            return NULL_SPAN
+            return
         if instance_id in self._recovery_spans:
             self._obs_end_recovery(instance_id, now, resolved="superseded")
         span = self.tracer.start(
             f"recovery:{instance_id}#{epoch}", "recovery", node, now,
-            parent=self.workflow_span(instance_id),
+            parent=self._workflow_spans.get(instance_id),
             instance=instance_id, origin=origin or "-", epoch=epoch,
             mechanism=mechanism,
         )
@@ -554,7 +500,6 @@ class ControlSystem:
             "crew_recoveries_total", "Recovery episodes (rollbacks) started.",
             architecture=self.architecture,
         ).inc()
-        return span
 
     def _obs_end_recovery(self, instance_id: str, now: float, **attrs: Any) -> None:
         episode = self._recovery_spans.pop(instance_id, None)
@@ -568,40 +513,21 @@ class ControlSystem:
             architecture=self.architecture,
         ).observe(episode.duration)
 
-    def obs_ocr_planned(
-        self, instance_id: str, node: str, now: float, plan: Any
-    ) -> None:
-        """Instant span for a non-trivial OCR decision (re-triggered step)."""
-        if not self.tracer.enabled:
-            return
+    def _step_parent(self, instance_id: str) -> Span | None:
+        """An instance's open recovery episode, else its workflow span."""
         parent = self._recovery_spans.get(instance_id)
-        if parent is None or not parent.open:
-            parent = self.workflow_span(instance_id)
-        self.tracer.mark(
-            f"ocr:{plan.step}", "recovery", node, now, parent,
-            {"instance": instance_id, **plan.span_attrs()},
-        )
+        if parent is None or parent.end is not None:
+            parent = self._workflow_spans.get(instance_id)
+        return parent
 
-    def obs_coordination(
-        self, instance_id: str | None, node: str, now: float, op: str,
-        spec_name: str | None = None, **attrs: Any,
-    ) -> None:
-        """Instant coordination-round span plus the per-op counter."""
-        if not self.tracer.enabled:
-            return
-        parent = (self._workflow_spans.get(instance_id)
-                  if instance_id is not None else None)
-        self.tracer.mark(
-            f"coord:{op}", "coordination", node, now, parent,
-            {"spec": spec_name or "-", **attrs},
-        )
-        ops = self._coordination_counters.get(op)
-        if ops is None:
-            ops = self._coordination_counters[op] = self.registry.counter(
-                "crew_coordination_ops_total",
-                "Coordination operations performed.", op=op,
-            )
-        ops.inc()
+    def _pop_step_span(self, node: str, instance_id: str, step: str) -> Span | None:
+        spans = self._step_spans.get(instance_id)
+        if spans is None:
+            return None
+        span = spans.pop((node, step), None)
+        if not spans:
+            del self._step_spans[instance_id]
+        return span
 
     def rule_fire_hook(self, node: str, instance_id: str):
         """A RuleEngine ``fire_hook`` for one instance, or None when off.
@@ -632,16 +558,6 @@ class ControlSystem:
             )
 
         return hook
-
-    def _flight_sink(
-        self, time: float, node: str, reason: str,
-        events: list[dict], **detail: Any,
-    ) -> None:
-        """Persist a flight-recorder snapshot (bypasses the trace switch)."""
-        self.trace.snapshot(
-            time, node, "flight.snapshot", reason=reason, events=events,
-            **detail,
-        )
 
     # -- step programs -----------------------------------------------------------------
 
@@ -815,6 +731,9 @@ class ControlSystem:
         )
         if not self.tracer.enabled:
             return
+        # What the instance still had open closes with its workflow span
+        # below; a step launched after this point opens a root span.
+        self._step_spans.pop(instance_id, None)
         self._obs_end_recovery(instance_id, now, resolved=status.name.lower())
         span = self._workflow_spans.pop(instance_id, None)
         if span is not None and span.open:
@@ -846,3 +765,197 @@ class ControlSystem:
             if ref in state.data:
                 outputs[name] = state.data[ref]
         return outputs
+
+
+# -- views of the protocol events --------------------------------------------------
+#
+# A view is ``view(system, now, node, kind, detail)``.  ``detail`` is the
+# keyword dict of the one ``Node.emit`` call; a view copies what it keeps.
+
+
+def _untraced(view: Callable) -> Callable:
+    """Mark a view that runs with tracing off too."""
+    view.untraced = True
+    return view
+
+
+def _record(system: ControlSystem, now: float, node: Any, kind: str,
+            detail: dict[str, Any]) -> None:
+    """The flat trace record."""
+    system.trace.record(now, node.name, kind, **detail)
+
+
+def _record_but(*keys: str) -> Callable:
+    """The flat trace record without the detail only other views read."""
+    def record(system, now, node, kind, detail):
+        system.trace.record(now, node.name, kind, **{
+            k: v for k, v in detail.items() if k not in keys})
+    return record
+
+
+@_untraced
+def _count_start(system, now, node, kind, detail):
+    system.metrics.instances_started += 1
+
+
+def _workflow_opened(system, now, node, kind, detail):
+    """The workflow span; a nested workflow's nests under its parent's."""
+    instance = detail["instance"]
+    system._workflow_spans[instance] = system.tracer.start(
+        instance, "workflow", node.name, now,
+        parent=system._workflow_spans.get(detail["parent"]),
+        schema=detail["schema"], architecture=system.architecture,
+    )
+    started = system._started_counter
+    if started is None:
+        started = system._started_counter = system.registry.counter(
+            "crew_instances_started_total", "Workflow instances started.",
+            architecture=system.architecture,
+        )
+    started.inc()
+
+
+def _step_opened(*keys: str) -> Callable:
+    """Open the step span of (node, instance, step); ``keys`` stay off it."""
+    def opened(system, now, node, kind, detail):
+        instance, step = detail["instance"], detail["step"]
+        span = system.tracer.add(
+            f"{instance}/{step}", "step", node.name, now, None,
+            system._step_parent(instance), None,
+            {k: v for k, v in detail.items() if k not in keys},
+        )
+        system._step_spans.setdefault(instance, {})[node.name, step] = span
+    return opened
+
+
+def _step_closed(status: str, *keys: str) -> Callable:
+    """Close the step span with ``status`` (and ``keys`` of the detail)
+    and feed the step-latency histogram."""
+    def closed(system, now, node, kind, detail):
+        span = system._pop_step_span(node.name, detail["instance"], detail["step"])
+        if span is None or span.end is not None:
+            return
+        system.tracer.end(span, now, status=status,
+                          **{k: detail[k] for k in keys})
+        latency = system._step_latency
+        if latency is None:
+            latency = system._step_latency = system.registry.histogram(
+                "crew_step_latency",
+                "Step dispatch-to-result latency in simulated time units.",
+                buckets=STEP_LATENCY_BUCKETS,
+                architecture=system.architecture,
+            )
+        latency.observe(now - span.start)
+    return closed
+
+
+def _step_cancelled(system, now, node, kind, detail):
+    """Close the step span as cancelled: its result will never count."""
+    span = system._pop_step_span(node.name, detail["instance"], detail["step"])
+    if span is not None:
+        system.tracer.end(span, now, status="cancelled")
+
+
+def _node_crashed(system, now, node, kind, detail):
+    """A crash loses the node's in-flight steps: their spans leave the map
+    open, for their workflow span to close."""
+    for instance in list(system._step_spans):
+        spans = system._step_spans[instance]
+        for key in [key for key in spans if key[0] == node.name]:
+            del spans[key]
+        if not spans:
+            del system._step_spans[instance]
+
+
+def _reestablished(system, now, node, kind, detail):
+    """A step completed: it closes a recovery episode it was the origin of."""
+    instance = detail["instance"]
+    episode = system._recovery_spans.get(instance)
+    if (episode is not None and episode.open
+            and episode.attrs.get("origin") == detail["step"]):
+        system._obs_end_recovery(instance, now, resolved="origin-reexecuted")
+
+
+def _recovery_started(mechanism: str | None = None) -> Callable:
+    """Open a recovery episode (``mechanism``, else the detail's)."""
+    @_untraced
+    def started(system, now, node, kind, detail):
+        if detail["epoch"] is None:
+            return  # nothing of the instance here to halt
+        system.obs_recovery_started(
+            detail["instance"], node.name, now, origin=detail.get("origin"),
+            epoch=detail["epoch"], mechanism=mechanism or detail["mechanism"],
+        )
+    return started
+
+
+def _ocr_marked(system, now, node, kind, detail):
+    """Instant mark of a non-trivial OCR decision (a re-triggered step)."""
+    instance, plan = detail["instance"], detail["plan"]
+    system.tracer.mark(
+        f"ocr:{plan.step}", "recovery", node.name, now,
+        system._step_parent(instance),
+        {"instance": instance, **plan.span_attrs()},
+    )
+
+
+def _coordination_marked(system, now, node, kind, detail):
+    """Instant coordination-round mark plus the per-op counter."""
+    op = detail["op"]
+    attrs = {"spec": detail["spec"] or "-"}
+    attrs.update((k, v) for k, v in detail.items()
+                 if k not in ("op", "instance", "spec"))
+    system.tracer.mark(
+        f"coord:{op}", "coordination", node.name, now,
+        system._workflow_spans.get(detail["instance"]), attrs,
+    )
+    ops = system._coordination_counters.get(op)
+    if ops is None:
+        ops = system._coordination_counters[op] = system.registry.counter(
+            "crew_coordination_ops_total",
+            "Coordination operations performed.", op=op,
+        )
+    ops.inc()
+
+
+def _flight_dump(reason: str, *keys: str) -> Callable:
+    """Snapshot the node's flight-recorder ring into the trace, bypassing
+    the trace switch: post-mortem context is for untraced runs too."""
+    @_untraced
+    def dump(system, now, node, kind, detail):
+        if node.flight is not None:
+            system.trace.snapshot(
+                now, node.name, "flight.snapshot", reason=reason,
+                events=node.flight.snapshot(), **{k: detail[k] for k in keys},
+            )
+    return dump
+
+
+#: Protocol event kind -> the views it feeds, in order.  A kind not listed
+#: feeds the flat record alone.  A kind listed without a record view
+#: (a mark, a cancelled or reestablished step, a halt, a crash) has never
+#: had a flat record, and every pinned export would move if it grew one.
+EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
+    "workflow.start": (_record_but("parent"), _count_start, _workflow_opened),
+    "step.dispatch": (_record_but("attempt", "mechanism"), _step_opened("epoch")),
+    "step.execute": (_record_but("mechanism"), _step_cancelled, _step_opened()),
+    "step.redispatch": (_record, _step_closed("timeout")),
+    "step.done": (_record, _step_closed("done"), _reestablished),
+    "step.fail": (_record, _flight_dump("step.fail", "instance", "step"),
+                  _step_closed("failed", "error")),
+    "step.reuse": (_record, _reestablished),
+    "step.cancel": (_step_cancelled,),
+    "nested.done": (_reestablished,),
+    "rollback": (_record_but("mechanism"), _recovery_started()),
+    "failure.unhandled": (_record_but("epoch"), _recovery_started("failure")),
+    "abort.halt": (_recovery_started("abort"),),
+    "ocr.plan": (_ocr_marked,),
+    "coord": (_coordination_marked,),
+    "node.crash": (_flight_dump("crash"), _node_crashed),
+}
+
+#: What each kind feeds with tracing off.
+UNTRACED_EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
+    kind: tuple(view for view in views if getattr(view, "untraced", False))
+    for kind, views in EVENT_VIEWS.items()
+}

@@ -62,10 +62,8 @@ class EngineCoordinationMixin:
         for spec, pair_index in self.spec_index.ro_roles(schema_name, step):
             authority = self.authorities.ro[spec.name]
             key = SpecIndex.conflict_key_value(spec, runtime.state)
-            self.system.obs_coordination(
-                instance_id, self.name, self.simulator.now, "ro.report",
-                spec_name=spec.name, step=step, pair=pair_index,
-            )
+            self.emit("coord", op="ro.report", instance=instance_id,
+                      spec=spec.name, step=step, pair=pair_index)
             grants = authority.report_completion(schema_name, instance_id, pair_index, key)
             if pair_index == 0:
                 n_pairs = len(spec.steps_a)
@@ -89,10 +87,8 @@ class EngineCoordinationMixin:
         # Rollback dependency: register target-step completion.
         for spec in self.spec_index.rd_targets(schema_name, step):
             authority = self.authorities.rd[spec.name]
-            self.system.obs_coordination(
-                instance_id, self.name, self.simulator.now, "rd.report",
-                spec_name=spec.name, step=step,
-            )
+            self.emit("coord", op="rd.report", instance=instance_id,
+                      spec=spec.name, step=step)
             authority.report_target_executed(
                 instance_id, SpecIndex.conflict_key_value(spec, runtime.state)
             )
@@ -105,10 +101,8 @@ class EngineCoordinationMixin:
         key = SpecIndex.conflict_key_value(spec, runtime.state)
         instance_id = runtime.state.instance_id
         granted = authority.acquire(runtime.state.schema_name, instance_id, key)
-        self.system.obs_coordination(
-            instance_id, self.name, self.simulator.now, "mx.acquire",
-            spec_name=spec.name, granted=granted,
-        )
+        self.emit("coord", op="mx.acquire", instance=instance_id, spec=spec.name,
+                  granted=granted)
         if granted:
             runtime.mx_state[spec.name] = "held"
             self._deliver_grant(instance_id, mx_clearance_token(spec.name, instance_id))
@@ -121,10 +115,8 @@ class EngineCoordinationMixin:
         authority = self.authorities.mx[spec.name]
         key = SpecIndex.conflict_key_value(spec, runtime.state)
         runtime.mx_state[spec.name] = "released"
-        self.system.obs_coordination(
-            runtime.state.instance_id, self.name, self.simulator.now,
-            "mx.release", spec_name=spec.name,
-        )
+        self.emit("coord", op="mx.release", instance=runtime.state.instance_id,
+                  spec=spec.name)
         grantee = authority.release(
             runtime.state.schema_name, runtime.state.instance_id, key
         )
@@ -166,14 +158,11 @@ class EngineCoordinationMixin:
             self._charge(Mechanism.COORDINATION)
             key = SpecIndex.conflict_key_value(spec, state)
             for dependent in authority.dependents_of(instance_id, key):
-                self.trace.record(self.simulator.now, self.name,
-                                  "rollback.dependency",
-                                  trigger=instance_id, dependent=dependent,
-                                  spec=spec.name)
-                self.system.obs_coordination(
-                    instance_id, self.name, self.simulator.now,
-                    "rd.propagate", spec_name=spec.name, dependent=dependent,
-                )
+                self.emit("rollback.dependency", instance=dependent,
+                          trigger=instance_id, dependent=dependent,
+                          spec=spec.name)
+                self.emit("coord", op="rd.propagate", instance=instance_id,
+                          spec=spec.name, dependent=dependent)
                 self._rollback(
                     dependent, spec.rollback_to_b, Mechanism.FAILURE, from_rd=True
                 )

@@ -61,10 +61,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
 
     # ------------------------------------------------------------------ helpers
 
-    @property
-    def trace(self):
-        return self.system.trace
-
     def _charge(self, mechanism: Mechanism, units: float = 1.0) -> None:
         self.charge(units, mechanism)
 
@@ -103,12 +99,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         self.runtimes[instance_id] = runtime
         self.system._note_owner(instance_id, self.name)
         self._install_preconditions(runtime)
-        self.system.obs_instance_started(
-            instance_id, schema_name, self.name, self.simulator.now,
-            parent_instance=parent_link[0] if parent_link else None,
-        )
-        self.trace.record(self.simulator.now, self.name, "workflow.start",
-                          instance=instance_id, schema=schema_name)
+        self.emit("workflow.start", instance=instance_id, schema=schema_name,
+                  parent=parent_link[0] if parent_link else None)
         self._charge(Mechanism.NORMAL)
         # Mutual-exclusion regions opening at the start step are acquired now.
         for spec in self.spec_index.mx_region_first(schema_name, compiled.start_step):
@@ -159,9 +151,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                 compiled, runtime.state, split, step
             )
             if abandoned:
-                self.trace.record(self.simulator.now, self.name, "compensate.thread",
-                                  instance=instance_id, split=split,
-                                  steps=",".join(abandoned))
+                self.emit("compensate.thread", instance=instance_id, split=split,
+                          steps=",".join(abandoned))
                 self._compensate_chain(
                     runtime, abandoned, runtime.recovery_mechanism,
                     on_done=lambda: None,
@@ -174,16 +165,12 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             from repro.model.policies import DEFAULT_POLICY as policy  # type: ignore[no-redef]
         plan = plan_step_action(step_def, record, new_inputs, policy)
         if plan.decision is not None:
-            self.system.obs_ocr_planned(
-                instance_id, self.name, self.simulator.now, plan
-            )
+            self.emit("ocr.plan", instance=instance_id, plan=plan)
 
         if plan.reuse_outputs:
             record.reuses += 0  # updated inside record_reuse
             token = record_reuse(runtime.state, step_def, self.simulator.now)
-            self.trace.record(self.simulator.now, self.name, "step.reuse",
-                              instance=instance_id, step=step)
-            self.system.obs_step_done(instance_id, step, self.simulator.now)
+            self.emit("step.reuse", instance=instance_id, step=step)
             self.wfdb.persist(runtime.state)
             runtime.engine.post_event(token, self.simulator.now)
             self._after_step_done(instance_id, step)
@@ -214,10 +201,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                 ordered = stale_compensation_chain(members, stale_times, step)
             else:
                 ordered = [step]
-            self.trace.record(self.simulator.now, self.name, "ocr.compensate",
-                              instance=instance_id, step=step,
-                              comp=plan.compensation_kind or "-",
-                              chain=",".join(ordered))
+            self.emit("ocr.compensate", instance=instance_id, step=step,
+                      comp=plan.compensation_kind or "-", chain=",".join(ordered))
             partial = {step} if plan.compensation_kind == "partial" else None
             self._compensate_chain(runtime, ordered, mechanism, on_done=proceed,
                                    partial_for=partial)
@@ -308,16 +293,12 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             attempt=attempt,
             mechanism=mechanism,
             agent=agent,
-            span=self.system.obs_step_dispatched(
-                instance_id, step, self.name, self.simulator.now,
-                agent=agent, attempt=attempt, mechanism=mechanism.value,
-            ),
             cost=cost,
         )
         self._agent_load_view[agent] += 1
-        self.trace.record(self.simulator.now, self.name, "step.dispatch",
-                          instance=instance_id, step=step, agent=agent,
-                          epoch=runtime.state.recovery_epoch)
+        self.emit("step.dispatch", instance=instance_id, step=step, agent=agent,
+                  epoch=runtime.state.recovery_epoch, attempt=attempt,
+                  mechanism=mechanism.value)
         self.send(
             agent,
             "StepExecute",
@@ -374,9 +355,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         ):
             return  # completed, rolled back, or finished in the meantime
         if retry > self.MAX_STEP_RETRIES:
-            self.trace.record(self.simulator.now, self.name,
-                              "step.retry_exhausted",
-                              instance=instance_id, step=step)
+            self.emit("step.retry_exhausted", instance=instance_id, step=step)
             return
         eligible = self.system.assignment.eligible(runtime.state.schema_name, step)
         agent = next((a for a in eligible if self.network.is_up(a)), None)
@@ -387,12 +366,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                 instance_id, step, epoch, retry + 1,
             )
             return
-        self.trace.record(self.simulator.now, self.name, "step.redispatch",
-                          instance=instance_id, step=step, agent=agent,
-                          was=inflight.agent, retry=retry)
-        self.system.obs_step_finished(
-            inflight.span, self.simulator.now, status="timeout"
-        )
+        self.emit("step.redispatch", instance=instance_id, step=step, agent=agent,
+                  was=inflight.agent, retry=retry)
         self._agent_load_view[inflight.agent] -= 1
         del self._inflight[(instance_id, step)]
         # Re-dispatch (a late duplicate result is discarded by the
@@ -420,8 +395,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             # Stale result from before a rollback/abort: discard.  The
             # rollback already retired the matching in-flight record and
             # reset the step status, so nothing else to do here.
-            self.trace.record(self.simulator.now, self.name, "step.stale_result",
-                              instance=instance_id, step=step)
+            self.emit("step.stale_result", instance=instance_id, step=step)
             return
         del self._inflight[key]
         self._agent_load_view[inflight.agent] -= 1
@@ -432,12 +406,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                 state, step_def, inflight.inputs, payload["outputs"],
                 self.simulator.now, inflight.agent,
             )
-            self.trace.record(self.simulator.now, self.name, "step.done",
-                              instance=instance_id, step=step)
-            self.system.obs_step_finished(
-                inflight.span, self.simulator.now, status="done"
-            )
-            self.system.obs_step_done(instance_id, step, self.simulator.now)
+            self.emit("step.done", instance=instance_id, step=step)
             self.wfdb.persist(state)
             runtime.engine.post_event(token, self.simulator.now)
             self._after_step_done(instance_id, step)
@@ -445,14 +414,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             token = record_execution_failure(
                 state, step_def, inflight.inputs, self.simulator.now, inflight.agent
             )
-            self.trace.record(self.simulator.now, self.name, "step.fail",
-                              instance=instance_id, step=step,
-                              error=payload.get("error") or "-")
-            self.dump_flight("step.fail", instance=instance_id, step=step)
-            self.system.obs_step_finished(
-                inflight.span, self.simulator.now, status="failed",
-                error=payload.get("error") or "-",
-            )
+            self.emit("step.fail", instance=instance_id, step=step,
+                      error=payload.get("error") or "-")
             self.wfdb.persist(state)
             runtime.engine.post_event(token, self.simulator.now)
             self._handle_failure(instance_id, step)
@@ -470,8 +433,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         child_inputs = dict(zip(child_schema.schema.inputs, child_values))
         child_id = f"{instance_id}.{step}#{record.executions + 1}"
         runtime.nested_children[step] = child_id
-        self.trace.record(self.simulator.now, self.name, "nested.start",
-                          instance=instance_id, step=step, child=child_id)
+        self.emit("nested.start", instance=instance_id, step=step, child=child_id)
         self.workflow_start(
             child_schema.name, child_id, child_inputs,
             parent_link=(instance_id, step),
@@ -496,7 +458,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         token = record_execution_success(
             runtime.state, step_def, inputs, outputs, self.simulator.now, self.name
         )
-        self.system.obs_step_done(parent_id, parent_step, self.simulator.now)
+        self.emit("nested.done", instance=parent_id, step=parent_step)
         self.wfdb.persist(runtime.state)
         runtime.engine.post_event(token, self.simulator.now)
         self._after_step_done(parent_id, parent_step)
@@ -532,8 +494,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             outputs,
             self.simulator.now,
         )
-        self.trace.record(self.simulator.now, self.name, "workflow.commit",
-                          instance=instance_id)
+        self.emit("workflow.commit", instance=instance_id)
         if runtime.parent_link is not None:
             parent_id, parent_step = runtime.parent_link
             self._on_nested_done(parent_id, parent_step, outputs)
@@ -587,5 +548,4 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                     record.status = StepStatus.NOT_STARTED
             self._coord_on_recover(runtime)
             engine.post_event(WF_START, self.simulator.now)
-        self.trace.record(self.simulator.now, self.name, "engine.recovered",
-                          instances=restored)
+        self.emit("engine.recovered", instances=restored)

@@ -34,21 +34,17 @@ class EngineRecoveryMixin:
         if status is InstanceStatus.COMMITTED:
             # "any request for aborting the workflow ... after a workflow
             # commit will be rejected."
-            self.trace.record(self.simulator.now, self.name, "abort.rejected",
-                              instance=instance_id, reason="committed")
+            self.emit("abort.rejected", instance=instance_id, reason="committed")
             return
         if status is InstanceStatus.ABORTED:
             return
         runtime = self.runtime(instance_id)
-        self.trace.record(self.simulator.now, self.name, "workflow.abort.request",
-                          instance=instance_id)
+        self.emit("workflow.abort.request", instance=instance_id)
         self._charge(Mechanism.ABORT)
         # Halt everything first: bump the epoch so in-flight results are stale.
         runtime.state.recovery_epoch += 1
-        self.system.obs_recovery_started(
-            instance_id, self.name, self.simulator.now, origin=None,
-            epoch=runtime.state.recovery_epoch, mechanism="abort",
-        )
+        self.emit("abort.halt", instance=instance_id,
+                  epoch=runtime.state.recovery_epoch)
         schema = runtime.compiled.schema
         to_compensate = [
             s
@@ -74,10 +70,7 @@ class EngineRecoveryMixin:
         for key in [k for k in self._inflight if k[0] == instance_id]:
             retired = self._inflight.pop(key)
             self._agent_load_view[retired.agent] -= 1
-            if retired.span is not None:
-                self.system.tracer.end(
-                    retired.span, self.simulator.now, status="cancelled"
-                )
+            self.emit("step.cancel", instance=instance_id, step=key[1])
         self.wfdb.set_status(instance_id, InstanceStatus.ABORTED)
         self._release_coordination(runtime, aborted=True)
         self.system._record_outcome(
@@ -88,8 +81,7 @@ class EngineRecoveryMixin:
             self.simulator.now,
         )
         self.wfdb.archive(instance_id)
-        self.trace.record(self.simulator.now, self.name, "workflow.aborted",
-                          instance=instance_id)
+        self.emit("workflow.aborted", instance=instance_id)
 
     # ------------------------------------------------------------ input changes
 
@@ -100,9 +92,8 @@ class EngineRecoveryMixin:
         consuming a changed input, then OCR re-execution."""
         status = self.wfdb.status(instance_id)
         if status is not InstanceStatus.RUNNING:
-            self.trace.record(self.simulator.now, self.name,
-                              "change_inputs.rejected",
-                              instance=instance_id, reason=status.value)
+            self.emit("change_inputs.rejected", instance=instance_id,
+                      reason=status.value)
             return
         runtime = self.runtime(instance_id)
         self._charge(Mechanism.INPUT_CHANGE)
@@ -116,8 +107,8 @@ class EngineRecoveryMixin:
                 origin = step
                 break
         runtime.state.apply_input_changes(changes)
-        self.trace.record(self.simulator.now, self.name, "workflow.change_inputs",
-                          instance=instance_id, origin=origin or "-")
+        self.emit("workflow.change_inputs", instance=instance_id,
+                  origin=origin or "-")
         if origin is not None:
             self._rollback(instance_id, origin, Mechanism.INPUT_CHANGE)
 
@@ -132,13 +123,9 @@ class EngineRecoveryMixin:
         if origin is None:
             # No rollback point: Saga-style default — compensate everything
             # executed (reverse order) and abort the workflow.
-            self.trace.record(self.simulator.now, self.name, "failure.unhandled",
-                              instance=instance_id, step=failed_step)
             runtime.state.recovery_epoch += 1
-            self.system.obs_recovery_started(
-                instance_id, self.name, self.simulator.now, origin=None,
-                epoch=runtime.state.recovery_epoch, mechanism="failure",
-            )
+            self.emit("failure.unhandled", instance=instance_id, step=failed_step,
+                      epoch=runtime.state.recovery_epoch)
             executed = [
                 s
                 for s in reversed(runtime.state.executed_steps_in_order())
@@ -168,13 +155,8 @@ class EngineRecoveryMixin:
         state.recovery_epoch += 1
         runtime.recovery_mechanism = mechanism
         recovery = RecoveryTokens(compiled, origin)
-        self.trace.record(self.simulator.now, self.name, "rollback",
-                          instance=instance_id, origin=origin,
-                          epoch=state.recovery_epoch)
-        self.system.obs_recovery_started(
-            instance_id, self.name, self.simulator.now, origin=origin,
-            epoch=state.recovery_epoch, mechanism=mechanism.value,
-        )
+        self.emit("rollback", instance=instance_id, origin=origin,
+                  epoch=state.recovery_epoch, mechanism=mechanism.value)
         # Halting threads is local work in centralized control; one unit of
         # navigation load per affected step.
         self._charge(mechanism, len(recovery.steps))
@@ -187,10 +169,7 @@ class EngineRecoveryMixin:
             retired = self._inflight.pop((instance_id, step), None)
             if retired is not None:
                 self._agent_load_view[retired.agent] -= 1
-                if retired.span is not None:
-                    self.system.tracer.end(
-                        retired.span, self.simulator.now, status="cancelled"
-                    )
+                self.emit("step.cancel", instance=instance_id, step=step)
         runtime.reported -= recovery.steps
         self.wfdb.persist(state)
 
@@ -213,9 +192,8 @@ class EngineRecoveryMixin:
                 f"iterations in instance {instance_id}"
             )
         body = rule.loop_body
-        self.trace.record(self.simulator.now, self.name, "loop.iterate",
-                          instance=instance_id, rule=rule.rule_id,
-                          iteration=runtime.loop_fires[rule.rule_id])
+        self.emit("loop.iterate", instance=instance_id, rule=rule.rule_id,
+                  iteration=runtime.loop_fires[rule.rule_id])
         from repro.core.recovery import invalidation_tokens
 
         runtime.engine.invalidate_events(invalidation_tokens(body))
@@ -285,9 +263,8 @@ class EngineRecoveryMixin:
         agent = record.agent or self.system.assignment.eligible(
             runtime.state.schema_name, step
         )[0]
-        self.trace.record(self.simulator.now, self.name, "step.compensate",
-                          instance=chain.instance_id, step=step, comp=kind,
-                          agent=agent)
+        self.emit("step.compensate", instance=chain.instance_id, step=step,
+                  comp=kind, agent=agent)
         self.send(
             agent,
             "StepCompensate",

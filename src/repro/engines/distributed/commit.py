@@ -141,8 +141,8 @@ class AgentCommitMixin:
         tracker.executors.update(payload["executors"])
         tracker.done_times.update(payload["done_times"])
         tracker.data.update(payload["data"])
-        self.trace.record(self.simulator.now, self.name, "terminal.reported",
-                          instance=instance_id, terminal=terminal, epoch=epoch)
+        self.emit("terminal.reported", instance=instance_id, terminal=terminal,
+                  epoch=epoch)
         if compiled.commit_ready(set(tracker.reported)):
             self._commit(instance_id, compiled, tracker)
         else:
@@ -166,8 +166,7 @@ class AgentCommitMixin:
             instance_id, compiled.name, InstanceStatus.COMMITTED, outputs,
             self.simulator.now,
         )
-        self.trace.record(self.simulator.now, self.name, "workflow.commit",
-                          instance=instance_id)
+        self.emit("workflow.commit", instance=instance_id)
         self._withdraw_coordination(instance_id, runtime, aborted=False)
         if tracker.parent_link is not None:
             parent_id, parent_step = tracker.parent_link

@@ -56,10 +56,8 @@ class AgentCoordinationMixin:
 
     def _to_authority(self, spec: CoordinationSpec, payload: dict[str, Any]) -> None:
         authority = self.system.authority_agent_for(spec)
-        self.system.obs_coordination(
-            payload.get("instance_id"), self.name, self.simulator.now,
-            payload["op"], spec_name=spec.name, authority=authority,
-        )
+        self.emit("coord", op=payload["op"], instance=payload.get("instance_id"),
+                  spec=spec.name, authority=authority)
         if authority == self.name:
             self._apply_authority_op(payload)
         else:
@@ -238,9 +236,9 @@ class AgentCoordinationMixin:
                 "mechanism": Mechanism.FAILURE.value,
                 "from_rd": True,
             }
-            self.trace.record(self.simulator.now, self.name, "rollback.dependency",
-                              trigger=payload["instance_id"], dependent=dependent,
-                              spec=spec.name)
+            self.emit("rollback.dependency", instance=dependent,
+                      trigger=payload["instance_id"], dependent=dependent,
+                      spec=spec.name)
             if target == self.name:
                 self._apply_dependent_rollback(rollback_payload)
             else:

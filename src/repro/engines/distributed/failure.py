@@ -90,8 +90,8 @@ class AgentFailureMixin:
             "epoch": new_epoch,
             "mechanism": Mechanism.FAILURE.value,
         }
-        self.trace.record(self.simulator.now, self.name, "rollback.request",
-                          instance=instance_id, origin=origin, target=target)
+        self.emit("rollback.request", instance=instance_id, origin=origin,
+                  target=target)
         if target == self.name:
             self._apply_workflow_rollback(payload)
         else:
@@ -117,18 +117,14 @@ class AgentFailureMixin:
             for step in sorted(done_times, key=lambda s: -done_times[s])
             if schema.steps[step].compensable
         ]
-        self.trace.record(self.simulator.now, self.name, "failure.unhandled",
-                          instance=instance_id, step=payload["failed_step"])
         # Halt every thread first: the probes invalidate all completions, and
         # the compensation chain carries those invalidations so hop agents
         # see the staleness regardless of message arrival order.
+        epoch = None if runtime is None else runtime.fragment.recovery_epoch + 1
+        self.emit("failure.unhandled", instance=instance_id,
+                  step=payload["failed_step"], epoch=epoch)
         invalidations: dict[str, int] = {}
         if runtime is not None:
-            self.system.obs_recovery_started(
-                instance_id, self.name, self.simulator.now, origin=None,
-                epoch=runtime.fragment.recovery_epoch + 1, mechanism="failure",
-            )
-            epoch = runtime.fragment.recovery_epoch + 1
             runtime.fragment.recovery_epoch = epoch
             self._halt_from(runtime, instance_id, compiled.start_step, epoch,
                             Mechanism.FAILURE, include_origin_agent=True)
@@ -187,10 +183,8 @@ class AgentFailureMixin:
     def _on_step_status_reply(self, message: Message) -> None:
         # Replies are informational; the packet resend (when status=done)
         # repairs the flow.  Recorded for tests/observability.
-        self.trace.record(self.simulator.now, self.name, "step.status_reply",
-                          instance=message.payload["instance_id"],
-                          step=message.payload["step"],
-                          status=message.payload["status"])
+        self.emit("step.status_reply", instance=message.payload["instance_id"],
+                  step=message.payload["step"], status=message.payload["status"])
 
     def poll_step_status(self, schema_name: str, instance_id: str, step: str) -> None:
         """Poll the eligible agents of ``step`` (paper's predecessor-failure
@@ -280,10 +274,10 @@ class AgentFailureMixin:
 
     def _on_status_probe_report_payload(self, report: dict[str, Any]) -> None:
         self._probe_reports.setdefault(report["instance_id"], []).append(report)
-        self.trace.record(self.simulator.now, self.name, "status.probe_report",
-                          instance=report["instance_id"], agent=report["agent"],
-                          running=",".join(report["running"]) or "-",
-                          waiting=",".join(report["waiting"]) or "-")
+        self.emit("status.probe_report", instance=report["instance_id"],
+                  agent=report["agent"],
+                  running=",".join(report["running"]) or "-",
+                  waiting=",".join(report["waiting"]) or "-")
 
     # ------------------------------------------------------------------ watchdogs
 
@@ -331,8 +325,7 @@ class AgentFailureMixin:
                 instance_id, step,
             )
             return
-        self.trace.record(self.simulator.now, self.name, "step.takeover",
-                          instance=instance_id, step=step, was=assigned)
+        self.emit("step.takeover", instance=instance_id, step=step, was=assigned)
         runtime.assigned[step] = self.name
         self._execute_step(instance_id, step)
 
@@ -373,8 +366,7 @@ class AgentFailureMixin:
                 self._retire(batch)
             else:
                 self.send(agent, VERB_PURGE, payload, Mechanism.NORMAL)
-        self.trace.record(self.simulator.now, self.name, "purge.broadcast",
-                          count=len(batch))
+        self.emit("purge.broadcast", count=len(batch))
 
     def _on_purge(self, message: Message) -> None:
         self._retire(list(message.payload["instance_ids"]))

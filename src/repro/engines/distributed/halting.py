@@ -56,12 +56,8 @@ class AgentHaltingMixin:
         mechanism = Mechanism(payload.get("mechanism", Mechanism.FAILURE.value))
         if epoch <= fragment.recovery_epoch:
             return  # already handled (duplicate rollback request)
-        self.trace.record(self.simulator.now, self.name, "rollback",
-                          instance=instance_id, origin=origin, epoch=epoch)
-        self.system.obs_recovery_started(
-            instance_id, self.name, self.simulator.now, origin=origin,
-            epoch=epoch, mechanism=mechanism.value,
-        )
+        self.emit("rollback", instance=instance_id, origin=origin, epoch=epoch,
+                  mechanism=mechanism.value)
         fragment.recovery_epoch = epoch
         runtime.recovery_mechanism = mechanism
         runtime.origin_history[epoch] = origin
@@ -151,8 +147,7 @@ class AgentHaltingMixin:
         runtime.origin_history[epoch] = origin
         compiled = runtime.compiled
         recovery = RecoveryTokens(compiled, origin)
-        self.trace.record(self.simulator.now, self.name, "halt.thread",
-                          instance=instance_id, origin=origin, epoch=epoch)
+        self.emit("halt.thread", instance=instance_id, origin=origin, epoch=epoch)
         runtime.engine.apply_invalidations(dict(payload["invalidations"]))
         runtime.engine.reset_rules_for_steps(recovery.steps)
         absorb_invalidations(runtime, payload["invalidations"])
@@ -224,9 +219,8 @@ class AgentHaltingMixin:
         runtime.engine.post_event(token, self.simulator.now,
                                   runtime.fragment.invalidation_round)
         self._persist(runtime)
-        self.trace.record(self.simulator.now, self.name, "step.compensated",
-                          instance=runtime.fragment.instance_id, step=step,
-                          comp=kind)
+        self.emit("step.compensated", instance=runtime.fragment.instance_id,
+                  step=step, comp=kind)
 
     def _forward_compensate_set(
         self,
@@ -335,8 +329,8 @@ class AgentHaltingMixin:
             "executors": dict(runtime.executors),
             "invalidations": dict(runtime.known_invalidations),
         }
-        self.trace.record(self.simulator.now, self.name, "compensate.thread",
-                          instance=instance_id, steps=",".join(steps))
+        self.emit("compensate.thread", instance=instance_id,
+                  steps=",".join(steps))
         self._process_compensate_thread(payload)
 
     def _on_compensate_thread(self, message: Message) -> None:

@@ -89,8 +89,8 @@ class AgentNavigationMixin:
         if fragment.status is not InstanceStatus.RUNNING:
             return
         if packet.recovery_epoch < fragment.recovery_epoch:
-            self.trace.record(self.simulator.now, self.name, "packet.stale",
-                              instance=instance_id, step=packet.target_step)
+            self.emit("packet.stale", instance=instance_id,
+                      step=packet.target_step)
             return
         if packet.recovery_epoch > fragment.recovery_epoch:
             fragment.recovery_epoch = packet.recovery_epoch
@@ -195,15 +195,11 @@ class AgentNavigationMixin:
         policy = compiled.schema.cr_policies.get(step, DEFAULT_POLICY)
         plan = plan_step_action(step_def, record, new_inputs, policy)
         if plan.decision is not None:
-            self.system.obs_ocr_planned(
-                instance_id, self.name, self.simulator.now, plan
-            )
+            self.emit("ocr.plan", instance=instance_id, plan=plan)
 
         if plan.reuse_outputs:
             token = record_reuse(fragment, step_def, self.simulator.now)
-            self.trace.record(self.simulator.now, self.name, "step.reuse",
-                              instance=instance_id, step=step)
-            self.system.obs_step_done(instance_id, step, self.simulator.now)
+            self.emit("step.reuse", instance=instance_id, step=step)
             runtime.executors[step] = self.name
             self._persist(runtime)
             runtime.engine.post_event(token, self.simulator.now,
@@ -224,9 +220,8 @@ class AgentNavigationMixin:
                     members, step, compiled.graph.topo_index
                 )
                 runtime.pending_exec[step] = (plan, new_inputs, mechanism)
-                self.trace.record(self.simulator.now, self.name, "compensate.set",
-                                  instance=instance_id, step=step,
-                                  chain=",".join(chain))
+                self.emit("compensate.set", instance=instance_id, step=step,
+                          chain=",".join(chain))
                 self._forward_compensate_set(
                     runtime, instance_id, chain, step, mechanism,
                     partial_kind=plan.compensation_kind,
@@ -262,18 +257,8 @@ class AgentNavigationMixin:
         attempt = record.executions + 1
         epoch = runtime.fragment.recovery_epoch
         runtime.running_exec[step] = epoch
-        stale_span = runtime.exec_spans.pop(step, None)
-        if stale_span is not None:
-            self.system.tracer.end(
-                stale_span, self.simulator.now, status="cancelled"
-            )
-        runtime.exec_spans[step] = self.system.obs_step_dispatched(
-            instance_id, step, self.name, self.simulator.now,
-            attempt=attempt, epoch=epoch, mechanism=mechanism.value,
-        )
-        self.trace.record(self.simulator.now, self.name, "step.execute",
-                          instance=instance_id, step=step, attempt=attempt,
-                          epoch=epoch)
+        self.emit("step.execute", instance=instance_id, step=step,
+                  attempt=attempt, epoch=epoch, mechanism=mechanism.value)
         delay = cost * self.config.work_time_scale
         self.schedule_causal(
             delay, self._complete_program, instance_id, step, epoch, attempt,
@@ -297,8 +282,7 @@ class AgentNavigationMixin:
         if runtime.running_exec.get(step) != epoch or fragment.recovery_epoch != epoch:
             # Stale completion from before a rollback; the halt already
             # reset the step record and a newer execution may be in flight.
-            self.trace.record(self.simulator.now, self.name, "step.stale_result",
-                              instance=instance_id, step=step)
+            self.emit("step.stale_result", instance=instance_id, step=step)
             if runtime.running_exec.get(step) == epoch:
                 # This *was* the step's latest local launch — it raced an
                 # epoch bump (a delayed pre-rollback packet started it just
@@ -322,19 +306,12 @@ class AgentNavigationMixin:
             cost,
         )
         runtime.executors[step] = self.name
-        exec_span = runtime.exec_spans.pop(step, None)
         if result.success:
             token = record_execution_success(
                 fragment, step_def, inputs, result.outputs, self.simulator.now,
                 self.name,
             )
-            self.trace.record(self.simulator.now, self.name, "step.done",
-                              instance=instance_id, step=step)
-            if exec_span is not None:
-                self.system.obs_step_finished(
-                    exec_span, self.simulator.now, status="done"
-                )
-            self.system.obs_step_done(instance_id, step, self.simulator.now)
+            self.emit("step.done", instance=instance_id, step=step)
             self._persist(runtime)
             runtime.engine.post_event(token, self.simulator.now,
                                       runtime.fragment.invalidation_round)
@@ -343,15 +320,8 @@ class AgentNavigationMixin:
             token = record_execution_failure(
                 fragment, step_def, inputs, self.simulator.now, self.name
             )
-            self.trace.record(self.simulator.now, self.name, "step.fail",
-                              instance=instance_id, step=step,
-                              error=result.error or "-")
-            self.dump_flight("step.fail", instance=instance_id, step=step)
-            if exec_span is not None:
-                self.system.obs_step_finished(
-                    exec_span, self.simulator.now, status="failed",
-                    error=result.error or "-",
-                )
+            self.emit("step.fail", instance=instance_id, step=step,
+                      error=result.error or "-")
             self._persist(runtime)
             runtime.engine.post_event(token, self.simulator.now,
                                       runtime.fragment.invalidation_round)
@@ -524,10 +494,8 @@ class AgentNavigationMixin:
                 f"iterations in {instance_id}"
             )
         body = rule.loop_body
-        now = self.simulator.now
-        self.trace.record(now, self.name, "loop.iterate",
-                          instance=instance_id, rule=rule.rule_id,
-                          iteration=runtime.loop_fires[rule.rule_id])
+        self.emit("loop.iterate", instance=instance_id, rule=rule.rule_id,
+                  iteration=runtime.loop_fires[rule.rule_id])
         tokens = invalidation_tokens(body)
         open_invalidation_round(runtime, tokens)
         runtime.engine.invalidate_events(tokens)
@@ -569,8 +537,7 @@ class AgentNavigationMixin:
         child_inputs = dict(zip(child_compiled.schema.inputs, inputs.values()))
         child_id = f"{instance_id}.{step}#{record.executions + 1}"
         coordination_agent = self._coordination_agent_of(child_compiled)
-        self.trace.record(self.simulator.now, self.name, "nested.start",
-                          instance=instance_id, step=step, child=child_id)
+        self.emit("nested.start", instance=instance_id, step=step, child=child_id)
         payload = {
             "schema_name": child_compiled.name,
             "instance_id": child_id,

@@ -102,10 +102,6 @@ class WorkflowAgentNode(
 
     # ------------------------------------------------------------------ wiring
 
-    @property
-    def trace(self):
-        return self.system.trace
-
     def hosted_steps(self, compiled: CompiledSchema) -> frozenset[str]:
         return self.agdb.hosted_steps(compiled.name, compiled.schema.steps)
 
@@ -207,13 +203,9 @@ class WorkflowAgentNode(
         self.trackers[instance_id] = tracker
         self.agdb.set_tracker(instance_id, tracker.snapshot())
         runtime = self._runtime(schema_name, instance_id, inputs, parent_link)
-        self.system.obs_instance_started(
-            instance_id, schema_name, self.name, self.simulator.now,
-            parent_instance=parent_link[0] if parent_link else None,
-        )
         self.system._note_owner(instance_id, self.name)
-        self.trace.record(self.simulator.now, self.name, "workflow.start",
-                          instance=instance_id, schema=schema_name)
+        self.emit("workflow.start", instance=instance_id, schema=schema_name,
+                  parent=parent_link[0] if parent_link else None)
         self.charge(1.0, Mechanism.NORMAL)
         # A mutual-exclusion region opening at the start step is acquired now.
         for spec in self.spec_index.mx_region_first(schema_name, compiled.start_step):
@@ -232,8 +224,7 @@ class WorkflowAgentNode(
         if status is InstanceStatus.COMMITTED:
             # "any request for aborting the workflow ... after a workflow
             # commit will be rejected."
-            self.trace.record(self.simulator.now, self.name, "abort.rejected",
-                              instance=instance_id, reason="committed")
+            self.emit("abort.rejected", instance=instance_id, reason="committed")
             return
         if status is InstanceStatus.ABORTED:
             return
@@ -243,8 +234,7 @@ class WorkflowAgentNode(
             raise FrontEndError(f"unknown instance {instance_id!r}")
         compiled = runtime.compiled
         schema = compiled.schema
-        self.trace.record(self.simulator.now, self.name, "workflow.abort.request",
-                          instance=instance_id)
+        self.emit("workflow.abort.request", instance=instance_id)
         self.charge(1.0, Mechanism.ABORT)
         # Compensate the abort-compensation steps: the coordination agent
         # "may have to send messages to all eligible agents" since it does
@@ -264,10 +254,7 @@ class WorkflowAgentNode(
                     self.send(agent, WI.STEP_COMPENSATE.value, payload, Mechanism.ABORT)
         # Halt every thread starting from the first step.
         epoch = runtime.fragment.recovery_epoch + 1
-        self.system.obs_recovery_started(
-            instance_id, self.name, self.simulator.now, origin=None,
-            epoch=epoch, mechanism="abort",
-        )
+        self.emit("abort.halt", instance=instance_id, epoch=epoch)
         self._halt_from(runtime, instance_id, compiled.start_step, epoch,
                         Mechanism.ABORT, include_origin_agent=True)
         tracker.finished = True
@@ -279,8 +266,7 @@ class WorkflowAgentNode(
         self.system._record_outcome(
             instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
         )
-        self.trace.record(self.simulator.now, self.name, "workflow.aborted",
-                          instance=instance_id)
+        self.emit("workflow.aborted", instance=instance_id)
         self._queue_purge(instance_id, aborted=True)
 
     def workflow_change_inputs(
@@ -289,9 +275,8 @@ class WorkflowAgentNode(
         """WorkflowChangeInputs WI at the coordination agent."""
         status = self.agdb.summary(instance_id)
         if status is not InstanceStatus.RUNNING:
-            self.trace.record(self.simulator.now, self.name,
-                              "change_inputs.rejected",
-                              instance=instance_id, reason=status.value)
+            self.emit("change_inputs.rejected", instance=instance_id,
+                      reason=status.value)
             return
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
@@ -304,8 +289,8 @@ class WorkflowAgentNode(
             if changed_refs.intersection(compiled.schema.steps[step].inputs):
                 origin = step
                 break
-        self.trace.record(self.simulator.now, self.name, "workflow.change_inputs",
-                          instance=instance_id, origin=origin or "-")
+        self.emit("workflow.change_inputs", instance=instance_id,
+                  origin=origin or "-")
         runtime.fragment.apply_input_changes(changes)
         runtime.input_overrides.update(
             {f"WF.{name}": value for name, value in changes.items()}
@@ -344,8 +329,7 @@ class WorkflowAgentNode(
         dropped before it can build a runtime or append to the log."""
         if not self.agdb.was_purged(instance_id):
             return False
-        self.trace.record(self.simulator.now, self.name, "purge.late",
-                          instance=instance_id, verb=verb)
+        self.emit("purge.late", instance=instance_id, verb=verb)
         return True
 
     def _on_workflow_start_msg(self, message: Message) -> None:
@@ -402,5 +386,4 @@ class WorkflowAgentNode(
             # them so a stale packet arriving now cannot revive an event that
             # a rollback already invalidated.
             runtime.engine.apply_invalidations(fragment.known_invalidations)
-        self.trace.record(self.simulator.now, self.name, "agent.recovered",
-                          fragments=len(self.runtimes))
+        self.emit("agent.recovered", fragments=len(self.runtimes))

@@ -122,11 +122,9 @@ class ParallelEngineNode(CentralEngineNode):
         peers = self._peers()
         for peer in peers:
             self.send(peer, VERB_COORD_OP, payload, Mechanism.COORDINATION)
-        self.system.obs_coordination(
-            payload.get("instance"), self.name, self.simulator.now,
-            f"broadcast.{payload['op']}", spec_name=payload.get("spec"),
-            peers=len(peers),
-        )
+        self.emit("coord", op=f"broadcast.{payload['op']}",
+                  instance=payload.get("instance"), spec=payload.get("spec"),
+                  peers=len(peers))
         self._apply_coord_op(payload)
 
     def _on_coord_op(self, message: Message) -> None:
@@ -251,10 +249,9 @@ class ParallelEngineNode(CentralEngineNode):
             spec = next(s for s in self.spec_index.rd if s.name == payload["spec"])
             for dependent in replica.dependents_of(payload["instance"], payload["key"]):
                 if self._owns(dependent) and dependent in self.runtimes:
-                    self.trace.record(self.simulator.now, self.name,
-                                      "rollback.dependency",
-                                      trigger=payload["instance"],
-                                      dependent=dependent, spec=spec.name)
+                    self.emit("rollback.dependency", instance=dependent,
+                              trigger=payload["instance"], dependent=dependent,
+                              spec=spec.name)
                     self._rollback(
                         dependent, spec.rollback_to_b, Mechanism.FAILURE, from_rd=True
                     )

@@ -19,7 +19,6 @@ class InflightStep:
     attempt: int
     mechanism: Mechanism
     agent: str
-    span: Any = None  # open step Span (or NULL_SPAN when tracing is off)
     cost: float = 0.0  # execution cost, kept for watchdog re-dispatch
 
 

@@ -90,8 +90,6 @@ class AgentRuntime(InstanceRuntime):
     running_exec: dict[str, int] = field(default_factory=dict)
     input_overrides: dict[str, Any] = field(default_factory=dict)
     pending_exec: dict[str, tuple] = field(default_factory=dict)
-    #: step -> open execution Span of the program currently running here.
-    exec_spans: dict[str, Any] = field(default_factory=dict)
     watchdogs: set[str] = field(default_factory=set)
 
     @property

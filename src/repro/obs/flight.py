@@ -10,8 +10,8 @@ flag — when the node crashes or a step fails.
 
 The recorder is injected into the sim layer duck-typed (see
 :mod:`repro.obs.causal` for the pattern): the control system sets
-``network.flight_factory`` / ``network.flight_sink`` before nodes are
-constructed.
+``network.flight_factory`` before nodes are constructed, and its
+``node.crash`` and ``step.fail`` event views take the snapshots.
 """
 
 from __future__ import annotations

@@ -21,10 +21,16 @@ wall-clock asyncio runtime unchanged.  Deferred service-time work
 :class:`~repro.runtime.executor.TaskExecutor` the owning
 :class:`~repro.runtime.executor.ClockRuntime` sets on the transport.
 
+A node describes each protocol event once, with :meth:`Node.emit`
+(``kind`` plus keyword detail).  The event goes to the network's
+``events`` callable — the owning control system's ``emit``, whose one
+table turns it into the flat trace record, spans, marks, histograms and
+flight-recorder dumps.  A node never builds any of those itself.
+
 Observability stays duck-typed (``runtime`` cannot import ``obs``): the
 owning control system injects ``causal`` / ``flight_factory`` /
-``flight_sink`` attributes on the network before nodes are constructed,
-and nodes cache them at init — the same pattern as the metrics
+``events`` attributes on the network before nodes are constructed, and
+nodes cache them at init — the same pattern as the metrics
 ``registry``.  With nothing injected, the per-message overhead is the
 Lamport bookkeeping plus a single boolean branch (guarded by the
 ``benchmarks/bench_obs_overhead.py`` <5% regression gate).
@@ -72,7 +78,7 @@ class Node:
         self.causal = network.causal
         flight_factory = network.flight_factory
         self.flight = flight_factory(name) if flight_factory is not None else None
-        self._flight_sink = network.flight_sink
+        self._events = network.events
         # Observability: the owning control system injects a
         # MetricsRegistry on the network when tracing is enabled; nodes
         # cache their per-node instruments so the hot path is one `is
@@ -193,14 +199,12 @@ class Node:
 
         self.executor.submit(delay, run, *args)
 
-    # -- flight recorder -------------------------------------------------------
+    # -- protocol events -------------------------------------------------------
 
-    def dump_flight(self, reason: str, **detail: Any) -> None:
-        """Snapshot the flight-recorder ring into the trace (post-mortem)."""
-        if self.flight is None or self._flight_sink is None:
-            return
-        self._flight_sink(self.simulator.now, self.name, reason,
-                          self.flight.snapshot(), **detail)
+    def emit(self, kind: str, **detail: Any) -> None:
+        """Describe one protocol event at this node, now."""
+        if self._events is not None:
+            self._events(self, kind, detail)
 
     # -- load accounting -------------------------------------------------------
 
@@ -222,7 +226,7 @@ class Node:
             self.registry.counter(
                 "crew_node_crashes_total", "Node crash events.", node=self.name
             ).inc()
-        self.dump_flight("crash")
+        self.emit("node.crash")
         self.on_crash()
 
     def recover(self) -> None:

@@ -65,13 +65,14 @@ class Network:
         #: control system before nodes are constructed; ``send`` then
         #: stamps every message with a sender-side message span.
         self.causal = None
-        #: Optional flight-recorder hooks: ``flight_factory(name)`` builds
-        #: a per-node bounded ring of transport events and
-        #: ``flight_sink(time, node, reason, events, **detail)`` persists a
-        #: snapshot of it (into the trace) on crash or step failure.  Both
-        #: are injected by the owning control system, like ``registry``.
+        #: Optional flight-recorder factory: ``flight_factory(name)``
+        #: builds a per-node bounded ring of transport events, which the
+        #: owning control system snapshots on crash or step failure.
         self.flight_factory = None
-        self.flight_sink = None
+        #: Where nodes emit protocol events: ``events(node, kind,
+        #: detail)``, the owning control system's ``emit``.  Both are
+        #: injected by the control system, like ``registry``.
+        self.events = None
         #: The step executor (:class:`repro.runtime.executor.
         #: TaskExecutor`), set by the owning :class:`~repro.runtime.
         #: executor.ClockRuntime` before nodes are constructed.  Nodes
