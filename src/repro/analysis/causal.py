@@ -213,36 +213,7 @@ class CausalTrace:
     def message_spans(self) -> list[SpanRow]:
         return [s for s in self.spans if s.category == "message"]
 
-    def records_for(self, instance: str) -> list[RecordRow]:
-        return [r for r in self.records if r.instance == instance]
-
     # -- causal chains -------------------------------------------------------
-
-    def causal_chain(self, span: SpanRow) -> list[SpanRow]:
-        """The chain of causal predecessors of ``span``, oldest first.
-
-        Follows ``link_id`` (cross-node) preferentially, then
-        ``parent_id`` (same-node nesting).  Cycles are impossible by
-        construction (ids increase along real causality) but guarded
-        anyway so a corrupt trace cannot hang the analyzer.
-        """
-        chain = [span]
-        seen = {span.span_id}
-        current = span
-        while True:
-            next_id = current.link_id
-            if next_id is None:
-                next_id = current.parent_id
-            if next_id is None or next_id in seen:
-                break
-            nxt = self.by_id.get(next_id)
-            if nxt is None:
-                break
-            chain.append(nxt)
-            seen.add(nxt.span_id)
-            current = nxt
-        chain.reverse()
-        return chain
 
     def critical_path(self, instance: str) -> list[SpanRow]:
         """Approximate critical path of one instance, oldest first.

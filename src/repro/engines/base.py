@@ -644,6 +644,11 @@ class ControlSystem:
                 f"first, in {name}:\n{error}"
             )
         if self.config.trace:
+            if not self.simulator.pending:
+                # A node that missed its instance's end may have launched
+                # a step; with the clock drained nothing can close it now.
+                for instance in [i for i in self._step_spans if i in self.outcomes]:
+                    del self._step_spans[instance]
             self.registry.gauge(
                 "crew_sim_events_processed", "Simulation events processed.",
             ).set(self.simulator.events_processed)
@@ -856,15 +861,17 @@ def _step_cancelled(system, now, node, kind, detail):
         system.tracer.end(span, now, status="cancelled")
 
 
-def _node_crashed(system, now, node, kind, detail):
-    """A crash loses the node's in-flight steps: their spans leave the map
-    open, for their workflow span to close."""
-    for instance in list(system._step_spans):
-        spans = system._step_spans[instance]
+def _node_forgot(system, now, node, kind, detail):
+    """A node lost its volatile state — of one instance it retired, or of
+    all in a crash — so it will never finish those steps: their spans leave
+    the map open, for their workflow span (or the tracer's finish) to close."""
+    instance = detail.get("instance")
+    for instance in [instance] if instance else list(system._step_spans):
+        spans = system._step_spans.get(instance, {})
         for key in [key for key in spans if key[0] == node.name]:
             del spans[key]
         if not spans:
-            del system._step_spans[instance]
+            system._step_spans.pop(instance, None)
 
 
 def _reestablished(system, now, node, kind, detail):
@@ -951,7 +958,8 @@ EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "abort.halt": (_recovery_started("abort"),),
     "ocr.plan": (_ocr_marked,),
     "coord": (_coordination_marked,),
-    "node.crash": (_flight_dump("crash"), _node_crashed),
+    "node.crash": (_flight_dump("crash"), _node_forgot),
+    "instance.retired": (_node_forgot,),
 }
 
 #: What each kind feeds with tracing off.

@@ -44,10 +44,6 @@ class CoordinationError(CrewError):
     """A coordinated-execution requirement could not be enforced."""
 
 
-class ProtocolError(CrewError):
-    """An inter-node message violated a workflow-interface contract."""
-
-
 class SimulationError(CrewError):
     """The discrete-event simulation kernel was misused."""
 

@@ -139,12 +139,6 @@ class CompiledSchema:
     def affected_terminals(self, origin: str) -> frozenset[str]:
         return frozenset(self.terminal_steps) & self.invalidation_set(origin)
 
-    def affected_splits(self, origin: str) -> frozenset[str]:
-        return frozenset(self.graph.xor_splits) & self.invalidation_set(origin)
-
-    def xor_branches(self, split: str) -> tuple[BranchInfo, ...]:
-        return self.graph.xor_splits[split]
-
     def abandoned_branch_members(self, split: str, taken_first: str) -> frozenset[str]:
         """Exclusive members of every branch of ``split`` other than the one
         whose first step is ``taken_first`` (CompensateThread targets)."""

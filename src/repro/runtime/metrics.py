@@ -52,9 +52,6 @@ class MetricsSnapshot:
     def messages_for(self, mechanism: Mechanism) -> int:
         return self.messages.get(mechanism, 0)
 
-    def load_for(self, node: str, mechanism: Mechanism) -> float:
-        return self.load.get((node, mechanism), 0.0)
-
 
 class MetricsCollector:
     """Accumulates message and load counters during a simulation run.

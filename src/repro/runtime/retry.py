@@ -56,11 +56,3 @@ class RetryPolicy:
         if self.jitter:
             raw += raw * self.jitter * rng.random()
         return raw
-
-    def worst_case_total(self) -> float:
-        """Upper bound on the total retransmission window of one message."""
-        total = 0.0
-        for attempt in range(1, self.budget + 1):
-            raw = min(self.base_delay * self.factor ** (attempt - 1), self.max_delay)
-            total += raw * (1.0 + self.jitter)
-        return total

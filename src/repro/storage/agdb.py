@@ -150,9 +150,6 @@ class AgentDatabase:
             )
         return hosted
 
-    def directory_items(self) -> tuple[tuple[tuple[str, str], tuple[str, ...]], ...]:
-        return tuple(sorted(self._directory.items()))
-
     # -- coordination instance summary table ---------------------------------------------
 
     def set_summary(self, instance_id: str, status: InstanceStatus) -> None:

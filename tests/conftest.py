@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiment import control_system_class
 from repro.core.programs import FunctionProgram, NoopProgram
 from repro.engines import (
     CentralizedControlSystem,
@@ -14,6 +15,8 @@ from repro.engines import (
     SystemConfig,
 )
 from repro.model import SchemaBuilder
+from repro.runtime.faults import FaultPlan
+from repro.workloads import travel_booking
 
 
 def linear_schema(name="Linear", steps=3, outputs=True):
@@ -125,6 +128,27 @@ def install_orders(system):
         "ord.check", FunctionProgram(lambda inputs, ctx: {"ok": inputs["WF.qty"]}))
     system.register_program("ord.reserve", FunctionProgram(_reserve))
     return document
+
+
+def faulted_run(architecture):
+    """Three ``TravelBooking`` instances 0.5 apart, the second aborted at
+    t=1.2, while agent-001 is down from t=1 to t=7 and StepStatus times
+    out after 2.0: step spans close as done, failed, timeout and
+    cancelled, and a recovery episode ends in an abort."""
+    system = control_system_class(architecture)(SystemConfig(
+        seed=11, step_status_timeout=2.0, step_status_poll_interval=1.0,
+    ))
+    travel_booking().install(system)
+    system.inject_faults(FaultPlan.parse("crash=agent-001@1+6"))
+    instances = [
+        system.start_workflow("TravelBooking", {"traveller": "t", "dates": "d"},
+                              delay=i * 0.5)
+        for i in range(3)
+    ]
+    system.abort_workflow(instances[1], delay=1.2)
+    system.run()
+    system.tracer.finish(system.simulator.now)
+    return system, instances
 
 
 def agent_holdings(agent) -> dict[str, set[str]]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.causal import CausalTrace
 from repro.core.programs import FailEveryNth, NoopProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.laws import load_laws
@@ -117,6 +118,11 @@ def test_rollback_dependency_cascades(architecture):
     assert system.outcome(i2).committed
     cascades = system.trace.filter(kind="rollback.dependency")
     assert any(r.detail["dependent"] == i2 for r in cascades)
+    # the record is the dependent's: its event stream says why it rolled back
+    rows = [r for r in CausalTrace.from_run(system.trace, system.tracer).records
+            if r.kind == "rollback.dependency"]
+    assert i2 in {r.instance for r in rows}
+    assert all(r.instance == r.detail["dependent"] for r in rows)
 
 
 @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)

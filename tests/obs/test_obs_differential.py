@@ -16,18 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.analysis.experiment import control_system_class
 from repro.cli import main
-from repro.engines import SystemConfig
 from repro.obs import profile as profile_module
 from repro.obs.export import prometheus_text, trace_to_jsonl
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Tracer
-from repro.runtime.faults import FaultPlan
-from repro.workloads import travel_booking
-from tests.conftest import ALL_ARCHITECTURES
+from tests.conftest import ALL_ARCHITECTURES, faulted_run
 from tests.obs import reference_obs
 
 # -- spans ----------------------------------------------------------------
@@ -445,27 +441,6 @@ def test_orders_exports_are_the_parents_bytes(architecture, export, tmp_path, ca
     capsys.readouterr()
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == ORDERS_GOLDEN[architecture, export]
-
-
-def faulted_run(architecture):
-    """Three ``TravelBooking`` instances 0.5 apart, the second aborted at
-    t=1.2, while agent-001 is down from t=1 to t=7 and StepStatus times
-    out after 2.0: step spans close as done, failed, timeout and
-    cancelled, and a recovery episode ends in an abort."""
-    system = control_system_class(architecture)(SystemConfig(
-        seed=11, step_status_timeout=2.0, step_status_poll_interval=1.0,
-    ))
-    travel_booking().install(system)
-    system.inject_faults(FaultPlan.parse("crash=agent-001@1+6"))
-    instances = [
-        system.start_workflow("TravelBooking", {"traveller": "t", "dates": "d"},
-                              delay=i * 0.5)
-        for i in range(3)
-    ]
-    system.abort_workflow(instances[1], delay=1.2)
-    system.run()
-    system.tracer.finish(system.simulator.now)
-    return system, instances
 
 
 FAULTED_GOLDEN = {

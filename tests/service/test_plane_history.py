@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.laws import load_laws
 from repro.obs.registry import MetricsRegistry
 from repro.service import WorkflowService
-from tests.conftest import ALL_ARCHITECTURES, ORDERS_LAWS
+from tests.conftest import ALL_ARCHITECTURES, ORDERS_LAWS, faulted_run
 
 BATCH = 32
 
@@ -61,6 +61,7 @@ def test_six_hundred_commits_leave_a_window_of_the_plane(architecture, tmp_path,
     assert f"and {tracer.dropped} span(s)" in system.trace.drop_summary(tracer.dropped)
     # nothing per instance outlives the instance
     assert system._workflow_spans == {} and system._recovery_spans == {}
+    assert system._step_spans == {}
     assert tracer._open_children == {}
     assert not [name for name in system.rng._streams if name.startswith("prog:")]
 
@@ -85,6 +86,16 @@ def test_six_hundred_commits_leave_a_window_of_the_plane(architecture, tmp_path,
     lossy = CausalTrace.from_jsonl("\n".join(jsonl.splitlines()[:-1]))
     assert {a.kind for a in lossy.anomalies()} <= {"orphan-link", "orphan-parent"}
     assert len(lossy.anomalies()) >= len(evicted_refs)
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_aborted_and_rolled_back_instances_leave_no_span_behind(architecture):
+    """The faulted run rolls back, times out, cancels and aborts: every
+    per-instance span map still drains."""
+    system, __ = faulted_run(architecture)
+    assert system.trace.count("rollback") and system.trace.count("workflow.aborted")
+    assert system._workflow_spans == {} and system._recovery_spans == {}
+    assert system._step_spans == {}
 
 
 def test_an_observation_costs_a_look_up_not_a_registration(monkeypatch):

@@ -494,3 +494,38 @@ def test_engines_subpackage_layering():
                     f"repro.engines.{target}: architectures must not couple"
                 )
     assert not violations, "\n".join(violations)
+
+
+def test_engines_emit_events_and_hold_no_spans():
+    """An engine node describes each protocol event once, with
+    ``emit``; spans, step metrics and flight dumps are views of it in
+    ``engines/base.py``.  No other engine module names ``Span``,
+    ``NULL_SPAN``, the ``tracer``, ``exec_spans`` or an ``obs_step_*``
+    hook, no ``InflightStep`` carries a span, and ``ControlSystem`` has no
+    ``obs_step_*`` method left."""
+    forbidden = {"Span", "NULL_SPAN", "tracer", "exec_spans"}
+    engines = SRC / "repro" / "engines"
+    violations = []
+    for module_path in sorted(engines.rglob("*.py")):
+        if module_path == engines / "base.py":
+            continue
+        for node in ast.walk(ast.parse(module_path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.alias):
+                names.append(node.asname or node.name.rpartition(".")[2])
+            for name in filter(None, names):
+                if name in forbidden or name.startswith("obs_step_"):
+                    where = module_path.relative_to(SRC)
+                    violations.append(f"{where}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not violations, "\n".join(violations)
+    inflight = ast.parse((engines / "runtime" / "inflight.py").read_text())
+    [record] = [node for node in inflight.body
+                if isinstance(node, ast.ClassDef) and node.name == "InflightStep"]
+    fields = {node.target.id for node in record.body if isinstance(node, ast.AnnAssign)}
+    assert "span" not in fields
+    base = ast.parse((engines / "base.py").read_text())
+    [system] = [node for node in base.body
+                if isinstance(node, ast.ClassDef) and node.name == "ControlSystem"]
+    hooks = [node.name for node in system.body if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("obs_step_")]
+    assert not hooks, hooks

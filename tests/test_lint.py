@@ -4,7 +4,8 @@ Three checks over ``src/``, each the counterpart of a ruff rule in
 ``pyproject.toml``: no unused import (F401), every ``__all__`` name is
 bound in its module (F822), and no line longer than the configured
 ``line-length`` (E501).  A line that carries ``# noqa`` is exempt, as it
-is for ruff.
+is for ruff.  A fourth has no ruff rule: no function, method or class
+defined in ``src/`` goes unnamed everywhere but at its definition.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 import ast
 import re
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = sorted((SRC / "repro").rglob("*.py"))
+#: Where a definition in ``src/`` may be used from.
+READERS = ("src", "tests", "bench", "scripts", "examples", "benchmarks")
 LINE_LENGTH = tomllib.loads(
     (ROOT / "pyproject.toml").read_text())["tool"]["ruff"]["line-length"]
 
@@ -113,3 +117,27 @@ def test_src_lines_fit_the_configured_length():
         if len(line) > LINE_LENGTH and not re.search(r"# noqa", line)
     ]
     assert not long_lines, "\n".join(long_lines)
+
+
+def test_every_src_definition_is_named_somewhere_else():
+    """A name that occurs only where it is defined is dead code.  Any
+    occurrence counts — a call, an attribute, a string a patch names it
+    by, a comment — in the Python of every directory that may use it."""
+    words: Counter = Counter()
+    for directory in READERS:
+        for path in (ROOT / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    definitions: Counter = Counter()
+    where: dict[str, str] = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[node.name] += 1
+                where[node.name] = f"{_relative(path)}:{node.lineno}"
+    dead = sorted(
+        f"{where[name]}: {name}" for name, count in definitions.items()
+        if words[name] == count
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not dead, "defined but named nowhere else:\n" + "\n".join(dead)
