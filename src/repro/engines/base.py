@@ -342,10 +342,7 @@ class ControlSystem:
         # Every node emits its protocol events here; the trace switch
         # picks which views they feed.
         self.network.events = self.emit
-        if self.config.trace:
-            self._views, self._default_views = EVENT_VIEWS, (_record,)
-        else:
-            self._views, self._default_views = UNTRACED_EVENT_VIEWS, ()
+        self._views = EVENT_VIEWS if self.config.trace else UNTRACED_EVENT_VIEWS
         #: Fault injector installed by :meth:`inject_faults` (None = the
         #: transport keeps its reliable persistent-queue semantics).
         self.faults = None
@@ -353,7 +350,7 @@ class ControlSystem:
         self._recovery_spans: dict[str, Span] = {}
         #: instance -> (node, step) -> the step span open there.
         self._step_spans: dict[str, dict[tuple[str, str], Span]] = {}
-        # The hooks' hot metric children, each bound on its first
+        # The views' hot metric children, each bound on its first
         # observation: bound any earlier, a family nobody fed would
         # appear in the exposition.
         self._started_counter: CounterMetric | None = None
@@ -464,11 +461,14 @@ class ControlSystem:
         OCR and coordination marks, their histograms and the flight
         dump — and with tracing off only the views marked untraced run.
         """
-        views = self._views.get(kind, self._default_views)
-        if views:
-            now = self.simulator.now
-            for view in views:
-                view(self, now, node, kind, detail)
+        views = self._views.get(kind)
+        if views is None:
+            if self.config.trace:
+                self.trace.record(self.simulator.now, node.name, kind, **detail)
+            return
+        now = self.simulator.now
+        for view in views:
+            view(self, now, node, kind, detail)
 
     def obs_recovery_started(
         self,
@@ -790,11 +790,17 @@ def _record(system: ControlSystem, now: float, node: Any, kind: str,
     system.trace.record(now, node.name, kind, **detail)
 
 
+def _without(detail: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
+    kept = dict(detail)
+    for key in keys:
+        del kept[key]
+    return kept
+
+
 def _record_but(*keys: str) -> Callable:
     """The flat trace record without the detail only other views read."""
     def record(system, now, node, kind, detail):
-        system.trace.record(now, node.name, kind, **{
-            k: v for k, v in detail.items() if k not in keys})
+        system.trace.record(now, node.name, kind, **_without(detail, keys))
     return record
 
 
@@ -826,8 +832,7 @@ def _step_opened(*keys: str) -> Callable:
         instance, step = detail["instance"], detail["step"]
         span = system.tracer.add(
             f"{instance}/{step}", "step", node.name, now, None,
-            system._step_parent(instance), None,
-            {k: v for k, v in detail.items() if k not in keys},
+            system._step_parent(instance), None, _without(detail, keys),
         )
         system._step_spans.setdefault(instance, {})[node.name, step] = span
     return opened
@@ -840,8 +845,10 @@ def _step_closed(status: str, *keys: str) -> Callable:
         span = system._pop_step_span(node.name, detail["instance"], detail["step"])
         if span is None or span.end is not None:
             return
-        system.tracer.end(span, now, status=status,
-                          **{k: detail[k] for k in keys})
+        attrs = {"status": status}
+        for key in keys:
+            attrs[key] = detail[key]
+        system.tracer.end(span, now, **attrs)
         latency = system._step_latency
         if latency is None:
             latency = system._step_latency = system.registry.histogram(
@@ -865,8 +872,8 @@ def _node_forgot(system, now, node, kind, detail):
     """A node lost its volatile state — of one instance it retired, or of
     all in a crash — so it will never finish those steps: their spans leave
     the map open, for their workflow span (or the tracer's finish) to close."""
-    instance = detail.get("instance")
-    for instance in [instance] if instance else list(system._step_spans):
+    retired = detail.get("instance")
+    for instance in [retired] if retired else list(system._step_spans):
         spans = system._step_spans.get(instance, {})
         for key in [key for key in spans if key[0] == node.name]:
             del spans[key]
@@ -909,9 +916,8 @@ def _ocr_marked(system, now, node, kind, detail):
 def _coordination_marked(system, now, node, kind, detail):
     """Instant coordination-round mark plus the per-op counter."""
     op = detail["op"]
-    attrs = {"spec": detail["spec"] or "-"}
-    attrs.update((k, v) for k, v in detail.items()
-                 if k not in ("op", "instance", "spec"))
+    attrs = {"spec": detail["spec"] or "-"}  # first among the attrs
+    attrs.update(_without(detail, ("op", "instance", "spec")))
     system.tracer.mark(
         f"coord:{op}", "coordination", node.name, now,
         system._workflow_spans.get(detail["instance"]), attrs,
@@ -939,9 +945,10 @@ def _flight_dump(reason: str, *keys: str) -> Callable:
 
 
 #: Protocol event kind -> the views it feeds, in order.  A kind not listed
-#: feeds the flat record alone.  A kind listed without a record view
-#: (a mark, a cancelled or reestablished step, a halt, a crash) has never
-#: had a flat record, and every pinned export would move if it grew one.
+#: feeds the flat record alone, which ``ControlSystem.emit`` writes inline.
+#: A kind listed without a record view (a mark, a cancelled or
+#: reestablished step, a halt, a crash) has never had a flat record, and
+#: every pinned export would move if it grew one.
 EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "workflow.start": (_record_but("parent"), _count_start, _workflow_opened),
     "step.dispatch": (_record_but("attempt", "mechanism"), _step_opened("epoch")),

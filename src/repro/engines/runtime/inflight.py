@@ -12,7 +12,11 @@ __all__ = ["InflightStep", "LoadProbe", "ProbeWait"]
 
 @dataclass
 class InflightStep:
-    """A step execution dispatched to an agent, awaiting its StepResult."""
+    """A step execution dispatched to an agent, awaiting its StepResult.
+
+    Its step span is not here: the engine's ``step.*`` events open and
+    close it in the control system (``engines/base.py``).
+    """
 
     epoch: int
     inputs: dict[str, Any]

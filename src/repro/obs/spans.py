@@ -175,9 +175,11 @@ class Tracer:
     """Factory and registry for spans, layered over the flat trace.
 
     When a :class:`~repro.runtime.trace.Trace` is attached, span boundaries
-    are *not* duplicated into it (the engines already record their own
-    flat events); instead the exporters in :mod:`repro.obs.export` merge
-    both views.  ``tracer.trace`` keeps the association explicit.
+    are *not* duplicated into it: an engine's protocol event becomes the
+    flat record and its spans side by side (the views of
+    ``repro.engines.base.EVENT_VIEWS``), and the exporters in
+    :mod:`repro.obs.export` merge both.  ``tracer.trace`` keeps the
+    association explicit.
     """
 
     def __init__(

@@ -130,13 +130,13 @@ def install_orders(system):
     return document
 
 
-def faulted_run(architecture):
+def faulted_system(architecture, **config):
     """Three ``TravelBooking`` instances 0.5 apart, the second aborted at
     t=1.2, while agent-001 is down from t=1 to t=7 and StepStatus times
     out after 2.0: step spans close as done, failed, timeout and
-    cancelled, and a recovery episode ends in an abort."""
+    cancelled, and a recovery episode ends in an abort.  Not yet run."""
     system = control_system_class(architecture)(SystemConfig(
-        seed=11, step_status_timeout=2.0, step_status_poll_interval=1.0,
+        seed=11, step_status_timeout=2.0, step_status_poll_interval=1.0, **config,
     ))
     travel_booking().install(system)
     system.inject_faults(FaultPlan.parse("crash=agent-001@1+6"))
@@ -146,6 +146,12 @@ def faulted_run(architecture):
         for i in range(3)
     ]
     system.abort_workflow(instances[1], delay=1.2)
+    return system, instances
+
+
+def faulted_run(architecture):
+    """:func:`faulted_system`, run to quiescence with every span closed."""
+    system, instances = faulted_system(architecture)
     system.run()
     system.tracer.finish(system.simulator.now)
     return system, instances

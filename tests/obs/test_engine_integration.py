@@ -7,9 +7,12 @@ metrics registry reflect what happened.
 
 import pytest
 
+from repro.core.programs import FailEveryNth, NoopProgram
 from repro.engines import SystemConfig
+from repro.model import SchemaBuilder
+from repro.runtime.faults import FaultPlan
 from repro.workloads import figure3_workflow
-from tests.conftest import ALL_ARCHITECTURES, make_system
+from tests.conftest import ALL_ARCHITECTURES, make_system, register_programs
 
 
 def run_figure3(architecture, instances=3, trace=True):
@@ -116,3 +119,65 @@ def test_outcomes_identical_with_and_without_tracing():
                 for i in ids
             ])
         assert outcomes[0] == outcomes[1], architecture
+
+
+def branch_race_schema():
+    """O forks a quick F1, which fails once and rolls back to O, and a
+    long H1 on another agent, still running when the rollback halts it."""
+    builder = SchemaBuilder("W", inputs=["x"])
+    builder.step("O", program="W.O", inputs=["WF.x"], outputs=["o"])
+    builder.step("F1", program="W.F1", inputs=["O.o"], outputs=["o"], cost=1.0)
+    builder.step("H1", program="W.H1", inputs=["O.o"], outputs=["o"], cost=150.0)
+    builder.step("J", program="W.J", join="and", inputs=["F1.o", "H1.o"], outputs=["o"])
+    builder.parallel("O", ["F1", "H1"])
+    builder.join("J", ["F1", "H1"], kind="and")
+    builder.rollback_point("F1", "O")
+    return builder.build()
+
+
+def h1_spans(system, fail_f1=False, plan=None):
+    schema = branch_race_schema()
+    system.register_schema(schema)
+    register_programs(system, schema, behaviors={
+        "F1": FailEveryNth(NoopProgram(("o",)), {1} if fail_f1 else set()),
+    })
+    if plan is not None:
+        system.inject_faults(FaultPlan.parse(plan))
+    instance = system.start_workflow("W", {"x": 1})
+    system.run()
+    assert system.outcome(instance).committed
+    return [(s.node, s.start, s.end, s.attrs.get("status"), s.attrs.get("auto_closed"))
+            for s in system.tracer.by_category("step") if s.name.endswith("/H1")]
+
+
+def test_a_distributed_relaunch_cancels_the_halted_execution():
+    system = make_system("distributed", seed=31)
+    first, second = h1_spans(system, fail_f1=True)
+    assert first[3] == "cancelled" and first[2] == second[1]  # at the relaunch
+    assert second[3] == "done"
+
+
+def test_a_crashed_agent_leaves_its_step_to_the_workflow_span():
+    """The crash loses H1's execution: its span stays open until the
+    workflow ends, and the relaunch after recovery opens a new one."""
+    config = SystemConfig(seed=31, step_status_timeout=5.0, step_status_poll_interval=2.0)
+    system = make_system("distributed", config=config)
+    first, second = h1_spans(system, plan="crash=agent-002@3+2")
+    assert first[0] == second[0] == "agent-002"
+    assert first[3] is None and first[4] is True and first[2] > second[2]
+    assert second[3] == "done"
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_an_abort_drops_the_instances_open_step_spans(architecture):
+    """Aborted while both branches run: a distributed agent's halted
+    execution never reports, and the outcome drops what is still open."""
+    system = make_system(architecture, seed=1)
+    schema = branch_race_schema()
+    system.register_schema(schema)
+    register_programs(system, schema)
+    instance = system.start_workflow("W", {"x": 1})
+    system.abort_workflow(instance, delay=8.0)
+    system.simulator.run()  # the clock alone, so only the outcome drains
+    assert system.outcome(instance).status.name == "ABORTED"
+    assert system._step_spans == {}

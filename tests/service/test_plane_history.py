@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.laws import load_laws
 from repro.obs.registry import MetricsRegistry
 from repro.service import WorkflowService
-from tests.conftest import ALL_ARCHITECTURES, ORDERS_LAWS, faulted_run
+from tests.conftest import ALL_ARCHITECTURES, ORDERS_LAWS, faulted_run, faulted_system
 
 BATCH = 32
 
@@ -95,6 +95,16 @@ def test_aborted_and_rolled_back_instances_leave_no_span_behind(architecture):
     system, __ = faulted_run(architecture)
     assert system.trace.count("rollback") and system.trace.count("workflow.aborted")
     assert system._workflow_spans == {} and system._recovery_spans == {}
+    assert system._step_spans == {}
+
+
+def test_a_purge_forgets_the_span_of_a_step_launched_after_the_end():
+    """agent-001 recovers, re-drives the aborted instance's step and then
+    hears of the abort: nothing will close that span.  A daemon never
+    drains its clock, so the purge that retires the instance drops it."""
+    system, __ = faulted_system("distributed", purge_interval=1.0)
+    system.simulator.run()
+    assert system.trace.count("purge.broadcast")
     assert system._step_spans == {}
 
 
