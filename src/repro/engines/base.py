@@ -452,14 +452,14 @@ class ControlSystem:
 
     # -- protocol events -------------------------------------------------------------
 
-    def emit(self, node: Any, kind: str, detail: dict[str, Any]) -> None:
+    def emit(self, node: Any, kind: str, **detail: Any) -> None:
         """One protocol event at ``node``, now: run the views its kind feeds.
 
-        Every engine node reaches this through ``Node.emit(kind,
-        **detail)``.  :data:`EVENT_VIEWS` decides what a kind feeds — the
-        flat trace record, the step, workflow and recovery spans, the
-        OCR and coordination marks, their histograms and the flight
-        dump — and with tracing off only the views marked untraced run.
+        Every engine node's ``Node.emit(kind, **detail)`` is this call.
+        :data:`EVENT_VIEWS` decides what a kind feeds — the flat trace
+        record, the step, workflow and recovery spans, the OCR and
+        coordination marks, their histograms and the flight dump — and
+        with tracing off only the views marked untraced run.
         """
         views = self._views.get(kind)
         if views is None:
@@ -790,17 +790,13 @@ def _record(system: ControlSystem, now: float, node: Any, kind: str,
     system.trace.record(now, node.name, kind, **detail)
 
 
-def _without(detail: dict[str, Any], keys: tuple[str, ...]) -> dict[str, Any]:
-    kept = dict(detail)
-    for key in keys:
-        del kept[key]
-    return kept
-
-
 def _record_but(*keys: str) -> Callable:
     """The flat trace record without the detail only other views read."""
     def record(system, now, node, kind, detail):
-        system.trace.record(now, node.name, kind, **_without(detail, keys))
+        kept = detail.copy()
+        for key in keys:
+            del kept[key]
+        system.trace.record(now, node.name, kind, **kept)
     return record
 
 
@@ -830,9 +826,12 @@ def _step_opened(*keys: str) -> Callable:
     """Open the step span of (node, instance, step); ``keys`` stay off it."""
     def opened(system, now, node, kind, detail):
         instance, step = detail["instance"], detail["step"]
+        attrs = detail.copy()
+        for key in keys:
+            del attrs[key]
         span = system.tracer.add(
             f"{instance}/{step}", "step", node.name, now, None,
-            system._step_parent(instance), None, _without(detail, keys),
+            system._step_parent(instance), None, attrs,
         )
         system._step_spans.setdefault(instance, {})[node.name, step] = span
     return opened
@@ -869,12 +868,14 @@ def _step_cancelled(system, now, node, kind, detail):
 
 
 def _node_forgot(system, now, node, kind, detail):
-    """A node lost its volatile state — of one instance it retired, or of
+    """A node lost its volatile state — of the instances it retired, or of
     all in a crash — so it will never finish those steps: their spans leave
     the map open, for their workflow span (or the tracer's finish) to close."""
-    retired = detail.get("instance")
-    for instance in [retired] if retired else list(system._step_spans):
-        spans = system._step_spans.get(instance, {})
+    retired = detail.get("instances")
+    for instance in list(system._step_spans) if retired is None else retired:
+        spans = system._step_spans.get(instance)
+        if not spans:
+            continue
         for key in [key for key in spans if key[0] == node.name]:
             del spans[key]
         if not spans:
@@ -915,9 +916,11 @@ def _ocr_marked(system, now, node, kind, detail):
 
 def _coordination_marked(system, now, node, kind, detail):
     """Instant coordination-round mark plus the per-op counter."""
-    op = detail["op"]
-    attrs = {"spec": detail["spec"] or "-"}  # first among the attrs
-    attrs.update(_without(detail, ("op", "instance", "spec")))
+    op, spec = detail["op"], detail["spec"] or "-"
+    attrs = {"spec": spec}  # first among the attrs, whatever the call's order
+    attrs.update(detail)
+    attrs["spec"] = spec
+    del attrs["op"], attrs["instance"]
     system.tracer.mark(
         f"coord:{op}", "coordination", node.name, now,
         system._workflow_spans.get(detail["instance"]), attrs,
@@ -966,7 +969,7 @@ EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "ocr.plan": (_ocr_marked,),
     "coord": (_coordination_marked,),
     "node.crash": (_flight_dump("crash"), _node_forgot),
-    "instance.retired": (_node_forgot,),
+    "instances.retired": (_node_forgot,),
 }
 
 #: What each kind feeds with tracing off.

@@ -379,8 +379,8 @@ class AgentFailureMixin:
         stays per instance is its id among the purged and, where this
         agent coordinated it, the summary row."""
         self.agdb.purge_instances(instance_ids)
+        self.emit("instances.retired", instances=instance_ids)
         for instance_id in instance_ids:
-            self.emit("instance.retired", instance=instance_id)
             runtime = self.runtimes.pop(instance_id, None)
             if runtime is not None:
                 self.system.rng.retire(

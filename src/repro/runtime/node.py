@@ -38,6 +38,7 @@ Lamport bookkeeping plus a single boolean branch (guarded by the
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.errors import SimulationError
@@ -78,7 +79,9 @@ class Node:
         self.causal = network.causal
         flight_factory = network.flight_factory
         self.flight = flight_factory(name) if flight_factory is not None else None
-        self._events = network.events
+        if network.events is not None:
+            # One call per event straight into the owning system.
+            self.emit = partial(network.events, self)
         # Observability: the owning control system injects a
         # MetricsRegistry on the network when tracing is enabled; nodes
         # cache their per-node instruments so the hot path is one `is
@@ -202,9 +205,11 @@ class Node:
     # -- protocol events -------------------------------------------------------
 
     def emit(self, kind: str, **detail: Any) -> None:
-        """Describe one protocol event at this node, now."""
-        if self._events is not None:
-            self._events(self, kind, detail)
+        """Describe one protocol event at this node, now.
+
+        Bound at construction to ``network.events(self, kind, **detail)``;
+        on a network no control system owns, nothing listens.
+        """
 
     # -- load accounting -------------------------------------------------------
 

@@ -70,7 +70,7 @@ class Network:
         #: owning control system snapshots on crash or step failure.
         self.flight_factory = None
         #: Where nodes emit protocol events: ``events(node, kind,
-        #: detail)``, the owning control system's ``emit``.  Both are
+        #: **detail)``, the owning control system's ``emit``.  Both are
         #: injected by the control system, like ``registry``.
         self.events = None
         #: The step executor (:class:`repro.runtime.executor.
