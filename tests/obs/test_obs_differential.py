@@ -23,7 +23,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Tracer
-from tests.conftest import ALL_ARCHITECTURES, faulted_run
+from tests.conftest import ALL_ARCHITECTURES, faulted_run, faulted_system
 from tests.obs import reference_obs
 
 # -- spans ----------------------------------------------------------------
@@ -462,3 +462,26 @@ def test_faulted_run_export_is_the_parents_bytes(architecture):
         assert {"timeout", "cancelled"} <= statuses
     text = trace_to_jsonl(system.trace, system.tracer)
     assert hashlib.sha256(text.encode()).hexdigest() == FAULTED_GOLDEN[architecture]
+
+
+#: :func:`~tests.conftest.faulted_system` with tracing off, run to
+#: quiescence: the flat trace is the flight-recorder snapshots alone (the
+#: agent crash and two step failures) -> (sha256, events they hold).
+UNTRACED_FLIGHT_GOLDEN = {
+    "centralized": ("651ab18e7188e57d86a58e5795d0fe9a8efcde4a54035fdc6154a4f7a2c6f3a5", 80),
+    "parallel": ("1394c3e8f991e9aa026f5567ed8d87b25b9ffe58db88326843e1fc7c03095fd7", 78),
+    "distributed": ("9dbe1f90b08f000bf1b6babe91b0663db622fdc153280fb458ddb0add9b9a2da", 13),
+}
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_untraced_flight_snapshots_are_the_parents_bytes(architecture):
+    system, __ = faulted_system(architecture, trace=False)
+    system.run()
+    snapshots = list(system.trace)
+    assert [r.kind for r in snapshots] == ["flight.snapshot"] * 3
+    assert [r.detail["reason"] for r in snapshots] == ["crash", "step.fail", "step.fail"]
+    digest, events = UNTRACED_FLIGHT_GOLDEN[architecture]
+    assert sum(len(r.detail["events"]) for r in snapshots) == events
+    text = trace_to_jsonl(system.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
