@@ -69,7 +69,7 @@ class AgentFailureMixin:
                 "executors": dict(runtime.executors),
                 "done_times": member_done_times(
                     runtime.engine, runtime.fragment,
-                    frozenset(compiled.schema.steps),
+                    compiled.schema.steps,
                 ),
             }
             if coordination_agent == self.name:

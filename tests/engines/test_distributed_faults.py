@@ -8,6 +8,11 @@ hand-placed ``crash()`` calls, so the whole scenario replays from
 ``(seed, plan)``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.engines.distributed import elect_executor
 from repro.model import SchemaBuilder
@@ -154,3 +159,36 @@ def test_duplicate_probe_chain_applies_once():
     agents = [r["agent"] for r in reports]
     assert len(agents) == len(set(agents))
     assert len(reports) == 1
+
+
+#: One chaos run whose unhandled failure compensates steps that finished
+#: at the same instant; prints the sha256 of its whole exported trace.
+HASH_SEED_PROBE = """
+import hashlib
+from repro.analysis.experiment import PreparedRun
+from repro.analysis.chaos import ChaosTask
+from repro.obs.export import trace_to_jsonl
+from repro.runtime.faults import FaultPlan
+task = ChaosTask(config="distributed/normal", seed=3)
+run = PreparedRun("distributed", task.resolved_params(), coordination=False,
+                  seed=3, trace=True)
+run.system.inject_faults(FaultPlan.parse(
+    "crash=agent-000@2+30,crash=agent-002@5+3,execfail=0.1"))
+run.execute(task.instances_per_schema)
+text = trace_to_jsonl(run.system.trace, run.system.tracer)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_unhandled_failure_compensates_in_schema_order_under_any_hash_seed():
+    """Steps done at the same time compensate in schema order, not in the
+    iteration order of a set of step names, which ``PYTHONHASHSEED``
+    picks: the whole trace is the same under two hash seeds."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        probe = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], env=env,
+                               capture_output=True, text=True, check=True)
+        digests.add(probe.stdout.strip())
+    assert len(digests) == 1, digests
