@@ -1,22 +1,24 @@
 """Observability overhead guards: the tracing-disabled path must stay
 cheap, and the enabled path must cost what it records.
 
-The causal-tracing layer is designed so that with tracing off the
-per-message cost is "one integer increment and two ``is None`` checks"
-(see :mod:`repro.runtime.node`).  This benchmark pins that promise down: a
+The transport is designed so that with no observer (a bare network) the
+per-message cost of observability is the Lamport bookkeeping plus one
+``is None`` check at each end of the message (see
+:mod:`repro.runtime.node`).  This benchmark pins that promise down: a
 two-node ping-pong message loop runs once on the current transport stack
-with *no* observability hooks injected (the tracing-disabled no-op path)
-and once on a seed-equivalent stack whose ``send``/``receive`` bodies
-predate the instrumentation entirely.  The no-op path must add **less
-than 5%** wall-clock overhead to the message loop.
+with *no* observer (the tracing-disabled no-op path) and once on a
+seed-equivalent stack whose ``send``/``receive`` bodies predate the
+instrumentation entirely.  The no-op path must add **less than 5%**
+wall-clock overhead to the message loop.
 
-The second case runs the same loop with the plane **on** the way a
-control system turns it on — metrics registry, ``MessageTracer`` over a
-``Tracer``, ``Profiler`` on the kernel and the transport — against the
-disabled path.  Per physical message that is two message spans, two
-counter increments and two profiler frames (``transport.send`` and the
-kernel event); the enabled/disabled ratio must stay under
-``ENABLED_RATIO_BOUND``.
+The second case runs the same loop on the network of a traced
+``ControlSystem``, which observes it, with a ``Profiler`` on the kernel and
+the transport, against the disabled path.  Per physical message that is
+the observer's two calls — two flight-recorder notes, two message spans
+and a receive count — plus two profiler frames (``transport.send`` and
+the kernel event); the enabled/disabled ratio must stay under
+``ENABLED_RATIO_BOUND``.  The system's queue-depth ``event_hook`` is left
+off: it samples the clock on every event, not the message path.
 
 Timing uses the min-of-N estimator with interleaved variants, which is
 robust against one-sided scheduler noise; the pytest-benchmark fixture
@@ -28,7 +30,8 @@ import time
 
 import pytest
 
-from repro.obs import MessageTracer, MetricsRegistry, Profiler, Tracer
+from repro.engines.base import ControlSystem
+from repro.obs import Profiler
 from repro.runtime.latency import FixedLatency
 from repro.runtime.messages import Message
 from repro.runtime.metrics import Mechanism
@@ -84,7 +87,7 @@ class SeedNetwork(Network):
 
 class SeedPingPong(PingPong):
     """``Node.send``/``receive`` seed-equivalent bodies: no Lamport merge,
-    no flight-recorder or causal-tracer checks."""
+    no observer check."""
 
     def send(self, dst, interface, payload, mechanism):
         self.network.send(self.name, dst, interface, payload, mechanism)
@@ -93,19 +96,19 @@ class SeedPingPong(PingPong):
         if not self.is_up:
             raise RuntimeError(f"message delivered to down node {self.name!r}")
         self.messages_received += 1
-        if self._msg_counter is not None:
-            self._msg_counter.inc()
         self.handle_message(message)
 
 
 def run_loop(network_cls, node_cls, observed=False):
     """Drive one ping-pong exchange of ``MESSAGES`` physical messages."""
-    simulator = Simulator()
-    network = network_cls(simulator, latency=FixedLatency(1.0))
-    if observed:  # what ControlSystem and Profiler.install inject
-        network.registry = MetricsRegistry()
-        network.causal = MessageTracer(Tracer())
+    if observed:  # the plane a traced control system installs, and a profiler
+        system = ControlSystem()
+        simulator, network = system.simulator, system.network
+        simulator.event_hook = None
         simulator.profile = network.profile = Profiler()
+    else:
+        simulator = Simulator()
+        network = network_cls(simulator, latency=FixedLatency(1.0))
     a = node_cls("a", simulator, network, peer="b", budget=MESSAGES // 2 - 1)
     node_cls("b", simulator, network, peer="a", budget=MESSAGES // 2)
     simulator.schedule(0.0, a.send, "b", "Ping", PAYLOAD, Mechanism.NORMAL)

@@ -36,14 +36,14 @@ from repro.model.coordination_spec import (
     RollbackDependencySpec,
 )
 from repro.model.schema import StepDef, WorkflowSchema
-from repro.obs.causal import MessageTracer
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
 from repro.obs.spans import Span, Tracer
 from repro.rules.events import step_compensated, step_done, step_fail
 from repro.runtime.executor import ClockRuntime
 from repro.runtime.latency import FixedLatency
-from repro.runtime.metrics import MetricsCollector
+from repro.runtime.messages import Message
+from repro.runtime.metrics import Mechanism, MetricsCollector
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.rng import SimRandom
 from repro.runtime.trace import Trace
@@ -90,9 +90,7 @@ class SystemConfig:
     strategy (``"hash"`` — deterministic, matches the paper's message
     expression ``s·a + f`` — or ``"load"``, which adds StateInformation
     probe traffic); the failure-recovery knobs control the distributed
-    StepStatus polling/takeover machinery.  ``flight_capacity`` sizes the
-    per-node flight-recorder ring (independent of ``trace``; 0 disables
-    it).
+    StepStatus polling/takeover machinery.
     """
 
     seed: int = 0
@@ -100,7 +98,6 @@ class SystemConfig:
     trace: bool = True
     trace_capacity: int | None = 500_000
     trace_ring: bool = False
-    flight_capacity: int = 64
     work_time_scale: float = 0.1
     successor_selection: str = "hash"
     step_status_timeout: float = 50.0
@@ -324,7 +321,6 @@ class ControlSystem:
         self.registry = MetricsRegistry()
         if self.config.trace:
             self.network.registry = self.registry
-            self.network.causal = MessageTracer(self.tracer)
             depth_hist = self.registry.histogram(
                 "crew_event_queue_depth",
                 "Simulator event-queue depth sampled at each event.",
@@ -333,16 +329,25 @@ class ControlSystem:
             self.simulator.event_hook = (
                 lambda time, depth: depth_hist.observe(depth)
             )
-        # The flight recorder deliberately does NOT follow the trace
-        # switch — its whole point is post-mortem context when full
-        # tracing is off.  flight_capacity=0 strips it entirely.
-        if self.config.flight_capacity > 0:
-            capacity = self.config.flight_capacity
-            self.network.flight_factory = lambda name: FlightRecorder(capacity)
-        # Every node emits its protocol events here; the trace switch
-        # picks which views they feed.
-        self.network.events = self.emit
+        # Every node emits its protocol events here, and the transport
+        # reports each physical message at both ends; the trace switch
+        # picks which views the events feed and which pair of message
+        # methods runs.
+        self.network.observer = self
         self._views = EVENT_VIEWS if self.config.trace else UNTRACED_EVENT_VIEWS
+        if self.config.trace:
+            self.sent, self.received = self._traced_sent, self._traced_received
+        else:
+            self.sent, self.received = self._noted_sent, self._noted_received
+        #: node name -> its flight-recorder ring of recent transport
+        #: events.  Kept with tracing off too: its whole point is
+        #: post-mortem context when full tracing is off.
+        self._flights: dict[str, FlightRecorder] = {}
+        #: node name -> its ``crew_node_messages_received_total`` child.
+        self._received_counters: dict[str, CounterMetric] = {}
+        #: interface -> its ("send:<interface>", "recv:<interface>") span
+        #: names, so the message spans of one interface share two strings.
+        self._message_span_names: dict[str, tuple[str, str]] = {}
         #: Fault injector installed by :meth:`inject_faults` (None = the
         #: transport keeps its reliable persistent-queue semantics).
         self.faults = None
@@ -469,6 +474,54 @@ class ControlSystem:
         now = self.simulator.now
         for view in views:
             view(self, now, node, kind, detail)
+
+    # -- physical messages ------------------------------------------------------------
+
+    def _noted_sent(self, src_node: Any, dst: str, msg_id: int, interface: str,
+                    mechanism: Mechanism, lamport: int,
+                    payload: Mapping[str, Any]) -> None:
+        """``sent`` with tracing off: the sender's flight note."""
+        self._flights[src_node.name].note(self.simulator.now, "send", interface,
+                                          dst, msg_id, lamport)
+
+    def _noted_received(self, node: Any, message: Message) -> None:
+        """``received`` with tracing off: the receiver's flight note."""
+        self._flights[node.name].note(self.simulator.now, "recv", message.interface,
+                                      message.src, message.msg_id, node.lamport_clock)
+
+    def _traced_sent(self, src_node: Any, dst: str, msg_id: int, interface: str,
+                     mechanism: Mechanism, lamport: int,
+                     payload: Mapping[str, Any]) -> int:
+        """``sent`` with tracing on: the flight note and the send span,
+        linked to the span active on the sender; returns the span's id."""
+        src, now = src_node.name, self.simulator.now
+        self._flights[src].note(now, "send", interface, dst, msg_id, lamport)
+        return self.tracer.message(
+            self._span_names(interface)[0], src, now, src_node.current_span,
+            msg_id, src, dst, mechanism.value, lamport, "send",
+            payload.get("instance_id"),
+        )
+
+    def _traced_received(self, node: Any, message: Message) -> int:
+        """``received`` with tracing on: the receive count, the flight note
+        and the recv span, linked to the send span; returns the span's id
+        — the node's ``current_span`` while it handles the message."""
+        dst, now, lamport = node.name, self.simulator.now, node.lamport_clock
+        self._received_counters[dst].inc()
+        self._flights[dst].note(now, "recv", message.interface, message.src,
+                                message.msg_id, lamport)
+        return self.tracer.message(
+            self._span_names(message.interface)[1], dst, now, message.send_span,
+            message.msg_id, message.src, dst, message.mechanism.value, lamport,
+            "recv", message.payload.get("instance_id"),
+        )
+
+    def _span_names(self, interface: str) -> tuple[str, str]:
+        names = self._message_span_names.get(interface)
+        if names is None:
+            names = self._message_span_names[interface] = (
+                f"send:{interface}", f"recv:{interface}")
+        return names
 
     def obs_recovery_started(
         self,
@@ -934,16 +987,37 @@ def _coordination_marked(system, now, node, kind, detail):
     ops.inc()
 
 
+@_untraced
+def _flight_ring(system, now, node, kind, detail):
+    """A new node's flight-recorder ring."""
+    system._flights[node.name] = FlightRecorder()
+
+
+def _receive_counter(system, now, node, kind, detail):
+    """A new node's receive counter: it exports ``0`` until a message
+    lands."""
+    system._received_counters[node.name] = system.registry.counter(
+        "crew_node_messages_received_total",
+        "Physical messages delivered to a node.", node=node.name,
+    )
+
+
+def _count_crash(system, now, node, kind, detail):
+    system.registry.counter(
+        "crew_node_crashes_total", "Node crash events.", node=node.name
+    ).inc()
+
+
 def _flight_dump(reason: str, *keys: str) -> Callable:
     """Snapshot the node's flight-recorder ring into the trace, bypassing
     the trace switch: post-mortem context is for untraced runs too."""
     @_untraced
     def dump(system, now, node, kind, detail):
-        if node.flight is not None:
-            system.trace.snapshot(
-                now, node.name, "flight.snapshot", reason=reason,
-                events=node.flight.snapshot(), **{k: detail[k] for k in keys},
-            )
+        system.trace.snapshot(
+            now, node.name, "flight.snapshot", reason=reason,
+            events=system._flights[node.name].snapshot(),
+            **{k: detail[k] for k in keys},
+        )
     return dump
 
 
@@ -968,7 +1042,8 @@ EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "abort.halt": (_recovery_started("abort"),),
     "ocr.plan": (_ocr_marked,),
     "coord": (_coordination_marked,),
-    "node.crash": (_flight_dump("crash"), _node_forgot),
+    "node.attach": (_flight_ring, _receive_counter),
+    "node.crash": (_count_crash, _flight_dump("crash"), _node_forgot),
     "instances.retired": (_node_forgot,),
 }
 

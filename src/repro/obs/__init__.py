@@ -14,6 +14,9 @@ shows:
 * :mod:`repro.obs.export` — JSONL trace dumps, Chrome trace-event JSON
   (loadable in ``chrome://tracing`` / Perfetto) and Prometheus text-format
   metric snapshots;
+* :mod:`repro.obs.flight` — a per-node ring of recent transport events,
+  snapshotted into the trace on a crash or a step failure even with
+  tracing off;
 * :mod:`repro.obs.logging` — structured NDJSON event logging with
   instance-id/node/Lamport correlation fields, used by the serve daemon
   and the CLI;
@@ -25,9 +28,11 @@ shows:
 Every control system owns one :class:`~repro.obs.spans.Tracer` and one
 :class:`~repro.obs.registry.MetricsRegistry`; both follow the system's
 ``trace`` config switch so large benchmark runs pay (almost) nothing.
+The system is also its transport's one observer: each physical message
+reaches it twice, as ``sent`` and ``received``, which keep the flight
+notes and, with tracing on, the receive counts and message spans.
 """
 
-from repro.obs.causal import MessageTracer
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
@@ -52,7 +57,6 @@ __all__ = [
     "FrameStat",
     "GaugeMetric",
     "HistogramMetric",
-    "MessageTracer",
     "MetricsRegistry",
     "Profiler",
     "Span",

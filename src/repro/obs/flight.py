@@ -2,23 +2,26 @@
 
 Full tracing is often disabled in benchmark runs, which is exactly when a
 crash is hardest to diagnose.  The flight recorder keeps the last
-``capacity`` send/receive events per node in a fixed-size ring (O(1) per
-message: one 6-tuple, which becomes the event dict only in a snapshot)
-and is snapshotted into the trace — via
+:data:`FLIGHT_CAPACITY` send/receive events per node in a fixed-size ring
+(O(1) per message: one 6-tuple, which becomes the event dict only in a
+snapshot) and is snapshotted into the trace — via
 :meth:`repro.runtime.trace.Trace.snapshot`, which bypasses the ``enabled``
 flag — when the node crashes or a step fails.
 
-The recorder is injected into the sim layer duck-typed (see
-:mod:`repro.obs.causal` for the pattern): the control system sets
-``network.flight_factory`` before nodes are constructed, and its
-``node.crash`` and ``step.fail`` event views take the snapshots.
+The owning control system keeps one ring per node, keyed by node name,
+whatever its ``trace`` switch: as the network's observer it notes each
+physical message at both ends, and its ``node.crash`` and ``step.fail``
+event views take the snapshots.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["FlightRecorder"]
+__all__ = ["FLIGHT_CAPACITY", "FlightRecorder"]
+
+#: Transport events a node's ring keeps.
+FLIGHT_CAPACITY = 64
 
 #: Keys of a snapshot event, in the order :meth:`FlightRecorder.note`
 #: takes (and the ring keeps) their values.
@@ -28,7 +31,7 @@ _EVENT_KEYS = ("time", "dir", "interface", "peer", "msg_id", "lamport")
 class FlightRecorder:
     """Fixed-capacity ring of a node's recent transport events."""
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int = FLIGHT_CAPACITY):
         self.capacity = capacity
         self._events: deque[tuple] = deque(maxlen=capacity)
         self.recorded = 0

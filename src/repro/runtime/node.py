@@ -23,17 +23,18 @@ wall-clock asyncio runtime unchanged.  Deferred service-time work
 
 A node describes each protocol event once, with :meth:`Node.emit`
 (``kind`` plus keyword detail).  The event goes to the network's
-``events`` callable — the owning control system's ``emit``, whose one
-table turns it into the flat trace record, spans, marks, histograms and
-flight-recorder dumps.  A node never builds any of those itself.
+``observer`` — the owning control system, whose one table turns it into
+the flat trace record, spans, marks, histograms and flight-recorder
+dumps.  A node never builds any of those itself.
 
-Observability stays duck-typed (``runtime`` cannot import ``obs``): the
-owning control system injects ``causal`` / ``flight_factory`` /
-``events`` attributes on the network before nodes are constructed, and
-nodes cache them at init — the same pattern as the metrics
-``registry``.  With nothing injected, the per-message overhead is the
-Lamport bookkeeping plus a single boolean branch (guarded by the
-``benchmarks/bench_obs_overhead.py`` <5% regression gate).
+Physical messages take the same observer with one call per end: the
+network calls ``observer.sent`` before it builds a message, and
+:meth:`Node.receive` calls ``observer.received`` after the Lamport merge;
+the observer keeps the flight notes, receive counts and message spans.
+Observability stays duck-typed (``runtime`` cannot import ``obs``), and
+with no observer — a bare network — the per-message overhead is the
+Lamport bookkeeping plus a single ``is None`` branch each side (guarded
+by the ``benchmarks/bench_obs_overhead.py`` <5% regression gate).
 """
 
 from __future__ import annotations
@@ -70,44 +71,30 @@ class Node:
         #: receive.  Always maintained (two int ops per message) so traces
         #: captured later can still be causally ordered.
         self.lamport_clock = 0
-        #: The span currently "active" on this node (whatever the causal
-        #: tracer's ``on_receive`` returned — its recv span's id), used as
+        #: The span currently "active" on this node (whatever the
+        #: observer's ``received`` returned — its recv span's id), used as
         #: the causal link source for outgoing messages.  Managed by
-        #: ``receive`` / ``schedule_causal``; ``None`` whenever causal
-        #: tracing is off.
+        #: ``receive`` / ``schedule_causal``; ``None`` whenever message
+        #: spans are off.
         self.current_span = None
-        self.causal = network.causal
-        flight_factory = network.flight_factory
-        self.flight = flight_factory(name) if flight_factory is not None else None
-        if network.events is not None:
+        self.observer = network.observer
+        if self.observer is not None:
             # One call per event straight into the owning system.
-            self.emit = partial(network.events, self)
+            self.emit = partial(self.observer.emit, self)
+            self.emit("node.attach")
         # Observability: the owning control system injects a
-        # MetricsRegistry on the network when tracing is enabled; nodes
-        # cache their per-node instruments so the hot path is one `is
-        # None` check plus an attribute increment.
+        # MetricsRegistry on the network when tracing is enabled; the node
+        # caches its load counter so ``charge`` is one `is None` check
+        # plus an attribute increment.
         self.registry = network.registry
         if self.registry is not None:
-            self._msg_counter = self.registry.counter(
-                "crew_node_messages_received_total",
-                "Physical messages delivered to a node.",
-                node=name,
-            )
             self._load_counter = self.registry.counter(
                 "crew_node_load_units_total",
                 "Navigation load charged to a node, in units of l.",
                 node=name,
             )
         else:
-            self._msg_counter = None
             self._load_counter = None
-        # Hot-path gate: with no observability injected, ``receive`` takes
-        # a single boolean branch past all per-message instrumentation.
-        self._observed = (
-            self._msg_counter is not None
-            or self.flight is not None
-            or self.causal is not None
-        )
         network.register(self)
 
     # -- messaging -----------------------------------------------------------
@@ -120,35 +107,26 @@ class Node:
         mechanism: Mechanism,
     ) -> None:
         """Send one physical message to another node."""
-        message = self.network.send(self.name, dst, interface, payload,
-                                    mechanism, self)
-        if self.flight is not None:
-            self.flight.note(self.simulator.now, "send", interface, dst,
-                             message.msg_id, message.lamport)
+        self.network.send(self.name, dst, interface, payload, mechanism, self)
 
     def receive(self, message: Message) -> None:
         """Network entry point; dispatches to :meth:`handle_message`."""
         if not self.is_up:
             raise SimulationError(f"message delivered to down node {self.name!r}")
         self.messages_received += 1
-        # Lamport merge must happen before the recv span is created so the
-        # span carries the post-merge clock value.
+        # Lamport merge must happen before the observer hears of the
+        # message, so its recv span carries the post-merge clock value.
         clock = self.lamport_clock
         if message.lamport > clock:
             clock = message.lamport
         self.lamport_clock = clock + 1
-        if not self._observed:
+        if self.observer is None:
             self.handle_message(message)
             return
-        if self._msg_counter is not None:
-            self._msg_counter.inc()
-        if self.flight is not None:
-            self.flight.note(self.simulator.now, "recv", message.interface,
-                             message.src, message.msg_id, self.lamport_clock)
-        if self.causal is None:
+        recv_span = self.observer.received(self, message)
+        if recv_span is None:
             self.handle_message(message)
             return
-        recv_span = self.causal.on_receive(self, message)
         previous = self.current_span
         self.current_span = recv_span
         try:
@@ -207,8 +185,8 @@ class Node:
     def emit(self, kind: str, **detail: Any) -> None:
         """Describe one protocol event at this node, now.
 
-        Bound at construction to ``network.events(self, kind, **detail)``;
-        on a network no control system owns, nothing listens.
+        Bound at construction to ``network.observer.emit(self, kind,
+        **detail)``; on a network no control system owns, nothing listens.
         """
 
     # -- load accounting -------------------------------------------------------
@@ -227,10 +205,6 @@ class Node:
             raise SimulationError(f"node {self.name!r} is already down")
         self.is_up = False
         self.crash_count += 1
-        if self.registry is not None:
-            self.registry.counter(
-                "crew_node_crashes_total", "Node crash events.", node=self.name
-            ).inc()
         self.emit("node.crash")
         self.on_crash()
 

@@ -58,21 +58,16 @@ class Network:
         self.latency = latency if latency is not None else FixedLatency(1.0)
         #: Optional observability registry; when set (by the owning
         #: control system, before nodes are constructed) every node feeds
-        #: per-node message/load/crash instruments into it.
+        #: its load counter into it.
         self.registry = None
-        #: Optional causal message tracer (duck-typed, see
-        #: :class:`repro.obs.causal.MessageTracer`).  Set by the owning
-        #: control system before nodes are constructed; ``send`` then
-        #: stamps every message with a sender-side message span.
-        self.causal = None
-        #: Optional flight-recorder factory: ``flight_factory(name)``
-        #: builds a per-node bounded ring of transport events, which the
-        #: owning control system snapshots on crash or step failure.
-        self.flight_factory = None
-        #: Where nodes emit protocol events: ``events(node, kind,
-        #: **detail)``, the owning control system's ``emit``.  Both are
-        #: injected by the control system, like ``registry``.
-        self.events = None
+        #: Who watches this transport: the owning control system, set
+        #: before nodes are constructed (``None`` on a bare network).
+        #: Per physical message it hears two calls, ``sent(src_node, dst,
+        #: msg_id, interface, mechanism, lamport, payload)`` from
+        #: :meth:`send` — returning the send span's id or ``None`` — and
+        #: ``received(node, message)`` from ``Node.receive``; each node
+        #: also emits its protocol events to ``observer.emit``.
+        self.observer = None
         #: The step executor (:class:`repro.runtime.executor.
         #: TaskExecutor`), set by the owning :class:`~repro.runtime.
         #: executor.ClockRuntime` before nodes are constructed.  Nodes
@@ -161,11 +156,9 @@ class Network:
                 src_node.lamport_clock = lamport
             msg_id = next(self._msg_ids)
             send_span = None
-            if self.causal is not None and src_node is not None:
-                send_span = self.causal.on_send(
-                    src_node, dst, msg_id, interface, mechanism, lamport,
-                    payload, self.simulator.now,
-                )
+            if self.observer is not None and src_node is not None:
+                send_span = self.observer.sent(src_node, dst, msg_id, interface,
+                                               mechanism, lamport, payload)
             message = Message(msg_id, src, dst, interface, mechanism,
                               dict(payload), self.simulator.now, lamport,
                               send_span)

@@ -1,9 +1,14 @@
-"""Cross-node causal propagation: Lamport clocks and message-span links."""
+"""Cross-node causal propagation: Lamport clocks and message-span links.
+
+Message spans come from the network's observer — the owning control
+system — so the span tests put their nodes on the network of a traced
+:class:`~repro.engines.base.ControlSystem` that owns no nodes of its own.
+"""
 
 import pytest
 
 from repro.engines import SystemConfig
-from repro.obs.causal import MessageTracer
+from repro.engines.base import ControlSystem
 from repro.obs.spans import Tracer
 from repro.runtime.metrics import Mechanism
 from repro.runtime.node import Node
@@ -27,19 +32,22 @@ class SilentNode(Node):
         pass
 
 
-def make_pair(causal=True):
-    simulator = Simulator()
-    network = Network(simulator)
-    tracer = Tracer(enabled=causal)
-    if causal:
-        network.causal = MessageTracer(tracer)
+def make_pair(observed=True):
+    """Two echo nodes on a traced system's network, or on a bare one."""
+    if observed:
+        system = ControlSystem()
+        simulator, network, tracer = system.simulator, system.network, system.tracer
+    else:
+        simulator = Simulator()
+        network = Network(simulator)
+        tracer = Tracer(enabled=False)
     a = EchoNode("a", simulator, network)
     b = EchoNode("b", simulator, network)
     return simulator, network, tracer, a, b
 
 
 def test_lamport_clocks_tick_and_merge():
-    simulator, network, __, a, b = make_pair(causal=False)
+    simulator, network, __, a, b = make_pair(observed=False)
     network.send("a", "b", "ping", {"n": 1}, Mechanism.NORMAL)
     simulator.run()
     # a: send tick (1), then merge on b's pong (max(1, b_send) + 1).
@@ -48,7 +56,7 @@ def test_lamport_clocks_tick_and_merge():
 
 
 def test_lamport_merge_takes_max():
-    simulator, network, __, a, b = make_pair(causal=False)
+    simulator, network, __, a, b = make_pair(observed=False)
     a.lamport_clock = 40
     network.send("a", "b", "ping", {"n": 1}, Mechanism.NORMAL)
     simulator.run()
@@ -86,10 +94,8 @@ def test_reply_send_links_to_recv_span():
 
 
 def test_schedule_causal_preserves_span_across_delay():
-    runtime = SimRuntime()
-    simulator, network = runtime.clock, runtime.transport
-    tracer = Tracer()
-    network.causal = MessageTracer(tracer)
+    system = ControlSystem()
+    simulator, network, tracer = system.simulator, system.network, system.tracer
 
     class DeferredEcho(Node):
         def handle_message(self, message):
@@ -121,7 +127,7 @@ def test_schedule_causal_without_span_is_plain_schedule():
 
 
 def test_disabled_tracer_stamps_nothing():
-    simulator, network, tracer, a, b = make_pair(causal=False)
+    simulator, network, tracer, a, b = make_pair(observed=False)
     message = network.send("a", "b", "ping", {"n": 1}, Mechanism.NORMAL)
     assert message.send_span is None
     assert message.lamport == 1
@@ -158,3 +164,38 @@ def test_engines_emit_linked_message_spans(architecture):
     for recv in recvs:
         assert recv.link_id is not None, f"unlinked recv {recv!r}"
         assert recv.link_id in by_id, f"orphan link on {recv!r}"
+
+
+def test_untraced_system_notes_flights_and_links_nothing():
+    """With tracing off the observer keeps each end's flight note only:
+    ``sent`` returns no span id, so no message carries one and no node
+    ever swaps a span into ``current_span``."""
+    system = ControlSystem(SystemConfig(trace=False))
+    a = EchoNode("a", system.simulator, system.network)
+    b = EchoNode("b", system.simulator, system.network)
+    a.send("b", "ping", {"n": 1}, Mechanism.NORMAL)
+    spans = []
+    b.handle_message = lambda message: spans.append(b.current_span)
+    system.simulator.run()
+    assert spans == [None]
+    assert len(system.tracer) == 0 and len(system.trace) == 0
+    assert [(e["dir"], e["interface"], e["peer"], e["lamport"])
+            for e in system._flights["a"].snapshot()] == [("send", "ping", "b", 1)]
+    assert [(e["dir"], e["interface"], e["peer"], e["lamport"])
+            for e in system._flights["b"].snapshot()] == [("recv", "ping", "a", 2)]
+
+
+def test_receive_counts_exist_from_node_construction():
+    """``crew_node_messages_received_total`` has a child per node from the
+    moment it is built, so a node that never receives exports ``0``."""
+    from repro.obs.export import prometheus_text
+
+    system = ControlSystem()
+    a = EchoNode("a", system.simulator, system.network)
+    EchoNode("b", system.simulator, system.network)
+    SilentNode("c", system.simulator, system.network)
+    a.send("b", "ping", {"n": 1}, Mechanism.NORMAL)
+    system.simulator.run()
+    text = prometheus_text(system.registry)
+    for node, count in (("a", 1), ("b", 1), ("c", 0)):
+        assert f'crew_node_messages_received_total{{node="{node}"}} {count}\n' in text

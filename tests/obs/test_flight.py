@@ -1,7 +1,7 @@
 """Flight recorder: bounded ring, crash/step-fail snapshots, trace bypass."""
 
 from repro.engines import SystemConfig
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
 from repro.workloads import figure3_workflow
 from tests.conftest import linear_schema, make_system, register_programs
 
@@ -24,12 +24,8 @@ def test_snapshot_returns_copies():
     assert recorder.snapshot()[0]["msg_id"] == 1
 
 
-def run_figure3(architecture, trace, flight_capacity=64):
-    system = make_system(
-        architecture,
-        config=SystemConfig(seed=11, trace=trace,
-                            flight_capacity=flight_capacity),
-    )
+def run_figure3(architecture, trace):
+    system = make_system(architecture, config=SystemConfig(seed=11, trace=trace))
     figure3_workflow().install(system)
     ids = [system.start_workflow("Figure3", {"load": 5})]
     system.run()
@@ -69,13 +65,6 @@ def test_crash_dumps_flight_ring():
     assert [r.node for r in snaps] == [victim]
 
 
-def test_flight_capacity_zero_disables_recorder():
-    system, ids = run_figure3("distributed", trace=False, flight_capacity=0)
-    assert all(system.outcome(i).committed for i in ids)
-    assert len(system.trace) == 0
-    assert all(system.agent(a).flight is None for a in system.agent_names())
-
-
 def test_flight_events_survive_jsonl_export():
     """Snapshots are nested lists of dicts; the exporter must keep them."""
     import json
@@ -93,17 +82,33 @@ def test_flight_events_survive_jsonl_export():
 
 
 def test_snapshot_is_bounded_window():
-    """A long run's snapshot carries at most ``flight_capacity`` events."""
-    system = make_system(
-        "distributed",
-        config=SystemConfig(seed=5, trace=False, flight_capacity=8),
-    )
+    """A long run's snapshot carries the last ``FLIGHT_CAPACITY`` events:
+    eight instances through one engine overflow its ring."""
+    system = make_system("centralized", config=SystemConfig(seed=5, trace=False))
     figure3_workflow().install(system)
     ids = [system.start_workflow("Figure3", {"load": 5}, delay=i * 0.5)
-           for i in range(4)]
+           for i in range(8)]
     system.run()
     assert all(system.outcome(i).committed for i in ids)
     snaps = [r for r in system.trace.records
              if r.kind == "flight.snapshot"]
     assert snaps
-    assert all(len(r.detail["events"]) <= 8 for r in snaps)
+    assert max(len(r.detail["events"]) for r in snaps) == FLIGHT_CAPACITY == 64
+    assert system._flights[snaps[-1].node].recorded > FLIGHT_CAPACITY
+
+
+def test_node_without_notes_dumps_an_empty_ring():
+    """The ring exists from node construction: a crash before any message
+    still dumps a snapshot, with no events, and counts the crash."""
+    from repro.engines.base import ControlSystem
+    from repro.obs.export import prometheus_text
+    from repro.runtime.node import Node
+
+    for trace in (False, True):
+        system = ControlSystem(SystemConfig(trace=trace))
+        node = Node("idle", system.simulator, system.network)
+        node.crash()
+        [snapshot] = [r for r in system.trace.records if r.kind == "flight.snapshot"]
+        assert (snapshot.node, snapshot.detail) == ("idle", {"reason": "crash", "events": []})
+        crashes = 'crew_node_crashes_total{node="idle"} 1\n'
+        assert (crashes in prometheus_text(system.registry)) is trace

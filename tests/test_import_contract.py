@@ -529,3 +529,29 @@ def test_engines_emit_events_and_hold_no_spans():
     hooks = [node.name for node in system.body if isinstance(node, ast.FunctionDef)
              and node.name.startswith("obs_step_")]
     assert not hooks, hooks
+
+
+def test_the_transport_has_one_observer():
+    """Each physical message reaches the owning control system as the
+    network ``observer``'s ``sent`` / ``received``, which keep the flight
+    notes, receive counts and message spans.  No module under ``runtime/``
+    names a ``causal`` tracer, a ``flight`` ring, a ``flight_factory``, a
+    ``FlightRecorder`` or a ``MessageTracer``, and ``repro.obs.causal``
+    stays gone."""
+    forbidden = {"causal", "flight", "flight_factory", "FlightRecorder", "MessageTracer"}
+    runtime = SRC / "repro" / "runtime"
+    violations = []
+    for module_path in sorted(runtime.rglob("*.py")):
+        for node in ast.walk(ast.parse(module_path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            if isinstance(node, ast.alias):
+                names.append(node.asname or node.name.rpartition(".")[2])
+            for name in filter(None, names):
+                if name in forbidden:
+                    where = module_path.relative_to(SRC)
+                    violations.append(f"{where}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not violations, "\n".join(violations)
+    assert not (SRC / "repro" / "obs" / "causal.py").exists(), "repro.obs.causal is back"
