@@ -278,6 +278,16 @@ def record_compensation(
     return step_compensated(step_def.name)
 
 
+class _MessageSpanNames(dict):
+    """interface -> its ("send:<interface>", "recv:<interface>") span
+    names, so the message spans of one interface share two strings; a hit
+    is a plain dict subscript."""
+
+    def __missing__(self, interface: str) -> tuple[str, str]:
+        names = self[interface] = (f"send:{interface}", f"recv:{interface}")
+        return names
+
+
 class ControlSystem:
     """Abstract facade over one simulated workflow control deployment."""
 
@@ -345,9 +355,7 @@ class ControlSystem:
         self._flights: dict[str, FlightRecorder] = {}
         #: node name -> its ``crew_node_messages_received_total`` child.
         self._received_counters: dict[str, CounterMetric] = {}
-        #: interface -> its ("send:<interface>", "recv:<interface>") span
-        #: names, so the message spans of one interface share two strings.
-        self._message_span_names: dict[str, tuple[str, str]] = {}
+        self._message_span_names = _MessageSpanNames()
         #: Fault injector installed by :meth:`inject_faults` (None = the
         #: transport keeps its reliable persistent-queue semantics).
         self.faults = None
@@ -497,7 +505,7 @@ class ControlSystem:
         src, now = src_node.name, self.simulator.now
         self._flights[src].note(now, "send", interface, dst, msg_id, lamport)
         return self.tracer.message(
-            self._span_names(interface)[0], src, now, src_node.current_span,
+            self._message_span_names[interface][0], src, now, src_node.current_span,
             msg_id, src, dst, mechanism.value, lamport, "send",
             payload.get("instance_id"),
         )
@@ -511,17 +519,10 @@ class ControlSystem:
         self._flights[dst].note(now, "recv", message.interface, message.src,
                                 message.msg_id, lamport)
         return self.tracer.message(
-            self._span_names(message.interface)[1], dst, now, message.send_span,
+            self._message_span_names[message.interface][1], dst, now, message.send_span,
             message.msg_id, message.src, dst, message.mechanism.value, lamport,
             "recv", message.payload.get("instance_id"),
         )
-
-    def _span_names(self, interface: str) -> tuple[str, str]:
-        names = self._message_span_names.get(interface)
-        if names is None:
-            names = self._message_span_names[interface] = (
-                f"send:{interface}", f"recv:{interface}")
-        return names
 
     def obs_recovery_started(
         self,
