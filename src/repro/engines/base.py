@@ -501,12 +501,16 @@ class ControlSystem:
                      mechanism: Mechanism, lamport: int,
                      payload: Mapping[str, Any]) -> int:
         """``sent`` with tracing on: the flight note and the send span,
-        linked to the span active on the sender; returns the span's id."""
+        linked to the span active on the sender; returns the span's id.
+
+        Both traced methods read ``mechanism._value_``, the member's plain
+        attribute behind the ``.value`` property, at a fifth of its cost.
+        """
         src, now = src_node.name, self.simulator.now
         self._flights[src].note(now, "send", interface, dst, msg_id, lamport)
         return self.tracer.message(
             self._message_span_names[interface][0], src, now, src_node.current_span,
-            msg_id, src, dst, mechanism.value, lamport, "send",
+            msg_id, src, dst, mechanism._value_, lamport, "send",
             payload.get("instance_id"),
         )
 
@@ -520,7 +524,7 @@ class ControlSystem:
                                 message.msg_id, lamport)
         return self.tracer.message(
             self._message_span_names[message.interface][1], dst, now, message.send_span,
-            message.msg_id, message.src, dst, message.mechanism.value, lamport,
+            message.msg_id, message.src, dst, message.mechanism._value_, lamport,
             "recv", message.payload.get("instance_id"),
         )
 
