@@ -17,6 +17,12 @@ either way.
 Every message carries the :class:`~repro.runtime.metrics.Mechanism` that
 caused it, so the benchmark harness can regenerate the per-mechanism
 message rows of Tables 4-6 directly from the transport layer.
+
+What observability sees of a message goes through one duck-typed
+attribute, :attr:`Network.observer` — the owning control system, which
+keeps the flight notes, receive counts and message spans.  ``send``
+reports each message to it before building it; the receiving node
+reports the delivery.
 """
 
 from __future__ import annotations
