@@ -330,7 +330,6 @@ class ControlSystem:
         )
         self.registry = MetricsRegistry()
         if self.config.trace:
-            self.network.registry = self.registry
             depth_hist = self.registry.histogram(
                 "crew_event_queue_depth",
                 "Simulator event-queue depth sampled at each event.",
@@ -1007,6 +1006,14 @@ def _receive_counter(system, now, node, kind, detail):
     )
 
 
+def _load_counter(system, now, node, kind, detail):
+    """A new node's load counter, which ``Node.charge`` increments."""
+    node._load_counter = system.registry.counter(
+        "crew_node_load_units_total",
+        "Navigation load charged to a node, in units of l.", node=node.name,
+    )
+
+
 def _count_crash(system, now, node, kind, detail):
     system.registry.counter(
         "crew_node_crashes_total", "Node crash events.", node=node.name
@@ -1047,7 +1054,7 @@ EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "abort.halt": (_recovery_started("abort"),),
     "ocr.plan": (_ocr_marked,),
     "coord": (_coordination_marked,),
-    "node.attach": (_flight_ring, _receive_counter),
+    "node.attach": (_flight_ring, _receive_counter, _load_counter),
     "node.crash": (_count_crash, _flight_dump("crash"), _node_forgot),
     "instances.retired": (_node_forgot,),
 }

@@ -77,24 +77,15 @@ class Node:
         #: ``receive`` / ``schedule_causal``; ``None`` whenever message
         #: spans are off.
         self.current_span = None
+        #: This node's ``crew_node_load_units_total`` counter, which the
+        #: observer's ``node.attach`` view sets when tracing is on, so
+        #: ``charge`` is one ``is None`` check plus an increment.
+        self._load_counter = None
         self.observer = network.observer
         if self.observer is not None:
             # One call per event straight into the owning system.
             self.emit = partial(self.observer.emit, self)
             self.emit("node.attach")
-        # Observability: the owning control system injects a
-        # MetricsRegistry on the network when tracing is enabled; the node
-        # caches its load counter so ``charge`` is one `is None` check
-        # plus an attribute increment.
-        self.registry = network.registry
-        if self.registry is not None:
-            self._load_counter = self.registry.counter(
-                "crew_node_load_units_total",
-                "Navigation load charged to a node, in units of l.",
-                node=name,
-            )
-        else:
-            self._load_counter = None
         network.register(self)
 
     # -- messaging -----------------------------------------------------------

@@ -62,10 +62,6 @@ class Network:
         self.simulator = simulator
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.latency = latency if latency is not None else FixedLatency(1.0)
-        #: Optional observability registry; when set (by the owning
-        #: control system, before nodes are constructed) every node feeds
-        #: its load counter into it.
-        self.registry = None
         #: Who watches this transport: the owning control system, set
         #: before nodes are constructed (``None`` on a bare network).
         #: Per physical message it hears two calls, ``sent(src_node, dst,
