@@ -12,12 +12,19 @@ frames actually appear in the profile.
 One :class:`~repro.obs.profile.Profiler` may be threaded through several
 runs (``repro profile --sweep``); runs execute sequentially in-process —
 frame attribution cannot cross a process pool.
+
+Each run also counts the cyclic garbage collector's passes and their wall
+time per generation (a ``gc.callbacks`` hook registered only while the run
+executes).  The profiler cannot see a collection: its time lands in the
+self time of whichever frame allocated when it fired.
 """
 
 from __future__ import annotations
 
+import gc
+import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.analysis.experiment import (
     EVAL_PARAMS,
@@ -34,7 +41,9 @@ from repro.workloads.params import WorkloadParameters
 __all__ = [
     "PROFILE_MODES",
     "ProfileRun",
+    "gc_summary",
     "profile_configs",
+    "render_gc",
     "run_profiled",
     "run_profiled_sweep",
 ]
@@ -54,6 +63,9 @@ class ProfileRun(RunCounters):
 
     config: str
     seed: int
+    #: Garbage-collector passes and their wall ms, per generation.
+    gc_collections: list[int]
+    gc_ms: list[float]
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -61,7 +73,26 @@ class ProfileRun(RunCounters):
             "seed": self.seed,
             **self.counter_dict(),
             "sim_time": round(self.sim_time, 3),
+            "gc": {"collections": self.gc_collections,
+                   "ms": [round(ms, 3) for ms in self.gc_ms]},
         }
+
+
+class _GcClock:
+    """A ``gc.callbacks`` hook: passes and wall ns per generation."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.ns = [0, 0, 0]
+        self._began = 0
+
+    def __call__(self, phase: str, info: dict[str, Any]) -> None:
+        if phase == "start":
+            self._began = time.perf_counter_ns()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.ns[generation] += time.perf_counter_ns() - self._began
 
 
 def run_profiled(
@@ -88,9 +119,16 @@ def run_profiled(
     )
     prof = profiler if profiler is not None else Profiler(sample_interval)
     prof.install(prepared.system)
-    counters = prepared.execute(instances_per_schema)
+    clock = _GcClock()
+    gc.callbacks.append(clock)
+    try:
+        counters = prepared.execute(instances_per_schema)
+    finally:
+        gc.callbacks.remove(clock)
     prof.publish(prepared.system.registry)
-    return ProfileRun(config=config, seed=seed, **vars(counters)), prof
+    return ProfileRun(config=config, seed=seed, **vars(counters),
+                      gc_collections=clock.collections,
+                      gc_ms=[ns / 1e6 for ns in clock.ns]), prof
 
 
 def run_profiled_sweep(
@@ -115,3 +153,31 @@ def run_profiled_sweep(
         )
         runs.append(run)
     return runs, profiler
+
+
+def gc_summary(runs: Sequence[ProfileRun]) -> dict[str, Any]:
+    """The runs' garbage-collector passes and wall ms per generation, and
+    their share of the runs' profiled wall time."""
+    collections = [sum(column) for column in zip(*(run.gc_collections for run in runs))]
+    ms = [sum(column) for column in zip(*(run.gc_ms for run in runs))]
+    wall_ms = 1000 * sum(run.wall_time_s for run in runs)
+    return {
+        "collections": collections,
+        "ms": [round(value, 3) for value in ms],
+        "share_of_wall": round(sum(ms) / wall_ms, 4) if wall_ms > 0 else 0.0,
+        "note": "frame self times include collection time",
+    }
+
+
+def render_gc(runs: Sequence[ProfileRun]) -> str:
+    """:func:`gc_summary` as a plain-text table."""
+    summary = gc_summary(runs)
+    lines = [
+        f"# garbage collector: {sum(summary['collections'])} collections, "
+        f"{sum(summary['ms']):.2f} ms = {100 * summary['share_of_wall']:.1f} % of "
+        f"profiled wall (frame self times above still include it)",
+        f"{'generation':<10} {'collections':>12} {'ms':>10}",
+    ]
+    for generation, (count, ms) in enumerate(zip(summary["collections"], summary["ms"])):
+        lines.append(f"{generation:<10} {count:>12} {ms:>10.2f}")
+    return "\n".join(lines)

@@ -72,7 +72,12 @@ from repro.analysis.experiment import (
     render_evaluation,
     run_architecture_experiment,
 )
-from repro.analysis.profiling import profile_configs, run_profiled_sweep
+from repro.analysis.profiling import (
+    gc_summary,
+    profile_configs,
+    render_gc,
+    run_profiled_sweep,
+)
 from repro.analysis.sweep import run_sweep, sweep_tasks
 from repro.analysis.invariants import INVARIANTS, check_invariants
 from repro.analysis.model import architecture_model
@@ -523,6 +528,8 @@ def cmd_profile(args) -> int:
     ))
     print()
     print(prof.render_top(limit=args.top))
+    print()
+    print(render_gc(runs))
     if args.collapsed:
         _emit(prof.collapsed(), args.collapsed)
     else:
@@ -541,6 +548,7 @@ def cmd_profile(args) -> int:
             "runs": [run.as_dict() for run in runs],
             "profile": prof.summary(),
             "top_frames": [stat.as_dict() for stat in prof.top_frames()],
+            "gc": gc_summary(runs),
         }, indent=1), args.json)
     return 0
 

@@ -395,4 +395,9 @@ class AgentHaltingMixin:
             "epoch": payload["epoch"],
             "mechanism": Mechanism.INPUT_CHANGE.value,
         }
+        epoch = runtime.fragment.recovery_epoch
         self._apply_workflow_rollback(rollback_payload)
+        if runtime.fragment.recovery_epoch == epoch:
+            # Refused (a finished instance, or an epoch a failure's rollback
+            # took first): the halt that persists the merged inputs never ran.
+            self._persist(runtime)

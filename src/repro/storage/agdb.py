@@ -185,10 +185,9 @@ class AgentDatabase:
         """
         self._trackers[instance_id] = snapshot
         self._retire_tracker_record(instance_id)
-        record = self.wal.append(
+        self._tracker_lsns[instance_id] = self.wal.append(
             "tracker", {"instance_id": instance_id, "tracker": snapshot}
         )
-        self._tracker_lsns[instance_id] = record.lsn
 
     def _retire_tracker_record(self, instance_id: str) -> None:
         lsn = self._tracker_lsns.pop(instance_id, None)

@@ -32,7 +32,6 @@ __all__ = [
     "StepRecord",
     "StepStatus",
     "apply_delta",
-    "copy_snapshot",
     "snapshot_delta",
 ]
 
@@ -308,18 +307,9 @@ def snapshot_delta(base: Mapping[str, Any], snap: Mapping[str, Any]) -> dict[str
     return delta
 
 
-def copy_snapshot(snap: Mapping[str, Any]) -> dict[str, Any]:
-    """A snapshot whose tables :func:`apply_delta` may write to (a logged
-    payload never is)."""
-    copy = dict(snap)
-    for name in _SECTIONS:
-        copy[name] = dict(snap[name])
-    return copy
-
-
 def apply_delta(snap: dict[str, Any], delta: Mapping[str, Any]) -> None:
-    """Fold one :func:`snapshot_delta` into ``snap`` (a
-    :func:`copy_snapshot`) in place."""
+    """Fold one :func:`snapshot_delta` into ``snap`` in place (a snapshot
+    the caller owns, such as a decoded log record's payload)."""
     for name in _SCALARS:
         if name in delta:
             snap[name] = delta[name]

@@ -9,6 +9,14 @@ crash*: a crashed node loses its in-memory tables but keeps its WAL, and
 
 Records are ``(lsn, kind, payload)``; payloads must be plain dict/list/
 scalar structures (the stores only write snapshots, never live objects).
+The log keeps each record as the bytes its checksum covers — the marshal
+form of ``(lsn, kind, payload)`` — and its crc32, not the payload object:
+a file backend would hold the same, a caller that mutates a dict after
+the append changes nothing logged, and the garbage collector has no
+logged payload left to walk.  Iteration and replay decode each record
+into a :class:`WalRecord` view whose payload is the reader's own copy.
+Only a record marshal refuses keeps its payload object (see
+:func:`memory_checksum`).
 
 The log holds what is live, not what ever happened: an instance's records
 form a chain (:class:`InstanceChains` — one full snapshot, then one delta
@@ -17,6 +25,7 @@ per persist) that leaves the log when the instance is archived or purged.
 
 from __future__ import annotations
 
+import copy
 import json
 import marshal
 import zlib
@@ -28,7 +37,6 @@ from repro.storage.tables import (
     InstanceState,
     InstanceStatus,
     apply_delta,
-    copy_snapshot,
     snapshot_delta,
 )
 
@@ -39,38 +47,62 @@ __all__ = ["InstanceChains", "WalRecord", "WriteAheadLog", "memory_checksum"]
 _canonical = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
-def memory_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
-    """Content checksum of one in-memory record: crc32 over its marshal form.
+def memory_checksum(
+    lsn: int, kind: str, payload: Mapping[str, Any]
+) -> tuple[bytes | None, int]:
+    """The stored form of one in-memory record and its checksum.
 
-    Format version 0 encodes content and order only — later versions flag
-    interned strings and write refcount-dependent back-references, so
-    ``sys.intern`` or one more holder of a sub-list could change a record's
-    bytes without changing the record.  A payload marshal refuses (an enum
-    member, a ``Decimal``) is checksummed over its canonical JSON form
-    instead (``default=str``), which also depends only on content.  These
-    bytes never leave the process; the on-disk service log has its own
-    pinned convention (``repro.service.durability``).
+    The form is ``marshal.dumps((lsn, kind, payload), 0)`` and the checksum
+    its crc32; the log keeps the form, and :meth:`WriteAheadLog.verify`
+    recomputes the crc32 over it.  Format version 0 encodes content and
+    order only — later versions flag interned strings and write
+    refcount-dependent back-references, so ``sys.intern`` or one more
+    holder of a sub-list could change a record's bytes without changing
+    the record.  A payload marshal refuses (an enum member, a ``Decimal``)
+    has no stored form (``None``): it is checksummed over its canonical
+    JSON form instead (``default=str``), which also depends only on
+    content, and the log keeps the payload object itself.  These bytes
+    never leave the process; the on-disk service log has its own pinned
+    convention (``repro.service.durability``).
     """
     try:
         form = marshal.dumps((lsn, kind, payload), 0)
     except ValueError:
-        form = _canonical([lsn, kind, payload]).encode("utf-8")
-    return zlib.crc32(form)
+        return None, zlib.crc32(_canonical([lsn, kind, payload]).encode("utf-8"))
+    return form, zlib.crc32(form)
 
 
 @dataclass(frozen=True, slots=True)
 class WalRecord:
+    """One log record as a reader sees it: a view decoded from the stored
+    form on iteration and replay, so each view's payload is its own."""
+
     lsn: int
     kind: str
     payload: Mapping[str, Any]
     checksum: int = 0
 
 
-def _check(record: WalRecord) -> None:
-    if record.checksum != memory_checksum(record.lsn, record.kind, record.payload):
+def _view(stored: tuple[bytes, int] | WalRecord) -> WalRecord:
+    if type(stored) is WalRecord:
+        # A fallback record: hand out a copy, never the logged object.
+        return WalRecord(stored.lsn, stored.kind, copy.deepcopy(stored.payload),
+                         stored.checksum)
+    form, checksum = stored
+    lsn, kind, payload = marshal.loads(form)
+    return WalRecord(lsn, kind, payload, checksum)
+
+
+def _check(lsn: int, stored: tuple[bytes, int] | WalRecord) -> None:
+    if type(stored) is WalRecord:
+        intact = stored.checksum == memory_checksum(
+            stored.lsn, stored.kind, stored.payload)[1]
+    else:
+        form, checksum = stored
+        intact = checksum == zlib.crc32(form)
+    if not intact:
         raise StorageError(
-            f"WAL corruption detected at lsn {record.lsn} "
-            f"(kind {record.kind!r}): checksum mismatch"
+            f"WAL corruption detected at lsn {lsn}: checksum mismatch"
         )
 
 
@@ -84,11 +116,14 @@ class WriteAheadLog:
     profile = None
 
     def __init__(self) -> None:
-        self._records: dict[int, WalRecord] = {}  # by lsn, in lsn order
+        #: by lsn, in lsn order: ``(form, checksum)``, or for a payload
+        #: marshal refuses the :class:`WalRecord` holding the appended object
+        self._records: dict[int, tuple[bytes, int] | WalRecord] = {}
         self._next_lsn = 1
         self.appends = 0
 
-    def append(self, kind: str, payload: Mapping[str, Any]) -> WalRecord:
+    def append(self, kind: str, payload: Mapping[str, Any]) -> int:
+        """Log ``payload`` under ``kind``; returns the record's lsn."""
         profile = self.profile
         if profile is not None:
             profile.push("wal.append")
@@ -98,12 +133,13 @@ class WriteAheadLog:
                     f"WAL payload must be a dict, got {type(payload).__name__}"
                 )
             lsn = self._next_lsn
-            record = WalRecord(lsn=lsn, kind=kind, payload=payload,
-                               checksum=memory_checksum(lsn, kind, payload))
-            self._next_lsn += 1
-            self._records[lsn] = record
+            stored = memory_checksum(lsn, kind, payload)
+            if stored[0] is None:  # marshal refused: the object is the record
+                stored = WalRecord(lsn, kind, payload, stored[1])
+            self._records[lsn] = stored
+            self._next_lsn = lsn + 1
             self.appends += 1
-            return record
+            return lsn
         finally:
             if profile is not None:
                 profile.pop()
@@ -115,8 +151,8 @@ class WriteAheadLog:
         loud failure instead of the silent truncation / partial state a
         recovery from a damaged log would otherwise produce.
         """
-        for record in self._records.values():
-            _check(record)
+        for lsn, stored in self._records.items():
+            _check(lsn, stored)
         return len(self._records)
 
     def replay(
@@ -140,9 +176,10 @@ class WriteAheadLog:
             profile.push("wal.replay")
         try:
             replayed = 0
-            for record in self._records.values():
+            for lsn, stored in self._records.items():
                 if verify:
-                    _check(record)
+                    _check(lsn, stored)
+                record = _view(stored)
                 handler = handlers.get(record.kind)
                 if handler is None:
                     if strict:
@@ -182,7 +219,7 @@ class WriteAheadLog:
         return len(self._records)
 
     def __iter__(self) -> Iterator[WalRecord]:
-        return iter(self._records.values())
+        return map(_view, self._records.values())
 
 
 class InstanceChains:
@@ -210,8 +247,9 @@ class InstanceChains:
         snap = state.snapshot()
         chain = self._chains.get(state.instance_id)
         if chain is None:
-            record = self._wal.append(self._head_kind, snap)
-            self._chains[state.instance_id] = [snap, [record.lsn]]
+            self._chains[state.instance_id] = [
+                snap, [self._wal.append(self._head_kind, snap)]
+            ]
             return
         base, lsns = chain
         profile = self._wal.profile
@@ -224,9 +262,8 @@ class InstanceChains:
                 profile.pop()
         delta["instance_id"] = state.instance_id
         delta["base_lsn"] = lsns[-1]
-        record = self._wal.append(self._delta_kind, delta)
+        lsns.append(self._wal.append(self._delta_kind, delta))
         chain[0] = snap
-        lsns.append(record.lsn)
 
     def retire(self, instance_id: str, keep_status_row: bool = False) -> None:
         """Take an instance's chain (and base) out of the log.
@@ -241,7 +278,7 @@ class InstanceChains:
         lsns = chain[1]
         if keep_status_row:
             for index in reversed(range(len(lsns))):
-                if "status" in self._wal._records[lsns[index]].payload:
+                if "status" in _view(self._wal._records[lsns[index]]).payload:
                     del lsns[index]
                     break
         self._wal.retire(lsns)
@@ -261,10 +298,8 @@ class InstanceChains:
         self._chains.clear()
 
         def on_head(record: WalRecord) -> None:
-            payload = record.payload
-            self._chains[payload["instance_id"]] = [
-                copy_snapshot(payload), [record.lsn]
-            ]
+            # The view's payload is a private copy: the fold may write to it.
+            self._chains[record.payload["instance_id"]] = [record.payload, [record.lsn]]
 
         def on_delta(record: WalRecord) -> None:
             payload = record.payload

@@ -1,7 +1,11 @@
 """Tests for the profiled experiment runner (``repro profile`` core)."""
 
+import gc
+
 from repro.analysis.profiling import (
+    gc_summary,
     profile_configs,
+    render_gc,
     run_profiled,
     run_profiled_sweep,
 )
@@ -70,3 +74,18 @@ def test_as_dict_is_json_safe():
                            instances_per_schema=1)
     json.dumps(run.as_dict())
     assert run.as_dict()["config"] == "parallel-normal"
+
+
+def test_the_garbage_collector_is_clocked_only_while_a_run_executes():
+    hooks = list(gc.callbacks)
+    run, __ = run_profiled("distributed-normal", seed=3, instances_per_schema=2)
+    assert gc.callbacks == hooks
+    assert len(run.gc_collections) == len(run.gc_ms) == 3
+    assert run.gc_collections[0] > 0 and sum(run.gc_ms) > 0
+    summary = gc_summary([run, run])
+    assert summary["collections"] == [2 * n for n in run.gc_collections]
+    assert 0 < summary["share_of_wall"] < 1
+    assert summary["share_of_wall"] == round(sum(run.gc_ms) / (1000 * run.wall_time_s), 4)
+    table = render_gc([run]).splitlines()
+    assert table[0].startswith(f"# garbage collector: {sum(run.gc_collections)} collections")
+    assert [line.split()[0] for line in table[2:]] == ["0", "1", "2"]

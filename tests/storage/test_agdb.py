@@ -5,6 +5,7 @@ import pytest
 from repro.errors import StorageError
 from repro.storage.agdb import AgentDatabase
 from repro.storage.tables import InstanceStatus, StepStatus
+from tests.storage.tamper import corrupt
 
 
 def make_db():
@@ -163,10 +164,25 @@ def test_replay_clone_is_equal_and_independent():
 def test_recover_detects_wal_corruption():
     db = make_db()
     db.set_summary("i1", InstanceStatus.RUNNING)
-    record = list(db.wal)[-1]
-    object.__setattr__(record, "payload", {"tampered": True})
+    corrupt(db.wal, db.wal.last_lsn(), payload={"tampered": True})
     with pytest.raises(StorageError, match="checksum mismatch"):
         db.recover()
+
+
+def test_an_enum_in_data_round_trips_through_the_fallback():
+    db = make_db()
+    fragment = db.ensure_fragment("W", "i1")
+    fragment.bind("S1.out", InstanceStatus.COMMITTED)  # marshal refuses it
+    db.persist_fragment(fragment)
+    fragment.bind("S2.out", 2)
+    db.persist_fragment(fragment)
+    assert db.wal.verify() == 2
+    clone = db.replay_clone()
+    assert clone.fragment("i1").snapshot() == fragment.snapshot()
+    assert clone.fragment("i1").data["S1.out"] is InstanceStatus.COMMITTED
+    # The fold wrote to the view's copy, not to the logged head.
+    assert db.wal.verify() == 2 and clone.wal.verify() == 2
+    assert [r.payload["data"] for r in db.wal][0] == {"S1.out": InstanceStatus.COMMITTED}
 
 
 def test_fragment_persists_append_deltas_and_recover_folds_them():
@@ -196,8 +212,7 @@ def test_recover_detects_a_corrupt_delta_and_a_broken_chain():
         fragment.bind("S1.out", value)
         db.persist_fragment(fragment)
     clone = db.replay_clone()
-    object.__setattr__(list(db.wal)[1], "payload",
-                       {**list(db.wal)[1].payload, "data": {"put": {"S1.out": 7}}})
+    corrupt(db.wal, 2, payload={**list(db.wal)[1].payload, "data": {"put": {"S1.out": 7}}})
     with pytest.raises(StorageError, match="lsn 2.*checksum mismatch"):
         db.recover()
     clone.wal.retire([2])

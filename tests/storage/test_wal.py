@@ -9,15 +9,16 @@ import pytest
 from repro.errors import StorageError
 from repro.storage.tables import InstanceStatus
 from repro.storage.wal import WriteAheadLog
+from tests.storage.tamper import corrupt
 
 
 def test_append_assigns_increasing_lsns():
     wal = WriteAheadLog()
-    r1 = wal.append("k", {"a": 1})
-    r2 = wal.append("k", {"a": 2})
-    assert r2.lsn == r1.lsn + 1
+    lsn1 = wal.append("k", {"a": 1})
+    lsn2 = wal.append("k", {"a": 2})
+    assert lsn2 == lsn1 + 1
     assert len(wal) == 2
-    assert wal.last_lsn() == r2.lsn
+    assert wal.last_lsn() == lsn2
 
 
 def test_payload_must_be_dict():
@@ -86,7 +87,7 @@ def test_checkpoint_past_last_lsn_empties_log():
     assert wal.checkpoint(keep_from_lsn=wal.last_lsn() + 100) == 3
     assert len(wal) == 0
     assert wal.last_lsn() == 0
-    assert wal.append("k", {"i": 99}).lsn == 4
+    assert wal.append("k", {"i": 99}) == 4
 
 
 def test_replay_from_empty_log_is_a_noop():
@@ -118,7 +119,7 @@ def test_corrupted_record_detected_by_verify_and_replay():
     wal.append("k", {"i": 0})
     wal.append("k", {"i": 1})
     # Corrupt the payload behind the checksum's back (bit rot).
-    object.__setattr__(list(wal)[1], "payload", {"i": 999})
+    corrupt(wal, 2, payload={"i": 999})
     with pytest.raises(StorageError, match="lsn 2.*checksum mismatch"):
         wal.verify()
     with pytest.raises(StorageError, match="checksum mismatch"):
@@ -129,15 +130,13 @@ def test_corrupted_record_detected_by_verify_and_replay():
 
 def test_checksum_binds_lsn_and_kind_not_just_payload():
     wal = WriteAheadLog()
-    record = wal.append("a", {"v": 1})
+    wal.append("a", {"v": 1})
     assert wal.verify() == 1
     for lsn, kind in ((2, "a"), (1, "b")):
-        object.__setattr__(record, "lsn", lsn)
-        object.__setattr__(record, "kind", kind)
+        corrupt(wal, 1, lsn=lsn, kind=kind)
         with pytest.raises(StorageError, match="checksum mismatch"):
             wal.verify()
-    object.__setattr__(record, "lsn", 1)
-    object.__setattr__(record, "kind", "a")
+    corrupt(wal, 1, lsn=1, kind="a")
     assert wal.verify() == 1
 
 
@@ -170,10 +169,14 @@ def test_shared_sub_dict_with_changed_refcounts_still_verifies():
 ], ids=["bool-vs-int", "signed-zero", "key-order"])
 def test_content_the_json_form_conflated_counts_as_a_change(before, after):
     wal = WriteAheadLog()
-    record = wal.append("k", before)
-    object.__setattr__(record, "payload", after)
+    lsn = wal.append("k", before)
+    corrupt(wal, lsn, payload=after)
     with pytest.raises(StorageError, match="lsn 1.*checksum mismatch"):
         wal.verify()
+    # ... and the stored form hands back exactly what was appended.
+    fresh = WriteAheadLog()
+    fresh.append("k", after)
+    assert [repr(record.payload) for record in fresh] == [repr(after)]
 
 
 @pytest.mark.parametrize("value", [InstanceStatus.COMMITTED, Decimal("1.50")],
@@ -190,6 +193,20 @@ def test_values_marshal_refuses_take_the_json_fallback(value):
         wal.verify()
 
 
+def test_mutating_a_payload_after_the_append_changes_nothing_logged():
+    wal = WriteAheadLog()
+    payload = {"i": 0, "nested": {"x": [1, 2]}}
+    wal.append("k", payload)
+    payload["i"] = 1
+    payload["nested"]["x"].append(3)
+    assert wal.verify() == 1
+    seen = []
+    assert wal.replay({"k": seen.append}, verify=True) == 1
+    assert seen == [{"i": 0, "nested": {"x": [1, 2]}}]
+    seen[0]["nested"]["x"].clear()  # a view's payload is the reader's own
+    assert [record.payload for record in wal] == [{"i": 0, "nested": {"x": [1, 2]}}]
+
+
 def test_retire_drops_records_by_lsn_and_keeps_the_order_of_the_rest():
     wal = WriteAheadLog()
     for i in range(5):
@@ -197,7 +214,7 @@ def test_retire_drops_records_by_lsn_and_keeps_the_order_of_the_rest():
     assert wal.retire([2, 4, 99]) == 2
     assert [r.lsn for r in wal] == [1, 3, 5]
     assert wal.last_lsn() == 5 and wal.verify() == 3
-    assert wal.append("k", {"i": 5}).lsn == 6
+    assert wal.append("k", {"i": 5}) == 6
     assert wal.appends == 6
 
 
@@ -209,7 +226,7 @@ def test_load_copies_records_and_next_lsn():
     other = WriteAheadLog()
     other.load(wal)
     assert [r.payload for r in other] == [{"i": 0}]
-    assert other.append("k", {}).lsn == 3
+    assert other.append("k", {}) == 3
     assert len(wal) == 1  # independent afterwards
 
 

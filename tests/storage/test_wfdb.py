@@ -8,6 +8,7 @@ from repro.analysis.experiment import PreparedRun
 from repro.errors import StorageError
 from repro.storage.tables import InstanceStatus, StepStatus
 from repro.storage.wfdb import WorkflowDatabase
+from tests.storage.tamper import corrupt
 from tests.conftest import linear_schema
 from repro.model import compile_schema
 
@@ -172,7 +173,7 @@ def test_recover_detects_a_corrupt_delta():
     delta = list(db.wal)[2]
     flipped = json.loads(json.dumps(delta.payload).replace('"in": 1', '"in": 3'))
     assert flipped != delta.payload
-    object.__setattr__(delta, "payload", flipped)
+    corrupt(db.wal, delta.lsn, payload=flipped)
     with pytest.raises(StorageError, match="lsn 3.*checksum mismatch"):
         db.recover()
 

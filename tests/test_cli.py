@@ -269,6 +269,9 @@ def test_profile_single_config_prints_table_and_collapsed(capsys):
     assert "# profile: 1 config(s)" in out
     assert "self %" in out                       # ranked top-frames table
     assert "transport.arrive" in out
+    assert "# garbage collector:" in out         # under the frame table
+    assert "frame self times above still include it" in out
+    assert out.index("self %") < out.index("# garbage collector:")
     assert "# collapsed stacks" in out           # flamegraph output
     assert any(";" in line and line.rsplit(" ", 1)[1].isdigit()
                for line in out.splitlines())
@@ -296,6 +299,8 @@ def test_profile_writes_artifacts(tmp_path, capsys):
     summary = json.loads(blob.read_text())
     assert summary["runs"][0]["config"] == "parallel-normal"
     assert summary["top_frames"]
+    assert summary["gc"]["collections"] == summary["runs"][0]["gc"]["collections"]
+    assert 0 <= summary["gc"]["share_of_wall"] < 1
     # collapsed went to the file, not stdout
     assert "# collapsed stacks" not in capsys.readouterr().out
 
