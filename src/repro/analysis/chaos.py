@@ -194,11 +194,7 @@ def _check_liveness(system, started: list[str]) -> list[Violation]:
 def _check_orphaned_inflight(system) -> list[Violation]:
     out: list[Violation] = []
     architecture = system.architecture
-    engines = []
-    if architecture == "centralized":
-        engines = [system.engine]
-    elif architecture == "parallel":
-        engines = list(system.engines)
+    engines = system.engines if architecture != "distributed" else []
     for engine in engines:
         for (instance_id, step) in sorted(engine._inflight):
             if instance_id in system.outcomes:
@@ -229,9 +225,7 @@ def _check_wal_convergence(system) -> list[Violation]:
         except CrewError as exc:
             out.append(Violation("wal-convergence", "-", f"{name}: {exc}"))
 
-    if architecture == "centralized":
-        audit(system.engine.name, system.engine.wfdb.wal)
-    elif architecture == "parallel":
+    if architecture != "distributed":
         for engine in system.engines:
             audit(engine.name, engine.wfdb.wal)
     else:

@@ -25,6 +25,7 @@ from repro.engines.centralized.recovery import EngineRecoveryMixin
 from repro.engines.coord import AuthorityBundle, SpecIndex
 from repro.engines.runtime import EngineRuntime, InflightStep, ProbeWait
 from repro.errors import FrontEndError, SchemaError, SimulationError
+from repro.model.coordination_spec import CoordinationSpec
 from repro.obs.profile import profiled
 from repro.rules.engine import RuleEngine, RuleInstance
 from repro.rules.events import WF_START, step_done
@@ -63,6 +64,11 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
 
     def _charge(self, mechanism: Mechanism, units: float = 1.0) -> None:
         self.charge(units, mechanism)
+
+    def add_spec(self, spec: CoordinationSpec) -> None:
+        """Install a coordination spec; the engine is its authority."""
+        self.spec_index.add(spec)
+        self.authorities.host(spec)
 
     def runtime(self, instance_id: str) -> EngineRuntime:
         try:

@@ -28,25 +28,45 @@ class CentralizedControlSystem(ControlSystem):
     ):
         super().__init__(config, runtime=runtime)
         self.agents_per_step = agents_per_step
-        self.engine = CentralEngineNode("engine", self)
+        self.engines = self._new_engines()
         self.agents = [
             ApplicationAgentNode(f"agent-{i:03d}", self) for i in range(num_agents)
         ]
+
+    def _new_engines(self) -> list[CentralEngineNode]:
+        return [CentralEngineNode("engine", self)]
+
+    @property
+    def engine(self) -> CentralEngineNode:
+        """The central engine (the first engine, under parallel control)."""
+        return self.engines[0]
 
     # -- wiring ------------------------------------------------------------------
 
     def agent_names(self) -> list[str]:
         return [agent.name for agent in self.agents]
 
+    def engine_nodes(self) -> list[str]:
+        return [engine.name for engine in self.engines]
+
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:
         self.assignment.assign_round_robin(
             compiled, self.agent_names(), self.agents_per_step
         )
-        self.engine.wfdb.register_class(compiled)
+        for engine in self.engines:
+            engine.wfdb.register_class(compiled)
 
     def _on_spec_added(self, spec: CoordinationSpec) -> None:
-        self.engine.spec_index.add(spec)
-        self.engine.authorities.host(spec)
+        for engine in self.engines:
+            engine.add_spec(spec)
+
+    # -- ownership: which engine controls an instance --------------------------------
+
+    def _engine_for_new(self) -> CentralEngineNode:
+        return self.engine
+
+    def _owner_engine(self, instance_id: str) -> CentralEngineNode:
+        return self.engine
 
     # -- front-end database operations ----------------------------------------------
 
@@ -55,27 +75,26 @@ class CentralizedControlSystem(ControlSystem):
     ) -> str:
         self.compiled(schema_name)  # validate registration eagerly
         instance_id = self.new_instance_id(schema_name)
+        engine = self._engine_for_new()
+        self._note_owner(instance_id, engine.name)
         self.schedule_frontend(
-            delay, self.engine, self.engine.workflow_start,
+            delay, engine, engine.workflow_start,
             schema_name, instance_id, dict(inputs),
         )
         return instance_id
 
     def abort_workflow(self, instance_id: str, delay: float = 0.0) -> None:
-        self.schedule_frontend(
-            delay, self.engine, self.engine.workflow_abort, instance_id
-        )
+        engine = self._owner_engine(instance_id)
+        self.schedule_frontend(delay, engine, engine.workflow_abort, instance_id)
 
     def change_inputs(
         self, instance_id: str, changes: Mapping[str, Any], delay: float = 0.0
     ) -> None:
+        engine = self._owner_engine(instance_id)
         self.schedule_frontend(
-            delay, self.engine, self.engine.workflow_change_inputs,
+            delay, engine, engine.workflow_change_inputs,
             instance_id, dict(changes),
         )
 
     def workflow_status(self, instance_id: str) -> InstanceStatus:
-        return self.engine.workflow_status(instance_id)
-
-    def engine_nodes(self) -> list[str]:
-        return [self.engine.name]
+        return self._owner_engine(instance_id).workflow_status(instance_id)

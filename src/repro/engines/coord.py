@@ -5,7 +5,8 @@ navigating ("is this step governed by a relative-ordering pair?", "does
 this step open a mutual-exclusion region?"); :class:`AuthorityBundle`
 holds the live authority state machines for the specs one node is the
 authority for (the engine in centralized control, a deterministic engine
-or agent otherwise).
+or agent otherwise).  :func:`later_pair_clearances` is the one
+registration step every architecture's relative-order authority runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.coordination import (
+    ClearanceGrant,
     MutualExclusionAuthority,
     RelativeOrderAuthority,
     RollbackDependencyAuthority,
@@ -26,7 +28,7 @@ from repro.model.coordination_spec import (
 )
 from repro.storage.tables import InstanceState
 
-__all__ = ["AuthorityBundle", "SpecIndex"]
+__all__ = ["AuthorityBundle", "SpecIndex", "later_pair_clearances"]
 
 
 class SpecIndex:
@@ -105,6 +107,24 @@ class SpecIndex:
         if isinstance(value, Hashable):
             return value
         return str(value)
+
+
+def later_pair_clearances(
+    authority: RelativeOrderAuthority, schema: str, instance: str, key: Hashable | None
+) -> list[ClearanceGrant]:
+    """Request clearance for every later pair of a registered instance.
+
+    Returns the grants that can proceed now, in pair order; the rest wait
+    at the authority.  An instance withdrawn (abort) or retired (commit)
+    since its pair-0 report requests nothing.
+    """
+    if not authority.is_registered(instance):
+        return []
+    grants = (
+        authority.request_clearance(schema, instance, later, key)
+        for later in range(1, len(authority.spec.steps_a))
+    )
+    return [grant for grant in grants if grant is not None]
 
 
 class AuthorityBundle:

@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 from repro.core.coordination import mx_clearance_token
 from repro.core.interfaces import WI
-from repro.engines.coord import SpecIndex
+from repro.engines.coord import SpecIndex, later_pair_clearances
 from repro.engines.runtime import AgentRuntime
 from repro.errors import SimulationError
 from repro.model.coordination_spec import CoordinationSpec
@@ -139,13 +139,7 @@ class AgentCoordinationMixin:
         self, spec_name: str, schema_name: str, instance_id: str, key
     ) -> None:
         authority = self.authorities.ro[spec_name]
-        if not authority.is_registered(instance_id):
-            return  # withdrawn (abort) since the report
-        grants = []
-        for later in range(1, len(authority.spec.steps_a)):
-            grant = authority.request_clearance(schema_name, instance_id, later, key)
-            if grant is not None:
-                grants.append(grant)
+        grants = later_pair_clearances(authority, schema_name, instance_id, key)
         self._deliver_ro_grants(authority, grants)
 
     def _deliver_ro_grants(self, authority, grants) -> None:

@@ -182,7 +182,7 @@ def test_parallel_withdraw_before_the_deferred_clearance_request(aborted):
     engine._apply_coord_op({**report, "pair_index": 0})  # schedules the request
     engine._apply_coord_op({**report, "pair_index": 1})
     engine._apply_coord_op({"op": "withdraw", "instance": "Linear-1", "aborted": aborted})
-    authority = engine.replica.ro["fifo"]
+    authority = engine.authorities.ro["fifo"]
     assert not authority.is_registered("Linear-1")
     system.run()  # the deferred request fires here
     assert not authority.is_registered("Linear-1")

@@ -74,4 +74,4 @@ def test_replicas_drop_a_mutex_nobody_waits_on():
            for n, key in enumerate("rrsrs")]
     system.run()
     assert all(system.outcome(i).committed for i in ids)
-    assert [engine.replica.mx for engine in system.engines] == [{}, {}]
+    assert [engine.mutexes for engine in system.engines] == [{}, {}]

@@ -21,10 +21,8 @@ BATCHES, BATCH = 4, 16
 
 def shadow_authorities(system, spec) -> list[Shadowed]:
     """Put a :class:`Shadowed` where each engine keeps ``spec``'s authority."""
-    if system.architecture == "centralized":
-        holders = [system.engine.authorities.ro]
-    elif system.architecture == "parallel":
-        holders = [engine.replica.ro for engine in system.engines]
+    if system.architecture != "distributed":
+        holders = [engine.authorities.ro for engine in system.engines]
     else:
         holders = [system.agent(system.authority_agent_for(spec)).authorities.ro]
     shadows = [Shadowed(spec) for __ in holders]

@@ -93,12 +93,11 @@ def test_two_thousand_terminal_instances_leave_what_is_in_flight(architecture, m
         assert len(summaries) == 2 * BATCH * BATCHES  # running, then terminal
         return
 
-    engines = [system.engine] if architecture == "centralized" else system.engines
+    engines = system.engines
     for engine in engines:
         assert engine.runtimes == {} and engine._inflight == {}
         assert engine.wfdb._instances == {} and engine.wfdb._chains._chains == {}
-        authorities = engine.authorities.ro if architecture == "centralized" else engine.replica.ro
-        for authority in authorities.values():
+        for authority in engine.authorities.ro.values():
             assert authority._registrations == {} and authority._completions == {}
             assert authority._groups == {}
     # the archived instance's summary row is what the engine log keeps

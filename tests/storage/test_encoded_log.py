@@ -25,8 +25,7 @@ def stores(system):
         for agent in system.agents:
             yield agent.name, agent.agdb, agent.agdb.replay_clone()
         return
-    engines = [system.engine] if system.architecture == "centralized" else system.engines
-    for engine in engines:
+    for engine in system.engines:
         clone = WorkflowDatabase()
         clone.wal.load(engine.wfdb.wal)
         clone.recover()

@@ -243,7 +243,7 @@ def test_engine_run_with_crash_recovers_as_the_oracle_does(architecture):
         crashing = nodes[:3]
         shadows = [Shadowed(agent.agdb) for agent in nodes]
     else:
-        nodes = [system.engine] if architecture == "centralized" else list(system.engines)
+        nodes = list(system.engines)
         crashing = nodes[:1]
         shadows = [Shadowed(engine.wfdb) for engine in nodes]
     for node in crashing:

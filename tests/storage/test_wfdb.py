@@ -222,7 +222,7 @@ def test_engine_log_costs_what_changed_and_keeps_what_is_live(architecture, monk
     assert counters.committed + counters.aborted == 20
     assert sum(sizes) / len(sizes) < 600  # whole snapshots averaged 2 366 B
     system = prepared.system
-    engines = [system.engine] if architecture == "centralized" else system.engines
+    engines = system.engines
     assert sum(len(engine.wfdb.wal) for engine in engines) == 20
     for engine in engines:
         assert not list(engine.wfdb.instances())

@@ -555,3 +555,28 @@ def test_the_transport_has_one_observer():
                     violations.append(f"{where}:{getattr(node, 'lineno', '?')}: {name}")
     assert not violations, "\n".join(violations)
     assert not (SRC / "repro" / "obs" / "causal.py").exists(), "repro.obs.causal is back"
+
+
+def test_parallel_control_overrides_only_the_coordination_leaves():
+    """Parallel control is centralized control with ``e`` engines: the
+    coordination walk lives in ``centralized/coordination.py`` only, and
+    ``ParallelEngineNode`` overrides the leaves it broadcasts, none of the
+    five walk methods.  ``ParallelControlSystem`` inherits the centralized
+    facade, and the engine's RO/RD replicas are its own ``authorities``,
+    not a second store."""
+    walk = {"_coord_on_step_done", "_mx_acquire", "_mx_release",
+            "_coord_on_rollback", "_release_coordination"}
+    tree = ast.parse((SRC / "repro" / "engines" / "parallel.py").read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert "_CoordReplica" not in classes, "the second authority store is back"
+    engine_methods = {n.name for n in classes["ParallelEngineNode"].body
+                      if isinstance(n, ast.FunctionDef)}
+    assert not engine_methods & walk, sorted(engine_methods & walk)
+    assert engine_methods >= {"_ro_report", "_mx_request", "_mx_free",
+                              "_rd_report", "_rd_trigger", "_withdraw"}
+    assert [ast.unparse(b) for b in classes["ParallelControlSystem"].bases] == [
+        "CentralizedControlSystem"]
+    mixin = ast.parse(
+        (SRC / "repro" / "engines" / "centralized" / "coordination.py").read_text())
+    [coordination] = [n for n in mixin.body if isinstance(n, ast.ClassDef)]
+    assert walk <= {n.name for n in coordination.body if isinstance(n, ast.FunctionDef)}
