@@ -276,6 +276,16 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             wait.inputs, wait.attempt,
         )
 
+    def _retire_probes(self, instance_id: str, steps=None) -> None:
+        """Forget the instance's pending load probes (those of ``steps``
+        only, on a rollback): their replies must not dispatch a step that
+        was halted."""
+        self._probes = {
+            probe_id: wait for probe_id, wait in self._probes.items()
+            if wait.instance_id != instance_id
+            or (steps is not None and wait.step not in steps)
+        }
+
     @profiled("dispatch.wi")
     def _send_execute(
         self,

@@ -41,8 +41,10 @@ class EngineRecoveryMixin:
         runtime = self.runtime(instance_id)
         self.emit("workflow.abort.request", instance=instance_id)
         self._charge(Mechanism.ABORT)
-        # Halt everything first: bump the epoch so in-flight results are stale.
+        # Halt everything first: bump the epoch so in-flight results are
+        # stale, and drop pending load probes so nothing new is dispatched.
         runtime.state.recovery_epoch += 1
+        self._retire_probes(instance_id)
         self.emit("abort.halt", instance=instance_id,
                   epoch=runtime.state.recovery_epoch)
         schema = runtime.compiled.schema
@@ -124,6 +126,7 @@ class EngineRecoveryMixin:
             # No rollback point: Saga-style default — compensate everything
             # executed (reverse order) and abort the workflow.
             runtime.state.recovery_epoch += 1
+            self._retire_probes(instance_id)
             self.emit("failure.unhandled", instance=instance_id, step=failed_step,
                       epoch=runtime.state.recovery_epoch)
             executed = [
@@ -170,6 +173,7 @@ class EngineRecoveryMixin:
             if retired is not None:
                 self._agent_load_view[retired.agent] -= 1
                 self.emit("step.cancel", instance=instance_id, step=step)
+        self._retire_probes(instance_id, recovery.steps)
         runtime.reported -= recovery.steps
         self.wfdb.persist(state)
 

@@ -26,6 +26,7 @@ from repro.engines.base import (
 )
 from repro.engines.runtime import (
     AgentRuntime,
+    LoadProbe,
     absorb_invalidations,
     compensate_set_chain,
     open_invalidation_round,
@@ -413,14 +414,9 @@ class AgentNavigationMixin:
         loads = {}
         if self.name in eligible:
             loads[self.name] = self._local_executing_count()
-        self._load_probes[probe_id] = {
-            "instance_id": instance_id,
-            "successor": successor,
-            "mechanism": mechanism,
-            "eligible": eligible,
-            "waiting": set(others),
-            "loads": loads,
-        }
+        self._load_probes[probe_id] = LoadProbe(
+            instance_id, successor, mechanism, eligible, set(others), loads
+        )
         for agent in others:
             self.send(agent, WI.STATE_INFORMATION.value,
                       {"probe_id": probe_id, "mechanism": mechanism.value},
@@ -433,23 +429,23 @@ class AgentNavigationMixin:
         pending = self._load_probes.get(probe_id)
         if pending is None:
             return
-        pending["waiting"].discard(message.src)
-        pending["loads"][message.src] = message.payload["load"]
-        if not pending["waiting"]:
+        pending.waiting.discard(message.src)
+        pending.loads[message.src] = message.payload["load"]
+        if not pending.waiting:
             self._finish_load_probe(probe_id)
 
     def _finish_load_probe(self, probe_id: int) -> None:
         pending = self._load_probes.pop(probe_id, None)
         if pending is None:
             return
-        runtime = self.runtimes.get(pending["instance_id"])
+        runtime = self.runtimes.get(pending.instance_id)
         if runtime is None or runtime.fragment.status is not InstanceStatus.RUNNING:
             return
-        loads = pending["loads"]
+        loads = pending.loads
         assigned = min(loads, key=lambda agent: (loads[agent], agent))
         self._send_step_packets(
-            runtime, pending["instance_id"], pending["successor"],
-            pending["mechanism"], pending["eligible"], assigned,
+            runtime, pending.instance_id, pending.successor,
+            pending.mechanism, pending.eligible, assigned,
         )
 
     def _build_packet(

@@ -32,7 +32,7 @@ from repro.engines.distributed.navigation import (
     AgentNavigationMixin,
     elect_executor,
 )
-from repro.engines.runtime import AgentRuntime
+from repro.engines.runtime import AgentRuntime, LoadProbe
 from repro.errors import FrontEndError
 from repro.model.compiler import CompiledSchema
 from repro.obs.profile import profiled
@@ -71,7 +71,7 @@ class WorkflowAgentNode(
         #: in a purge broadcast, and the timer that will flush them.
         self._purge_pending: list[str] = []
         self._purge_timer: EventHandle | None = None
-        self._load_probes: dict[int, dict] = {}
+        self._load_probes: dict[int, LoadProbe] = {}
         self._probe_ids = itertools.count(1)
         #: instance id -> ids of the status probes already seen for it.
         self._seen_status_probes: dict[str, set[int]] = {}

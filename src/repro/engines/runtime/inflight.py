@@ -31,7 +31,8 @@ class ProbeWait:
     """Engine-side StateInformation fan-out pending its load replies.
 
     The engine probes every eligible agent of a step and dispatches the
-    execution to the least loaded once all replies are in.
+    execution to the least loaded once all replies are in.  A rollback
+    over the step, or an abort of its instance, retires the wait first.
     """
 
     instance_id: str
@@ -49,7 +50,10 @@ class LoadProbe:
     """Agent-side successor-selection probe (distributed two-phase dispatch).
 
     The navigating agent probes the successor step's eligible peers and
-    sends the workflow packets once all replies are in.
+    sends the workflow packets once all replies are in.  Packets are built
+    when sent, so a probe that outlives a rollback carries the new epoch
+    and the invalidated events: the successor cannot fire from the
+    rolled-back completion.
     """
 
     instance_id: str
