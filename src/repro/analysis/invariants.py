@@ -28,6 +28,14 @@ checkable witness:
 ``at-most-once-commit``
     An instance commits at most once, and never both commits and aborts.
 
+``dispatch-once``
+    A central engine dispatches a step once per recovery epoch: no second
+    ``step.dispatch`` of the same (instance, step, epoch) before that
+    step's ``step.done`` / ``step.fail`` / ``step.redispatch`` /
+    ``step.stale_result`` / ``step.reuse`` (or the engine's recovery,
+    which re-dispatches what was in flight), and no ``step.dispatch``
+    after the instance's ``workflow.abort.request``.
+
 Each checker returns :class:`Violation` objects carrying the offending
 record chain, so a CLI or test failure shows *which* events broke the
 rule, not just that one did.
@@ -185,12 +193,56 @@ def check_at_most_once_commit(ct: CausalTrace) -> list[Violation]:
     return out
 
 
+_SETTLE_KINDS = ("step.done", "step.fail", "step.redispatch", "step.stale_result",
+                 "step.reuse")
+
+
+def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
+    """One dispatch per (instance, step, epoch) until it settles; none
+    after an abort request."""
+    out: list[Violation] = []
+    # (instance, step) -> epoch -> the unsettled dispatch at that epoch.
+    open_: dict[tuple[str, object], dict[object, RecordRow]] = {}
+    abort_requests: dict[str, RecordRow] = {}
+    for rec in ct.records:
+        instance = rec.instance
+        if rec.kind == "engine.recovered":
+            open_ = {key: {epoch: d for epoch, d in by_epoch.items() if d.node != rec.node}
+                     for key, by_epoch in open_.items()}
+        if instance is None:
+            continue
+        key = (instance, rec.detail.get("step"))
+        if rec.kind == "workflow.abort.request":
+            abort_requests.setdefault(instance, rec)
+        elif rec.kind in _SETTLE_KINDS:
+            open_.pop(key, None)
+        elif rec.kind == "step.dispatch":
+            abort = abort_requests.get(instance)
+            if abort is not None:
+                out.append(Violation(
+                    "dispatch-once", instance,
+                    f"step {key[1]!r} dispatched after the abort request",
+                    (_describe(abort), _describe(rec)),
+                ))
+            epoch = rec.detail.get("epoch")
+            prior = open_.setdefault(key, {}).get(epoch)
+            if prior is not None:
+                out.append(Violation(
+                    "dispatch-once", instance,
+                    f"step {key[1]!r} dispatched twice at epoch {epoch}",
+                    (_describe(prior), _describe(rec)),
+                ))
+            open_[key][epoch] = rec
+    return out
+
+
 #: The invariant catalog, name -> checker.
 INVARIANTS: dict[str, Callable[[CausalTrace], list[Violation]]] = {
     "halt-before-reexecute": check_halt_before_reexecute,
     "reverse-order-compensation": check_reverse_order_compensation,
     "epoch-monotonicity": check_epoch_monotonicity,
     "at-most-once-commit": check_at_most_once_commit,
+    "dispatch-once": check_dispatch_once,
 }
 
 

@@ -164,6 +164,50 @@ def test_commit_and_abort_is_flagged():
     assert "committed and aborted" in violations[0].message
 
 
+def dispatch(time, step="S2", epoch=1, node="e"):
+    return record_line(time, node, "step.dispatch", instance="w-1", step=step,
+                       agent="a1", epoch=epoch)
+
+
+def test_second_dispatch_in_one_epoch_is_flagged():
+    violations = check([dispatch(1.0), dispatch(2.0)], ["dispatch-once"])
+    assert len(violations) == 1
+    assert "twice at epoch 1" in violations[0].message
+    assert len(violations[0].evidence) == 2
+
+
+@pytest.mark.parametrize("settle", ["step.done", "step.fail", "step.redispatch",
+                                    "step.stale_result", "step.reuse"])
+def test_a_settled_step_may_be_dispatched_again(settle):
+    assert check([
+        dispatch(1.0),
+        record_line(1.5, "e", settle, instance="w-1", step="S2"),
+        dispatch(2.0),
+    ], ["dispatch-once"]) == []
+
+
+def test_dispatches_in_different_epochs_or_steps_are_legal():
+    assert check([dispatch(1.0), dispatch(2.0, epoch=2), dispatch(3.0, step="S3")],
+                 ["dispatch-once"]) == []
+
+
+def test_engine_recovery_forgets_its_unsettled_dispatches():
+    recovered = record_line(1.5, "e", "engine.recovered", instances=1)
+    assert check([dispatch(1.0), recovered, dispatch(2.0)], ["dispatch-once"]) == []
+    other = record_line(1.5, "e2", "engine.recovered", instances=1)
+    assert len(check([dispatch(1.0), other, dispatch(2.0)], ["dispatch-once"])) == 1
+
+
+def test_dispatch_after_abort_request_is_flagged():
+    violations = check([
+        dispatch(1.0, step="S1"),
+        record_line(2.0, "e", "workflow.abort.request", instance="w-1"),
+        dispatch(3.0),
+    ], ["dispatch-once"])
+    assert len(violations) == 1
+    assert "after the abort request" in violations[0].message
+
+
 def test_unknown_invariant_name_raises():
     with pytest.raises(CrewError):
         check([], ["no-such-invariant"])
@@ -175,6 +219,7 @@ def test_catalog_names_are_stable():
         "reverse-order-compensation",
         "epoch-monotonicity",
         "at-most-once-commit",
+        "dispatch-once",
     }
 
 

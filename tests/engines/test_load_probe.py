@@ -15,6 +15,8 @@ successor from the rolled-back completion.
 
 import pytest
 
+from repro.analysis.causal import CausalTrace
+from repro.analysis.invariants import check_invariants
 from repro.core.programs import FunctionProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.model import SchemaBuilder
@@ -50,6 +52,11 @@ def records(system, *kinds):
     return [(r.time, r.kind, r.detail.get("step")) for r in system.trace if r.kind in kinds]
 
 
+def dispatch_violations(system):
+    return check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                            ["dispatch-once"])
+
+
 @pytest.mark.parametrize("architecture", ENGINE_ARCHITECTURES)
 def test_a_rollback_retires_the_probe_of_a_halted_step(architecture):
     """S2's probe goes out at t=4.1 and its replies land at t=6.1; the input
@@ -66,6 +73,7 @@ def test_a_rollback_retires_the_probe_of_a_halted_step(architecture):
     s2_dispatches = [t for t, kind, step in trace if (kind, step) == ("step.dispatch", "S2")]
     assert len(s2_dispatches) == 1 and s2_dispatches[0] > last_s1_done
     assert all(engine._probes == {} for engine in system.engines)
+    assert dispatch_violations(system) == []
 
 
 @pytest.mark.parametrize("architecture", ENGINE_ARCHITECTURES)
@@ -81,6 +89,7 @@ def test_an_abort_retires_pending_probes(architecture):
     assert [step for t, kind, step in trace if kind == "step.dispatch"] == ["S1"]
     assert all(t < abort_time for t, kind, __ in trace if kind == "step.dispatch")
     assert all(engine._probes == {} for engine in system.engines)
+    assert dispatch_violations(system) == []
 
 
 @pytest.mark.parametrize("architecture", ENGINE_ARCHITECTURES)
