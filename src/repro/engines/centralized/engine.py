@@ -276,7 +276,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             wait.inputs, wait.attempt,
         )
 
-    def _retire_probes(self, instance_id: str, steps=None) -> None:
+    def _retire_probes(self, instance_id: str, steps: frozenset[str] | None = None) -> None:
         """Forget the instance's pending load probes (those of ``steps``
         only, on a rollback): their replies must not dispatch a step that
         was halted."""
