@@ -202,20 +202,22 @@ def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
     after an abort request."""
     out: list[Violation] = []
     # (instance, step) -> epoch -> the unsettled dispatch at that epoch.
-    open_: dict[tuple[str, object], dict[object, RecordRow]] = {}
+    unsettled: dict[tuple[str, object], dict[object, RecordRow]] = {}
     abort_requests: dict[str, RecordRow] = {}
     for rec in ct.records:
         instance = rec.instance
         if rec.kind == "engine.recovered":
-            open_ = {key: {epoch: d for epoch, d in by_epoch.items() if d.node != rec.node}
-                     for key, by_epoch in open_.items()}
+            unsettled = {
+                key: {epoch: d for epoch, d in by_epoch.items() if d.node != rec.node}
+                for key, by_epoch in unsettled.items()
+            }
         if instance is None:
             continue
         key = (instance, rec.detail.get("step"))
         if rec.kind == "workflow.abort.request":
             abort_requests.setdefault(instance, rec)
         elif rec.kind in _SETTLE_KINDS:
-            open_.pop(key, None)
+            unsettled.pop(key, None)
         elif rec.kind == "step.dispatch":
             abort = abort_requests.get(instance)
             if abort is not None:
@@ -225,14 +227,14 @@ def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
                     (_describe(abort), _describe(rec)),
                 ))
             epoch = rec.detail.get("epoch")
-            prior = open_.setdefault(key, {}).get(epoch)
+            prior = unsettled.setdefault(key, {}).get(epoch)
             if prior is not None:
                 out.append(Violation(
                     "dispatch-once", instance,
                     f"step {key[1]!r} dispatched twice at epoch {epoch}",
                     (_describe(prior), _describe(rec)),
                 ))
-            open_[key][epoch] = rec
+            unsettled[key][epoch] = rec
     return out
 
 
