@@ -375,9 +375,13 @@ class ControlSystem:
         self.specs: list[CoordinationSpec] = []
         self.assignment = AgentAssignment()
         self.outcomes: dict[str, InstanceOutcome] = {}
+        #: instance id -> the node controlling it, where an architecture
+        #: has more than one node to choose from (centralized has not).
+        self._owners: dict[str, str] = {}
         #: Completion callback: ``on_outcome(outcome)`` runs for every
-        #: instance (nested ones too) inside the engine handler that
-        #: finished it, before that handler's closing trace record.
+        #: instance (nested ones too) from the view of its end event, inside
+        #: the engine handler that finished it and before the event's flat
+        #: record.
         self.on_outcome: Callable[[InstanceOutcome], None] | None = None
         self._instance_ids = itertools.count(1)
 
@@ -448,19 +452,54 @@ class ControlSystem:
 
     def start_workflow(
         self, schema_name: str, inputs: Mapping[str, Any], delay: float = 0.0
-    ) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
+    ) -> str:
+        """WorkflowStart WI: a new instance, started at :meth:`_place`'s node."""
+        self.compiled(schema_name)  # validate registration eagerly
+        instance_id = self.new_instance_id(schema_name)
+        node = self._place(schema_name, instance_id)
+        self.schedule_frontend(
+            delay, node, node.workflow_start, schema_name, instance_id, dict(inputs),
+        )
+        return instance_id
 
     def abort_workflow(self, instance_id: str, delay: float = 0.0) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
+        """WorkflowAbort WI, to the node that controls the instance."""
+        node = self._owner_node(instance_id)
+        self.schedule_frontend(delay, node, node.workflow_abort, instance_id)
 
     def change_inputs(
         self, instance_id: str, changes: Mapping[str, Any], delay: float = 0.0
     ) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
+        """WorkflowChangeInputs WI, to the node that controls the instance."""
+        node = self._owner_node(instance_id)
+        self.schedule_frontend(
+            delay, node, node.workflow_change_inputs, instance_id, dict(changes),
+        )
 
     def workflow_status(self, instance_id: str) -> InstanceStatus:
+        """WorkflowStatus WI, answered by the node that controls the instance."""
+        return self._owner_node(instance_id).workflow_status(instance_id)
+
+    # -- where a WI lands: each architecture supplies these two -----------------------
+
+    def _place(self, schema_name: str, instance_id: str) -> Any:
+        """The node a new instance starts at.  An architecture with more
+        than one such node notes its choice with :meth:`_note_owner`."""
         raise NotImplementedError  # pragma: no cover - interface
+
+    def _owner_node(self, instance_id: str) -> Any:
+        """The node that controls an existing instance."""
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def owner_of(self, instance_id: str) -> str:
+        """The name of the node noted as controlling an instance."""
+        try:
+            return self._owners[instance_id]
+        except KeyError:
+            raise FrontEndError(f"unknown instance {instance_id!r}") from None
+
+    def _note_owner(self, instance_id: str, node_name: str) -> None:
+        self._owners[instance_id] = node_name
 
     # -- protocol events -------------------------------------------------------------
 
@@ -738,10 +777,6 @@ class ControlSystem:
         current = next(self._instance_ids)
         self._instance_ids = itertools.count(max(current, floor + 1))
 
-    def _note_owner(self, instance_id: str, node_name: str) -> None:
-        """Hook: record which node controls an instance (parallel control
-        tracks ownership; other architectures don't need to)."""
-
     # -- outcomes ----------------------------------------------------------------------
 
     def outcome(self, instance_id: str) -> InstanceOutcome:
@@ -763,59 +798,6 @@ class ControlSystem:
             for iid, out in self.outcomes.items()
             if out.status is InstanceStatus.ABORTED
         )
-
-    def _record_outcome(
-        self,
-        instance_id: str,
-        schema_name: str,
-        status: InstanceStatus,
-        outputs: Mapping[str, Any],
-        now: float,
-    ) -> None:
-        outcome = self.outcomes[instance_id] = InstanceOutcome(
-            instance_id=instance_id,
-            schema_name=schema_name,
-            status=status,
-            outputs=dict(outputs),
-            finished_at=now,
-        )
-        if status is InstanceStatus.COMMITTED:
-            self.metrics.instances_committed += 1
-        elif status is InstanceStatus.ABORTED:
-            self.metrics.instances_aborted += 1
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
-        # A terminal instance runs no more programs.  Not earlier: a step
-        # re-executed after a rollback continues the stream it drew from.
-        self.rng.retire(
-            program_stream_name(instance_id, step)
-            for step in self.schemas[schema_name].schema.steps
-        )
-        if not self.tracer.enabled:
-            return
-        # What the instance still had open closes with its workflow span
-        # below; a step launched after this point opens a root span.
-        self._step_spans.pop(instance_id, None)
-        self._obs_end_recovery(instance_id, now, resolved=status.name.lower())
-        span = self._workflow_spans.pop(instance_id, None)
-        if span is not None and span.open:
-            self.tracer.end(span, now, status=status.name)
-            makespan = self._makespan
-            if makespan is None:
-                makespan = self._makespan = self.registry.histogram(
-                    "crew_instance_makespan",
-                    "Workflow start-to-finish time in simulated time units.",
-                    buckets=MAKESPAN_BUCKETS,
-                    architecture=self.architecture,
-                )
-            makespan.observe(span.duration)
-        finished = self._finished_counters.get(status)
-        if finished is None:
-            finished = self._finished_counters[status] = self.registry.counter(
-                "crew_instances_finished_total", "Workflow instances finished.",
-                architecture=self.architecture, status=status.name,
-            )
-        finished.inc()
 
     @staticmethod
     def workflow_outputs(
@@ -877,6 +859,62 @@ def _workflow_opened(system, now, node, kind, detail):
             architecture=system.architecture,
         )
     started.inc()
+
+
+def _workflow_ended(status: InstanceStatus) -> Callable:
+    """The instance's outcome: the outcome table and counters, then the
+    completion callback; the instance's program streams retire."""
+    @_untraced
+    def ended(system, now, node, kind, detail):
+        instance, schema = detail["instance"], detail["schema"]
+        outcome = system.outcomes[instance] = InstanceOutcome(
+            instance_id=instance, schema_name=schema, status=status,
+            outputs=dict(detail["outputs"]), finished_at=now,
+        )
+        if status is InstanceStatus.COMMITTED:
+            system.metrics.instances_committed += 1
+        else:
+            system.metrics.instances_aborted += 1
+        if system.on_outcome is not None:
+            system.on_outcome(outcome)
+        # A terminal instance runs no more programs.  Not earlier: a step
+        # re-executed after a rollback continues the stream it drew from.
+        system.rng.retire(
+            program_stream_name(instance, step)
+            for step in system.schemas[schema].schema.steps
+        )
+    return ended
+
+
+def _workflow_closed(status: InstanceStatus) -> Callable:
+    """The workflow span, with the recovery episode and step spans it still
+    had open; the makespan histogram and the finished counter."""
+    def closed(system, now, node, kind, detail):
+        instance = detail["instance"]
+        # What the instance still had open closes with its workflow span
+        # below; a step launched after this point opens a root span.
+        system._step_spans.pop(instance, None)
+        system._obs_end_recovery(instance, now, resolved=status.name.lower())
+        span = system._workflow_spans.pop(instance, None)
+        if span is not None and span.open:
+            system.tracer.end(span, now, status=status.name)
+            makespan = system._makespan
+            if makespan is None:
+                makespan = system._makespan = system.registry.histogram(
+                    "crew_instance_makespan",
+                    "Workflow start-to-finish time in simulated time units.",
+                    buckets=MAKESPAN_BUCKETS,
+                    architecture=system.architecture,
+                )
+            makespan.observe(span.duration)
+        finished = system._finished_counters.get(status)
+        if finished is None:
+            finished = system._finished_counters[status] = system.registry.counter(
+                "crew_instances_finished_total", "Workflow instances finished.",
+                architecture=system.architecture, status=status.name,
+            )
+        finished.inc()
+    return closed
 
 
 def _step_opened(*keys: str) -> Callable:
@@ -1036,10 +1074,20 @@ def _flight_dump(reason: str, *keys: str) -> Callable:
 #: Protocol event kind -> the views it feeds, in order.  A kind not listed
 #: feeds the flat record alone, which ``ControlSystem.emit`` writes inline.
 #: A kind listed without a record view (a mark, a cancelled or
-#: reestablished step, a halt, a crash) has never had a flat record, and
-#: every pinned export would move if it grew one.
+#: reestablished step, a halt, a crash, the end of an instance a
+#: distributed unhandled failure aborted) has never had a flat record, and
+#: every pinned export would move if it grew one.  An instance's end event
+#: carries its ``schema`` and ``outputs`` for the outcome views only.
 EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "workflow.start": (_record_but("parent"), _count_start, _workflow_opened),
+    "workflow.commit": (_workflow_ended(InstanceStatus.COMMITTED),
+                        _workflow_closed(InstanceStatus.COMMITTED),
+                        _record_but("schema", "outputs")),
+    "workflow.aborted": (_workflow_ended(InstanceStatus.ABORTED),
+                         _workflow_closed(InstanceStatus.ABORTED),
+                         _record_but("schema", "outputs")),
+    "failure.aborted": (_workflow_ended(InstanceStatus.ABORTED),
+                        _workflow_closed(InstanceStatus.ABORTED)),
     "step.dispatch": (_record_but("attempt", "mechanism"), _step_opened("epoch")),
     "step.execute": (_record_but("mechanism"), _step_cancelled, _step_opened()),
     "step.redispatch": (_record, _step_closed("timeout")),

@@ -103,7 +103,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             parent_link=parent_link,
         )
         self.runtimes[instance_id] = runtime
-        self.system._note_owner(instance_id, self.name)
         self._install_preconditions(runtime)
         self.emit("workflow.start", instance=instance_id, schema=schema_name,
                   parent=parent_link[0] if parent_link else None)
@@ -503,14 +502,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         self.wfdb.set_status(instance_id, InstanceStatus.COMMITTED)
         outputs = ControlSystem.workflow_outputs(runtime.compiled, runtime.state)
         self._release_coordination(runtime, aborted=False)
-        self.system._record_outcome(
-            instance_id,
-            runtime.state.schema_name,
-            InstanceStatus.COMMITTED,
-            outputs,
-            self.simulator.now,
-        )
-        self.emit("workflow.commit", instance=instance_id)
+        self.emit("workflow.commit", instance=instance_id,
+                  schema=runtime.state.schema_name, outputs=outputs)
         if runtime.parent_link is not None:
             parent_id, parent_step = runtime.parent_link
             self._on_nested_done(parent_id, parent_step, outputs)

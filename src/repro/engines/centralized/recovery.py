@@ -75,15 +75,9 @@ class EngineRecoveryMixin:
             self.emit("step.cancel", instance=instance_id, step=key[1])
         self.wfdb.set_status(instance_id, InstanceStatus.ABORTED)
         self._release_coordination(runtime, aborted=True)
-        self.system._record_outcome(
-            instance_id,
-            runtime.state.schema_name,
-            InstanceStatus.ABORTED,
-            {},
-            self.simulator.now,
-        )
         self.wfdb.archive(instance_id)
-        self.emit("workflow.aborted", instance=instance_id)
+        self.emit("workflow.aborted", instance=instance_id,
+                  schema=runtime.state.schema_name, outputs={})
 
     # ------------------------------------------------------------ input changes
 

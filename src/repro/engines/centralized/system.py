@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from repro.engines.base import ControlSystem, SystemConfig
 from repro.engines.centralized.agents import ApplicationAgentNode
 from repro.engines.centralized.engine import CentralEngineNode
 from repro.model.compiler import CompiledSchema
 from repro.model.coordination_spec import CoordinationSpec
-from repro.storage.tables import InstanceStatus
 
 __all__ = ["CentralizedControlSystem"]
 
@@ -60,41 +57,10 @@ class CentralizedControlSystem(ControlSystem):
         for engine in self.engines:
             engine.add_spec(spec)
 
-    # -- ownership: which engine controls an instance --------------------------------
+    # -- where a WI lands: the one engine, which every instance has ------------------
 
-    def _engine_for_new(self) -> CentralEngineNode:
+    def _place(self, schema_name: str, instance_id: str) -> CentralEngineNode:
         return self.engine
 
-    def _owner_engine(self, instance_id: str) -> CentralEngineNode:
+    def _owner_node(self, instance_id: str) -> CentralEngineNode:
         return self.engine
-
-    # -- front-end database operations ----------------------------------------------
-
-    def start_workflow(
-        self, schema_name: str, inputs: Mapping[str, Any], delay: float = 0.0
-    ) -> str:
-        self.compiled(schema_name)  # validate registration eagerly
-        instance_id = self.new_instance_id(schema_name)
-        engine = self._engine_for_new()
-        self._note_owner(instance_id, engine.name)
-        self.schedule_frontend(
-            delay, engine, engine.workflow_start,
-            schema_name, instance_id, dict(inputs),
-        )
-        return instance_id
-
-    def abort_workflow(self, instance_id: str, delay: float = 0.0) -> None:
-        engine = self._owner_engine(instance_id)
-        self.schedule_frontend(delay, engine, engine.workflow_abort, instance_id)
-
-    def change_inputs(
-        self, instance_id: str, changes: Mapping[str, Any], delay: float = 0.0
-    ) -> None:
-        engine = self._owner_engine(instance_id)
-        self.schedule_frontend(
-            delay, engine, engine.workflow_change_inputs,
-            instance_id, dict(changes),
-        )
-
-    def workflow_status(self, instance_id: str) -> InstanceStatus:
-        return self._owner_engine(instance_id).workflow_status(instance_id)

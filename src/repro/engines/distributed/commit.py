@@ -162,11 +162,8 @@ class AgentCommitMixin:
         for name, ref in compiled.schema.outputs.items():
             if ref in tracker.data:
                 outputs[name] = tracker.data[ref]
-        self.system._record_outcome(
-            instance_id, compiled.name, InstanceStatus.COMMITTED, outputs,
-            self.simulator.now,
-        )
-        self.emit("workflow.commit", instance=instance_id)
+        self.emit("workflow.commit", instance=instance_id, schema=compiled.name,
+                  outputs=outputs)
         self._withdraw_coordination(instance_id, runtime, aborted=False)
         if tracker.parent_link is not None:
             parent_id, parent_step = tracker.parent_link

@@ -146,9 +146,8 @@ class AgentFailureMixin:
             runtime.fragment.status = InstanceStatus.ABORTED
             self._persist(runtime)
         self._withdraw_coordination(instance_id, runtime, aborted=True)
-        self.system._record_outcome(
-            instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
-        )
+        self.emit("failure.aborted", instance=instance_id, schema=schema.name,
+                  outputs={})
         self._queue_purge(instance_id, aborted=True)
 
     # ------------------------------------------------------------------ step-status polling

@@ -263,10 +263,8 @@ class WorkflowAgentNode(
         runtime.fragment.status = InstanceStatus.ABORTED
         self._persist(runtime)
         self._withdraw_coordination(instance_id, runtime, aborted=True)
-        self.system._record_outcome(
-            instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
-        )
-        self.emit("workflow.aborted", instance=instance_id)
+        self.emit("workflow.aborted", instance=instance_id, schema=schema.name,
+                  outputs={})
         self._queue_purge(instance_id, aborted=True)
 
     def workflow_change_inputs(

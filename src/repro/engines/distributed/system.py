@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from repro.engines.base import ControlSystem, SystemConfig, governed_step_count
 from repro.engines.coord import SpecIndex
 from repro.engines.distributed.roles import WorkflowAgentNode
-from repro.errors import FrontEndError, SchemaError
+from repro.errors import SchemaError
 from repro.model.compiler import CompiledSchema
 from repro.model.coordination_spec import CoordinationSpec
-from repro.storage.tables import InstanceStatus
 
 __all__ = ["DistributedControlSystem"]
 
@@ -35,7 +32,6 @@ class DistributedControlSystem(ControlSystem):
         self.agents = [
             WorkflowAgentNode(f"agent-{i:03d}", self) for i in range(num_agents)
         ]
-        self._owners: dict[str, str] = {}
         #: schema name -> :func:`governed_step_count` under the specs so far.
         self._governed: dict[str, int] = {}
 
@@ -103,56 +99,23 @@ class DistributedControlSystem(ControlSystem):
         name = self.assignment.eligible(schema_name, compiled.start_step)[0]
         return self.agent(name)
 
-    def _note_owner(self, instance_id: str, node_name: str) -> None:
-        self._owners[instance_id] = node_name
+    # -- where a WI lands: the schema's coordination agent, then the owner map ----------
 
-    # -- front-end database operations -------------------------------------------------
+    def _place(self, schema_name: str, instance_id: str) -> WorkflowAgentNode:
+        agent = self.coordination_agent_for(schema_name)
+        self._note_owner(instance_id, agent.name)
+        return agent
 
-    def start_workflow(
-        self, schema_name: str, inputs: Mapping[str, Any], delay: float = 0.0
-    ) -> str:
-        self.compiled(schema_name)
-        instance_id = self.new_instance_id(schema_name)
-        coordination_agent = self.coordination_agent_for(schema_name)
-        self._note_owner(instance_id, coordination_agent.name)
-        self.schedule_frontend(
-            delay, coordination_agent, coordination_agent.workflow_start,
-            schema_name, instance_id, dict(inputs),
-        )
-        return instance_id
+    def _owner_node(self, instance_id: str) -> WorkflowAgentNode:
+        return self.agent(self.owner_of(instance_id))
 
-    def _coordination_agent_of_instance(self, instance_id: str) -> WorkflowAgentNode:
-        try:
-            return self.agent(self._owners[instance_id])
-        except KeyError:
-            raise FrontEndError(f"unknown instance {instance_id!r}") from None
-
-    def abort_workflow(self, instance_id: str, delay: float = 0.0) -> None:
-        agent = self._coordination_agent_of_instance(instance_id)
-        self.schedule_frontend(delay, agent, agent.workflow_abort, instance_id)
-
-    def change_inputs(
-        self, instance_id: str, changes: Mapping[str, Any], delay: float = 0.0
-    ) -> None:
-        agent = self._coordination_agent_of_instance(instance_id)
-        self.schedule_frontend(
-            delay, agent, agent.workflow_change_inputs, instance_id, dict(changes)
-        )
-
-    def workflow_status(self, instance_id: str) -> InstanceStatus:
-        return self._coordination_agent_of_instance(instance_id).workflow_status(
-            instance_id
-        )
+    # -- status probes ---------------------------------------------------------------
 
     def probe_workflow(self, instance_id: str, delay: float = 0.0) -> None:
         """Launch the probe chain locating the instance's current steps."""
-        agent = self._coordination_agent_of_instance(instance_id)
-        self.schedule_frontend(
-            delay, agent, agent.workflow_status_probe, instance_id
-        )
+        agent = self._owner_node(instance_id)
+        self.schedule_frontend(delay, agent, agent.workflow_status_probe, instance_id)
 
     def probe_reports(self, instance_id: str) -> list[dict]:
         """Probe reports gathered at the instance's coordination agent."""
-        return self._coordination_agent_of_instance(instance_id).probe_reports(
-            instance_id
-        )
+        return self._owner_node(instance_id).probe_reports(instance_id)

@@ -40,7 +40,7 @@ from repro.engines.base import SystemConfig
 from repro.engines.centralized import CentralEngineNode, CentralizedControlSystem
 from repro.engines.coord import SpecIndex, later_pair_clearances
 from repro.engines.runtime import EngineRuntime
-from repro.errors import FrontEndError, SchemaError
+from repro.errors import SchemaError
 from repro.model.coordination_spec import CoordinationSpec, MutualExclusionSpec
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
@@ -101,6 +101,11 @@ class ParallelEngineNode(CentralEngineNode):
             self.spec_index.add(spec)  # replicated in ``mutexes`` instead
         else:
             super().add_spec(spec)
+
+    def workflow_start(self, schema_name: str, instance_id: str, *args: Any) -> None:
+        # A nested instance starts here, not at the front door: note it too.
+        self.system._note_owner(instance_id, self.name)
+        super().workflow_start(schema_name, instance_id, *args)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -309,7 +314,6 @@ class ParallelControlSystem(CentralizedControlSystem):
         if num_engines < 1:
             raise SchemaError("parallel control needs at least one engine")
         self.num_engines = num_engines
-        self._owners: dict[str, str] = {}
         self._next_engine = 0
         super().__init__(config, num_agents, agents_per_step, runtime)
 
@@ -318,22 +322,14 @@ class ParallelControlSystem(CentralizedControlSystem):
             ParallelEngineNode(f"engine-{i:02d}", self) for i in range(self.num_engines)
         ]
 
-    # -- ownership ---------------------------------------------------------------------
+    # -- where a WI lands: round-robin, then the owner map ------------------------------
 
-    def owner_of(self, instance_id: str) -> str:
-        try:
-            return self._owners[instance_id]
-        except KeyError:
-            raise FrontEndError(f"unknown instance {instance_id!r}") from None
-
-    def _note_owner(self, instance_id: str, engine_name: str) -> None:
-        self._owners[instance_id] = engine_name
-
-    def _engine_for_new(self) -> ParallelEngineNode:
+    def _place(self, schema_name: str, instance_id: str) -> ParallelEngineNode:
         engine = self.engines[self._next_engine % len(self.engines)]
         self._next_engine += 1
+        self._note_owner(instance_id, engine.name)
         return engine
 
-    def _owner_engine(self, instance_id: str) -> ParallelEngineNode:
+    def _owner_node(self, instance_id: str) -> ParallelEngineNode:
         name = self.owner_of(instance_id)
         return next(e for e in self.engines if e.name == name)

@@ -451,9 +451,8 @@ def test_outcomes_of_one_loop_turn_share_one_flush(tmp_path):
                 service._track(iid, service.runtime.clock.now, None)
             flushes = service._log.flushes
             for iid in more:
-                service.system._record_outcome(
-                    iid, "Mini", service.system.outcomes[ids[0]].status,
-                    {"z": 1}, service.runtime.clock.now)
+                service.system.engine.emit("workflow.commit", instance=iid,
+                                           schema="Mini", outputs={"z": 1})
             assert service._log.flushes == flushes
             await wait_for(
                 lambda: service.instance(more[1])["status"] == "committed",

@@ -580,3 +580,27 @@ def test_parallel_control_overrides_only_the_coordination_leaves():
         (SRC / "repro" / "engines" / "centralized" / "coordination.py").read_text())
     [coordination] = [n for n in mixin.body if isinstance(n, ast.ClassDef)]
     assert walk <= {n.name for n in coordination.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_one_front_door_and_one_outcome_path():
+    """The four front-end WIs live in ``ControlSystem`` alone: a concrete
+    system supplies only where a WI lands (``_place``, ``_owner_node``).
+    An instance's end reaches the system as its end event, whose views
+    record the outcome: no engine module calls ``_record_outcome``."""
+    wis = {"start_workflow", "abort_workflow", "change_inputs", "workflow_status"}
+    engines = SRC / "repro" / "engines"
+    for module, name in (("centralized/system.py", "CentralizedControlSystem"),
+                         ("parallel.py", "ParallelControlSystem"),
+                         ("distributed/system.py", "DistributedControlSystem")):
+        tree = ast.parse((engines / module).read_text())
+        [facade] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        methods = {n.name for n in facade.body if isinstance(n, ast.FunctionDef)}
+        assert not methods & wis, (name, sorted(methods & wis))
+        assert {"_place", "_owner_node"} <= methods, name
+    calls = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(engines.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_record_outcome"
+    ]
+    assert not calls, calls
