@@ -89,6 +89,8 @@ class SeedPingPong(PingPong):
     """``Node.send``/``receive`` seed-equivalent bodies: no Lamport merge,
     no observer check."""
 
+    messages_received = 0  # the seed's per-node receive count
+
     def send(self, dst, interface, payload, mechanism):
         self.network.send(self.name, dst, interface, payload, mechanism)
 

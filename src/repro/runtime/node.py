@@ -65,7 +65,6 @@ class Node:
         #: ``__init__`` (bound methods, so a subclass's override is the
         #: one dispatched to).
         self.handlers: dict[str, Callable[[Message], None]] = {}
-        self.messages_received = 0
         self.crash_count = 0
         #: Lamport clock — ticked by the network on send, merged on
         #: receive.  Always maintained (two int ops per message) so traces
@@ -104,7 +103,6 @@ class Node:
         """Network entry point; dispatches to :meth:`handle_message`."""
         if not self.is_up:
             raise SimulationError(f"message delivered to down node {self.name!r}")
-        self.messages_received += 1
         # Lamport merge must happen before the observer hears of the
         # message, so its recv span carries the post-merge clock value.
         clock = self.lamport_clock

@@ -79,16 +79,6 @@ def test_crash_count_accumulates():
     assert node.crash_count == 3
 
 
-def test_messages_received_counter():
-    sim, __, net = make()
-    a = Stub("a", sim, net)
-    b = Stub("b", sim, net)
-    a.send("b", "Ping", {}, Mechanism.NORMAL)
-    a.send("b", "Ping", {}, Mechanism.NORMAL)
-    sim.run()
-    assert b.messages_received == 2
-
-
 def test_recover_drains_parked_messages_through_handler():
     sim, __, net = make()
     received = []
