@@ -362,11 +362,9 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         inflight = self._inflight.get((instance_id, step))
         runtime = self.runtimes.get(instance_id)
         if (
-            inflight is None
-            or inflight.epoch != epoch
+            self._invalidated(inflight, epoch)
             or runtime is None
             or runtime.state.status is not InstanceStatus.RUNNING
-            or runtime.state.recovery_epoch != epoch
         ):
             return  # completed, rolled back, or finished in the meantime
         if retry > self.MAX_STEP_RETRIES:
@@ -394,22 +392,23 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             inflight.inputs, inflight.attempt, retry=retry + 1,
         )
 
+    @staticmethod
+    def _invalidated(inflight: InflightStep | None, epoch: int) -> bool:
+        """Whether the dispatch at ``epoch`` this record stood for no longer
+        counts: a rollback over its step retired the record, a re-dispatch
+        replaced it, or an abort of its instance halted it.  A rollback
+        elsewhere in the instance leaves it current."""
+        return inflight is None or inflight.halted or inflight.epoch != epoch
+
     def _on_step_result(self, message: Message) -> None:
         payload = message.payload
         instance_id, step = payload["instance_id"], payload["step"]
         key = (instance_id, step)
         inflight = self._inflight.get(key)
         runtime = self.runtimes.get(instance_id)
-        current = (
-            inflight is not None
-            and inflight.epoch == payload["epoch"]
-            and runtime is not None
-            and payload["epoch"] == runtime.state.recovery_epoch
-        )
-        if not current:
-            # Stale result from before a rollback/abort: discard.  The
-            # rollback already retired the matching in-flight record and
-            # reset the step status, so nothing else to do here.
+        if runtime is None or self._invalidated(inflight, payload["epoch"]):
+            # Stale result: discard.  Whatever invalidated it already reset
+            # the step's status, so nothing else to do here.
             self.emit("step.stale_result", instance=instance_id, step=step)
             return
         del self._inflight[key]

@@ -41,10 +41,7 @@ class EngineRecoveryMixin:
         runtime = self.runtime(instance_id)
         self.emit("workflow.abort.request", instance=instance_id)
         self._charge(Mechanism.ABORT)
-        # Halt everything first: bump the epoch so in-flight results are
-        # stale, and drop pending load probes so nothing new is dispatched.
-        runtime.state.recovery_epoch += 1
-        self._retire_probes(instance_id)
+        self._halt(runtime)
         self.emit("abort.halt", instance=instance_id,
                   epoch=runtime.state.recovery_epoch)
         schema = runtime.compiled.schema
@@ -64,6 +61,18 @@ class EngineRecoveryMixin:
             Mechanism.ABORT,
             on_done=lambda: self._finish_abort(instance_id),
         )
+
+    def _halt(self, runtime: EngineRuntime) -> None:
+        """Halt every thread of an instance about to abort: a new epoch,
+        in-flight results stale from now on (their records stay until the
+        abort ends and cancels them), and no pending load probe left to
+        dispatch anything new."""
+        instance_id = runtime.state.instance_id
+        runtime.state.recovery_epoch += 1
+        for (owner, __), inflight in self._inflight.items():
+            if owner == instance_id:
+                inflight.halted = True
+        self._retire_probes(instance_id)
 
     def _finish_abort(self, instance_id: str) -> None:
         runtime = self.runtimes.pop(instance_id, None)
@@ -119,8 +128,7 @@ class EngineRecoveryMixin:
         if origin is None:
             # No rollback point: Saga-style default — compensate everything
             # executed (reverse order) and abort the workflow.
-            runtime.state.recovery_epoch += 1
-            self._retire_probes(instance_id)
+            self._halt(runtime)
             self.emit("failure.unhandled", instance=instance_id, step=failed_step,
                       epoch=runtime.state.recovery_epoch)
             executed = [

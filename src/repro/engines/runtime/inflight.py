@@ -24,6 +24,9 @@ class InflightStep:
     mechanism: Mechanism
     agent: str
     cost: float = 0.0  # execution cost, kept for watchdog re-dispatch
+    #: An abort (or unhandled failure) of the instance halted the step: its
+    #: result is stale, and the abort's end retires the record.
+    halted: bool = False
 
 
 @dataclass

@@ -174,6 +174,36 @@ def test_user_abort_compensates_declared_steps():
     assert system.metrics.total_messages(Mechanism.ABORT) == 2  # request + ack
 
 
+def test_result_landing_during_an_abort_stays_stale():
+    # B's result lands while the abort still waits on A's compensation:
+    # the abort halted B, so the result must not count, though B's
+    # in-flight record is cancelled only when the abort ends.
+    system = make()
+    builder = SchemaBuilder("W", inputs=["x"])
+    builder.step("A", program="W.A", inputs=["WF.x"], outputs=["o"],
+                 compensation_cost=20.0)
+    builder.step("B", program="W.B", inputs=["A.o"], outputs=["o"], cost=10.0)
+    builder.step("C", program="W.C", inputs=["B.o"])
+    builder.sequence("A", "B", "C")
+    builder.abort_compensation("A", "B")
+    schema = builder.build()
+    system.register_schema(schema)
+    register_programs(system, schema)
+    instance = system.start_workflow("W", {"x": 1})
+    system.abort_workflow(instance, delay=3.0)  # while B is executing
+    system.run()
+    assert system.outcome(instance).status is InstanceStatus.ABORTED
+    [request] = system.trace.filter(kind="workflow.abort.request")
+    [stale] = system.trace.filter(kind="step.stale_result")
+    [aborted] = system.trace.filter(kind="workflow.aborted")
+    assert stale.detail["step"] == "B"
+    assert request.time < stale.time < aborted.time
+    done = [r.detail["step"] for r in system.trace.filter(kind="step.done")]
+    assert done == ["A"]
+    compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensate")]
+    assert compensated == ["A"]
+
+
 def test_abort_after_commit_rejected():
     system = make()
     instance = run_linear(system)
