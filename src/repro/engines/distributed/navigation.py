@@ -36,7 +36,7 @@ from repro.errors import SchemaError, SimulationError
 from repro.model.policies import DEFAULT_POLICY
 from repro.obs.profile import profiled
 from repro.rules.engine import RuleInstance
-from repro.rules.events import step_done
+from repro.rules.events import is_step_done, step_done, step_of_token
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.storage.tables import InstanceStatus, StepStatus
@@ -83,17 +83,21 @@ class AgentNavigationMixin:
         self._ingest_packet(packet)
 
     def _ingest_packet(self, packet: WorkflowPacket) -> None:
-        instance_id = packet.instance_id
+        instance_id, packet_step = packet.instance_id, packet.target_step
         runtime = self._runtime(packet.schema_name, instance_id,
                                 parent_link=packet.parent_link)
         fragment = runtime.fragment
         if fragment.status is not InstanceStatus.RUNNING:
             return
         if packet.recovery_epoch < fragment.recovery_epoch:
-            self.emit("packet.stale", instance=instance_id,
-                      step=packet.target_step)
-            return
-        if packet.recovery_epoch > fragment.recovery_epoch:
+            # Older than the fragment: only what no halt this agent heard of
+            # invalidated still counts.  The fragment keeps its newer epoch.
+            packet = self._current_part(runtime, packet)
+            if packet is None:
+                self.emit("packet.stale", instance=instance_id,
+                          step=packet_step)
+                return
+        elif packet.recovery_epoch > fragment.recovery_epoch:
             fragment.recovery_epoch = packet.recovery_epoch
             if packet.mechanism in (Mechanism.FAILURE, Mechanism.INPUT_CHANGE):
                 runtime.recovery_mechanism = packet.mechanism
@@ -134,6 +138,31 @@ class AgentNavigationMixin:
         runtime.engine.apply_invalidations(runtime.known_invalidations)
         runtime.engine.reevaluate()
         self._persist(runtime)
+
+    @staticmethod
+    def _invalidated(runtime: AgentRuntime, token: str, stamp: Any) -> bool:
+        """Whether a halt this agent heard of invalidated the occurrence of
+        ``token`` stamped ``stamp`` (``[time, round]``): a known cutoff for
+        the token is newer than the occurrence's round."""
+        return runtime.known_invalidations.get(token, 0) > stamp[1]
+
+    def _current_part(
+        self, runtime: AgentRuntime, packet: WorkflowPacket
+    ) -> WorkflowPacket | None:
+        """What of an older packet still counts: its events no known halt
+        invalidated, and the data of the steps whose completions survive.
+        ``None`` when none of those events is news to this agent — a halted
+        thread's packet, dropped whole as before."""
+        events = {token: stamp for token, stamp in packet.events.items()
+                  if not self._invalidated(runtime, token, stamp)}
+        table = runtime.engine.events
+        if all(table.is_valid(token) for token in events):
+            return None
+        halted = {step_of_token(token) for token in packet.events.keys() - events.keys()
+                  if is_step_done(token)}
+        data = {ref: value for ref, value in packet.data.items()
+                if ref.partition(".")[0] not in halted}
+        return packet.evolve(events=events, data=data)
 
     # ------------------------------------------------------------------ rule firing
 
