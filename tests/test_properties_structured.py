@@ -9,7 +9,9 @@ must uphold for every shape:
 * no step executes more than once (without failures);
 * exactly one branch of every XOR block runs;
 * with an injected failure + rollback point, instances still commit and
-  the XOR-exclusive invariant still holds on the final pass.
+  the XOR-exclusive invariant still holds on the final pass;
+* a rollback inside one branch of a parallel block leaves its sibling
+  branches running, and the instance still commits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass, field
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.causal import CausalTrace
+from repro.analysis.invariants import check_invariants
 from repro.core.programs import FailEveryNth, NoopProgram
 from repro.model.builder import SchemaBuilder
 from tests.conftest import make_system, register_programs
@@ -71,6 +75,8 @@ class _Assembler:
         #: False while lowering a branch that can never execute (a non-taken
         #: XOR alternative); expectations are only recorded on live paths.
         self.live = True
+        #: (entry, exit) of every live branch of a parallel block.
+        self.par_branches: list[tuple[str, str]] = []
 
     def new_step(self, join="none", inputs=()):
         self.counter += 1
@@ -97,6 +103,8 @@ class _Assembler:
                 entry, exit_ = self.lower(branch)
                 self.builder.arc(split, entry)
                 self.builder.arc(exit_, join)
+                if self.live:
+                    self.par_branches.append((entry, exit_))
             return split, join
         if isinstance(block, Xor):
             split = self.new_step()
@@ -186,3 +194,31 @@ def test_structured_workflows_survive_a_failure(tree, seed, architecture):
     executed = [r.detail["step"] for r in system.trace.filter(kind=kind)]
     for skipped in assembler.xor_skipped:
         assert skipped not in executed
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree=st.builds(Par, st.lists(blocks(), min_size=2, max_size=2)),
+       seed=st.integers(0, 200), data=st.data(),
+       architecture=st.sampled_from(["centralized", "parallel", "distributed"]))
+def test_a_rollback_beside_a_parallel_branch(tree, seed, data, architecture):
+    """The last step of one parallel branch fails its first attempt and
+    rolls back to the branch's first step: only that branch re-executes,
+    the sibling branches' work still counts, and the instance commits with
+    no step dispatched twice in one epoch and none re-executed before the
+    halt."""
+    schema, assembler = assemble(tree)
+    origin, failing = data.draw(st.sampled_from(assembler.par_branches))
+    object.__setattr__(schema, "rollback_points", {failing: origin})
+    system = make_system(architecture, seed=seed, num_agents=6, agents_per_step=2)
+    system.register_schema(schema)
+    register_programs(system, schema, behaviors={
+        failing: FailEveryNth(NoopProgram(("out",)), {1}),
+    })
+    instance = system.start_workflow("P", {"x": 1})
+    system.run()
+    assert system.outcome(instance).committed
+    assert [r.detail["origin"] for r in system.trace.filter(kind="rollback")] == [origin]
+    violations = check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                                  ["dispatch-once", "halt-before-reexecute"])
+    assert not violations, violations
