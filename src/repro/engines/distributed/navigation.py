@@ -83,7 +83,7 @@ class AgentNavigationMixin:
         self._ingest_packet(packet)
 
     def _ingest_packet(self, packet: WorkflowPacket) -> None:
-        instance_id, packet_step = packet.instance_id, packet.target_step
+        instance_id = packet.instance_id
         runtime = self._runtime(packet.schema_name, instance_id,
                                 parent_link=packet.parent_link)
         fragment = runtime.fragment
@@ -92,11 +92,12 @@ class AgentNavigationMixin:
         if packet.recovery_epoch < fragment.recovery_epoch:
             # Older than the fragment: only what no halt this agent heard of
             # invalidated still counts.  The fragment keeps its newer epoch.
-            packet = self._current_part(runtime, packet)
-            if packet is None:
+            current = self._current_part(runtime, packet)
+            if current is None:
                 self.emit("packet.stale", instance=instance_id,
-                          step=packet_step)
+                          step=packet.target_step)
                 return
+            packet = current
         elif packet.recovery_epoch > fragment.recovery_epoch:
             fragment.recovery_epoch = packet.recovery_epoch
             if packet.mechanism in (Mechanism.FAILURE, Mechanism.INPUT_CHANGE):
@@ -151,8 +152,8 @@ class AgentNavigationMixin:
     ) -> WorkflowPacket | None:
         """What of an older packet still counts: its events no known halt
         invalidated, and the data of the steps whose completions survive.
-        ``None`` when none of those events is news to this agent — a halted
-        thread's packet, dropped whole as before."""
+        ``None`` when none of those events is news to this agent: the
+        packet is a halted thread's, dropped whole."""
         events = {token: stamp for token, stamp in packet.events.items()
                   if not self._invalidated(runtime, token, stamp)}
         table = runtime.engine.events
