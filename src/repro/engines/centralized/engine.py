@@ -407,8 +407,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         inflight = self._inflight.get(key)
         runtime = self.runtimes.get(instance_id)
         if runtime is None or self._invalidated(inflight, payload["epoch"]):
-            # Stale result: discard.  Whatever invalidated it already reset
-            # the step's status, so nothing else to do here.
+            # Stale result: discard.  A rollback that invalidated it already
+            # reset the step's status, and an abort ends the instance.
             self.emit("step.stale_result", instance=instance_id, step=step)
             return
         del self._inflight[key]

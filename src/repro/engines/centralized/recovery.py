@@ -69,8 +69,8 @@ class EngineRecoveryMixin:
         dispatch anything new."""
         instance_id = runtime.state.instance_id
         runtime.state.recovery_epoch += 1
-        for (owner, __), inflight in self._inflight.items():
-            if owner == instance_id:
+        for key, inflight in self._inflight.items():
+            if key[0] == instance_id:
                 inflight.halted = True
         self._retire_probes(instance_id)
 

@@ -57,7 +57,7 @@ class CentralizedControlSystem(ControlSystem):
         for engine in self.engines:
             engine.add_spec(spec)
 
-    # -- where a WI lands: the one engine, which every instance has ------------------
+    # -- where a WI lands: the one engine, for every instance ------------------------
 
     def _place(self, schema_name: str, instance_id: str) -> CentralEngineNode:
         return self.engine
