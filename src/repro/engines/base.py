@@ -492,14 +492,18 @@ class ControlSystem:
         raise NotImplementedError  # pragma: no cover - interface
 
     def owner_of(self, instance_id: str) -> str:
-        """The name of the node noted as controlling an instance."""
+        """The name of the node that controls an instance."""
+        return self._owner_node(instance_id).name
+
+    def _note_owner(self, instance_id: str, node_name: str) -> None:
+        self._owners[instance_id] = node_name
+
+    def _noted_owner(self, instance_id: str) -> str:
+        """The node name :meth:`_note_owner` recorded for an instance."""
         try:
             return self._owners[instance_id]
         except KeyError:
             raise FrontEndError(f"unknown instance {instance_id!r}") from None
-
-    def _note_owner(self, instance_id: str, node_name: str) -> None:
-        self._owners[instance_id] = node_name
 
     # -- protocol events -------------------------------------------------------------
 

@@ -107,7 +107,7 @@ class DistributedControlSystem(ControlSystem):
         return agent
 
     def _owner_node(self, instance_id: str) -> WorkflowAgentNode:
-        return self.agent(self.owner_of(instance_id))
+        return self.agent(self._noted_owner(instance_id))
 
     # -- status probes ---------------------------------------------------------------
 

@@ -102,10 +102,11 @@ class ParallelEngineNode(CentralEngineNode):
         else:
             super().add_spec(spec)
 
-    def workflow_start(self, schema_name: str, instance_id: str, *args: Any) -> None:
+    def workflow_start(self, schema_name: str, instance_id: str, inputs: Mapping[str, Any],
+                       parent_link: tuple[str, str] | None = None) -> None:
         # A nested instance starts here, not at the front door: note it too.
         self.system._note_owner(instance_id, self.name)
-        super().workflow_start(schema_name, instance_id, *args)
+        super().workflow_start(schema_name, instance_id, inputs, parent_link)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -113,7 +114,7 @@ class ParallelEngineNode(CentralEngineNode):
         return [n for n in self.system.engine_nodes() if n != self.name]
 
     def _owns(self, instance_id: str) -> bool:
-        return self.system.owner_of(instance_id) == self.name
+        return self.system._noted_owner(instance_id) == self.name
 
     def _broadcast(self, payload: dict[str, Any]) -> None:
         """Send a coordination op to every peer engine and apply locally."""
@@ -331,5 +332,5 @@ class ParallelControlSystem(CentralizedControlSystem):
         return engine
 
     def _owner_node(self, instance_id: str) -> ParallelEngineNode:
-        name = self.owner_of(instance_id)
+        name = self._noted_owner(instance_id)
         return next(e for e in self.engines if e.name == name)

@@ -8,7 +8,7 @@ from repro.core.packets import WorkflowPacket
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.model import SchemaBuilder
 from repro.runtime.metrics import Mechanism
-from tests.conftest import linear_schema, make_system, register_programs
+from tests.conftest import ALL_ARCHITECTURES, linear_schema, make_system, register_programs
 
 
 def test_parallel_change_inputs_partial_rollback():
@@ -58,8 +58,20 @@ def test_purged_instance_ignores_late_packet():
 
 def test_nested_step_reused_by_ocr_on_parent_rollback():
     """A rollback whose re-execution re-reaches a nested-workflow step with
-    unchanged inputs reuses the child's outputs without re-running it."""
-    system = make_system("centralized", seed=53)
+    unchanged inputs reuses the child's outputs without re-running it, on
+    every architecture (a nested instance starts at the parent's engine
+    or agent, not at the front door)."""
+    for architecture in ALL_ARCHITECTURES:
+        system, instance = run_nested_reuse(architecture)
+        assert system.outcome(instance).committed, architecture
+        nested = [i for i in system.outcomes if i.startswith(instance + ".Sub")]
+        assert len(nested) == 1, architecture  # the child ran once — reused on retry
+        reused = [r.detail["step"] for r in system.trace.filter(kind="step.reuse")]
+        assert "Sub" in reused, architecture
+
+
+def run_nested_reuse(architecture):
+    system = make_system(architecture, seed=53)
     child = SchemaBuilder("Child", inputs=["a"])
     child.step("C1", program="Child.C1", inputs=["WF.a"], outputs=["o"])
     child.output("co", "C1.o")
@@ -78,11 +90,7 @@ def test_nested_step_reused_by_ocr_on_parent_rollback():
     )
     instance = system.start_workflow("Parent", {"x": 1})
     system.run()
-    assert system.outcome(instance).committed
-    nested = [i for i in system.outcomes if i.startswith(instance + ".Sub")]
-    assert len(nested) == 1  # the child ran exactly once — reused on retry
-    reused = [r.detail["step"] for r in system.trace.filter(kind="step.reuse")]
-    assert "Sub" in reused
+    return system, instance
 
 
 def test_laws_loop_and_subworkflow_end_to_end():
@@ -132,6 +140,23 @@ def test_abort_unknown_instance_raises_frontend_error():
     system = make_system("distributed", seed=55)
     with pytest.raises(FrontEndError):
         system.abort_workflow("nope")
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_owner_of_names_the_node_that_controls_an_instance(architecture):
+    system = make_system(architecture, seed=55)
+    schema = linear_schema(steps=2)
+    system.register_schema(schema)
+    register_programs(system, schema)
+    instance = system.start_workflow("Linear", {"x": 1})
+    expected = {
+        "centralized": lambda: system.engine.name,
+        "parallel": lambda: system.engines[0].name,
+        "distributed": lambda: system.coordination_agent_for("Linear").name,
+    }[architecture]()
+    assert system.owner_of(instance) == expected
+    system.run()
+    assert system.owner_of(instance) == expected
 
 
 def test_zero_latency_network_still_correct():
