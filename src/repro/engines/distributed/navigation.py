@@ -153,7 +153,10 @@ class AgentNavigationMixin:
         """What of an older packet still counts: its events no known halt
         invalidated, and the data of the steps whose completions survive.
         ``None`` when none of those events is news to this agent: the
-        packet is a halted thread's, dropped whole."""
+        packet is a halted thread's, dropped whole.  When the completion
+        of a step leading to the target was invalidated, the hop itself is
+        the halted thread's: the packet then names no executor, so it
+        arms no watchdog and asks for no lock."""
         events = {token: stamp for token, stamp in packet.events.items()
                   if not self._invalidated(runtime, token, stamp)}
         table = runtime.engine.events
@@ -163,7 +166,9 @@ class AgentNavigationMixin:
                   if is_step_done(token)}
         data = {ref: value for ref, value in packet.data.items()
                 if ref.partition(".")[0] not in halted}
-        return packet.evolve(events=events, data=data)
+        leads = runtime.compiled.graph.predecessors(packet.target_step)
+        assigned = None if halted.intersection(leads) else packet.assigned_agent
+        return packet.evolve(events=events, data=data, assigned_agent=assigned)
 
     # ------------------------------------------------------------------ rule firing
 

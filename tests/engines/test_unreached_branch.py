@@ -13,8 +13,11 @@ import pytest
 
 from repro.analysis.causal import CausalTrace
 from repro.analysis.invariants import check_invariants
+from repro.core.packets import WorkflowPacket
 from repro.core.programs import FailEveryNth, FunctionProgram
+from repro.engines.runtime import open_invalidation_round
 from repro.model import SchemaBuilder
+from repro.model.coordination_spec import MutualExclusionSpec
 from tests.conftest import ALL_ARCHITECTURES, make_system
 
 LENGTHS = (1, 2, 3, 4, 5)
@@ -91,3 +94,51 @@ def test_every_architecture_ends_with_the_same_data_table(n):
     for step in branch(n):
         b_branch = f"{step}({b_branch})"
     assert tables["centralized"]["E"] == f"E(A2(A(S(1))),{b_branch})"
+
+
+def older_packet_at_a2(local, target):
+    """An agent of ``A2`` that heard of the rollback to ``A`` receives a
+    packet sent before it, carrying ``S``'s completion (news here) and
+    ``A``'s (invalidated), for ``target``, naming itself (``local``) or
+    another agent as the executor; returns the agent, its runtime and
+    the executor named."""
+    system = make_system("distributed", seed=1)
+    system.register_schema(grid_schema(2))
+    system.add_coordination(MutualExclusionSpec(
+        name="mx", schema_a="Grid", schema_b="Grid",
+        region_a=(target, target), region_b=(target, target)))
+    agent = system.agent(system.assignment.eligible("Grid", "A2")[0])
+    runtime = agent._runtime("Grid", "Grid-1", {"x": 1})
+    open_invalidation_round(runtime, ["A.D", "A2.D", "E.D"])
+    runtime.fragment.recovery_epoch = 1
+    assigned = agent.name if local else next(
+        a.name for a in system.agents if a.name != agent.name)
+    agent._ingest_packet(WorkflowPacket(
+        schema_name="Grid", instance_id="Grid-1", action="execute",
+        target_step=target, events={"S.D": [1.0, 0], "A.D": [2.0, 0]},
+        recovery_epoch=0, assigned_agent=assigned,
+    ))
+    return runtime, assigned
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_a_halted_hop_neither_assigns_nor_locks_its_target(local):
+    """The rollback reached the packet's target: its news still counts,
+    but the hop is the halted thread's, so it names no executor, arms no
+    watchdog and asks for no lock."""
+    runtime, __ = older_packet_at_a2(local, "A2")
+    assert runtime.engine.events.is_valid("S.D")
+    assert not runtime.engine.events.is_valid("A.D")
+    assert "A2" not in runtime.assigned
+    assert "A2" not in runtime.watchdogs
+    assert "mx" not in runtime.mx_state
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_a_hop_the_rollback_did_not_reach_keeps_its_executor(local):
+    runtime, assigned = older_packet_at_a2(local, "B2")
+    assert runtime.assigned["B2"] == assigned
+    if local:
+        assert runtime.mx_state["mx"] == "requested"
+    else:
+        assert "B2" in runtime.watchdogs
