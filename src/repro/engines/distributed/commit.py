@@ -17,7 +17,6 @@ from repro.engines.distributed.navigation import VERB_NESTED_DONE, elect_executo
 from repro.engines.runtime import AgentRuntime
 from repro.model.compiler import CompiledSchema
 from repro.runtime.metrics import Mechanism
-from repro.runtime.messages import Message
 from repro.storage.tables import InstanceStatus, StepStatus
 
 __all__ = ["AgentCommitMixin", "CommitTracker"]
@@ -104,16 +103,10 @@ class AgentCommitMixin:
             "done_times": done_times,
             "data": dict(runtime.fragment.data),
         }
-        if coordination_agent == self.name:
-            self._apply_completion(payload)
-        else:
-            self.send(coordination_agent, WI.STEP_COMPLETED.value, payload,
-                      Mechanism.NORMAL)
+        self._invoke(coordination_agent, WI.STEP_COMPLETED.value, payload,
+                     Mechanism.NORMAL)
 
-    def _on_step_completed(self, message: Message) -> None:
-        self._apply_completion(message.payload)
-
-    def _apply_completion(self, payload: Mapping[str, Any]) -> None:
+    def _apply_step_completed(self, payload: Mapping[str, Any]) -> None:
         instance_id = payload["instance_id"]
         tracker = self.trackers.get(instance_id)
         if tracker is None or tracker.finished:
@@ -174,7 +167,7 @@ class AgentCommitMixin:
                 ].subworkflow == compiled.name:
                     parent_compiled = schema
                     break
-            target = None
+            target = self.name
             if parent_compiled is not None:
                 target = elect_executor(
                     self.agdb.eligible_agents(parent_compiled.name, parent_step),
@@ -186,8 +179,5 @@ class AgentCommitMixin:
                 "parent_step": parent_step,
                 "outputs": outputs,
             }
-            if target is None or target == self.name:
-                self._apply_nested_done(payload)
-            else:
-                self.send(target, VERB_NESTED_DONE, payload, Mechanism.NORMAL)
+            self._invoke(target, VERB_NESTED_DONE, payload, Mechanism.NORMAL)
         self._queue_purge(instance_id)

@@ -18,7 +18,6 @@ from repro.engines.runtime import AgentRuntime
 from repro.errors import SimulationError
 from repro.model.coordination_spec import CoordinationSpec
 from repro.runtime.metrics import Mechanism
-from repro.runtime.messages import Message
 
 __all__ = ["AgentCoordinationMixin"]
 
@@ -58,10 +57,7 @@ class AgentCoordinationMixin:
         authority = self.system.authority_agent_for(spec)
         self.emit("coord", op=payload["op"], instance=payload.get("instance_id"),
                   spec=spec.name, authority=authority)
-        if authority == self.name:
-            self._apply_authority_op(payload)
-        else:
-            self.send(authority, WI.ADD_RULE.value, payload, Mechanism.COORDINATION)
+        self._invoke(authority, WI.ADD_RULE.value, payload, Mechanism.COORDINATION)
 
     def _mx_request(
         self, runtime: AgentRuntime, instance_id: str, spec: CoordinationSpec
@@ -95,10 +91,8 @@ class AgentCoordinationMixin:
 
     # ------------------------------------------------------------------ authority side
 
-    def _on_add_rule(self, message: Message) -> None:
-        self._apply_authority_op(dict(message.payload))
-
-    def _apply_authority_op(self, payload: dict[str, Any]) -> None:
+    def _apply_add_rule(self, payload: dict[str, Any]) -> None:
+        """AddRule WI at an authority agent: one authority op."""
         op = payload["op"]
         if op == "ro_report":
             self._apply_ro_report(payload)
@@ -167,13 +161,7 @@ class AgentCoordinationMixin:
             "orders": orders or [],
         }
         for agent in self.agdb.eligible_agents(schema_name, step):
-            if agent == self.name:
-                self._apply_add_event(payload)
-            else:
-                self.send(agent, WI.ADD_EVENT.value, payload, Mechanism.COORDINATION)
-
-    def _on_add_event(self, message: Message) -> None:
-        self._apply_add_event(message.payload)
+            self._invoke(agent, WI.ADD_EVENT.value, payload, Mechanism.COORDINATION)
 
     def _apply_add_event(self, payload: Mapping[str, Any]) -> None:
         instance_id = payload["instance_id"]
@@ -185,8 +173,7 @@ class AgentCoordinationMixin:
             runtime.ro_info.add((spec_name, leading, lagging))
         runtime.engine.add_event(payload["token"], self.simulator.now)
 
-    def _on_add_precondition(self, message: Message) -> None:
-        payload = message.payload
+    def _apply_add_precondition(self, payload: Mapping[str, Any]) -> None:
         runtime = self._runtime(payload["schema_name"], payload["instance_id"])
         runtime.engine.add_step_precondition(payload["step"], payload["token"])
 
@@ -233,16 +220,8 @@ class AgentCoordinationMixin:
             self.emit("rollback.dependency", instance=dependent,
                       trigger=payload["instance_id"], dependent=dependent,
                       spec=spec.name)
-            if target == self.name:
-                self._apply_dependent_rollback(rollback_payload)
-            else:
-                self.send(target, WI.WORKFLOW_ROLLBACK.value, rollback_payload,
-                          Mechanism.FAILURE)
-
-    def _apply_dependent_rollback(self, payload: dict[str, Any]) -> None:
-        runtime = self.runtimes.get(payload["instance_id"])
-        epoch = (runtime.fragment.recovery_epoch + 1) if runtime is not None else 1
-        self._apply_workflow_rollback({**payload, "epoch": epoch})
+            self._invoke(target, WI.WORKFLOW_ROLLBACK.value, rollback_payload,
+                         Mechanism.FAILURE)
 
     def _withdraw_coordination(
         self, instance_id: str, runtime: AgentRuntime | None, aborted: bool

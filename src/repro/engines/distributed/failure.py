@@ -72,11 +72,8 @@ class AgentFailureMixin:
                     compiled.schema.steps,
                 ),
             }
-            if coordination_agent == self.name:
-                self._apply_unhandled_failure(payload)
-            else:
-                self.send(coordination_agent, VERB_UNHANDLED_FAILURE, payload,
-                          Mechanism.FAILURE)
+            self._invoke(coordination_agent, VERB_UNHANDLED_FAILURE, payload,
+                         Mechanism.FAILURE)
             return
         new_epoch = runtime.fragment.recovery_epoch + 1
         target = runtime.executors.get(origin) or self._elect(
@@ -92,13 +89,7 @@ class AgentFailureMixin:
         }
         self.emit("rollback.request", instance=instance_id, origin=origin,
                   target=target)
-        if target == self.name:
-            self._apply_workflow_rollback(payload)
-        else:
-            self.send(target, WI.WORKFLOW_ROLLBACK.value, payload, Mechanism.FAILURE)
-
-    def _on_unhandled_failure(self, message: Message) -> None:
-        self._apply_unhandled_failure(message.payload)
+        self._invoke(target, WI.WORKFLOW_ROLLBACK.value, payload, Mechanism.FAILURE)
 
     def _apply_unhandled_failure(self, payload: Mapping[str, Any]) -> None:
         """Coordination agent aborts after an unhandled step failure,
@@ -132,7 +123,7 @@ class AgentFailureMixin:
         if ordered:
             # Saga-style default: compensate everything executed in strict
             # reverse execution order via a CompensateThread chain.
-            self._process_compensate_thread({
+            self._walk_compensation(WI.COMPENSATE_THREAD.value, {
                 "schema_name": schema.name,
                 "instance_id": instance_id,
                 "step_list": ordered,
@@ -179,11 +170,11 @@ class AgentFailureMixin:
             Mechanism.FAILURE,
         )
 
-    def _on_step_status_reply(self, message: Message) -> None:
+    def _apply_step_status_reply(self, payload: Mapping[str, Any]) -> None:
         # Replies are informational; the packet resend (when status=done)
         # repairs the flow.  Recorded for tests/observability.
-        self.emit("step.status_reply", instance=message.payload["instance_id"],
-                  step=message.payload["step"], status=message.payload["status"])
+        self.emit("step.status_reply", instance=payload["instance_id"],
+                  step=payload["step"], status=payload["status"])
 
     def poll_step_status(self, schema_name: str, instance_id: str, step: str) -> None:
         """Poll the eligible agents of ``step`` (paper's predecessor-failure
@@ -222,9 +213,6 @@ class AgentFailureMixin:
         """Reports received so far for probes of ``instance_id``."""
         return list(self._probe_reports.get(instance_id, []))
 
-    def _on_status_probe(self, message: Message) -> None:
-        self._apply_status_probe(dict(message.payload))
-
     def _apply_status_probe(self, payload: dict[str, Any]) -> None:
         instance_id = payload["instance_id"]
         seen = self._seen_status_probes.setdefault(instance_id, set())
@@ -252,11 +240,8 @@ class AgentFailureMixin:
                 "running": running,
                 "waiting": waiting,
             }
-            if payload["origin"] == self.name:
-                self._on_status_probe_report_payload(report)
-            else:
-                self.send(payload["origin"], VERB_STATUS_PROBE_REPORT, report,
-                          Mechanism.NORMAL)
+            self._invoke(payload["origin"], VERB_STATUS_PROBE_REPORT, report,
+                         Mechanism.NORMAL)
         # Chain onward through the steps this agent executed and forwarded.
         compiled = runtime.compiled
         targets: set[str] = set()
@@ -268,10 +253,7 @@ class AgentFailureMixin:
         for agent in sorted(targets):
             self.send(agent, VERB_STATUS_PROBE, dict(payload), Mechanism.NORMAL)
 
-    def _on_status_probe_report(self, message: Message) -> None:
-        self._on_status_probe_report_payload(dict(message.payload))
-
-    def _on_status_probe_report_payload(self, report: dict[str, Any]) -> None:
+    def _apply_status_probe_report(self, report: dict[str, Any]) -> None:
         self._probe_reports.setdefault(report["instance_id"], []).append(report)
         self.emit("status.probe_report", instance=report["instance_id"],
                   agent=report["agent"],
@@ -361,14 +343,11 @@ class AgentFailureMixin:
             return
         payload = {"instance_ids": batch}
         for agent in self.system.agent_names():
-            if agent == self.name:
-                self._retire(batch)
-            else:
-                self.send(agent, VERB_PURGE, payload, Mechanism.NORMAL)
+            self._invoke(agent, VERB_PURGE, payload, Mechanism.NORMAL)
         self.emit("purge.broadcast", count=len(batch))
 
-    def _on_purge(self, message: Message) -> None:
-        self._retire(list(message.payload["instance_ids"]))
+    def _apply_purge(self, payload: Mapping[str, Any]) -> None:
+        self._retire(list(payload["instance_ids"]))
 
     def _retire(self, instance_ids: list[str]) -> None:
         """Forget everything this agent holds for terminal instances: the

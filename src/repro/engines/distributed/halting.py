@@ -28,7 +28,6 @@ from repro.model.policies import DEFAULT_POLICY
 from repro.obs.profile import profiled
 from repro.rules.events import step_done
 from repro.runtime.metrics import Mechanism
-from repro.runtime.messages import Message
 from repro.storage.tables import InstanceStatus, StepStatus
 
 __all__ = ["AgentHaltingMixin"]
@@ -38,9 +37,6 @@ class AgentHaltingMixin:
     """Halting/compensation behavior of :class:`~repro.engines.distributed.WorkflowAgentNode`."""
 
     # ------------------------------------------------------------------ rollback
-
-    def _on_workflow_rollback(self, message: Message) -> None:
-        self._apply_workflow_rollback(message.payload)
 
     @profiled("recovery.rollback")
     def _apply_workflow_rollback(self, payload: Mapping[str, Any]) -> None:
@@ -53,6 +49,10 @@ class AgentHaltingMixin:
             return
         origin = payload["origin"]
         epoch = payload["epoch"]
+        if epoch < 0:
+            # A dependent rollback: its authority cannot know this
+            # instance's epochs, so the rollback takes the next one here.
+            epoch = fragment.recovery_epoch + 1
         mechanism = Mechanism(payload.get("mechanism", Mechanism.FAILURE.value))
         if epoch <= fragment.recovery_epoch:
             return  # already handled (duplicate rollback request)
@@ -79,11 +79,8 @@ class AgentHaltingMixin:
                 "instance_id": instance_id,
                 "key": SpecIndex.conflict_key_value(spec, fragment),
             }
-            if authority == self.name:
-                self._apply_rd_trigger(trigger_payload)
-            else:
-                self.send(authority, WI.ADD_RULE.value, trigger_payload,
-                          Mechanism.COORDINATION)
+            self._invoke(authority, WI.ADD_RULE.value, trigger_payload,
+                         Mechanism.COORDINATION)
         # Re-execution: the origin's rules were re-armed by the local halt;
         # its trigger events (outside the invalidation set) are still valid.
         runtime.engine.reevaluate()
@@ -127,8 +124,7 @@ class AgentHaltingMixin:
         for agent in sorted(targets):
             self.send(agent, WI.HALT_THREAD.value, payload, mechanism)
 
-    def _on_halt_thread(self, message: Message) -> None:
-        payload = message.payload
+    def _apply_halt_thread(self, payload: Mapping[str, Any]) -> None:
         instance_id = payload["instance_id"]
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
@@ -170,12 +166,7 @@ class AgentHaltingMixin:
 
     # ------------------------------------------------------------------ compensation WIs
 
-    def _on_step_compensate(self, message: Message) -> None:
-        self._on_step_compensate_local(message.payload, message.mechanism)
-
-    def _on_step_compensate_local(
-        self, payload: Mapping[str, Any], mechanism: Mechanism
-    ) -> None:
+    def _apply_step_compensate(self, payload: Mapping[str, Any]) -> None:
         """StepCompensate WI: compensate the step if this agent executed it."""
         instance_id = payload["instance_id"]
         if not self.agdb.has_fragment(instance_id):
@@ -188,18 +179,11 @@ class AgentHaltingMixin:
         if record.agent != self.name:
             return
         step_def = runtime.compiled.schema.steps[step]
-        self._compensate_local(
-            runtime, step, payload.get("kind", "complete"),
-            step_def.effective_compensation_cost, mechanism,
-        )
+        self._compensate_local(runtime, step, payload.get("kind", "complete"),
+                               step_def.effective_compensation_cost)
 
     def _compensate_local(
-        self,
-        runtime: AgentRuntime,
-        step: str,
-        kind: str,
-        cost: float,
-        mechanism: Mechanism,
+        self, runtime: AgentRuntime, step: str, kind: str, cost: float
     ) -> None:
         compiled = runtime.compiled
         step_def = compiled.schema.steps[step]
@@ -222,160 +206,85 @@ class AgentHaltingMixin:
         self.emit("step.compensated", instance=runtime.fragment.instance_id,
                   step=step, comp=kind)
 
-    def _forward_compensate_set(
-        self,
-        runtime: AgentRuntime,
-        instance_id: str,
-        chain: list[str],
-        origin_step: str,
-        mechanism: Mechanism,
-        partial_kind: str | None,
+    def _start_compensation(
+        self, verb: str, runtime: AgentRuntime, steps: list[str],
+        mechanism: Mechanism, **set_fields: Any,
     ) -> None:
-        """Send (or locally process) the next hop of a CompensateSet chain."""
-        payload = {
+        """Start a CompensateSet or CompensateThread chain at this agent.
+        A set also carries its ``origin_step``, ``initiator`` and
+        ``partial_kind``."""
+        self._walk_compensation(verb, {
             "schema_name": runtime.fragment.schema_name,
-            "instance_id": instance_id,
-            "step_list": list(chain),
-            "origin_step": origin_step,
-            "initiator": self.name,
+            "instance_id": runtime.fragment.instance_id,
+            "step_list": list(steps),
             "mechanism": mechanism.value,
-            "partial_kind": partial_kind,
             "executors": dict(runtime.executors),
-            # Hop agents apply these before deciding, so a chain racing
-            # ahead of the HaltThread probes still sees the stale state.
             "invalidations": dict(runtime.known_invalidations),
-        }
-        self._process_compensate_set(payload)
+            **set_fields,
+        })
 
-    def _on_compensate_set(self, message: Message) -> None:
-        self._process_compensate_set(dict(message.payload))
-
-    def _process_compensate_set(self, payload: dict[str, Any]) -> None:
+    def _walk_compensation(self, verb: str, payload: dict[str, Any]) -> None:
+        """CompensateSet and CompensateThread WIs: walk the step list in
+        order.  The head travels to the agent that executed it (or the one
+        elected for it), which compensates it if it ran there *and* its
+        completion is stale — a valid done event means the step was already
+        re-established and keeps its effects (e.g. an OCR reuse).  Only a
+        set's cutoffs lift this agent's round, only a set's origin step
+        takes a partial compensation, and only a set ends with a resume
+        at its initiator."""
         instance_id = payload["instance_id"]
-        step_list: list[str] = list(payload["step_list"])
-        origin_step = payload["origin_step"]
         mechanism = Mechanism(payload["mechanism"])
-        if not step_list:
-            return
-        step = step_list[0]
-        executors = dict(payload["executors"])
-        target = executors.get(step)
-        if target is None:
-            compiled = self.system.compiled(payload["schema_name"])
-            target = self._elect(compiled, instance_id, step)
-        if target != self.name:
-            payload["step_list"] = step_list
-            self.send(target, WI.COMPENSATE_SET.value, payload, mechanism)
-            return
-        # This agent is responsible for the head of the list: compensate it
-        # if it was executed here *and* its completion is stale (a valid
-        # done event means the step was already re-established and keeps
-        # its effects — e.g. an OCR reuse).
-        runtime = self._runtime(payload["schema_name"], instance_id)
-        invalidations = dict(payload.get("invalidations", {}))
-        if invalidations:
-            runtime.engine.apply_invalidations(invalidations)
-            absorb_invalidations(runtime, invalidations)
-        record = runtime.fragment.steps.get(step)
-        occurrence = runtime.engine.events.occurrence(step_done(step))
-        stale = occurrence is None or not occurrence.valid
-        if record is not None and record.status is StepStatus.DONE and stale:
-            step_def = runtime.compiled.schema.steps[step]
-            is_origin = step == origin_step
-            kind = (
-                payload.get("partial_kind") or "complete" if is_origin else "complete"
+        is_set = verb == WI.COMPENSATE_SET.value
+        step_list: list[str] = list(payload["step_list"])
+        while step_list:
+            step = step_list[0]
+            target = payload["executors"].get(step) or self._elect(
+                self.system.compiled(payload["schema_name"]), instance_id, step
             )
-            cost = step_def.effective_compensation_cost
-            if kind == "partial":
-                policy = runtime.compiled.schema.cr_policies.get(step, DEFAULT_POLICY)
-                cost *= policy.incremental_fraction
-            self._compensate_local(runtime, step, kind, cost, mechanism)
-        step_list.pop(0)
-        if step_list:
-            payload["step_list"] = step_list
-            self._process_compensate_set(payload)
+            if target != self.name:
+                self.send(target, verb, {**payload, "step_list": step_list}, mechanism)
+                return
+            runtime = self._runtime(payload["schema_name"], instance_id)
+            # Applied before deciding, so a chain racing ahead of the
+            # HaltThread probes still sees the stale state.
+            invalidations = dict(payload.get("invalidations", {}))
+            if invalidations:
+                runtime.engine.apply_invalidations(invalidations)
+                absorb_invalidations(runtime, invalidations, bump_round=is_set)
+            record = runtime.fragment.steps.get(step)
+            occurrence = runtime.engine.events.occurrence(step_done(step))
+            stale = occurrence is None or not occurrence.valid
+            if record is not None and record.status is StepStatus.DONE and stale:
+                step_def = runtime.compiled.schema.steps[step]
+                kind, cost = "complete", step_def.effective_compensation_cost
+                if step == payload.get("origin_step"):
+                    kind = payload["partial_kind"] or "complete"
+                    if kind == "partial":
+                        policy = runtime.compiled.schema.cr_policies.get(
+                            step, DEFAULT_POLICY)
+                        cost *= policy.incremental_fraction
+                self._compensate_local(runtime, step, kind, cost)
+            step_list.pop(0)
+        if not is_set:
             return
-        # Chain finished.  If the origin step's agent stashed a pending
-        # re-execution, resume it (the origin is the last chain element, so
-        # we are at its agent — or the chain ended elsewhere and the
-        # initiator resumes via this final hop).
+        # The set's chain ended here.  Its initiator stashed the origin
+        # step's re-execution: the origin is the last chain element, so this
+        # is usually the initiator; otherwise this final hop tells it.
         initiator = payload["initiator"]
         if initiator != self.name:
-            self.send(initiator, WI.COMPENSATE_SET.value,
-                      {**payload, "step_list": []}, mechanism)
+            self.send(initiator, verb, {**payload, "step_list": []}, mechanism)
             return
         runtime = self.runtimes.get(instance_id)
-        if runtime is None:
-            return
-        pending = runtime.pending_exec.pop(origin_step, None)
+        origin_step = payload["origin_step"]
+        pending = None if runtime is None else runtime.pending_exec.pop(origin_step, None)
         if pending is not None:
             plan, inputs, exec_mechanism = pending
             self._launch_program(instance_id, origin_step, plan.execution_cost,
                                  exec_mechanism, inputs)
 
-    def _start_compensate_thread(
-        self,
-        runtime: AgentRuntime,
-        instance_id: str,
-        steps: list[str],
-        mechanism: Mechanism,
-    ) -> None:
-        """CompensateThread WI chain over an abandoned if-then-else branch."""
-        payload = {
-            "schema_name": runtime.fragment.schema_name,
-            "instance_id": instance_id,
-            "step_list": list(steps),
-            "mechanism": mechanism.value,
-            "executors": dict(runtime.executors),
-            "invalidations": dict(runtime.known_invalidations),
-        }
-        self.emit("compensate.thread", instance=instance_id,
-                  steps=",".join(steps))
-        self._process_compensate_thread(payload)
-
-    def _on_compensate_thread(self, message: Message) -> None:
-        self._process_compensate_thread(dict(message.payload))
-
-    def _process_compensate_thread(self, payload: dict[str, Any]) -> None:
-        step_list: list[str] = list(payload["step_list"])
-        if not step_list:
-            return
-        instance_id = payload["instance_id"]
-        mechanism = Mechanism(payload["mechanism"])
-        step = step_list[0]
-        executors = dict(payload["executors"])
-        target = executors.get(step)
-        if target is None:
-            compiled = self.system.compiled(payload["schema_name"])
-            target = self._elect(compiled, instance_id, step)
-        if target != self.name:
-            self.send(target, WI.COMPENSATE_THREAD.value, payload, mechanism)
-            return
-        runtime = self._runtime(payload["schema_name"], instance_id)
-        invalidations = dict(payload.get("invalidations", {}))
-        if invalidations:
-            runtime.engine.apply_invalidations(invalidations)
-            absorb_invalidations(runtime, invalidations, bump_round=False)
-        record = runtime.fragment.steps.get(step)
-        occurrence = runtime.engine.events.occurrence(step_done(step))
-        stale = occurrence is None or not occurrence.valid
-        if record is not None and record.status is StepStatus.DONE and stale:
-            step_def = runtime.compiled.schema.steps[step]
-            self._compensate_local(
-                runtime, step, "complete", step_def.effective_compensation_cost,
-                mechanism,
-            )
-        step_list.pop(0)
-        if step_list:
-            payload["step_list"] = step_list
-            self._process_compensate_thread(payload)
-
     # ------------------------------------------------------------------ inputs changed
 
-    def _on_inputs_changed(self, message: Message) -> None:
-        self._on_inputs_changed_local(message.payload)
-
-    def _on_inputs_changed_local(self, payload: Mapping[str, Any]) -> None:
+    def _apply_inputs_changed(self, payload: Mapping[str, Any]) -> None:
         """InputsChanged WI at the origin step's agent: apply the new input
         values, then run the standard rollback machinery from the origin."""
         instance_id = payload["instance_id"]

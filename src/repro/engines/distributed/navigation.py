@@ -78,9 +78,8 @@ class AgentNavigationMixin:
 
     # ------------------------------------------------------------------ packets
 
-    def _on_step_execute(self, message: Message) -> None:
-        packet = WorkflowPacket.from_payload(message.payload)
-        self._ingest_packet(packet)
+    def _apply_step_execute(self, payload: Mapping[str, Any]) -> None:
+        self._ingest_packet(WorkflowPacket.from_payload(payload))
 
     def _ingest_packet(self, packet: WorkflowPacket) -> None:
         instance_id = packet.instance_id
@@ -224,8 +223,10 @@ class AgentNavigationMixin:
                 index,
             )
             if abandoned:
-                self._start_compensate_thread(runtime, instance_id, abandoned,
-                                              runtime.recovery_mechanism)
+                self.emit("compensate.thread", instance=instance_id,
+                          steps=",".join(abandoned))
+                self._start_compensation(WI.COMPENSATE_THREAD.value, runtime,
+                                         abandoned, runtime.recovery_mechanism)
 
         new_inputs = fragment.gather_inputs(step_def.inputs)
         policy = compiled.schema.cr_policies.get(step, DEFAULT_POLICY)
@@ -258,15 +259,16 @@ class AgentNavigationMixin:
                 runtime.pending_exec[step] = (plan, new_inputs, mechanism)
                 self.emit("compensate.set", instance=instance_id, step=step,
                           chain=",".join(chain))
-                self._forward_compensate_set(
-                    runtime, instance_id, chain, step, mechanism,
+                self._start_compensation(
+                    WI.COMPENSATE_SET.value, runtime, chain, mechanism,
+                    origin_step=step, initiator=self.name,
                     partial_kind=plan.compensation_kind,
                 )
                 return
             # Not in a dependent set: the step was executed here, so the
             # compensation is local.
             self._compensate_local(runtime, step, plan.compensation_kind or "complete",
-                                   plan.compensation_cost, mechanism)
+                                   plan.compensation_cost)
 
         self._launch_program(instance_id, step, plan.execution_cost, mechanism,
                              new_inputs)
@@ -415,16 +417,11 @@ class AgentNavigationMixin:
         assigned: str,
         only_to: str | None = None,
     ) -> None:
-        packet = self._build_packet(runtime, instance_id, successor, mechanism,
-                                    assigned)
+        payload = self._build_packet(runtime, instance_id, successor, mechanism,
+                                     assigned).to_payload()
         for agent in eligible:
-            if only_to is not None and agent != only_to:
-                continue
-            if agent == self.name:
-                self._ingest_packet(packet)
-            else:
-                self.send(agent, WI.STEP_EXECUTE.value, packet.to_payload(),
-                          mechanism)
+            if only_to is None or agent == only_to:
+                self._invoke(agent, WI.STEP_EXECUTE.value, payload, mechanism)
 
     # -- load-based successor selection (config.successor_selection="load") --
 
@@ -538,18 +535,13 @@ class AgentNavigationMixin:
         target = rule.loop_target
         assert target is not None
         compiled = runtime.compiled
-        eligible = self.agdb.eligible_agents(compiled.name, target)
-        assigned = self._elect(compiled, instance_id, target)
-        packet = self._build_packet(runtime, instance_id, target,
-                                    Mechanism.NORMAL, assigned)
         # Loop re-entry: the target's trigger events (predecessors outside
         # the body) are still valid and travel inside the packet.
-        for agent in eligible:
-            if agent == self.name:
-                self._ingest_packet(packet)
-            else:
-                self.send(agent, WI.STEP_EXECUTE.value, packet.to_payload(),
-                          Mechanism.NORMAL)
+        self._send_step_packets(
+            runtime, instance_id, target, Mechanism.NORMAL,
+            self.agdb.eligible_agents(compiled.name, target),
+            self._elect(compiled, instance_id, target),
+        )
         runtime.engine.reevaluate()
 
     # ------------------------------------------------------------------ nested workflows
@@ -575,15 +567,8 @@ class AgentNavigationMixin:
             "inputs": child_inputs,
             "parent_link": [instance_id, step],
         }
-        if coordination_agent == self.name:
-            self.workflow_start(child_compiled.name, child_id, child_inputs,
-                                parent_link=(instance_id, step))
-        else:
-            self.send(coordination_agent, WI.WORKFLOW_START.value, payload,
-                      Mechanism.NORMAL)
-
-    def _on_nested_done(self, message: Message) -> None:
-        self._apply_nested_done(message.payload)
+        self._invoke(coordination_agent, WI.WORKFLOW_START.value, payload,
+                     Mechanism.NORMAL)
 
     def _apply_nested_done(self, payload: Mapping[str, Any]) -> None:
         parent_id = payload["parent_id"]

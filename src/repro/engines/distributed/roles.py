@@ -4,14 +4,17 @@
 commit, halting, failure handling, coordination — over the shared node
 machinery.  This module owns the agent's durable/volatile state (AGDB,
 runtimes, commit trackers), the front-end workflow interfaces
-(WorkflowStart/Abort/Status/ChangeInputs), message dispatch, and
-crash/recovery.
+(WorkflowStart/Abort/Status/ChangeInputs), crash/recovery, and the one
+way a WI is addressed: a payload handler per verb, reached by a message
+through :meth:`WorkflowAgentNode._receive` and by the agent itself
+through :meth:`WorkflowAgentNode._invoke`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
 from repro.core.coordination import mx_clearance_token, ro_clearance_token
 from repro.core.interfaces import WI
@@ -76,28 +79,36 @@ class WorkflowAgentNode(
         #: instance id -> ids of the status probes already seen for it.
         self._seen_status_probes: dict[str, set[int]] = {}
         self._probe_reports: dict[str, list[dict]] = {}
+        #: verb -> payload handler: what a WI means at this agent, whether
+        #: a message or the agent itself (:meth:`_invoke`) addressed it.
+        self._wi: dict[str, Callable[[dict[str, Any]], None]] = {
+            WI.WORKFLOW_START.value: self._apply_workflow_start,
+            WI.STEP_EXECUTE.value: self._apply_step_execute,
+            WI.STEP_COMPLETED.value: self._apply_step_completed,
+            WI.WORKFLOW_ROLLBACK.value: self._apply_workflow_rollback,
+            WI.HALT_THREAD.value: self._apply_halt_thread,
+            WI.COMPENSATE_SET.value: partial(self._walk_compensation,
+                                             WI.COMPENSATE_SET.value),
+            WI.COMPENSATE_THREAD.value: partial(self._walk_compensation,
+                                                WI.COMPENSATE_THREAD.value),
+            WI.STEP_COMPENSATE.value: self._apply_step_compensate,
+            WI.INPUTS_CHANGED.value: self._apply_inputs_changed,
+            WI.ADD_RULE.value: self._apply_add_rule,
+            WI.ADD_EVENT.value: self._apply_add_event,
+            WI.ADD_PRECONDITION.value: self._apply_add_precondition,
+            VERB_STEP_STATUS_REPLY: self._apply_step_status_reply,
+            VERB_STATUS_PROBE: self._apply_status_probe,
+            VERB_STATUS_PROBE_REPORT: self._apply_status_probe_report,
+            VERB_PURGE: self._apply_purge,
+            VERB_UNHANDLED_FAILURE: self._apply_unhandled_failure,
+            VERB_NESTED_DONE: self._apply_nested_done,
+        }
+        self.handlers.update(dict.fromkeys(self._wi, self._receive))
+        # These answer their sender, so they read the message itself.
         self.handlers.update({
-            WI.WORKFLOW_START.value: self._on_workflow_start_msg,
-            WI.STEP_EXECUTE.value: self._on_step_execute,
-            WI.STEP_COMPLETED.value: self._on_step_completed,
-            WI.WORKFLOW_ROLLBACK.value: self._on_workflow_rollback,
-            WI.HALT_THREAD.value: self._on_halt_thread,
-            WI.COMPENSATE_SET.value: self._on_compensate_set,
-            WI.COMPENSATE_THREAD.value: self._on_compensate_thread,
-            WI.STEP_COMPENSATE.value: self._on_step_compensate,
             WI.STEP_STATUS.value: self._on_step_status,
-            WI.INPUTS_CHANGED.value: self._on_inputs_changed,
-            WI.ADD_RULE.value: self._on_add_rule,
-            WI.ADD_EVENT.value: self._on_add_event,
-            WI.ADD_PRECONDITION.value: self._on_add_precondition,
             WI.STATE_INFORMATION.value: self._on_state_information,
-            VERB_STEP_STATUS_REPLY: self._on_step_status_reply,
             "StateInformationReply": self._on_state_information_reply,
-            VERB_STATUS_PROBE: self._on_status_probe,
-            VERB_STATUS_PROBE_REPORT: self._on_status_probe_report,
-            VERB_PURGE: self._on_purge,
-            VERB_UNHANDLED_FAILURE: self._on_unhandled_failure,
-            VERB_NESTED_DONE: self._on_nested_done,
         })
 
     # ------------------------------------------------------------------ wiring
@@ -248,10 +259,7 @@ class WorkflowAgentNode(
                     "kind": "complete",
                     "reason": "abort",
                 }
-                if agent == self.name:
-                    self._on_step_compensate_local(payload, Mechanism.ABORT)
-                else:
-                    self.send(agent, WI.STEP_COMPENSATE.value, payload, Mechanism.ABORT)
+                self._invoke(agent, WI.STEP_COMPENSATE.value, payload, Mechanism.ABORT)
         # Halt every thread starting from the first step.
         epoch = runtime.fragment.recovery_epoch + 1
         self.emit("abort.halt", instance=instance_id, epoch=epoch)
@@ -306,12 +314,28 @@ class WorkflowAgentNode(
             "epoch": runtime.fragment.recovery_epoch + 1,
             "changes": dict(changes),
         }
-        if target == self.name:
-            self._on_inputs_changed_local(payload)
-        else:
-            self.send(target, WI.INPUTS_CHANGED.value, payload, Mechanism.INPUT_CHANGE)
+        self._invoke(target, WI.INPUTS_CHANGED.value, payload, Mechanism.INPUT_CHANGE)
 
     # ------------------------------------------------------------------ messaging
+
+    def _invoke(
+        self, dst: str, verb: str, payload: dict[str, Any], mechanism: Mechanism
+    ) -> None:
+        """Address WI ``verb`` to agent ``dst``.  Another agent gets a
+        physical message; this agent calls its handler directly — a local
+        call, so no message is counted, no load charged, no Lamport tick
+        taken and no purge check made (those belong to a message's entry,
+        :meth:`handle_message`)."""
+        if dst == self.name:
+            self._wi[verb](payload)
+        else:
+            self.send(dst, verb, payload, mechanism)
+
+    def _receive(self, message: Message) -> None:
+        """The message handler of every verb in :attr:`_wi`.  The handler
+        gets its own copy of the payload, which it may keep (a status-probe
+        report is stored as it arrived)."""
+        self._wi[message.interface](dict(message.payload))
 
     def handle_message(self, message: Message) -> None:
         self.charge(1.0, message.mechanism)
@@ -330,8 +354,7 @@ class WorkflowAgentNode(
         self.emit("purge.late", instance=instance_id, verb=verb)
         return True
 
-    def _on_workflow_start_msg(self, message: Message) -> None:
-        payload = message.payload
+    def _apply_workflow_start(self, payload: Mapping[str, Any]) -> None:
         parent_link = payload.get("parent_link")
         self.workflow_start(
             payload["schema_name"],

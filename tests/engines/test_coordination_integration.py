@@ -1,8 +1,11 @@
 """Coordinated-execution integration tests across all three architectures."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.causal import CausalTrace
+from repro.analysis.invariants import check_invariants
 from repro.core.programs import FailEveryNth, NoopProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.laws import load_laws
@@ -91,8 +94,10 @@ def test_mutual_exclusion_regions_do_not_interleave(architecture):
     assert times[(first, "S3")] < times[(second, "S2")]
 
 
-@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
-def test_rollback_dependency_cascades(architecture):
+def run_rollback_dependency(architecture, rollback_to):
+    """``W``: A -> B -> C, C failing its first attempt and rolling back to
+    B; a rollback of B in one instance rolls a conflicting instance back
+    to ``rollback_to``.  Both instances must commit, invariants intact."""
     system = make_system(architecture, seed=8)
     builder = SchemaBuilder("W", inputs=["k"])
     builder.step("A", program="W.A", inputs=["WF.k"], outputs=["o"])
@@ -105,24 +110,47 @@ def test_rollback_dependency_cascades(architecture):
     register_programs(system, schema, behaviors={
         "C": FailEveryNth(NoopProgram(("o",)), {1}),
     })
-    system.add_coordination(RollbackDependencySpec(
+    spec = RollbackDependencySpec(
         name="rd", schema_a="W", schema_b="W",
-        trigger_step_a="B", rollback_to_b="B", conflict_key="WF.k",
-    ))
-    # i1 will fail at C (attempt 1) and roll back to B, which must drag the
-    # conflicting i2 back to B as well.
+        trigger_step_a="B", rollback_to_b=rollback_to, conflict_key="WF.k",
+    )
+    system.add_coordination(spec)
     i1 = system.start_workflow("W", {"k": "x"}, delay=0.0)
     i2 = system.start_workflow("W", {"k": "x"}, delay=0.2)
     system.run()
     assert system.outcome(i1).committed
     assert system.outcome(i2).committed
+    causal = CausalTrace.from_run(system.trace, system.tracer)
+    assert check_invariants(causal) == []
+    return system, spec, (i1, i2), causal
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_rollback_dependency_cascades(architecture):
+    # i1 will fail at C (attempt 1) and roll back to B, which must drag the
+    # conflicting i2 back to B as well.
+    system, __, (i1, i2), causal = run_rollback_dependency(architecture, "B")
     cascades = system.trace.filter(kind="rollback.dependency")
     assert any(r.detail["dependent"] == i2 for r in cascades)
     # the record is the dependent's: its event stream says why it rolled back
-    rows = [r for r in CausalTrace.from_run(system.trace, system.tracer).records
-            if r.kind == "rollback.dependency"]
+    rows = [r for r in causal.records if r.kind == "rollback.dependency"]
     assert i2 in {r.instance for r in rows}
     assert all(r.instance == r.detail["dependent"] for r in rows)
+
+    # Dependents rolled back to A.  Under distributed control the spec's
+    # authority (B's agent) is not A's agent, so each dependent rollback
+    # is a message; it must mean what the authority's local call means.
+    system, spec, (i1, i2), __ = run_rollback_dependency(architecture, "A")
+    if isinstance(system, DistributedControlSystem):
+        assert system.authority_agent_for(spec) != system.assignment.eligible("W", "A")[0]
+    dependents = {r.detail["dependent"] for r in system.trace.filter(kind="rollback.dependency")}
+    assert dependents == {i1, i2}
+    rollbacks = Counter((r.detail["instance"], r.detail["origin"])
+                        for r in system.trace.filter(kind="rollback"))
+    assert all(rollbacks[(dependent, "A")] == 1 for dependent in dependents)
+    # one record multiset on all three architectures: each instance's own
+    # rollback to B and the dependent rollback to A it owes the other
+    assert rollbacks == Counter({(i1, "A"): 1, (i1, "B"): 1, (i2, "A"): 1, (i2, "B"): 1})
 
 
 @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)

@@ -187,6 +187,43 @@ def test_compensate_set_chain_reverse_order():
     assert steps == ["B", "A"]  # reverse execution order via the chain
 
 
+def test_compensate_set_chain_ending_elsewhere_resumes_at_its_initiator():
+    """A CompensateSet's last element is its origin step, so the chain
+    mostly ends at the initiator, which then launches the re-execution it
+    stashed.  Where the origin's recorded executor is another agent, that
+    agent's final hop (an empty step list) tells the initiator to."""
+    from types import SimpleNamespace
+
+    from repro.core.interfaces import WI
+
+    system = make(num_agents=2, agents_per_step=1)
+    builder = SchemaBuilder("W", inputs=["x"])
+    builder.step("A", program="W.A", inputs=["WF.x"], outputs=["o"])
+    builder.step("B", program="W.B", inputs=["A.o"], outputs=["o"])
+    builder.step("C", program="W.C", inputs=["B.o"], outputs=["o"], cost=1000.0)
+    builder.sequence("A", "B", "C")
+    schema = builder.build()
+    system.register_schema(schema)
+    register_programs(system, schema)
+    instance = system.start_workflow("W", {"x": 1})
+    system.run(until=50.0)  # A and B done, C still running
+    initiator, other = (system.agent(name) for name in system.assignment.eligible("W", "B")
+                        + system.assignment.eligible("W", "C"))
+    runtime = initiator.runtimes[instance]
+    runtime.pending_exec["B"] = (SimpleNamespace(execution_cost=1.0), {"A.o": None},
+                                 Mechanism.FAILURE)
+    system.network.send(other.name, initiator.name, WI.COMPENSATE_SET.value, {
+        "schema_name": "W", "instance_id": instance, "step_list": [], "origin_step": "B",
+        "initiator": initiator.name, "mechanism": Mechanism.FAILURE.value,
+        "partial_kind": None,
+        "executors": {}, "invalidations": {},
+    }, Mechanism.FAILURE)
+    system.run()
+    assert not runtime.pending_exec
+    assert [(r.node, r.detail["attempt"]) for r in system.trace.filter(kind="step.execute")
+            if r.detail["step"] == "B"] == [(initiator.name, 1), (initiator.name, 2)]
+
+
 def test_ocr_reuse_in_distributed_recovery():
     system = make()
     builder = SchemaBuilder("W", inputs=["x"])

@@ -298,17 +298,27 @@ def test_engines_leave_the_program_stream_to_the_context():
 
 def test_purge_forgets_through_one_retire_routine():
     """The agent that broadcasts a purge and the agents that receive it
-    forget the same things: both go through ``_retire``, neither names a
+    forget the same things: the broadcaster addresses ``PurgeNotice`` to
+    every agent, itself included, through the one router, the
+    ``PurgeNotice`` handler goes through ``_retire``, neither names a
     per-instance map itself, and nothing else in distributed control
     purges the AGDB."""
+    from repro.engines.distributed import VERB_PURGE, DistributedControlSystem
+
+    [agent] = DistributedControlSystem(num_agents=1).agents
+    handler = agent._wi[VERB_PURGE].__name__
     distributed = SRC / "repro" / "engines" / "distributed"
     failure = ast.parse((distributed / "failure.py").read_text())
     methods = {
         node.name: node for node in ast.walk(failure) if isinstance(node, ast.FunctionDef)
     }
-    for name in ("_on_purge", "_broadcast_purge"):
+    routed = [n for n in ast.walk(methods["_broadcast_purge"]) if isinstance(n, ast.Call)
+              and getattr(n.func, "attr", None) == "_invoke"]
+    assert [ast.unparse(call.args[1]) for call in routed] == ["VERB_PURGE"]
+    for name in (handler, "_broadcast_purge"):
         attributes = {n.attr for n in ast.walk(methods[name]) if isinstance(n, ast.Attribute)}
-        assert "_retire" in attributes, f"{name} does not retire through _retire"
+        if name == handler:
+            assert "_retire" in attributes, f"{name} does not retire through _retire"
         maps = attributes & {"runtimes", "trackers", "agdb", "authorities", "rng",
                              "_probe_reports", "_seen_status_probes"}
         assert not maps, f"{name} forgets {sorted(maps)} on its own"
@@ -321,6 +331,50 @@ def test_purge_forgets_through_one_retire_routine():
             ):
                 purgers.append(f"{module_path.name}:{scope.name}")
     assert purgers == ["failure.py:_retire"]
+
+
+def test_a_distributed_agent_addresses_a_wi_one_way():
+    """A WI means the same whether another agent or the agent itself
+    addresses it: one payload handler per verb in ``WorkflowAgentNode._wi``,
+    reached by a message through the one receive method and by the agent
+    itself through the one router, ``_invoke``.  So no other function in
+    ``engines/distributed/`` writes out the call-or-send itself — an ``if``
+    comparing with ``self.name`` with a local call on one branch and
+    ``self.send`` on the other — and every ``Node.handlers`` entry is the
+    receive method except the three verbs that answer their sender."""
+
+    def compares_with_self_name(test: ast.expr) -> bool:
+        return any(isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "name"
+            and getattr(side.value, "id", None) == "self"
+            for side in (node.left, *node.comparators)) for node in ast.walk(test))
+
+    def self_calls(branch: list[ast.stmt]) -> set[str]:
+        return {node.func.attr for stmt in branch for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "self"}
+
+    violations = []
+    for module_path in sorted((SRC / "repro" / "engines" / "distributed").glob("*.py")):
+        for scope in ast.walk(ast.parse(module_path.read_text())):
+            if not isinstance(scope, ast.FunctionDef) or scope.name == "_invoke":
+                continue
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.If) and compares_with_self_name(node.test)):
+                    continue
+                body, orelse = self_calls(node.body), self_calls(node.orelse)
+                if ("send" in body and orelse - {"send"}) or (
+                        "send" in orelse and body - {"send"}):
+                    violations.append(f"{module_path.name}:{node.lineno} in {scope.name}")
+    assert not violations, "call-or-send written out:\n" + "\n".join(violations)
+
+    from repro.engines.distributed import DistributedControlSystem, WorkflowAgentNode
+
+    for agent in DistributedControlSystem(num_agents=2).agents:
+        answering = {verb for verb, handler in agent.handlers.items()
+                     if getattr(handler, "__func__", None) is not WorkflowAgentNode._receive}
+        assert answering == {"StepStatus", "StateInformation", "StateInformationReply"}
+        assert set(agent._wi) == set(agent.handlers) - answering
 
 
 def test_daemon_hot_paths_spawn_no_task_per_step_or_event():
