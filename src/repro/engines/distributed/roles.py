@@ -225,6 +225,15 @@ class WorkflowAgentNode(
         runtime.engine.post_event(WF_START, self.simulator.now,
                                   runtime.fragment.invalidation_round)
 
+    def _apply_workflow_start(self, payload: Mapping[str, Any]) -> None:
+        parent_link = payload.get("parent_link")
+        self.workflow_start(
+            payload["schema_name"],
+            payload["instance_id"],
+            payload["inputs"],
+            parent_link=tuple(parent_link) if parent_link else None,
+        )
+
     def workflow_status(self, instance_id: str) -> InstanceStatus:
         """WorkflowStatus WI, answered from the coordination summary table."""
         return self.agdb.summary(instance_id)
@@ -353,15 +362,6 @@ class WorkflowAgentNode(
             return False
         self.emit("purge.late", instance=instance_id, verb=verb)
         return True
-
-    def _apply_workflow_start(self, payload: Mapping[str, Any]) -> None:
-        parent_link = payload.get("parent_link")
-        self.workflow_start(
-            payload["schema_name"],
-            payload["instance_id"],
-            payload["inputs"],
-            parent_link=tuple(parent_link) if parent_link else None,
-        )
 
     # ------------------------------------------------------------------ crash/recovery
 
