@@ -66,17 +66,9 @@ from repro.workloads import (
     travel_booking,
 )
 
-# Resolve the installed distribution's version; fall back to the
-# pyproject value when running from a source tree without installation.
-try:
-    from importlib.metadata import PackageNotFoundError, version as _dist_version
-
-    try:
-        __version__ = _dist_version("repro")
-    except PackageNotFoundError:
-        __version__ = "1.0.0"
-except ImportError:  # pragma: no cover - importlib.metadata is 3.8+
-    __version__ = "1.0.0"
+#: ``pyproject.toml``'s ``[project] version`` (a test keeps them equal);
+#: a constant, so ``import repro`` does not load ``importlib.metadata``.
+__version__ = "1.0.0"
 
 __all__ = [
     "AlwaysReexecute",

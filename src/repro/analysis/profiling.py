@@ -16,7 +16,11 @@ frame attribution cannot cross a process pool.
 Each run also counts the cyclic garbage collector's passes and their wall
 time per generation (a ``gc.callbacks`` hook registered only while the run
 executes).  The profiler cannot see a collection: its time lands in the
-self time of whichever frame allocated when it fired.
+self time of whichever frame allocated when it fired.  A run starts from
+a collected heap, so no earlier run's garbage is walked or counted in its
+place; after it, one more collection outside the hook, then a count of
+the objects the collector still tracks while the run's system is alive:
+what every later collection has to walk.
 """
 
 from __future__ import annotations
@@ -66,12 +70,15 @@ class ProfileRun(RunCounters):
     #: Garbage-collector passes and their wall ms, per generation.
     gc_collections: list[int]
     gc_ms: list[float]
+    #: Objects the collector tracks once the run is over (process-wide).
+    gc_objects: int
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "config": self.config,
             "seed": self.seed,
             **self.counter_dict(),
+            "gc_objects": self.gc_objects,
             "sim_time": round(self.sim_time, 3),
             "gc": {"collections": self.gc_collections,
                    "ms": [round(ms, 3) for ms in self.gc_ms]},
@@ -112,6 +119,7 @@ def run_profiled(
     profiling never changes counters, only observes them.
     """
     architecture, mode = parse_config(config, PROFILE_MODES)
+    gc.collect()
     prepared = PreparedRun(
         architecture, params if params is not None else EVAL_PARAMS,
         coordination=(mode == "coordinated"),
@@ -125,10 +133,13 @@ def run_profiled(
         counters = prepared.execute(instances_per_schema)
     finally:
         gc.callbacks.remove(clock)
+    gc.collect()
+    objects = len(gc.get_objects())
     prof.publish(prepared.system.registry)
     return ProfileRun(config=config, seed=seed, **vars(counters),
                       gc_collections=clock.collections,
-                      gc_ms=[ns / 1e6 for ns in clock.ns]), prof
+                      gc_ms=[ns / 1e6 for ns in clock.ns],
+                      gc_objects=objects), prof
 
 
 def run_profiled_sweep(

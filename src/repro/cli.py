@@ -519,11 +519,12 @@ def cmd_profile(args) -> int:
     print()
     print(format_table(
         ["config", "committed", "aborted", "messages", "events",
-         "sim time", "wall s", "events/s", "peak RSS KB"],
+         "sim time", "wall s", "events/s", "peak RSS KB", "gc objects"],
         [[run.config, run.committed, run.aborted, run.messages, run.events,
           f"{run.sim_time:.1f}", f"{run.wall_time_s:.3f}",
           f"{run.events_per_sec:,.0f}",
-          run.peak_rss_kb if run.peak_rss_kb is not None else "-"]
+          run.peak_rss_kb if run.peak_rss_kb is not None else "-",
+          f"{run.gc_objects:,}"]
          for run in runs],
     ))
     print()

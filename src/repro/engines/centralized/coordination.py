@@ -81,13 +81,13 @@ class EngineCoordinationMixin:
     def _mx_acquire(self, runtime: EngineRuntime, spec: CoordinationSpec) -> None:
         if runtime.mx_state.get(spec.name, "none") in ("requested", "held"):
             return
-        runtime.mx_state[spec.name] = "requested"
+        runtime.table("mx_state")[spec.name] = "requested"
         self._mx_request(runtime, spec)
 
     def _mx_release(self, runtime: EngineRuntime, spec: CoordinationSpec) -> None:
         if runtime.mx_state.get(spec.name) not in ("held", "requested"):
             return
-        runtime.mx_state[spec.name] = "released"
+        runtime.table("mx_state")[spec.name] = "released"
         self._mx_free(runtime, spec)
 
     def _coord_on_rollback(self, runtime: EngineRuntime, inval_steps) -> None:
@@ -129,7 +129,7 @@ class EngineCoordinationMixin:
         self.emit("coord", op="mx.acquire", instance=instance_id, spec=spec.name,
                   granted=granted)
         if granted:
-            runtime.mx_state[spec.name] = "held"
+            runtime.table("mx_state")[spec.name] = "held"
             self._deliver_grant(instance_id, mx_clearance_token(spec.name, instance_id))
 
     def _mx_free(self, runtime: EngineRuntime, spec: CoordinationSpec) -> None:
@@ -143,7 +143,7 @@ class EngineCoordinationMixin:
             __, next_instance = grantee
             next_runtime = self.runtimes.get(next_instance)
             if next_runtime is not None:
-                next_runtime.mx_state[spec.name] = "held"
+                next_runtime.table("mx_state")[spec.name] = "held"
                 self._deliver_grant(
                     next_instance, mx_clearance_token(spec.name, next_instance)
                 )

@@ -446,7 +446,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         child_values = list(inputs.values())
         child_inputs = dict(zip(child_schema.schema.inputs, child_values))
         child_id = f"{instance_id}.{step}#{record.executions + 1}"
-        runtime.nested_children[step] = child_id
         self.emit("nested.start", instance=instance_id, step=step, child=child_id)
         self.workflow_start(
             child_schema.name, child_id, child_inputs,

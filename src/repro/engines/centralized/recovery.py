@@ -191,15 +191,16 @@ class EngineRecoveryMixin:
         runtime = self.runtimes.get(instance_id)
         if runtime is None or runtime.state.status is not InstanceStatus.RUNNING:
             return
-        runtime.loop_fires[rule.rule_id] += 1
-        if runtime.loop_fires[rule.rule_id] > MAX_LOOP_ITERATIONS:
+        fires = runtime.table("loop_fires")
+        iteration = fires[rule.rule_id] = fires.get(rule.rule_id, 0) + 1
+        if iteration > MAX_LOOP_ITERATIONS:
             raise SimulationError(
                 f"loop {rule.rule_id} exceeded {MAX_LOOP_ITERATIONS} "
                 f"iterations in instance {instance_id}"
             )
         body = rule.loop_body
         self.emit("loop.iterate", instance=instance_id, rule=rule.rule_id,
-                  iteration=runtime.loop_fires[rule.rule_id])
+                  iteration=iteration)
         from repro.core.recovery import invalidation_tokens
 
         runtime.engine.invalidate_events(invalidation_tokens(body))

@@ -65,7 +65,7 @@ class AgentCoordinationMixin:
         current = runtime.mx_state.get(spec.name, "none")
         if current in ("requested", "held"):
             return
-        runtime.mx_state[spec.name] = "requested"
+        runtime.table("mx_state")[spec.name] = "requested"
         payload = {
             "op": "mx_request",
             "spec": spec.name,
@@ -86,7 +86,7 @@ class AgentCoordinationMixin:
             "instance_id": instance_id,
             "key": SpecIndex.conflict_key_value(spec, runtime.fragment),
         }
-        runtime.mx_state[spec.name] = "released"
+        runtime.table("mx_state")[spec.name] = "released"
         self._to_authority(spec, payload)
 
     # ------------------------------------------------------------------ authority side
@@ -168,7 +168,7 @@ class AgentCoordinationMixin:
         runtime = self._runtime(payload["schema_name"], instance_id)
         if payload["token"].startswith("EXT.MX."):
             spec_name = payload["token"].split(".")[2]
-            runtime.mx_state[spec_name] = "held"
+            runtime.table("mx_state")[spec_name] = "held"
         for spec_name, leading, lagging in payload.get("orders", ()):
             runtime.ro_info.add((spec_name, leading, lagging))
         runtime.engine.add_event(payload["token"], self.simulator.now)

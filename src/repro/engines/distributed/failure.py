@@ -268,7 +268,7 @@ class AgentFailureMixin:
         runtime = self.runtimes.get(instance_id)
         if runtime is None or runtime.fragment.status is not InstanceStatus.RUNNING:
             return
-        runtime.watchdogs.discard(step)
+        runtime.drop("watchdogs", step)
         if step_done(step) in runtime.engine.events:
             return  # completed normally
         record = runtime.fragment.steps.get(step)
@@ -284,7 +284,7 @@ class AgentFailureMixin:
         if step_def.step_type is StepType.UPDATE:
             # "the successor agent has to wait for the failed agent to come
             # up" — re-arm the watchdog until it recovers.
-            runtime.watchdogs.add(step)
+            runtime.table("watchdogs")[step] = assigned
             self.simulator.schedule(
                 self.config.step_status_poll_interval, self._watchdog,
                 instance_id, step,
@@ -300,7 +300,7 @@ class AgentFailureMixin:
         # trigger events) — otherwise keep waiting for state.
         rules = runtime.engine.rules_for_step(step)
         if not any(rule.fired for rule in rules):
-            runtime.watchdogs.add(step)
+            runtime.table("watchdogs")[step] = assigned
             self.simulator.schedule(
                 self.config.step_status_poll_interval, self._watchdog,
                 instance_id, step,

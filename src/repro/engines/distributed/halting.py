@@ -60,7 +60,7 @@ class AgentHaltingMixin:
                   mechanism=mechanism.value)
         fragment.recovery_epoch = epoch
         runtime.recovery_mechanism = mechanism
-        runtime.origin_history[epoch] = origin
+        runtime.table("origin_history")[epoch] = origin
         self._halt_from(runtime, instance_id, origin, epoch, mechanism,
                         include_origin_agent=False)
         # (the halt bumped fragment.invalidation_round)
@@ -140,7 +140,7 @@ class AgentHaltingMixin:
         if mechanism in (Mechanism.FAILURE, Mechanism.INPUT_CHANGE):
             runtime.recovery_mechanism = mechanism
         origin = payload["origin"]
-        runtime.origin_history[epoch] = origin
+        runtime.table("origin_history")[epoch] = origin
         compiled = runtime.compiled
         recovery = RecoveryTokens(compiled, origin)
         self.emit("halt.thread", instance=instance_id, origin=origin, epoch=epoch)
@@ -276,7 +276,7 @@ class AgentHaltingMixin:
             return
         runtime = self.runtimes.get(instance_id)
         origin_step = payload["origin_step"]
-        pending = None if runtime is None else runtime.pending_exec.pop(origin_step, None)
+        pending = None if runtime is None else runtime.drop("pending_exec", origin_step)
         if pending is not None:
             plan, inputs, exec_mechanism = pending
             self._launch_program(instance_id, origin_step, plan.execution_cost,
@@ -291,7 +291,7 @@ class AgentHaltingMixin:
         runtime = self._runtime(payload["schema_name"], instance_id)
         changes = dict(payload["changes"])
         overrides = {f"WF.{name}": value for name, value in changes.items()}
-        runtime.input_overrides.update(overrides)
+        runtime.table("input_overrides").update(overrides)
         runtime.fragment.merge_data(overrides)
         for name, value in changes.items():
             if name in runtime.fragment.inputs:

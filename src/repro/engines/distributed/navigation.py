@@ -119,7 +119,7 @@ class AgentNavigationMixin:
             packet.assigned_agent not in (None, self.name)
             and packet.target_step not in runtime.watchdogs
         ):
-            runtime.watchdogs.add(packet.target_step)
+            runtime.table("watchdogs")[packet.target_step] = packet.assigned_agent
             self.simulator.schedule(
                 self.config.step_status_timeout,
                 self._watchdog, instance_id, packet.target_step,
@@ -256,7 +256,7 @@ class AgentNavigationMixin:
                 chain = compensate_set_chain(
                     members, step, compiled.graph.topo_index
                 )
-                runtime.pending_exec[step] = (plan, new_inputs, mechanism)
+                runtime.table("pending_exec")[step] = (plan, new_inputs, mechanism)
                 self.emit("compensate.set", instance=instance_id, step=step,
                           chain=",".join(chain))
                 self._start_compensation(
@@ -294,7 +294,7 @@ class AgentNavigationMixin:
         record.agent = self.name
         attempt = record.executions + 1
         epoch = runtime.fragment.recovery_epoch
-        runtime.running_exec[step] = epoch
+        runtime.table("running_exec")[step] = epoch
         self.emit("step.execute", instance=instance_id, step=step,
                   attempt=attempt, epoch=epoch, mechanism=mechanism.value)
         delay = cost * self.config.work_time_scale
@@ -328,7 +328,7 @@ class AgentNavigationMixin:
                 # navigation skipped the step as "already executing", so
                 # nobody else will ever complete it: release the record and
                 # re-drive the step under the current epoch.
-                runtime.running_exec.pop(step, None)
+                runtime.drop("running_exec", step)
                 record = fragment.steps.get(step)
                 if record is not None and record.status is StepStatus.RUNNING:
                     record.status = StepStatus.NOT_STARTED
@@ -336,7 +336,7 @@ class AgentNavigationMixin:
                     if any(r.fired for r in runtime.engine.rules_for_step(step)):
                         self._execute_step(instance_id, step)
             return
-        runtime.running_exec.pop(step, None)
+        runtime.drop("running_exec", step)
         compiled = runtime.compiled
         step_def = compiled.schema.steps[step]
         result = self.system.execute_program(
@@ -515,15 +515,16 @@ class AgentNavigationMixin:
         # Only the agent that executed the loop source navigates the loop.
         if runtime.executors.get(rule.step) != self.name:
             return
-        runtime.loop_fires[rule.rule_id] += 1
-        if runtime.loop_fires[rule.rule_id] > MAX_LOOP_ITERATIONS:
+        fires = runtime.table("loop_fires")
+        iteration = fires[rule.rule_id] = fires.get(rule.rule_id, 0) + 1
+        if iteration > MAX_LOOP_ITERATIONS:
             raise SimulationError(
                 f"loop {rule.rule_id} exceeded {MAX_LOOP_ITERATIONS} "
                 f"iterations in {instance_id}"
             )
         body = rule.loop_body
         self.emit("loop.iterate", instance=instance_id, rule=rule.rule_id,
-                  iteration=runtime.loop_fires[rule.rule_id])
+                  iteration=iteration)
         tokens = invalidation_tokens(body)
         open_invalidation_round(runtime, tokens)
         runtime.engine.invalidate_events(tokens)

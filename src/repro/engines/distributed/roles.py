@@ -307,7 +307,7 @@ class WorkflowAgentNode(
         self.emit("workflow.change_inputs", instance=instance_id,
                   origin=origin or "-")
         runtime.fragment.apply_input_changes(changes)
-        runtime.input_overrides.update(
+        runtime.table("input_overrides").update(
             {f"WF.{name}": value for name, value in changes.items()}
         )
         self._persist(runtime)

@@ -291,7 +291,7 @@ class ParallelEngineNode(CentralEngineNode):
             self._mx_forget((spec_name, key), instance)
             return
         self._mx_granted.add((spec_name, instance))
-        runtime.mx_state[spec_name] = "held"
+        runtime.table("mx_state")[spec_name] = "held"
         self._deliver_grant(instance, mx_clearance_token(spec_name, instance))
 
 

@@ -7,23 +7,39 @@ bookkeeping.  :class:`InstanceRuntime` is that shared pairing;
 parallel control) and :class:`AgentRuntime` the agent-side extras
 (distributed control, where the state is a *fragment* assembled from
 workflow packets).
+
+A table that almost every instance leaves empty (loop counts, mutex
+states, the agent's in-flight bookkeeping) holds the one shared
+:data:`IDLE` mapping until its first write: reads work on it unchanged,
+:meth:`InstanceRuntime.table` gives the field a dict of its own, and
+:meth:`InstanceRuntime.drop` hands an emptied field back.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from repro.model.compiler import CompiledSchema
 from repro.rules.engine import RuleEngine
 from repro.runtime.metrics import Mechanism
 from repro.storage.tables import InstanceState
 
-__all__ = ["AgentRuntime", "EngineRuntime", "InstanceRuntime"]
+__all__ = ["IDLE", "AgentRuntime", "EngineRuntime", "InstanceRuntime"]
+
+#: What an idle table field holds: one read-only empty mapping shared by
+#: every runtime (``get``, ``in``, iteration and truth work on it).
+IDLE: Mapping[Any, Any] = MappingProxyType({})
 
 
-@dataclass
+def _idle() -> Mapping[Any, Any]:
+    """Default factory of a table field (a mapping proxy is no plain
+    dataclass default)."""
+    return IDLE
+
+
+@dataclass(slots=True)
 class InstanceRuntime:
     """Volatile enactment state for one instance at one node."""
 
@@ -31,10 +47,31 @@ class InstanceRuntime:
     compiled: CompiledSchema
     engine: RuleEngine
     recovery_mechanism: Mechanism = Mechanism.NORMAL
-    loop_fires: Counter = field(default_factory=Counter)
-    mx_state: dict[str, str] = field(default_factory=dict)  # spec -> none/requested/held/released
+    #: loop rule id -> iterations so far
+    loop_fires: Mapping[str, int] = field(default_factory=_idle)
+    #: spec -> none/requested/held/released
+    mx_state: Mapping[str, str] = field(default_factory=_idle)
     governed: int = 0
     parent_link: tuple[str, str] | None = None
+
+    def table(self, name: str) -> dict:
+        """Table field ``name`` as a dict of its own, made on first write."""
+        table = getattr(self, name)
+        if table is IDLE:
+            table = {}
+            setattr(self, name, table)
+        return table
+
+    def drop(self, name: str, key: Any) -> Any:
+        """Remove ``key`` from table field ``name`` and return its value
+        (``None`` when absent); an emptied field goes back to :data:`IDLE`."""
+        table = getattr(self, name)
+        if key not in table:
+            return None
+        value = table.pop(key)
+        if not table:
+            setattr(self, name, IDLE)
+        return value
 
     def step_mechanism(self, step: str) -> Mechanism:
         """Mechanism to account a (re-)execution of ``step`` under.
@@ -62,15 +99,14 @@ class InstanceRuntime:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineRuntime(InstanceRuntime):
     """Engine-side per-instance runtime (centralized/parallel control)."""
 
     reported: set[str] = field(default_factory=set)
-    nested_children: dict[str, str] = field(default_factory=dict)  # step -> child id
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentRuntime(InstanceRuntime):
     """An agent's volatile enactment state for one instance fragment."""
 
@@ -81,16 +117,20 @@ class AgentRuntime(InstanceRuntime):
     #: Steps this agent executed and navigated onward (HaltThread must
     #: propagate through them).
     forwarded: set[str] = field(default_factory=set)
-    origin_history: dict[int, str] = field(default_factory=dict)
+    #: epoch -> origin step of that epoch's rollback
+    origin_history: Mapping[int, str] = field(default_factory=_idle)
     #: Established (spec, leading, lagging) orders this agent has learned —
     #: piggybacked on outgoing packets (Figure 7's "R.O." lines).
     ro_info: set[tuple[str, str, str]] = field(default_factory=set)
     #: step -> epoch of the execution currently in flight on this agent;
     #: guards stale completions from before a rollback.
-    running_exec: dict[str, int] = field(default_factory=dict)
-    input_overrides: dict[str, Any] = field(default_factory=dict)
-    pending_exec: dict[str, tuple] = field(default_factory=dict)
-    watchdogs: set[str] = field(default_factory=set)
+    running_exec: Mapping[str, int] = field(default_factory=_idle)
+    input_overrides: Mapping[str, Any] = field(default_factory=_idle)
+    #: step -> (plan, inputs, mechanism) of a re-execution waiting for its
+    #: compensation set to finish.
+    pending_exec: Mapping[str, tuple] = field(default_factory=_idle)
+    #: step -> the agent whose execution of it a watchdog timer checks on.
+    watchdogs: Mapping[str, str] = field(default_factory=_idle)
 
     @property
     def fragment(self) -> InstanceState:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.errors import ConditionError, RuleError
@@ -49,8 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - break model<->rules import cycle
 
 __all__ = ["RuleEngine", "RuleInstance"]
 
+#: The payload of every rule that carries none (all template rules).
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass
+
+@dataclass(slots=True)
 class RuleInstance:
     """A live rule: template state plus dynamic preconditions and firing state.
 
@@ -71,7 +75,7 @@ class RuleInstance:
     condition: Condition | None = None
     loop_target: str | None = None
     loop_body: frozenset[str] = frozenset()
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = field(default_factory=lambda: _NO_PAYLOAD)
     one_shot: bool = False
     fired: bool = False
 
@@ -100,7 +104,19 @@ class RuleEngine:
     engine synchronously except through the documented entry points
     (``post_event``/``add_event``/``merge_events``), which are re-entrancy
     safe because firing is driven by a single fix-point pump.
+
+    An engine at rest holds what it enacts and nothing more: the ready
+    heap, its membership set, the pending-rule set and the per-pass
+    scratch are ``None`` whenever they would be empty, and the reverse
+    index keeps a tuple of rule ids per token.
     """
+
+    __slots__ = (
+        "compiled", "events", "_action", "_env_provider", "_fire_hook",
+        "profile", "_rules", "_pumping", "_dirty", "_index", "_unmet",
+        "_ready", "_queued", "_pending_ids", "_added_mid_pass",
+        "_new_this_pass",
+    )
 
     def __init__(
         self,
@@ -130,13 +146,13 @@ class RuleEngine:
         self._pumping = False
         self._dirty = False
         # Reverse index and incremental firing state.
-        self._index: dict[str, set[str]] = {}
+        self._index: dict[str, tuple[str, ...]] = {}
         self._unmet: dict[str, int] = {}
-        self._ready: list[str] = []       # heap of candidate rule ids
-        self._queued: set[str] = set()    # ids currently in heap/deferred
-        self._pending_ids: set[str] = set()
-        self._added_mid_pass: list[str] = []
-        self._new_this_pass: set[str] = set()
+        self._ready: list[str] | None = None       # heap of candidate rule ids
+        self._queued: set[str] | None = None       # ids in heap/deferred
+        self._pending_ids: set[str] | None = None
+        self._added_mid_pass: list[str] | None = None
+        self._new_this_pass: set[str] | None = None
         self.events.subscribe(self._on_event_transition)
         hosted = set(steps) if steps is not None else None
         for template in compiled.rule_templates:
@@ -153,8 +169,9 @@ class RuleEngine:
     def _index_rule(self, rule: RuleInstance) -> None:
         """Index a newly installed rule and seed its unmet counter."""
         rule_id = rule.rule_id
+        index = self._index
         for token in rule.required:
-            self._index.setdefault(token, set()).add(rule_id)
+            index[token] = index.get(token, ()) + (rule_id,)
         self._unmet[rule_id] = sum(
             1 for token in rule.required if token not in self.events
         )
@@ -162,42 +179,69 @@ class RuleEngine:
             # Mirrors the scan engine's per-pass snapshot: a rule added from
             # inside a rule action only becomes fireable on the *next* pass,
             # even if its events complete later in the current one.
-            self._new_this_pass.add(rule_id)
+            if self._new_this_pass is None:
+                self._new_this_pass = {rule_id}
+            else:
+                self._new_this_pass.add(rule_id)
         self._refresh_pending(rule)
         if self._unmet[rule_id] == 0 and not rule.fired:
             self._enqueue(rule_id)
 
     def _unindex_rule(self, rule: RuleInstance) -> None:
         rule_id = rule.rule_id
+        index = self._index
         for token in rule.required:
-            ids = self._index.get(token)
+            ids = index.get(token)
             if ids is not None:
-                ids.discard(rule_id)
-                if not ids:
-                    del self._index[token]
+                ids = tuple(other for other in ids if other != rule_id)
+                if ids:
+                    index[token] = ids
+                else:
+                    del index[token]
         self._unmet.pop(rule_id, None)
-        self._pending_ids.discard(rule_id)
+        self._unpend(rule_id)
         # A stale heap entry (if any) is discarded lazily on pop.
 
     def _enqueue(self, rule_id: str) -> None:
-        if rule_id in self._queued:
+        queued = self._queued
+        if queued is None:
+            self._queued = {rule_id}
+        elif rule_id in queued:
             return
-        self._queued.add(rule_id)
-        if self._pumping and rule_id in self._new_this_pass:
-            self._added_mid_pass.append(rule_id)
+        else:
+            queued.add(rule_id)
+        new = self._new_this_pass  # only set while pumping
+        if new is not None and rule_id in new:
+            if self._added_mid_pass is None:
+                self._added_mid_pass = [rule_id]
+            else:
+                self._added_mid_pass.append(rule_id)
+        elif self._ready is None:
+            self._ready = [rule_id]
         else:
             heapq.heappush(self._ready, rule_id)
 
     def _refresh_pending(self, rule: RuleInstance) -> None:
         """The paper's pending-rule table: unfired, ≥1 required event valid."""
+        rule_id = rule.rule_id
         if (
             not rule.fired
             and rule.required
-            and self._unmet[rule.rule_id] < len(rule.required)
+            and self._unmet[rule_id] < len(rule.required)
         ):
-            self._pending_ids.add(rule.rule_id)
+            if self._pending_ids is None:
+                self._pending_ids = {rule_id}
+            else:
+                self._pending_ids.add(rule_id)
         else:
-            self._pending_ids.discard(rule.rule_id)
+            self._unpend(rule_id)
+
+    def _unpend(self, rule_id: str) -> None:
+        pending = self._pending_ids
+        if pending is not None:
+            pending.discard(rule_id)
+            if not pending:
+                self._pending_ids = None
 
     def _on_event_transition(self, token: str, valid: bool) -> None:
         """EventTable delta: adjust unmet counters of rules needing ``token``."""
@@ -240,12 +284,13 @@ class RuleEngine:
         """Unfired rules with at least one required event already valid —
         the paper's pending-rule table.  O(pending), not O(rules)."""
         return tuple(
-            self._rules[rule_id] for rule_id in sorted(self._pending_ids)
+            self._rules[rule_id] for rule_id in sorted(self._pending_ids or ())
         )
 
     def pending_count(self) -> int:
         """Depth of the pending-rule table, O(1) (observability sampling)."""
-        return len(self._pending_ids)
+        pending = self._pending_ids
+        return 0 if pending is None else len(pending)
 
     # -- the three implementation-level primitives --------------------------------
 
@@ -279,7 +324,7 @@ class RuleEngine:
         if token in rule.required:
             return
         rule.required = rule.required | {token}
-        self._index.setdefault(token, set()).add(rule.rule_id)
+        self._index[token] = self._index.get(token, ()) + (rule.rule_id,)
         if token not in self.events:
             self._unmet[rule.rule_id] += 1
         self._refresh_pending(rule)
@@ -417,8 +462,11 @@ class RuleEngine:
                 fired_any = False
                 cursor: str | None = None
                 deferred: list[str] = []
-                while self._ready:
-                    rule_id = heapq.heappop(self._ready)
+                # An action's ``_enqueue`` pushes onto this same list: it
+                # makes a new one only where there was none to pop from.
+                ready = self._ready
+                while ready:
+                    rule_id = heapq.heappop(ready)
                     rule = self._rules.get(rule_id)
                     if (
                         rule is None
@@ -435,7 +483,7 @@ class RuleEngine:
                         continue
                     self._queued.discard(rule_id)
                     rule.fired = True
-                    self._pending_ids.discard(rule_id)
+                    self._unpend(rule_id)
                     cursor = rule_id
                     fired_any = True
                     if self._fire_hook is not None:
@@ -452,16 +500,22 @@ class RuleEngine:
                         self._rules.pop(rule_id, None)
                         self._unindex_rule(rule)
                 for rule_id in deferred:
-                    heapq.heappush(self._ready, rule_id)
-                if self._added_mid_pass:
-                    for rule_id in self._added_mid_pass:
-                        heapq.heappush(self._ready, rule_id)
-                    self._added_mid_pass.clear()
-                self._new_this_pass.clear()
+                    heapq.heappush(ready, rule_id)
+                added = self._added_mid_pass
+                if added is not None:
+                    self._added_mid_pass = None
+                    for rule_id in added:
+                        heapq.heappush(ready, rule_id)
+                self._new_this_pass = None
                 if not (fired_any or self._dirty):
                     break
         finally:
             self._pumping = False
+            self._new_this_pass = None
+            if not self._ready:
+                self._ready = None
+            if not self._queued:
+                self._queued = None
 
     def _condition_holds(self, rule: RuleInstance) -> bool:
         if rule.condition is None:

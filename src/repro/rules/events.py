@@ -79,7 +79,7 @@ def step_of_token(token: str) -> str:
     return scope
 
 
-@dataclass
+@dataclass(slots=True)
 class EventOccurrence:
     """One (possibly invalidated) occurrence of an event.
 
@@ -106,10 +106,12 @@ class EventTable:
     time for already-known valid events.
     """
 
+    __slots__ = ("_events", "_seq", "_listeners")
+
     def __init__(self) -> None:
         self._events: dict[str, EventOccurrence] = {}
         self._seq = 0
-        self._listeners: list = []
+        self._listeners: tuple = ()
 
     def subscribe(self, listener) -> None:
         """Register ``listener(token, valid)`` for validity transitions.
@@ -119,7 +121,7 @@ class EventTable:
         subscribers can maintain incremental state — the rule engine's
         token→rule index counts on the transitions strictly alternating.
         """
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def _notify(self, token: str, valid: bool) -> None:
         for listener in self._listeners:

@@ -50,7 +50,7 @@ class InstanceStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Step status table row for one step of one instance."""
 
@@ -82,7 +82,7 @@ class StepRecord:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceState:
     """Workflow instance table row: data + step status + recovery epoch.
 
@@ -195,6 +195,13 @@ class InstanceState:
     def snapshot(self) -> dict[str, Any]:
         """A deep-enough copy for WAL persistence and packet payloads.
 
+        ``events_snapshot`` and each row's ``last_inputs``/``last_outputs``
+        are shared, not copied: code only ever replaces those dicts, never
+        writes into them (AST-pinned in ``tests/test_import_contract.py``),
+        so a snapshot keeps seeing the values it was taken with.  The
+        tables written in place (``inputs``, ``data``,
+        ``known_invalidations``) are copied.
+
         ``_value_`` is the member's plain attribute behind the ``.value``
         descriptor: one call saved per step per persist.
         """
@@ -206,7 +213,7 @@ class InstanceState:
             "status": self.status._value_,
             "recovery_epoch": self.recovery_epoch,
             "invalidation_round": self.invalidation_round,
-            "events_snapshot": dict(self.events_snapshot),
+            "events_snapshot": self.events_snapshot,
             "known_invalidations": dict(self.known_invalidations),
             "exec_counter": self._exec_counter,
             "steps": {
@@ -215,8 +222,8 @@ class InstanceState:
                     "executions": rec.executions,
                     "compensations": rec.compensations,
                     "reuses": rec.reuses,
-                    "last_inputs": dict(rec.last_inputs),
-                    "last_outputs": dict(rec.last_outputs),
+                    "last_inputs": rec.last_inputs,
+                    "last_outputs": rec.last_outputs,
                     "done_at": rec.done_at,
                     "exec_seq": rec.exec_seq,
                     "agent": rec.agent,

@@ -210,7 +210,7 @@ def test_compensate_set_chain_ending_elsewhere_resumes_at_its_initiator():
     initiator, other = (system.agent(name) for name in system.assignment.eligible("W", "B")
                         + system.assignment.eligible("W", "C"))
     runtime = initiator.runtimes[instance]
-    runtime.pending_exec["B"] = (SimpleNamespace(execution_cost=1.0), {"A.o": None},
+    runtime.table("pending_exec")["B"] = (SimpleNamespace(execution_cost=1.0), {"A.o": None},
                                  Mechanism.FAILURE)
     system.network.send(other.name, initiator.name, WI.COMPENSATE_SET.value, {
         "schema_name": "W", "instance_id": instance, "step_list": [], "origin_step": "B",

@@ -205,6 +205,29 @@ def test_recovered_bases_come_from_the_log_not_from_lost_memory():
     assert db.instance("i1").snapshot() == restored.snapshot()
 
 
+def test_a_replaced_shared_dict_is_logged_and_recovered():
+    """The chain base holds the live state's ``last_inputs`` and
+    ``events_snapshot`` dicts themselves (``snapshot`` copies only the
+    tables written in place).  Replacing one after a persist is a change
+    the next delta logs, and recovery gives back the live tables."""
+    db = make_db()
+    state = run_steps(db, "i1", steps=2)
+    record = state.steps["S1"]
+    [(__, base)] = db._chains.snapshots()
+    assert base["steps"]["S1"]["last_inputs"] is record.last_inputs
+    record.last_inputs = {"in": 7}
+    state.events_snapshot = {"S1.D": [1.0, 0]}
+    db.persist(state)
+    assert list(db.wal)[-1].payload == {
+        "instance_id": "i1", "base_lsn": 5,
+        "steps": {"put": {"S1": state.snapshot()["steps"]["S1"]}},
+        "events_snapshot": {"put": {"S1.D": [1.0, 0]}},
+    }
+    assert list(db.wal)[-1].payload["steps"]["put"]["S1"]["last_inputs"] == {"in": 7}
+    db.recover()
+    assert db.instance("i1").snapshot() == state.snapshot()
+
+
 @pytest.mark.parametrize("architecture", ["centralized", "parallel"])
 def test_engine_log_costs_what_changed_and_keeps_what_is_live(architecture, monkeypatch):
     from repro.storage.wal import WriteAheadLog

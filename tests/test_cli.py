@@ -267,6 +267,11 @@ def test_profile_single_config_prints_table_and_collapsed(capsys):
                  "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "# profile: 1 config(s)" in out
+    header, row = (
+        [cell.strip() for cell in line.split("|")]
+        for line in out.splitlines() if line.startswith(("config", "centralized-normal")))
+    assert header[-2:] == ["peak RSS KB", "gc objects"]
+    assert int(row[-1].replace(",", "")) > 0     # objects the collector still tracks
     assert "self %" in out                       # ranked top-frames table
     assert "transport.arrive" in out
     assert "# garbage collector:" in out         # under the frame table
@@ -298,6 +303,7 @@ def test_profile_writes_artifacts(tmp_path, capsys):
     assert "crew_profile_frame_calls_total" in metrics.read_text()
     summary = json.loads(blob.read_text())
     assert summary["runs"][0]["config"] == "parallel-normal"
+    assert summary["runs"][0]["gc_objects"] > 0
     assert summary["top_frames"]
     assert summary["gc"]["collections"] == summary["runs"][0]["gc"]["collections"]
     assert 0 <= summary["gc"]["share_of_wall"] < 1

@@ -16,6 +16,10 @@ default ``SimRuntime``, and the runtime layer itself never imports
 from __future__ import annotations
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -658,3 +662,59 @@ def test_one_front_door_and_one_outcome_path():
         if isinstance(node, ast.Attribute) and node.attr == "_record_outcome"
     ]
     assert not calls, calls
+
+
+def test_import_repro_leaves_importlib_metadata_unloaded():
+    """``repro.__version__`` is a constant equal to ``pyproject.toml``'s
+    ``[project] version`` (read without ``tomllib``, which 3.10 lacks), so
+    ``import repro`` pays for no distribution lookup and none of the
+    ``email``/``socket`` modules ``importlib.metadata`` pulls in."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+    import repro
+
+    assert repro.__version__ == declared.group(1)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('importlib.metadata' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "False"
+
+
+#: ``InstanceState.snapshot`` shares these dicts with the live state
+#: instead of copying them, so code may only ever replace them.
+REPLACE_ONLY = {"last_inputs", "last_outputs", "events_snapshot"}
+_MUTATORS = {"update", "pop", "clear", "setdefault", "popitem"}
+
+
+def test_replace_only_dicts_are_never_written_in_place():
+    """No code under ``src/`` writes into a step row's ``last_inputs`` /
+    ``last_outputs`` or a fragment's ``events_snapshot``: no item store
+    or ``del``, no ``|=``, no mutating method call.  A chain base in the
+    engine log holds the same dict objects as the live state; an
+    in-place write would change the base too, and the next delta would
+    miss it."""
+
+    def replace_only(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in REPLACE_ONLY
+
+    writes = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript):
+                hit = replace_only(node.value) and isinstance(
+                    node.ctx, (ast.Store, ast.Del))
+            elif isinstance(node, ast.AugAssign):
+                hit = replace_only(node.target)
+            elif isinstance(node, ast.Call):
+                hit = (isinstance(node.func, ast.Attribute)
+                       and node.func.attr in _MUTATORS
+                       and replace_only(node.func.value))
+            else:
+                continue
+            if hit:
+                writes.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not writes, writes
