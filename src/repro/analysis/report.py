@@ -30,6 +30,7 @@ _MECHANISM_LABEL = {
     Mechanism.ABORT: "Workflow Abort",
     Mechanism.FAILURE: "Failure Handling",
     Mechanism.COORDINATION: "Coordinated Execution",
+    Mechanism.PURGE: "Purge",
 }
 
 
@@ -102,7 +103,9 @@ def render_architecture_table(model: ArchitectureModel) -> str:
 
 
 def render_comparison(model: ArchitectureModel, measured: MeasuredCosts) -> str:
-    """Analytic vs measured, side by side, per mechanism."""
+    """Analytic vs measured, side by side, per mechanism.  The purge
+    broadcast of finished instances, which the paper's tables leave out,
+    is printed on its own line under the table when the run sent one."""
     rows = []
     for row in model.rows:
         rows.append([
@@ -117,6 +120,11 @@ def render_comparison(model: ArchitectureModel, measured: MeasuredCosts) -> str:
          "msgs (paper)", "msgs (measured)"],
         rows,
     )
+    purge_load = measured.load.get(Mechanism.PURGE, 0.0)
+    purge_messages = measured.messages.get(Mechanism.PURGE, 0.0)
+    if purge_load or purge_messages:
+        table += (f"\n{_MECHANISM_LABEL[Mechanism.PURGE]} (not in the paper's "
+                  f"model): load {purge_load:.4g} * l, msgs {purge_messages:.4g}")
     return (
         f"{model.architecture.title()} control — paper model vs simulation "
         f"({measured.instances} instances)\n{table}"

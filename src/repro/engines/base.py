@@ -27,7 +27,7 @@ from repro.core.programs import (
     StepResult,
     program_stream_name,
 )
-from repro.errors import FrontEndError, SchemaError, SimulationError, WorkloadError
+from repro.errors import FrontEndError, ParameterError, SchemaError, SimulationError, WorkloadError
 from repro.model.compiler import CompiledSchema, compile_schema
 from repro.model.coordination_spec import (
     CoordinationSpec,
@@ -90,7 +90,11 @@ class SystemConfig:
     strategy (``"hash"`` — deterministic, matches the paper's message
     expression ``s·a + f`` — or ``"load"``, which adds StateInformation
     probe traffic); the failure-recovery knobs control the distributed
-    StepStatus polling/takeover machinery.
+    StepStatus polling/takeover machinery.  ``purge_interval`` is how long
+    a distributed coordination agent holds a partial batch of finished
+    instances before it broadcasts their purge (and how long an aborted
+    instance waits to join a batch); the simulator default is 50 time
+    units, 50 message latencies, and the daemon passes its own in seconds.
     """
 
     seed: int = 0
@@ -102,13 +106,19 @@ class SystemConfig:
     successor_selection: str = "hash"
     step_status_timeout: float = 50.0
     step_status_poll_interval: float = 25.0
-    purge_interval: float | None = None
+    purge_interval: float = 50.0
 
     def __post_init__(self) -> None:
         if self.successor_selection not in ("hash", "load"):
             raise WorkloadError(
                 f"successor_selection must be 'hash' or 'load', "
                 f"got {self.successor_selection!r}"
+            )
+        if not (isinstance(self.purge_interval, (int, float))
+                and 0 < self.purge_interval < float("inf")):
+            raise ParameterError(
+                f"purge_interval must be a positive number of time units, "
+                f"got {self.purge_interval!r}"
             )
 
 

@@ -144,6 +144,3 @@ class AuthorityBundle:
             self.rd[spec.name] = RollbackDependencyAuthority(spec)
         else:  # pragma: no cover - defensive
             raise CoordinationError(f"unknown coordination spec type {type(spec)!r}")
-
-    def hosts(self, spec_name: str) -> bool:
-        return spec_name in self.ro or spec_name in self.mx or spec_name in self.rd

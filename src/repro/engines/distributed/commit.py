@@ -180,4 +180,4 @@ class AgentCommitMixin:
                 "outputs": outputs,
             }
             self._invoke(target, VERB_NESTED_DONE, payload, Mechanism.NORMAL)
-        self._queue_purge(instance_id)
+        self._queue_purge(instance_id, compiled.name)

@@ -42,7 +42,7 @@ VERB_UNHANDLED_FAILURE = "UnhandledFailure"
 #: A coordination agent broadcasts its terminal ids as soon as it holds
 #: this many, whatever the purge timer says: what every agent keeps for
 #: finished instances is bounded by a count at any arrival rate, and a
-#: saturated coordinator pays (agents - 1) / PURGE_BATCH messages per
+#: saturated coordinator pays (recipients - 1) / PURGE_BATCH messages per
 #: instance for it.
 PURGE_BATCH = 32
 
@@ -139,7 +139,7 @@ class AgentFailureMixin:
         self._withdraw_coordination(instance_id, runtime, aborted=True)
         self.emit("failure.aborted", instance=instance_id, schema=schema.name,
                   outputs={})
-        self._queue_purge(instance_id, aborted=True)
+        self._queue_purge(instance_id, schema.name, aborted=True)
 
     # ------------------------------------------------------------------ step-status polling
 
@@ -312,21 +312,21 @@ class AgentFailureMixin:
 
     # ------------------------------------------------------------------ purge
 
-    def _queue_purge(self, instance_id: str, aborted: bool = False) -> None:
+    def _queue_purge(
+        self, instance_id: str, schema_name: str, aborted: bool = False
+    ) -> None:
         """Coordination agent: a terminal instance enters the next purge
-        broadcast — sent when :data:`PURGE_BATCH` ids wait or the purge
-        timer fires, whichever is first."""
+        broadcast — sent when :data:`PURGE_BATCH` ids wait or one purge
+        interval after the first of them, whichever is first."""
         interval = self.config.purge_interval
-        if interval is None:
-            return
         if aborted:
             # The compensation and halt chains of the abort are still
             # hopping from agent to agent, and a purge that overtook one
             # would drop the fragment saying what to compensate: the id
             # joins the batch an interval from now.
-            self.simulator.schedule(interval, self._queue_purge, instance_id)
+            self.simulator.schedule(interval, self._queue_purge, instance_id, schema_name)
             return
-        self._purge_pending.append(instance_id)
+        self._purge_pending[instance_id] = schema_name
         if len(self._purge_pending) == PURGE_BATCH:
             # Its own event, not a call: the stack above still holds the
             # runtime of the instance that filled the batch.
@@ -337,14 +337,21 @@ class AgentFailureMixin:
             self._purge_timer = self.simulator.schedule(interval, self._broadcast_purge)
 
     def _broadcast_purge(self) -> None:
+        """Send the waiting ids to every agent that can hold something of
+        one of them (:meth:`DistributedControlSystem.purge_recipients`), in
+        agent order, this agent included."""
         self._purge_timer = None
-        batch, self._purge_pending = self._purge_pending, []
-        if not batch:
+        pending, self._purge_pending = self._purge_pending, {}
+        if not pending:
             return
-        payload = {"instance_ids": batch}
+        recipients = {self.name}
+        for schema_name in set(pending.values()):
+            recipients |= self.system.purge_recipients(schema_name)
+        payload = {"instance_ids": list(pending)}
         for agent in self.system.agent_names():
-            self._invoke(agent, VERB_PURGE, payload, Mechanism.NORMAL)
-        self.emit("purge.broadcast", count=len(batch))
+            if agent in recipients:
+                self._invoke(agent, VERB_PURGE, payload, Mechanism.PURGE)
+        self.emit("purge.broadcast", count=len(pending))
 
     def _apply_purge(self, payload: Mapping[str, Any]) -> None:
         self._retire(list(payload["instance_ids"]))

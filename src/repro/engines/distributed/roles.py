@@ -71,8 +71,9 @@ class WorkflowAgentNode(
         self.runtimes: dict[str, AgentRuntime] = {}
         self.trackers: dict[str, CommitTracker] = {}
         #: Terminal instances this (coordination) agent has yet to name
-        #: in a purge broadcast, and the timer that will flush them.
-        self._purge_pending: list[str] = []
+        #: in a purge broadcast (id -> schema name, in the order they
+        #: ended), and the timer that will flush them.
+        self._purge_pending: dict[str, str] = {}
         self._purge_timer: EventHandle | None = None
         self._load_probes: dict[int, LoadProbe] = {}
         self._probe_ids = itertools.count(1)
@@ -282,7 +283,7 @@ class WorkflowAgentNode(
         self._withdraw_coordination(instance_id, runtime, aborted=True)
         self.emit("workflow.aborted", instance=instance_id, schema=schema.name,
                   outputs={})
-        self._queue_purge(instance_id, aborted=True)
+        self._queue_purge(instance_id, schema.name, aborted=True)
 
     def workflow_change_inputs(
         self, instance_id: str, changes: Mapping[str, Any]

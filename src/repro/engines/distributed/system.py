@@ -34,6 +34,8 @@ class DistributedControlSystem(ControlSystem):
         ]
         #: schema name -> :func:`governed_step_count` under the specs so far.
         self._governed: dict[str, int] = {}
+        #: schema name -> :meth:`purge_recipients` under the specs so far.
+        self._recipients: dict[str, frozenset[str]] = {}
 
     # -- wiring ---------------------------------------------------------------------
 
@@ -57,8 +59,24 @@ class DistributedControlSystem(ControlSystem):
             )
         return count
 
+    def purge_recipients(self, schema_name: str) -> frozenset[str]:
+        """The agents that can hold something of an instance of the schema,
+        and so the ones its purge is sent to: the eligible agents of every
+        step (fragments, trackers, the coordination agent) and the host of
+        every authority of a spec that names the schema (registrations).
+        Static: worked out once until a spec or the schema changes."""
+        recipients = self._recipients.get(schema_name)
+        if recipients is None:
+            agents = {agent for (name, __), eligible in self.assignment.items()
+                      if name == schema_name for agent in eligible}
+            agents.update(self.authority_agent_for(spec)
+                          for spec in self.spec_index.specs_for(schema_name))
+            recipients = self._recipients[schema_name] = frozenset(agents)
+        return recipients
+
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:
         self._governed.pop(compiled.name, None)
+        self._recipients.pop(compiled.name, None)
         self.assignment.assign_round_robin(
             compiled, self.agent_names(), self.agents_per_step
         )
@@ -72,6 +90,7 @@ class DistributedControlSystem(ControlSystem):
     def _on_spec_added(self, spec: CoordinationSpec) -> None:
         self.spec_index.add(spec)
         self._governed.clear()
+        self._recipients.clear()
         authority = self.authority_agent_for(spec)
         self.agent(authority).authorities.host(spec)
 

@@ -21,7 +21,6 @@ from repro.engines.runtime.compensation import (
     compensate_set_chain,
     member_done_times,
     reverse_topo_order,
-    stale_member_times,
 )
 from repro.engines.runtime.inflight import InflightStep, LoadProbe, ProbeWait
 from repro.engines.runtime.instance import (
@@ -49,5 +48,4 @@ __all__ = [
     "merge_invalidations",
     "open_invalidation_round",
     "reverse_topo_order",
-    "stale_member_times",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "compensate_set_chain",
     "member_done_times",
     "reverse_topo_order",
-    "stale_member_times",
 ]
 
 
@@ -68,19 +67,6 @@ def compensate_set_chain(
 def reverse_topo_order(members: Iterable[str], topo_index) -> list[str]:
     """Members in reverse topological order (CompensateThread chains)."""
     return sorted(members, key=lambda m: -topo_index(m))
-
-
-def stale_member_times(engine: RuleEngine, members: Iterable[str]) -> dict[str, float]:
-    """Done-times of set members whose completion event is currently
-    *invalid* — the rolled back executions a CompensateSet chain must
-    undo (a member whose done event is valid was already re-executed or
-    reused and keeps its effects)."""
-    stale: dict[str, float] = {}
-    for member in members:
-        occurrence = engine.events.occurrence(step_done(member))
-        if occurrence is not None and not occurrence.valid:
-            stale[member] = occurrence.time
-    return stale
 
 
 def member_done_times(

@@ -221,9 +221,6 @@ class WorkflowSchema:
         except KeyError:
             raise SchemaError(f"workflow {self.name!r} has no step {name!r}") from None
 
-    def step_names(self) -> tuple[str, ...]:
-        return tuple(self.steps)
-
     def forward_arcs(self) -> tuple[ControlArc, ...]:
         return tuple(arc for arc in self.arcs if not arc.loop)
 

@@ -37,8 +37,7 @@ discipline that preserves it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.errors import ConditionError, RuleError
@@ -50,17 +49,13 @@ if TYPE_CHECKING:  # pragma: no cover - break model<->rules import cycle
 
 __all__ = ["RuleEngine", "RuleInstance"]
 
-#: The payload of every rule that carries none (all template rules).
-_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
-
-
 @dataclass(slots=True)
 class RuleInstance:
     """A live rule: template state plus dynamic preconditions and firing state.
 
     ``kind`` is ``"execute"``, ``"loop"`` or any engine-defined action verb
     for dynamically added rules (e.g. ``"notify"`` used by coordinated
-    execution).  ``payload`` carries action-specific data for dynamic rules.
+    execution).
 
     ``required`` and ``fired`` must only be mutated through the owning
     :class:`RuleEngine` (``add_precondition``, invalidation/reset paths) —
@@ -75,7 +70,6 @@ class RuleInstance:
     condition: Condition | None = None
     loop_target: str | None = None
     loop_body: frozenset[str] = frozenset()
-    payload: Mapping[str, Any] = field(default_factory=lambda: _NO_PAYLOAD)
     one_shot: bool = False
     fired: bool = False
 

@@ -12,7 +12,9 @@ per *mechanism*:
 
 The five mechanisms are the row labels of Tables 4-6:
 normal execution, workflow input change, workflow abort, failure handling
-and coordinated execution.  :class:`Mechanism` encodes them; every message
+and coordinated execution.  A sixth, the purge, is the distributed
+agents' broadcast of finished instances, which the paper describes but
+its tables do not cost.  :class:`Mechanism` encodes them; every message
 sent through :mod:`repro.runtime.transport` and every unit of load charged
 on a :class:`repro.runtime.node.Node` carries one — identically under the
 simulated and wall-clock runtimes.
@@ -29,13 +31,15 @@ __all__ = ["Mechanism", "MetricsCollector", "MetricsSnapshot"]
 
 
 class Mechanism(enum.Enum):
-    """The five cost-attribution categories of the paper's Tables 4-6."""
+    """The five cost-attribution categories of the paper's Tables 4-6, and
+    the purge broadcast, which those tables leave out."""
 
     NORMAL = "normal_execution"
     INPUT_CHANGE = "workflow_input_change"
     ABORT = "workflow_abort"
     FAILURE = "failure_handling"
     COORDINATION = "coordinated_execution"
+    PURGE = "purge"
 
     def __str__(self) -> str:
         return self.value

@@ -54,7 +54,7 @@ def test_failure_mode_exercises_recovery_frames():
     # Pinned when the forced failure was a program override pasted after
     # install: as an argument of install it must count the same.
     assert (run.committed, run.aborted, run.messages, run.events) == (
-        8, 0, 432, 686)
+        8, 0, 447, 702)
 
 
 def test_sweep_accumulates_into_one_profiler():

@@ -157,6 +157,17 @@ def faulted_run(architecture):
     return system, instances
 
 
+def run_until_outcome(system, *instances, step=1.0):
+    """Run until every named instance has its outcome and no further: a
+    distributed agent still holds what the purge retires one
+    ``purge_interval`` after the outcome."""
+    for __ in range(100_000):
+        if all(instance in system.outcomes for instance in instances):
+            return
+        system.run(until=system.simulator.now + step)
+    raise AssertionError(f"no outcome for {instances} by t={system.simulator.now}")
+
+
 def agent_holdings(agent) -> dict[str, set[str]]:
     """Every per-instance map of a distributed agent: name -> instance ids."""
     held = {

@@ -11,6 +11,7 @@ from tests.conftest import (
     linear_schema,
     parallel_schema,
     register_programs,
+    run_until_outcome,
 )
 
 
@@ -39,7 +40,7 @@ def test_governed_steps_are_counted_per_schema_and_recounted_on_a_new_spec():
     ))
     assert system.governed_steps(compiled) == 2
     second = system.start_workflow("Linear", {"x": 1})
-    system.run()
+    run_until_outcome(system, second)
     assert system.outcome(first).committed and system.outcome(second).committed
     governed = {agent.runtimes[second].governed
                 for agent in system.agents if second in agent.runtimes}
@@ -452,8 +453,8 @@ def test_step_status_poll_reports_and_repairs():
     system.register_schema(schema)
     register_programs(system, schema)
     instance = system.start_workflow("Linear", {"x": 1})
-    system.run()
-    # Poll S2's agents from the S3 agent after the fact.
+    run_until_outcome(system, instance)
+    # Poll S2's agents from the S3 agent after the fact (not yet purged).
     s3_agent = system.agent(system.assignment.eligible("Linear", "S3")[0])
     s3_agent.poll_step_status("Linear", instance, "S2")
     system.run()
@@ -467,19 +468,18 @@ def test_stale_packet_from_older_epoch_ignored():
     system.register_schema(schema)
     register_programs(system, schema)
     instance = system.start_workflow("Linear", {"x": 1})
-    system.run()
+    run_until_outcome(system, instance)
     from repro.core.packets import WorkflowPacket
 
     agent = system.agent(system.assignment.eligible("Linear", "S2")[0])
-    runtime = agent.runtimes.get(instance)
-    if runtime is not None:
-        runtime.fragment.recovery_epoch = 5
-        packet = WorkflowPacket(
-            schema_name="Linear", instance_id=instance, action="execute",
-            target_step="S2", recovery_epoch=1,
-        )
-        agent._ingest_packet(packet)
-        assert system.trace.count("packet.stale") == 1
+    runtime = agent.runtimes[instance]
+    runtime.fragment.recovery_epoch = 5
+    packet = WorkflowPacket(
+        schema_name="Linear", instance_id=instance, action="execute",
+        target_step="S2", recovery_epoch=1,
+    )
+    agent._ingest_packet(packet)
+    assert system.trace.count("packet.stale") == 1
 
 
 def test_workflow_status_via_coordination_agent():

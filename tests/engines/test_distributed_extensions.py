@@ -4,7 +4,7 @@ and the workflow-status probe chain (paper Section 4.1)."""
 from repro.core.programs import NoopProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.model import SchemaBuilder
-from tests.conftest import linear_schema, register_programs
+from tests.conftest import linear_schema, register_programs, run_until_outcome
 
 
 def make(seed=5, selection="hash", **cfg):
@@ -168,7 +168,7 @@ def test_established_orders_piggyback_on_packets():
     ))
     leader = system.start_workflow("Linear", {"x": "k"})
     lagger = system.start_workflow("Linear", {"x": "k"}, delay=0.3)
-    system.run()
+    run_until_outcome(system, leader, lagger)  # read before the purge
     assert system.outcome(leader).committed
     assert system.outcome(lagger).committed
     piggybacked = set()

@@ -110,30 +110,37 @@ def test_watchdog_waits_for_crashed_update_agent():
     assert done and done[0].time >= 41.15  # only after the recovery
 
 
+def probe_reports(system, instance):
+    """What the coordination agent received for probes of ``instance``,
+    read from the trace: the stored reports go with the purge."""
+    return [record.detail for record in system.trace.filter(kind="status.probe_report")
+            if record.detail["instance"] == instance]
+
+
 def test_probe_report_lost_once_then_retransmitted():
     """Drop the first WorkflowStatusProbeReport: the seeded backoff
     retransmits it and the origin still learns where the workflow is."""
     plan = FaultPlan(drop_p=1.0, drop_limit=1,
                      interfaces=("WorkflowStatusProbeReport",))
-    system, ca, instance = start_probe_setup(plan)
+    system, __, instance = start_probe_setup(plan)
     system.run()
     stats = system.faults.stats
     assert stats.dropped == 1
     assert stats.retransmits == 1
     assert stats.lost == 0
-    reports = ca.probe_reports(instance)
+    reports = probe_reports(system, instance)
     assert len(reports) == 1
-    assert reports[0]["running"] == ["S2"]
+    assert reports[0]["running"] == "S2"
 
 
 def test_probe_report_lost_forever_without_retry():
     """Exhausting the retry budget loses the report: the probe stays
     unanswered but the workflow itself is unaffected."""
     plan = FaultPlan(drop_p=1.0, interfaces=("WorkflowStatusProbeReport",))
-    system, ca, instance = start_probe_setup(plan)
+    system, __, instance = start_probe_setup(plan)
     system.run(until=3000.0)
     assert system.faults.stats.lost == 1
-    assert ca.probe_reports(instance) == []
+    assert probe_reports(system, instance) == []
     assert system.outcome(instance).committed  # workflow unharmed
 
 
@@ -141,21 +148,21 @@ def test_duplicate_probe_reply_suppressed():
     """Duplicate every probe report: receiver-side dedup keeps exactly
     one copy per probe."""
     plan = FaultPlan(dup_p=1.0, interfaces=("WorkflowStatusProbeReport",))
-    system, ca, instance = start_probe_setup(plan)
+    system, __, instance = start_probe_setup(plan)
     system.run()
     stats = system.faults.stats
     assert stats.duplicated >= 1
     assert stats.suppressed >= 1
-    assert len(ca.probe_reports(instance)) == 1
+    assert len(probe_reports(system, instance)) == 1
 
 
 def test_duplicate_probe_chain_applies_once():
     """Duplicated probe messages hit the per-probe dedup in
     ``_apply_status_probe``: each agent reports at most once."""
     plan = FaultPlan(dup_p=1.0, interfaces=("WorkflowStatusProbe",))
-    system, ca, instance = start_probe_setup(plan)
+    system, __, instance = start_probe_setup(plan)
     system.run()
-    reports = ca.probe_reports(instance)
+    reports = probe_reports(system, instance)
     agents = [r["agent"] for r in reports]
     assert len(agents) == len(set(agents))
     assert len(reports) == 1

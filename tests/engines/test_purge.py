@@ -16,7 +16,7 @@ from repro.engines.distributed.failure import (
     VERB_UNHANDLED_FAILURE,
 )
 from repro.engines.distributed.navigation import VERB_NESTED_DONE
-from repro.errors import StorageError
+from repro.errors import ParameterError, StorageError
 from repro.model import MutualExclusionSpec, RelativeOrderSpec, SchemaBuilder
 from repro.runtime.metrics import Mechanism
 from tests.conftest import REFUSED_QTY, agent_holdings, install_orders, register_programs
@@ -36,8 +36,11 @@ def orders_system(**kwargs):
 
 
 def holds_nothing(system, instance):
+    """No agent holds anything of the instance, and every agent its purge
+    was sent to holds its tombstone."""
+    recipients = system.purge_recipients(system.outcome(instance).schema_name)
     for agent in system.agents:
-        assert agent.agdb.was_purged(instance)
+        assert agent.agdb.was_purged(instance) or agent.name not in recipients
         assert not [name for name, ids in agent_holdings(agent).items() if instance in ids]
     return True
 
@@ -87,6 +90,12 @@ def late_payloads(instance, agent, other):
                                  "done_times": {}},
         VERB_NESTED_DONE: {"parent_id": instance, "parent_step": "Pack", "outputs": {}},
     }
+
+
+@pytest.mark.parametrize("interval", [None, 0.0, -1.0, float("inf"), float("nan")])
+def test_the_purge_interval_is_always_a_positive_time(interval):
+    with pytest.raises(ParameterError, match="purge_interval"):
+        SystemConfig(purge_interval=interval)
 
 
 def test_every_verb_arriving_for_a_purged_instance_is_a_traced_no_op():
@@ -153,10 +162,12 @@ def test_a_full_batch_is_broadcast_without_waiting_for_the_timer():
     assert broadcast.detail["count"] == PURGE_BATCH and broadcast.time < 100.0
     assert all(holds_nothing(system, instance) for instance in instances[:PURGE_BATCH])
     coordinator = system.coordination_agent_for("Orders")
-    assert coordinator._purge_pending == instances[PURGE_BATCH:]
-    # (agents - 1) messages per PURGE_BATCH instances, counted as normal traffic
-    sent = system.metrics.messages_by_interface[(Mechanism.NORMAL, VERB_PURGE)]
-    assert sent == len(system.agents) - 1
+    assert list(coordinator._purge_pending) == instances[PURGE_BATCH:]
+    # (recipients - 1) messages per PURGE_BATCH instances, all of them
+    # counted as purge traffic
+    sent = system.metrics.messages_by_interface[(Mechanism.PURGE, VERB_PURGE)]
+    assert sent == system.metrics.interface_messages(VERB_PURGE)
+    assert sent == len(system.purge_recipients("Orders")) - 1
     system.run()  # the timer takes the rest
     assert all(holds_nothing(system, instance) for instance in instances)
 
@@ -219,10 +230,10 @@ def xor_schema():
     return builder.build()
 
 
-def test_the_purge_withdraws_what_a_terminal_instance_still_orders():
-    """An instance that committed around a governed step never completes
-    that pair; once purged it no longer orders the instances behind it."""
-    system = make()
+def laggard_behind_a_skipped_step(system):
+    """Two instances ordered on the governed pair (A, B) of
+    :func:`xor_schema`: the first commits around B, the second must
+    still be let through B."""
     schema = xor_schema()
     system.register_schema(schema)
     register_programs(system, schema)
@@ -239,6 +250,19 @@ def test_the_purge_withdraws_what_a_terminal_instance_still_orders():
                   if r.detail["instance"] == behind and r.detail["step"] == "B")
     assert purge.time < b_done.time  # it was the purge that let it through
     assert holds_nothing(system, around) and holds_nothing(system, behind)
+
+
+def test_the_purge_withdraws_what_a_terminal_instance_still_orders():
+    """An instance that committed around a governed step never completes
+    that pair; once purged it no longer orders the instances behind it."""
+    laggard_behind_a_skipped_step(make())
+
+
+def test_the_laggard_commits_at_the_simulators_default_interval():
+    """The same order on the simulator as configured by default: the
+    laggard waits one purge interval, and it commits."""
+    laggard_behind_a_skipped_step(DistributedControlSystem(
+        SystemConfig(seed=3), num_agents=4, agents_per_step=1))
 
 
 def test_the_purge_releases_a_region_lock_an_aborted_instance_left_held():

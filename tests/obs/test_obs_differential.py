@@ -397,9 +397,9 @@ GOLDEN = {
     ("parallel", "jsonl"): "e4163789a9574d7150270303ef4941457823a924c890593ad51686babc010de5",
     ("parallel", "chrome"): "a5563ad7494efa9d8cdc61a1ab96549f553157975bda023107724c0cbe23a43c",
     ("parallel", "prom"): "ba775b0b28d09a69b2e06c5972451f1002d4684c1871877793f7c523493354fc",
-    ("distributed", "jsonl"): "6c8064108312b195ff7b6488b83e7887aa550c81927a0bbc158a27c3690b9799",
-    ("distributed", "chrome"): "736585be63902aa79c71ed4eef23c106aca00e9a3b4be013ee14fd7a4dd6a22f",
-    ("distributed", "prom"): "56f5ed006224a840056cee4a03bc4084513c5ced9e9e974fb02fbe6d1d550b93",
+    ("distributed", "jsonl"): "07f0b9c09ecfd60f93eb1c9728d6739abeafed15bfb8636b1c34f3017520fe13",
+    ("distributed", "chrome"): "1015e955ff66ee55b2bccccebac2813284e29ea9dc38c4f980f51a524d7ce942",
+    ("distributed", "prom"): "65fac59ffcb573e3adec179df08ea3cf5b82cd76199298086544135a9b656aba",
 }
 
 
@@ -426,8 +426,8 @@ ORDERS_GOLDEN = {
     ("centralized", "chrome"): "ad835b32577565403edc95b2032293915c1a9d06b730132a1dbe1faa183349d0",
     ("parallel", "jsonl"): "089a249a8c74955c3834b7faff926a453b7d436593546076d923b8c76fd4b1d3",
     ("parallel", "chrome"): "2a8b160f714de45c4d22ef4a97246cf7284414ccbc16f21a343d7df3b0dd4fd0",
-    ("distributed", "jsonl"): "52723e8cdfc79b5d38e7e63f6ec4975b8a7215c9589b9285b62194e403e1ff36",
-    ("distributed", "chrome"): "602564146796198a9383457633b126c63573f341f20043da9e68db6ecbc436cb",
+    ("distributed", "jsonl"): "0d901790475c033619eecdcd71c114d678377ec1265d01e93779027b6572a529",
+    ("distributed", "chrome"): "7543b9973c8ed24ec454fbaa02c064afcd107ef499e062b75c505ba14f4fa703",
 }
 
 
@@ -446,7 +446,7 @@ def test_orders_exports_are_the_parents_bytes(architecture, export, tmp_path, ca
 FAULTED_GOLDEN = {
     "centralized": "ecb41fcf8fcf4ab64593aa2aee060f8d1f1582105a0511c94f3615c6c27c0c32",
     "parallel": "d5565bfe5e7b10192c48258132b43cfcc13e864de4e1bdf0f70cc47428cd849e",
-    "distributed": "7f7b11a93cf57e6e916c171e47879ce5e85e336ccff3dea9df99f830cb8aaac7",
+    "distributed": "fd4ebc2dbe3347421a6b8f6e3586683df8583d251d0b80f0de14455dce5c1523",
 }
 
 

@@ -92,7 +92,6 @@ def test_add_rule_primitive():
     rule = RuleInstance(
         rule_id="dyn:1", kind="notify", step="B",
         required=frozenset({step_done("B")}),
-        payload={"target": "agent-1"},
     )
     engine.add_rule(rule)
     engine.post_event(step_done("B"), 1.0)
