@@ -94,6 +94,10 @@ EVENT_FRAMES = {
     "Network._arrive": "transport.arrive",
     "ControlSystem.schedule_frontend.<locals>.attempt": "frontend.submit",
     "AgentFailureMixin._watchdog": "recovery.watchdog",
+    # A coordination agent's purge timer, and an aborted id joining the
+    # next batch one interval after the abort.
+    "AgentFailureMixin._broadcast_purge": "purge.broadcast",
+    "AgentFailureMixin._queue_purge": "purge.queue",
     # Work a node defers through the step executor (program completion,
     # compensation, any ``schedule_causal``): its service time, an
     # injected stall included, is over and it runs.

@@ -62,7 +62,7 @@ def start_probe_setup(plan, seed=5):
     s2_agent = system.assignment.eligible("W", "S2")[0]
     assert s2_agent != ca.name  # report must cross the (faulty) network
     ca.workflow_status_probe(instance)
-    return system, ca, instance
+    return system, instance
 
 
 def test_watchdog_takeover_under_injected_executor_crash():
@@ -122,7 +122,7 @@ def test_probe_report_lost_once_then_retransmitted():
     retransmits it and the origin still learns where the workflow is."""
     plan = FaultPlan(drop_p=1.0, drop_limit=1,
                      interfaces=("WorkflowStatusProbeReport",))
-    system, __, instance = start_probe_setup(plan)
+    system, instance = start_probe_setup(plan)
     system.run()
     stats = system.faults.stats
     assert stats.dropped == 1
@@ -137,7 +137,7 @@ def test_probe_report_lost_forever_without_retry():
     """Exhausting the retry budget loses the report: the probe stays
     unanswered but the workflow itself is unaffected."""
     plan = FaultPlan(drop_p=1.0, interfaces=("WorkflowStatusProbeReport",))
-    system, __, instance = start_probe_setup(plan)
+    system, instance = start_probe_setup(plan)
     system.run(until=3000.0)
     assert system.faults.stats.lost == 1
     assert probe_reports(system, instance) == []
@@ -148,7 +148,7 @@ def test_duplicate_probe_reply_suppressed():
     """Duplicate every probe report: receiver-side dedup keeps exactly
     one copy per probe."""
     plan = FaultPlan(dup_p=1.0, interfaces=("WorkflowStatusProbeReport",))
-    system, __, instance = start_probe_setup(plan)
+    system, instance = start_probe_setup(plan)
     system.run()
     stats = system.faults.stats
     assert stats.duplicated >= 1
@@ -160,7 +160,7 @@ def test_duplicate_probe_chain_applies_once():
     """Duplicated probe messages hit the per-probe dedup in
     ``_apply_status_probe``: each agent reports at most once."""
     plan = FaultPlan(dup_p=1.0, interfaces=("WorkflowStatusProbe",))
-    system, __, instance = start_probe_setup(plan)
+    system, instance = start_probe_setup(plan)
     system.run()
     reports = probe_reports(system, instance)
     agents = [r["agent"] for r in reports]

@@ -26,13 +26,12 @@ from repro.engines.runtime import AgentRuntime, EngineRuntime, InstanceRuntime
 from repro.rules.engine import RuleEngine, RuleInstance
 from repro.rules.events import EventOccurrence, EventTable
 from repro.storage.tables import InstanceState, StepRecord
-from tests.conftest import run_until_outcome
 
 #: KB per held fragment.  At rest after the run (the simulator purged
 #: nothing then), seed 7 measured 10.98 on 3.11, 10.95 on 3.12 and 12.51
 #: on 3.10 (bigger dicts; slotted dataclasses repeat their base's slots
 #: there); each bound is that plus 0.75 KB.  Just before the first purge,
-#: what retiring the 183 held fragments frees measures 9.82 on 3.11.
+#: what retiring the 183 held fragments frees measures 9.8 on 3.11.
 MAX_KB_PER_FRAGMENT = 13.25 if sys.version_info < (3, 11) else 11.75
 #: GC-tracked objects per held fragment: 45.0 on 3.11 and 3.12, 45.1 on
 #: 3.10 at rest after the run, plus 3; 44.7 on 3.11 just before the first
@@ -49,8 +48,9 @@ def footprint():
     try:
         run = PreparedRun("distributed", coordination=True, seed=7)
         system = run.system
-        instances = run.generator.drive(system, run.workload).instances
-        run_until_outcome(system, instances[0])
+        run.generator.drive(system, run.workload)
+        while not system.outcomes:
+            system.run(until=system.simulator.now + 1.0)
         first = min(outcome.finished_at for outcome in system.outcomes.values())
         # No coordination agent arms its purge timer before an outcome.
         system.run(until=first + system.config.purge_interval - 1.0)
