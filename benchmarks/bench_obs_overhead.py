@@ -12,11 +12,12 @@ instrumentation entirely.  The no-op path must add **less than 5%**
 wall-clock overhead to the message loop.
 
 The second case runs the same loop on the network of a traced
-``ControlSystem``, which observes it, with a ``Profiler`` on the kernel and
-the transport, against the disabled path.  Per physical message that is
-the observer's two calls — two flight-recorder notes, two message spans
-and a receive count — plus two profiler frames (``transport.send`` and
-the kernel event); the enabled/disabled ratio must stay under
+``ControlSystem``, which observes it, with the ``Profiler`` sampler
+started over the run, against the disabled path.  Per physical message
+that is the observer's two calls — two flight-recorder notes, two
+message spans and a receive count; the sampler puts nothing on the
+message path and costs one ``SIGPROF`` handler run per tick of process
+CPU time.  The enabled/disabled ratio must stay under
 ``ENABLED_RATIO_BOUND``.  The system's queue-depth ``event_hook`` is left
 off: it samples the clock on every event, not the message path.
 
@@ -27,6 +28,7 @@ output stamped with the same provenance as the other bench files.
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -103,18 +105,20 @@ class SeedPingPong(PingPong):
 
 def run_loop(network_cls, node_cls, observed=False):
     """Drive one ping-pong exchange of ``MESSAGES`` physical messages."""
-    if observed:  # the plane a traced control system installs, and a profiler
+    sampler = nullcontext()
+    if observed:  # the plane a traced control system installs, and the sampler
         system = ControlSystem()
         simulator, network = system.simulator, system.network
         simulator.event_hook = None
-        simulator.profile = network.profile = Profiler()
+        sampler = Profiler().install(system)
     else:
         simulator = Simulator()
         network = network_cls(simulator, latency=FixedLatency(1.0))
     a = node_cls("a", simulator, network, peer="b", budget=MESSAGES // 2 - 1)
     node_cls("b", simulator, network, peer="a", budget=MESSAGES // 2)
     simulator.schedule(0.0, a.send, "b", "Ping", PAYLOAD, Mechanism.NORMAL)
-    simulator.run()
+    with sampler:
+        simulator.run()
     return network.delivered
 
 

@@ -2,21 +2,21 @@
 
 Glue between the experiment harness and :class:`repro.obs.profile.
 Profiler`: the shared recipe of :mod:`repro.analysis.experiment` with the
-profiler installed across the system's duck-typed hook points between
-its prepare and execute steps, handing back both the per-run counters and
-the accumulated profile.  Configs are ``<architecture>-<mode>`` labels in
+sampler running over the execute step only (its counter track reads the
+built system), handing back both the per-run counters and the
+accumulated profile.  Configs are ``<architecture>-<mode>`` labels in
 the shared grammar; the ``failure`` mode (every schema's designated
-failure step fails its first attempt) makes the OCR recovery and rollback
-frames actually appear in the profile.
+failure step fails its first attempt) puts the OCR recovery and rollback
+code on the sampled stacks.
 
 One :class:`~repro.obs.profile.Profiler` may be threaded through several
 runs (``repro profile --sweep``); runs execute sequentially in-process —
-frame attribution cannot cross a process pool.
+the sampler sees this process only.
 
 Each run also counts the cyclic garbage collector's passes and their wall
 time per generation (a ``gc.callbacks`` hook registered only while the run
-executes).  The profiler cannot see a collection: its time lands in the
-self time of whichever frame allocated when it fired.  A run starts from
+executes).  The sampler cannot tell a collection apart: its time lands in
+the layer of whichever frame allocated when it fired.  A run starts from
 a collected heap, so no earlier run's garbage is walked or counted in its
 place; after it, one more collection outside the hook, then a count of
 the objects the collector still tracks while the run's system is alive:
@@ -108,7 +108,6 @@ def run_profiled(
     params: WorkloadParameters | None = None,
     instances_per_schema: int | None = None,
     profiler: Profiler | None = None,
-    sample_interval: int = 256,
 ) -> tuple[ProfileRun, Profiler]:
     """Run one config under the profiler; returns ``(run, profiler)``.
 
@@ -125,12 +124,12 @@ def run_profiled(
         coordination=(mode == "coordinated"),
         fail_first_attempt=(mode == "failure"), seed=seed,
     )
-    prof = profiler if profiler is not None else Profiler(sample_interval)
-    prof.install(prepared.system)
+    prof = (profiler if profiler is not None else Profiler()).install(prepared.system)
     clock = _GcClock()
     gc.callbacks.append(clock)
     try:
-        counters = prepared.execute(instances_per_schema)
+        with prof:
+            counters = prepared.execute(instances_per_schema)
     finally:
         gc.callbacks.remove(clock)
     gc.collect()
@@ -147,15 +146,14 @@ def run_profiled_sweep(
     seed: int = 7,
     params: WorkloadParameters | None = None,
     instances_per_schema: int | None = None,
-    sample_interval: int = 256,
 ) -> tuple[list[ProfileRun], Profiler]:
     """Run several configs sequentially under one shared profiler.
 
-    Defaults to the canonical six-config sweep grid; frames, counters
-    and collapsed stacks accumulate across the runs.
+    Defaults to the canonical six-config sweep grid; layer samples and
+    collapsed stacks accumulate across the runs.
     """
     chosen = configs if configs is not None else profile_configs()
-    profiler = Profiler(sample_interval)
+    profiler = Profiler()
     runs = []
     for label in chosen:
         run, __ = run_profiled(
@@ -176,7 +174,7 @@ def gc_summary(runs: Sequence[ProfileRun]) -> dict[str, Any]:
         "collections": collections,
         "ms": [round(value, 3) for value in ms],
         "share_of_wall": round(sum(ms) / wall_ms, 4) if wall_ms > 0 else 0.0,
-        "note": "frame self times include collection time",
+        "note": "layer CPU times include collection time",
     }
 
 
@@ -186,7 +184,7 @@ def render_gc(runs: Sequence[ProfileRun]) -> str:
     lines = [
         f"# garbage collector: {sum(summary['collections'])} collections, "
         f"{sum(summary['ms']):.2f} ms = {100 * summary['share_of_wall']:.1f} % of "
-        f"profiled wall (frame self times above still include it)",
+        f"profiled wall (layer CPU times above still include it)",
         f"{'generation':<10} {'collections':>12} {'ms':>10}",
     ]
     for generation, (count, ms) in enumerate(zip(summary["collections"], summary["ms"])):

@@ -43,11 +43,10 @@ Commands
     ``--seed S --plan SPEC`` replays one schedule bit-for-bit.
 ``profile``
     Run one config (``--config distributed-failure``) or the full sweep
-    grid (``--sweep``) under the in-engine instrumentation profiler and
-    print the ranked top-frames table; ``--collapsed`` writes
-    flamegraph-ready collapsed stacks, ``--chrome`` a Chrome trace with
-    counter tracks, ``--metrics-out`` the profile counters as Prometheus
-    text.
+    grid (``--sweep``) under the CPU-time stack sampler and print the
+    ranked layer table; ``--collapsed`` writes flamegraph-ready collapsed
+    stacks, ``--chrome`` a Chrome trace with counter tracks,
+    ``--metrics-out`` the per-layer counters as Prometheus text.
 ``serve``
     Run the wall-clock workflow daemon (HTTP/JSON front door) with its
     observability plane: ``/metrics`` Prometheus scrape, ``/debug/trace``
@@ -511,9 +510,7 @@ def cmd_profile(args) -> int:
             configs += [c for c in args.config if c not in configs]
     else:
         configs = list(args.config)
-    runs, prof = run_profiled_sweep(
-        configs, seed=args.seed, sample_interval=args.sample_interval,
-    )
+    runs, prof = run_profiled_sweep(configs, seed=args.seed)
     print(f"# profile: {len(runs)} config(s), seed {args.seed}, "
           f"{sum(r.wall_time_s for r in runs):.2f}s profiled wall")
     print()
@@ -535,7 +532,7 @@ def cmd_profile(args) -> int:
         _emit(prof.collapsed(), args.collapsed)
     else:
         print()
-        print("# collapsed stacks (flamegraph input: frame;frame;... self_us)")
+        print("# collapsed stacks (flamegraph input: module:function;... samples)")
         print(prof.collapsed())
     if args.chrome:
         _emit(json.dumps(prof.chrome_counter_trace(), indent=1), args.chrome)
@@ -548,7 +545,6 @@ def cmd_profile(args) -> int:
             "seed": args.seed,
             "runs": [run.as_dict() for run in runs],
             "profile": prof.summary(),
-            "top_frames": [stat.as_dict() for stat in prof.top_frames()],
             "gc": gc_summary(runs),
         }, indent=1), args.json)
     return 0
@@ -973,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="run configs under the in-engine instrumentation profiler",
+        help="run configs under the CPU-time stack sampler",
     )
     profile.add_argument("--config", action="append", metavar="ARCH-MODE",
                          help="profile one config, e.g. distributed-failure "
@@ -985,9 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "with --config, runs the grid plus the extras")
     profile.add_argument("--seed", type=int, default=7)
     profile.add_argument("--top", type=int, default=15,
-                         help="rows in the ranked top-frames table")
-    profile.add_argument("--sample-interval", type=int, default=256,
-                         help="events between counter-track samples")
+                         help="rows in the ranked layer table")
     profile.add_argument("--collapsed", default=None, metavar="FILE",
                          help="write collapsed stacks (flamegraph input) to "
                               "FILE instead of stdout")
@@ -997,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--metrics-out", default=None, metavar="FILE",
                          help="write the profile counters as Prometheus text")
     profile.add_argument("--json", default=None, metavar="FILE",
-                         help="write per-run counters + frame stats as JSON")
+                         help="write per-run counters + layer rows as JSON")
     profile.set_defaults(fn=cmd_profile)
 
     serve = sub.add_parser(

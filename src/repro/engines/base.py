@@ -175,9 +175,6 @@ class AgentAssignment:
                 f"no agents assigned for step {schema_name}.{step}"
             ) from None
 
-    def has(self, schema_name: str, step: str) -> bool:
-        return (schema_name, step) in self._eligible
-
     def items(self) -> Iterable[tuple[tuple[str, str], tuple[str, ...]]]:
         return self._eligible.items()
 

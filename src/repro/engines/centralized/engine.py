@@ -26,7 +26,6 @@ from repro.engines.coord import AuthorityBundle, SpecIndex
 from repro.engines.runtime import EngineRuntime, InflightStep, ProbeWait
 from repro.errors import FrontEndError, SchemaError, SimulationError
 from repro.model.coordination_spec import CoordinationSpec
-from repro.obs.profile import profiled
 from repro.rules.engine import RuleEngine, RuleInstance
 from repro.rules.events import WF_START, step_done
 from repro.runtime.metrics import Mechanism
@@ -93,7 +92,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             action=lambda rule, iid=instance_id: self._on_rule(iid, rule),
             env_provider=state.env,
             fire_hook=self.system.rule_fire_hook(self.name, instance_id),
-            profile=self.network.profile,
         )
         runtime = EngineRuntime(
             state=state,
@@ -127,7 +125,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         else:  # pragma: no cover - defensive
             raise SimulationError(f"engine cannot run rule kind {rule.kind!r}")
 
-    @profiled("dispatch.step")
     def _begin_step(
         self, instance_id: str, step: str, rule: RuleInstance | None = None
     ) -> None:
@@ -285,7 +282,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             or (steps is not None and wait.step not in steps)
         }
 
-    @profiled("dispatch.wi")
     def _send_execute(
         self,
         instance_id: str,
@@ -516,7 +512,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         self._probes.clear()
         self._chains.clear()
 
-    @profiled("recovery.replay")
     def on_recover(self) -> None:
         """Forward recovery: rebuild instance tables from the WAL.
 
@@ -534,7 +529,6 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                 action=lambda rule, iid=state.instance_id: self._on_rule(iid, rule),
                 env_provider=state.env,
                 fire_hook=self.system.rule_fire_hook(self.name, state.instance_id),
-                profile=self.network.profile,
             )
             runtime = EngineRuntime(
                 state=state,

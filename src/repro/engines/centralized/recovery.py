@@ -14,7 +14,6 @@ from repro.core.recovery import RecoveryTokens
 from repro.engines.base import MAX_LOOP_ITERATIONS, record_compensation
 from repro.engines.runtime import CompensationChain, EngineRuntime
 from repro.errors import SimulationError
-from repro.obs.profile import profiled
 from repro.rules.engine import RuleInstance
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
@@ -119,7 +118,6 @@ class EngineRecoveryMixin:
 
     # ------------------------------------------------------------ failure handling
 
-    @profiled("recovery.ocr")
     def _handle_failure(self, instance_id: str, failed_step: str) -> None:
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
@@ -143,7 +141,6 @@ class EngineRecoveryMixin:
             return
         self._rollback(instance_id, origin, Mechanism.FAILURE)
 
-    @profiled("recovery.rollback")
     def _rollback(
         self,
         instance_id: str,

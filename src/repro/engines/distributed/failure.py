@@ -17,7 +17,6 @@ from repro.core.programs import program_stream_name
 from repro.engines.distributed.navigation import elect_executor
 from repro.engines.runtime import member_done_times
 from repro.model.schema import StepType
-from repro.obs.profile import profiled
 from repro.rules.events import step_done
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
@@ -52,7 +51,6 @@ class AgentFailureMixin:
 
     # ------------------------------------------------------------------ step failure
 
-    @profiled("recovery.ocr")
     def _handle_failure(self, instance_id: str, failed_step: str) -> None:
         runtime = self.runtimes.get(instance_id)
         if runtime is None:
@@ -337,20 +335,20 @@ class AgentFailureMixin:
             self._purge_timer = self.simulator.schedule(interval, self._broadcast_purge)
 
     def _broadcast_purge(self) -> None:
-        """Send the waiting ids to every agent that can hold something of
-        one of them (:meth:`DistributedControlSystem.purge_recipients`), in
-        agent order, this agent included."""
+        """Send each agent, in agent order, the waiting ids it can hold
+        something of (:meth:`DistributedControlSystem.purge_recipients` of
+        their schemas); this agent retires them all."""
         self._purge_timer = None
         pending, self._purge_pending = self._purge_pending, {}
         if not pending:
             return
-        recipients = {self.name}
-        for schema_name in set(pending.values()):
-            recipients |= self.system.purge_recipients(schema_name)
-        payload = {"instance_ids": list(pending)}
+        recipients = {schema_name: self.system.purge_recipients(schema_name)
+                      for schema_name in set(pending.values())}
         for agent in self.system.agent_names():
-            if agent in recipients:
-                self._invoke(agent, VERB_PURGE, payload, Mechanism.PURGE)
+            ids = [instance_id for instance_id, schema_name in pending.items()
+                   if agent == self.name or agent in recipients[schema_name]]
+            if ids:
+                self._invoke(agent, VERB_PURGE, {"instance_ids": ids}, Mechanism.PURGE)
         self.emit("purge.broadcast", count=len(pending))
 
     def _apply_purge(self, payload: Mapping[str, Any]) -> None:

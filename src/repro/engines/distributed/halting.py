@@ -25,7 +25,6 @@ from repro.engines.runtime import (
     open_invalidation_round,
 )
 from repro.model.policies import DEFAULT_POLICY
-from repro.obs.profile import profiled
 from repro.rules.events import step_done
 from repro.runtime.metrics import Mechanism
 from repro.storage.tables import InstanceStatus, StepStatus
@@ -38,7 +37,6 @@ class AgentHaltingMixin:
 
     # ------------------------------------------------------------------ rollback
 
-    @profiled("recovery.rollback")
     def _apply_workflow_rollback(self, payload: Mapping[str, Any]) -> None:
         instance_id = payload["instance_id"]
         runtime = self.runtimes.get(instance_id)

@@ -34,7 +34,6 @@ from repro.engines.runtime import (
 )
 from repro.errors import SchemaError, SimulationError
 from repro.model.policies import DEFAULT_POLICY
-from repro.obs.profile import profiled
 from repro.rules.engine import RuleInstance
 from repro.rules.events import is_step_done, step_done, step_of_token
 from repro.runtime.metrics import Mechanism
@@ -190,7 +189,6 @@ class AgentNavigationMixin:
             entered_via_split = True
         self._execute_step(instance_id, step, entered_via_split=entered_via_split)
 
-    @profiled("dispatch.step")
     def _execute_step(
         self, instance_id: str, step: str, entered_via_split: bool = False
     ) -> None:
@@ -406,7 +404,6 @@ class AgentNavigationMixin:
             self._send_step_packets(runtime, instance_id, successor, mechanism,
                                     eligible, assigned, only_to)
 
-    @profiled("dispatch.packet")
     def _send_step_packets(
         self,
         runtime: AgentRuntime,

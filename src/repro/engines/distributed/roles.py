@@ -38,7 +38,6 @@ from repro.engines.distributed.navigation import (
 from repro.engines.runtime import AgentRuntime, LoadProbe
 from repro.errors import FrontEndError
 from repro.model.compiler import CompiledSchema
-from repro.obs.profile import profiled
 from repro.rules.engine import RuleEngine
 from repro.rules.events import WF_START
 from repro.runtime.metrics import Mechanism
@@ -164,7 +163,6 @@ class WorkflowAgentNode(
             env_provider=fragment.env,
             steps=hosted,
             fire_hook=self.system.rule_fire_hook(self.name, instance_id),
-            profile=self.network.profile,
         )
         return AgentRuntime(
             state=fragment,
@@ -371,7 +369,6 @@ class WorkflowAgentNode(
         # Commit trackers are volatile too; they rebuild from re-reports.
         # (Summaries are durable in the AGDB.)
 
-    @profiled("recovery.replay")
     def on_recover(self) -> None:
         """Rebuild fragments from the AGDB WAL and resume.
 

@@ -20,10 +20,10 @@ shows:
 * :mod:`repro.obs.logging` — structured NDJSON event logging with
   instance-id/node/Lamport correlation fields, used by the serve daemon
   and the CLI;
-* :mod:`repro.obs.profile` — an in-engine instrumentation profiler
-  attributing wall-clock and simulated time to named subsystem frames
-  (kernel, transport, rules, WAL, dispatch, recovery), with ranked
-  tables, collapsed-stack output and Chrome counter tracks.
+* :mod:`repro.obs.profile` — a CPU-time stack sampler charging each
+  sample to the layer of its innermost package frame (kernel,
+  transport, rules, store, dispatch, recovery, ...), with a ranked layer
+  table, collapsed-stack output and Chrome counter tracks.
 
 Every control system owns one :class:`~repro.obs.spans.Tracer` and one
 :class:`~repro.obs.registry.MetricsRegistry`; both follow the system's
@@ -41,7 +41,7 @@ from repro.obs.export import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.logging import StructuredLogger, correlation_fields, open_log_stream
-from repro.obs.profile import FrameStat, Profiler, peak_rss_kb, profiled
+from repro.obs.profile import Profiler, peak_rss_kb
 from repro.obs.registry import (
     CounterMetric,
     GaugeMetric,
@@ -54,7 +54,6 @@ __all__ = [
     "NULL_SPAN",
     "CounterMetric",
     "FlightRecorder",
-    "FrameStat",
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
@@ -67,7 +66,6 @@ __all__ = [
     "correlation_fields",
     "open_log_stream",
     "peak_rss_kb",
-    "profiled",
     "prometheus_text",
     "render_chrome_trace",
     "trace_to_jsonl",

@@ -107,7 +107,7 @@ class RuleEngine:
 
     __slots__ = (
         "compiled", "events", "_action", "_env_provider", "_fire_hook",
-        "profile", "_rules", "_pumping", "_dirty", "_index", "_unmet",
+        "_rules", "_pumping", "_dirty", "_index", "_unmet",
         "_ready", "_queued", "_pending_ids", "_added_mid_pass",
         "_new_this_pass",
     )
@@ -119,23 +119,18 @@ class RuleEngine:
         env_provider: Callable[[], Mapping[str, Any]],
         steps: Iterable[str] | None = None,
         fire_hook: Callable[[RuleInstance, "RuleEngine"], None] | None = None,
-        profile: Any | None = None,
     ):
         """``steps`` restricts which rule templates are instantiated — a
         distributed agent only materializes the rules of steps it hosts.
         ``fire_hook`` is an observability callback invoked after each rule
         fires (before its action runs) with the rule and this engine; the
         engines use it to emit rule-firing spans and sample the
-        pending-rule-table depth.  ``profile`` is a duck-typed profiler
-        (see :class:`repro.obs.profile.Profiler`); when set, every pump
-        runs inside a ``rules.pump`` frame and every firing inside a
-        ``rules.fire`` frame."""
+        pending-rule-table depth."""
         self.compiled = compiled
         self.events = EventTable()
         self._action = action
         self._env_provider = env_provider
         self._fire_hook = fire_hook
-        self.profile = profile
         self._rules: dict[str, RuleInstance] = {}
         self._pumping = False
         self._dirty = False
@@ -432,16 +427,6 @@ class RuleEngine:
         if self._pumping:
             self._dirty = True
             return
-        profile = self.profile
-        if profile is not None:
-            profile.push("rules.pump")
-        try:
-            self._run_pump(profile)
-        finally:
-            if profile is not None:
-                profile.pop()
-
-    def _run_pump(self, profile: Any | None) -> None:
         self._pumping = True
         passes = 0
         try:
@@ -482,14 +467,7 @@ class RuleEngine:
                     fired_any = True
                     if self._fire_hook is not None:
                         self._fire_hook(rule, self)
-                    if profile is None:
-                        self._action(rule)
-                    else:
-                        profile.push("rules.fire")
-                        try:
-                            self._action(rule)
-                        finally:
-                            profile.pop()
+                    self._action(rule)
                     if rule.one_shot:
                         self._rules.pop(rule_id, None)
                         self._unindex_rule(rule)

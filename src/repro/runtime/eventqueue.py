@@ -65,7 +65,7 @@ class EventQueue:
 
     A clock provides ``now`` and pops the head; the queue keeps the
     observability surface both clocks share: ``events_processed``,
-    ``event_hook``, ``profile`` and ``pending``.
+    ``event_hook`` and ``pending``.
     """
 
     #: Compaction policy: rebuild the heap once more than half of at least
@@ -88,12 +88,6 @@ class EventQueue:
         #: before each event fires.  Left ``None`` in benchmark runs so
         #: the hot loop pays only one attribute check per event.
         self.event_hook: Callable[[float, int], None] | None = None
-        #: Optional duck-typed profiler (see :class:`repro.obs.profile.
-        #: Profiler`), installed by ``Profiler.install``.  When set, every
-        #: event runs inside a named profiler frame credited with the
-        #: clock advance since the previous event; when ``None`` (the
-        #: default) the hot loop pays one ``is None`` branch.
-        self.profile = None
 
     def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``action(*args)`` to fire ``delay`` time units from now."""
@@ -131,16 +125,9 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap in O(live)."""
-        profile = self.profile
-        if profile is not None:
-            profile.push("kernel.heap_compact")
-        try:
-            self._queue = [e for e in self._queue if not e[2].cancelled]
-            heapq.heapify(self._queue)
-            self._cancelled = 0
-        finally:
-            if profile is not None:
-                profile.pop()
+        self._queue = [e for e in self._queue if not e[2].cancelled]
+        heapq.heapify(self._queue)
+        self._cancelled = 0
 
     def _prune_cancelled_head(self) -> None:
         """The single lazy-deletion point: discard cancelled entries at the

@@ -59,8 +59,8 @@ TURN_LIMIT = 256
 class RealtimeClock(EventQueue):
     """Monotonic wall clock over the asyncio event loop.
 
-    The queue, its handles, ``pending``, ``events_processed``,
-    ``event_hook`` and ``profile`` are the simulated kernel's; what
+    The queue, its handles, ``pending``, ``events_processed`` and
+    ``event_hook`` are the simulated kernel's; what
     differs is how ``now`` advances.  Here it is seconds since
     :meth:`start`, read live, so a positive delay counts from the instant
     it was scheduled, and an entry fires once the wall clock has reached
@@ -82,7 +82,6 @@ class RealtimeClock(EventQueue):
         self._armed_at = 0.0
         #: The turn's last reading of ``now`` while a turn runs, else ``None``.
         self._horizon: float | None = None
-        self._last_fire = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -189,17 +188,7 @@ class RealtimeClock(EventQueue):
                 self.events_processed += 1
                 if self.event_hook is not None:
                     self.event_hook(now, self.pending)
-                profile = self.profile
-                if profile is None:
-                    handle._context.run(handle.action, *handle.args)
-                    continue
-                profile.begin_event(handle.action, now, now - self._last_fire,
-                                    self.pending)
-                self._last_fire = now
-                try:
-                    handle._context.run(handle.action, *handle.args)
-                finally:
-                    profile.end_event()
+                handle._context.run(handle.action, *handle.args)
         finally:
             self._horizon = None
             self._prune_cancelled_head()

@@ -83,13 +83,6 @@ class Network:
         #: transport keeps its reliable persistent-queue semantics with a
         #: single ``is None`` branch on the hot path.
         self.faults = None
-        #: Optional duck-typed profiler (see :class:`repro.obs.profile.
-        #: Profiler`), installed by ``Profiler.install``.  When set,
-        #: every ``send`` runs inside a ``transport.send`` frame and
-        #: counts toward the messages-per-tick gauge; when ``None`` the
-        #: hot path pays one ``is None`` branch (held to the
-        #: ``bench_obs_overhead.py`` <5% gate).
-        self.profile = None
         self._nodes: dict[str, "Node"] = {}
         self._parked: dict[str, list[Message]] = {}
         self._msg_ids = itertools.count(1)
@@ -136,44 +129,34 @@ class Network:
         ``src_node`` lets :meth:`Node.send` pass itself and skip the name
         lookup on the hot path; callers using plain names can omit it.
         """
-        # Profiling bracket kept inline: the disabled path must stay one
-        # ``is None`` branch each side (no extra call) for the <5% gate.
-        profile = self.profile
-        if profile is not None:
-            profile.messages += 1
-            profile.push("transport.send")
-        try:
-            if src == dst:
-                raise SimulationError(
-                    f"self-send {src!r}->{dst!r} would corrupt message "
-                    "accounting; use a local call instead"
-                )
-            if dst not in self._nodes:
-                raise SimulationError(f"send to unknown node {dst!r}")
-            if src_node is None:
-                src_node = self._nodes.get(src)
-            lamport = 0
-            if src_node is not None:
-                lamport = src_node.lamport_clock + 1
-                src_node.lamport_clock = lamport
-            msg_id = next(self._msg_ids)
-            send_span = None
-            if self.observer is not None and src_node is not None:
-                send_span = self.observer.sent(src_node, dst, msg_id, interface,
-                                               mechanism, lamport, payload)
-            message = Message(msg_id, src, dst, interface, mechanism,
-                              dict(payload), self.simulator.now, lamport,
-                              send_span)
-            self.metrics.record_message(mechanism, interface)
-            delay = self.latency.delay(src, dst)
-            if self.faults is None:
-                self.simulator.schedule(delay, self._arrive, message)
-            else:
-                self.faults.dispatch(message, delay)
-            return message
-        finally:
-            if profile is not None:
-                profile.pop()
+        if src == dst:
+            raise SimulationError(
+                f"self-send {src!r}->{dst!r} would corrupt message "
+                "accounting; use a local call instead"
+            )
+        if dst not in self._nodes:
+            raise SimulationError(f"send to unknown node {dst!r}")
+        if src_node is None:
+            src_node = self._nodes.get(src)
+        lamport = 0
+        if src_node is not None:
+            lamport = src_node.lamport_clock + 1
+            src_node.lamport_clock = lamport
+        msg_id = next(self._msg_ids)
+        send_span = None
+        if self.observer is not None and src_node is not None:
+            send_span = self.observer.sent(src_node, dst, msg_id, interface,
+                                           mechanism, lamport, payload)
+        message = Message(msg_id, src, dst, interface, mechanism,
+                          dict(payload), self.simulator.now, lamport,
+                          send_span)
+        self.metrics.record_message(mechanism, interface)
+        delay = self.latency.delay(src, dst)
+        if self.faults is None:
+            self.simulator.schedule(delay, self._arrive, message)
+        else:
+            self.faults.dispatch(message, delay)
+        return message
 
     def _arrive(self, message: Message) -> None:
         node = self._nodes[message.dst]

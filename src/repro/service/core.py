@@ -22,7 +22,7 @@ The service is also the daemon's *observability plane*: it owns the
 engine's :class:`~repro.obs.registry.MetricsRegistry` (extended with
 service-level commit/abort latency histograms and runtime queue-depth /
 defect instruments), an always-on :class:`~repro.obs.profile.Profiler`
-over the realtime clock and transport, and a structured NDJSON logger
+sampling the loop thread, and a structured NDJSON logger
 (:mod:`repro.obs.logging`) correlating every operational event with the
 ``instance``/``node``/``lamport`` keys of the causal trace.  The HTTP
 front door renders these through :meth:`metrics_text` (Prometheus
@@ -249,12 +249,8 @@ class WorkflowService:
         self.logger = self.logger.bind(architecture=architecture)
         self.profiler: Profiler | None = None
         if self.observability:
-            # Always-on subsystem profiler.  Its frame brackets are not
-            # free: removing it cut `serve-batch` CPU per instance by 11 %
-            # (0.820/0.866 -> 0.737/0.747 ms) while rule, coordination and
-            # OCR instants were still Span objects, and by 2-5 % since
-            # (EXPERIMENTS.md, "Build it when it is read", knock-out table).
-            self.profiler = Profiler(sample_interval=64).install(self.system)
+            # Always-on sampler, started with the loop in :meth:`start`.
+            self.profiler = Profiler().install(self.system)
         self.started_at: float | None = None
         #: Installed document digest -> its default workflow name.
         self._installed_documents: dict[str, str] = {}
@@ -314,6 +310,8 @@ class WorkflowService:
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self.runtime.start(self._loop)
         self.started_at = self.runtime.clock.now
+        if self.profiler is not None:
+            self.profiler.start()
         if self._recovered_state is not None:
             # Recovery needs the bound clock (re-driving schedules frontend
             # work), so it runs here rather than in __init__.
@@ -419,6 +417,8 @@ class WorkflowService:
 
     async def close(self) -> None:
         self.begin_drain()
+        if self.profiler is not None:
+            self.profiler.stop()
         # The engine's timers outlive the service; an outcome landing
         # after the log is closed would have nowhere to go.
         self.system.on_outcome = None
@@ -882,7 +882,7 @@ class WorkflowService:
         """Sync scrape-time instruments from runtime/service state.
 
         Gauges are set; lifetime-monotone totals (executor counters,
-        profiler frame aggregates) are *assigned* rather than
+        profiler layer samples) are *assigned* rather than
         ``inc()``-ed so repeated scrapes stay idempotent.
         """
         registry = self.system.registry
@@ -960,14 +960,7 @@ class WorkflowService:
                 "Group-commit fsync batches on the durable service log.",
             ), self._log.flushes)
         if self.profiler is not None:
-            for stat in self.profiler.top_frames():
-                _set_counter(registry.counter(
-                    "crew_profile_calls_total",
-                    "Profiler frame entries.", frame=stat.name), stat.calls)
-                _set_counter(registry.counter(
-                    "crew_profile_self_seconds_total",
-                    "Wall-clock self time attributed to a profiler frame.",
-                    frame=stat.name), stat.self_ns / 1e9)
+            self.profiler.publish(registry)
 
     def _require_observability(self) -> None:
         if not self.observability:
@@ -989,7 +982,7 @@ class WorkflowService:
         return trace_to_jsonl(self.system.trace, tracer=self.system.tracer)
 
     def profile_collapsed(self) -> str:
-        """Collapsed flamegraph stacks from the subsystem profiler."""
+        """Collapsed flamegraph stacks from the sampler."""
         self._require_observability()
         assert self.profiler is not None
         return self.profiler.collapsed() + "\n"
@@ -999,7 +992,7 @@ def _set_counter(counter, value: float) -> None:
     """Assign an absolute value to a cumulative counter.
 
     The sources here are process-lifetime monotone already (executor
-    totals, trace drop counts, profiler aggregates); assignment keeps a
+    totals, trace drop counts); assignment keeps a
     scrape idempotent where ``inc()`` would double-count."""
     counter.value = float(value)
 

@@ -61,21 +61,11 @@ class Simulator(EventQueue):
             return False
         time, _, handle = heapq.heappop(self._queue)
         handle._owner = None  # detached: a late cancel no longer counts
-        profile = self.profile
-        if profile is not None:
-            profile.begin_event(handle.action, time,
-                                time - self.now, len(self._queue))
         self.now = time
         self.events_processed += 1
         if self.event_hook is not None:
             self.event_hook(time, len(self._queue))
-        if profile is None:
-            handle.action(*handle.args)
-            return True
-        try:
-            handle.action(*handle.args)
-        finally:
-            profile.end_event()
+        handle.action(*handle.args)
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:

@@ -110,11 +110,6 @@ class WriteAheadLog:
     """A durable, append-only sequence of records; records leave it by
     checkpoint truncation or by lsn when their chain is retired."""
 
-    #: Optional duck-typed profiler (see :class:`repro.obs.profile.
-    #: Profiler`), set per-instance by ``Profiler.install``.  A class
-    #: attribute so unprofiled logs pay one ``is None`` check per append.
-    profile = None
-
     def __init__(self) -> None:
         #: by lsn, in lsn order: ``(form, checksum)``, or for a payload
         #: marshal refuses the :class:`WalRecord` holding the appended object
@@ -124,25 +119,18 @@ class WriteAheadLog:
 
     def append(self, kind: str, payload: Mapping[str, Any]) -> int:
         """Log ``payload`` under ``kind``; returns the record's lsn."""
-        profile = self.profile
-        if profile is not None:
-            profile.push("wal.append")
-        try:
-            if not isinstance(payload, dict):
-                raise StorageError(
-                    f"WAL payload must be a dict, got {type(payload).__name__}"
-                )
-            lsn = self._next_lsn
-            stored = memory_checksum(lsn, kind, payload)
-            if stored[0] is None:  # marshal refused: the object is the record
-                stored = WalRecord(lsn, kind, payload, stored[1])
-            self._records[lsn] = stored
-            self._next_lsn = lsn + 1
-            self.appends += 1
-            return lsn
-        finally:
-            if profile is not None:
-                profile.pop()
+        if not isinstance(payload, dict):
+            raise StorageError(
+                f"WAL payload must be a dict, got {type(payload).__name__}"
+            )
+        lsn = self._next_lsn
+        stored = memory_checksum(lsn, kind, payload)
+        if stored[0] is None:  # marshal refused: the object is the record
+            stored = WalRecord(lsn, kind, payload, stored[1])
+        self._records[lsn] = stored
+        self._next_lsn = lsn + 1
+        self.appends += 1
+        return lsn
 
     def verify(self) -> int:
         """Check every record's checksum; returns the count verified.
@@ -171,28 +159,21 @@ class WriteAheadLog:
         A handler is given the record's payload, or with ``records=True``
         the :class:`WalRecord` itself (chain links are checked by lsn).
         """
-        profile = self.profile
-        if profile is not None:
-            profile.push("wal.replay")
-        try:
-            replayed = 0
-            for lsn, stored in self._records.items():
-                if verify:
-                    _check(lsn, stored)
-                record = _view(stored)
-                handler = handlers.get(record.kind)
-                if handler is None:
-                    if strict:
-                        raise StorageError(
-                            f"no WAL replay handler for kind {record.kind!r}"
-                        )
-                    continue
-                handler(record if records else record.payload)
-                replayed += 1
-            return replayed
-        finally:
-            if profile is not None:
-                profile.pop()
+        replayed = 0
+        for lsn, stored in self._records.items():
+            if verify:
+                _check(lsn, stored)
+            record = _view(stored)
+            handler = handlers.get(record.kind)
+            if handler is None:
+                if strict:
+                    raise StorageError(
+                        f"no WAL replay handler for kind {record.kind!r}"
+                    )
+                continue
+            handler(record if records else record.payload)
+            replayed += 1
+        return replayed
 
     def checkpoint(self, keep_from_lsn: int) -> int:
         """Drop records with ``lsn < keep_from_lsn``; returns dropped count."""
@@ -252,14 +233,7 @@ class InstanceChains:
             ]
             return
         base, lsns = chain
-        profile = self._wal.profile
-        if profile is not None:
-            profile.push("wal.delta")
-        try:
-            delta = snapshot_delta(base, snap)
-        finally:
-            if profile is not None:
-                profile.pop()
+        delta = snapshot_delta(base, snap)
         delta["instance_id"] = state.instance_id
         delta["base_lsn"] = lsns[-1]
         lsns.append(self._wal.append(self._delta_kind, delta))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from repro.engines import (
     SystemConfig,
 )
 from repro.model import SchemaBuilder
+from repro.obs import profile
 from repro.runtime.faults import FaultPlan
 from repro.workloads import travel_booking
 
@@ -166,6 +170,27 @@ def run_until_outcome(system, *instances, step=1.0):
             return
         system.run(until=system.simulator.now + step)
     raise AssertionError(f"no outcome for {instances} by t={system.simulator.now}")
+
+
+@contextmanager
+def sampling_calls_to(*functions):
+    """Feed the sampler's ``SIGPROF`` handler the frame of every call of
+    ``functions`` made while a profiler is started, so what a profile
+    holds does not depend on where the process timer happened to fire;
+    yields the list of the sampled calls' qualnames."""
+    codes = {fn.__code__: fn.__qualname__ for fn in functions}
+    sampled = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes and profile._LIVE:
+            sampled.append(codes[frame.f_code])
+            profile._on_sigprof(signal.SIGPROF, frame)
+
+    sys.setprofile(hook)
+    try:
+        yield sampled
+    finally:
+        sys.setprofile(None)
 
 
 def agent_holdings(agent) -> dict[str, set[str]]:

@@ -440,11 +440,15 @@ def test_purge_broadcast_clears_fragments():
     system.register_schema(schema)
     register_programs(system, schema)
     instance = system.start_workflow("Linear", {"x": 1})
+    run_until_outcome(system, instance)
+    holders = {agent.name for agent in system.agents if agent.agdb.has_fragment(instance)}
+    assert holders  # read before the purge: there is something to clear
     system.run()
     assert system.outcome(instance).committed
     assert system.trace.count("purge.broadcast") == 1
     for agent in system.agents:
-        assert not agent.agdb.has_fragment(instance) or agent.agdb.was_purged(instance)
+        assert not agent.agdb.has_fragment(instance)
+        assert agent.agdb.was_purged(instance) or agent.name not in holders
 
 
 def test_step_status_poll_reports_and_repairs():

@@ -83,6 +83,13 @@ def test_gc_tracked_objects_per_fragment_stay_bounded(footprint):
 def test_a_quiescent_config_holds_no_fragment():
     run = PreparedRun("distributed", coordination=True, seed=7)
     run.execute()
+    # the purge is what emptied the agents: each one its schemas reach
+    # holds a tombstone per finished instance
+    schemas = {outcome.schema_name for outcome in run.system.outcomes.values()}
+    recipients = set().union(*map(run.system.purge_recipients, schemas))
+    assert recipients
+    for agent in run.system.agents:
+        assert bool(agent.agdb._purged) == (agent.name in recipients), agent.name
     for agent in run.system.agents:
         assert not agent.runtimes and not agent.trackers
         assert not agent.agdb._fragments and not agent.agdb._trackers

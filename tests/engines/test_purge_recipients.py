@@ -6,9 +6,11 @@ observer.  One that names an instance (``instance_id`` or ``parent_id``)
 must reach an agent in the recipient set of that instance's schema
 (:meth:`DistributedControlSystem.purge_recipients`): an agent outside it
 never learns of the instance, so it never holds anything the purge would
-have to retire.  A purge batch, which may name instances of several
-schemas, goes to the union of their sets.  Once the run is quiescent,
-every recipient holds the instance's tombstone and no agent holds
+have to retire.  A purge batch may name instances of several schemas:
+each agent is sent only the ids whose recipient set holds it, and the
+coordination agent that sends the batch retires them all.  Once the run
+is quiescent, every recipient holds the instance's tombstone, no agent
+outside the set and its coordination agent does, and no agent holds
 anything else of it.
 
 The runs are the distributed configs of the evaluation grid (normal and
@@ -52,10 +54,9 @@ def check_recipients(system, delivered) -> None:
     strays = []
     for agent, verb, payload in delivered:
         if verb == VERB_PURGE:
-            # one batch goes to the union of its instances' recipients
-            if not any(agent in system.purge_recipients(schema_of[instance])
-                       for instance in payload["instance_ids"]):
-                strays.append((agent, verb, payload["instance_ids"]))
+            # an agent is sent only the ids of a batch it can hold
+            strays.extend((agent, verb, instance) for instance in payload["instance_ids"]
+                          if agent not in system.purge_recipients(schema_of[instance]))
             continue
         instance = payload.get("instance_id") or payload.get("parent_id")
         if instance is not None and agent not in system.purge_recipients(
@@ -64,8 +65,10 @@ def check_recipients(system, delivered) -> None:
     assert not strays
     for instance, schema_name in schema_of.items():
         recipients = system.purge_recipients(schema_name)
+        sender = system.owner_of(instance)
         for agent in system.agents:
-            assert agent.agdb.was_purged(instance) or agent.name not in recipients
+            assert agent.agdb.was_purged(instance) == (
+                agent.name in recipients or agent.name == sender), (agent.name, instance)
             held = [name for name, ids in agent_holdings(agent).items() if instance in ids]
             assert not held, (agent.name, instance, held)
     assert not [name for name in system.rng._streams if name.startswith("prog:")]

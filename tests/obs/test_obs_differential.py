@@ -1,7 +1,7 @@
 """The rebuilt observability plane against the one it replaced.
 
-Three Hypothesis state machines drive ``repro.obs``'s ``Tracer``,
-``Profiler`` and ``MetricsRegistry`` beside their predecessors in
+Two Hypothesis state machines drive ``repro.obs``'s ``Tracer`` and
+``MetricsRegistry`` beside their predecessors in
 :mod:`tests.obs.reference_obs` with the same operations and compare
 everything a reader can see after every step; a Hypothesis differential
 does the same for ``FlightRecorder`` snapshots.  The golden digests at the
@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cli import main
-from repro.obs import profile as profile_module
 from repro.obs.export import prometheus_text, trace_to_jsonl
 from repro.obs.flight import FlightRecorder
-from repro.obs.profile import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, Tracer
 from tests.conftest import ALL_ARCHITECTURES, faulted_run, faulted_system
@@ -184,126 +182,6 @@ def test_flight_snapshots_agree(capacity, script, reads):
     if snapshot:  # a snapshot is the caller's to keep
         snapshot[0]["msg_id"] = -1
         assert new.snapshot()[0]["msg_id"] == old.snapshot()[0]["msg_id"]
-
-
-# -- profiler -------------------------------------------------------------
-
-
-class ScriptedClock:
-    """Stands in for ``perf_counter_ns`` / the ``time`` module: the test
-    moves ``now`` between operations, never inside one, so both profilers
-    read the same instants however often each asks."""
-
-    now = 0
-
-    def perf_counter_ns(self):
-        return self.now
-
-
-class Engine:
-    def _arrive(self):
-        """A bound-method action (``event:Engine._arrive``)."""
-
-
-def deferred():
-    def run():
-        """A closure action (``event:deferred.run``)."""
-    return run
-
-
-ACTIONS = [Engine()._arrive, deferred(), deferred(), len]
-frames = st.sampled_from(["transport.send", "rules.pump", "wal.append", "dispatch.wi"])
-ticks = st.integers(0, 5000)
-
-
-def frame_rows(profiler, limit=None):
-    return [(s.name, s.calls, s.cum_ns, s.self_ns, s.sim_units)
-            for s in profiler.top_frames(limit)]
-
-
-class ProfilerMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.clock = ScriptedClock()
-        self.real = (profile_module.perf_counter_ns, reference_obs.time)
-        profile_module.perf_counter_ns = self.clock.perf_counter_ns
-        reference_obs.time = self.clock
-        self.new = Profiler(sample_interval=3)
-        self.old = reference_obs.Profiler(sample_interval=3)
-        self.depth = 0
-
-    def teardown(self):
-        profile_module.perf_counter_ns, reference_obs.time = self.real
-
-    def both(self, call):
-        call(self.new)
-        call(self.old)
-
-    @rule(name=frames, dt=ticks, sim_units=st.sampled_from([0.0, 0.5, 2.0]))
-    def push(self, name, dt, sim_units):
-        self.clock.now += dt
-        self.both(lambda p: p.push(name, sim_units))
-        self.depth += 1
-
-    @rule(action=st.sampled_from(ACTIONS), dt=ticks, sim_dt=st.sampled_from([0.0, 1.5]),
-          queue_depth=st.integers(0, 40), messages=st.integers(0, 2))
-    def begin_event(self, action, dt, sim_dt, queue_depth, messages):
-        self.clock.now += dt
-        sim_now = self.clock.now / 1000.0
-
-        def begin(profiler):
-            profiler.messages += messages
-            profiler.begin_event(action, sim_now, sim_dt, queue_depth)
-
-        self.both(begin)
-        self.depth += 1
-
-    @precondition(lambda self: self.depth)
-    @rule(dt=ticks, as_event=st.booleans())
-    def pop(self, dt, as_event):
-        self.clock.now += dt
-        self.both(lambda p: p.end_event() if as_event else p.pop())
-        self.depth -= 1
-
-    @precondition(lambda self: not self.depth)
-    @rule()
-    def pop_when_balanced(self):
-        for profiler in (self.new, self.old):
-            with pytest.raises(IndexError):
-                profiler.pop()
-
-    @invariant()
-    def same_profile(self):  # mid-stack too: an open frame has no time yet
-        assert self.new.depth() == self.old.depth() == self.depth
-        assert frame_rows(self.new) == frame_rows(self.old)
-        assert frame_rows(self.new, 2) == frame_rows(self.old, 2)
-        assert self.new.collapsed() == self.old.collapsed()
-        assert self.new.summary() == self.old.summary()
-        assert self.new.total_wall_ns() == self.old.total_wall_ns()
-        assert self.new.render_top(3) == self.old.render_top(3)
-        assert list(self.new.samples) == list(self.old.samples)
-        assert self.new.chrome_counter_trace() == self.old.chrome_counter_trace()
-
-
-TestProfilerDifferential = ProfilerMachine.TestCase
-TestProfilerDifferential.settings = settings(max_examples=60, stateful_step_count=50,
-                                             deadline=None)
-
-
-def test_published_profiles_agree():
-    new, old = Profiler(), reference_obs.Profiler()
-    for profiler in (new, old):
-        profiler.begin_event(ACTIONS[0], 1.0, 1.0, 4)
-        profiler.push("transport.send")
-        profiler.pop()
-        profiler.end_event()
-    texts = []
-    for profiler in (new, old):
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        texts.append([line for line in prometheus_text(registry).splitlines()
-                      if "seconds_total" not in line])
-    assert texts[0] == texts[1]
 
 
 # -- registry -------------------------------------------------------------

@@ -1,226 +1,206 @@
-"""Unit tests for the in-engine instrumentation profiler."""
+"""Unit tests for the CPU-time stack sampler.
+
+Most tests feed the ``SIGPROF`` handler by hand with real frames — the
+stack of the test at that point, running under package code such as the
+simulator or the engine log — so what one sample does is exact; the
+timer itself is covered by the start/stop test."""
+
+import json
+import signal
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.engines.base import ControlSystem
+from repro.obs import profile
 from repro.obs.export import prometheus_text
-from repro.obs.profile import EVENT_FRAMES, Profiler, peak_rss_kb, profiled
+from repro.obs.profile import (
+    LAYERS,
+    SAMPLE_WINDOW,
+    Profiler,
+    function_name,
+    layer_of,
+    peak_rss_kb,
+)
 from repro.obs.registry import MetricsRegistry
+from repro.sim.kernel import Simulator
+from repro.storage.wal import WriteAheadLog
+
+SRC = Path(profile.__file__).resolve().parents[1]
 
 
-class Network:
-    """Name-collides with the real transport on purpose: its ``_arrive``
-    carries the exact qualname the EVENT_FRAMES table maps."""
-
-    def _arrive(self):
-        pass
-
-
-class Unmapped:
-    def tick(self):
-        pass
-
-
-def test_push_pop_balance_and_depth():
+@pytest.fixture
+def sampled(monkeypatch):
+    """A started profiler that only hand-fed samples reach (the process
+    timer stays disarmed)."""
     prof = Profiler()
-    prof.push("a")
-    prof.push("b")
-    assert prof.depth() == 2
-    prof.pop()
-    prof.pop()
-    assert prof.depth() == 0
-    assert prof.total_wall_ns() >= 0
+    monkeypatch.setattr(profile, "_LIVE", [prof])
+    return prof
 
 
-def test_self_time_excludes_child_time():
-    prof = Profiler()
-    prof.push("parent")
-    prof.push("child")
-    prof.pop()
-    prof.pop()
-    stats = {s.name: s for s in prof.top_frames()}
-    parent, child = stats["parent"], stats["child"]
-    assert parent.calls == child.calls == 1
-    # Cumulative covers the child; self must not double-count it.
-    assert parent.cum_ns >= child.cum_ns
-    assert parent.self_ns + child.cum_ns <= parent.cum_ns + 1_000_000
+def sample_here():
+    """One sample of the caller's stack, as ``SIGPROF`` would take it."""
+    profile._on_sigprof(signal.SIGPROF, sys._getframe(1))
 
 
-def test_collapsed_paths_nest_semicolon_separated():
-    prof = Profiler()
-    prof.push("outer")
-    prof.push("inner")
-    prof.pop()
-    prof.pop()
-    lines = prof.collapsed().splitlines()
-    paths = {line.rsplit(" ", 1)[0] for line in lines}
-    assert paths == {"outer", "outer;inner"}
-    for line in lines:
-        assert int(line.rsplit(" ", 1)[1]) >= 1
+def in_simulator_event(fn):
+    """Run ``fn`` as a kernel event: package frames below the caller."""
+    sim = Simulator()
+    sim.schedule(0.0, fn)
+    sim.run()
 
 
-def test_begin_event_maps_known_qualnames():
-    prof = Profiler()
-    assert "Network._arrive" in EVENT_FRAMES
-    prof.begin_event(Network()._arrive, now=1.0, sim_dt=0.5, queue_depth=3)
-    prof.end_event()
-    stats = {s.name: s for s in prof.top_frames()}
-    assert stats["transport.arrive"].calls == 1
-    assert stats["transport.arrive"].sim_units == pytest.approx(0.5)
-    assert prof.events == 1
-    assert prof.max_queue_depth == 3
+def in_wal_replay(fn):
+    """Run ``fn`` as an engine-log replay handler inside a kernel event."""
+    wal = WriteAheadLog()
+    wal.append("k", {})
+    in_simulator_event(lambda: wal.replay({"k": lambda payload: fn()}))
 
 
-def test_begin_event_degrades_unknown_actions_to_event_prefix():
-    prof = Profiler()
-    prof.begin_event(Unmapped().tick, now=0.0, sim_dt=0.0, queue_depth=0)
-    prof.end_event()
-    names = [s.name for s in prof.top_frames()]
-    assert names == ["event:Unmapped.tick"]
+def test_every_module_maps_to_exactly_one_layer():
+    modules = sorted(path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py"))
+    assert len(modules) > 50
+    for rel in modules:
+        homes = [layer for layer, entries in LAYERS.items() for entry in entries
+                 if rel == entry or (entry.endswith("/") and rel.startswith(entry))]
+        assert len(homes) == 1, (rel, homes)
+        assert layer_of(str(SRC / rel)) == homes[0]
+    for layer, entries in LAYERS.items():  # no entry names nothing
+        for entry in entries:
+            assert any(rel == entry or (entry.endswith("/") and rel.startswith(entry))
+                       for rel in modules), (layer, entry)
+    assert layer_of(json.__file__) is None
 
 
-def test_sampling_every_interval():
-    prof = Profiler(sample_interval=2)
-    action = Unmapped().tick
-    for i in range(5):
-        prof.begin_event(action, now=float(i), sim_dt=0.0, queue_depth=i)
-        prof.end_event()
-    assert len(prof.samples) == 2  # events 2 and 4
-    assert prof.samples[-1][2] == 4
+def test_self_time_excludes_child_time(sampled):
+    """A sample goes to the layer of the innermost package frame only: a
+    log replay inside a kernel event is the store's, not the kernel's."""
+    in_simulator_event(sample_here)
+    in_wal_replay(sample_here)
+    in_wal_replay(sample_here)
+    assert [(row["layer"], row["samples"]) for row in sampled.layers()] == [
+        ("store", 2), ("kernel", 1)]
+    assert sampled.total_samples() == 3 and sampled.samples[None] == 0
 
 
-def test_samples_are_a_window_of_the_newest():
-    from repro.obs.profile import SAMPLE_WINDOW
-
-    prof = Profiler(sample_interval=1)
-    action = Unmapped().tick
-    for i in range(SAMPLE_WINDOW + 10):
-        prof.begin_event(action, now=float(i), sim_dt=0.0, queue_depth=0)
-        prof.end_event()
-    assert len(prof.samples) == SAMPLE_WINDOW == prof.summary()["samples"]
-    assert prof.samples[0][2] == 11 and prof.samples[-1][2] == SAMPLE_WINDOW + 10
-
-
-def test_sample_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        Profiler(sample_interval=0)
+def test_collapsed_paths_nest_semicolon_separated(sampled):
+    in_simulator_event(sample_here)
+    in_wal_replay(sample_here)
+    in_wal_replay(sample_here)
+    kernel = f"{function_name(Simulator.run.__code__)};{function_name(Simulator.step.__code__)}"
+    if sys.version_info >= (3, 11):  # code objects carry their qualname
+        assert kernel == "repro.sim.kernel:Simulator.run;repro.sim.kernel:Simulator.step"
+    assert sampled.collapsed().splitlines() == [
+        f"{kernel} 1",
+        f"{kernel};{function_name(WriteAheadLog.replay.__code__)} 2",
+    ]
 
 
-def test_profiled_decorator_is_transparent_when_disabled():
-    calls = []
-
-    class Engine:
-        def __init__(self, profile):
-            self.network = type("Net", (), {"profile": profile})()
-
-        @profiled("dispatch.step")
-        def step(self, value):
-            calls.append(value)
-            return value * 2
-
-    assert Engine(None).step(21) == 42
-    prof = Profiler()
-    assert Engine(prof).step(21) == 42
-    assert calls == [21, 21]
-    stats = {s.name: s for s in prof.top_frames()}
-    assert stats["dispatch.step"].calls == 1
-    assert prof.depth() == 0
+def test_frames_outside_the_package_make_no_row(sampled):
+    sample_here()
+    assert sampled.samples[None] == 1 and sampled.total_samples() == 0
+    assert sampled.layers() == [] and sampled.collapsed() == ""
+    assert "1 outside src/repro" in sampled.render_top()
 
 
-def test_render_top_ranks_by_self_time():
-    prof = Profiler()
-    prof.push("hot")
-    for __ in range(10_000):
-        pass
-    prof.pop()
-    prof.push("cold")
-    prof.pop()
-    text = prof.render_top(limit=5)
-    assert "frame" in text and "self %" in text
-    assert text.index("hot") < text.index("cold")
+def test_render_top_ranks_by_self_time(sampled):
+    in_simulator_event(sample_here)
+    for __ in range(3):
+        in_wal_replay(sample_here)
+    text = sampled.render_top()
+    assert text.startswith("# 4 samples over ")
+    assert "layer" in text and "share" in text
+    assert text.index("store") < text.index("kernel")
+    assert " 75.0%" in text and " 25.0%" in text
+    assert "kernel" not in sampled.render_top(limit=1)
 
 
-def test_publish_renders_per_frame_prometheus_series():
-    prof = Profiler()
-    prof.push("wal.append")
-    prof.pop()
-    prof.begin_event(Unmapped().tick, now=0.0, sim_dt=0.0, queue_depth=7)
-    prof.end_event()
-    prof.messages += 3
+def test_publish_renders_per_frame_prometheus_series(sampled):
+    in_simulator_event(sample_here)
+    in_wal_replay(sample_here)
     registry = MetricsRegistry()
-    prof.publish(registry)
+    sampled.publish(registry)
+    sampled.publish(registry)  # assigned, so publishing again counts nothing twice
     text = prometheus_text(registry)
-    assert 'crew_profile_frame_calls_total{frame="wal.append"} 1' in text
-    assert "crew_profile_events_total 1" in text
-    assert "crew_profile_messages_total 3" in text
-    assert "crew_profile_max_queue_depth 7" in text
-    assert "crew_profile_messages_per_event 3" in text
+    assert 'crew_profile_samples_total{layer="kernel"} 1' in text
+    assert 'crew_profile_samples_total{layer="store"} 1' in text
+    assert 'crew_profile_cpu_seconds_total{layer="store"}' in text
+    assert 'layer="rules"' not in text
 
 
-def test_chrome_counter_trace_structure():
-    prof = Profiler(sample_interval=1)
-    action = Unmapped().tick
-    for i in range(3):
-        prof.begin_event(action, now=float(i), sim_dt=1.0, queue_depth=1)
-        prof.end_event()
-    doc = prof.chrome_counter_trace()
+def test_install_reads_the_counter_track_off_the_system(sampled):
+    system = ControlSystem()
+    assert sampled.install(system) is sampled
+    system.simulator.schedule(1.0, sample_here)
+    system.simulator.schedule(5.0, lambda: None)
+    system.simulator.run()
+    [(wall_ns, now, events, messages, pending)] = sampled.ticks
+    assert (now, events, messages, pending) == (1.0, 1, 0, 1)
+    assert wall_ns > 0
+
+
+def test_sampling_every_interval(sampled):
+    """Each sample takes one counter-track tick."""
+    sampled.install(ControlSystem())
+    for __ in range(5):
+        sample_here()
+    assert len(sampled.ticks) == sum(sampled.samples.values()) == 5
+
+
+def test_samples_are_a_window_of_the_newest(sampled):
+    sampled.install(ControlSystem())
+    for __ in range(SAMPLE_WINDOW + 10):
+        sample_here()
+    assert len(sampled.ticks) == SAMPLE_WINDOW == sampled.summary()["ticks"]
+    assert sampled.samples[None] == SAMPLE_WINDOW + 10
+
+
+def test_chrome_counter_trace_structure(sampled):
+    system = ControlSystem()
+    sampled.install(system)
+    for delay in (1.0, 2.0, 3.0):
+        system.simulator.schedule(delay, sample_here)
+    system.simulator.run()
+    doc = sampled.chrome_counter_trace()
     counters = [e for e in doc["traceEvents"] if e.get("ph") == "C"]
-    assert {e["name"] for e in counters} >= {"queue_depth", "messages",
-                                            "sim_time"}
+    assert {e["name"] for e in counters} >= {"queue_depth", "messages", "sim_time",
+                                            "events_per_sec"}
+    assert [e["args"]["t"] for e in counters if e["name"] == "sim_time"] == [
+        1000, 2000, 3000]
     ts = [e["ts"] for e in counters]
     assert ts == sorted(ts)  # wall-clock timestamps are monotone
 
 
-def test_install_wires_ducktyped_hooks():
-    class Wal:
-        appends = 0
-        profile = None
-
-    class Store:
-        def __init__(self):
-            self.wal = Wal()
-
-    class NodeObj:
-        def __init__(self):
-            self.store = Store()
-
-    class Net:
-        profile = None
-
-        def __init__(self):
-            self._nodes = {"n1": NodeObj()}
-
-        def node_names(self):
-            return list(self._nodes)
-
-        def node(self, name):
-            return self._nodes[name]
-
-    class Sim:
-        profile = None
-
-    class System:
-        def __init__(self):
-            self.simulator = Sim()
-            self.network = Net()
-
-    system = System()
-    prof = Profiler()
-    assert prof.install(system) is prof
-    assert system.profiler is prof
-    assert system.simulator.profile is prof
-    assert system.network.profile is prof
-    assert system.network.node("n1").store.wal.profile is prof
-
-
-def test_summary_is_json_safe():
-    import json
-
-    prof = Profiler()
-    prof.push("a")
-    prof.pop()
-    summary = prof.summary()
+def test_summary_is_json_safe(sampled):
+    in_wal_replay(sample_here)
+    summary = sampled.summary()
     json.dumps(summary)
-    assert summary["frames"][0]["frame"] == "a"
+    assert summary["samples"] == 1
+    assert summary["layers"][0]["layer"] == "store"
+
+
+def test_start_and_stop_arm_and_disarm_the_process_timer():
+    """Two started profilers share the one timer: a real sample reaches
+    both, and only the last stop disarms it and restores the handler."""
+    before = signal.getsignal(signal.SIGPROF)
+    first, second = Profiler().start(), Profiler().start()
+    try:
+        assert signal.getitimer(signal.ITIMER_PROF)[0] > 0
+        assert signal.getsignal(signal.SIGPROF) is profile._on_sigprof
+        deadline = time.process_time() + 5.0
+        while not first.samples and time.process_time() < deadline:
+            sum(range(1000))
+        assert sum(first.samples.values()) > 0
+        first.stop()
+        assert signal.getitimer(signal.ITIMER_PROF)[0] > 0
+        assert sum(second.samples.values()) >= sum(first.samples.values())
+    finally:
+        first.stop()
+        second.stop()
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGPROF) == before
 
 
 def test_peak_rss_is_positive_on_posix():

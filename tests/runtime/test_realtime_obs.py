@@ -1,8 +1,8 @@
 """Observability seams of the wall-clock runtime.
 
-The realtime layer cannot import ``obs`` (layering contract), so these
-hooks are duck-typed slots the service injects: the clock's ``profile``
-and ``event_hook``.  Also covered: the cancel-vs-fire race on
+The realtime layer cannot import ``obs`` (layering contract), so its
+one hook is a duck-typed slot the service injects: the clock's
+``event_hook``.  Also covered: the cancel-vs-fire race on
 :class:`~repro.runtime.realtime.RealtimeClock` — a handle cancelled by
 an earlier callback in the same loop tick must neither fire nor corrupt
 the pending-count accounting.
@@ -57,25 +57,12 @@ def test_cancel_after_fire_is_a_noop():
     asyncio.run(main())
 
 
-def test_event_hook_and_profile_bracket_every_fire():
-    class FakeProfiler:
-        def __init__(self):
-            self.begins = []
-            self.ends = 0
-
-        def begin_event(self, action, now, dt, queue_depth):
-            self.begins.append((getattr(action, "__name__", "?"), queue_depth))
-
-        def end_event(self):
-            self.ends += 1
-
+def test_event_hook_sees_every_fire():
     async def main():
         clock = RealtimeClock()
         clock.start()
         hooked = []
         clock.event_hook = lambda now, pending: hooked.append(pending)
-        profiler = FakeProfiler()
-        clock.profile = profiler
 
         def tick():
             pass
@@ -84,36 +71,25 @@ def test_event_hook_and_profile_bracket_every_fire():
         clock.schedule(0.001, tick)
         assert await clock.join(timeout=2.0)
         assert len(hooked) == 2
-        assert profiler.ends == 2
-        assert [name for name, __ in profiler.begins] == ["tick", "tick"]
+        assert clock.events_processed == 2
 
     asyncio.run(main())
 
 
-def test_profile_end_event_runs_even_when_action_raises():
-    class FakeProfiler:
-        def __init__(self):
-            self.depth = 0
-
-        def begin_event(self, action, now, dt, queue_depth):
-            self.depth += 1
-
-        def end_event(self):
-            self.depth -= 1
-
+def test_a_raising_action_leaves_the_clock_serving():
     async def main():
         clock = RealtimeClock()
         clock.start()
-        profiler = FakeProfiler()
-        clock.profile = profiler
+        fired = []
 
         def boom():
             raise RuntimeError("step failed")
 
         clock.schedule(0.0, boom)
+        clock.schedule(0.0, fired.append, "after")
         # the exception propagates to the loop's exception handler, not us
         await asyncio.sleep(0.05)
-        assert profiler.depth == 0
+        assert fired == ["after"]
         assert clock.pending == 0
 
     asyncio.run(main())
@@ -123,7 +99,7 @@ def test_hooks_default_off_and_cost_nothing():
     async def main():
         runtime = RealtimeRuntime()
         runtime.start()
-        assert runtime.clock.profile is None
+        assert runtime.clock.event_hook is None
         done = []
         runtime.executor.submit(0.0, done.append, 1)
         assert await runtime.join(timeout=2.0)

@@ -268,6 +268,7 @@ def test_recovery_redrives_inflight_instances(tmp_path):
         service.start()
         result = service.submit(schema=MINI_SCHEMA, inputs={"x": 1},
                                 instances=3)
+        service.profiler.stop()  # the process timer would die with the process
         return result["instances"]
 
     originals = asyncio.run(crash_phase())
@@ -318,6 +319,7 @@ def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):
             lambda: service.instance(iid)["status"] == "committed",
             what="outcome publication",
         )
+        service.profiler.stop()  # the process timer would die with the process
         return iid
 
     iid = asyncio.run(commit_phase())

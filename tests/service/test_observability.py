@@ -3,12 +3,18 @@
 import asyncio
 import io
 import json
+import signal
 
 import pytest
 
+from repro.engines.base import ControlSystem
 from repro.errors import WorkloadError
 from repro.obs.logging import StructuredLogger
+from repro.obs.profile import LAYERS, function_name
+from repro.runtime.executor import TaskExecutor
+from repro.runtime.realtime import RealtimeClock
 from repro.service import WorkflowService, start_server
+from tests.conftest import sampling_calls_to
 
 MINI_SCHEMA = {
     "name": "Mini",
@@ -171,17 +177,25 @@ def test_debug_profile_returns_collapsed_stacks():
             assert lines
             for line in lines:
                 frames, count = line.rsplit(" ", 1)
-                assert frames and int(count) >= 1
+                assert frames.startswith("repro.") and int(count) >= 1
+            __, __, scrape = await raw_request(8473, "GET", "/metrics")
+            series = [line for line in scrape.decode().splitlines()
+                      if line.startswith("crew_profile_samples_total{")]
+            assert series
+            assert {line.split('"')[1] for line in series} <= set(LAYERS)
         finally:
             await shutdown(service, server)
 
-    asyncio.run(main())
+    with sampling_calls_to(ControlSystem.execute_program) as calls:
+        asyncio.run(main())
+    assert calls == ["ControlSystem.execute_program"] * 2
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 
 
 def test_step_work_profiles_under_the_executor_frame():
-    """A step's service time is an executor entry on the clock: its work
-    profiles as ``executor.step`` (the sends it makes nested under it),
-    not as an ``event:TaskExecutor`` catch-all row nor at the root."""
+    """A step's service time is an executor entry on the clock: a sample
+    taken in its program runs under ``TaskExecutor._run`` fired by the
+    clock's turn, and is charged to the layer of its innermost frame."""
 
     async def main():
         service = WorkflowService()
@@ -189,16 +203,22 @@ def test_step_work_profiles_under_the_executor_frame():
         try:
             [iid] = service.submit(schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
             await wait_outcome(service, iid)
-            return service.profile_collapsed()
+            return service.profile_collapsed(), service.profiler.layers()
         finally:
             await service.close()
 
-    stacks = [line.rsplit(" ", 1)[0].split(";")
-              for line in asyncio.run(main()).splitlines()]
-    roots = {stack[0] for stack in stacks}
-    assert ["executor.step", "transport.send"] in stacks
-    assert not [root for root in roots if root.startswith("event:")], roots
-    assert "transport.send" not in roots
+    with sampling_calls_to(ControlSystem.execute_program):
+        collapsed, layers = asyncio.run(main())
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    program = [stack for stack in (line.rsplit(" ", 1)[0].split(";")
+                                   for line in collapsed.splitlines())
+               if stack[-1] == function_name(ControlSystem.execute_program.__code__)]
+    assert program
+    for stack in program:
+        turn = stack.index(function_name(RealtimeClock._turn.__code__))
+        assert stack[turn + 1] == function_name(TaskExecutor._run.__code__)
+    assert {row["layer"] for row in layers} <= set(LAYERS)
+    assert any(row["layer"] == "facade" for row in layers)
 
 
 def test_observability_off_returns_503_with_hint():

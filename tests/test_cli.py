@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.obs.profile import LAYERS
 
 
 @pytest.fixture()
@@ -272,14 +273,19 @@ def test_profile_single_config_prints_table_and_collapsed(capsys):
         for line in out.splitlines() if line.startswith(("config", "centralized-normal")))
     assert header[-2:] == ["peak RSS KB", "gc objects"]
     assert int(row[-1].replace(",", "")) > 0     # objects the collector still tracks
-    assert "self %" in out                       # ranked top-frames table
-    assert "transport.arrive" in out
-    assert "# garbage collector:" in out         # under the frame table
-    assert "frame self times above still include it" in out
-    assert out.index("self %") < out.index("# garbage collector:")
+    table = out[out.index("\n# ") + 1:out.index("# garbage collector:")].splitlines()
+    assert table[0].startswith("# ") and " samples over " in table[0]
+    assert table[1].split() == ["layer", "samples", "cpu", "ms", "share"]
+    rows = [line.split() for line in table[2:] if line]
+    assert 0 < len(rows) <= 5                    # ranked layer table, --top rows
+    assert all(row[0] in LAYERS and int(row[1]) > 0 for row in rows)
+    assert "layer CPU times above still include it" in out
     assert "# collapsed stacks" in out           # flamegraph output
-    assert any(";" in line and line.rsplit(" ", 1)[1].isdigit()
-               for line in out.splitlines())
+    stacks = out[out.index("# collapsed stacks"):].splitlines()[1:]
+    assert stacks and all(";" in line and line.rsplit(" ", 1)[1].isdigit()
+                          for line in stacks)
+    assert all(frame.startswith("repro.") and ":" in frame
+               for line in stacks for frame in line.rsplit(" ", 1)[0].split(";"))
 
 
 def test_profile_rejects_bad_config(capsys):
@@ -300,11 +306,12 @@ def test_profile_writes_artifacts(tmp_path, capsys):
     assert ";" in collapsed.read_text()
     doc = json.loads(chrome.read_text())
     assert any(e.get("ph") == "C" for e in doc["traceEvents"])
-    assert "crew_profile_frame_calls_total" in metrics.read_text()
+    assert 'crew_profile_samples_total{layer="' in metrics.read_text()
     summary = json.loads(blob.read_text())
     assert summary["runs"][0]["config"] == "parallel-normal"
     assert summary["runs"][0]["gc_objects"] > 0
-    assert summary["top_frames"]
+    assert summary["profile"]["samples"] > 0
+    assert {row["layer"] for row in summary["profile"]["layers"]} <= set(LAYERS)
     assert summary["gc"]["collections"] == summary["runs"][0]["gc"]["collections"]
     assert 0 <= summary["gc"]["share_of_wall"] < 1
     # collapsed went to the file, not stdout

@@ -252,9 +252,8 @@ def test_whole_snapshot_log_stays_a_test_oracle():
 def test_previous_observability_plane_stays_a_test_oracle():
     """A span has one construction path (``Tracer.add``; a message or mark
     row becomes a ``Span`` in ``_message_span`` / ``_mark_span`` when read,
-    born closed), and the profiler keeps a call tree, no per-pop tables.
-    The tracer, profiler, registry and flight recorder that did otherwise
-    live under ``tests/`` only (the loop in
+    born closed).  The tracer, registry and flight recorder that did
+    otherwise live under ``tests/`` only (the loop in
     ``test_relative_order_scan_stays_a_test_oracle`` keeps ``src/`` from
     importing them)."""
     obs = SRC / "repro" / "obs"
@@ -273,10 +272,40 @@ def test_previous_observability_plane_stays_a_test_oracle():
         # ``Tracer.add`` stays the one path for an open span.
         args = builders[name].args
         assert len(args) == 9 and ast.dump(args[8]) == ast.dump(args[4]), name
-    profiler = ast.parse((obs / "profile.py").read_text())
-    stale = {node.attr for node in ast.walk(profiler)
-             if isinstance(node, ast.Attribute)} & {"_path_cache", "_collapsed", "_stats"}
-    assert not stale, f"per-pop profiler tables are back: {sorted(stale)}"
+
+
+def test_the_profiler_samples_and_the_code_it_measures_has_no_hook():
+    """The profiler is a stack sampler: no ``profile`` attribute, slot or
+    parameter on the clocks, the transport, the rule engine or the engine
+    log, no ``profile=`` argument and no ``@profiled`` decorator anywhere
+    in ``src/``, and ``obs/profile.py`` arms ``ITIMER_PROF``."""
+    hooked = ("runtime/eventqueue.py", "sim/kernel.py", "runtime/realtime.py",
+              "runtime/transport.py", "rules/engine.py", "storage/wal.py")
+    violations = []
+    for module_path in sorted((SRC / "repro").rglob("*.py")):
+        where = module_path.relative_to(SRC / "repro").as_posix()
+        for node in ast.walk(ast.parse(module_path.read_text())):
+            line = f"{where}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) == "profiled":
+                        violations.append(f"{line} @profiled")
+            elif isinstance(node, ast.keyword) and node.arg == "profile":
+                violations.append(f"{line} profile= argument")
+            if where not in hooked:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "profile":
+                violations.append(f"{line} .profile")
+            elif isinstance(node, ast.Name) and node.id == "profile":
+                violations.append(f"{line} profile name")
+            elif isinstance(node, ast.arg) and node.arg == "profile":
+                violations.append(f"{line} profile parameter")
+            elif isinstance(node, ast.Constant) and node.value == "profile":
+                violations.append(f"{line} 'profile' slot")
+    assert not violations, "\n".join(violations)
+    profiler = (SRC / "repro" / "obs" / "profile.py").read_text()
+    assert "ITIMER_PROF" in profiler and "def push" not in profiler
 
 
 def test_engines_leave_the_program_stream_to_the_context():
