@@ -13,8 +13,9 @@ than merely *wrong* (protocol-order violations live in
 
 * **orphan links / parents** — a span referencing a span id that is not
   in the trace (lost export or a propagation bug) — except an id older
-  than the oldest span of a trace whose ``meta`` line says its ring
-  evicted spans: that span was recorded and has since left the window;
+  than the oldest span of a trace whose ``meta`` line counts dropped
+  spans: the tracer is a ring, so that span was recorded and has since
+  left the window;
 * **unlinked receives** — a recv message span with no link at all, i.e.
   a packet whose sender-side span was never stamped;
 * **lost packets** — a send message span whose ``msg_id`` never shows up
@@ -162,8 +163,7 @@ class CausalTrace:
             elif kind == "meta":
                 # Trailing provenance line (dropped-record accounting);
                 # carries no events.
-                if row.get("drop_policy") == "oldest":
-                    evicted_spans = row.get("dropped_spans", 0)
+                evicted_spans = row.get("dropped_spans", 0)
             else:
                 raise CrewError(
                     f"trace line {lineno} has unknown type {kind!r}"

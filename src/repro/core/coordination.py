@@ -339,37 +339,13 @@ class RelativeOrderAuthority:
             granted.sort()  # tickets are unique: pending-insertion order
         return [grant for __, grant in granted]
 
-    # -- introspection ----------------------------------------------------------------------
-
-    def leaders_of(self, schema: str, instance: str) -> list[_Registration]:
-        """Conflicting instances registered before ``instance``."""
-        mine = self._registration(instance)
-        return [
-            other for other in self._conflicting_members(mine.key)
-            if other.seq < mine.seq and self._orders(schema, other)
-        ]
-
-    def is_leading(self, instance: str, other: str) -> bool | None:
-        """True if ``instance`` leads ``other`` (None when undetermined)."""
-        a = self._registrations.get(instance)
-        b = self._registrations.get(other)
-        if a is None or b is None:
-            return None
-        return a.seq < b.seq
-
-    def established_pairs(self) -> list[tuple[str, str]]:
-        """All (leading, lagging) conflicting instance pairs so far."""
-        regs = sorted(self._registrations.values(), key=_seq_of)
-        pairs = []
-        for i, lead in enumerate(regs):
-            for lag in regs[i + 1 :]:
-                if self._orders(lead.schema, lag) and _conflicts(lead.key, lag.key):
-                    pairs.append((lead.instance, lag.instance))
-        return pairs
+    # -- established orders ------------------------------------------------------------------
 
     def pairs_of(self, instance: str) -> list[tuple[str, str]]:
-        """The rows of :meth:`established_pairs` that mention ``instance``,
-        in the same order, read from the groups it conflicts with."""
+        """The (leading, lagging) pairs ``instance`` is in: one per
+        conflicting registration the spec orders against it, in
+        registration order, read from the groups it conflicts with — the
+        orders a distributed grant piggybacks."""
         mine = self._registrations.get(instance)
         if mine is None:
             return []

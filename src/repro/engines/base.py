@@ -101,7 +101,6 @@ class SystemConfig:
     latency: float = 1.0
     trace: bool = True
     trace_capacity: int | None = 500_000
-    trace_ring: bool = False
     work_time_scale: float = 0.1
     successor_selection: str = "hash"
     step_status_timeout: float = 50.0
@@ -326,14 +325,12 @@ class ControlSystem:
             # it so `system.metrics` stays the single source of truth.
             self.metrics = self.network.metrics
         self.trace = Trace(
-            enabled=self.config.trace, capacity=self.config.trace_capacity,
-            ring=self.config.trace_ring,
+            enabled=self.config.trace, capacity=self.config.trace_capacity
         )
         # Observability: the span tracer and metrics registry follow the
         # single `trace` switch so benchmark runs stay un-instrumented.
         self.tracer = Tracer(
-            trace=self.trace, enabled=self.config.trace,
-            capacity=self.config.trace_capacity, ring=self.config.trace_ring,
+            enabled=self.config.trace, capacity=self.config.trace_capacity
         )
         self.registry = MetricsRegistry()
         if self.config.trace:

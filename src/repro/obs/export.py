@@ -119,18 +119,17 @@ def _drop_metadata(
 ) -> dict[str, Any] | None:
     """What capacity cost the export, or ``None`` when it is complete.
 
-    A system's tracer shares its trace's capacity and policy, so one pair
-    describes both; ``dropped_spans`` appears only when spans were lost.
+    Both are rings that evict their oldest entries, and a system's tracer
+    shares its trace's capacity, so one capacity describes both;
+    ``dropped_spans`` appears only when spans were lost.
     """
     records = trace.dropped if trace is not None else 0
     spans = tracer.dropped if tracer is not None else 0
     if not records and not spans:
         return None
-    ring = trace if records else tracer
     meta = {
         "dropped_records": records,
-        "drop_policy": "oldest" if ring.ring else "newest",
-        "capacity": ring.capacity,
+        "capacity": (trace if records else tracer).capacity,
     }
     if spans:
         meta["dropped_spans"] = spans

@@ -17,12 +17,16 @@ the CPU time charged to a layer is the whole process's between two
 ticks, garbage collection included.  ``ITIMER_PROF`` is process-wide:
 the started profilers share one handler and one timer, each sample goes
 to every one of them, and the timer is disarmed when the last one stops.
+The timer holds its profilers weakly: one dropped unstopped (with the
+service that owned it) is collected, and the first sample that finds no
+profiler left disarms the timer as a stop would.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import weakref
 from collections import Counter, deque
 from time import perf_counter_ns, process_time_ns
 from types import CodeType, FrameType
@@ -118,7 +122,7 @@ def peak_rss_kb() -> int | None:
 #: File -> layer (``None``: outside the package), filled as samples land.
 _LAYER_OF: dict[str, str | None] = {}
 #: The started profilers: every sample goes to each of them.
-_LIVE: list["Profiler"] = []
+_LIVE: weakref.WeakSet["Profiler"] = weakref.WeakSet()
 #: The ``SIGPROF`` disposition the first start replaced.
 _previous_handler: Any = signal.SIG_DFL
 
@@ -143,8 +147,18 @@ def _on_sigprof(signum: int, frame: FrameType | None) -> None:
     stack.reverse()
     key = tuple(stack)
     cpu_ns = process_time_ns()
-    for profiler in _LIVE:
+    profilers = list(_LIVE)
+    for profiler in profilers:
         profiler._take(layer, key, cpu_ns)
+    if not profilers:
+        _disarm()  # every started profiler was dropped unstopped
+
+
+def _disarm() -> None:
+    """Stop the timer and put the ``SIGPROF`` handler the first start
+    replaced back."""
+    signal.setitimer(signal.ITIMER_PROF, 0)
+    signal.signal(signal.SIGPROF, _previous_handler)
 
 
 class Profiler:
@@ -188,10 +202,11 @@ class Profiler:
             return self
         if not _LIVE:
             previous = signal.signal(signal.SIGPROF, _on_sigprof)
-            _previous_handler = signal.SIG_DFL if previous is None else previous
+            if previous is not _on_sigprof:  # not still armed for a dropped one
+                _previous_handler = signal.SIG_DFL if previous is None else previous
             signal.setitimer(signal.ITIMER_PROF, SAMPLE_PERIOD, SAMPLE_PERIOD)
         self._cpu_ns = process_time_ns()
-        _LIVE.append(self)
+        _LIVE.add(self)
         return self
 
     def stop(self) -> None:
@@ -201,8 +216,7 @@ class Profiler:
             return
         _LIVE.remove(self)
         if not _LIVE:
-            signal.setitimer(signal.ITIMER_PROF, 0)
-            signal.signal(signal.SIGPROF, _previous_handler)
+            _disarm()
 
     def __enter__(self) -> "Profiler":
         return self.start()

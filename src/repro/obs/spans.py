@@ -40,12 +40,12 @@ somebody reads ``tracer.spans``.  An instant its caller never touches
 again (a rule firing, a coordination round, an OCR decision) is a row
 too: :meth:`Tracer.mark` keeps its fields and attrs dict in one tuple.
 
-The tracer keeps what fits: under a ``capacity`` it obeys the same policy
-as the flat :class:`~repro.runtime.trace.Trace` — newest spans dropped
-when full, or with ``ring=True`` the oldest evicted — and counts the loss
-in ``dropped``.  Span ids are allocated in creation order and a ring
-evicts in that order, so a ``parent_id`` / ``link_id`` older than the
-oldest retained span names an evicted span, not a broken chain.
+The tracer keeps what fits: under a ``capacity`` it is a ring like the
+flat :class:`~repro.runtime.trace.Trace` — the oldest spans are evicted
+when full — and ``dropped`` counts the loss.  Span ids are allocated in
+creation order and the ring evicts in that order, so a ``parent_id`` /
+``link_id`` older than the oldest retained span names an evicted span,
+not a broken chain.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator
-
-from repro.runtime.trace import Trace
 
 __all__ = ["NULL_SPAN", "Span", "SpanContext", "Tracer"]
 
@@ -172,37 +170,21 @@ def _row_span(row: Span | tuple) -> Span:
 
 
 class Tracer:
-    """Factory and registry for spans, layered over the flat trace.
+    """Factory and registry for spans, beside the flat trace.
 
-    When a :class:`~repro.runtime.trace.Trace` is attached, span boundaries
-    are *not* duplicated into it: an engine's protocol event becomes the
-    flat record and its spans side by side (the views of
+    Span boundaries are *not* duplicated into the flat
+    :class:`~repro.runtime.trace.Trace`: an engine's protocol event becomes
+    the flat record and its spans side by side (the views of
     ``repro.engines.base.EVENT_VIEWS``), and the exporters in
-    :mod:`repro.obs.export` merge both.  ``tracer.trace`` keeps the
-    association explicit.
+    :mod:`repro.obs.export` merge both.
     """
 
-    def __init__(
-        self,
-        trace: Trace | None = None,
-        enabled: bool = True,
-        capacity: int | None = None,
-        ring: bool = False,
-    ):
+    def __init__(self, enabled: bool = True, capacity: int | None = None):
         self.enabled = enabled
-        self.trace = trace
         self.capacity = capacity
-        self.ring = ring
         #: Retained spans in id order: a :class:`Span`, or the flat row
         #: of a message or mark span (see :func:`_row_span`).
-        self._rows: deque[Span | tuple] | list[Span | tuple]
-        if ring and capacity is not None:
-            self._rows = deque(maxlen=capacity)
-        else:
-            self._rows = []
-        #: Spans lost to ``capacity`` (evicted oldest-first in ring mode,
-        #: otherwise never retained).
-        self.dropped = 0
+        self._rows: deque[Span | tuple] = deque(maxlen=capacity)
         self._next_id = 1
         #: Still-open children per open parent span id, for end-time
         #: clamping.  Spans born closed never enter it.
@@ -237,11 +219,6 @@ class Tracer:
         self._next_id += 1
         if end is None and parent_id is not None and parent.end is None:
             self._open_children.setdefault(parent_id, []).append(span)
-        if self.capacity is not None and len(self._rows) >= self.capacity:
-            self.dropped += 1
-            if not self.ring:
-                return span
-            # deque(maxlen=...) evicts the oldest span on append.
         self._rows.append(span)
         return span
 
@@ -319,10 +296,6 @@ class Tracer:
             link = None if link.is_null else link.span_id
         span_id = self._next_id
         self._next_id = span_id + 1
-        if self.capacity is not None and len(self._rows) >= self.capacity:
-            self.dropped += 1
-            if not self.ring:
-                return span_id
         self._rows.append((span_id, name, node, time, link, msg_id, src, dst,
                            mechanism, lamport, direction, instance))
         return span_id
@@ -348,10 +321,6 @@ class Tracer:
             parent_id = parent.span_id
         span_id = self._next_id
         self._next_id = span_id + 1
-        if self.capacity is not None and len(self._rows) >= self.capacity:
-            self.dropped += 1
-            if not self.ring:
-                return
         self._rows.append((span_id, name, category, node, time, parent_id,
                            attrs))
 
@@ -366,6 +335,11 @@ class Tracer:
         return closed
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def dropped(self) -> int:
+        """Spans the ring evicted: every id allocated and not retained."""
+        return self._next_id - 1 - len(self._rows)
 
     @property
     def spans(self) -> list[Span]:

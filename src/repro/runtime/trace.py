@@ -35,73 +35,46 @@ class Trace:
     Tracing can be disabled (``enabled=False``) to remove overhead from
     large benchmark runs; ``record`` then becomes a no-op.
 
-    When ``capacity`` is set, the default policy drops the *newest*
-    records once full (the historical behaviour, cheapest and safest for
-    post-mortem analysis of a run's beginning).  ``ring=True`` switches
-    to a ring buffer that evicts the *oldest* records instead, keeping
-    the most recent window — the right mode for long-running soak tests
-    where only the tail matters.  Either way ``dropped`` counts how many
-    records were lost.
+    The records are a ring: once ``capacity`` records are held, each
+    append evicts the oldest, so a long-running daemon keeps its most
+    recent window and a bounded memory.  ``dropped`` counts the evicted
+    records.  Without a ``capacity`` the trace is unbounded.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        capacity: int | None = None,
-        ring: bool = False,
-    ):
+    def __init__(self, enabled: bool = True, capacity: int | None = None):
         self.enabled = enabled
         self.capacity = capacity
-        self.ring = ring
-        if ring and capacity is not None:
-            self.records: deque[TraceRecord] | list[TraceRecord] = deque(
-                maxlen=capacity
-            )
-        else:
-            self.records = []
+        self.records: deque[TraceRecord] = deque(maxlen=capacity)
         self.dropped = 0
         #: Optional tap called with each appended :class:`TraceRecord`
         #: (the serve front door streams live events through this).
         self.listener: Callable[[TraceRecord], None] | None = None
 
     def record(self, time: float, node: str, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            if not self.ring:
-                return
-            # deque(maxlen=...) evicts the oldest record on append.
-        rec = TraceRecord(time, node, kind, detail)
-        self.records.append(rec)
-        if self.listener is not None:
-            self.listener(rec)
+        if self.enabled:
+            self._append(TraceRecord(time, node, kind, detail))
 
     def snapshot(self, time: float, node: str, kind: str, **detail: Any) -> None:
-        """Record unconditionally, bypassing ``enabled`` and ``capacity``.
+        """Record unconditionally, bypassing ``enabled``.
 
         Post-mortem dumps (flight-recorder snapshots on crash or step
         failure) must land even in benchmark runs with tracing off — a
         flight recorder that vanishes exactly when you need it is
-        worthless.  Snapshots are rare, so the capacity policy is not
-        consulted — but a ring-mode deque at capacity still evicts its
-        oldest record on append, and that loss must be *counted*: a
-        truncated trace that looks complete is worse than a short one.
+        worthless.  A snapshot into a full ring evicts like any record,
+        and the loss is counted: a truncated trace that looks complete is
+        worse than a short one.
         """
-        if (self.ring and self.capacity is not None
-                and len(self.records) >= self.capacity):
-            self.dropped += 1
-        rec = TraceRecord(time, node, kind, detail)
-        self.records.append(rec)
+        self._append(TraceRecord(time, node, kind, detail))
+
+    def _append(self, rec: TraceRecord) -> None:
+        records = self.records
+        if len(records) == self.capacity:
+            self.dropped += 1  # deque(maxlen=...) evicts the oldest
+        records.append(rec)
         if self.listener is not None:
             self.listener(rec)
 
     # -- loss reporting ------------------------------------------------------
-
-    @property
-    def drop_policy(self) -> str:
-        """Which end the capacity policy sacrifices: oldest or newest."""
-        return "oldest" if self.ring else "newest"
 
     def drop_summary(self, spans_dropped: int = 0) -> str | None:
         """One-line loss report, or ``None`` when nothing was dropped.
@@ -110,13 +83,13 @@ class Trace:
         trace (``repro trace``, ``repro serve`` shutdown, the service
         close log) formats the same sentence from here.  ``spans_dropped``
         is the loss of the span tracer layered over this trace, which
-        obeys the same capacity and policy.
+        keeps the same capacity.
         """
         if not self.dropped and not spans_dropped:
             return None
         spans = f" and {spans_dropped} span(s)" if spans_dropped else ""
         return (f"trace ring buffer dropped {self.dropped} record(s){spans} "
-                f"({self.drop_policy} first; capacity {self.capacity})")
+                f"(oldest first; capacity {self.capacity})")
 
     # -- queries -------------------------------------------------------------
 
@@ -174,6 +147,6 @@ class Trace:
         if limit is not None and len(self.records) > limit:
             lines.append(f"... ({len(self.records) - limit} more records)")
         if self.dropped:
-            lines.append(f"({self.dropped} {self.drop_policy} records "
+            lines.append(f"({self.dropped} oldest records "
                          f"dropped at capacity {self.capacity})")
         return "\n".join(lines)

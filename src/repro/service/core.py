@@ -221,10 +221,9 @@ class WorkflowService:
         self.architecture = architecture
         self.runtime = RealtimeRuntime(latency=FixedLatency(latency))
         # Wall-clock timeouts: the simulated defaults (tens of time units)
-        # would mean tens of real seconds of watchdog wait.  The trace runs
-        # in ring mode — a long-lived daemon wants the most recent window,
-        # not the boot minutes (drops are counted and reported at shutdown
-        # either way).
+        # would mean tens of real seconds of watchdog wait.  The trace is a
+        # ring: a long-lived daemon keeps the most recent window, not the
+        # boot minutes (evictions are counted and reported at shutdown).
         config = SystemConfig(
             seed=seed,
             latency=latency,
@@ -236,7 +235,6 @@ class WorkflowService:
             purge_interval=0.25,
             trace=observability,
             trace_capacity=trace_capacity,
-            trace_ring=True,
         )
         #: Whether the metrics/trace/profile surfaces are live.
         self.observability = observability
@@ -260,8 +258,9 @@ class WorkflowService:
         #: Known instances the engine has not finished yet.
         self._running = 0
         #: Finished instances whose ``outcome`` record is appended but not
-        #: flushed; hidden until :meth:`_publish_outcomes`.
-        self._unpublished: set[str] = set()
+        #: flushed, each with the stream events it has emitted since:
+        #: hidden until :meth:`_publish_outcomes`.
+        self._unpublished: dict[str, list[dict[str, Any]]] = {}
         self._subscribers: dict[str, list[EventFeed]] = {}
         #: Firehose subscribers: feeds receiving every instance-tagged
         #: event (the ``GET /events`` stream and ``repro top``).
@@ -432,12 +431,12 @@ class WorkflowService:
         trace = self.system.trace
         spans_dropped = self.system.tracer.dropped
         if trace.dropped or spans_dropped:
-            # PR 6 taught `repro trace` to warn about ring-buffer losses;
-            # the daemon owes its operator the same honesty at shutdown.
+            # `repro trace` warns about ring-buffer losses; the daemon owes
+            # its operator the same honesty at shutdown.
             self.logger.warning(
                 "trace.dropped", dropped=trace.dropped,
                 spans_dropped=spans_dropped,
-                capacity=trace.capacity, policy=trace.drop_policy,
+                capacity=trace.capacity,
             )
         if self._log is not None:
             self._log.close()
@@ -790,6 +789,10 @@ class WorkflowService:
         event.update(
             (k, v) for k, v in rec.detail.items() if _jsonable(v)
         )
+        held = self._unpublished.get(instance_id)
+        if held is not None:
+            held.append(event)  # it tells of an outcome not yet on disk
+            return
         self._emit(instance_id, event)
 
     def _emit(self, instance_id: str, event: dict[str, Any]) -> None:
@@ -807,9 +810,10 @@ class WorkflowService:
         """Completion handler: the engine just finished an instance.
 
         All the bookkeeping happens here, once.  Showing the outcome waits
-        for one :meth:`_publish_outcomes` per loop turn: the engine handler
-        calling us has its closing trace record still to write, and the
-        outcomes of one turn share one fsync.
+        for one :meth:`_publish_outcomes` per loop turn: the outcomes of one
+        turn share one fsync, and until it the instance's stream events —
+        the engine handler calling us has its closing trace record still to
+        write — are held back with it.
         """
         iid = outcome.instance_id
         submitted = self._submit_times.get(iid)
@@ -848,14 +852,17 @@ class WorkflowService:
             })
         if not self._unpublished:
             self._loop.call_soon(self._publish_outcomes)
-        self._unpublished.add(iid)
+        self._unpublished[iid] = []
 
     def _publish_outcomes(self) -> None:
-        """Make this turn's outcomes durable (one fsync), then visible."""
+        """Make this turn's outcomes durable (one fsync), then visible:
+        the held stream events of each instance, then its final event."""
         if self._log is not None:
             self._log.flush()
-        finished, self._unpublished = self._unpublished, set()
-        for iid in finished:
+        finished, self._unpublished = self._unpublished, {}
+        for iid, held in finished.items():
+            for event in held:
+                self._emit(iid, event)
             for feed in self._subscribers.pop(iid, ()):
                 feed.put(self._final_event(iid))
                 feed.put(None)

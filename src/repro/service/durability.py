@@ -24,7 +24,8 @@ Record kinds written by :class:`~repro.service.core.WorkflowService`:
     One terminal instance outcome (``instance``, ``status``,
     ``outputs``, ``finished_at``), appended the moment the engine
     reports it and flushed before anything shows it: no status record
-    or stream event ever reports an outcome that is not on disk.
+    or stream event ever reports an outcome that is not on disk (the
+    instance's stream events from the outcome on wait for that flush).
 ``redrive``
     Recovery re-drove an in-flight instance under a fresh id
     (``original``, ``replacement``).  The original id is permanently

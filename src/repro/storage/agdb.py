@@ -227,7 +227,6 @@ class AgentDatabase:
         self.wal.replay(
             {**self._chains.replay_handlers(), "summary": on_summary,
              "tracker": on_tracker, "purge": on_purge},
-            verify=True, records=True,
         )
         for instance_id, snapshot in self._chains.snapshots():
             if instance_id not in purged:

@@ -108,7 +108,7 @@ def _check(lsn: int, stored: tuple[bytes, int] | WalRecord) -> None:
 
 class WriteAheadLog:
     """A durable, append-only sequence of records; records leave it by
-    checkpoint truncation or by lsn when their chain is retired."""
+    lsn when their chain is retired."""
 
     def __init__(self) -> None:
         #: by lsn, in lsn order: ``(form, checksum)``, or for a payload
@@ -143,41 +143,22 @@ class WriteAheadLog:
             _check(lsn, stored)
         return len(self._records)
 
-    def replay(
-        self,
-        handlers: Mapping[str, Callable[[Any], None]],
-        strict: bool = True,
-        verify: bool = False,
-        records: bool = False,
-    ) -> int:
+    def replay(self, handlers: Mapping[str, Callable[[WalRecord], None]]) -> int:
         """Replay all records through ``handlers`` (keyed by record kind).
 
-        Returns the number of records replayed.  Unknown kinds raise when
-        ``strict`` (a recovery that silently skips records is a corruption
-        vector), otherwise they are ignored.  ``verify=True`` additionally
-        checks each record's checksum before handing it to its handler.
-        A handler is given the record's payload, or with ``records=True``
-        the :class:`WalRecord` itself (chain links are checked by lsn).
+        Each record's checksum is checked before its handler is given the
+        :class:`WalRecord` (chain links are checked by lsn).  A kind with
+        no handler raises: a recovery that silently skips records is a
+        corruption vector.  Returns the number of records replayed.
         """
-        replayed = 0
         for lsn, stored in self._records.items():
-            if verify:
-                _check(lsn, stored)
+            _check(lsn, stored)
             record = _view(stored)
             handler = handlers.get(record.kind)
             if handler is None:
-                if strict:
-                    raise StorageError(
-                        f"no WAL replay handler for kind {record.kind!r}"
-                    )
-                continue
-            handler(record if records else record.payload)
-            replayed += 1
-        return replayed
-
-    def checkpoint(self, keep_from_lsn: int) -> int:
-        """Drop records with ``lsn < keep_from_lsn``; returns dropped count."""
-        return self.retire([lsn for lsn in self._records if lsn < keep_from_lsn])
+                raise StorageError(f"no WAL replay handler for kind {record.kind!r}")
+            handler(record)
+        return len(self._records)
 
     def retire(self, lsns: Iterable[int]) -> int:
         """Drop the records with these lsns; returns the number dropped."""
@@ -260,7 +241,7 @@ class InstanceChains:
     def replay_handlers(
         self, archived: dict[str, InstanceStatus] | None = None
     ) -> dict[str, Callable[[WalRecord], None]]:
-        """Handlers (for ``replay(records=True)``) that rebuild the chains.
+        """Handlers (for :meth:`WriteAheadLog.replay`) that rebuild the chains.
 
         A delta must extend the record its chain currently ends with; one
         that does not — a record is missing — raises :class:`StorageError`

@@ -125,9 +125,7 @@ class WorkflowDatabase:
         """
         self._instances.clear()
         self._summary.clear()
-        self.wal.replay(
-            self._chains.replay_handlers(self._summary), verify=True, records=True
-        )
+        self.wal.replay(self._chains.replay_handlers(self._summary))
         for instance_id, snapshot in self._chains.snapshots():
             state = InstanceState.from_snapshot(snapshot)
             self._instances[instance_id] = state

@@ -8,11 +8,17 @@ The body is verbatim; only the class name changed, and ``retire`` was
 added with the meaning the indexed class gives it (forget a fully
 completed instance, drain nothing).  ``tests/core/test_ro_differential.py``
 drives both with the same operations.
+
+The questions only tests ask of the indexed authority — its leaders of
+an instance, who leads whom, every established pair — are answered here
+too, by :func:`leaders_of`, :func:`is_leading` and
+:func:`established_pairs`, from the indexed class's own registrations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Hashable
 
 from repro.core.coordination import (
@@ -23,7 +29,42 @@ from repro.core.coordination import (
 from repro.errors import CoordinationError
 from repro.model.coordination_spec import RelativeOrderSpec
 
-__all__ = ["ScanRelativeOrderAuthority", "Shadowed"]
+__all__ = [
+    "ScanRelativeOrderAuthority",
+    "Shadowed",
+    "established_pairs",
+    "is_leading",
+    "leaders_of",
+]
+
+
+def leaders_of(authority: RelativeOrderAuthority, schema: str, instance: str) -> list:
+    """Conflicting instances registered before ``instance``."""
+    mine = authority._registration(instance)
+    return [
+        other for other in authority._conflicting_members(mine.key)
+        if other.seq < mine.seq and authority._orders(schema, other)
+    ]
+
+
+def is_leading(authority: RelativeOrderAuthority, instance: str, other: str) -> bool | None:
+    """True if ``instance`` leads ``other`` (None when undetermined)."""
+    a = authority._registrations.get(instance)
+    b = authority._registrations.get(other)
+    if a is None or b is None:
+        return None
+    return a.seq < b.seq
+
+
+def established_pairs(authority: RelativeOrderAuthority) -> list[tuple[str, str]]:
+    """All (leading, lagging) conflicting instance pairs so far."""
+    regs = sorted(authority._registrations.values(), key=lambda r: r.seq)
+    pairs = []
+    for i, lead in enumerate(regs):
+        for lag in regs[i + 1 :]:
+            if authority._orders(lead.schema, lag) and _conflicts(lead.key, lag.key):
+                pairs.append((lead.instance, lag.instance))
+    return pairs
 
 
 def _conflicts(key_a: Hashable | None, key_b: Hashable | None) -> bool:
@@ -250,19 +291,19 @@ class Shadowed:
         return rows
 
     def check_introspection(self, instances) -> None:
-        assert self.keyed.established_pairs() == self.scan.established_pairs()
+        assert established_pairs(self.keyed) == self.scan.established_pairs()
         for instance in instances:
             self.pairs_of(instance)
             self.is_registered(instance)
             for other in instances:
-                assert self.keyed.is_leading(instance, other) == self.scan.is_leading(
+                assert is_leading(self.keyed, instance, other) == self.scan.is_leading(
                     instance, other
                 )
             for schema in self.spec.schemas():
                 leaders = []
-                for authority in (self.keyed, self.scan):
+                for ask in (partial(leaders_of, self.keyed), self.scan.leaders_of):
                     try:
-                        found = authority.leaders_of(schema, instance)
+                        found = ask(schema, instance)
                         leaders.append([(r.schema, r.instance, r.key, r.seq) for r in found])
                     except CoordinationError as refusal:
                         leaders.append(str(refusal))

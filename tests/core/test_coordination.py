@@ -12,6 +12,7 @@ from repro.model.coordination_spec import (
     RelativeOrderSpec,
     RollbackDependencySpec,
 )
+from tests.core.reference_ro import established_pairs, is_leading
 
 
 def ro_spec(same_schema=False):
@@ -42,9 +43,9 @@ def test_leading_lagging_established_by_registration_order():
     authority = RelativeOrderAuthority(ro_spec())
     authority.report_completion("A", "i1", 0, "k")
     authority.report_completion("B", "j1", 0, "k")
-    assert authority.is_leading("i1", "j1") is True
-    assert authority.is_leading("j1", "i1") is False
-    assert authority.established_pairs() == [("i1", "j1")]
+    assert is_leading(authority, "i1", "j1") is True
+    assert is_leading(authority, "j1", "i1") is False
+    assert established_pairs(authority) == [("i1", "j1")]
 
 
 def test_lagging_instance_waits_for_leader_pair():
@@ -112,7 +113,7 @@ def test_external_order_keys_decide_leadership():
     authority = RelativeOrderAuthority(ro_spec())
     authority.report_completion("A", "i1", 0, "k", order_key=(5.0, "i1"))
     authority.report_completion("B", "j1", 0, "k", order_key=(3.0, "j1"))
-    assert authority.is_leading("j1", "i1") is True
+    assert is_leading(authority, "j1", "i1") is True
 
 
 def mx_auth():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.coordination import RelativeOrderAuthority
 from repro.model.coordination_spec import RelativeOrderSpec
-from tests.core.reference_ro import Shadowed
+from tests.core.reference_ro import Shadowed, is_leading
 
 INSTANCES = [f"i{n}" for n in range(6)]
 KEYS = [None, "x", "y", 1]
@@ -118,7 +118,7 @@ def test_late_arriving_order_key_leads_instances_already_waiting_or_granted():
     assert pair.request_clearance("A", "b", 1, "k") is not None  # granted: nobody leads it yet
     assert pair.request_clearance("A", "c", 1, "k") is None
     pair.report_completion("A", "a", 0, "k", order_key=(1.0, "a"))  # arrives last, sorts first
-    assert pair.keyed.is_leading("a", "b") and pair.keyed.is_leading("a", "c")
+    assert is_leading(pair.keyed, "a", "b") and is_leading(pair.keyed, "a", "c")
     assert pair.pairs_of("b") == [("a", "b"), ("b", "c")]
     assert pair.request_clearance("A", "b", 2, "k") is None  # now behind "a"
     assert pair.report_completion("A", "b", 1, "k") == []  # "c" waits for "a" too
@@ -137,7 +137,7 @@ def test_stragglers_and_reregistration():
     assert pair.request_clearance("A", "b", 1, "k") is not None  # "a" owes nothing
     # Re-execution after a rollback reports again: same seq, same completions.
     pair.report_completion("A", "a", 0, "other-key")
-    assert pair.keyed.is_leading("a", "b")
+    assert is_leading(pair.keyed, "a", "b")
     assert pair.pairs_of("a") == [("a", "b")]
     # Retirement is for the fully complete only.
     pair.retire("b")

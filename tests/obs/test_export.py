@@ -279,8 +279,7 @@ def test_jsonl_appends_meta_line_when_records_dropped():
     trace.record(2.0, "n", "k")
     lines = trace_to_jsonl(trace).splitlines()
     meta = json.loads(lines[-1])
-    assert meta == {"type": "meta", "dropped_records": 1,
-                    "drop_policy": "newest", "capacity": 1}
+    assert meta == {"type": "meta", "dropped_records": 1, "capacity": 1}
     # and the analyzer skips it without error
     from repro.analysis.causal import CausalTrace
     ct = CausalTrace.from_jsonl("\n".join(lines))
@@ -294,23 +293,20 @@ def test_jsonl_has_no_meta_line_without_drops():
 
 
 def test_chrome_trace_carries_drop_metadata():
-    trace = Trace(capacity=1, ring=True)
+    trace = Trace(capacity=1)
     trace.record(1.0, "n", "k")
     trace.record(2.0, "n", "k")
     doc = chrome_trace(None, trace)
-    assert doc["metadata"] == {"dropped_records": 1,
-                               "drop_policy": "oldest", "capacity": 1}
+    assert doc["metadata"] == {"dropped_records": 1, "capacity": 1}
     assert "metadata" not in chrome_trace(None, Trace())
 
 
 def test_evicted_spans_are_reported_beside_dropped_records():
-    trace = Trace(capacity=2, ring=True)
-    tracer = Tracer(trace=trace, capacity=2, ring=True)
+    trace, tracer = Trace(capacity=2), Tracer(capacity=2)
     for tick in range(3):
         tracer.instant("rule:r", "rule", "n", float(tick))
     trace.record(1.0, "n", "k")
-    expected = {"dropped_records": 0, "dropped_spans": 1,
-                "drop_policy": "oldest", "capacity": 2}
+    expected = {"dropped_records": 0, "dropped_spans": 1, "capacity": 2}
     meta = json.loads(trace_to_jsonl(trace, tracer).splitlines()[-1])
     assert meta == {"type": "meta", **expected}
     assert chrome_trace(tracer, trace)["metadata"] == expected

@@ -5,6 +5,7 @@ stack of the test at that point, running under package code such as the
 simulator or the engine log — so what one sample does is exact; the
 timer itself is covered by the start/stop test."""
 
+import gc
 import json
 import signal
 import sys
@@ -199,6 +200,32 @@ def test_start_and_stop_arm_and_disarm_the_process_timer():
     finally:
         first.stop()
         second.stop()
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGPROF) == before
+
+
+def test_a_profiler_dropped_unstopped_disarms_the_timer_at_the_next_sample():
+    """A started profiler does not keep itself alive: dropped without
+    :meth:`Profiler.stop` (a service nobody closed), it is collected, and
+    the next sample disarms the timer and restores the handler."""
+    before = signal.getsignal(signal.SIGPROF)
+    Profiler().start()
+    gc.collect()
+    try:
+        # One sample, as the timer delivers it (unless one already has:
+        # a real signal now could meet the default disposition).
+        profile._on_sigprof(signal.SIGPROF, None)
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) == before
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, before)
+    # A profiler started while one dropped is still armed restores the
+    # handler from before both, not the sampler's own.
+    Profiler().start()
+    gc.collect()
+    later = Profiler().start()
+    later.stop()
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
     assert signal.getsignal(signal.SIGPROF) == before
 

@@ -163,7 +163,7 @@ def test_tracer_without_capacity_is_unbounded_and_drops_nothing():
 
 
 def test_ring_evicts_the_oldest_spans_and_counts_them():
-    tracer = Tracer(capacity=4, ring=True)
+    tracer = Tracer(capacity=4)
     workflow = tracer.start("wf", "workflow", "engine", 0.0)
     for tick in range(6):
         tracer.instant("rule:r", "rule", "engine", 1.0 + tick, parent=workflow)
@@ -179,32 +179,18 @@ def test_ring_evicts_the_oldest_spans_and_counts_them():
     assert tracer.finish(10.0) == 0
 
 
-def test_capacity_without_ring_keeps_the_oldest_spans():
-    tracer = Tracer(capacity=2)
-    first = tracer.start("a", "workflow", "n", 0.0)
-    tracer.instant("i", "rule", "n", 1.0, parent=first)
-    late = tracer.start("b", "step", "n", 2.0, parent=first)
-    assert tracer.message("send:X", "n", 3.0, None, 1, "n", "m", "normal", 1, "send",
-                          None) == 4
-    assert [s.span_id for s in tracer] == [1, 2] and tracer.dropped == 2
-    tracer.end(first, 5.0)  # an unretained child is auto-closed all the same
-    assert late.end == 5.0
-
-
 def test_mark_rows_follow_the_capacity_policy():
-    ring, capped = Tracer(capacity=2, ring=True), Tracer(capacity=2)
-    for tracer in (ring, capped):
-        workflow = tracer.start("wf", "workflow", "engine", 0.0)
-        for tick in range(3):
-            tracer.mark("rule:r", "rule", "engine", 1.0 + tick, workflow, {"tick": tick})
-        assert tracer.dropped == 2 and tracer._open_children == {}
-    assert [(s.span_id, s.parent_id, s.attrs) for s in ring] == [
+    tracer = Tracer(capacity=2)
+    workflow = tracer.start("wf", "workflow", "engine", 0.0)
+    for tick in range(3):
+        tracer.mark("rule:r", "rule", "engine", 1.0 + tick, workflow, {"tick": tick})
+    assert tracer.dropped == 2 and tracer._open_children == {}
+    assert [(s.span_id, s.parent_id, s.attrs) for s in tracer] == [
         (3, 1, {"tick": 1}), (4, 1, {"tick": 2})]
-    assert [s.span_id for s in capped] == [1, 2]
 
 
 def test_check_nesting_still_reports_a_parent_that_was_never_recorded():
-    tracer = Tracer(capacity=4, ring=True)
+    tracer = Tracer(capacity=4)
     tracer.instant("i", "rule", "n", 0.0)
     orphan = tracer.instant("j", "rule", "n", 1.0)
     orphan.parent_id = 99

@@ -41,6 +41,13 @@ async def wait_for(predicate, timeout=10.0, what="condition"):
     raise AssertionError(f"{what} did not happen within {timeout}s")
 
 
+def abandon(service):
+    """What a kill leaves of a service: the process timer and the log's
+    file handle die with the process, and nothing buffered is flushed."""
+    service.profiler.stop()
+    service._log._fh.close()
+
+
 # ---------------------------------------------------------------- ServiceLog
 
 
@@ -268,7 +275,7 @@ def test_recovery_redrives_inflight_instances(tmp_path):
         service.start()
         result = service.submit(schema=MINI_SCHEMA, inputs={"x": 1},
                                 instances=3)
-        service.profiler.stop()  # the process timer would die with the process
+        abandon(service)
         return result["instances"]
 
     originals = asyncio.run(crash_phase())
@@ -319,7 +326,7 @@ def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):
             lambda: service.instance(iid)["status"] == "committed",
             what="outcome publication",
         )
-        service.profiler.stop()  # the process timer would die with the process
+        abandon(service)
         return iid
 
     iid = asyncio.run(commit_phase())
@@ -400,6 +407,7 @@ def test_outcome_is_invisible_until_its_record_is_flushed(tmp_path):
             [iid] = service.submit(schema=MINI_SCHEMA,
                                    inputs={"x": 1})["instances"]
             stream = service.subscribe(iid)
+            emitted = service.subscribe(iid)  # never read: counts emissions
             log = service._log
             seen = {}
             handler = service.system.on_outcome
@@ -408,18 +416,24 @@ def test_outcome_is_invisible_until_its_record_is_flushed(tmp_path):
                 handler(outcome)
                 # Recorded by the engine, appended, not yet fsynced.
                 seen["flushes"] = log.flushes
+                seen["emitted"] = len(emitted.take())
                 seen["kind"] = log.records()[-1].kind
                 seen["status"] = service.instance(iid)["status"]
                 seen["listed"] = service.instances()[0]["status"]
                 seen["late_subscriber"] = service.subscribe(iid)
 
             service.system.on_outcome = tap
+            read = 0
             while True:
                 event = await asyncio.wait_for(stream.get(), 10.0)
                 assert event is not None
                 if event["kind"] == "instance.finished":
                     break
-                assert "flushes" not in seen or log.flushes > seen["flushes"]
+                # An event emitted before the outcome may be read after it;
+                # one emitted after it is read after the flush.
+                if read >= seen.get("emitted", read + 1):
+                    assert log.flushes > seen["flushes"], event
+                read += 1
             assert seen["kind"] == "outcome"
             assert seen["status"] == seen["listed"] == "running"
             assert log.flushes > seen["flushes"]
@@ -432,6 +446,59 @@ def test_outcome_is_invisible_until_its_record_is_flushed(tmp_path):
             assert await late.get() is None
         finally:
             await service.close()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("architecture", ["centralized", "parallel", "distributed"])
+def test_stream_pump_takes_no_outcome_event_before_its_flush(tmp_path, architecture):
+    """A reader shaped like the HTTP pump (``wait`` once, ``take`` all)
+    takes the closing ``workflow.commit`` — and whatever the instance
+    emits after its outcome — only once the outcome record is on disk,
+    from its own feed and from the firehose alike."""
+    async def main():
+        service = WorkflowService(architecture=architecture, work_time_scale=0.001,
+                                  state_dir=tmp_path)
+        service.start()
+        try:
+            [iid] = service.submit(schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
+            log = service._log
+            at_outcome = {}
+            handler = service.system.on_outcome
+
+            def tap(outcome):
+                handler(outcome)
+                at_outcome.setdefault(outcome.instance_id, log.flushes)
+
+            service.system.on_outcome = tap
+            taken = {"instance": [], "firehose": []}
+
+            async def pump(feed, name):
+                while True:
+                    if feed.empty():
+                        await feed.wait()
+                    for event in feed.take():
+                        if event is None:
+                            return
+                        taken[name].append((event["kind"], log.flushes))
+
+            firehose = service.subscribe_events()
+            pumps = [asyncio.create_task(pump(service.subscribe(iid), "instance")),
+                     asyncio.create_task(pump(firehose, "firehose"))]
+            await asyncio.wait_for(pumps[0], 10.0)
+            service.unsubscribe_events(firehose)
+            firehose.put(None)  # the instance's events are all in by now
+            await asyncio.wait_for(pumps[1], 10.0)
+        finally:
+            await service.close()
+        flushes = at_outcome[iid]
+        for name, events in taken.items():
+            kinds = [kind for kind, __ in events]
+            assert "workflow.commit" in kinds, (name, kinds)
+            early = [kind for kind, seen in events[kinds.index("workflow.commit"):]
+                     if seen <= flushes]
+            assert early == [], (name, early)
+        assert taken["instance"][-1][0] == "instance.finished"
 
     asyncio.run(main())
 

@@ -417,7 +417,7 @@ def test_trace_drops_are_reported_at_close():
     warning = next(r for r in records if r["event"] == "trace.dropped")
     assert warning["level"] == "warning"
     assert warning["dropped"] == dropped
-    assert warning["policy"] == "oldest"
+    assert warning["capacity"] == 4 and "policy" not in warning
 
 
 def test_a_raising_engine_callback_runs_once_and_is_counted(monkeypatch):

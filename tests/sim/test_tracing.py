@@ -69,7 +69,7 @@ def test_render_with_limit():
 
 
 def test_ring_capacity_keeps_newest():
-    trace = Trace(capacity=2, ring=True)
+    trace = Trace(capacity=2)
     for i in range(5):
         trace.record(float(i), "n", "k", seq=i)
     assert len(trace) == 2
@@ -77,15 +77,8 @@ def test_ring_capacity_keeps_newest():
     assert trace.dropped == 3
 
 
-def test_default_capacity_keeps_oldest():
-    trace = Trace(capacity=2)
-    for i in range(5):
-        trace.record(float(i), "n", "k")
-    assert [r.time for r in trace] == [0.0, 1.0]
-
-
 def test_ring_without_capacity_is_unbounded():
-    trace = Trace(ring=True)
+    trace = Trace()
     for i in range(10):
         trace.record(float(i), "n", "k")
     assert len(trace) == 10
@@ -93,7 +86,7 @@ def test_ring_without_capacity_is_unbounded():
 
 
 def test_ring_queries_work_over_deque():
-    trace = Trace(capacity=3, ring=True)
+    trace = Trace(capacity=3)
     for i in range(6):
         trace.record(float(i), "n", "even" if i % 2 == 0 else "odd")
     assert trace.count("odd") == 2
@@ -101,15 +94,8 @@ def test_ring_queries_work_over_deque():
     assert trace.kinds() == ["even", "odd"]
 
 
-def test_render_reports_dropped_newest():
-    trace = Trace(capacity=1)
-    trace.record(1.0, "n", "k")
-    trace.record(2.0, "n", "k")
-    assert "1 newest records dropped at capacity 1" in trace.render()
-
-
 def test_render_reports_dropped_oldest():
-    trace = Trace(capacity=1, ring=True)
+    trace = Trace(capacity=1)
     trace.record(1.0, "n", "k")
     trace.record(2.0, "n", "k")
     assert "1 oldest records dropped at capacity 1" in trace.render()
@@ -121,7 +107,7 @@ def test_render_without_drops_has_no_drop_line():
 
 
 def test_drop_summary_none_until_records_are_lost():
-    trace = Trace(capacity=2, ring=True)
+    trace = Trace(capacity=2)
     trace.record(1.0, "n", "k")
     assert trace.drop_summary() is None
     trace.record(2.0, "n", "k")
@@ -132,23 +118,12 @@ def test_drop_summary_none_until_records_are_lost():
 
 
 def test_drop_summary_counts_the_span_tracers_losses_too():
-    trace = Trace(capacity=2, ring=True)
+    trace = Trace(capacity=2)
     assert trace.drop_summary(spans_dropped=3) == (
         "trace ring buffer dropped 0 record(s) and 3 span(s) "
         "(oldest first; capacity 2)"
     )
     assert trace.drop_summary(spans_dropped=0) is None
-
-
-def test_drop_summary_reports_newest_policy():
-    trace = Trace(capacity=1)
-    trace.record(1.0, "n", "k")
-    trace.record(2.0, "n", "k")
-    trace.record(3.0, "n", "k")
-    assert trace.drop_policy == "newest"
-    assert trace.drop_summary() == (
-        "trace ring buffer dropped 2 record(s) (newest first; capacity 1)"
-    )
 
 
 def test_filter_combined_criteria():
@@ -160,7 +135,7 @@ def test_filter_combined_criteria():
 
 
 def test_snapshot_in_ring_mode_counts_evictions():
-    trace = Trace(capacity=2, ring=True)
+    trace = Trace(capacity=2)
     trace.record(1.0, "n", "k")
     trace.record(2.0, "n", "k")
     assert trace.dropped == 0
@@ -168,12 +143,3 @@ def test_snapshot_in_ring_mode_counts_evictions():
     assert trace.dropped == 1
     assert [r.time for r in trace.records] == [2.0, 3.0]
 
-
-def test_snapshot_newest_policy_exceeds_capacity_without_drops():
-    # Non-ring capacity mode: snapshots bypass the cap entirely, so
-    # nothing is evicted and nothing is counted.
-    trace = Trace(capacity=1)
-    trace.record(1.0, "n", "k")
-    trace.snapshot(2.0, "n", "crash")
-    assert trace.dropped == 0
-    assert len(trace.records) == 2

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.storage.agdb import AgentDatabase
 from repro.storage.tables import InstanceState
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WalRecord, WriteAheadLog
 from repro.storage.wfdb import WorkflowDatabase
 
 __all__ = ["Shadowed", "SnapshotLog"]
@@ -44,16 +44,18 @@ class SnapshotLog:
         statuses: dict[str, str] = {}
         retired: set[str] = set()
 
-        def on_snapshot(payload: Mapping[str, Any]) -> None:
+        def on_snapshot(record: WalRecord) -> None:
+            payload = record.payload
             tables[payload["instance_id"]] = payload
             statuses[payload["instance_id"]] = payload["status"]
 
-        def on_retired(payload: Mapping[str, Any]) -> None:
+        def on_retired(record: WalRecord) -> None:
+            payload = record.payload
             for instance_id in payload["instance_ids"]:
                 tables.pop(instance_id, None)
             retired.update(payload["instance_ids"])
 
-        self.wal.replay({"snapshot": on_snapshot, "retired": on_retired}, verify=True)
+        self.wal.replay({"snapshot": on_snapshot, "retired": on_retired})
         if self.retired_for_good:
             tables = {i: t for i, t in tables.items() if i not in retired}
         return tables, statuses

@@ -34,8 +34,8 @@ def test_replay_dispatches_by_kind():
     wal.append("a", {"v": 3})
     seen = {"a": [], "b": []}
     count = wal.replay({
-        "a": lambda p: seen["a"].append(p["v"]),
-        "b": lambda p: seen["b"].append(p["v"]),
+        "a": lambda r: seen["a"].append(r.payload["v"]),
+        "b": lambda r: seen["b"].append(r.payload["v"]),
     })
     assert count == 3
     assert seen == {"a": [1, 3], "b": [2]}
@@ -43,67 +43,42 @@ def test_replay_dispatches_by_kind():
 
 def test_replay_strict_unknown_kind_raises():
     wal = WriteAheadLog()
-    wal.append("mystery", {})
-    with pytest.raises(StorageError):
-        wal.replay({})
-
-
-def test_replay_non_strict_skips_unknown():
-    wal = WriteAheadLog()
-    wal.append("mystery", {})
     wal.append("known", {"v": 1})
+    wal.append("mystery", {})
     seen = []
-    assert wal.replay({"known": seen.append}, strict=False) == 1
-    assert seen == [{"v": 1}]
-
-
-def test_checkpoint_truncates_older_records():
-    wal = WriteAheadLog()
-    for i in range(5):
-        wal.append("k", {"i": i})
-    dropped = wal.checkpoint(keep_from_lsn=4)
-    assert dropped == 3
-    assert [r.payload["i"] for r in wal] == [3, 4]
+    with pytest.raises(StorageError, match="no WAL replay handler for kind 'mystery'"):
+        wal.replay({"known": seen.append})
+    assert [r.payload for r in seen] == [{"v": 1}]
 
 
 def test_empty_wal_last_lsn_zero():
     assert WriteAheadLog().last_lsn() == 0
 
 
-def test_appends_counter_survives_checkpoint():
-    wal = WriteAheadLog()
-    wal.append("k", {})
-    wal.checkpoint(keep_from_lsn=10)
-    assert wal.appends == 1
-    assert len(wal) == 0
-
-
-def test_checkpoint_past_last_lsn_empties_log():
+def test_retiring_every_record_empties_the_log_and_keeps_the_lsn_sequence():
     wal = WriteAheadLog()
     for i in range(3):
         wal.append("k", {"i": i})
-    # Checkpointing beyond the last LSN is legal: everything is dropped,
-    # but the LSN sequence keeps advancing from where it was.
-    assert wal.checkpoint(keep_from_lsn=wal.last_lsn() + 100) == 3
+    assert wal.retire(range(1, 100)) == 3
     assert len(wal) == 0
     assert wal.last_lsn() == 0
+    assert wal.appends == 3
     assert wal.append("k", {"i": 99}) == 4
 
 
 def test_replay_from_empty_log_is_a_noop():
     wal = WriteAheadLog()
     assert wal.replay({}) == 0
-    assert wal.replay({"k": lambda p: (_ for _ in ()).throw(AssertionError)},
-                      verify=True) == 0
+    assert wal.replay({"k": lambda r: (_ for _ in ()).throw(AssertionError)}) == 0
 
 
-def test_replay_after_checkpoint_covers_surviving_suffix():
+def test_replay_after_retire_covers_the_surviving_records():
     wal = WriteAheadLog()
     for i in range(6):
         wal.append("k", {"i": i})
-    wal.checkpoint(keep_from_lsn=4)
+    wal.retire([1, 2, 3])
     seen = []
-    assert wal.replay({"k": lambda p: seen.append(p["i"])}, verify=True) == 3
+    assert wal.replay({"k": lambda r: seen.append(r.payload["i"])}) == 3
     assert seen == [3, 4, 5]
 
 
@@ -123,9 +98,7 @@ def test_corrupted_record_detected_by_verify_and_replay():
     with pytest.raises(StorageError, match="lsn 2.*checksum mismatch"):
         wal.verify()
     with pytest.raises(StorageError, match="checksum mismatch"):
-        wal.replay({"k": lambda p: None}, verify=True)
-    # Non-verifying replay still works (callers opt into the guard).
-    assert wal.replay({"k": lambda p: None}) == 2
+        wal.replay({"k": lambda r: None})
 
 
 def test_checksum_binds_lsn_and_kind_not_just_payload():
@@ -158,7 +131,7 @@ def test_shared_sub_dict_with_changed_refcounts_still_verifies():
     shared = {"x": [1, 2], "y": "z"}
     wal.append("k", {"a": shared, "b": shared})
     holders = [shared["x"]] * 50  # [1, 2] was held once; content is unchanged
-    assert wal.replay({"k": lambda p: None}, verify=True) == 1
+    assert wal.replay({"k": lambda r: None}) == 1
     del holders
 
 
@@ -201,9 +174,9 @@ def test_mutating_a_payload_after_the_append_changes_nothing_logged():
     payload["nested"]["x"].append(3)
     assert wal.verify() == 1
     seen = []
-    assert wal.replay({"k": seen.append}, verify=True) == 1
-    assert seen == [{"i": 0, "nested": {"x": [1, 2]}}]
-    seen[0]["nested"]["x"].clear()  # a view's payload is the reader's own
+    assert wal.replay({"k": seen.append}) == 1
+    assert [r.payload for r in seen] == [{"i": 0, "nested": {"x": [1, 2]}}]
+    seen[0].payload["nested"]["x"].clear()  # a view's payload is the reader's own
     assert [record.payload for record in wal] == [{"i": 0, "nested": {"x": [1, 2]}}]
 
 
@@ -234,5 +207,5 @@ def test_replay_can_hand_over_whole_records():
     wal = WriteAheadLog()
     wal.append("k", {"i": 0})
     seen = []
-    assert wal.replay({"k": seen.append}, records=True) == 1
+    assert wal.replay({"k": seen.append}) == 1
     assert [(r.lsn, r.kind, r.payload) for r in seen] == [(1, "k", {"i": 0})]

@@ -179,9 +179,11 @@ def test_runtime_plugin_layer_stays_deleted():
 def test_relative_order_scan_stays_a_test_oracle():
     """``RelativeOrderAuthority`` answers from its conflict-key index.  The
     scan implementation lives under ``tests/`` only (nothing in ``src/``
-    defines it or imports from ``tests``), and the two views that walk
-    every registration — ``leaders_of`` and ``established_pairs`` — are
-    introspection: no engine path calls them."""
+    defines it or imports from ``tests``), and so do the questions only
+    tests ask — ``leaders_of``, ``is_leading`` and ``established_pairs``
+    (``tests/core/reference_ro.py``): nothing in ``src/`` defines or calls
+    them."""
+    introspection = ("leaders_of", "is_leading", "established_pairs")
     violations = []
     for module_path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(module_path.read_text(), filename=str(module_path))
@@ -189,11 +191,12 @@ def test_relative_order_scan_stays_a_test_oracle():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name == "ScanRelativeOrderAuthority":
                 violations.append(f"{where}:{node.lineno} defines the scan oracle")
+            elif isinstance(node, ast.FunctionDef) and node.name in introspection:
+                violations.append(f"{where}:{node.lineno} defines {node.name}()")
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("leaders_of", "established_pairs")
-                and top_package(module_path) == "engines"
+                and node.func.attr in introspection
             ):
                 violations.append(f"{where}:{node.lineno} calls {node.func.attr}()")
         for lineno, imported in runtime_imports(tree):

@@ -17,6 +17,7 @@ from repro.rules.events import EventTable
 from repro.sim.kernel import Simulator
 from repro.storage.tables import StepRecord, StepStatus
 from tests.conftest import make_system, register_programs
+from tests.core.reference_ro import is_leading
 
 # ---------------------------------------------------------------- strategies
 
@@ -150,12 +151,12 @@ def test_relative_order_leadership_is_a_strict_order(registrations):
         authority.report_completion("A", instance, 0, key)
     instances = {i for i, __ in registrations}
     for a in instances:
-        assert authority.is_leading(a, a) is False or a not in instances
+        assert is_leading(authority, a, a) is False or a not in instances
         for b in instances:
             if a == b:
                 continue
-            lead_ab = authority.is_leading(a, b)
-            lead_ba = authority.is_leading(b, a)
+            lead_ab = is_leading(authority, a, b)
+            lead_ba = is_leading(authority, b, a)
             assert lead_ab is not None and lead_ab != lead_ba  # antisymmetric
 
 
