@@ -122,6 +122,10 @@ def test_metrics_scrape_is_idempotent():
                 schema=MINI_SCHEMA, inputs={"x": 1})["instances"]
             await wait_outcome(service, iid)
             await service.runtime.join(timeout=5.0)
+            # The sampler charges the CPU the scrapes spend themselves, so
+            # it is stopped first: both scrapes then publish one set of
+            # profile totals, and a second publish must not add to it.
+            service.profiler.stop()
             __, __, first = await raw_request(8471, "GET", "/metrics")
             __, __, second = await raw_request(8471, "GET", "/metrics")
 

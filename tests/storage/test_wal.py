@@ -55,14 +55,23 @@ def test_empty_wal_last_lsn_zero():
     assert WriteAheadLog().last_lsn() == 0
 
 
-def test_retiring_every_record_empties_the_log_and_keeps_the_lsn_sequence():
+def test_appends_counter_survives_retiring_every_record():
+    wal = WriteAheadLog()
+    wal.append("k", {})
+    wal.retire([1])
+    assert wal.appends == 1
+    assert len(wal) == 0
+
+
+def test_retiring_past_last_lsn_empties_the_log_and_keeps_the_lsn_sequence():
     wal = WriteAheadLog()
     for i in range(3):
         wal.append("k", {"i": i})
-    assert wal.retire(range(1, 100)) == 3
+    # Retiring lsns beyond the last one is legal: everything is dropped,
+    # but the lsn sequence keeps advancing from where it was.
+    assert wal.retire(range(1, wal.last_lsn() + 100)) == 3
     assert len(wal) == 0
     assert wal.last_lsn() == 0
-    assert wal.appends == 3
     assert wal.append("k", {"i": 99}) == 4
 
 
