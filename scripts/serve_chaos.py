@@ -9,6 +9,8 @@ For each of the three architectures this script:
 3. waits until some — but not all — have finished, snapshots the
    terminal outcomes seen so far, and ``SIGKILL``\\ s the daemon
    mid-flight (no shutdown hooks run; this is the crash the WAL is for),
+   then tears the log's tail: a valid, checksummed ``submit`` of an id
+   nobody acknowledged, cut just before its newline,
 4. restarts the daemon on the same state directory and asserts
 
    - recovery happened (``instances_recovered`` > 0 on ``/healthz``),
@@ -20,6 +22,7 @@ For each of the three architectures this script:
      exactly one terminal carrier,
    - the live ``/debug/trace`` export passes
      ``repro analyze --check-invariants``,
+   - the torn ``submit`` counts for nothing: its id answers 404,
 
 5. shuts the recovered daemon down gracefully (SIGTERM drain),
 6. runs a graceful-stop cycle on a fresh state directory: submit, follow
@@ -160,6 +163,27 @@ def audit_wal(state_dir, acknowledged):
     return len(state.redrives)
 
 
+def tear_tail(state_dir, workflow):
+    """Leave the log as a kill just before a newline would: a valid,
+    checksummed ``submit`` of an id nobody acknowledged, with no newline.
+    A partial final line the kill itself left is cut first, as a load
+    would cut it.  Returns the unacknowledged id."""
+    from repro.service.durability import record_checksum
+
+    path = state_dir / "service.wal"
+    data = path.read_bytes()
+    data = data[:data.rfind(b"\n") + 1]
+    lsn = json.loads(data.splitlines()[-1])["lsn"] + 1
+    phantom = f"{workflow}-{10 ** 6}"
+    payload = {"instance": phantom, "workflow": workflow,
+               "inputs": {"part": "gasket", "qty": 2}, "deadline": None}
+    line = json.dumps({"crc": record_checksum(lsn, "submit", payload),
+                       "kind": "submit", "lsn": lsn, "payload": payload},
+                      sort_keys=True)
+    path.write_bytes(data + line.encode())
+    return phantom
+
+
 def follow_to_finished(base, instance_id, failures):
     """Read one instance's NDJSON stream up to its ``instance.finished``."""
     try:
@@ -266,6 +290,7 @@ def run_architecture(architecture, port):
     assert len(pre_crash) < len(acknowledged), (
         f"{architecture}: kill landed after every outcome; nothing in flight"
     )
+    phantom = tear_tail(state_dir, workflow)
 
     # -- phase 2: restart, recover, drain to terminal ---------------------
     daemon, base, health = boot_daemon(architecture, port, state_dir)
@@ -291,6 +316,15 @@ def run_architecture(architecture, port):
         # Liveness: every acknowledged id is terminal, none wedged.
         statuses = sorted({r["status"] for r in records})
         assert "running" not in statuses, statuses
+
+        # A record without its newline was never acknowledged.
+        try:
+            phantom_record = req(base, "GET", f"/instances/{phantom}")
+        except urllib.error.HTTPError as exc:
+            assert exc.code == 404, (phantom, exc.code)
+        else:
+            raise AssertionError(f"torn submit {phantom} was recovered: "
+                                 f"{phantom_record}")
 
         # Live trace passes the protocol-invariant catalog.
         trace_file = REPO / f"serve_chaos_{architecture}.trace.jsonl"
@@ -323,7 +357,8 @@ def run_architecture(architecture, port):
     print(f"  {architecture}: {len(acknowledged)} acknowledged, "
           f"{len(pre_crash)} terminal pre-kill ({recovered} served from "
           f"the durable log after restart), {redrives} re-driven, "
-          f"{committed} committed, 0 lost, 0 duplicated")
+          f"{committed} committed, 0 lost, 0 duplicated, torn submit "
+          f"{phantom} not recovered")
 
 
 def main() -> int:

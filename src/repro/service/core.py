@@ -34,14 +34,15 @@ into an explicit 503 rather than an empty scrape.
 Resilience plane (PR 9): with ``state_dir`` set the service journals
 installed documents, acknowledged submissions and outcomes to a
 crash-durable :class:`~repro.service.durability.ServiceLog`
-(group-flushed before each submission is acknowledged), and
-:meth:`start` replays it — re-installing workflows, restoring finished
-outcomes, and re-driving in-flight instances under fresh ids recorded as
-``redrive`` aliases.  Submissions pass an :class:`~repro.service.
-admission.AdmissionController` (drain shedding, bounded in-flight queue,
-token-bucket rate limit) and may carry a ``deadline_s``; instances still
-running past their deadline are aborted and reported with a 504-style
-``deadline-exceeded`` status.  Chaos plans reach the live runtime via
+(group-flushed before each submission is acknowledged), and keeps the
+one :class:`~repro.service.durability.ServiceState` it replays:
+:meth:`start` re-installs workflows and re-drives in-flight instances
+under fresh ids, each journaled as one ``redrive`` record; restored
+outcomes and old ids are answered from that view.  Submissions pass an
+:class:`~repro.service.admission.AdmissionController` (drain shedding,
+bounded in-flight queue, token-bucket rate limit) and may carry a
+``deadline_s``; instances still running past their deadline are aborted
+and reported with a 504-style ``deadline-exceeded`` status.  Chaos plans reach the live runtime via
 :meth:`install_faults` (guarded by ``enable_fault_endpoint``).
 """
 
@@ -284,20 +285,14 @@ class WorkflowService:
         self._latency_by_status: dict[str, HistogramMetric] = {}
         #: Durable log (``--state-dir``); ``None`` = memory-only service.
         self._log: ServiceLog | None = None
-        #: Outcomes restored from a previous incarnation's log, keyed by
-        #: the *original* instance id (the engine never saw these ids).
-        self._durable_outcomes: dict[str, dict[str, Any]] = {}
-        #: Redrive aliases: original id -> replacement id (and the chain's
-        #: reverse, replacement -> original, for log/trace correlation).
-        self._aliases: dict[str, str] = {}
-        self._origins: dict[str, str] = {}
-        self._recovered_state: ServiceState | None = None
+        #: The log's replayed view (empty when memory-only): restored
+        #: outcomes, keyed by ids the engine never saw, and the redrive
+        #: chains, this boot's re-drives included.
+        self._state = ServiceState()
         self._replaying = False
         if state_dir is not None:
             self._log = ServiceLog(state_dir)
-            self._recovered_state = ServiceState.from_records(
-                self._log.records()
-            )
+            self._state = ServiceState.from_records(self._log.records())
             if self._log.torn_tail:
                 self.logger.warning("durability.torn_tail",
                                     path=str(self._log.path))
@@ -311,11 +306,10 @@ class WorkflowService:
         self.started_at = self.runtime.clock.now
         if self.profiler is not None:
             self.profiler.start()
-        if self._recovered_state is not None:
+        if self._log is not None:
             # Recovery needs the bound clock (re-driving schedules frontend
             # work), so it runs here rather than in __init__.
-            state, self._recovered_state = self._recovered_state, None
-            self._recover(state)
+            self._recover()
         self._ready = True
         self.logger.info(
             "service.ready", runtime=self.runtime.name,
@@ -323,16 +317,18 @@ class WorkflowService:
             durable=self._log is not None,
         )
 
-    def _recover(self, state: ServiceState) -> None:
+    def _recover(self) -> None:
         """Recovery boot: replay the durable log into a fresh system.
 
         Order matters: documents first (workflow classes must exist),
         then the instance-id reservation (fresh ids must never collide
-        with acknowledged pre-crash ids), then outcome restoration, then
-        the re-drive of in-flight instances — each one a *new* engine
-        instance whose lineage is recorded as a ``redrive`` record, so a
-        second crash resolves the full chain.
+        with acknowledged pre-crash ids), then the re-drive of in-flight
+        instances — each one a *new* engine instance journaled as one
+        ``redrive`` record and folded into the replayed view, so a second
+        crash resolves the full chain.  Restored outcomes are served from
+        that view.
         """
+        state = self._state
         self._replaying = True
         try:
             for document in state.documents:
@@ -348,11 +344,6 @@ class WorkflowService:
         finally:
             self._replaying = False
         self.system.reserve_instance_ids(state.max_instance_index())
-        self._aliases.update(state.redrives)
-        for original, replacement in state.redrives.items():
-            self._origins[replacement] = original
-        for iid, outcome in state.outcomes.items():
-            self._durable_outcomes[iid] = dict(outcome)
         redriven = 0
         now = self.runtime.clock.now
         for payload in state.inflight():
@@ -360,19 +351,15 @@ class WorkflowService:
             workflow = payload["workflow"]
             inputs = dict(payload.get("inputs", {}))
             replacement = self.system.start_workflow(workflow, inputs)
-            self._aliases[original] = replacement
-            self._origins[replacement] = original
             deadline = payload.get("deadline")
             # Deadlines are journaled as budgets, not clock readings: the
             # re-driven instance gets its full original budget again.
             self._track(replacement, now, deadline)
-            self._log.append("submit", {
-                "instance": replacement, "workflow": workflow,
-                "inputs": inputs, "deadline": deadline,
-            })
-            self._log.append("redrive", {
-                "original": original, "replacement": replacement,
-            })
+            redrive = {"original": original, "replacement": replacement,
+                       "workflow": workflow, "inputs": inputs,
+                       "deadline": deadline}
+            self._log.append("redrive", redrive)
+            state.apply("redrive", redrive)
             self.logger.info("instance.redriven", instance=replacement,
                              original=original, workflow=workflow)
             redriven += 1
@@ -380,7 +367,7 @@ class WorkflowService:
         self.logger.info(
             "service.recovered", documents=len(state.documents),
             finished=len(state.outcomes), redriven=redriven,
-            log_records=len(self._log), torn_tail=self._log.torn_tail,
+            log_records=len(self._log.wal), torn_tail=self._log.torn_tail,
         )
 
     def readiness(self) -> tuple[bool, str]:
@@ -630,22 +617,12 @@ class WorkflowService:
             "executor_retries": 0,
             "executor_errors": self.runtime.executor.errors,
             "durable": self._log is not None,
-            "instances_recovered": len(self._durable_outcomes),
-            "instances_redriven": len(self._origins),
+            "instances_recovered": len(self._state.outcomes),
+            "instances_redriven": len(self._state.redrives),
             "admission": self.admission.stats.as_dict(),
             "faults_installed": (None if self.system.faults is None
                                  else self.system.faults.plan.to_spec()),
         }
-
-    def resolve_instance(self, instance_id: str) -> str:
-        """Follow redrive aliases to the id currently carrying the work."""
-        seen = set()
-        while instance_id in self._aliases:
-            if instance_id in seen:  # pragma: no cover - defensive
-                break
-            seen.add(instance_id)
-            instance_id = self._aliases[instance_id]
-        return instance_id
 
     def instance(self, instance_id: str) -> dict[str, Any]:
         """Public status record for one instance (running or finished).
@@ -657,7 +634,7 @@ class WorkflowService:
         ``deadline-exceeded`` until the engine abort lands, after which
         the engine outcome wins (flagged ``deadline_exceeded``).
         """
-        resolved = self.resolve_instance(instance_id)
+        resolved = self._state.resolve(instance_id)
         record = self._instance_record(resolved)
         if record is None:
             raise FrontEndError(f"unknown instance {instance_id!r}")
@@ -686,7 +663,7 @@ class WorkflowService:
             if expired:
                 record["deadline_exceeded"] = True
             return record
-        durable = self._durable_outcomes.get(iid)
+        durable = self._state.outcomes.get(iid)
         if durable is not None:
             return {
                 "instance": iid,
@@ -731,9 +708,9 @@ class WorkflowService:
         Subscribing to an already-finished instance yields a single
         final status event and then the terminator.
         """
-        instance_id = self.resolve_instance(instance_id)
+        instance_id = self._state.resolve(instance_id)
         finished = (self._outcome(instance_id) is not None
-                    or instance_id in self._durable_outcomes)
+                    or instance_id in self._state.outcomes)
         if not finished and instance_id not in self._submit_times:
             raise FrontEndError(f"unknown instance {instance_id!r}")
         feed = EventFeed()
@@ -751,7 +728,7 @@ class WorkflowService:
         feed accumulating events until the instance finishes.  Unknown
         feeds (already closed at the instance's outcome) are ignored.
         """
-        instance_id = self.resolve_instance(instance_id)
+        instance_id = self._state.resolve(instance_id)
         feeds = self._subscribers.get(instance_id)
         if not feeds:
             return
@@ -848,7 +825,6 @@ class WorkflowService:
                 "status": status,
                 "outputs": dict(outcome.outputs),
                 "finished_at": outcome.finished_at,
-                "original": self._origins.get(iid),
             })
         if not self._unpublished:
             self._loop.call_soon(self._publish_outcomes)
@@ -961,7 +937,7 @@ class WorkflowService:
             _set_counter(registry.counter(
                 "crew_service_wal_records_total",
                 "Records appended to the durable service log.",
-            ), self._log.appends)
+            ), self._log.wal.appends)
             _set_counter(registry.counter(
                 "crew_service_wal_flushes_total",
                 "Group-commit fsync batches on the durable service log.",

@@ -2,13 +2,14 @@
 
 The in-memory engine stores (:mod:`repro.storage`) give the *simulated*
 nodes durability across injected crashes; this module gives the real
-daemon durability across ``kill -9``.  :class:`ServiceLog` is a
-file-backed append-only log of checksummed JSON-line records — the same
-``(lsn, kind, payload, crc32)`` shape as :class:`repro.storage.wal.
-WalRecord`, checksummed by :func:`record_checksum`, this file's pinned
-canonical-JSON convention — with group commit: ``append`` encodes and
-buffers, ``flush`` writes every buffered line and fsyncs once, so one
-submission of N instances costs one disk sync.
+daemon durability across ``kill -9``.  There is one record layer: a
+:class:`ServiceLog` holds a :class:`repro.storage.wal.WriteAheadLog`
+(``log.wal``) that assigns each record's lsn, checks its payload, keeps
+it and replays it, exactly as in an engine store.  The file adds lines:
+each record is one JSON line checksummed by :func:`record_checksum`, this
+file's pinned canonical-JSON convention, with group commit — ``append``
+encodes and buffers, ``flush`` writes every buffered line and fsyncs
+once, so one submission of N instances costs one disk sync.
 
 Record kinds written by :class:`~repro.service.core.WorkflowService`:
 
@@ -27,15 +28,22 @@ Record kinds written by :class:`~repro.service.core.WorkflowService`:
     or stream event ever reports an outcome that is not on disk (the
     instance's stream events from the outcome on wait for that flush).
 ``redrive``
-    Recovery re-drove an in-flight instance under a fresh id
-    (``original``, ``replacement``).  The original id is permanently
-    retired; queries for it resolve through the redrive chain.
+    Recovery re-drove an in-flight instance under a fresh id: one record
+    (``original``, ``replacement``, ``workflow``, ``inputs``,
+    ``deadline``) that is both the replacement's submission and the
+    chain link, so no cut can leave one without the other.  The original
+    id is permanently retired; queries for it resolve through the
+    redrive chain.  Older logs wrote a ``submit`` + ``redrive`` pair
+    (and ``fragment`` records); both still replay.
 
-Torn tails are expected: ``kill -9`` can land mid-``write``.  On load,
-a final line that fails to parse or checksum is truncated and reported
-via :attr:`ServiceLog.torn_tail`; a *non*-final corrupt record raises
-:class:`~repro.errors.StorageError` (silent mid-log corruption is a
-recovery hazard, matching the in-memory WAL's ``verify`` contract).
+Torn tails are expected: ``kill -9`` can land mid-``write``.  A record
+counts only with its newline.  On load, an unterminated final line, or
+a final line that fails to parse or checksum, is truncated and reported
+via :attr:`ServiceLog.torn_tail` — its batch's fsync never returned, so
+nothing in it was acknowledged; a *non*-final corrupt record, or a gap
+in the lsns, raises :class:`~repro.errors.StorageError` (silent mid-log
+corruption is a recovery hazard, matching the engine log's ``verify``
+contract).
 
 Recovery semantics (documented honestly): committed outcomes are
 **at-most-once** — a finished instance is never re-run, and a re-driven
@@ -56,15 +64,11 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
-from repro.storage.wal import WalRecord
+from repro.storage.wal import WalRecord, WriteAheadLog, canonical_json
 
 __all__ = ["ServiceLog", "ServiceState", "record_checksum"]
 
 _LOG_NAME = "service.wal"
-
-#: The canonical form's encoder, built once: ``json.dumps`` with these
-#: arguments constructs an identical encoder on every call.
-_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def _encode(lsn: int, kind: str, payload: Mapping[str, Any]) -> tuple[int, str]:
@@ -74,7 +78,7 @@ def _encode(lsn: int, kind: str, payload: Mapping[str, Any]) -> tuple[int, str]:
     "lsn", "payload"}``, both exactly as ``json.dumps(..., sort_keys=True,
     default=str)`` would write them; the payload's text is spliced into each.
     """
-    kind_json, payload_json = _canonical(kind), _canonical(payload)
+    kind_json, payload_json = canonical_json(kind), canonical_json(payload)
     crc = zlib.crc32(
         ("[%d, %s, %s]" % (lsn, kind_json, payload_json)).encode("utf-8"))
     return crc, '{"crc": %d, "kind": %s, "lsn": %d, "payload": %s}\n' % (
@@ -92,96 +96,80 @@ def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
 
 
 class ServiceLog:
-    """Append-only, checksummed, group-flushed JSON-lines log on disk."""
+    """A :class:`WriteAheadLog` kept on disk: checksummed JSON lines,
+    group-flushed, with a torn tail cut away on load."""
 
     def __init__(self, state_dir: str | Path):
         directory = Path(state_dir)
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / _LOG_NAME
-        self._records: list[WalRecord] = []
+        #: The records: lsns, payload check, retention, iteration, replay.
+        #: Its ``appends`` counts this process's appends, not the load.
+        self.wal = WriteAheadLog()
         self._buffer: list[str] = []  # encoded lines awaiting flush
-        self._next_lsn = 1
         #: True when load dropped a truncated final record (torn write).
         self.torn_tail = False
-        self.appends = 0
         self.flushes = 0
         if self.path.exists():
-            self._load()
+            self.wal.load(self._load())
         self._fh = open(self.path, "ab")
 
     # -- recovery load -----------------------------------------------------
 
-    def _load(self) -> None:
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        # Offsets of each line start, so a torn tail can be truncated away.
-        offset = 0
-        entries: list[tuple[int, bytes]] = []
-        for line in lines:
-            entries.append((offset, line))
-            offset += len(line) + 1
-        valid_end = 0
-        last_index = max(
-            (i for i, (__, line) in enumerate(entries) if line.strip()),
-            default=-1,
-        )
-        for index, (start, line) in enumerate(entries):
-            if not line.strip():
-                continue
-            record = self._parse_line(line)
-            if record is None:
-                if index == last_index:
+    def _load(self) -> WriteAheadLog:
+        """The records on disk, as a log; cuts a torn tail off the file."""
+        lines = self.path.read_bytes().split(b"\n")
+        final = max((i for i, line in enumerate(lines) if line.strip()),
+                    default=-1)
+        disk = WriteAheadLog()
+        start = valid_end = 0
+        for index, line in enumerate(lines):
+            end = start + len(line) + 1
+            if line.strip():
+                # What follows the last newline is never a record.
+                parsed = (None if index == len(lines) - 1
+                          else self._parse_line(line))
+                if parsed is None:
+                    if index != final:
+                        raise StorageError(
+                            f"service log corruption in {self.path} at byte "
+                            f"{start}: unreadable record before end of log"
+                        )
                     self.torn_tail = True
+                    with open(self.path, "r+b") as fh:
+                        fh.truncate(valid_end)
                     break
-                raise StorageError(
-                    f"service log corruption in {self.path} at byte {start}: "
-                    "unreadable record before end of log"
-                )
-            if record.lsn != self._next_lsn:
-                raise StorageError(
-                    f"service log {self.path} skips from lsn "
-                    f"{self._next_lsn} to {record.lsn}"
-                )
-            self._records.append(record)
-            self._next_lsn = record.lsn + 1
-            valid_end = start + len(line) + 1
-        if self.torn_tail:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+                lsn, kind, payload = parsed
+                expected = disk.append(kind, payload)
+                if lsn != expected:
+                    raise StorageError(
+                        f"service log {self.path} skips from lsn "
+                        f"{expected} to {lsn}"
+                    )
+                valid_end = end
+            start = end
+        return disk
 
     @staticmethod
-    def _parse_line(line: bytes) -> WalRecord | None:
+    def _parse_line(line: bytes) -> tuple[int, str, Any] | None:
         try:
             doc = json.loads(line)
-            record = WalRecord(
-                lsn=int(doc["lsn"]), kind=str(doc["kind"]),
-                payload=doc["payload"], checksum=int(doc["crc"]),
-            )
+            lsn, kind, payload = int(doc["lsn"]), str(doc["kind"]), doc["payload"]
+            crc = int(doc["crc"])
         except (ValueError, KeyError, TypeError):
             return None
-        if record.checksum != record_checksum(record.lsn, record.kind,
-                                              record.payload):
+        if crc != record_checksum(lsn, kind, payload):
             return None
-        return record
+        return lsn, kind, payload
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, kind: str, payload: Mapping[str, Any]) -> WalRecord:
-        """Encode and buffer one record (assigning its LSN); durable after
-        :meth:`flush`."""
-        if not isinstance(payload, dict):
-            raise StorageError(
-                f"service log payload must be a dict, got {type(payload).__name__}"
-            )
-        lsn = self._next_lsn
-        checksum, line = _encode(lsn, kind, payload)
-        record = WalRecord(lsn=lsn, kind=kind, payload=dict(payload),
-                           checksum=checksum)
-        self._next_lsn += 1
-        self._records.append(record)
-        self._buffer.append(line)
-        self.appends += 1
-        return record
+    def append(self, kind: str, payload: Mapping[str, Any]) -> int:
+        """Log one record and buffer its line; returns its lsn.  Durable
+        after :meth:`flush`."""
+        lsn = self.wal.append(kind, payload)
+        self._buffer.append(_encode(lsn, kind, payload)[1])
+        return lsn
 
     def flush(self) -> int:
         """Group commit: write every buffered record, one fsync.  Returns
@@ -196,16 +184,8 @@ class ServiceLog:
         self.flushes += 1
         return flushed
 
-    # -- introspection -----------------------------------------------------
-
     def records(self) -> tuple[WalRecord, ...]:
-        return tuple(self._records)
-
-    def last_lsn(self) -> int:
-        return self._records[-1].lsn if self._records else 0
-
-    def __len__(self) -> int:
-        return len(self._records)
+        return tuple(self.wal)
 
     def close(self) -> None:
         self.flush()
@@ -214,7 +194,8 @@ class ServiceLog:
 
 @dataclass
 class ServiceState:
-    """The replayed view of one :class:`ServiceLog` (recovery boot input)."""
+    """The replayed view of one :class:`ServiceLog`: what the recovery boot
+    reads, and what the service then answers queries for old ids from."""
 
     #: Installed documents, install order: ``{"laws": text}`` or
     #: ``{"schema": payload}``.
@@ -230,22 +211,30 @@ class ServiceState:
     def from_records(cls, records: Iterable[WalRecord]) -> "ServiceState":
         state = cls()
         for record in records:
-            payload = dict(record.payload)
-            if record.kind == "document":
-                state.documents.append(payload)
-            elif record.kind == "submit":
-                state.submissions[payload["instance"]] = payload
-            elif record.kind == "outcome":
-                state.outcomes[payload["instance"]] = payload
-            elif record.kind == "redrive":
-                state.redrives[payload["original"]] = payload["replacement"]
-            elif record.kind == "fragment":
-                pass  # written by older daemons, read by nothing
-            else:
-                raise StorageError(
-                    f"unknown service log record kind {record.kind!r}"
-                )
+            state.apply(record.kind, record.payload)
         return state
+
+    def apply(self, kind: str, payload: Mapping[str, Any]) -> None:
+        """Fold one record into the view, as a boot replaying it would."""
+        payload = dict(payload)
+        if kind == "document":
+            self.documents.append(payload)
+        elif kind == "submit":
+            self.submissions[payload["instance"]] = payload
+        elif kind == "outcome":
+            self.outcomes[payload["instance"]] = payload
+        elif kind == "redrive":
+            replacement = payload["replacement"]
+            self.redrives[payload["original"]] = replacement
+            if "workflow" in payload:  # one record per re-drive, not a pair
+                self.submissions[replacement] = {
+                    "instance": replacement, "workflow": payload["workflow"],
+                    "inputs": payload["inputs"], "deadline": payload["deadline"],
+                }
+        elif kind == "fragment":
+            pass  # written by older daemons, read by nothing
+        else:
+            raise StorageError(f"unknown service log record kind {kind!r}")
 
     def resolve(self, instance_id: str) -> str:
         """Follow the redrive chain to the id currently carrying the work."""

@@ -40,11 +40,15 @@ from repro.storage.tables import (
     snapshot_delta,
 )
 
-__all__ = ["InstanceChains", "WalRecord", "WriteAheadLog", "memory_checksum"]
+__all__ = [
+    "InstanceChains", "WalRecord", "WriteAheadLog", "canonical_json", "memory_checksum",
+]
 
-#: The fallback form's encoder, built once: ``json.dumps`` with these
-#: arguments constructs an identical encoder on every call.
-_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+#: The canonical JSON form of a record (sorted keys, ``str()`` for what JSON
+#: cannot hold): the fallback form here and every line of the service log
+#: on disk.  Built once: ``json.dumps`` with these arguments constructs an
+#: identical encoder on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def memory_checksum(
@@ -68,7 +72,7 @@ def memory_checksum(
     try:
         form = marshal.dumps((lsn, kind, payload), 0)
     except ValueError:
-        return None, zlib.crc32(_canonical([lsn, kind, payload]).encode("utf-8"))
+        return None, zlib.crc32(canonical_json([lsn, kind, payload]).encode("utf-8"))
     return form, zlib.crc32(form)
 
 

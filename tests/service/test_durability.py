@@ -65,10 +65,14 @@ def test_service_log_roundtrip(tmp_path):
     assert [r.kind for r in reopened.records()] == [
         "document", "submit", "outcome"
     ]
-    assert reopened.last_lsn() == 3
-    for record in reopened.records():
-        assert record.checksum == record_checksum(
+    assert reopened.wal.last_lsn() == 3
+    # The in-memory views carry the engine log's checksum; each line on
+    # disk carries the service.wal one.
+    lines = [json.loads(line) for line in reopened.path.read_bytes().splitlines()]
+    for record, line in zip(reopened.records(), lines, strict=True):
+        assert (line["lsn"], line["kind"], line["payload"]) == (
             record.lsn, record.kind, record.payload)
+        assert line["crc"] == record_checksum(record.lsn, record.kind, record.payload)
     reopened.close()
 
 
@@ -150,8 +154,47 @@ def test_service_log_truncates_torn_tail(tmp_path):
     reopened.close()
     third = ServiceLog(tmp_path)
     assert not third.torn_tail
-    assert third.last_lsn() == 3
+    assert third.wal.last_lsn() == 3
     third.close()
+
+
+@pytest.mark.parametrize("flushes", [1, 2])
+def test_a_record_without_its_newline_is_the_torn_tail(tmp_path, flushes):
+    """A kill can cut a write just before a line's newline.  That record's
+    batch was never acknowledged: it is the torn tail, and the records
+    flushed after the reopen must survive the next one."""
+    log = ServiceLog(tmp_path)
+    for index in range(3):
+        log.append("submit", {"instance": f"W-{index}"})
+    log.close()
+    log.path.write_bytes(log.path.read_bytes()[:-1])
+
+    reopened = ServiceLog(tmp_path)
+    assert reopened.torn_tail
+    assert [r.payload["instance"] for r in reopened.records()] == ["W-0", "W-1"]
+    later = [f"W-{3 + index}" for index in range(flushes)]
+    for iid in later:
+        reopened.append("submit", {"instance": iid})
+        reopened.flush()
+    reopened.close()
+
+    third = ServiceLog(tmp_path)
+    assert not third.torn_tail
+    assert [r.payload["instance"] for r in third.records()] == ["W-0", "W-1", *later]
+    assert [r.lsn for r in third.records()] == list(range(1, 3 + flushes))
+    third.close()
+
+
+def test_service_log_refuses_a_missing_record(tmp_path):
+    log = ServiceLog(tmp_path)
+    for index in range(3):
+        log.append("submit", {"instance": f"Mini-{index + 1}"})
+    log.close()
+    lines = log.path.read_bytes().splitlines(keepends=True)
+    log.path.write_bytes(lines[0] + lines[2])  # every line left is valid
+
+    with pytest.raises(StorageError, match="skips from lsn 2 to 3"):
+        ServiceLog(tmp_path)
 
 
 def test_service_log_rejects_mid_log_corruption(tmp_path):
@@ -291,7 +334,7 @@ def test_recovery_redrives_inflight_instances(tmp_path):
             # Every original id resolves through its redrive alias to a
             # *fresh* id (acknowledged ids are never reused)...
             for original in originals:
-                replacement = service.resolve_instance(original)
+                replacement = service._state.resolve(original)
                 assert replacement != original
                 assert replacement not in originals
             # ...and the re-driven instances run to an engine outcome.
@@ -304,7 +347,7 @@ def test_recovery_redrives_inflight_instances(tmp_path):
             )
             record = service.instance(originals[0])
             assert record["instance"] == originals[0]
-            assert record["resolved"] == service.resolve_instance(originals[0])
+            assert record["resolved"] == service._state.resolve(originals[0])
             # New submissions continue past the reserved id range.
             fresh = service.submit(workflow="Mini", inputs={"x": 9})
             assert fresh["instances"][0] not in originals
@@ -312,6 +355,61 @@ def test_recovery_redrives_inflight_instances(tmp_path):
             await service.close()
 
     asyncio.run(recover_phase())
+
+
+def crash_then_recover(state_dir):
+    """Acknowledge 3 slow instances and abandon the service, then boot a
+    recovery that re-drives all 3 and abandon it too.  Returns the
+    acknowledged ids, the log's size before the recovery, and the
+    abandoned recovered service."""
+    async def crash():
+        service = WorkflowService(work_time_scale=5.0, state_dir=state_dir)
+        service.start()
+        ids = service.submit(schema=MINI_SCHEMA, inputs={"x": 1}, instances=3)["instances"]
+        abandon(service)
+        return ids
+
+    originals = asyncio.run(crash())
+    before = (state_dir / "service.wal").stat().st_size
+
+    async def recover():
+        service = WorkflowService(work_time_scale=5.0, state_dir=state_dir)
+        service.start()
+        abandon(service)
+        return service
+
+    return originals, before, asyncio.run(recover())
+
+
+def test_every_cut_of_a_recovery_keeps_one_carrier_per_submission(tmp_path):
+    """Wherever a kill cuts the recovery's re-drive records, the next boot
+    sees each acknowledged instance carried by exactly one in-flight id:
+    a cut can drop a re-drive, never split it into a second submission."""
+    originals, before, __ = crash_then_recover(tmp_path / "state")
+    data = (tmp_path / "state" / "service.wal").read_bytes()
+    assert len(data) > before
+    cut_dir = tmp_path / "cut"
+    cut_dir.mkdir()
+    for cut in range(before, len(data) + 1):
+        (cut_dir / "service.wal").write_bytes(data[:cut])
+        log = ServiceLog(cut_dir)
+        state = ServiceState.from_records(log.records())
+        log.close()
+        carriers = [payload["instance"] for payload in state.inflight()]
+        assert len(carriers) == 3, (cut, carriers)
+        assert sorted(state.resolve(iid) for iid in originals) == sorted(carriers), cut
+
+
+def test_the_recovered_view_is_the_one_the_next_boot_replays(tmp_path):
+    originals, __, service = crash_then_recover(tmp_path)
+    log = ServiceLog(tmp_path)
+    replayed = ServiceState.from_records(log.records())
+    log.close()
+    assert len(service._state.redrives) == 3
+    assert service._state.redrives == replayed.redrives
+    assert ([service._state.resolve(iid) for iid in originals]
+            == [replayed.resolve(iid) for iid in originals])
+    assert service._state.inflight() == replayed.inflight()
 
 
 def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):

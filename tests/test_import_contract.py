@@ -213,7 +213,9 @@ def test_whole_snapshot_log_stays_a_test_oracle():
     ``memory_checksum`` (marshal, in memory only), ``ServiceLog`` calls
     ``record_checksum`` (the pinned JSON of ``service.wal``), and nothing
     under ``service/`` touches marshal, so the memory form never reaches
-    disk.  The naive rule engine is a test oracle too."""
+    disk.  ``ServiceLog`` keeps no records or lsns of its own: its
+    ``append`` is ``WriteAheadLog.append`` plus a line.  The naive rule
+    engine is a test oracle too."""
     violations = []
     for module_path in sorted((SRC / "repro").rglob("*.py")):
         tree = ast.parse(module_path.read_text(), filename=str(module_path))
@@ -244,8 +246,19 @@ def test_whole_snapshot_log_stays_a_test_oracle():
     assert calls(member(storage / "wal.py", "WriteAheadLog", "append"), "memory_checksum"), \
         "WriteAheadLog.append no longer checksums at append"
     service = SRC / "repro" / "service"
-    assert calls(member(service / "durability.py", "ServiceLog"), "record_checksum"), \
+    service_log = member(service / "durability.py", "ServiceLog")
+    assert calls(service_log, "record_checksum"), \
         "ServiceLog no longer checks records with the service.wal convention"
+    # One record layer: the file log's records are its WriteAheadLog's.
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "append" and getattr(n.func.value, "attr", None) == "wal"
+               for n in ast.walk(member(service / "durability.py", "ServiceLog", "append"))), \
+        "ServiceLog.append no longer appends through WriteAheadLog.append"
+    for node in ast.walk(service_log):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and ("lsn" in node.attr or node.attr == "_records")):
+            violations.append(f"service/durability.py:{node.lineno} ServiceLog keeps "
+                              f"{node.attr} of its own")
     for module_path in sorted(service.rglob("*.py")):
         if "marshal" in module_path.read_text():
             violations.append(f"{module_path.relative_to(SRC)} mentions marshal")
