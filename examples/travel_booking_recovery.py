@@ -32,7 +32,7 @@ def run(saga_baseline):
     system.run()
     outcome = system.outcome(instance)
     reuses = system.trace.count("step.reuse")
-    compensations = system.trace.count("step.compensated")
+    compensations = system.trace.count("step.compensate")
     work = system.metrics.total_work()
     return outcome, reuses, compensations, work, system
 

@@ -7,18 +7,17 @@ checkable witness:
 
 ``halt-before-reexecute``
     If a node records a ``halt.thread``/``rollback`` for recovery epoch
-    *e*, that record precedes every epoch-*e* ``step.execute`` /
-    ``step.dispatch`` on the same node and instance.  (A node may legally
-    execute at epoch *e* with no halt record at all — it can learn the
-    epoch from a re-execution packet — so the converse is *not* an
-    invariant.)
+    *e*, that record precedes every epoch-*e* ``step.dispatch`` on the
+    same node and instance.  (A node may legally execute at epoch *e*
+    with no halt record at all — it can learn the epoch from a
+    re-execution packet — so the converse is *not* an invariant.)
 
 ``reverse-order-compensation``
-    Once a compensation chain is announced (``compensate.set`` /
-    ``ocr.compensate`` with a ``chain`` detail, ``compensate.thread``
-    with ``steps``), the subsequent per-step compensation records of that
-    instance follow the chain order — i.e. reverse execution order —
-    until the next chain announcement.
+    Once a compensation chain is announced (``ocr.compensate`` with a
+    ``chain`` detail, ``compensate.thread`` with ``steps``), the
+    subsequent ``step.compensate`` records of that instance follow the
+    chain order — i.e. reverse execution order — until the next chain
+    announcement.
 
 ``epoch-monotonicity``
     Per (instance, node), the recovery epochs on ``rollback`` /
@@ -29,12 +28,15 @@ checkable witness:
     An instance commits at most once, and never both commits and aborts.
 
 ``dispatch-once``
-    A central engine dispatches a step once per recovery epoch: no second
-    ``step.dispatch`` of the same (instance, step, epoch) before that
-    step's ``step.done`` / ``step.fail`` / ``step.redispatch`` /
-    ``step.stale_result`` / ``step.reuse`` (or the engine's recovery,
-    which re-dispatches what was in flight), and no ``step.dispatch``
-    after the instance's ``workflow.abort.request``.
+    No second ``step.dispatch`` of the same (instance, step, epoch) before
+    that step's ``step.done`` / ``step.fail`` / ``step.redispatch`` /
+    ``step.stale_result`` / ``step.reuse`` / ``step.takeover`` (a peer
+    taking over a crashed executor's query step), or before the
+    dispatching engine's or agent's recovery, which re-dispatches what was
+    in flight; none by the node that logged the instance's
+    ``workflow.abort.request`` after it (a distributed halt reaches the
+    other agents hop by hop); and none below the epoch of the node's last
+    ``halt.thread``/``rollback``.
 
 Each checker returns :class:`Violation` objects carrying the offending
 record chain, so a CLI or test failure shows *which* events broke the
@@ -73,9 +75,7 @@ def _describe(rec: RecordRow) -> str:
 
 
 _HALT_KINDS = ("halt.thread", "rollback")
-_EXEC_KINDS = ("step.execute", "step.dispatch")
-_CHAIN_KINDS = ("compensate.set", "ocr.compensate", "compensate.thread")
-_COMP_KINDS = ("step.compensated", "step.compensate")
+_CHAIN_ANNOUNCEMENTS = ("ocr.compensate", "compensate.thread")
 
 
 def check_halt_before_reexecute(ct: CausalTrace) -> list[Violation]:
@@ -88,7 +88,7 @@ def check_halt_before_reexecute(ct: CausalTrace) -> list[Violation]:
         if instance is None:
             continue
         key = (rec.node, instance)
-        if rec.kind in _EXEC_KINDS:
+        if rec.kind == "step.dispatch":
             epoch = rec.detail.get("epoch")
             if isinstance(epoch, int):
                 executed.setdefault(key, {}).setdefault(epoch, rec)
@@ -116,11 +116,11 @@ def check_reverse_order_compensation(ct: CausalTrace) -> list[Violation]:
         instance = rec.instance
         if instance is None:
             continue
-        if rec.kind in _CHAIN_KINDS:
+        if rec.kind in _CHAIN_ANNOUNCEMENTS:
             raw = rec.detail.get("chain") or rec.detail.get("steps") or ""
             chain = [s for s in str(raw).split(",") if s]
             active[instance] = (rec, {s: i for i, s in enumerate(chain)}, None)
-        elif rec.kind in _COMP_KINDS:
+        elif rec.kind == "step.compensate":
             entry = active.get(instance)
             if entry is None:
                 continue
@@ -194,19 +194,24 @@ def check_at_most_once_commit(ct: CausalTrace) -> list[Violation]:
 
 
 _SETTLE_KINDS = ("step.done", "step.fail", "step.redispatch", "step.stale_result",
-                 "step.reuse")
+                 "step.reuse", "step.takeover")
+#: An engine restoring its instances and an agent restoring its fragments:
+#: each re-dispatches what it had in flight.
+_RECOVERIES = ("engine.recovered", "agent.recovered")
 
 
 def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
-    """One dispatch per (instance, step, epoch) until it settles; none
-    after an abort request."""
+    """One dispatch per (instance, step, epoch) until it settles; none by
+    the node after its abort request or below its last halt's epoch."""
     out: list[Violation] = []
     # (instance, step) -> epoch -> the unsettled dispatch at that epoch.
     unsettled: dict[tuple[str, object], dict[object, RecordRow]] = {}
-    abort_requests: dict[str, RecordRow] = {}
+    # (node, instance) -> its abort request, its last halt.
+    abort_requests: dict[tuple[str, str], RecordRow] = {}
+    halts: dict[tuple[str, str], RecordRow] = {}
     for rec in ct.records:
         instance = rec.instance
-        if rec.kind == "engine.recovered":
+        if rec.kind in _RECOVERIES:
             unsettled = {
                 key: {epoch: d for epoch, d in by_epoch.items() if d.node != rec.node}
                 for key, by_epoch in unsettled.items()
@@ -215,11 +220,13 @@ def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
             continue
         key = (instance, rec.detail.get("step"))
         if rec.kind == "workflow.abort.request":
-            abort_requests.setdefault(instance, rec)
+            abort_requests.setdefault((rec.node, instance), rec)
+        elif rec.kind in _HALT_KINDS:
+            halts[rec.node, instance] = rec
         elif rec.kind in _SETTLE_KINDS:
             unsettled.pop(key, None)
         elif rec.kind == "step.dispatch":
-            abort = abort_requests.get(instance)
+            abort = abort_requests.get((rec.node, instance))
             if abort is not None:
                 out.append(Violation(
                     "dispatch-once", instance,
@@ -227,6 +234,15 @@ def check_dispatch_once(ct: CausalTrace) -> list[Violation]:
                     (_describe(abort), _describe(rec)),
                 ))
             epoch = rec.detail.get("epoch")
+            halt = halts.get((rec.node, instance))
+            halted = None if halt is None else halt.detail.get("epoch")
+            if isinstance(epoch, int) and isinstance(halted, int) and epoch < halted:
+                out.append(Violation(
+                    "dispatch-once", instance,
+                    f"step {key[1]!r} dispatched at epoch {epoch} after a halt "
+                    f"at epoch {halted}",
+                    (_describe(halt), _describe(rec)),
+                ))
             prior = unsettled.setdefault(key, {}).get(epoch)
             if prior is not None:
                 out.append(Violation(

@@ -420,9 +420,6 @@ class ControlSystem:
         except KeyError:
             raise SchemaError(f"unknown workflow class {schema_name!r}") from None
 
-    def specs_for(self, schema_name: str) -> list[CoordinationSpec]:
-        return [s for s in self.specs if s.involves(schema_name)]
-
     # -- template methods --------------------------------------------------------
 
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:
@@ -837,14 +834,12 @@ def _record(system: ControlSystem, now: float, node: Any, kind: str,
     system.trace.record(now, node.name, kind, **detail)
 
 
-def _record_but(*keys: str) -> Callable:
-    """The flat trace record without the detail only other views read."""
-    def record(system, now, node, kind, detail):
-        kept = detail.copy()
-        for key in keys:
-            del kept[key]
-        system.trace.record(now, node.name, kind, **kept)
-    return record
+def _end_record(system, now, node, kind, detail):
+    """An instance's end record: its ``outputs`` are program values, which
+    need not be JSON, and the outcome already holds them."""
+    kept = detail.copy()
+    del kept["outputs"]
+    system.trace.record(now, node.name, kind, **kept)
 
 
 @_untraced
@@ -925,19 +920,14 @@ def _workflow_closed(status: InstanceStatus) -> Callable:
     return closed
 
 
-def _step_opened(*keys: str) -> Callable:
-    """Open the step span of (node, instance, step); ``keys`` stay off it."""
-    def opened(system, now, node, kind, detail):
-        instance, step = detail["instance"], detail["step"]
-        attrs = detail.copy()
-        for key in keys:
-            del attrs[key]
-        span = system.tracer.add(
-            f"{instance}/{step}", "step", node.name, now, None,
-            system._step_parent(instance), None, attrs,
-        )
-        system._step_spans.setdefault(instance, {})[node.name, step] = span
-    return opened
+def _step_opened(system, now, node, kind, detail):
+    """Open the step span of (node, instance, step)."""
+    instance, step = detail["instance"], detail["step"]
+    span = system.tracer.add(
+        f"{instance}/{step}", "step", node.name, now, None,
+        system._step_parent(instance), None, detail.copy(),
+    )
+    system._step_spans.setdefault(instance, {})[node.name, step] = span
 
 
 def _step_closed(status: str, *keys: str) -> Callable:
@@ -1081,23 +1071,18 @@ def _flight_dump(reason: str, *keys: str) -> Callable:
 
 #: Protocol event kind -> the views it feeds, in order.  A kind not listed
 #: feeds the flat record alone, which ``ControlSystem.emit`` writes inline.
-#: A kind listed without a record view (a mark, a cancelled or
-#: reestablished step, a halt, a crash, the end of an instance a
-#: distributed unhandled failure aborted) has never had a flat record, and
-#: every pinned export would move if it grew one.  An instance's end event
-#: carries its ``schema`` and ``outputs`` for the outcome views only.
+#: Each protocol event has one kind on every architecture, and its record
+#: carries every key of its detail but an end event's ``outputs``.  A kind
+#: listed without a record view (a mark, a cancelled or reestablished step,
+#: a halt, a crash) has never had a flat record.
 EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
-    "workflow.start": (_record_but("parent"), _count_start, _workflow_opened),
+    "workflow.start": (_record, _count_start, _workflow_opened),
     "workflow.commit": (_workflow_ended(InstanceStatus.COMMITTED),
-                        _workflow_closed(InstanceStatus.COMMITTED),
-                        _record_but("schema", "outputs")),
+                        _workflow_closed(InstanceStatus.COMMITTED), _end_record),
     "workflow.aborted": (_workflow_ended(InstanceStatus.ABORTED),
-                         _workflow_closed(InstanceStatus.ABORTED),
-                         _record_but("schema", "outputs")),
-    "failure.aborted": (_workflow_ended(InstanceStatus.ABORTED),
-                        _workflow_closed(InstanceStatus.ABORTED)),
-    "step.dispatch": (_record_but("attempt", "mechanism"), _step_opened("epoch")),
-    "step.execute": (_record_but("mechanism"), _step_cancelled, _step_opened()),
+                         _workflow_closed(InstanceStatus.ABORTED), _end_record),
+    # A distributed agent relaunching a step cancels its stale span first.
+    "step.dispatch": (_record, _step_cancelled, _step_opened),
     "step.redispatch": (_record, _step_closed("timeout")),
     "step.done": (_record, _step_closed("done"), _reestablished),
     "step.fail": (_record, _flight_dump("step.fail", "instance", "step"),
@@ -1105,8 +1090,8 @@ EVENT_VIEWS: dict[str, tuple[Callable, ...]] = {
     "step.reuse": (_record, _reestablished),
     "step.cancel": (_step_cancelled,),
     "nested.done": (_reestablished,),
-    "rollback": (_record_but("mechanism"), _recovery_started()),
-    "failure.unhandled": (_record_but("epoch"), _recovery_started("failure")),
+    "rollback": (_record, _recovery_started()),
+    "failure.unhandled": (_record, _recovery_started("failure")),
     "abort.halt": (_recovery_started("abort"),),
     "ocr.plan": (_ocr_marked,),
     "coord": (_coordination_marked,),

@@ -520,6 +520,8 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         re-dispatched by re-firing their rules.
         """
         restored = self.wfdb.recover()
+        # Recorded before the rules re-fire: what they re-dispatch follows it.
+        self.emit("engine.recovered", instances=restored)
         for state in list(self.wfdb.instances()):
             if state.status is not InstanceStatus.RUNNING:
                 continue
@@ -549,4 +551,3 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                     record.status = StepStatus.NOT_STARTED
             self._coord_on_recover(runtime)
             engine.post_event(WF_START, self.simulator.now)
-        self.emit("engine.recovered", instances=restored)

@@ -173,10 +173,6 @@ class AgentCoordinationMixin:
             runtime.ro_info.add((spec_name, leading, lagging))
         runtime.engine.add_event(payload["token"], self.simulator.now)
 
-    def _apply_add_precondition(self, payload: Mapping[str, Any]) -> None:
-        runtime = self._runtime(payload["schema_name"], payload["instance_id"])
-        runtime.engine.add_step_precondition(payload["step"], payload["token"])
-
     def _apply_mx_request(self, payload: dict[str, Any]) -> None:
         authority = self.authorities.mx[payload["spec"]]
         granted = authority.acquire(

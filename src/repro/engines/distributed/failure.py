@@ -135,7 +135,7 @@ class AgentFailureMixin:
             runtime.fragment.status = InstanceStatus.ABORTED
             self._persist(runtime)
         self._withdraw_coordination(instance_id, runtime, aborted=True)
-        self.emit("failure.aborted", instance=instance_id, schema=schema.name,
+        self.emit("workflow.aborted", instance=instance_id, schema=schema.name,
                   outputs={})
         self._queue_purge(instance_id, schema.name, aborted=True)
 

@@ -201,7 +201,7 @@ class AgentHaltingMixin:
         runtime.engine.post_event(token, self.simulator.now,
                                   runtime.fragment.invalidation_round)
         self._persist(runtime)
-        self.emit("step.compensated", instance=runtime.fragment.instance_id,
+        self.emit("step.compensate", instance=runtime.fragment.instance_id,
                   step=step, comp=kind)
 
     def _start_compensation(

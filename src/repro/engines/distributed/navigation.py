@@ -255,7 +255,7 @@ class AgentNavigationMixin:
                     members, step, compiled.graph.topo_index
                 )
                 runtime.table("pending_exec")[step] = (plan, new_inputs, mechanism)
-                self.emit("compensate.set", instance=instance_id, step=step,
+                self.emit("ocr.compensate", instance=instance_id, step=step,
                           chain=",".join(chain))
                 self._start_compensation(
                     WI.COMPENSATE_SET.value, runtime, chain, mechanism,
@@ -293,7 +293,7 @@ class AgentNavigationMixin:
         attempt = record.executions + 1
         epoch = runtime.fragment.recovery_epoch
         runtime.table("running_exec")[step] = epoch
-        self.emit("step.execute", instance=instance_id, step=step,
+        self.emit("step.dispatch", instance=instance_id, step=step,
                   attempt=attempt, epoch=epoch, mechanism=mechanism.value)
         delay = cost * self.config.work_time_scale
         self.schedule_causal(

@@ -95,7 +95,6 @@ class WorkflowAgentNode(
             WI.INPUTS_CHANGED.value: self._apply_inputs_changed,
             WI.ADD_RULE.value: self._apply_add_rule,
             WI.ADD_EVENT.value: self._apply_add_event,
-            WI.ADD_PRECONDITION.value: self._apply_add_precondition,
             VERB_STEP_STATUS_REPLY: self._apply_step_status_reply,
             VERB_STATUS_PROBE: self._apply_status_probe,
             VERB_STATUS_PROBE_REPORT: self._apply_status_probe_report,
@@ -377,9 +376,11 @@ class WorkflowAgentNode(
         idempotent repair for anything lost in the crash.
         """
         self.agdb.recover()
-        for fragment in self.agdb.fragments():
-            if fragment.status is not InstanceStatus.RUNNING:
-                continue
+        fragments = [fragment for fragment in self.agdb.fragments()
+                     if fragment.status is InstanceStatus.RUNNING]
+        # Recorded before the rules re-fire: what they re-dispatch follows it.
+        self.emit("agent.recovered", fragments=len(fragments))
+        for fragment in fragments:
             instance_id = fragment.instance_id
             compiled = self.system.compiled(fragment.schema_name)
             runtime = self._build_runtime(compiled, fragment)
@@ -405,4 +406,3 @@ class WorkflowAgentNode(
             # them so a stale packet arriving now cannot revive an event that
             # a rollback already invalidated.
             runtime.engine.apply_invalidations(fragment.known_invalidations)
-        self.emit("agent.recovered", fragments=len(self.runtimes))

@@ -35,14 +35,17 @@ import sys
 import time
 from typing import Any, Callable, IO
 
-__all__ = ["LEVELS", "StructuredLogger", "correlation_fields", "open_log_stream"]
+__all__ = [
+    "LEVELS", "StructuredLogger", "canonical_json", "correlation_fields", "open_log_stream",
+]
 
 #: Severity order; records below the logger's threshold are discarded.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
-#: One line's encoder, built once: ``json.dumps`` with these arguments
-#: constructs an identical encoder on every call.
-_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+#: The canonical JSON form (sorted keys, ``str()`` for what JSON cannot
+#: hold) of a log line, an engine log record and a service log line.  Built
+#: once: ``json.dumps`` with these arguments builds one on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def correlation_fields(detail: Any) -> dict[str, Any]:
@@ -124,7 +127,7 @@ class StructuredLogger:
             self._sink(record)
         if self.stream is not None:
             try:
-                self.stream.write(_encode(record) + "\n")
+                self.stream.write(canonical_json(record) + "\n")
                 self.stream.flush()
             except (ValueError, OSError):  # pragma: no cover - closed stream
                 pass

@@ -64,7 +64,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
-from repro.storage.wal import WalRecord, WriteAheadLog, canonical_json
+from repro.obs.logging import canonical_json
+from repro.storage.wal import WalRecord, WriteAheadLog
 
 __all__ = ["ServiceLog", "ServiceState", "record_checksum"]
 

@@ -26,13 +26,13 @@ per persist) that leaves the log when the instance is archived or purged.
 from __future__ import annotations
 
 import copy
-import json
 import marshal
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import StorageError
+from repro.obs.logging import canonical_json
 from repro.storage.tables import (
     InstanceState,
     InstanceStatus,
@@ -41,14 +41,8 @@ from repro.storage.tables import (
 )
 
 __all__ = [
-    "InstanceChains", "WalRecord", "WriteAheadLog", "canonical_json", "memory_checksum",
+    "InstanceChains", "WalRecord", "WriteAheadLog", "memory_checksum",
 ]
-
-#: The canonical JSON form of a record (sorted keys, ``str()`` for what JSON
-#: cannot hold): the fallback form here and every line of the service log
-#: on disk.  Built once: ``json.dumps`` with these arguments constructs an
-#: identical encoder on every call.
-canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def memory_checksum(

@@ -1,5 +1,7 @@
 """Integration tests for distributed workflow control."""
 
+from repro.analysis.causal import CausalTrace
+from repro.analysis.invariants import check_invariants
 from repro.core.programs import FailEveryNth, FunctionProgram, NoopProgram
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.engines.distributed import elect_executor
@@ -59,7 +61,7 @@ def test_linear_workflow_commits_and_navigates_by_packets():
     system.run()
     assert system.outcome(instance).committed
     # Every step executed exactly once.
-    executes = [r.detail["step"] for r in system.trace.filter(kind="step.execute")]
+    executes = [r.detail["step"] for r in system.trace.filter(kind="step.dispatch")]
     assert sorted(executes) == ["S1", "S2", "S3", "S4"]
 
 
@@ -182,7 +184,7 @@ def test_compensate_set_chain_reverse_order():
     assert system.outcome(instance).committed
     compensations = [
         (r.time, r.detail["step"])
-        for r in system.trace.filter(kind="step.compensated")
+        for r in system.trace.filter(kind="step.compensate")
     ]
     steps = [s for __, s in sorted(compensations)]
     assert steps == ["B", "A"]  # reverse execution order via the chain
@@ -221,7 +223,7 @@ def test_compensate_set_chain_ending_elsewhere_resumes_at_its_initiator():
     }, Mechanism.FAILURE)
     system.run()
     assert not runtime.pending_exec
-    assert [(r.node, r.detail["attempt"]) for r in system.trace.filter(kind="step.execute")
+    assert [(r.node, r.detail["attempt"]) for r in system.trace.filter(kind="step.dispatch")
             if r.detail["step"] == "B"] == [(initiator.name, 1), (initiator.name, 2)]
 
 
@@ -255,7 +257,7 @@ def test_unhandled_failure_aborts_via_coordination_agent():
     instance = system.start_workflow("Linear", {"x": 1})
     system.run()
     assert system.outcome(instance).status is InstanceStatus.ABORTED
-    compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensated")]
+    compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensate")]
     assert compensated == ["S2", "S1"]
 
 
@@ -275,7 +277,7 @@ def test_user_abort_sends_compensate_to_all_eligible():
     assert system.outcome(instance).status is InstanceStatus.ABORTED
     # The coordination agent addressed both eligible agents of A.
     assert system.metrics.interface_messages("StepCompensate") >= 1
-    compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensated")]
+    compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensate")]
     assert compensated == ["A"]
 
 
@@ -363,7 +365,7 @@ def test_crashed_successor_excluded_from_election():
     system.run()
     assert system.outcome(instance).committed
     # Executed by the other eligible agent.
-    s2_agents = [r.node for r in system.trace.filter(kind="step.execute")
+    s2_agents = [r.node for r in system.trace.filter(kind="step.dispatch")
                  if r.detail["step"] == "S2"]
     assert executor not in s2_agents
 
@@ -386,6 +388,8 @@ def test_update_step_waits_for_crashed_agent_recovery():
     done = [r for r in system.trace.filter(kind="step.done")
             if r.detail["step"] == "S2"]
     assert done and done[0].time >= 40.0  # only after the recovery
+    assert check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                            ["dispatch-once"]) == []
 
 
 def test_query_step_taken_over_by_peer():
@@ -411,6 +415,8 @@ def test_query_step_taken_over_by_peer():
     done = [r for r in system.trace.filter(kind="step.done")
             if r.detail["step"] == "S2"]
     assert done[0].time < 40.0  # long before any recovery
+    assert check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                            ["dispatch-once"]) == []
 
 
 def test_agent_recovery_resends_packets_idempotently():
@@ -429,7 +435,7 @@ def test_agent_recovery_resends_packets_idempotently():
     from collections import Counter
 
     executes = Counter(
-        r.detail["step"] for r in system.trace.filter(kind="step.execute")
+        r.detail["step"] for r in system.trace.filter(kind="step.dispatch")
     )
     assert all(count == 1 for count in executes.values())
 

@@ -57,7 +57,7 @@ def test_load_mode_prefers_idle_agent():
     busy_agent = system.assignment.eligible("Blocker", "L")[0]
     # The dispatcher routed around the busy agent wherever a choice existed.
     linear_steps_on_busy = [
-        r for r in system.trace.filter(kind="step.execute")
+        r for r in system.trace.filter(kind="step.dispatch")
         if r.detail["instance"] == instance and r.node == busy_agent
     ]
     assert len(linear_steps_on_busy) <= 1

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis.causal import CausalTrace
+from repro.analysis.invariants import check_invariants
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.engines.distributed import elect_executor
 from repro.model import SchemaBuilder
@@ -86,6 +88,8 @@ def test_watchdog_takeover_under_injected_executor_crash():
     done = [r for r in system.trace.filter(kind="step.done")
             if r.detail["step"] == "S2"]
     assert done[0].time < 151.15  # finished before the executor came back
+    assert check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                            ["dispatch-once"]) == []
 
 
 def test_watchdog_waits_for_crashed_update_agent():
@@ -108,6 +112,8 @@ def test_watchdog_waits_for_crashed_update_agent():
     done = [r for r in system.trace.filter(kind="step.done")
             if r.detail["step"] == "S2"]
     assert done and done[0].time >= 41.15  # only after the recovery
+    assert check_invariants(CausalTrace.from_run(system.trace, system.tracer),
+                            ["dispatch-once"]) == []
 
 
 def probe_reports(system, instance):

@@ -96,7 +96,7 @@ def test_reexecution_after_rollback_lands_on_same_agent():
     visits = [
         (r.node, r.kind)
         for r in system.trace.records
-        if r.kind in ("step.execute", "step.reuse")
+        if r.kind in ("step.dispatch", "step.reuse")
         and r.detail.get("step") == "B"
     ]
     assert len(visits) >= 2

@@ -5,7 +5,11 @@ same *outcomes* — statuses, workflow outputs, branch decisions — under
 all three control architectures.
 """
 
+import json
+
+from repro.cli import main
 from repro.core.programs import FailEveryNth, FunctionProgram, NoopProgram
+from repro.model import AlwaysReexecute, SchemaBuilder
 from repro.workloads import figure3_workflow, travel_booking
 from tests.conftest import (
     ALL_ARCHITECTURES,
@@ -101,10 +105,67 @@ def test_saga_abort_equivalent_everywhere():
         system.run()
         compensated = [r.detail["step"]
                        for r in system.trace.filter(kind="step.compensate")]
-        compensated += [r.detail["step"]
-                        for r in system.trace.filter(kind="step.compensated")]
         statuses[architecture] = (
             system.outcome(instance).status.value, tuple(compensated)
         )
     assert len(set(statuses.values())) == 1
     assert statuses["centralized"] == ("aborted", ("S2", "S1"))
+
+
+def test_three_member_compensation_set_compensates_in_reverse_order_everywhere():
+    """Set {A, B, C}, D rolls back to A: the CompensateSet chain undoes C,
+    then B, then the origin A.  (A two-member set cannot show the order:
+    only one member lies downstream of the origin.)"""
+    for architecture in ALL_ARCHITECTURES:
+        system = make_system(architecture, seed=11)
+        builder = SchemaBuilder("W", inputs=["x"])
+        builder.step("A", program="W.A", inputs=["WF.x"], outputs=["o"],
+                     cr_policy=AlwaysReexecute())
+        for step, before in (("B", "A"), ("C", "B"), ("D", "C")):
+            builder.step(step, program=f"W.{step}", inputs=[f"{before}.o"], outputs=["o"])
+        builder.sequence("A", "B", "C", "D")
+        builder.compensation_set("A", "B", "C")
+        builder.rollback_point("D", "A")
+        schema = builder.build()
+        system.register_schema(schema)
+        register_programs(system, schema, behaviors={
+            "D": FailEveryNth(NoopProgram(("o",)), {1}),
+        })
+        instance = system.start_workflow("W", {"x": 1})
+        system.run()
+        assert system.outcome(instance).committed
+        compensated = [r.detail["step"] for r in system.trace.filter(kind="step.compensate")]
+        assert compensated == ["C", "B", "A"], architecture
+        chains = [r.kind for r in system.trace if "chain" in r.detail]
+        assert chains == ["ocr.compensate"], architecture
+
+
+#: What a record of each protocol role carries.
+ROLES = {
+    "step start": lambda detail: "step" in detail and "epoch" in detail,
+    "step compensation": lambda detail: "comp" in detail and "chain" not in detail,
+    "CompensateSet chain": lambda detail: "chain" in detail,
+    "CompensateThread chain": lambda detail: "steps" in detail,
+}
+
+
+def test_figure3_trace_names_each_protocol_event_once(tmp_path, capsys):
+    """``repro trace figure3 --seed 7``: one kind per role across all three
+    architectures, and each architecture starts, compensates and announces
+    a CompensateThread chain."""
+    records = {}
+    for architecture in ALL_ARCHITECTURES:
+        out = tmp_path / f"{architecture}.jsonl"
+        assert main(["trace", "figure3", "--format", "jsonl", "--seed", "7",
+                     "--architecture", architecture, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        records[architecture] = [row for row in rows if row["type"] == "record"]
+    capsys.readouterr()
+    for role, carries in ROLES.items():
+        kinds = {architecture: {r["kind"] for r in rows if carries(r["detail"])}
+                 for architecture, rows in records.items()}
+        assert len(set().union(*kinds.values())) == 1, (role, kinds)
+        # A distributed agent compensates a step outside any set locally,
+        # announcing no chain.
+        if role != "CompensateSet chain":
+            assert all(kinds.values()), (role, kinds)

@@ -33,7 +33,7 @@ def test_rollback_races_inflight_parallel_branch():
     system.run()
     assert system.outcome(instance).committed
     # J executed exactly once despite the racing recovery.
-    j_runs = [r for r in system.trace.filter(kind="step.execute")
+    j_runs = [r for r in system.trace.filter(kind="step.dispatch")
               if r.detail["step"] == "J"]
     assert len(j_runs) == 1
 
@@ -56,7 +56,7 @@ def test_double_failure_two_recovery_rounds():
     system.run()
     assert system.outcome(instance).committed
     assert system.trace.count("rollback") == 2
-    b_runs = [r for r in system.trace.filter(kind="step.execute")
+    b_runs = [r for r in system.trace.filter(kind="step.dispatch")
               if r.detail["step"] == "B"]
     assert len(b_runs) == 3  # fail, fail, success
 

@@ -132,6 +132,6 @@ def test_a_distributed_probe_that_outlives_a_rollback_fires_nothing_stale(delay)
     system.run()
     assert system.outcome(instance).outputs == {"result": 2}
     executed = [(r.detail["step"], r.detail["epoch"])
-                for r in system.trace if r.kind == "step.execute"]
+                for r in system.trace if r.kind == "step.dispatch"]
     assert executed.count(("S3", 1)) == 1 and ("S3", 0) not in executed
     assert all(agent._load_probes == {} for agent in system.agents)

@@ -78,7 +78,6 @@ def late_payloads(instance, agent, other):
                             "time": 0.0},
         WI.ADD_EVENT.value: {**orders, "orders": [],
                              "token": ro_clearance_token("part_fifo", 1, instance)},
-        WI.ADD_PRECONDITION.value: {**orders, "step": "Ship", "token": "EXT.late"},
         WI.STATE_INFORMATION.value: {"probe_id": 1, "mechanism": "normal"},
         VERB_STEP_STATUS_REPLY: {"instance_id": instance, "step": "Ship", "status": "done"},
         "StateInformationReply": {"probe_id": 999, "load": 0},
@@ -146,7 +145,7 @@ def test_an_aborted_instance_is_purged_like_a_committed_one(how):
     assert system.outcome(instance).status.value == "aborted"
     assert holds_nothing(system, instance)
     # not before the abort's compensation had hopped to the agents it names
-    compensated = system.trace.filter(kind="step.compensated")
+    compensated = system.trace.filter(kind="step.compensate")
     [broadcast] = system.trace.filter(kind="purge.broadcast")
     assert compensated and all(r.time < broadcast.time for r in compensated)
     assert system.coordination_agent_for("Orders").workflow_status(instance).value == "aborted"

@@ -5,8 +5,11 @@ Two Hypothesis state machines drive ``repro.obs``'s ``Tracer`` and
 :mod:`tests.obs.reference_obs` with the same operations and compare
 everything a reader can see after every step; a Hypothesis differential
 does the same for ``FlightRecorder`` snapshots.  The golden digests at the
-bottom were computed at the parent commit (``dc23613``): what the CLI
-exports for a fixed seed did not change by a byte.
+bottom pin what the CLI exports for a fixed seed, byte for byte.  The
+Prometheus and untraced flight-recorder digests date from the rebuild
+(``dc23613``).  The JSONL and Chrome digests were re-pinned once, when
+each protocol event got one kind and one full record on every
+architecture.
 """
 
 import hashlib
@@ -266,17 +269,17 @@ def test_memo_answers_a_repeated_look_up_without_the_full_path():
         registry.gauge("crew_a", "Help.", node="n1")
 
 
-# -- golden digests (sha256, computed at the parent commit) ------------------
+# -- golden digests (sha256) ------------------------------------------------
 
 GOLDEN = {
-    ("centralized", "jsonl"): "f8faaaefccb983b0becf636b3872df7217246b3451ebb8e57a289e77d5a1a22c",
-    ("centralized", "chrome"): "87cbefeac22d4d3158a9954d8d56789268d2b8ba7eb0398f2fd8aac7ee7299da",
+    ("centralized", "jsonl"): "625a18f6fedbe784e4355f512cab3d9b7543f3a723488ce0e47af42ebd7cf13a",
+    ("centralized", "chrome"): "ad4a3637602b29ee1e44d751d6798369f83f9bfaa4faedae8a7ac4d395735b66",
     ("centralized", "prom"): "097cc5feefc523803931d598d6a37f5fc90f9e0bd14c4caaa6d40b5395733264",
-    ("parallel", "jsonl"): "e4163789a9574d7150270303ef4941457823a924c890593ad51686babc010de5",
-    ("parallel", "chrome"): "a5563ad7494efa9d8cdc61a1ab96549f553157975bda023107724c0cbe23a43c",
+    ("parallel", "jsonl"): "3aff6cc80f993896accec2d2dc13ba5e82fbe5cae4496cb8d503457553c02564",
+    ("parallel", "chrome"): "1aa42718a313812c317afb92ff153ad7d972400abd7b6d9b20fea8cf7052bd7f",
     ("parallel", "prom"): "ba775b0b28d09a69b2e06c5972451f1002d4684c1871877793f7c523493354fc",
-    ("distributed", "jsonl"): "07f0b9c09ecfd60f93eb1c9728d6739abeafed15bfb8636b1c34f3017520fe13",
-    ("distributed", "chrome"): "1015e955ff66ee55b2bccccebac2813284e29ea9dc38c4f980f51a524d7ce942",
+    ("distributed", "jsonl"): "68b263770cb9dc697d3d554b3d7d39ff6a8ff631f6501b218f717c0c6e6c86f4",
+    ("distributed", "chrome"): "9f88a24fdf3fc7ca8e3da896ace70bf43ab2c0cda5f6f269615bc4f7979535dd",
     ("distributed", "prom"): "65fac59ffcb573e3adec179df08ea3cf5b82cd76199298086544135a9b656aba",
 }
 
@@ -300,12 +303,12 @@ def test_fixed_seed_exports_are_the_parents_bytes(architecture, export, tmp_path
 #: ``repro trace orders --instances 4 --seed 7``: relative-order clearance
 #: and its coordination marks on every architecture.
 ORDERS_GOLDEN = {
-    ("centralized", "jsonl"): "9642d811d9d9e19727922cb7f9af2db930f99c4160025764b279f0f6e103b6cc",
-    ("centralized", "chrome"): "ad835b32577565403edc95b2032293915c1a9d06b730132a1dbe1faa183349d0",
-    ("parallel", "jsonl"): "089a249a8c74955c3834b7faff926a453b7d436593546076d923b8c76fd4b1d3",
-    ("parallel", "chrome"): "2a8b160f714de45c4d22ef4a97246cf7284414ccbc16f21a343d7df3b0dd4fd0",
-    ("distributed", "jsonl"): "0d901790475c033619eecdcd71c114d678377ec1265d01e93779027b6572a529",
-    ("distributed", "chrome"): "7543b9973c8ed24ec454fbaa02c064afcd107ef499e062b75c505ba14f4fa703",
+    ("centralized", "jsonl"): "a98e066c9efac07b7d5d93e41b94564684074a158084ea4d134c1d35bc1c4390",
+    ("centralized", "chrome"): "4da422c2672f3e7f08eb3395160da64beb1d8276197473c31ba756b62253b116",
+    ("parallel", "jsonl"): "ba816773ad2c75a695158a9d9a501cec171568c6ef93fd116df7ed43d3186194",
+    ("parallel", "chrome"): "80efdb3548daa27b186fac379f7a9ce340e8b098749d86ef86555f067ef8e0df",
+    ("distributed", "jsonl"): "3a3eb974854e497d5e452c60b923d44ca00c9182c8cbe941e46e0f142c5e208d",
+    ("distributed", "chrome"): "771c20ff215a0e617f93ae2b6aa2c241aed2d89d6d7c6a873f103361ba913c11",
 }
 
 
@@ -322,9 +325,9 @@ def test_orders_exports_are_the_parents_bytes(architecture, export, tmp_path, ca
 
 
 FAULTED_GOLDEN = {
-    "centralized": "ecb41fcf8fcf4ab64593aa2aee060f8d1f1582105a0511c94f3615c6c27c0c32",
-    "parallel": "d5565bfe5e7b10192c48258132b43cfcc13e864de4e1bdf0f70cc47428cd849e",
-    "distributed": "fd4ebc2dbe3347421a6b8f6e3586683df8583d251d0b80f0de14455dce5c1523",
+    "centralized": "0aca91d72a52be837842c8042035bc1bf087607eceedcffeb153de50d1ceae28",
+    "parallel": "627c663a82b0709821b822bc3bde6d2351260cf6f24ea938366d0ce936a82985",
+    "distributed": "deb7e561e8b7a2089cca7056ec622eef6172e5defbe06a2555d0a167dd68a7fd",
 }
 
 

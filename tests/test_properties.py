@@ -198,8 +198,7 @@ def test_random_linear_workflows_always_commit(names, seed, architecture):
     assert system.outcome(instance).committed
     # and every step ran exactly once
     counts = {}
-    kind = "step.dispatch" if architecture in ("centralized", "parallel") else "step.execute"
-    for record in system.trace.filter(kind=kind):
+    for record in system.trace.filter(kind="step.dispatch"):
         key = record.detail["step"]
         counts[key] = counts.get(key, 0) + 1
     assert counts == {name: 1 for name in names}

@@ -155,9 +155,7 @@ def test_structured_workflows_commit_exactly_once(tree, seed, architecture):
     system.run()
     assert system.outcome(instance).committed
 
-    kind = ("step.dispatch" if architecture in ("centralized", "parallel")
-            else "step.execute")
-    executed = [r.detail["step"] for r in system.trace.filter(kind=kind)]
+    executed = [r.detail["step"] for r in system.trace.filter(kind="step.dispatch")]
     assert len(executed) == len(set(executed)), "a step executed twice"
     # Exactly one branch of every XOR block ran.
     for taken in assembler.xor_taken:
@@ -189,9 +187,7 @@ def test_structured_workflows_survive_a_failure(tree, seed, architecture):
     system.run()
     assert system.outcome(instance).committed
 
-    kind = ("step.dispatch" if architecture in ("centralized", "parallel")
-            else "step.execute")
-    executed = [r.detail["step"] for r in system.trace.filter(kind=kind)]
+    executed = [r.detail["step"] for r in system.trace.filter(kind="step.dispatch")]
     for skipped in assembler.xor_skipped:
         assert skipped not in executed
 

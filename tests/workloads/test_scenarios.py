@@ -49,9 +49,7 @@ def test_figure3_branch_flip_with_compensation(architecture):
     done = [r.detail["step"] for r in system.trace.filter(kind="step.done")]
     assert "S3" in done  # first pass took the top branch
     assert "S5" in done  # re-execution took the bottom branch
-    comp_kind = ("step.compensate" if architecture in ("centralized", "parallel")
-                 else "step.compensated")
-    compensated = {r.detail["step"] for r in system.trace.filter(kind=comp_kind)}
+    compensated = {r.detail["step"] for r in system.trace.filter(kind="step.compensate")}
     assert "S3" in compensated  # abandoned branch undone
 
 
@@ -68,9 +66,7 @@ def test_travel_booking_reuses_bookings_on_invoice_failure(architecture):
     assert outcome.outputs["invoice"] == 1240.0
     reused = {r.detail["step"] for r in system.trace.filter(kind="step.reuse")}
     assert {"BookFlight", "BookHotel"} <= reused
-    comp_kind = ("step.compensate" if architecture in ("centralized", "parallel")
-                 else "step.compensated")
-    assert system.trace.count(comp_kind) == 0  # pure reuse — the OCR saving
+    assert system.trace.count("step.compensate") == 0  # pure reuse — the OCR saving
 
 
 def test_travel_booking_abort_compensates_bookings():
