@@ -7,7 +7,12 @@ runs, ``signal.setitimer(ITIMER_PROF)`` raises ``SIGPROF`` after every
 sample to the innermost frame whose code lives under ``src/repro/``.  One
 table, :data:`LAYERS`, maps that frame's file to a DESIGN §4 layer, so
 a profile is a ranked table over the layers the design already names,
-with no catch-all row and no hook in the code it measures.  Each sample
+with no catch-all row and no hook in the code it measures.  The one row
+that is not a set of files is ``loop``: a sample that meets the asyncio
+loop's dispatch frame (:data:`LOOP_ENTRIES`) before any package frame is
+the loop's own work — polling the selector, reading sockets, resolving
+futures — and not the work of the package frame that runs the loop
+(``cli:cmd_serve`` in the daemon).  Each sample
 also keeps its stack of ``module:function`` names (flamegraph input), and
 each tick reads the counter track — clock time, events fired, messages
 sent, queue depth — off the counters of the system the profiler watches.
@@ -40,7 +45,8 @@ try:  # pragma: no cover - absent only off-POSIX
 except ImportError:  # pragma: no cover
     _resource = None
 
-__all__ = ["LAYERS", "SAMPLE_PERIOD", "Profiler", "function_name", "layer_of", "peak_rss_kb"]
+__all__ = ["LAYERS", "LOOP_ENTRIES", "SAMPLE_PERIOD", "Profiler", "function_name", "layer_of",
+           "peak_rss_kb"]
 
 #: CPU seconds asked for between two samples.  The kernel raises
 #: ``SIGPROF`` on its own tick: on a 250 Hz Linux kernel, 1 ms asked gives
@@ -83,7 +89,15 @@ LAYERS: dict[str, tuple[str, ...]] = {
     "model": ("model/", "laws/"),
     "workload": ("analysis/", "workloads/"),
     "service": ("service/", "cli.py", "__init__.py", "__main__.py"),
+    "loop": (),
 }
+
+#: The asyncio loop's dispatch frames, in :data:`LOOP_MODULE`: a sample
+#: that meets one before any package frame goes to the ``loop`` row, and
+#: the frame closes its stack.
+LOOP_ENTRIES = frozenset({"_run_once", "run_forever"})
+LOOP_MODULE = "asyncio.base_events"
+_LOOP_FILE = os.sep + LOOP_MODULE.replace(".", os.sep) + ".py"
 
 
 def layer_of(path: str) -> str | None:
@@ -99,11 +113,14 @@ def layer_of(path: str) -> str | None:
 
 
 def function_name(code: CodeType) -> str:
-    """``module:qualname`` of a code object under ``src/repro/`` (the bare
-    function name before Python 3.11, whose code objects have no
-    qualname)."""
-    module = "repro/" + code.co_filename[len(ROOT):].replace(os.sep, "/")
-    module = module.removesuffix(".py").removesuffix("/__init__").replace("/", ".")
+    """``module:qualname`` of a code object under ``src/repro/`` or of a
+    loop entry frame (the bare function name before Python 3.11, whose
+    code objects have no qualname)."""
+    if code.co_filename.startswith(ROOT):
+        module = "repro/" + code.co_filename[len(ROOT):].replace(os.sep, "/")
+        module = module.removesuffix(".py").removesuffix("/__init__").replace("/", ".")
+    else:
+        module = LOOP_MODULE
     return f"{module}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
@@ -129,9 +146,12 @@ _previous_handler: Any = signal.SIG_DFL
 
 def _on_sigprof(signum: int, frame: FrameType | None) -> None:
     """The ``SIGPROF`` handler: walk the interrupted stack once and hand
-    its layer and package frames to every started profiler."""
+    its layer and package frames to every started profiler.  A loop entry
+    frame met before the innermost package frame makes the sample the
+    ``loop``'s, and is kept as the innermost frame of its stack."""
     stack = []
     layer = None
+    loop_entry = None
     while frame is not None:
         code = frame.f_code
         path = code.co_filename
@@ -142,7 +162,13 @@ def _on_sigprof(signum: int, frame: FrameType | None) -> None:
         if where is not None:
             if layer is None:
                 layer = where
+                if loop_entry is not None:
+                    layer = "loop"
+                    stack.append(loop_entry)
             stack.append(code)
+        elif (layer is None and loop_entry is None and code.co_name in LOOP_ENTRIES
+              and path.endswith(_LOOP_FILE)):
+            loop_entry = code
         frame = frame.f_back
     stack.reverse()
     key = tuple(stack)

@@ -3,15 +3,28 @@
 Everything the engines schedule — frontend WIs, delivery latencies, step
 service times, watchdogs — lands on :class:`RealtimeClock`: the
 simulator's :class:`~repro.runtime.eventqueue.EventQueue`, fired by
-**one** loop callback armed for its head (``call_soon`` when due,
-``call_at`` otherwise).  The callback fires everything due in ``(time,
-seq)`` order, including what the fired callbacks schedule with no delay:
-a zero-latency message runs in the loop turn that sent it, as the
-simulated kernel runs ``now + 0``.  The transport is the shared
-clock-agnostic :class:`repro.runtime.transport.Network` (persistent-queue
-semantics, per-mechanism accounting, Lamport stamping — identical to
-simulation), with the configured :class:`~repro.runtime.latency.
-LatencyModel` applied as *real* delay: ``FixedLatency(0.0)`` for an
+**one** callback armed for its head.  The callback fires everything due
+in ``(time, seq)`` order, including what the fired callbacks schedule
+with no delay: a zero-latency message runs in the loop turn that sent
+it, as the simulated kernel runs ``now + 0``.
+
+How the clock waits: a head that is already due is a ``call_soon``.  A
+later head is the absolute deadline of the clock's one Linux
+``timerfd`` (``CLOCK_MONOTONIC``, the clock ``loop.time()`` reads),
+which the loop watches with ``add_reader``; re-arming for an earlier
+head is one ``timerfd_settime``.  An entry then fires 0.04–0.2 ms after
+its time on an idle loop.  A loop timer (``call_at``) would fire it
+0.5–0.8 ms late at the median: the selector rounds every wait up to a
+whole millisecond, again each time the loop wakes for something else,
+and a chain of steps pays that once per link.  Where libc has no
+``timerfd_create`` (off Linux) the clock arms ``call_at`` instead; the
+choice is made once, at import, from what the platform offers.
+
+The transport is the shared clock-agnostic
+:class:`repro.runtime.transport.Network` (persistent-queue semantics,
+per-mechanism accounting, Lamport stamping — identical to simulation),
+with the configured :class:`~repro.runtime.latency.LatencyModel`
+applied as *real* delay: ``FixedLatency(0.0)`` for an
 undelayed in-process service, positive values to rehearse WAN pacing.
 Step programs run as clock entries through the one
 :class:`~repro.runtime.executor.TaskExecutor`, which runs each callback
@@ -38,6 +51,10 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import heapq
+import math
+import os
+import time as _time
+import weakref
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -54,6 +71,52 @@ __all__ = ["RealtimeClock", "RealtimeRuntime", "TaskExecutor"]
 #: other work (socket reads, HTTP handlers); a longer cascade continues,
 #: in order, on the next turn.
 TURN_LIMIT = 256
+
+
+try:  # ``os.timerfd_*`` is Python 3.13+; libc has had them since glibc 2.8.
+    import ctypes
+
+    _libc = ctypes.CDLL(None, use_errno=True)
+    _timerfd_create = _libc.timerfd_create
+    _timerfd_settime = _libc.timerfd_settime
+except (ImportError, OSError, AttributeError, TypeError):  # pragma: no cover - off Linux
+    _timerfd_create = None
+else:
+
+    class _ITimerSpec(ctypes.Structure):
+        """``struct itimerspec``: two ``struct timespec``, flattened."""
+
+        _fields_ = [("interval_sec", ctypes.c_long), ("interval_nsec", ctypes.c_long),
+                    ("value_sec", ctypes.c_long), ("value_nsec", ctypes.c_long)]
+
+    _timerfd_create.argtypes = [ctypes.c_int, ctypes.c_int]
+    _timerfd_settime.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(_ITimerSpec),
+                                 ctypes.c_void_p]
+    _timerfd_create.restype = _timerfd_settime.restype = ctypes.c_int
+
+#: ``timerfd_settime`` flag: ``it_value`` is an absolute clock reading.
+TFD_TIMER_ABSTIME = 1
+
+
+def _on_timerfd(fd: int, clock_ref: "weakref.ref[RealtimeClock]") -> None:
+    """The loop's reader on a clock's timerfd: consume the expiry, then
+    run a turn unless one is already queued.  A read that finds no
+    expiry (the fd was re-armed after the loop saw it ready) does nothing.
+    The clock is held weakly, so a dropped clock is collected."""
+    try:
+        os.read(fd, 8)
+    except BlockingIOError:
+        return
+    clock = clock_ref()
+    if clock is not None and clock._armed is None:
+        clock._turn()
+
+
+def _release_timerfd(loop: asyncio.AbstractEventLoop, fd: int) -> None:
+    """Take the reader off, then close the fd: a number the kernel hands
+    out again must not meet a stale registration in the selector."""
+    loop.remove_reader(fd)  # a closed loop has dropped it already
+    os.close(fd)
 
 
 class RealtimeClock(EventQueue):
@@ -76,10 +139,16 @@ class RealtimeClock(EventQueue):
         self._epoch = 0.0
         self._idle = asyncio.Event()
         self._idle.set()
-        #: The one loop callback armed for the head of the queue and the
-        #: clock time it was armed for; ``None`` while a turn runs.
+        #: The loop callback queued for the head (``call_soon``, or
+        #: ``call_at`` without a timerfd), else ``None``; and the clock
+        #: time the clock is armed for (``inf``: not armed, or a turn runs).
         self._armed: asyncio.Handle | None = None
-        self._armed_at = 0.0
+        self._armed_at = math.inf
+        #: The timerfd the clock waits on, its ``itimerspec`` and the
+        #: finalizer that releases it; ``None`` when it waits with ``call_at``.
+        self._timerfd: int | None = None
+        self._deadline: Any = None
+        self._release: weakref.finalize | None = None
         #: The turn's last reading of ``now`` while a turn runs, else ``None``.
         self._horizon: float | None = None
 
@@ -91,6 +160,27 @@ class RealtimeClock(EventQueue):
             return
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._epoch = self._loop.time()
+        if _timerfd_create is not None:
+            fd = _timerfd_create(_time.CLOCK_MONOTONIC, os.O_NONBLOCK | os.O_CLOEXEC)
+            if fd < 0:
+                raise OSError(ctypes.get_errno(), "timerfd_create failed")
+            self._loop.add_reader(fd, _on_timerfd, fd, weakref.ref(self))
+            self._timerfd = fd
+            self._deadline = _ITimerSpec()
+            self._release = weakref.finalize(self, _release_timerfd, self._loop, fd)
+
+    def close(self) -> None:
+        """Release the timerfd (idempotent; also done when the clock is
+        collected).  Entries still queued go on firing, by ``call_at``."""
+        release = self._release
+        if release is None:
+            return
+        self._timerfd = self._deadline = self._release = None
+        release()
+        if (self._armed is None and self._horizon is None and self._queue
+                and not self._loop.is_closed()):
+            self._armed_at = math.inf
+            self._arm(self._queue[0][0])
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -148,17 +238,35 @@ class RealtimeClock(EventQueue):
             self._arm(time)
 
     def _arm(self, time: float) -> None:
-        """Arm the loop callback for an entry due at ``time``, unless it is
-        already armed for no later."""
-        armed = self._armed
-        if armed is not None:
-            if self._armed_at <= time:
-                return
-            armed.cancel()
+        """Arm the clock for an entry due at ``time``, unless it is
+        already armed for no later.
+
+        A due entry is a ``call_soon``.  A later one sets the timerfd's
+        absolute deadline, ``epoch + time`` rounded up to the microsecond
+        (so the turn it wakes finds the entry due): one syscall, which
+        replaces a later deadline and cancels nothing.  On an idle loop
+        the entry fires 0.04–0.2 ms late.  An expiry left over from an
+        earlier head (the queue emptied, or a ``call_soon`` turn ran
+        first) is a turn that fires nothing and re-arms.  Without a
+        timerfd a later entry is a ``call_at``, which the selector
+        rounds up to a whole millisecond: 0.5–0.8 ms late at the median.
+        """
+        if self._armed_at <= time:
+            return
         loop = self._loop
         self._armed_at = time
+        armed = self._armed
+        if armed is not None:  # only ever a ``call_at`` for a later head
+            armed.cancel()
+            self._armed = None
         if time <= loop.time() - self._epoch:
             self._armed = loop.call_soon(self._turn)
+        elif self._timerfd is not None:
+            deadline = self._deadline
+            deadline.value_sec, deadline.value_nsec = divmod(
+                math.ceil((self._epoch + time) * 1e6) * 1000, 1_000_000_000)
+            if _timerfd_settime(self._timerfd, TFD_TIMER_ABSTIME, deadline, None):
+                raise OSError(ctypes.get_errno(), "timerfd_settime failed")
         else:
             self._armed = loop.call_at(self._epoch + time, self._turn)
 
@@ -170,6 +278,7 @@ class RealtimeClock(EventQueue):
         left queued still runs.
         """
         self._armed = None
+        self._armed_at = math.inf
         now = self._horizon = self.now
         budget = TURN_LIMIT
         try:

@@ -427,6 +427,9 @@ class WorkflowService:
             )
         if self._log is not None:
             self._log.close()
+        # The clock's timerfd goes with the service; the engine's timers
+        # that outlive it fire by loop timer.
+        self.runtime.clock.close()
         self.logger.info(
             "service.closed", instances_submitted=len(self._submit_times),
             instances_finished=len(self.system.outcomes),

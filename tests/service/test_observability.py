@@ -3,14 +3,22 @@
 import asyncio
 import io
 import json
+import os
 import signal
+import socket
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.engines.base import ControlSystem
 from repro.errors import WorkloadError
 from repro.obs.logging import StructuredLogger
-from repro.obs.profile import LAYERS, function_name
+import repro
+from repro.obs.profile import LAYERS, LOOP_MODULE, function_name
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.realtime import RealtimeClock
 from repro.service import WorkflowService, start_server
@@ -194,6 +202,51 @@ def test_debug_profile_returns_collapsed_stacks():
         asyncio.run(main())
     assert calls == ["ControlSystem.execute_program"] * 2
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+
+def test_the_daemon_loop_has_its_own_row_not_the_cli_entry_frame(tmp_path):
+    """On a ``repro serve`` daemon under load, what the asyncio loop does
+    between callbacks is the ``loop`` row: no sample charged to
+    ``service`` has ``cli:cmd_serve`` as its innermost frame."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    base = f"http://127.0.0.1:{port}"
+
+    def request(path, body=None):
+        data = None if body is None else json.dumps(body).encode()
+        method = "GET" if body is None else "POST"
+        with urllib.request.urlopen(urllib.request.Request(base + path, data, method=method),
+                                    timeout=10) as response:
+            return response.read().decode()
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    log = tmp_path / "serve.log"
+    with open(log, "wb") as sink:
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", str(port),
+             "--work-time-scale", "0.001"], stdout=subprocess.DEVNULL, stderr=sink, env=env)
+    try:
+        deadline = time.monotonic() + 30.0
+        while b"repro serve:" not in log.read_bytes():
+            assert daemon.poll() is None and time.monotonic() < deadline, log.read_text()
+            time.sleep(0.05)
+        loop_row = 'crew_profile_samples_total{layer="loop"}'
+        while loop_row not in request("/metrics"):
+            assert time.monotonic() < deadline, "no sample reached the loop row"
+            for x in range(40):
+                request("/workflows", {"schema": MINI_SCHEMA, "inputs": {"x": x},
+                                       "instances": 4})
+        collapsed = request("/debug/profile")
+    finally:
+        daemon.terminate()
+        daemon.wait(timeout=30)
+    innermost = [line.rsplit(" ", 1)[0].rsplit(";", 1)[-1]
+                 for line in collapsed.splitlines()]
+    assert innermost and "repro.cli:cmd_serve" not in innermost
+    assert any(frame.startswith(f"{LOOP_MODULE}:") for frame in innermost)
 
 
 def test_step_work_profiles_under_the_executor_frame():
