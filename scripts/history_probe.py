@@ -12,8 +12,11 @@ failure path.  After the warm-up ``tracemalloc`` reads the traced heap at
 every tenth of the run (quiescent, after a full collection):
 
 * ``retained``  — KB per terminal instance over the whole measured run;
-* ``first`` / ``last`` — the same over the first and the last tenth: equal
-  when what is kept does not depend on how much was served before.
+* ``window`` — the same for the same run at the daemon's default trace
+  capacity, which the run does not fill: what the trace and span rings
+  keep per instance is ``window`` minus ``retained``;
+* ``first`` / ``last`` — ``retained`` over the first and the last tenth:
+  equal when what is kept does not depend on how much was served before.
 
 ``--max-kb`` turns the probe into a gate (CI): exit 1 when ``retained``
 of any probed architecture exceeds it.
@@ -26,6 +29,7 @@ of any probed architecture exceeds it.
 import argparse
 import asyncio
 import gc
+import inspect
 import pathlib
 import sys
 import tracemalloc
@@ -40,6 +44,8 @@ from repro.service import WorkflowService  # noqa: E402
 ARCHITECTURES = ("centralized", "parallel", "distributed")
 ORDERS_LAWS = REPO / "examples" / "order_fulfilment.laws"
 BATCH = 32
+#: The trace capacity ``repro serve`` runs with unless told otherwise.
+DEFAULT_CAPACITY = inspect.signature(WorkflowService).parameters["trace_capacity"].default
 PARTS = 8
 REFUSED_QTY = 13
 
@@ -133,13 +139,16 @@ def main(argv=None):
         parser.error(f"--instances must be at least {10 * BATCH} (ten tenths of one batch)")
 
     print(f"{'architecture':<13} {'instances':>9} {'aborted':>8} "
-          f"{'retained KB':>12} {'first tenth':>12} {'last tenth':>11}")
+          f"{'retained KB':>12} {'window KB':>10} {'first tenth':>12} {'last tenth':>11}")
     over = []
     for architecture in args.architecture or ARCHITECTURES:
         row = asyncio.run(probe(architecture, args.instances, args.warmup,
                                 args.trace_capacity, args.abort_every, args.top))
+        window = asyncio.run(probe(architecture, args.instances, args.warmup,
+                                   DEFAULT_CAPACITY, args.abort_every, 0))
         print(f"{row['architecture']:<13} {row['instances']:>9} {row['aborted']:>8} "
-              f"{row['retained']:>12.2f} {row['first']:>12.2f} {row['last']:>11.2f}")
+              f"{row['retained']:>12.2f} {window['retained']:>10.2f} "
+              f"{row['first']:>12.2f} {row['last']:>11.2f}")
         for name, kb in row["by_file"]:
             print(f"    {kb:8.2f}  {name.removeprefix(str(REPO) + '/')}")
         if args.max_kb is not None and row["retained"] > args.max_kb:

@@ -63,29 +63,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.causal import CausalTrace
-from repro.analysis.experiment import (
-    build_control_system,
-    evaluation_from_sweep,
-    full_evaluation,
-    render_evaluation,
-    run_architecture_experiment,
-)
-from repro.analysis.profiling import (
-    gc_summary,
-    profile_configs,
-    render_gc,
-    run_profiled_sweep,
-)
-from repro.analysis.sweep import run_sweep, sweep_tasks
-from repro.analysis.invariants import INVARIANTS, check_invariants
-from repro.analysis.model import architecture_model
-from repro.analysis.recommend import recommendation_matrix
-from repro.analysis.report import (
-    format_table,
-    render_architecture_table,
-    render_recommendation,
-)
 from repro.engines import CONTROL_SYSTEMS
 from repro.errors import CrewError
 from repro.laws import load_laws
@@ -102,6 +79,10 @@ from repro.workloads import (
     order_processing,
     travel_booking,
 )
+
+# The analysis stack (``repro.analysis``, which brings ``multiprocessing``)
+# is imported by the commands that use it, so ``repro serve`` and ``repro
+# top`` never load it.
 
 __all__ = ["main"]
 
@@ -138,8 +119,23 @@ SCENARIOS = {
 }
 
 
+class _InvariantNames:
+    """``--invariant``'s choices: the catalog's names, read when argparse
+    first checks or lists one, so only ``analyze`` loads the catalog."""
+
+    def __iter__(self):
+        from repro.analysis.invariants import INVARIANTS
+
+        return iter(sorted(INVARIANTS))
+
+    def __contains__(self, name: object) -> bool:
+        return name in tuple(self)
+
+
 def _run_scenario(args) -> tuple:
     """Run one canonical scenario with tracing on; returns (system, ids)."""
+    from repro.analysis.experiment import build_control_system
+
     factory, schema_name, inputs = SCENARIOS[args.name]
     params = WorkloadParameters()
     system = build_control_system(args.architecture, params, seed=args.seed,
@@ -163,6 +159,10 @@ def _params_from(args) -> WorkloadParameters:
 
 
 def cmd_tables(args) -> int:
+    from repro.analysis.model import architecture_model
+    from repro.analysis.recommend import recommendation_matrix
+    from repro.analysis.report import render_architecture_table, render_recommendation
+
     params = _params_from(args)
     for architecture in CONTROL_SYSTEMS:
         print(render_architecture_table(architecture_model(architecture, params)))
@@ -172,6 +172,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.analysis.experiment import run_architecture_experiment
+
     params = _params_from(args).evolve(c=2, i=args.instances)
     for architecture in CONTROL_SYSTEMS:
         result = run_architecture_experiment(architecture, params,
@@ -182,6 +184,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from repro.analysis.report import format_table
+
     with open(args.file, "r", encoding="utf-8") as handle:
         source = handle.read()
     document = load_laws(source)
@@ -214,6 +218,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.analysis.experiment import build_control_system
+
     with open(args.file, "r", encoding="utf-8") as handle:
         document = load_laws(handle.read())
     params = WorkloadParameters()
@@ -262,6 +268,8 @@ def _print_report(report: str, output: str | None) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    from repro.analysis.experiment import full_evaluation, render_evaluation
+
     results = full_evaluation(seed=args.seed, workers=args.workers)
     _print_report(render_evaluation(results), args.output)
     return 0
@@ -279,6 +287,10 @@ def _print_progress(done: int, total: int, task, result) -> None:
 
 def cmd_sweep(args) -> int:
     import time as _time
+
+    from repro.analysis.experiment import evaluation_from_sweep, render_evaluation
+    from repro.analysis.report import format_table
+    from repro.analysis.sweep import run_sweep, sweep_tasks
 
     tasks = sweep_tasks(seed=args.seed)
     started = _time.perf_counter()
@@ -315,6 +327,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.analysis.causal import CausalTrace
+
     system, __ = _run_scenario(args)
     system.tracer.finish(system.simulator.now)
     drops = system.trace.drop_summary(system.tracer.dropped)
@@ -354,6 +368,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from repro.analysis.causal import CausalTrace
+    from repro.analysis.invariants import INVARIANTS, check_invariants
+
     with open(args.file, "r", encoding="utf-8") as handle:
         ct = CausalTrace.from_jsonl(handle.read())
     instances = ct.instances()
@@ -412,6 +429,7 @@ def cmd_metrics(args) -> int:
 def _cmd_chaos_realtime(args) -> int:
     """`repro chaos --runtime asyncio`: wall-clock outcome-consistency runs."""
     from repro.analysis.chaos import run_realtime_chaos
+    from repro.analysis.report import format_table
 
     configs = tuple(args.config) if args.config else ("centralized/normal",)
     seed = args.seed if args.seed is not None else args.seed_base
@@ -447,6 +465,7 @@ def cmd_chaos(args) -> int:
     import os
 
     from repro.analysis.chaos import CHAOS_CONFIGS, chaos_tasks, run_chaos
+    from repro.analysis.report import format_table
 
     if args.runtime != "sim":
         return _cmd_chaos_realtime(args)
@@ -503,6 +522,14 @@ def cmd_chaos(args) -> int:
 
 def cmd_profile(args) -> int:
     import json
+
+    from repro.analysis.profiling import (
+        gc_summary,
+        profile_configs,
+        render_gc,
+        run_profiled_sweep,
+    )
+    from repro.analysis.report import format_table
 
     if args.sweep or not args.config:
         configs = profile_configs()
@@ -913,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the protocol-invariant catalog; exit 1 "
                               "on any violation")
     analyze.add_argument("--invariant", action="append", metavar="NAME",
-                         choices=sorted(INVARIANTS),
+                         choices=_InvariantNames(),
                          help="check only this invariant (repeatable)")
     analyze.add_argument("--strict", action="store_true",
                          help="also exit 1 on causal anomalies")

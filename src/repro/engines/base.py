@@ -17,6 +17,7 @@ by every node implementation.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -651,8 +652,9 @@ class ControlSystem:
             fired.inc()
             depth.observe(engine.pending_count())
             now = self.simulator.now
+            # Interned: the tracer keeps one name per rule, not per firing.
             self.tracer.mark(
-                f"rule:{rule.rule_id}", "rule", node, now,
+                sys.intern(f"rule:{rule.rule_id}"), "rule", node, now,
                 self._workflow_spans.get(instance_id),
                 {"instance": instance_id, "step": rule.step,
                  "kind": rule.kind},
@@ -1001,7 +1003,7 @@ def _ocr_marked(system, now, node, kind, detail):
     """Instant mark of a non-trivial OCR decision (a re-triggered step)."""
     instance, plan = detail["instance"], detail["plan"]
     system.tracer.mark(
-        f"ocr:{plan.step}", "recovery", node.name, now,
+        sys.intern(f"ocr:{plan.step}"), "recovery", node.name, now,
         system._step_parent(instance),
         {"instance": instance, **plan.span_attrs()},
     )
@@ -1015,7 +1017,7 @@ def _coordination_marked(system, now, node, kind, detail):
     attrs["spec"] = spec
     del attrs["op"], attrs["instance"]
     system.tracer.mark(
-        f"coord:{op}", "coordination", node.name, now,
+        sys.intern(f"coord:{op}"), "coordination", node.name, now,
         system._workflow_spans.get(detail["instance"]), attrs,
     )
     ops = system._coordination_counters.get(op)

@@ -85,7 +85,7 @@ LAYERS: dict[str, tuple[str, ...]] = {
                      "engines/distributed/coordination.py"),
     "facade": ("engines/__init__.py", "engines/base.py", "engines/frontend.py",
                "engines/centralized/system.py", "engines/distributed/system.py"),
-    "obs": ("obs/", "runtime/metrics.py", "runtime/trace.py"),
+    "obs": ("obs/", "runtime/metrics.py", "runtime/ring.py", "runtime/trace.py"),
     "model": ("model/", "laws/"),
     "workload": ("analysis/", "workloads/"),
     "service": ("service/", "cli.py", "__init__.py", "__main__.py"),

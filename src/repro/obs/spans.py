@@ -30,29 +30,36 @@ the span *tree* stays per-node while the link mesh spans the deployment.
 
 The tracer is deliberately cheap when disabled: :meth:`Tracer.start`
 returns the shared :data:`NULL_SPAN` and every other operation is a no-op,
-so hot paths can call it unconditionally.  Enabled, a span costs one
-:class:`Span` and the attrs dict its caller built: :meth:`Tracer.add` is
-the one construction path, and ``start`` / ``instant`` hand it their
-attrs without a copy.  A message span — two per physical message, most of
-what a run records — costs less still: :meth:`Tracer.message` keeps it as
-one flat tuple of its fields, and it becomes a :class:`Span` only when
-somebody reads ``tracer.spans``.  An instant its caller never touches
-again (a rule firing, a coordination round, an OCR decision) is a row
-too: :meth:`Tracer.mark` keeps its fields and attrs dict in one tuple.
+so hot paths can call it unconditionally.  Enabled, it keeps every span as
+one row of a :class:`~repro.runtime.ring.ColumnRing` (the layout is in
+:class:`Tracer`): times and ids unboxed, everything else by reference,
+with what many rows share — a category, node and attr keys; a message's
+name, ends, mechanism and direction — in one tuple per distinct value.
+A span still open is the exception: its row holds the :class:`Span`
+object its caller closes, and :meth:`Tracer.end` moves it into the
+columns.  A message span — two per physical message, most of what a run
+records — goes straight into its row from :meth:`Tracer.message`; so
+does an instant its caller never touches again (a rule firing, a
+coordination round, an OCR decision) through :meth:`Tracer.mark`.  A
+closed span becomes a :class:`Span` again only when somebody reads it
+(``tracer.spans``, iteration, :meth:`Tracer.find`: a fresh object per
+read), and :meth:`Span.annotate` on a closed span rewrites its row.
 
 The tracer keeps what fits: under a ``capacity`` it is a ring like the
 flat :class:`~repro.runtime.trace.Trace` — the oldest spans are evicted
 when full — and ``dropped`` counts the loss.  Span ids are allocated in
-creation order and the ring evicts in that order, so a ``parent_id`` /
-``link_id`` older than the oldest retained span names an evicted span,
-not a broken chain.
+creation order and the ring evicts in that order, so a span's id is its
+row's position, and a ``parent_id`` / ``link_id`` older than the oldest
+retained span names an evicted span, not a broken chain.  Span ids start
+at 1; a parent or link id of 0 reads back as none.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
+
+from repro.runtime.ring import ColumnRing
 
 __all__ = ["NULL_SPAN", "Span", "SpanContext", "Tracer"]
 
@@ -68,8 +75,8 @@ class SpanContext:
 class Span:
     """A named, attributed interval of simulation time."""
 
-    __slots__ = ("attrs", "category", "end", "link_id", "name", "node",
-                 "span_id", "parent_id", "start")
+    __slots__ = ("_tracer", "attrs", "category", "end", "link_id", "name",
+                 "node", "span_id", "parent_id", "start")
 
     is_null = False
 
@@ -94,6 +101,8 @@ class Span:
         self.start = start
         self.end = end
         self.attrs: dict[str, Any] = attrs if attrs is not None else {}
+        #: The tracer whose row this span is, once it is one.
+        self._tracer: Tracer | None = None
 
     @property
     def context(self) -> SpanContext:
@@ -112,6 +121,8 @@ class Span:
 
     def annotate(self, **attrs: Any) -> "Span":
         self.attrs.update(attrs)
+        if self.end is not None and self._tracer is not None:
+            self._tracer._store(self)  # a closed span lives in its row
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -134,39 +145,16 @@ class _NullSpan(Span):
 
 NULL_SPAN = _NullSpan()
 
-#: Attr keys of a message span, in export order, behind the five span
-#: fields ``(span_id, name, node, time, link_id)`` of a message row.
-_MESSAGE_ATTRS = ("msg_id", "src", "dst", "mechanism", "lamport", "direction",
-                  "instance")
-#: Length of a :meth:`Tracer.mark` row ``(span_id, name, category, node,
-#: time, parent_id, attrs)``; a message row is 12 long.
-_MARK_ROW_LEN = 7
+class _Wire(NamedTuple):
+    """What the message rows between two nodes share (the rest of a
+    message row is its time, link, msg id, Lamport clock and instance)."""
 
-
-def _message_span(row: tuple) -> Span:
-    """The :class:`Span` a :meth:`Tracer.message` row stands for."""
-    span_id, name, node, time, link_id = row[:5]
-    attrs = dict(zip(_MESSAGE_ATTRS, row[5:]))
-    if attrs["instance"] is None:
-        del attrs["instance"]
-    return Span(span_id, name, "message", node, time, None, attrs, link_id,
-                time)
-
-
-def _mark_span(row: tuple) -> Span:
-    """The :class:`Span` a :meth:`Tracer.mark` row stands for."""
-    span_id, name, category, node, time, parent_id, attrs = row
-    return Span(span_id, name, category, node, time, parent_id, attrs, None,
-                time)
-
-
-def _row_span(row: Span | tuple) -> Span:
-    """What one retained row reads as."""
-    if row.__class__ is Span:
-        return row
-    if len(row) == _MARK_ROW_LEN:
-        return _mark_span(row)
-    return _message_span(row)
+    name: str
+    node: str
+    src: str
+    dst: str
+    mechanism: str
+    direction: str
 
 
 class Tracer:
@@ -177,18 +165,97 @@ class Tracer:
     the flat record and its spans side by side (the views of
     ``repro.engines.base.EVENT_VIEWS``), and the exporters in
     :mod:`repro.obs.export` merge both.
+
+    A span is row ``span_id - 1`` of the ring, whose columns mean what the
+    row's shape (column 5) says:
+
+    ======  ===================  =========================================
+    column  message row          any other span
+    ======  ===================  =========================================
+    0 'd'   time                 start
+    1 'd'   —                    end
+    2 'q'   link id              link id
+    3 'q'   msg id               parent id
+    4 'q'   Lamport clock        where its attr values start (value list)
+    5 'O'   a :class:`_Wire`     ``(category, node, attr keys)``, or the
+                                 :class:`Span` itself while it is open
+    6 'O'   instance (or None)   name
+    ======  ===================  =========================================
+
+    An id column holds 0 for "none".  Shapes and wires are shared by
+    every row with the same ones.
     """
 
     def __init__(self, enabled: bool = True, capacity: int | None = None):
         self.enabled = enabled
         self.capacity = capacity
-        #: Retained spans in id order: a :class:`Span`, or the flat row
-        #: of a message or mark span (see :func:`_row_span`).
-        self._rows: deque[Span | tuple] = deque(maxlen=capacity)
-        self._next_id = 1
+        self._ring = ColumnRing("ddqqqOO", capacity)
+        #: ``(category, node, *attr keys)`` -> the shared shape.
+        self._shapes: dict[tuple, tuple[str, str, tuple[str, ...]]] = {}
+        #: ``_Wire`` fields -> the shared wire.
+        self._wires: dict[tuple, _Wire] = {}
         #: Still-open children per open parent span id, for end-time
         #: clamping.  Spans born closed never enter it.
         self._open_children: dict[int, list[Span]] = {}
+
+    # -- rows ----------------------------------------------------------------
+
+    def _fill(self, chunk: list, slot: int, name: str, category: str, node: str,
+              start: float, end: float, parent_id: int | None, link_id: int | None,
+              attrs: dict[str, Any]) -> None:
+        """Write the row of a closed span."""
+        key = (category, node, *attrs)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = (category, node, key[2:])
+        values = chunk[7]
+        chunk[0][slot] = start
+        chunk[1][slot] = end
+        if link_id:
+            chunk[2][slot] = link_id
+        if parent_id:
+            chunk[3][slot] = parent_id
+        chunk[4][slot] = len(values)
+        chunk[5][slot] = shape
+        chunk[6][slot] = name
+        values.extend(attrs.values())
+
+    def _store(self, span: Span) -> None:
+        """Move a closed span into its row, unless the ring evicted it."""
+        at = self._ring.locate(span.span_id - 1)
+        if at is not None:
+            self._fill(*at, span.name, span.category, span.node, span.start, span.end,
+                       span.parent_id, span.link_id, span.attrs)
+
+    def _read(self, chunk: list, slot: int, span_id: int) -> Span:
+        """The :class:`Span` a row stands for."""
+        shape = chunk[5][slot]
+        if shape.__class__ is Span:
+            return shape  # still open
+        start = end = chunk[0][slot]
+        if shape.__class__ is _Wire:
+            name, category, node, parent_id = shape.name, "message", shape.node, None
+            attrs = {"msg_id": chunk[3][slot], "src": shape.src, "dst": shape.dst,
+                     "mechanism": shape.mechanism, "lamport": chunk[4][slot],
+                     "direction": shape.direction}
+            instance = chunk[6][slot]
+            if instance is not None:
+                attrs["instance"] = instance
+        else:
+            category, node, keys = shape
+            name, end, parent_id = chunk[6][slot], chunk[1][slot], chunk[3][slot] or None
+            at = chunk[4][slot]
+            attrs = dict(zip(keys, chunk[7][at:at + len(keys)]))
+        span = Span(span_id, name, category, node, start, parent_id, attrs,
+                    chunk[2][slot] or None, end)
+        span._tracer = self
+        return span
+
+    def _spans(self) -> Iterator[Span]:
+        for chunk, lo, hi, index in self._ring.segments():
+            for slot in range(lo, hi):
+                index += 1
+                yield self._read(chunk, slot, index)
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -214,12 +281,18 @@ class Tracer:
             parent_id = parent.span_id
         if isinstance(link, Span):
             link = None if link.is_null else link.span_id
-        span = Span(self._next_id, name, category, node, start, parent_id,
+        ring = self._ring
+        span = Span(ring.next + 1, name, category, node, start, parent_id,
                     attrs, link, end)
-        self._next_id += 1
-        if end is None and parent_id is not None and parent.end is None:
-            self._open_children.setdefault(parent_id, []).append(span)
-        self._rows.append(span)
+        span._tracer = self
+        chunk, slot = ring.claim()
+        if end is None:
+            chunk[5][slot] = span
+            if parent_id is not None and parent.end is None:
+                self._open_children.setdefault(parent_id, []).append(span)
+        else:
+            self._fill(chunk, slot, name, category, node, start, end, parent_id, link,
+                       attrs)
         return span
 
     def start(
@@ -256,6 +329,8 @@ class Tracer:
         span.end = time
         if attrs:
             span.attrs.update(attrs)
+        if span._tracer is self:
+            self._store(span)
 
     def instant(
         self,
@@ -294,11 +369,20 @@ class Tracer:
         """
         if link is not None and link.__class__ is not int:
             link = None if link.is_null else link.span_id
-        span_id = self._next_id
-        self._next_id = span_id + 1
-        self._rows.append((span_id, name, node, time, link, msg_id, src, dst,
-                           mechanism, lamport, direction, instance))
-        return span_id
+        key = (name, node, src, dst, mechanism, direction)
+        wire = self._wires.get(key)
+        if wire is None:
+            wire = self._wires[key] = _Wire(*key)
+        ring = self._ring
+        chunk, slot = ring.claim()
+        chunk[0][slot] = time
+        if link is not None:
+            chunk[2][slot] = link
+        chunk[3][slot] = msg_id
+        chunk[4][slot] = lamport
+        chunk[5][slot] = wire
+        chunk[6][slot] = instance
+        return ring.next
 
     def mark(
         self,
@@ -312,25 +396,26 @@ class Tracer:
         """Record one instant nobody holds a handle to, as a row.
 
         Reads as ``instant(name, category, node, time, parent=parent,
-        **attrs)`` would, with ``attrs`` kept as the span's own dict; the
-        tracer must be enabled.  Rule, coordination and OCR instants come
-        this way: their callers never touch the span again.
+        **attrs)`` would, without the :class:`Span` ``instant`` builds;
+        the tracer must be enabled.  Rule, coordination and OCR instants
+        come this way: their callers never touch the span again.
         """
         parent_id = None
         if parent is not None and not parent.is_null:
             parent_id = parent.span_id
-        span_id = self._next_id
-        self._next_id = span_id + 1
-        self._rows.append((span_id, name, category, node, time, parent_id,
-                           attrs))
+        self._fill(*self._ring.claim(), name, category, node, time, time, parent_id,
+                   None, attrs)
 
     def finish(self, time: float) -> int:
         """Close every still-open span at ``time``; returns how many."""
         closed = 0
-        for span in self._rows:
-            if span.__class__ is Span and span.end is None:
-                self.end(span, time, auto_closed=True)
-                closed += 1
+        for chunk, lo, hi, __ in self._ring.segments():
+            shapes = chunk[5]
+            for slot in range(lo, hi):
+                span = shapes[slot]
+                if span.__class__ is Span and span.end is None:
+                    self.end(span, time, auto_closed=True)
+                    closed += 1
         self._open_children.clear()
         return closed
 
@@ -339,18 +424,18 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Spans the ring evicted: every id allocated and not retained."""
-        return self._next_id - 1 - len(self._rows)
+        return self._ring.first
 
     @property
     def spans(self) -> list[Span]:
         """The retained spans, oldest first (a fresh list per read)."""
-        return [_row_span(row) for row in self._rows]
+        return list(self._spans())
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self.spans)
+        return self._spans()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ring)
 
     def by_category(self, category: str) -> list[Span]:
         return [s for s in self.spans if s.category == category]
@@ -362,10 +447,8 @@ class Tracer:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
     def find(self, span_id: int) -> Span | None:
-        for span in self.spans:
-            if span.span_id == span_id:
-                return span
-        return None
+        at = self._ring.locate(span_id - 1)
+        return None if at is None else self._read(*at, span_id)
 
     def check_nesting(self) -> list[str]:
         """Violations of the parent/child interval invariant (for tests)."""
@@ -393,4 +476,4 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"
-        return f"<Tracer {state} spans={len(self._rows)}>"
+        return f"<Tracer {state} spans={len(self)}>"

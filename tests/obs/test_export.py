@@ -312,9 +312,10 @@ def test_evicted_spans_are_reported_beside_dropped_records():
     assert chrome_trace(tracer, trace)["metadata"] == expected
     # an eviction is not an anomaly to the analyzer; a hole in the window is
     from repro.analysis.causal import CausalTrace
-    late = tracer.instant("recv:X", "message", "n", 5.0, link=1, msg_id=1,
-                          direction="recv")
+    tracer.instant("recv:X", "message", "n", 5.0, link=1, msg_id=1,
+                   direction="recv")
     assert CausalTrace.from_run(trace, tracer).anomalies() == []
-    late.link_id = 99
+    tracer.instant("recv:X", "message", "n", 6.0, link=99, msg_id=2,
+                   direction="recv")
     assert [a.kind for a in CausalTrace.from_run(trace, tracer).anomalies()] == [
         "orphan-link"]

@@ -1,6 +1,6 @@
 """Unit tests for span tracing: lifecycle, nesting, null-tracer paths."""
 
-from repro.obs.spans import NULL_SPAN, Tracer
+from repro.obs.spans import NULL_SPAN, Span, Tracer
 
 
 def test_span_lifecycle_and_duration():
@@ -192,6 +192,5 @@ def test_mark_rows_follow_the_capacity_policy():
 def test_check_nesting_still_reports_a_parent_that_was_never_recorded():
     tracer = Tracer(capacity=4)
     tracer.instant("i", "rule", "n", 0.0)
-    orphan = tracer.instant("j", "rule", "n", 1.0)
-    orphan.parent_id = 99
+    tracer.instant("j", "rule", "n", 1.0, parent=Span(99, "k", "rule", "n", 0.0))
     assert tracer.check_nesting() == ["span #2 has unknown parent"]

@@ -7,7 +7,9 @@ By counts, no clocks.  Sequential batches of 32 ``Orders`` (the
 """
 
 import asyncio
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -33,6 +35,45 @@ async def commit_batches(service, first, count):
                     await asyncio.sleep(0.005)
             assert service.instance(instance)["status"] == "committed"
     await service.runtime.join(timeout=10.0)
+
+
+#: KB the trace and span rings may keep per finished ``Orders`` instance.
+#: The deque rings of one object per row kept 11.6 (centralized), 13.4
+#: (parallel) and 11.4 (distributed); the column rings keep about 2.6-3.0.
+RING_BUDGET_KB = 5.5
+
+
+async def traced_growth_kb(architecture, capacity, batches):
+    """KB the traced heap grows by per instance over ``batches`` batches of
+    a memory-only, observability-on daemon, after a two-batch warm-up."""
+    service = WorkflowService(architecture=architecture, work_time_scale=0.001,
+                              trace_capacity=capacity)
+    service.start()
+    load_laws(ORDERS_LAWS.read_text()).install(service.system)
+    try:
+        await commit_batches(service, 0, 2)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        await commit_batches(service, 2, batches)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        await service.close()
+    return (after - before) / 1024.0 / (batches * BATCH)
+
+
+@pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)
+def test_the_rings_keep_a_few_kb_per_finished_instance(architecture):
+    """What the two rings cost is what a daemon whose capacity is above the
+    run keeps beyond the same daemon whose rings stay full (capacity 64)."""
+    batches = 6
+    tracemalloc.start()
+    try:
+        window = asyncio.run(traced_growth_kb(architecture, 10 * BATCH * 60, batches))
+        rest = asyncio.run(traced_growth_kb(architecture, 64, batches))
+    finally:
+        tracemalloc.stop()
+    assert 0.5 < window - rest < RING_BUDGET_KB, (window, rest)
 
 
 @pytest.mark.parametrize("architecture", ALL_ARCHITECTURES)

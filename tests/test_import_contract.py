@@ -266,12 +266,12 @@ def test_whole_snapshot_log_stays_a_test_oracle():
 
 
 def test_previous_observability_plane_stays_a_test_oracle():
-    """A span has one construction path (``Tracer.add``; a message or mark
-    row becomes a ``Span`` in ``_message_span`` / ``_mark_span`` when read,
-    born closed).  The tracer, registry and flight recorder that did
-    otherwise live under ``tests/`` only (the loop in
-    ``test_relative_order_scan_stays_a_test_oracle`` keeps ``src/`` from
-    importing them)."""
+    """A span has one construction path (``Tracer.add``; a stored row
+    becomes a ``Span`` in ``Tracer._read`` when read, while the row of a
+    span still open holds the object ``add`` made).  The tracer,
+    registry and flight recorder that did otherwise live under ``tests/``
+    only (the loop in ``test_relative_order_scan_stays_a_test_oracle``
+    keeps ``src/`` from importing them)."""
     obs = SRC / "repro" / "obs"
     builders = {}
     spans = ast.parse((obs / "spans.py").read_text())
@@ -281,13 +281,12 @@ def test_previous_observability_plane_stays_a_test_oracle():
         for node in ast.walk(scope):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Span":
                 builders[scope.name] = node
-    assert sorted(builders) == ["_mark_span", "_message_span", "add"]
-    for name in ("_mark_span", "_message_span"):
-        # Span(span_id, name, category, node, start, parent_id, attrs,
-        #      link_id, end): a row reads back with ``end`` == ``start``, so
-        # ``Tracer.add`` stays the one path for an open span.
-        args = builders[name].args
-        assert len(args) == 9 and ast.dump(args[8]) == ast.dump(args[4]), name
+    assert sorted(builders) == ["_read", "add"]
+    # Span(span_id, name, category, node, start, parent_id, attrs, link_id,
+    #      end): ``_read`` passes the ``end`` it read (an instant's is its
+    # ``start``); the row of an open span holds the object ``add`` made.
+    args = builders["_read"].args
+    assert len(args) == 9 and getattr(args[8], "id", None) == "end"
 
 
 def test_the_profiler_samples_and_the_code_it_measures_has_no_hook():
@@ -727,6 +726,22 @@ def test_import_repro_leaves_importlib_metadata_unloaded():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert loaded == "False"
+
+
+def test_import_cli_leaves_the_analysis_stack_unloaded():
+    """``repro serve`` imports ``repro.cli``: the commands that analyse,
+    sweep or profile import ``repro.analysis`` (and the process pool it
+    brings) themselves, so the daemon pays for none of it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[:2] == ['repro', 'analysis'] "
+         "or m.split('.')[0] == 'multiprocessing' "
+         "or m == 'concurrent.futures.process'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 #: ``InstanceState.snapshot`` shares these dicts with the live state
