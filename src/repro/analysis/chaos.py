@@ -392,19 +392,6 @@ class RealtimeChaosReport:
         return (not self.unfinished and bool(self.digests)
                 and all(d == self.digests[0] for d in self.digests[1:]))
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "plan": self.plan_spec,
-            "replays": self.replays,
-            "instances": self.instances,
-            "digests": [dict(d) for d in self.digests],
-            "unfinished": list(self.unfinished),
-            "consistent": self.consistent,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
 
 def _realtime_chaos_schema():
     builder = SchemaBuilder("ChaosPair", inputs=["x"])

@@ -639,9 +639,7 @@ def cmd_serve(args) -> int:
                   f"({service.running_count()} running, grace "
                   f"{args.drain_grace:g}s)", file=sys.stderr, flush=True)
             service.begin_drain()
-            deadline = loop.time() + args.drain_grace
-            while service.running_count() and loop.time() < deadline:
-                await asyncio.sleep(0.05)
+            await service.drained(args.drain_grace)
             task.cancel()
         waiter.cancel()
         try:

@@ -104,9 +104,3 @@ class WorkflowPacket:
             assigned_agent=payload.get("assigned_agent"),
             parent_link=tuple(parent_link) if parent_link else None,
         )
-
-    def describe(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"packet[{self.schema_name}/{self.instance_id} -> {self.target_step} "
-            f"epoch={self.recovery_epoch} events={sorted(self.events)}]"
-        )

@@ -360,9 +360,6 @@ class ControlSystem:
         #: node name -> its ``crew_node_messages_received_total`` child.
         self._received_counters: dict[str, CounterMetric] = {}
         self._message_span_names = _MessageSpanNames()
-        #: Fault injector installed by :meth:`inject_faults` (None = the
-        #: transport keeps its reliable persistent-queue semantics).
-        self.faults = None
         self._workflow_spans: dict[str, Span] = {}
         self._recovery_spans: dict[str, Span] = {}
         #: instance -> (node, step) -> the step span open there.
@@ -675,7 +672,7 @@ class ControlSystem:
         program, and the engine's own step-failure path (rollback point,
         halt, compensation, re-execution) takes it from there.
         """
-        faults = self.faults
+        faults = self.runtime.faults
         if faults is not None and faults.executor_should_fail(
                 node, instance_id, step_def.name):
             result = StepResult(success=False, error="injected execfail")
@@ -705,15 +702,18 @@ class ControlSystem:
         sequence on wall-clock time — outcome-level reproducibility).
         Call before :meth:`run`; returns the installed injector.
         """
-        if self.faults is not None:
-            raise WorkloadError("fault injector already installed")
         injector = self.runtime.install_faults(
             plan, self.rng.spawn("faults"),
             retry=retry if retry is not None else RetryPolicy(),
         )
         injector.on_fault = self._on_fault
-        self.faults = injector
         return injector
+
+    @property
+    def faults(self):
+        """The runtime's fault injector (None = the transport keeps its
+        reliable persistent-queue semantics)."""
+        return self.runtime.faults
 
     def _on_fault(self, time: float, kind: str, **detail: Any) -> None:
         """Record one injected fault decision into the trace."""

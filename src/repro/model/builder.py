@@ -195,11 +195,6 @@ class SchemaBuilder:
         self._compensation_sets.append(frozenset(members))
         return self
 
-    def cr_policy(self, step: str, policy: CRPolicy) -> "SchemaBuilder":
-        """Attach a compensation/re-execution condition to a step."""
-        self._cr_policies[step] = policy
-        return self
-
     def abort_compensation(self, *steps: str) -> "SchemaBuilder":
         """Steps to compensate on a user-initiated workflow abort."""
         self._abort_compensation.extend(steps)

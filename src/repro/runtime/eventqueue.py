@@ -84,9 +84,10 @@ class EventQueue:
         self._seq = itertools.count()
         self._cancelled = 0  # cancelled entries still sitting in the queue
         self.events_processed = 0
-        #: Optional observability hook called as ``hook(time, queue_len)``
-        #: before each event fires.  Left ``None`` in benchmark runs so
-        #: the hot loop pays only one attribute check per event.
+        #: Optional observability hook called as ``hook(time, pending)``
+        #: before each event fires (the event no longer counted).  Left
+        #: ``None`` in benchmark runs so the hot loop pays only one
+        #: attribute check per event.
         self.event_hook: Callable[[float, int], None] | None = None
 
     def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> EventHandle:

@@ -49,19 +49,12 @@ and reported with a 504-style ``deadline-exceeded`` status.  Chaos plans reach t
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 from typing import Any
 
 from repro.engines import SystemConfig, control_system_class
-from repro.errors import (
-    AdmissionError,
-    FrontEndError,
-    SchemaError,
-    StorageError,
-    WorkloadError,
-)
-from repro.laws import load_laws
+from repro.errors import AdmissionError, FrontEndError, SchemaError, WorkloadError
+from repro.laws import TranslatedDocument, load_laws
 from repro.model import SchemaBuilder
 from repro.obs.export import prometheus_text, trace_to_jsonl
 from repro.obs.logging import StructuredLogger
@@ -251,7 +244,7 @@ class WorkflowService:
             # Always-on sampler, started with the loop in :meth:`start`.
             self.profiler = Profiler().install(self.system)
         self.started_at: float | None = None
-        #: Installed document digest -> its default workflow name.
+        #: Installed document (canonical JSON) -> its default workflow name.
         self._installed_documents: dict[str, str] = {}
         #: instance id -> wall-clock submit time (insertion ordered; the
         #: key set doubles as "known instances").
@@ -289,7 +282,9 @@ class WorkflowService:
         #: outcomes, keyed by ids the engine never saw, and the redrive
         #: chains, this boot's re-drives included.
         self._state = ServiceState()
-        self._replaying = False
+        #: What :meth:`drained` awaits; :meth:`_on_outcome` resolves it
+        #: when the last running instance finishes.
+        self._idle: asyncio.Future | None = None
         if state_dir is not None:
             self._log = ServiceLog(state_dir)
             self._state = ServiceState.from_records(self._log.records())
@@ -329,20 +324,8 @@ class WorkflowService:
         that view.
         """
         state = self._state
-        self._replaying = True
-        try:
-            for document in state.documents:
-                if "laws" in document:
-                    self._install_laws(document["laws"])
-                elif "schema" in document:
-                    self._install_schema(document["schema"])
-                else:  # pragma: no cover - defensive
-                    raise StorageError(
-                        f"document record with neither laws nor schema: "
-                        f"{sorted(document)}"
-                    )
-        finally:
-            self._replaying = False
+        for document in state.documents:
+            self._install(document)
         self.system.reserve_instance_ids(state.max_instance_index())
         redriven = 0
         now = self.runtime.clock.now
@@ -400,6 +383,21 @@ class WorkflowService:
             taps, self._event_taps = self._event_taps, []
             for feed in taps:
                 feed.put(None)
+
+    async def drained(self, grace: float) -> bool:
+        """Wait until no acknowledged instance is running, at most
+        ``grace`` seconds; ``False`` if some still are.
+
+        :meth:`_on_outcome` wakes the wait at the last outcome, so a drain
+        ends on that outcome rather than on the next look at the count.
+        """
+        if self._running:
+            idle = self._idle = self._loop.create_future()
+            try:
+                await asyncio.wait((idle,), timeout=grace)
+            finally:
+                self._idle = None
+        return not self._running
 
     async def close(self) -> None:
         self.begin_drain()
@@ -479,10 +477,12 @@ class WorkflowService:
             )
             raise
         default_name = None
-        if laws is not None:
-            default_name = self._install_laws(laws)
-        elif schema is not None:
-            default_name = self._install_schema(schema)
+        document = ({"laws": laws} if laws is not None
+                    else None if schema is None else {"schema": schema})
+        if document is not None:
+            default_name, installed = self._install(document)
+            if installed and self._log is not None:
+                self._log.append("document", document)
         schema_name = workflow or default_name
         if schema_name is None:
             raise FrontEndError(
@@ -524,40 +524,27 @@ class WorkflowService:
             self._deadlines[instance_id] = self._loop.call_later(
                 deadline_s, self._expire, instance_id)
 
-    def _install_laws(self, text: str) -> str:
-        """Install a LAWS document once; return its first schema name."""
-        digest = "laws:" + hashlib.sha256(text.encode()).hexdigest()
-        name = self._installed_documents.get(digest)
-        if name is None:
-            document = load_laws(text)
-            self._check_fresh(s.name for s in document.schemas)
-            document.install(self.system)
-            name = self._installed_documents[digest] = document.schemas[0].name
-            if self._log is not None and not self._replaying:
-                self._log.append("document", {"laws": text})
-        return name
-
-    def _install_schema(self, payload: dict[str, Any]) -> str:
-        digest = "schema:" + hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
-        name = self._installed_documents.get(digest)
-        if name is None:
-            schema = schema_from_dict(payload)
-            self._check_fresh([schema.name])
-            self.system.register_schema(schema)
-            name = self._installed_documents[digest] = schema.name
-            if self._log is not None and not self._replaying:
-                self._log.append("document", {"schema": payload})
-        return name
-
-    def _check_fresh(self, names) -> None:
-        clashes = [n for n in names if n in self.system.schemas]
+    def _install(self, document: dict[str, Any]) -> tuple[str, bool]:
+        """Install a document once: ``{"laws": text}`` or ``{"schema":
+        payload}``, the dict its ``document`` record journals.  Returns its
+        first workflow class and whether this call installed it."""
+        key = json.dumps(document, sort_keys=True)
+        name = self._installed_documents.get(key)
+        if name is not None:
+            return name, False
+        if "laws" in document:
+            translated = load_laws(document["laws"])
+        else:
+            translated = TranslatedDocument([schema_from_dict(document["schema"])])
+        clashes = [s.name for s in translated.schemas if s.name in self.system.schemas]
         if clashes:
             raise FrontEndError(
                 f"workflow class(es) {clashes} already installed by a "
                 f"different document; rename or reuse via 'workflow'"
             )
+        translated.install(self.system)
+        name = self._installed_documents[key] = translated.schemas[0].name
+        return name, True
 
     # -- fault injection ---------------------------------------------------
 
@@ -570,31 +557,28 @@ class WorkflowService:
         chaos rig).  One plan per process — a second install is refused
         (409-shaped) rather than silently stacking fault pipelines.
         """
-        if not self.enable_fault_endpoint:
-            raise FrontEndError(
-                "fault injection endpoint is disabled; restart `repro "
-                "serve` with --enable-fault-endpoint (chaos rigs only)"
-            )
+        self._require_fault_endpoint()
         plan = FaultPlan.parse(spec)
-        if self.system.faults is not None:
-            raise WorkloadError("fault injector already installed")
         injector = self.system.inject_faults(plan)
         self.logger.warning("faults.installed", plan=plan.to_spec())
         return {"installed": injector.plan.to_spec()}
 
     def fault_stats(self) -> dict[str, Any]:
         """Plan + decision counters of the installed injector (GET side)."""
-        if not self.enable_fault_endpoint:
-            raise FrontEndError(
-                "fault injection endpoint is disabled; restart `repro "
-                "serve` with --enable-fault-endpoint (chaos rigs only)"
-            )
+        self._require_fault_endpoint()
         injector = self.system.faults
         if injector is None:
             return {"installed": None}
         return {"installed": injector.plan.to_spec(),
                 "stats": injector.stats.as_dict(),
                 "lost_messages": len(injector.lost)}
+
+    def _require_fault_endpoint(self) -> None:
+        if not self.enable_fault_endpoint:
+            raise FrontEndError(
+                "fault injection endpoint is disabled; restart `repro "
+                "serve` with --enable-fault-endpoint (chaos rigs only)"
+            )
 
     # -- queries -----------------------------------------------------------
 
@@ -638,7 +622,7 @@ class WorkflowService:
         the engine outcome wins (flagged ``deadline_exceeded``).
         """
         resolved = self._state.resolve(instance_id)
-        record = self._instance_record(resolved)
+        record = self._record(resolved)
         if record is None:
             raise FrontEndError(f"unknown instance {instance_id!r}")
         if resolved != instance_id:
@@ -646,61 +630,46 @@ class WorkflowService:
             record["resolved"] = resolved
         return record
 
-    def _outcome(self, iid: str):
-        """The engine outcome of ``iid``, once it may be shown."""
-        if iid in self._unpublished:
-            return None
-        return self.system.outcomes.get(iid)
-
-    def _instance_record(self, iid: str) -> dict[str, Any] | None:
-        expired = iid in self._expired
-        outcome = self._outcome(iid)
+    def _record(self, iid: str) -> dict[str, Any] | None:
+        """The one status derivation, behind :meth:`instance`,
+        :meth:`instances`, :meth:`subscribe` and the final stream event:
+        the engine outcome once published, then a restored outcome, then
+        ``deadline-exceeded`` or ``running``; ``None`` for an id this
+        service never acknowledged."""
+        outcome = (None if iid in self._unpublished
+                   else self.system.outcomes.get(iid))
+        restored = self._state.outcomes.get(iid)
         if outcome is not None:
+            record = _outcome_record(outcome)
+        elif restored is not None:
             record = {
                 "instance": iid,
-                "workflow": outcome.schema_name,
-                "status": outcome.status.value,
-                "outputs": dict(outcome.outputs),
-                "finished_at": outcome.finished_at,
-            }
-            if expired:
-                record["deadline_exceeded"] = True
-            return record
-        durable = self._state.outcomes.get(iid)
-        if durable is not None:
-            return {
-                "instance": iid,
-                "workflow": durable.get("workflow"),
-                "status": durable.get("status"),
-                "outputs": dict(durable.get("outputs") or {}),
-                "finished_at": durable.get("finished_at"),
+                "workflow": restored.get("workflow"),
+                "status": restored.get("status"),
+                "outputs": dict(restored.get("outputs") or {}),
+                "finished_at": restored.get("finished_at"),
                 "recovered": True,
             }
-        if iid not in self._submit_times:
+        elif iid in self._submit_times:
+            record = {"instance": iid, "status": (
+                "deadline-exceeded" if iid in self._expired else "running")}
+        else:
             return None
-        if expired:
-            return {"instance": iid, "status": "deadline-exceeded",
-                    "deadline_exceeded": True}
-        return {"instance": iid, "status": "running"}
+        if iid in self._expired:
+            record["deadline_exceeded"] = True
+        return record
 
     def instances(self) -> list[dict[str, Any]]:
         """Per-instance status rows, submission order (``repro top`` feed)."""
         now = self.runtime.clock.now
         rows = []
         for iid, submitted in self._submit_times.items():
-            outcome = self._outcome(iid)
-            if outcome is not None:
-                rows.append({
-                    "instance": iid,
-                    "workflow": outcome.schema_name,
-                    "status": outcome.status.value,
-                    "age": round(now - submitted, 6),
-                })
-            else:
-                status = ("deadline-exceeded" if iid in self._expired
-                          else "running")
-                rows.append({"instance": iid, "status": status,
-                             "age": round(now - submitted, 6)})
+            record = self._record(iid)
+            row = {"instance": iid, "status": record["status"],
+                   "age": round(now - submitted, 6)}
+            if "workflow" in record:
+                row["workflow"] = record["workflow"]
+            rows.append(row)
         return rows
 
     # -- event streaming ---------------------------------------------------
@@ -712,13 +681,12 @@ class WorkflowService:
         final status event and then the terminator.
         """
         instance_id = self._state.resolve(instance_id)
-        finished = (self._outcome(instance_id) is not None
-                    or instance_id in self._state.outcomes)
-        if not finished and instance_id not in self._submit_times:
+        record = self._record(instance_id)
+        if record is None:
             raise FrontEndError(f"unknown instance {instance_id!r}")
         feed = EventFeed()
-        if finished:
-            feed.put(self._final_event(instance_id))
+        if "finished_at" in record:  # an outcome, published or restored
+            feed.put(_final_event(record))
             feed.put(None)
             return feed
         self._subscribers.setdefault(instance_id, []).append(feed)
@@ -781,11 +749,6 @@ class WorkflowService:
         for feed in self._event_taps:
             feed.put(event)
 
-    def _final_event(self, instance_id: str) -> dict[str, Any]:
-        record = self.instance(instance_id)
-        record["kind"] = "instance.finished"
-        return record
-
     def _on_outcome(self, outcome) -> None:
         """Completion handler: the engine just finished an instance.
 
@@ -822,16 +785,13 @@ class WorkflowService:
             status=status, latency=round(latency, 6),
         )
         if self._log is not None:
-            self._log.append("outcome", {
-                "instance": iid,
-                "workflow": outcome.schema_name,
-                "status": status,
-                "outputs": dict(outcome.outputs),
-                "finished_at": outcome.finished_at,
-            })
+            self._log.append("outcome", _outcome_record(outcome))
         if not self._unpublished:
             self._loop.call_soon(self._publish_outcomes)
         self._unpublished[iid] = []
+        if not self._running and self._idle is not None:
+            self._idle.set_result(None)  # a drain's last instance
+            self._idle = None
 
     def _publish_outcomes(self) -> None:
         """Make this turn's outcomes durable (one fsync), then visible:
@@ -843,7 +803,7 @@ class WorkflowService:
             for event in held:
                 self._emit(iid, event)
             for feed in self._subscribers.pop(iid, ()):
-                feed.put(self._final_event(iid))
+                feed.put(_final_event(self._record(iid)))
                 feed.put(None)
 
     def _expire(self, iid: str) -> None:
@@ -981,6 +941,23 @@ def _set_counter(counter, value: float) -> None:
     totals, trace drop counts); assignment keeps a
     scrape idempotent where ``inc()`` would double-count."""
     counter.value = float(value)
+
+
+def _outcome_record(outcome) -> dict[str, Any]:
+    """An engine outcome as its ``outcome`` record journals it, which is
+    also the status record of a finished instance."""
+    return {
+        "instance": outcome.instance_id,
+        "workflow": outcome.schema_name,
+        "status": outcome.status.value,
+        "outputs": dict(outcome.outputs),
+        "finished_at": outcome.finished_at,
+    }
+
+
+def _final_event(record: dict[str, Any]) -> dict[str, Any]:
+    """The last event of an instance's stream: its status record."""
+    return dict(record, kind="instance.finished")
 
 
 def _jsonable(value: Any) -> bool:

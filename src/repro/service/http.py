@@ -254,6 +254,130 @@ async def _stream_events(
             service.unsubscribe(instance_id, feed)
 
 
+def _json(render):
+    """A route whose 200 body is ``render(service)`` as JSON."""
+    async def handler(service, path, body, reader, writer) -> bytes:
+        return _response(200, render(service))
+
+    return handler
+
+
+async def _readyz(service, path, body, reader, writer) -> bytes:
+    ready, reason = service.readiness()
+    return _response(200 if ready else 503, {"ready": ready, "reason": reason})
+
+
+async def _firehose(service, path, body, reader, writer) -> None:
+    await _stream_events(reader, writer, service, None)
+
+
+async def _submit(service, path, body, reader, writer) -> bytes:
+    if body is None:
+        raise _HttpError(400, "POST /workflows needs a JSON body")
+    try:
+        instances = int(body.get("instances", 1))
+        deadline = body.get("deadline_s")
+        deadline_s = None if deadline is None else float(deadline)
+    except (TypeError, ValueError) as exc:
+        raise _HttpError(400, f"bad submission field: {exc}") from None
+    try:
+        result = service.submit(
+            laws=body.get("laws"),
+            schema=body.get("schema"),
+            workflow=body.get("workflow"),
+            inputs=body.get("inputs"),
+            instances=instances,
+            deadline_s=deadline_s,
+        )
+    except AdmissionError as exc:
+        raise _HttpError(exc.status, str(exc), code=exc.code,
+                         retry_after=exc.retry_after) from None
+    except CrewError as exc:
+        raise _HttpError(400, str(exc)) from None
+    return _response(200, result)
+
+
+def _surface(render: str, content_type: str):
+    """An observability surface: 503 with the service's hint when the
+    plane is off."""
+    async def handler(service, path, body, reader, writer) -> bytes:
+        try:
+            text = getattr(service, render)()
+        except WorkloadError as exc:
+            raise _HttpError(503, str(exc)) from None
+        return _text_response(200, text, content_type)
+
+    return handler
+
+
+def _fault_endpoint(call):
+    """One side of ``/debug/faults``: 403 while the endpoint is disabled,
+    409 for a second plan, 400 for a bad one."""
+    async def handler(service, path, body, reader, writer) -> bytes:
+        try:
+            return _response(200, call(service, body))
+        except FrontEndError as exc:
+            raise _HttpError(403, str(exc),
+                             code="fault-endpoint-disabled") from None
+        except WorkloadError as exc:
+            raise _HttpError(409, str(exc)) from None
+        except CrewError as exc:
+            raise _HttpError(400, str(exc)) from None
+
+    return handler
+
+
+def _drain(service) -> dict[str, Any]:
+    service.begin_drain()
+    return {"draining": True}
+
+
+def _install_plan(service, body):
+    if body is None or "plan" not in body:
+        raise _HttpError(
+            400, "POST /debug/faults needs a JSON body with 'plan' "
+                 "(a fault-plan spec string)"
+        )
+    return service.install_faults(str(body["plan"]))
+
+
+async def _instance(service, path, body, reader, writer) -> bytes | None:
+    rest = path[len("/instances/"):]
+    try:
+        if rest.endswith("/events"):
+            await _stream_events(reader, writer, service, rest[: -len("/events")])
+            return None
+        return _response(200, service.instance(rest))
+    except CrewError as exc:
+        raise _HttpError(404, str(exc)) from None
+
+
+#: Fixed path -> {method: handler}; the module docstring lists them.  A
+#: method a path does not serve is a 405 naming the ones it does.
+_ROUTES = {
+    "/healthz": {"GET": _json(lambda service: service.status())},
+    "/readyz": {"GET": _readyz},
+    "/version": {"GET": _json(lambda service: {"version": _version()})},
+    "/workflows": {"POST": _submit},
+    "/instances": {
+        "GET": _json(lambda service: {"instances": service.instances()}),
+    },
+    "/events": {"GET": _firehose},
+    "/metrics": {"GET": _surface("metrics_text", _PROM_TYPE)},
+    "/debug/trace": {"GET": _surface("trace_jsonl", _NDJSON_TYPE)},
+    "/debug/profile": {
+        "GET": _surface("profile_collapsed", "text/plain; charset=utf-8"),
+    },
+    "/debug/faults": {
+        "GET": _fault_endpoint(lambda service, body: service.fault_stats()),
+        "POST": _fault_endpoint(_install_plan),
+    },
+    "/admin/drain": {"POST": _json(_drain)},
+}
+#: ``/instances/<id>`` and ``/instances/<id>/events``.
+_INSTANCE_ROUTE = {"GET": _instance}
+
+
 async def _dispatch(
     service: WorkflowService,
     method: str,
@@ -264,122 +388,15 @@ async def _dispatch(
 ) -> bytes | None:
     """Route one request; returns a full response, or ``None`` if the
     handler streamed the response itself."""
-    if path == "/healthz":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        return _response(200, service.status())
-    if path == "/readyz":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        ready, reason = service.readiness()
-        return _response(200 if ready else 503,
-                         {"ready": ready, "reason": reason})
-    if path == "/metrics":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        try:
-            return _text_response(200, service.metrics_text(), _PROM_TYPE)
-        except WorkloadError as exc:
-            raise _HttpError(503, str(exc)) from None
-    if path == "/debug/trace":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        try:
-            return _text_response(200, service.trace_jsonl(), _NDJSON_TYPE)
-        except WorkloadError as exc:
-            raise _HttpError(503, str(exc)) from None
-    if path == "/debug/profile":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        try:
-            return _text_response(
-                200, service.profile_collapsed(), "text/plain; charset=utf-8"
-            )
-        except WorkloadError as exc:
-            raise _HttpError(503, str(exc)) from None
-    if path == "/events":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        await _stream_events(reader, writer, service, None)
-        return None
-    if path == "/instances":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        return _response(200, {"instances": service.instances()})
-    if path == "/version":
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        return _response(200, {"version": _version()})
-    if path == "/workflows":
-        if method != "POST":
-            raise _HttpError(405, "use POST")
-        if body is None:
-            raise _HttpError(400, "POST /workflows needs a JSON body")
-        try:
-            instances = int(body.get("instances", 1))
-            deadline = body.get("deadline_s")
-            deadline_s = None if deadline is None else float(deadline)
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"bad submission field: {exc}") from None
-        try:
-            result = service.submit(
-                laws=body.get("laws"),
-                schema=body.get("schema"),
-                workflow=body.get("workflow"),
-                inputs=body.get("inputs"),
-                instances=instances,
-                deadline_s=deadline_s,
-            )
-        except AdmissionError as exc:
-            raise _HttpError(exc.status, str(exc), code=exc.code,
-                             retry_after=exc.retry_after) from None
-        except CrewError as exc:
-            raise _HttpError(400, str(exc)) from None
-        return _response(200, result)
-    if path == "/debug/faults":
-        if method == "GET":
-            try:
-                return _response(200, service.fault_stats())
-            except CrewError as exc:
-                raise _HttpError(403, str(exc),
-                                 code="fault-endpoint-disabled") from None
-        if method != "POST":
-            raise _HttpError(405, "use GET or POST")
-        if body is None or "plan" not in body:
-            raise _HttpError(
-                400, "POST /debug/faults needs a JSON body with 'plan' "
-                     "(a fault-plan spec string)"
-            )
-        try:
-            return _response(200, service.install_faults(str(body["plan"])))
-        except FrontEndError as exc:
-            raise _HttpError(403, str(exc),
-                             code="fault-endpoint-disabled") from None
-        except WorkloadError as exc:
-            raise _HttpError(409, str(exc)) from None
-        except CrewError as exc:
-            raise _HttpError(400, str(exc)) from None
-    if path == "/admin/drain":
-        if method != "POST":
-            raise _HttpError(405, "use POST")
-        service.begin_drain()
-        return _response(200, {"draining": True})
-    if path.startswith("/instances/"):
-        if method != "GET":
-            raise _HttpError(405, "use GET")
-        rest = path[len("/instances/"):]
-        if rest.endswith("/events"):
-            instance_id = rest[: -len("/events")]
-            try:
-                await _stream_events(reader, writer, service, instance_id)
-            except CrewError as exc:
-                raise _HttpError(404, str(exc)) from None
-            return None
-        try:
-            return _response(200, service.instance(rest))
-        except CrewError as exc:
-            raise _HttpError(404, str(exc)) from None
-    raise _HttpError(404, f"no route for {path!r}")
+    route = _ROUTES.get(path)
+    if route is None:
+        if not path.startswith("/instances/"):
+            raise _HttpError(404, f"no route for {path!r}")
+        route = _INSTANCE_ROUTE
+    handler = route.get(method)
+    if handler is None:
+        raise _HttpError(405, "use " + " or ".join(route))
+    return await handler(service, path, body, reader, writer)
 
 
 def _make_handler(service: WorkflowService):

@@ -64,7 +64,7 @@ class Simulator(EventQueue):
         self.now = time
         self.events_processed += 1
         if self.event_hook is not None:
-            self.event_hook(time, len(self._queue))
+            self.event_hook(time, self.pending)
         handle.action(*handle.args)
         return True
 

@@ -112,6 +112,24 @@ def test_clock_cancel_prevents_firing(runtime):
     assert runtime.clock.pending == 0
 
 
+def test_event_hook_sees_the_pending_count(runtime):
+    """The depth the hook sees is ``pending``: cancelled entries still in
+    the heap are not queue depth on either clock."""
+    tick = TICK[runtime.name]
+    seen = []
+
+    def body(rt):
+        clock = rt.clock
+        clock.event_hook = lambda time, depth: seen.append((depth, clock.pending))
+        clock.schedule(1 * tick, lambda: None)
+        for n in (2, 3, 4):
+            clock.schedule(n * tick, lambda: None).cancel()
+        clock.schedule(5 * tick, lambda: None)
+
+    drive(runtime, body)
+    assert seen == [(1, 1), (0, 0)]
+
+
 def test_clock_rejects_negative_delay(runtime):
     def body(rt):
         with pytest.raises(SimulationError):
