@@ -320,8 +320,6 @@ def _minimize(task: ChaosTask, plan: FaultPlan) -> FaultPlan:
         shrunk = False
         for dimension in current.dimensions():
             candidate = current.without(dimension)
-            if candidate.to_spec() == current.to_spec():
-                continue
             if _violates(task, candidate):
                 current = candidate
                 shrunk = True
@@ -465,7 +463,7 @@ def run_realtime_chaos(
     any divergence or unfinished instance makes the report inconsistent.
     """
     architecture, __ = parse_config(config, CHAOS_MODES)
-    plan = FaultPlan.parse(plan_spec) if plan_spec else FaultPlan()
+    plan = FaultPlan.parse(plan_spec)
     started = time.perf_counter()
     report = RealtimeChaosReport(
         config=config, seed=seed, plan_spec=plan.to_spec(),

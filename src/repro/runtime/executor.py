@@ -148,10 +148,12 @@ class ClockRuntime:
         if self.faults is not None:
             raise WorkloadError("fault injector already installed")
         injector = FaultInjector(plan, rng, retry=retry)
-        injector.install(self.transport)
-        injector.arm(self.clock)
-        self.executor.faults = injector
-        self.faults = injector
+        injector.network = self.transport
+        self.faults = self.transport.faults = self.executor.faults = injector
+        for crash in plan.crashes:
+            self.clock.schedule_at(crash.at, injector.crash_node, crash)
+            self.clock.schedule_at(crash.at + crash.down_for,
+                                   injector.recover_node, crash)
         return injector
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,16 +10,21 @@ failures) and a :class:`FaultInjector` makes it happen deterministically,
 drawing every decision from dedicated :class:`~repro.runtime.rng.SimRandom`
 streams so any simulated run is bit-reproducible from ``(seed, plan)``.
 
-:meth:`repro.runtime.executor.ClockRuntime.install_faults` puts the
-injector in three places: on the clock (``arm`` and the retransmission
-backoff use ``schedule`` / ``schedule_at``), under the
+The plan's one-line spec (the ``--plan`` argument of a repro line) is
+declared once: ``_FIELDS`` lists each scalar key with its plan field and
+bound, ``_EVENTS`` each scheduled event, both in spec order.  The plan's
+checks, spec, parser and minimizer dimensions all read the two tables.
+
+:meth:`repro.runtime.executor.ClockRuntime.install_faults` is the one
+installer: it puts the injector under the
 :class:`~repro.runtime.transport.Network` through its ``faults`` hook,
-and into the :class:`~repro.runtime.executor.TaskExecutor` for the
-executor stall.  The control system that installs it also asks it
-before each program execution (``execfail``).  Under the discrete-event
-kernel that makes runs bit-replayable; under the wall-clock asyncio runtime the same plan
-replays the *decision sequence* deterministically (outcome-level
-reproducibility modulo scheduling).
+into the :class:`~repro.runtime.executor.TaskExecutor` for the executor
+stall, and schedules the plan's crashes and recoveries on the clock (the
+retransmission backoff uses the clock too).  The control system that
+installs it also asks it before each program execution (``execfail``).
+Under the discrete-event kernel that makes runs bit-replayable; under the
+wall-clock asyncio runtime the same plan replays the *decision sequence*
+deterministically (outcome-level reproducibility modulo scheduling).
 
 Layering: ``runtime`` cannot import ``engines``, so the retransmission
 backoff policy is duck-typed — any object with ``backoff(attempt, rng) ->
@@ -64,15 +69,15 @@ a "down" node.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.runtime.rng import SimRandom
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.eventqueue import EventQueue
     from repro.runtime.transport import Message, Network
 
 __all__ = [
@@ -118,22 +123,73 @@ class Outage:
     end: float
 
     def matches(self, src: str, dst: str) -> bool:
-        def side(x: str, name: str) -> bool:
-            return x == "*" or x == name
-
-        return (side(self.a, src) and side(self.b, dst)) or (
-            side(self.a, dst) and side(self.b, src)
-        )
+        return any(self.a in ("*", x) and self.b in ("*", y)
+                   for x, y in ((src, dst), (dst, src)))
 
 
-_CRASH_RE = re.compile(r"^([^@]+)@([0-9.]+)\+([0-9.]+)$")
-_OUTAGE_RE = re.compile(r"^([^~]+)~([^@]+)@([0-9.]+)\+([0-9.]+)$")
+def _outage(link: str, start: float, duration: float) -> Outage:
+    a, __, b = link.partition("~")
+    if not a or not b:
+        raise SimulationError(f"bad outage link {link!r} (want a~b)")
+    return Outage(a, b, start, start + duration)
 
 
 def _num(value: float) -> str:
     """Shortest exact decimal for the spec string (no exponent forms)."""
     text = repr(float(value))
     return text[:-2] if text.endswith(".0") else text
+
+
+class _Kind(NamedTuple):
+    """How one scalar of the spec reads, prints and is bounded."""
+
+    read: Callable[[str], Any]
+    show: Callable[[Any], str]
+    ok: Callable[[Any], bool]
+    bound: str
+
+
+def _at_least(floor: float) -> _Kind:
+    return _Kind(float, _num, lambda v: floor <= v < math.inf,
+                 f"finite and >= {_num(floor)}")
+
+
+_PROBABILITY = _Kind(float, _num, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_COUNT = _Kind(int, str, lambda v: v is None or (isinstance(v, int) and v >= 0),
+               "an integer >= 0")
+_NAMES = _Kind(lambda text: tuple(i for i in text.split("/") if i), "/".join,
+               lambda v: isinstance(v, tuple), "a tuple of interface names")
+
+#: The spec's scalar keys, in spec order: ``(key, FaultPlan field, kind)``.
+#: A new scalar key is one row here and its field on :class:`FaultPlan`.
+_FIELDS = (
+    ("drop", "drop_p", _PROBABILITY),
+    ("dup", "dup_p", _PROBABILITY),
+    ("delay", "delay_p", _PROBABILITY),
+    ("reorder", "reorder_p", _PROBABILITY),
+    ("execfail", "exec_fail_p", _PROBABILITY),
+    ("execstall", "exec_stall_p", _PROBABILITY),
+    ("delayfactor", "delay_factor", _at_least(1.0)),
+    ("reorderwindow", "reorder_window", _at_least(0.0)),
+    ("execstallfor", "exec_stall_s", _at_least(0.0)),
+    ("droplimit", "drop_limit", _COUNT),
+    ("iface", "interfaces", _NAMES),
+)
+
+#: What the chaos minimizer may zero, in spec order.
+_PROBABILITIES = tuple(name for __, name, kind in _FIELDS if kind is _PROBABILITY)
+
+#: The spec's scheduled events, in spec order: ``(key, FaultPlan field,
+#: event from (target, start, duration), and back)``.
+_EVENTS = (
+    ("crash", "crashes", Crash, lambda e: (e.node, e.at, e.down_for)),
+    ("stall", "stalls", Stall, lambda e: (e.node, e.at, e.duration)),
+    ("outage", "outages", _outage,
+     lambda e: (f"{e.a}~{e.b}", e.start, e.end - e.start)),
+)
+
+_EVENT_FIELDS = tuple(name for __, name, *___ in _EVENTS)
+_WINDOW_RE = re.compile(r"^([^@]+)@([0-9.]+)\+([0-9.]+)$")
 
 
 @dataclass(frozen=True)
@@ -168,29 +224,16 @@ class FaultPlan:
     exec_stall_s: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("drop_p", "dup_p", "delay_p", "reorder_p",
-                     "exec_fail_p", "exec_stall_p"):
+        for __, name, kind in _FIELDS:
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise SimulationError(f"{name}={value} must be in [0, 1]")
-        if self.delay_factor < 1.0:
-            raise SimulationError("delay_factor must be >= 1")
-        if self.reorder_window < 0.0:
-            raise SimulationError("reorder_window must be >= 0")
-        if self.exec_stall_s < 0.0:
-            raise SimulationError("exec_stall_s must be >= 0")
-        for crash in self.crashes:
-            if crash.down_for <= 0:
-                raise SimulationError(f"crash of {crash.node!r} needs down_for > 0")
-        for outage in self.outages:
-            if outage.end <= outage.start:
-                raise SimulationError("outage window must have end > start")
-
-    # -- predicates ----------------------------------------------------------
-
-    @property
-    def is_noop(self) -> bool:
-        return self == FaultPlan()
+            if not kind.ok(value):
+                raise SimulationError(f"{name}={value!r} must be {kind.bound}")
+        for key, name, __, window in _EVENTS:
+            for event in getattr(self, name):
+                __, start, duration = window(event)
+                if not (0.0 <= start < math.inf and 0.0 < duration < math.inf):
+                    raise SimulationError(f"{key} {event} needs a finite start "
+                                          f">= 0 and a finite duration > 0")
 
     def targets(self, interface: str) -> bool:
         return not self.interfaces or interface in self.interfaces
@@ -199,135 +242,74 @@ class FaultPlan:
 
     def to_spec(self) -> str:
         """Compact one-line spec, the ``--plan`` argument of a repro line."""
-        parts: list[str] = []
-        defaults = FaultPlan()
-        for key, name in (("drop_p", "drop"), ("dup_p", "dup"),
-                          ("delay_p", "delay"), ("reorder_p", "reorder"),
-                          ("exec_fail_p", "execfail"),
-                          ("exec_stall_p", "execstall")):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                parts.append(f"{name}={_num(value)}")
-        if self.delay_factor != defaults.delay_factor:
-            parts.append(f"delayfactor={_num(self.delay_factor)}")
-        if self.reorder_window != defaults.reorder_window:
-            parts.append(f"reorderwindow={_num(self.reorder_window)}")
-        if self.exec_stall_s != defaults.exec_stall_s:
-            parts.append(f"execstallfor={_num(self.exec_stall_s)}")
-        if self.drop_limit is not None:
-            parts.append(f"droplimit={self.drop_limit}")
-        if self.interfaces:
-            parts.append("iface=" + "/".join(self.interfaces))
-        for crash in self.crashes:
-            parts.append(f"crash={crash.node}@{_num(crash.at)}+{_num(crash.down_for)}")
-        for stall in self.stalls:
-            parts.append(f"stall={stall.node}@{_num(stall.at)}+{_num(stall.duration)}")
-        for outage in self.outages:
-            parts.append(
-                f"outage={outage.a}~{outage.b}@{_num(outage.start)}"
-                f"+{_num(outage.end - outage.start)}"
-            )
+        parts = [f"{key}={kind.show(value)}" for key, name, kind in _FIELDS
+                 if (value := getattr(self, name)) != getattr(_NO_FAULTS, name)]
+        for key, name, __, window in _EVENTS:
+            for event in getattr(self, name):
+                target, start, duration = window(event)
+                parts.append(f"{key}={target}@{_num(start)}+{_num(duration)}")
         return ",".join(parts) or "none"
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a :meth:`to_spec` string back into an equal plan."""
+        """Parse a :meth:`to_spec` string back into an equal plan; every
+        malformed entry is a :class:`SimulationError`."""
         spec = spec.strip()
-        if not spec or spec == "none":
+        if spec == "none":
             return cls()
-        scalars: dict[str, Any] = {}
-        crashes: list[Crash] = []
-        stalls: list[Stall] = []
-        outages: list[Outage] = []
-        keymap = {"drop": "drop_p", "dup": "dup_p", "delay": "delay_p",
-                  "reorder": "reorder_p", "delayfactor": "delay_factor",
-                  "reorderwindow": "reorder_window",
-                  "execfail": "exec_fail_p", "execstall": "exec_stall_p",
-                  "execstallfor": "exec_stall_s"}
+        scalars = {key: (name, kind.read) for key, name, kind in _FIELDS}
+        events = {key: (name, make) for key, name, make, __ in _EVENTS}
+        values: dict[str, Any] = {name: () for name, __ in events.values()}
         for part in spec.split(","):
             part = part.strip()
             if not part:
                 continue
-            if "=" not in part:
-                raise SimulationError(f"bad fault-plan entry {part!r}")
-            key, __, value = part.partition("=")
+            key, eq, text = part.partition("=")
             key = key.strip().lower()
-            if key in keymap:
-                scalars[keymap[key]] = float(value)
-            elif key == "droplimit":
-                scalars["drop_limit"] = int(value)
-            elif key == "iface":
-                scalars["interfaces"] = tuple(
-                    i for i in value.split("/") if i
-                )
-            elif key in ("crash", "stall"):
-                match = _CRASH_RE.match(value.strip())
-                if match is None:
-                    raise SimulationError(
-                        f"bad {key} spec {value!r} (want node@at+duration)"
-                    )
-                node, at, duration = match.group(1), float(match.group(2)), float(
-                    match.group(3)
-                )
-                if key == "crash":
-                    crashes.append(Crash(node, at, duration))
+            if not eq:
+                raise SimulationError(f"bad fault-plan entry {part!r}")
+            try:
+                if key in scalars:
+                    name, read = scalars[key]
+                    values[name] = read(text)
+                elif key in events:
+                    match = _WINDOW_RE.match(text.strip())
+                    if match is None:
+                        raise SimulationError(f"bad {key} spec {text!r} "
+                                              f"(want target@start+duration)")
+                    name, make = events[key]
+                    values[name] += (make(match.group(1), float(match.group(2)),
+                                          float(match.group(3))),)
                 else:
-                    stalls.append(Stall(node, at, duration))
-            elif key == "outage":
-                match = _OUTAGE_RE.match(value.strip())
-                if match is None:
-                    raise SimulationError(
-                        f"bad outage spec {value!r} (want a~b@start+duration)"
-                    )
-                start = float(match.group(3))
-                outages.append(Outage(match.group(1), match.group(2), start,
-                                      start + float(match.group(4))))
-            else:
-                raise SimulationError(f"unknown fault-plan key {key!r}")
-        return cls(crashes=tuple(crashes), stalls=tuple(stalls),
-                   outages=tuple(outages), **scalars)
+                    raise SimulationError(f"unknown fault-plan key {key!r}")
+            except ValueError:
+                raise SimulationError(f"bad {key} value {text!r}") from None
+        return cls(**values)
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form for chaos artifacts."""
-        return {
-            "spec": self.to_spec(),
-            "drop_p": self.drop_p, "dup_p": self.dup_p,
-            "delay_p": self.delay_p, "delay_factor": self.delay_factor,
-            "reorder_p": self.reorder_p, "reorder_window": self.reorder_window,
-            "drop_limit": self.drop_limit,
-            "interfaces": list(self.interfaces),
-            "crashes": [vars(c) for c in self.crashes],
-            "stalls": [vars(s) for s in self.stalls],
-            "outages": [vars(o) for o in self.outages],
-            "exec_fail_p": self.exec_fail_p,
-            "exec_stall_p": self.exec_stall_p,
-            "exec_stall_s": self.exec_stall_s,
-        }
+    # -- minimization --------------------------------------------------------
 
     def without(self, dimension: str) -> "FaultPlan":
-        """A copy with one fault dimension removed (plan minimization)."""
-        if dimension in ("drop_p", "dup_p", "delay_p", "reorder_p",
-                         "exec_fail_p", "exec_stall_p"):
-            return replace(self, **{dimension: 0.0})
-        if dimension in ("crashes", "stalls", "outages"):
-            return replace(self, **{dimension: ()})
-        if dimension.startswith(("crashes[", "stalls[", "outages[")):
-            name, index = dimension[:-1].split("[")
-            events = list(getattr(self, name))
-            del events[int(index)]
+        """A copy with one fault dimension removed (plan minimization): a
+        probability, an event list, or one ``events[i]`` of a list."""
+        name, bracket, index = dimension.partition("[")
+        if name in _EVENT_FIELDS:
+            events = list(getattr(self, name)) if bracket else []
+            if bracket:
+                del events[int(index[:-1])]
             return replace(self, **{name: tuple(events)})
+        if name in _PROBABILITIES and not bracket:
+            return replace(self, **{name: 0.0})
         raise SimulationError(f"unknown fault dimension {dimension!r}")
 
     def dimensions(self) -> list[str]:
-        """Removable dimensions, most-impactful first (for minimization)."""
-        dims: list[str] = []
-        for name in ("crashes", "stalls", "outages"):
-            dims.extend(f"{name}[{i}]" for i in range(len(getattr(self, name))))
-        for name in ("drop_p", "dup_p", "delay_p", "reorder_p",
-                     "exec_fail_p", "exec_stall_p"):
-            if getattr(self, name):
-                dims.append(name)
-        return dims
+        """Removable dimensions, most-impactful first (for minimization):
+        every scheduled event, then every probability that is set."""
+        dims = [f"{name}[{i}]" for name in _EVENT_FIELDS
+                for i in range(len(getattr(self, name)))]
+        return dims + [name for name in _PROBABILITIES if getattr(self, name)]
+
+
+_NO_FAULTS = FaultPlan()
 
 
 @dataclass
@@ -356,10 +338,11 @@ class FaultStats:
 class FaultInjector:
     """Deterministic executor of one :class:`FaultPlan` over one network.
 
-    ``install`` hooks the network (``network.faults = self``); ``arm``
-    schedules the plan's crash/recovery events on the clock.  All
-    probabilistic decisions come from private streams of the injector's
-    own :class:`SimRandom`, so installing an injector never perturbs the
+    :meth:`repro.runtime.executor.ClockRuntime.install_faults` sets
+    :attr:`network`, hooks it and schedules :meth:`crash_node` and
+    :meth:`recover_node` for each planned crash.  All probabilistic
+    decisions come from private streams of the injector's own
+    :class:`SimRandom`, so installing an injector never perturbs the
     draws of the system under test.
     """
 
@@ -377,26 +360,10 @@ class FaultInjector:
         #: the causal trace next to the protocol events they perturb.
         self.on_fault = None
         self._delivered: set[int] = set()
-        self._drops_used = 0
 
-    # -- wiring --------------------------------------------------------------
+    # -- scheduled crashes ---------------------------------------------------
 
-    def install(self, network: "Network") -> "FaultInjector":
-        if network.faults is not None:
-            raise SimulationError("network already has a fault injector")
-        network.faults = self
-        self.network = network
-        return self
-
-    def arm(self, simulator: "EventQueue") -> None:
-        """Schedule the plan's crash and recovery events."""
-        for crash in self.plan.crashes:
-            simulator.schedule_at(crash.at, self._crash_node, crash)
-            simulator.schedule_at(
-                crash.at + crash.down_for, self._recover_node, crash
-            )
-
-    def _crash_node(self, crash: Crash) -> None:
+    def crash_node(self, crash: Crash) -> None:
         node = self.network.node(crash.node)
         if not node.is_up:
             return  # overlapping schedules: already down
@@ -404,7 +371,7 @@ class FaultInjector:
         self._note("crash", target=crash.node, down_for=crash.down_for)
         node.crash()
 
-    def _recover_node(self, crash: Crash) -> None:
+    def recover_node(self, crash: Crash) -> None:
         node = self.network.node(crash.node)
         if node.is_up:
             return
@@ -432,8 +399,9 @@ class FaultInjector:
             self._schedule_arrival(message, (heal - now) + delay)
             return
         rng = self._msg_rng
-        if plan.drop_p and self._may_drop() and rng.random() < plan.drop_p:
-            self._drops_used += 1
+        limit = plan.drop_limit
+        if (plan.drop_p and (limit is None or self.stats.dropped < limit)
+                and rng.random() < plan.drop_p):
             self.stats.dropped += 1
             backoff = (self.retry.backoff(attempt, self._retry_rng)
                        if self.retry is not None else None)
@@ -462,10 +430,6 @@ class FaultInjector:
             delay += rng.uniform(0.0, plan.reorder_window)
         self._schedule_arrival(message, delay)
 
-    def _may_drop(self) -> bool:
-        limit = self.plan.drop_limit
-        return limit is None or self._drops_used < limit
-
     def _schedule_arrival(self, message: "Message", delay: float) -> None:
         simulator = self.network.simulator
         arrival = simulator.now + delay
@@ -476,19 +440,15 @@ class FaultInjector:
         simulator.schedule(delay, self.network._arrive, message)
 
     def _outage_heal(self, src: str, dst: str, now: float) -> float | None:
-        heal: float | None = None
-        for outage in self.plan.outages:
-            if outage.start <= now < outage.end and outage.matches(src, dst):
-                heal = outage.end if heal is None else max(heal, outage.end)
-        return heal
+        return max((outage.end for outage in self.plan.outages
+                    if outage.start <= now < outage.end
+                    and outage.matches(src, dst)), default=None)
 
     def _stall_end(self, dst: str, arrival: float) -> float | None:
-        end: float | None = None
-        for stall in self.plan.stalls:
-            if stall.node == dst and stall.at <= arrival < stall.at + stall.duration:
-                stop = stall.at + stall.duration
-                end = stop if end is None else max(end, stop)
-        return end
+        return max((stall.at + stall.duration for stall in self.plan.stalls
+                    if stall.node == dst
+                    and stall.at <= arrival < stall.at + stall.duration),
+                   default=None)
 
     # -- executor hooks ------------------------------------------------------
 
@@ -539,55 +499,38 @@ class FaultInjector:
         return f"<FaultInjector plan={self.plan.to_spec()!r} {self.stats}>"
 
 
+#: Simulated seconds that a random plan's crash and stall times scale to.
+_HORIZON = 120.0
+
+
 def random_plan(
     seed: int,
     crash_nodes: Iterable[str] = (),
     stall_nodes: Iterable[str] = (),
-    horizon: float = 120.0,
-    profile: Mapping[str, float] | None = None,
 ) -> FaultPlan:
     """A random-but-reproducible :class:`FaultPlan` for one chaos run.
 
-    ``profile`` overrides the default fault intensities (keys: ``drop_p``,
-    ``dup_p``, ``delay_p``, ``reorder_p``, ``crashes``, ``stalls``,
-    ``outages``).  All draws come from the ``"plan"`` stream of a
-    :class:`SimRandom` seeded with ``seed``, so the plan — and therefore
-    the whole run — replays from the seed alone.
+    Light message faults, plus one crash of a ``crash_nodes`` member and
+    one stall of a ``stall_nodes`` member (none from an empty pool).  All
+    draws come from the ``"plan"`` stream of a :class:`SimRandom` seeded
+    with ``seed``, so the plan — and therefore the whole run — replays
+    from the seed alone.
     """
-    knobs = {"drop_p": 0.05, "dup_p": 0.03, "delay_p": 0.05,
-             "reorder_p": 0.05, "crashes": 1, "stalls": 1, "outages": 0}
-    if profile:
-        knobs.update(profile)
     rng = SimRandom(seed).stream("plan")
     crash_pool = sorted(crash_nodes)
     stall_pool = sorted(stall_nodes)
-    crashes = []
+    crashes = stalls = ()
     if crash_pool:
-        for __ in range(int(knobs["crashes"])):
-            crashes.append(Crash(
-                node=rng.choice(crash_pool),
-                at=round(rng.uniform(0.15, 0.6) * horizon, 2),
-                down_for=round(rng.uniform(0.05, 0.25) * horizon, 2),
-            ))
-    stalls = []
+        crashes = (Crash(
+            node=rng.choice(crash_pool),
+            at=round(rng.uniform(0.15, 0.6) * _HORIZON, 2),
+            down_for=round(rng.uniform(0.05, 0.25) * _HORIZON, 2),
+        ),)
     if stall_pool:
-        for __ in range(int(knobs["stalls"])):
-            stalls.append(Stall(
-                node=rng.choice(stall_pool),
-                at=round(rng.uniform(0.1, 0.7) * horizon, 2),
-                duration=round(rng.uniform(0.02, 0.1) * horizon, 2),
-            ))
-    outages = []
-    pool = stall_pool or crash_pool
-    if pool:
-        for __ in range(int(knobs["outages"])):
-            start = round(rng.uniform(0.1, 0.6) * horizon, 2)
-            outages.append(Outage(
-                a=rng.choice(pool), b="*", start=start,
-                end=start + round(rng.uniform(0.05, 0.2) * horizon, 2),
-            ))
-    return FaultPlan(
-        drop_p=knobs["drop_p"], dup_p=knobs["dup_p"], delay_p=knobs["delay_p"],
-        reorder_p=knobs["reorder_p"], crashes=tuple(crashes),
-        stalls=tuple(stalls), outages=tuple(outages),
-    )
+        stalls = (Stall(
+            node=rng.choice(stall_pool),
+            at=round(rng.uniform(0.1, 0.7) * _HORIZON, 2),
+            duration=round(rng.uniform(0.02, 0.1) * _HORIZON, 2),
+        ),)
+    return FaultPlan(drop_p=0.05, dup_p=0.03, delay_p=0.05, reorder_p=0.05,
+                     crashes=crashes, stalls=stalls)

@@ -77,7 +77,7 @@ class Network:
         #: it, so a node needs a transport that belongs to a runtime.
         self.executor = None
         #: Optional fault injector (see :mod:`repro.runtime.faults`), installed
-        #: by ``FaultInjector.install``.  When set, every send routes
+        #: by ``ClockRuntime.install_faults``.  When set, every send routes
         #: through its fault pipeline and every delivery through its
         #: duplicate-suppression guard; when ``None`` (the default) the
         #: transport keeps its reliable persistent-queue semantics with a

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+import math
+from typing import Any, Mapping
 
 from repro.engines import SystemConfig, control_system_class
 from repro.errors import AdmissionError, FrontEndError, SchemaError, WorkloadError
@@ -464,8 +465,10 @@ class WorkflowService:
             raise FrontEndError("submit either 'laws' or 'schema', not both")
         if instances < 1:
             raise FrontEndError("instances must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise FrontEndError("deadline_s must be > 0 seconds")
+        if inputs is not None and not isinstance(inputs, Mapping):
+            raise FrontEndError("inputs must be an object of named values")
+        if deadline_s is not None and not 0 < deadline_s < math.inf:
+            raise FrontEndError("deadline_s must be finite and > 0 seconds")
         now = self.runtime.clock.now
         try:
             self.admission.admit(now, running=self.running_count(),

@@ -32,7 +32,7 @@ def test_exec_fault_fields_roundtrip_through_spec():
     assert "execstall=0.1" in spec
     assert "execstallfor=0.75" in spec
     parsed = FaultPlan.parse(spec)
-    assert parsed.to_dict() == plan.to_dict()
+    assert parsed == plan
 
 
 def test_exec_fault_dimensions_are_minimizable():

@@ -255,9 +255,14 @@ def test_the_fault_endpoint_installs_one_plan_and_reports_it():
                                               body)
                 assert (status, reply["error"]["code"]) == (400, "bad-request")
                 assert "'plan'" in reply["error"]["message"]
-            status, reply = await request(port, "POST", "/debug/faults",
-                                          {"plan": "bogus"})
-            assert (status, reply["error"]["code"]) == (400, "bad-request")
+            for plan in ("bogus", "drop=x", "droplimit=1.5",
+                         "crash=a@1.2.3+1", "delayfactor=nan"):
+                status, reply = await request(port, "POST", "/debug/faults",
+                                              {"plan": plan})
+                assert (status, reply["error"]["code"]) == (
+                    400, "bad-request"), plan
+                assert await request(port, "GET", "/debug/faults") == (
+                    200, {"installed": None}), plan
             assert service.system.faults is None
             assert await request(port, "POST", "/debug/faults",
                                  {"plan": "delay=0.5"}) == (
@@ -279,6 +284,33 @@ def test_the_fault_endpoint_installs_one_plan_and_reports_it():
             assert reply["stats"] == service.system.faults.stats.as_dict()
             status, body = await request(port, "GET", "/healthz")
             assert body["faults_installed"] == "delay=0.5"
+        finally:
+            await shutdown(service, server)
+
+    asyncio.run(main())
+
+
+def test_a_malformed_submission_is_refused_before_admission(tmp_path):
+    """Non-mapping inputs and a deadline that is not a finite positive
+    number are 400s: nothing is admitted, installed or journaled."""
+    async def main():
+        service, server, port = await serving(state_dir=tmp_path)
+        try:
+            journaled = len(service._log.records())
+            for fields in ({"inputs": [1]}, {"inputs": "x"},
+                           {"deadline_s": float("nan")},
+                           {"deadline_s": float("inf")}, {"deadline_s": 0}):
+                status, reply = await request(port, "POST", "/workflows",
+                                              {"schema": MINI_SCHEMA, **fields})
+                assert (status, reply["error"]["code"]) == (
+                    400, "bad-request"), fields
+            assert service.admission.stats.accepted == 0
+            assert len(service._log.records()) == journaled
+            assert "Mini" not in service.system.schemas
+            status, reply = await request(port, "POST", "/workflows", {
+                "schema": MINI_SCHEMA, "inputs": {"x": 1}, "deadline_s": 30})
+            assert status == 200 and reply["instances"] == ["Mini-1"]
+            assert service.admission.stats.accepted == 1
         finally:
             await shutdown(service, server)
 

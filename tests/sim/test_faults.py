@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.runtime.faults import (
     Crash,
-    FaultInjector,
     FaultPlan,
     Outage,
     Stall,
@@ -43,8 +42,7 @@ class FixedBackoff:
 def make_faulty(plan, seed=1, latency=1.0, retry=None):
     runtime = SimRuntime(latency=FixedLatency(latency))
     sim, net = runtime.clock, runtime.transport
-    injector = FaultInjector(plan, SimRandom(seed), retry=retry)
-    injector.install(net)
+    injector = runtime.install_faults(plan, SimRandom(seed), retry)
     a = Recorder("a", sim, net)
     b = Recorder("b", sim, net)
     return sim, net, injector, a, b
@@ -63,6 +61,14 @@ def test_plan_spec_round_trips():
         FaultPlan(crashes=(Crash("agent-003", 40.0, 25.0),),
                   stalls=(Stall("engine", 10.5, 3.25),),
                   outages=(Outage("a", "*", 10.0, 30.0),)),
+        # Every field away from its default.
+        FaultPlan(drop_p=0.05, dup_p=0.1, delay_p=0.2, delay_factor=3.0,
+                  reorder_p=0.3, reorder_window=1.5, drop_limit=0,
+                  interfaces=("Ping",),
+                  crashes=(Crash("a", 1.0, 2.0), Crash("b", 0.0, 0.5)),
+                  stalls=(Stall("c", 2.5, 1.0),),
+                  outages=(Outage("a", "b", 3.0, 4.5),),
+                  exec_fail_p=0.4, exec_stall_p=1.0, exec_stall_s=0.0),
     ]
     for plan in plans:
         assert FaultPlan.parse(plan.to_spec()) == plan
@@ -72,12 +78,14 @@ def test_empty_plan_spec_is_none():
     assert FaultPlan().to_spec() == "none"
     assert FaultPlan.parse("none") == FaultPlan()
     assert FaultPlan.parse("") == FaultPlan()
-    assert FaultPlan().is_noop
 
 
 def test_plan_parse_rejects_bad_specs():
     for spec in ("bogus", "drop", "frob=1", "crash=engine",
-                 "outage=a@3+4"):
+                 "outage=a@3+4", "drop=x", "droplimit=1.5",
+                 "crash=a@1.2.3+1", "delayfactor=nan", "reorderwindow=nan",
+                 "droplimit=-1", "crash=a@-1+2", "stall=a@1+0",
+                 "execstallfor=inf"):
         with pytest.raises(SimulationError):
             FaultPlan.parse(spec)
 
@@ -233,7 +241,6 @@ def test_stall_defers_deliveries_to_window_end():
 def test_armed_crash_parks_and_recovery_flushes():
     plan = FaultPlan(crashes=(Crash("b", 2.0, 3.0),))
     sim, net, injector, a, b = make_faulty(plan, latency=1.0)
-    injector.arm(sim)
     a.send("b", "Ping", {"n": 1}, Mechanism.NORMAL)  # arrives at 1, before crash
     sim.schedule_at(2.5, a.send, "b", "Ping", {"n": 2}, Mechanism.NORMAL)
     sim.run()
@@ -246,7 +253,6 @@ def test_armed_crash_parks_and_recovery_flushes():
 def test_armed_crash_skips_already_down_node():
     plan = FaultPlan(crashes=(Crash("b", 2.0, 3.0), Crash("b", 3.0, 1.0)))
     sim, __, injector, a, b = make_faulty(plan)
-    injector.arm(sim)
     sim.run()
     # The overlapping second crash is a no-op; so is its early recovery.
     assert injector.stats.crashes == 1
@@ -257,7 +263,6 @@ def test_armed_crash_skips_already_down_node():
 def test_crash_discards_deferred_continuations():
     plan = FaultPlan(crashes=(Crash("b", 1.0, 1.0),))
     sim, __, injector, a, b = make_faulty(plan)
-    injector.arm(sim)
     fired = []
     b.schedule_causal(2.5, fired.append, "volatile")  # fires after recovery
     b.schedule_causal(0.5, fired.append, "early")     # fires before the crash
@@ -268,9 +273,10 @@ def test_crash_discards_deferred_continuations():
 
 
 def test_install_twice_rejected():
-    sim, net, injector, __, ___ = make_faulty(FaultPlan())
-    with pytest.raises(SimulationError):
-        FaultInjector(FaultPlan(), SimRandom(2)).install(net)
+    runtime = SimRuntime()
+    runtime.install_faults(FaultPlan(), SimRandom(1), None)
+    with pytest.raises(WorkloadError, match="already installed"):
+        runtime.install_faults(FaultPlan(), SimRandom(2), None)
 
 
 def test_on_fault_hook_sees_decisions():
@@ -309,13 +315,3 @@ def test_random_plan_is_reproducible():
     assert len(plan.stalls) == 1 and plan.stalls[0].node in nodes
     # The plan replays through its own spec string.
     assert FaultPlan.parse(plan.to_spec()) == plan
-
-
-def test_random_plan_profile_overrides():
-    plan = random_plan(7, crash_nodes=["engine"], stall_nodes=["engine"],
-                       profile={"drop_p": 0.5, "crashes": 2, "stalls": 0,
-                                "outages": 1})
-    assert plan.drop_p == 0.5
-    assert len(plan.crashes) == 2
-    assert plan.stalls == ()
-    assert len(plan.outages) == 1 and plan.outages[0].b == "*"
